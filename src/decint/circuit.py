@@ -15,7 +15,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .noise import STREAM_CIRCUIT, NoiseParams, rng_stream
+from .noise import STREAM_CIRCUIT, NoiseParams, bernoulli_positions, rng_stream
 from .tableau import Tableau
 
 UNITARY_GATES = {"h", "cnot", "x", "y", "z", "idle", "cpauli"}
@@ -300,17 +300,16 @@ def weight_census(batch: FrameBatch, blocks: dict[str, Sequence[Hashable]]) -> d
 class FrameRunner:
     """Propagates frame batches through circuits, injecting sampled faults.
 
-    Fault randomness is keyed by (seed, STREAM_CIRCUIT, circuit_tag,
-    location, chunk), so results do not depend on how trials are chunked
-    across workers. `circuit_tag` distinguishes repeated fragments.
+    Each run of a fragment draws its faults from one generator keyed by
+    (seed, STREAM_CIRCUIT, circuit_tag, chunk); `circuit_tag` distinguishes
+    repeated fragments. The chunk index is in the key, so the chunk size is
+    part of the configuration: results do not depend on how many workers
+    share the chunks, but they do depend on how trials are chunked.
     """
 
     def __init__(self, params: NoiseParams, chunk: int = 0):
         self.params = params
         self.chunk = chunk
-
-    def _loc_rng(self, tag: int, loc: int) -> np.random.Generator:
-        return rng_stream(self.params.seed, STREAM_CIRCUIT, tag, loc, self.chunk)
 
     def run(
         self,
@@ -321,19 +320,18 @@ class FrameRunner:
         forced_faults: Optional[dict[tuple[int, int], LocationFault]] = None,
     ) -> FrameBatch:
         delta = self.params.delta if noisy else 0.0
-        loc = 0
+        rng = rng_stream(self.params.seed, STREAM_CIRCUIT, tag, self.chunk) if delta > 0.0 else None
+        forced_faults = forced_faults or {}
         for li, layer in enumerate(circuit.layers):
             for gi, g in enumerate(layer):
                 _apply_gate_frame(batch, g)
-                forced = (forced_faults or {}).get((li, gi))
+                forced = forced_faults.get((li, gi))
                 if forced is not None and g.name != "discard":
                     _apply_forced_fault(batch, g, forced)
-                if delta > 0.0 and g.name != "discard":
-                    rng = self._loc_rng(tag, loc)
-                    mask = rng.random(batch.trials) < delta
-                    if mask.any():
-                        _apply_sampled_faults(batch, g, mask, rng)
-                loc += 1
+            # Gates in a layer touch disjoint wires, so faulting the layer
+            # after all its gates equals gate-then-fault at each location.
+            if rng is not None:
+                _apply_layer_faults(batch, [g for g in layer if g.name != "discard"], delta, rng)
         return batch
 
 
@@ -396,15 +394,31 @@ def propagate_frame(
     return batch.x[0].copy(), batch.z[0].copy(), flips
 
 
-def _apply_sampled_faults(batch: FrameBatch, g: Gate, mask: np.ndarray, rng: np.random.Generator):
-    """Pauli-twirled faults on the masked trials (flip for measurements)."""
-    if g.name == "measure":
-        batch.flips[g.out] ^= mask.astype(np.uint8)
-        return
-    k = len(g.wires)
-    codes = rng.integers(1, 4**k, size=batch.trials)
-    for j, w in enumerate(g.wires):
-        part = (codes // (4**j)) % 4
-        q = batch.index[w]
-        batch.x[:, q] ^= (mask & ((part == 1) | (part == 3))).astype(np.uint8)
-        batch.z[:, q] ^= (mask & ((part == 2) | (part == 3))).astype(np.uint8)
+def _apply_layer_faults(batch: FrameBatch, gates: list[Gate], delta: float, rng: np.random.Generator):
+    """Pauli-twirled faults on one layer: each (gate, trial) fails w.p. delta.
+
+    Hits are drawn location-major. A faulty measurement flips its outcome;
+    any other faulty gate gets a uniform code in [1, 4^k) over its k wires,
+    two bits (x, z) per wire, as in `sample_location_fault`.
+    """
+    hits = bernoulli_positions(rng, len(gates) * batch.trials, delta)
+    loc, trial = np.divmod(hits, max(batch.trials, 1))
+    cols = np.zeros((len(gates), 2), dtype=np.intp)
+    arity = np.zeros(len(gates), dtype=np.uint8)  # 0 marks a measurement
+    for i, g in enumerate(gates):
+        if g.name == "measure":
+            lo, hi = np.searchsorted(loc, (i, i + 1))
+            batch.flips[g.out][trial[lo:hi]] ^= 1
+        else:
+            cols[i] = batch.index[g.wires[0]], batch.index[g.wires[-1]]
+            arity[i] = len(g.wires)
+    pauli = arity[loc] > 0
+    loc, trial = loc[pauli], trial[pauli]
+    k = arity[loc]
+    code = rng.integers(1, 4**k, dtype=np.uint8)
+    for j in range(2):  # wire j of a gate takes code bits 2j (x) and 2j + 1 (z)
+        on = k > j
+        part = code[on] >> (2 * j)
+        t, c = trial[on], cols[loc[on], j]
+        batch.x[t, c] ^= part & 1
+        batch.z[t, c] ^= part >> 1 & 1

@@ -434,6 +434,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {args.workers}")
         config_path = pathlib.Path(args.config)
         if not config_path.exists():
             raise UsageError(f"config not found: {config_path}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import interface as iface
 from .css import CodeFamily
 from .circuit import Circuit, FrameBatch, FrameRunner, Gate
-from .noise import NoiseParams, rng_stream, STREAM_TRIAL
+from .noise import NoiseParams, rng_stream, sample_ls_bits, STREAM_TRIAL
 from .scheduler import InterfaceSchedule, effective_interface
 from .tableau import Tableau
 
@@ -351,12 +351,7 @@ def run_e2e_frames(
             input_frames = None
             if input_ls_delta > 0.0:
                 rng_in = rng_stream(params.seed, STREAM_TRIAL, i, chunk)
-                mask = rng_in.random((size, n_r)) < input_ls_delta
-                kinds = rng_in.integers(0, 3, size=(size, n_r))
-                input_frames = (
-                    (mask & (kinds != 1)).astype(np.uint8),
-                    (mask & (kinds != 0)).astype(np.uint8),
-                )
+                input_frames = sample_ls_bits(n_r, input_ls_delta, rng_in, size)
             res = run_block_chain_frames(
                 family,
                 schedule,

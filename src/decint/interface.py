@@ -27,7 +27,7 @@ from . import gf2
 from .css import CodeFamily, CssCode, PauliOp
 from .circuit import Circuit, FrameBatch, FrameRunner, Gate
 from .gf2 import BitMatrix, BitVector
-from .noise import STREAM_ORACLE, NoiseParams, rng_stream
+from .noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_bits
 from .tableau import Tableau
 
 MAX_TABLE_ROWS = 14  # leader tables are dense in 2^{#checks}
@@ -862,10 +862,9 @@ def gamma_frames(
     )
     rng_o = rng_stream(params.seed, STREAM_ORACLE, oracle_stream, chunk)
     if ls_delta > 0.0:
-        mask = rng_o.random((trials, len(ab_cols))) < ls_delta
-        kinds = rng_o.integers(0, 3, size=(trials, len(ab_cols)))
-        batch.x[:, ab_cols] ^= (mask & (kinds != 1)).astype(np.uint8)
-        batch.z[:, ab_cols] ^= (mask & (kinds != 0)).astype(np.uint8)
+        ox, oz = sample_ls_bits(len(ab_cols), ls_delta, rng_o, trials)
+        batch.x[:, ab_cols] ^= ox
+        batch.z[:, ab_cols] ^= oz
     if plan.knobs.resource_fail_prob > 0.0:
         fail = (rng_o.random(trials) < plan.knobs.resource_fail_prob).astype(np.uint8)
         if fail.any():

@@ -2,8 +2,11 @@
 composition, and the low-weight tail bound.
 
 Randomness is counter-based: every draw comes from a Philox stream keyed by
-(master seed, purpose, location/trial indices), so samplers are pure
-functions of their key and trivially parallel across trials and workers.
+(master seed, purpose, indices), so samplers are pure functions of their key
+and trivially parallel across trials and workers. The circuit-noise stream
+is keyed per fragment run, (seed, STREAM_CIRCUIT, circuit tag, chunk): one
+generator serves every location of the fragment. Bernoulli draws are sparse
+(`bernoulli_positions`), so a sampler costs O(delta) per location-trial.
 """
 
 from __future__ import annotations
@@ -66,6 +69,23 @@ class NoiseParams:
         )
 
 
+def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
+    """Sorted positions in range(total) of i.i.d. Bernoulli(p) successes.
+
+    Gaps between successes are geometric, so the cost is O(total * p) draws,
+    not O(total); the result has exact i.i.d. Bernoulli(p) semantics.
+    """
+    if p <= 0.0:  # geometric(0) raises; p = 1 needs no branch, its gaps are all 1
+        return np.empty(0, dtype=np.int64)
+    mean = total * p
+    gaps = rng.geometric(p, size=int(mean + 5.0 * math.sqrt(mean)) + 8)
+    pos = np.cumsum(np.minimum(gaps, total + 1)) - 1  # geometric saturates at int64 max for tiny p
+    if pos[-1] < total:  # the batch fell short (rare): the rest starts fresh after pos[-1]
+        rest = bernoulli_positions(rng, total - 1 - int(pos[-1]), p)
+        return np.concatenate([pos, pos[-1] + 1 + rest])
+    return pos[: np.searchsorted(pos, total)]
+
+
 @dataclass(frozen=True)
 class FaultPattern:
     """Subset of circuit locations that are faulty in one execution."""
@@ -85,8 +105,7 @@ def sample_fault_pattern(
     """Each location independently faulty with probability delta."""
     labels = list(range(locations)) if isinstance(locations, int) else list(locations)
     rng = rng_stream(params.seed, STREAM_FAULT_PATTERN, trial)
-    mask = rng.random(len(labels)) < params.delta
-    return FaultPattern(frozenset(l for l, m in zip(labels, mask) if m))
+    return FaultPattern(frozenset(labels[i] for i in bernoulli_positions(rng, len(labels), params.delta)))
 
 
 PAULI_KINDS = ("X", "Z", "Y")
@@ -120,23 +139,28 @@ def sample_ls_iid(qubits: int, delta: float, seed: int, trial: int = 0) -> Local
 
     Satisfies Pr(T subset of A) = delta^|T| with equality.
     """
-    rng = rng_stream(seed, STREAM_LS, trial)
-    mask = rng.random(qubits) < delta
-    kinds = rng.integers(0, 3, size=qubits)
-    support = tuple(int(i) for i in np.nonzero(mask)[0])
-    paulis = tuple(PAULI_KINDS[int(kinds[i])] for i in support)
+    (x,), (z,) = sample_ls_bits(qubits, delta, seed, 1, stream=trial)
+    support = tuple(int(i) for i in np.flatnonzero(x | z))
+    paulis = tuple(PAULI_KINDS[x[i] + 2 * z[i] - 1] for i in support)
     return LocalStochasticSample(qubits, support, paulis)
 
 
 def sample_ls_bits(
-    qubits: int, delta: float, seed: int, trials: int, stream: int = 0
+    qubits: int, delta: float, seed: Union[int, np.random.Generator], trials: int, stream: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched i.i.d. local stochastic samples as (x, z) bit arrays."""
-    rng = rng_stream(seed, STREAM_LS, stream)
-    mask = rng.random((trials, qubits)) < delta
-    kinds = rng.integers(0, 3, size=(trials, qubits))
-    x = (mask & (kinds != 1)).astype(np.uint8)  # X or Y
-    z = (mask & (kinds != 0)).astype(np.uint8)  # Z or Y
+    """Batched i.i.d. local stochastic samples as (trials, qubits) x, z bits.
+
+    Every (trial, qubit) is in the support with probability delta and carries
+    a uniform nontrivial Pauli there. An int `seed` keys the generator as
+    (seed, STREAM_LS, stream); a Generator is drawn from directly.
+    """
+    rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, STREAM_LS, stream)
+    x = np.zeros((trials, qubits), dtype=np.uint8)
+    z = np.zeros_like(x)
+    hits = bernoulli_positions(rng, trials * qubits, delta)
+    kinds = rng.integers(0, 3, size=hits.size, dtype=np.uint8)  # PAULI_KINDS index
+    x.flat[hits] = kinds != 1  # X or Y
+    z.flat[hits] = kinds != 0  # Z or Y
     return x, z
 
 

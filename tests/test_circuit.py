@@ -1,8 +1,11 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
 from decint import circuit as circ
 from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate, LocationFault
+from decint.interface import wilson_interval
 from decint.noise import NoiseParams
 from decint.tableau import Tableau
 
@@ -247,3 +250,80 @@ class TestFaultSampling:
         assert np.array_equal(b1.x, b2.x) and np.array_equal(b1.z, b2.z)
         b3 = FrameRunner(params, chunk=1).run(c, FrameBatch(c.wires, 64), tag=1)
         assert not np.array_equal(b1.x, b3.x)
+
+
+def _fresh_wire_circuit() -> Circuit:
+    """Every location on its own wires, so each fault stays where it landed."""
+    c = Circuit([f"w{i}" for i in range(14)])
+    c.add_layer([Gate("idle", ("w0",)), Gate("h", ("w1",)), Gate("cnot", ("w2", "w3")),
+                 Gate("discard", ("w4",))])
+    c.add_layer([Gate("init0", ("w5",)), Gate("cnot", ("w6", "w7")), Gate("measure", ("w8",), out="m")])
+    c.add_layer([Gate("idle", ("w9",)), Gate("measure", ("w10",), out="n"),
+                 Gate("cnot", ("w11", "w12")), Gate("discard", ("w13",))])
+    return c
+
+
+def _wilson_contains(hits: int, trials: int, p: float, z: float = 3.29) -> bool:
+    lo, hi = wilson_interval(hits, trials, z=z)
+    return lo <= p <= hi
+
+
+class TestSparseFaultSampling:
+    PAULI_LOCS = (("w0",), ("w1",), ("w2", "w3"), ("w5",), ("w6", "w7"), ("w9",), ("w11", "w12"))
+
+    def run(self, delta, trials, seed=7, tag=0, chunk=0):
+        c = _fresh_wire_circuit()
+        batch = FrameBatch(c.wires, trials)
+        return FrameRunner(NoiseParams(delta=delta, seed=seed), chunk=chunk).run(c, batch, tag=tag)
+
+    def test_per_location_fault_rate(self):
+        delta, trials = 0.05, 40_000
+        b = self.run(delta, trials)
+        for wires in self.PAULI_LOCS:
+            cols = b.columns(wires)
+            hits = int(((b.x[:, cols] | b.z[:, cols]) != 0).any(axis=1).sum())
+            assert _wilson_contains(hits, trials, delta), wires
+        for label in ("m", "n"):
+            assert _wilson_contains(int(b.flips[label].sum()), trials, delta), label
+
+    def test_codes_uniform_over_nontrivial_paulis(self):
+        trials = 45_000
+        b = self.run(1.0, trials)
+        for wires in self.PAULI_LOCS:
+            cols = b.columns(wires)
+            parts = b.x[:, cols].astype(np.int64) + 2 * b.z[:, cols]
+            codes = parts @ (4 ** np.arange(len(wires)))
+            counts = np.bincount(codes, minlength=4 ** len(wires))
+            assert counts[0] == 0, wires
+            # Bonferroni over the 4^k - 1 cells keeps each location's test at level 0.001.
+            z = NormalDist().inv_cdf(1 - 0.0005 / (counts.size - 1))
+            for n in counts[1:]:
+                assert _wilson_contains(int(n), trials, 1 / (counts.size - 1), z), (wires, counts)
+
+    def test_discard_never_faulted(self):
+        b = self.run(1.0, 500)
+        cols = b.columns(["w4", "w13"])
+        assert not b.x[:, cols].any() and not b.z[:, cols].any()
+
+    def test_delta_edges_and_zero_trials(self):
+        quiet = self.run(0.0, 300)
+        assert not quiet.x.any() and not quiet.z.any()
+        assert not quiet.flips["m"].any() and not quiet.flips["n"].any()
+        loud = self.run(1.0, 300)
+        for wires in self.PAULI_LOCS:
+            cols = loud.columns(wires)
+            assert ((loud.x[:, cols] | loud.z[:, cols]) != 0).any(axis=1).all(), wires
+        assert loud.flips["m"].all() and loud.flips["n"].all()
+        empty = self.run(0.5, 0)
+        assert empty.x.shape == (0, 14) and empty.flips["m"].shape == (0,)
+
+    def test_stream_key(self):
+        def frames(**key):
+            b = self.run(0.2, 256, **key)
+            return np.concatenate([b.x, b.z, b.flips["m"][:, None], b.flips["n"][:, None]], axis=1)
+
+        same = frames(tag=3, chunk=1)
+        assert np.array_equal(same, frames(tag=3, chunk=1))
+        assert not np.array_equal(same, frames(tag=3, chunk=2))
+        assert not np.array_equal(same, frames(tag=4, chunk=1))
+        assert not np.array_equal(same, frames(tag=3, chunk=1, seed=8))

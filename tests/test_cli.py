@@ -37,6 +37,14 @@ class TestValidateCodes:
     def test_missing_config(self, tmp_path):
         assert run("validate-codes", str(tmp_path / "absent.json"), tmp_path / "o") == 2
 
+    def test_workers_below_one_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"family": "toy"})
+        for workers in ("0", "-1"):
+            argv = ["validate-codes", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", workers]
+            assert cli.main(argv) == 2
+            assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_dump_family_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"family": "toy", "dump": True})
         assert run("validate-codes", cfg, tmp_path / "out") == 0

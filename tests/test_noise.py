@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from decint import noise
+from decint.interface import wilson_interval
 from decint.noise import NoiseParams
 
 
@@ -160,3 +162,89 @@ class TestRngStream:
         c = noise.rng_stream(1, 2, 3).random(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+
+def _wilson_contains(hits: int, trials: int, p: float, z: float = 3.29) -> bool:
+    lo, hi = wilson_interval(hits, trials, z=z)
+    return lo <= p <= hi
+
+
+class _OnesGenerator(np.random.Generator):
+    """Geometric gaps of 1: every position succeeds, batch after batch."""
+
+    def geometric(self, p, size=None):
+        return np.ones(size, dtype=np.int64)
+
+
+class TestBernoulliPositions:
+    def test_edges(self):
+        rng = noise.rng_stream(1, 0)
+        assert noise.bernoulli_positions(rng, 1000, 0.0).size == 0
+        assert np.array_equal(noise.bernoulli_positions(rng, 1000, 1.0), np.arange(1000))
+        assert noise.bernoulli_positions(rng, 0, 0.5).size == 0
+        assert noise.bernoulli_positions(rng, 0, 1.0).size == 0
+        # Tiny p saturates the geometric draw; positions must not overflow.
+        assert noise.bernoulli_positions(rng, 10**6, 1e-30).size == 0
+
+    def test_sorted_in_range_and_exact_rate(self):
+        total, p = 2_000_000, 0.03
+        pos = noise.bernoulli_positions(noise.rng_stream(2, 0), total, p)
+        assert np.all(np.diff(pos) > 0) and pos[0] >= 0 and pos[-1] < total
+        assert _wilson_contains(pos.size, total, p)
+        # Independence of neighbours: Pr(i and i+1 both succeed) = p^2.
+        mask = np.zeros(total, dtype=bool)
+        mask[pos] = True
+        assert _wilson_contains(int((mask[:-1] & mask[1:]).sum()), total - 1, p * p)
+        # Every position has the same rate (40 residues mod 40, Bonferroni at level 0.001).
+        per_residue = np.bincount(pos % 40, minlength=40)
+        z = NormalDist().inv_cdf(1 - 0.0005 / 40)
+        for n in per_residue:
+            assert _wilson_contains(int(n), total // 40, p, z)
+
+    def test_dense_rate(self):
+        total, p = 200_000, 0.9
+        pos = noise.bernoulli_positions(noise.rng_stream(3, 0), total, p)
+        assert _wilson_contains(pos.size, total, p)
+
+    def test_draws_more_batches_when_needed(self):
+        rng = _OnesGenerator(np.random.Philox(0))
+        assert np.array_equal(noise.bernoulli_positions(rng, 5000, 0.01), np.arange(5000))
+
+    def test_same_key_same_positions(self):
+        a = noise.bernoulli_positions(noise.rng_stream(4, 1), 10**5, 0.01)
+        b = noise.bernoulli_positions(noise.rng_stream(4, 1), 10**5, 0.01)
+        c = noise.bernoulli_positions(noise.rng_stream(4, 2), 10**5, 0.01)
+        assert np.array_equal(a, b) and not np.array_equal(a, c)
+
+
+class TestLsBits:
+    def test_support_rate_and_uniform_kinds(self):
+        trials, qubits, delta = 100_000, 6, 0.1
+        x, z = noise.sample_ls_bits(qubits, delta, seed=5, trials=trials)
+        support = (x | z) != 0
+        assert _wilson_contains(int(support.sum()), trials * qubits, delta)
+        kinds = (x.astype(np.int64) + 2 * z)[support]  # 1 = X, 2 = Z, 3 = Y
+        for k in (1, 2, 3):
+            assert _wilson_contains(int((kinds == k).sum()), kinds.size, 1 / 3)
+
+    def test_edges(self):
+        x, z = noise.sample_ls_bits(5, 0.0, seed=1, trials=50)
+        assert x.shape == (50, 5) and not x.any() and not z.any()
+        x, z = noise.sample_ls_bits(5, 1.0, seed=1, trials=50)
+        assert ((x | z) != 0).all()
+        x, z = noise.sample_ls_bits(5, 0.5, seed=1, trials=0)
+        assert x.shape == (0, 5)
+
+    def test_generator_or_keyed_seed(self):
+        keyed = noise.sample_ls_bits(7, 0.2, seed=9, trials=300, stream=4)
+        rng = noise.rng_stream(9, noise.STREAM_LS, 4)
+        direct = noise.sample_ls_bits(7, 0.2, rng, 300)
+        assert all(np.array_equal(a, b) for a, b in zip(keyed, direct))
+        other = noise.sample_ls_bits(7, 0.2, seed=9, trials=300, stream=5)
+        assert not np.array_equal(keyed[0], other[0])
+
+    def test_iid_sample_matches_bits(self):
+        s = noise.sample_ls_iid(40, 0.3, seed=6, trial=2)
+        (x,), (z,) = noise.sample_ls_bits(40, 0.3, seed=6, trials=1, stream=2)
+        bx, bz = s.as_bits()
+        assert np.array_equal(bx, x) and np.array_equal(bz, z)
