@@ -264,14 +264,18 @@ class FrameBatch:
 
     x/z are (trials, wires) uint8 arrays; `flips` maps each measurement
     label to the per-trial outcome flip relative to the reference run.
+    They are stored wire-major, as transposed views of (wires, trials)
+    arrays, so the column x[:, q] of one wire is contiguous and a gate
+    touches contiguous memory. Any (trials, wires) array may be assigned
+    to x or z; the layout changes speed, not results.
     """
 
     def __init__(self, wires: Sequence[Hashable], trials: int):
         self.wires = list(wires)
         self.index = {w: i for i, w in enumerate(self.wires)}
         self.trials = trials
-        self.x = np.zeros((trials, len(self.wires)), dtype=np.uint8)
-        self.z = np.zeros_like(self.x)
+        self.x = np.zeros((len(self.wires), trials), dtype=np.uint8).T
+        self.z = np.zeros((len(self.wires), trials), dtype=np.uint8).T
         self.flips: dict[str, np.ndarray] = {}
 
     def columns(self, wires: Sequence[Hashable]) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 Rows are packed into 64-bit words so that row XOR and popcount (the hot
 operations in syndrome decoding and coset searches) are single numpy ops.
+Products of dense 0/1 trial batches go through `mul_bits`, one float32 BLAS
+matmul.
 All objects are immutable after construction; every operation returns a new
 value, so concurrent use from multiple workers is safe.
 """
@@ -26,14 +28,13 @@ def _nwords(ncols: int) -> int:
 
 def _pack(dense: np.ndarray, ncols: int) -> np.ndarray:
     """Pack a (rows, ncols) 0/1 array into little-endian uint64 words."""
-    dense = np.asarray(dense, dtype=np.uint8).reshape(-1, ncols) if ncols else np.zeros(
-        (len(dense), 0), dtype=np.uint8
-    )
-    nbytes = _nwords(ncols) * 8
-    packed = np.zeros((dense.shape[0], nbytes), dtype=np.uint8)
-    if ncols:
-        packed[:, : (ncols + 7) // 8] = np.packbits(dense, axis=-1, bitorder="little")
-    return packed.view(np.uint64)
+    dense = np.asarray(dense, dtype=np.uint8)
+    rows = dense.size // ncols if ncols else len(dense)
+    # Zero-pad every row to whole words, then pack the flat buffer in one pass.
+    words = _nwords(ncols)
+    padded = np.zeros((rows, words * WORD), dtype=np.uint8)
+    padded[:, :ncols] = dense.reshape(rows, ncols)
+    return np.packbits(padded, axis=None, bitorder="little").view(np.uint64).reshape(rows, words)
 
 
 def _unpack(words: np.ndarray, ncols: int) -> np.ndarray:
@@ -45,6 +46,31 @@ def _unpack(words: np.ndarray, ncols: int) -> np.ndarray:
 
 def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
+
+
+# float32 holds every integer below 2^24 exactly, so a float32 product of 0/1
+# rows with small nonnegative integers counts exactly while every partial sum
+# stays below this.
+FLOAT32_EXACT = 1 << 24
+
+
+def mul_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer product a @ b of a 0/1 array and a nonnegative integer array.
+
+    One BLAS float32 matmul over a trial batch. Raises when a partial sum
+    could reach 2^24 (inner dimension times the largest entry of b), where
+    float32 stops counting exactly.
+    """
+    b = np.asarray(b)
+    top = max(int(b.max()), 1) if b.size else 1
+    if np.shape(a)[-1] * top >= FLOAT32_EXACT:
+        raise ValueError(f"product over {np.shape(a)[-1]} terms is not exact in float32")
+    return np.matmul(a, b, dtype=np.float32).astype(np.int32)
+
+
+def mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """GF(2) product of 0/1 arrays: the parities a @ b mod 2 as uint8."""
+    return (mul_count(a, b) & 1).astype(np.uint8)
 
 
 class BitVector:

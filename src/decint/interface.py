@@ -50,7 +50,7 @@ class LeaderTable:
 
     def lookup(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized decode: syndromes (trials, rows) -> (errors, weights)."""
-        idx = syndromes.astype(np.int64) @ (1 << np.arange(self.h.nrows, dtype=np.int64))
+        idx = gf2.mul_count(syndromes, 1 << np.arange(self.h.nrows))
         return self.errors[idx], self.weights[idx]
 
 
@@ -737,8 +737,10 @@ class ChunkStats:
 
 
 def _coset_elements(basis: BitMatrix) -> np.ndarray:
-    """All 2^k stabilizer combinations as dense rows (k is small here)."""
+    """All 2^k stabilizer combinations as dense rows, for k <= MAX_TABLE_ROWS."""
     k, n = basis.nrows, basis.ncols
+    if k > MAX_TABLE_ROWS:
+        raise ValueError(f"coset enumeration too large for {k} stabilizer generators")
     dense = basis.to_dense()
     out = np.zeros((1 << k, n), dtype=np.uint8)
     for i in range(1, 1 << k):
@@ -746,9 +748,9 @@ def _coset_elements(basis: BitMatrix) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class _FrameTables:
-    """Precomputed per-level-r' decode machinery for trial classification."""
+    """Precomputed per-level decode machinery for trial classification."""
 
     stab_x: np.ndarray  # coset elements of rowspace(H_X)
     stab_z: np.ndarray
@@ -760,23 +762,30 @@ class _FrameTables:
     hz: np.ndarray
 
 
+@functools.lru_cache(maxsize=64)
 def _frame_tables(code: CssCode) -> _FrameTables:
-    return _FrameTables(
+    arrays = dict(
         stab_x=_coset_elements(code.x_stabilizer_basis()),
         stab_z=_coset_elements(code.z_stabilizer_basis()),
-        table_x=build_leader_table(code.hz),
-        table_z=build_leader_table(code.hx),
         lx=code.lx.to_dense(),
         lz=code.lz.to_dense(),
         hx=code.hx.to_dense(),
         hz=code.hz.to_dense(),
     )
+    for a in arrays.values():
+        a.flags.writeable = False  # shared by every caller of the cache
+    return _FrameTables(
+        table_x=build_leader_table(code.hz), table_z=build_leader_table(code.hx), **arrays
+    )
 
 
 def _reduced_weights(e: np.ndarray, cosets: np.ndarray) -> np.ndarray:
     """Min Hamming weight of e xor each coset element, per trial."""
-    # e: (T, n), cosets: (C, n) -> (T,)
-    return ((e[:, None, :] ^ cosets[None, :, :]) != 0).sum(axis=2).min(axis=1)
+    # e: (T, n), cosets: (C, n) -> (T,); rows packed into uint64 words, so the
+    # work array is T x C x ceil(n / 64) words.
+    n = e.shape[1]
+    pe, pc = gf2._pack(e, n), gf2._pack(cosets, n)
+    return np.bitwise_count(pe[:, None, :] ^ pc[None, :, :]).sum(axis=2).min(axis=1)
 
 
 def _ec_frame_round(
@@ -878,14 +887,14 @@ def gamma_frames(
 
     m1_flips = np.stack([batch.flips[l] for l in plan.m1_labels], axis=1)
     m2_flips = np.stack([batch.flips[l] for l in plan.m2_labels], axis=1)
-    s1 = (m1_flips.astype(np.int64) @ tables_r.hx.T) % 2
-    s2 = (m2_flips.astype(np.int64) @ tables_r.hz.T) % 2
+    s1 = gf2.mul_bits(m1_flips, tables_r.hx.T)
+    s2 = gf2.mul_bits(m2_flips, tables_r.hz.T)
     e1, w1 = plan.table_q_x.lookup(s1)
     e2, w2 = plan.table_q_z.lookup(s2)
     d_r = plan.code_r.min_distance()[0]
     herald = (w1 < 0) | (w2 < 0) | (2 * w1 >= d_r) | (2 * w2 >= d_r)
-    du = ((m1_flips ^ e1).astype(np.int64) @ tables_r.lx.T) % 2
-    dv = ((m2_flips ^ e2).astype(np.int64) @ tables_r.lz.T) % 2
+    du = gf2.mul_bits(m1_flips ^ e1, tables_r.lx.T)
+    dv = gf2.mul_bits(m2_flips ^ e2, tables_r.lz.T)
 
     for g in plan.b_gadgets:
         cols = batch.columns(g.data_wires)
@@ -897,8 +906,8 @@ def gamma_frames(
 
     # Logical correction difference: Z^{du} X^{dv} lifted onto the B blocks.
     b_cols = batch.columns(plan.b_wires)
-    batch.z[:, b_cols] ^= ((du @ plan.lzb) % 2).astype(np.uint8)
-    batch.x[:, b_cols] ^= ((dv @ plan.lxb) % 2).astype(np.uint8)
+    batch.z[:, b_cols] ^= gf2.mul_bits(du, plan.lzb)
+    batch.x[:, b_cols] ^= gf2.mul_bits(dv, plan.lxb)
     runner.run(plan.b_correction_circuit, batch, tag=tag)
     return GammaFrameRun(
         out_x=batch.x[:, b_cols].copy(),
@@ -925,14 +934,10 @@ def classify_gamma_output(
             _reduced_weights(ex, tables_p.stab_x), _reduced_weights(ez, tables_p.stab_z)
         )
         overflow |= rw > mu * n_p
-        sx_i = (ez.astype(np.int64) @ tables_p.hx.T) % 2
-        sz_i = (ex.astype(np.int64) @ tables_p.hz.T) % 2
-        ehat_z, _ = tables_p.table_z.lookup(sx_i)
-        ehat_x, _ = tables_p.table_x.lookup(sz_i)
-        rx = (ex ^ ehat_x).astype(np.int64)
-        rz = (ez ^ ehat_z).astype(np.int64)
-        logical |= ((rx @ tables_p.lz.T) % 2).any(axis=1)
-        logical |= ((rz @ tables_p.lx.T) % 2).any(axis=1)
+        ehat_z, _ = tables_p.table_z.lookup(gf2.mul_bits(ez, tables_p.hx.T))
+        ehat_x, _ = tables_p.table_x.lookup(gf2.mul_bits(ex, tables_p.hz.T))
+        logical |= gf2.mul_bits(ex ^ ehat_x, tables_p.lz.T).any(axis=1)
+        logical |= gf2.mul_bits(ez ^ ehat_z, tables_p.lx.T).any(axis=1)
         np.add.at(hist[i], rw, 1)
     return overflow, logical, hist
 

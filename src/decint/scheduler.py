@@ -12,13 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .css import CodeFamily
-
-
-def _poly_eval(coeffs: Sequence[int], x: int) -> int:
-    return int(sum(c * x**k for k, c in enumerate(coeffs)))
 
 
 @dataclass(frozen=True)

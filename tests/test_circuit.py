@@ -198,6 +198,44 @@ class TestFrameBackend:
         assert np.array_equal(total, batch.weight_per_trial(batch.wires))
 
 
+class TestFrameLayout:
+    """Frames are stored wire-major; the layout never changes results."""
+
+    @staticmethod
+    def mixed_circuit() -> Circuit:
+        c = Circuit(["a", "b", "c", "d"])
+        c.add_layer([Gate("h", ("a",)), Gate("cnot", ("b", "c")), Gate("init0", ("d",))])
+        c.add_layer([Gate("measure", ("a",), out="ma"), Gate("cnot", ("c", "b")), Gate("idle", ("d",))])
+        c.add_layer([Gate("cpauli", ("b",), pauli="y", control="ma"), Gate("h", ("c",)),
+                     Gate("cnot", ("d", "a"))])
+        c.add_layer([Gate("measure", ("b",), out="mb"), Gate("discard", ("c",)), Gate("idle", ("a",))])
+        return c
+
+    def test_public_shape_is_trials_by_wires(self):
+        batch = FrameBatch(["a", "b", "c"], 5)
+        assert batch.x.shape == batch.z.shape == (5, 3)
+        assert batch.x[:, 1].flags.c_contiguous and batch.z[:, 2].flags.c_contiguous
+
+    def test_c_order_assignment_propagates_identically(self):
+        c = self.mixed_circuit()
+        rng = np.random.default_rng(17)
+        x0 = rng.integers(0, 2, (300, 4)).astype(np.uint8)
+        z0 = rng.integers(0, 2, (300, 4)).astype(np.uint8)
+        params = NoiseParams(delta=0.1, seed=5)
+        wire_major = FrameBatch(c.wires, 300)
+        wire_major.inject(c.wires, x0, z0)
+        trial_major = FrameBatch(c.wires, 300)
+        trial_major.x, trial_major.z = x0.copy(), z0.copy()
+        assert trial_major.x.flags.c_contiguous and not wire_major.x.flags.c_contiguous
+        for batch in (wire_major, trial_major):
+            FrameRunner(params, chunk=2).run(c, batch, tag=9)
+        assert np.array_equal(wire_major.x, trial_major.x)
+        assert np.array_equal(wire_major.z, trial_major.z)
+        assert wire_major.flips.keys() == trial_major.flips.keys() == {"ma", "mb"}
+        for label in ("ma", "mb"):
+            assert np.array_equal(wire_major.flips[label], trial_major.flips[label])
+
+
 class TestCrossValidation:
     """Tableau and frame backends agree under exhaustive single-fault injection."""
 

@@ -176,6 +176,62 @@ class TestCosetMinWeight:
         assert res.exact and res.weight == oracle
 
 
+class TestMulBits:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_int64_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        t, k, m = (int(v) for v in rng.integers(1, 70, size=3))
+        a = rng.integers(0, 2, (t, k), dtype=np.uint8)
+        b = rng.integers(0, 2, (k, m), dtype=np.uint8)
+        got = gf2.mul_bits(a, b)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, (a.astype(np.int64) @ b) % 2)
+        # Transposed (non-contiguous) operands, as the check matrices are passed.
+        assert np.array_equal(gf2.mul_bits(a, b.T.copy().T), got)
+
+    def test_mul_count_with_weights(self):
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 2, (40, 14), dtype=np.uint8)
+        pow2 = 1 << np.arange(14)
+        assert np.array_equal(gf2.mul_count(a, pow2), a.astype(np.int64) @ pow2)
+
+    def test_empty_check_matrices(self):
+        a = np.ones((5, 3), np.uint8)
+        assert gf2.mul_bits(a, np.zeros((3, 0), np.uint8)).shape == (5, 0)
+        out = gf2.mul_bits(np.zeros((5, 0), np.uint8), np.zeros((0, 4), np.uint8))
+        assert out.shape == (5, 4) and not out.any()
+        assert np.array_equal(gf2.mul_count(np.zeros((2, 0), np.uint8), 1 << np.arange(0)), [0, 0])
+
+    def test_bool_input(self):
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 2, (30, 9)).astype(bool)
+        b = rng.integers(0, 2, (9, 6)).astype(bool)
+        assert np.array_equal(gf2.mul_bits(a, b), (a.astype(np.int64) @ b) % 2)
+
+    def test_inner_dimension_guard(self):
+        # Zero-size operands: the guard fires before any allocation.
+        inner = gf2.FLOAT32_EXACT
+        with pytest.raises(ValueError):
+            gf2.mul_bits(np.zeros((0, inner), np.uint8), np.zeros((inner, 0), np.uint8))
+        gf2.mul_bits(np.zeros((0, inner - 1), np.uint8), np.zeros((inner - 1, 0), np.uint8))
+        with pytest.raises(ValueError):
+            gf2.mul_count(np.ones((1, 3), np.uint8), np.array([1 << 23, 0, 0]))
+
+
+class TestPack:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_roundtrip_and_bit_order(self, n):
+        rng = np.random.default_rng(n)
+        dense = rng.integers(0, 2, (7, n), dtype=np.uint8)
+        words = gf2._pack(dense, n)
+        assert words.shape == (7, gf2._nwords(n)) and words.dtype == np.uint64
+        assert np.array_equal(gf2._unpack(words, n), dense)
+        for row, packed in zip(dense, words):  # bit j of the row is bit j of the words
+            assert sum(int(w) << (64 * k) for k, w in enumerate(packed)) == sum(
+                int(b) << j for j, b in enumerate(row)
+            )
+
+
 class TestSerialization:
     def test_roundtrip(self):
         m = BitMatrix.from_rows(["101", "011"])

@@ -6,7 +6,7 @@ import pytest
 from decint import css, interface
 from decint.circuit import FrameBatch, FrameRunner, LocationFault
 from decint.css import PauliOp
-from decint.gf2 import BitVector
+from decint.gf2 import BitMatrix, BitVector
 from decint.noise import NoiseParams
 from decint.tableau import Tableau, random_stabilizer_state
 
@@ -421,6 +421,56 @@ class TestEstimateTau:
         ).out_qubit_error_rate.mean()
         assert m_hi > m_lo > 0
         assert m_lo / 0.005 < 120  # measured lambda' stays bounded at toy scale
+
+
+class TestFrameClassification:
+    @pytest.mark.parametrize("n", [1, 10, 63, 64, 65, 130])
+    def test_reduced_weights_match_broadcast(self, n):
+        rng = np.random.default_rng(n)
+        e = rng.integers(0, 2, (200, n), dtype=np.uint8)
+        e[:20] = 0  # zero errors
+        cosets = rng.integers(0, 2, (8, n), dtype=np.uint8)
+        cosets[0] = 0
+        e[20:30] = cosets[3]  # errors that reduce to weight 0
+        brute = ((e[:, None, :] ^ cosets[None, :, :]) != 0).sum(axis=2).min(axis=1)
+        assert np.array_equal(interface._reduced_weights(e, cosets), brute)
+        assert np.array_equal(interface._reduced_weights(e[:, ::-1], cosets[:, ::-1]), brute)
+
+    def test_coset_enumeration_fails_fast(self):
+        limit = interface.MAX_TABLE_ROWS
+        with pytest.raises(ValueError, match="too large"):
+            interface._coset_elements(BitMatrix.identity(limit + 1))
+        elements = interface._coset_elements(BitMatrix.identity(limit))
+        assert elements.shape == (1 << limit, limit)
+        assert len({row.tobytes() for row in elements}) == 1 << limit
+
+    def test_frame_tables_cached_and_read_only(self, fam):
+        code = fam.level(3)
+        tables = interface._frame_tables(code)
+        assert interface._frame_tables(code) is tables
+        for arr in (tables.stab_x, tables.stab_z, tables.lx, tables.lz, tables.hx, tables.hz):
+            with pytest.raises(ValueError):
+                arr[0, 0] ^= 1
+
+    @pytest.mark.parametrize(
+        "delta, fail_prob, counts",
+        [
+            # (failures, heralds, weight overflows, logical errors, block-0 and
+            # block-1 weight histograms), recorded before the wire-major frame
+            # layout and the float32 GF(2) products; any change to a random
+            # stream or to the classification moves them.
+            (0.01, 0.0, (2851, 2484, 1973, 2699, [542, 976, 1482, 0, 0], [721, 1024, 1255, 0, 0])),
+            (0.003, 0.05, (1844, 1384, 1028, 1588, [1639, 517, 844, 0, 0], [1818, 557, 625, 0, 0])),
+        ],
+    )
+    def test_golden_tau_counts(self, fam, delta, fail_prob, counts):
+        est = interface.estimate_tau(
+            fam, 3, 2, NoiseParams(delta=delta, seed=2024), trials=3000, mu=0.25,
+            knobs=interface.GammaKnobs(resource_fail_prob=fail_prob), chunk_size=1000,
+        )
+        got = (est.failures, est.heralds, est.weight_overflows, est.logical_errors,
+               *est.block_weight_hist.tolist())
+        assert got == counts
 
 
 class TestGammaValidation:
