@@ -9,6 +9,7 @@ doubles underflow); Monte Carlo uses vectorized sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -295,6 +296,22 @@ def final_bound(z: int, delta_bar: Fraction, t_bar: Sequence[Node]) -> Fraction:
     delta_bar = Fraction(delta_bar)
     w = node_weight(z, t_bar)
     return 4 * Fraction(4) ** len(list(t_bar)) * delta_bar ** (2 * w)
+
+
+def binomial_two_sided_p(hits: int, trials: int, p: float) -> float:
+    """Exact two-sided binomial p-value of `hits` under Bin(trials, p).
+
+    Twice the smaller tail, P(X <= hits) or P(X >= hits), capped at 1. The
+    pmf comes from a cumulative sum of log ratios, so it stays exact (to
+    float rounding) at expected counts far below 1, where a normal
+    approximation does not hold.
+    """
+    if not 0 < p < 1:
+        return float(hits == trials * p)
+    j = np.arange(1, trials + 1)
+    steps = np.log(trials - j + 1) - np.log(j) + math.log(p) - math.log1p(-p)
+    pmf = np.exp(trials * math.log1p(-p) + np.concatenate([[0.0], np.cumsum(steps)]))
+    return min(1.0, 2 * min(float(pmf[: hits + 1].sum()), float(pmf[hits:].sum())))
 
 
 def check_final_bound(

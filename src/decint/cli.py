@@ -252,6 +252,10 @@ def cmd_schedule_audit(config: dict, out: pathlib.Path, seed: Optional[int], wor
     return 0
 
 
+# Family-wise false-alarm rate of a tree-bounds run's Monte Carlo checks.
+MC_FAMILY_ALPHA = 1e-3
+
+
 def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
     z_grid = config.get("z_grid", [2, 3, 4])
     db_grid = config.get("delta_bar_grid", [0.3, 0.1, 0.03])
@@ -261,6 +265,7 @@ def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], worker
     base_seed = int(config.get("seed", 0) if seed is None else seed)
     manifest = Manifest("tree-bounds", config, out)
     rows = []
+    mc_rows = []
     all_ok = True
     for z in z_grid:
         if z - 1 > blocktree.MAX_EXACT_DEPTH:
@@ -274,26 +279,24 @@ def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], worker
                 manifest.add_seed(f"tree z={z} db={db}", base_seed)
                 alive, _ = blocktree.sample_states_batch(params, base_seed, mc_trials)
             for c in checks:
-                mc_freq = ""
-                mc_ok = ""
+                all_ok &= c.ok
+                row = [z, db, _set_descriptor(c.t_bar), c.exact, c.bound,
+                       float(c.bound - c.exact), c.ok, "", ""]
+                rows.append(row)
                 if alive is not None:
                     hit = np.ones(mc_trials, dtype=bool)
                     for v in c.t_bar:
                         hit &= ~alive[v]
-                    freq = float(hit.mean())
-                    exact = float(c.exact)
-                    sigma = (max(exact * (1 - exact), 0.0) / mc_trials) ** 0.5
-                    mc_freq = freq
-                    mc_ok = abs(freq - exact) <= 4 * sigma + 1e-9
-                    all_ok &= bool(mc_ok)
-                all_ok &= c.ok
-                rows.append(
-                    [z, db, _set_descriptor(c.t_bar), c.exact, c.bound,
-                     float(c.bound - c.exact), c.ok, mc_freq, mc_ok]
-                )
+                    mc_rows.append((row, int(hit.sum()), float(c.exact)))
+    # Exact binomial test per set, Bonferroni-corrected over the run's checks.
+    alpha = MC_FAMILY_ALPHA / max(1, len(mc_rows))
+    for row, hits, exact in mc_rows:
+        mc_ok = blocktree.binomial_two_sided_p(hits, mc_trials, exact) >= alpha
+        all_ok &= mc_ok
+        row[-2:] = [hits / mc_trials, mc_ok]
     write_csv(
         out / "tree_bounds.csv",
-        ["z", "delta_bar", "set", "exact_prob", "bound", "margin", "ok", "mc_freq", "mc_within_4sigma"],
+        ["z", "delta_bar", "set", "exact_prob", "bound", "margin", "ok", "mc_freq", "mc_consistent"],
         rows,
     )
     manifest.add_output("tree_bounds.csv")

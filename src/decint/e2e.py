@@ -116,8 +116,7 @@ def run_block_chain_tableau(
                 iface._run_ec_tableau(gadget, state, {}, rng, [])
             plan = iface.build_gamma(family, level, level - 1, knobs)
             state.rename(dict(zip(wires, plan.q_wires)))
-            ref = _run_gamma_inplace(plan, state, rng)
-            heralds |= ref.herald
+            heralds |= iface.run_gamma_tableau(plan, state, rng).heralds
             child_code = family.level(level - 1)
             for j in range(plan.blocks):
                 child_wires = [f"L{level-1}.u{uid}.{p}" for p in range(child_code.n)]
@@ -136,47 +135,6 @@ def run_block_chain_tableau(
     matches = final.same_state(want)
     bits = np.array([state.measure_z(w, rng)[0] for w in out_wires], dtype=np.uint8)
     return BlockChainResult(output_bits=bits, state_matches=matches, heralds=heralds)
-
-
-@dataclass
-class _InlineGammaResult:
-    herald: bool
-
-
-def _run_gamma_inplace(plan: iface.InterfaceCircuit, state: Tableau, rng) -> _InlineGammaResult:
-    """Noiseless Gamma pass that tolerates spectator wires in the state
-    (the block's siblings); the plan's own wire names must be free."""
-    from . import circuit as circ
-    from .gf2 import BitVector
-
-    outcomes: dict = {}
-    iface._run_ec_tableau(plan.q_gadget, state, outcomes, rng, [])
-    resource = plan.resource_tableau()
-    state_labels = set(map(str, state.labels))
-    if state_labels & set(map(str, resource.labels)):
-        raise ValueError("gamma wires collide with spectator wires")
-    merged = state.tensor(resource)
-    state.labels = merged.labels
-    state.xs, state.zs, state.signs = merged.xs, merged.zs, merged.signs
-    circ.run_noisy(plan.bell_circuit, state, rng=rng, outcomes=outcomes)
-    m1 = BitVector.from_bits([outcomes[l] for l in plan.m1_labels])
-    m2 = BitVector.from_bits([outcomes[l] for l in plan.m2_labels])
-    bell = iface.logical_bell_process(plan.code_r, m1, m2)
-    for g in plan.b_gadgets:
-        iface._run_ec_tableau(g, state, outcomes, rng, [])
-    circ.run_noisy(plan.proc_wait_circuit, state, rng=rng, outcomes=outcomes)
-    u = bell.u.to_array()
-    v = bell.v.to_array()
-    corr_x = (v @ plan.lxb) % 2
-    corr_z = (u @ plan.lzb) % 2
-    xb = np.zeros(state.n, np.uint8)
-    zb = np.zeros(state.n, np.uint8)
-    for k, w in enumerate(plan.b_wires):
-        qi = state.index(w)
-        xb[qi], zb[qi] = corr_x[k], corr_z[k]
-    state.apply_pauli(xb, zb)
-    circ.run_noisy(plan.b_correction_circuit, state, rng=rng, outcomes=outcomes)
-    return _InlineGammaResult(herald=bell.herald)
 
 
 # -- frame Monte Carlo chain -------------------------------------------------------------

@@ -356,6 +356,10 @@ class GammaKnobs:
     resource_ls_delta: Optional[float] = None
     resource_fail_prob: float = 0.0
 
+    def __post_init__(self):
+        # Plans are cached per knobs, so every field must be hashable.
+        object.__setattr__(self, "proc_poly", tuple(self.proc_poly))
+
     def proc_layers(self, n: int) -> int:
         return int(sum(c * n**k for k, c in enumerate(self.proc_poly)))
 
@@ -382,7 +386,7 @@ class GammaKnobs:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterfaceCircuit:
     """The partial interface Gamma_{r,r'}: wires, fragments, decode tables."""
 
@@ -430,8 +434,13 @@ class InterfaceCircuit:
         n = self.code_rp.n
         return self.b_wires[i * n : (i + 1) * n]
 
-    def resource_tableau(self) -> Tableau:
+    @functools.cached_property
+    def _resource(self) -> Tableau:
         return resource_state_tableau(self.code_r, self.code_rp, self.a_wires, self.b_wires)
+
+    def resource_tableau(self) -> Tableau:
+        """A fresh copy of the encoded Bell resource, built once per plan."""
+        return self._resource.copy()
 
 
 def resource_state_tableau(
@@ -473,13 +482,16 @@ def resource_state_tableau(
     return Tableau.from_generators(labels, gens)
 
 
+@functools.lru_cache(maxsize=32)
 def build_gamma(
     family: CodeFamily, r: int, r_prime: int, knobs: Optional[GammaKnobs] = None
 ) -> InterfaceCircuit:
     """Assemble Gamma_{r,r'} for one level-r input block.
 
     The output block count is m_r / m_{r'} (2^{r-r'} under the family's
-    doubling property); m_{r'} must divide m_r.
+    doubling property); m_{r'} must divide m_r. Plans are cached per
+    (family, r, r', knobs) and shared by every caller: treat them as
+    read-only.
     """
     if not 1 <= r_prime < r <= family.depth:
         raise ValueError("need 1 <= r' < r <= family depth")
@@ -548,6 +560,7 @@ def build_gamma(
         i, p = divmod(j, code_rp.m)
         lxb[j, i * code_rp.n : (i + 1) * code_rp.n] = lx_p[p]
         lzb[j, i * code_rp.n : (i + 1) * code_rp.n] = lz_p[p]
+    lxb.flags.writeable = lzb.flags.writeable = False  # the plan is cached and shared
 
     latency = (
         knobs.s1 * (q_gadget.extraction.depth + 1)
@@ -630,23 +643,29 @@ def _run_ec_tableau(
 
 def run_gamma_tableau(
     plan: InterfaceCircuit,
-    input_state: Tableau,
+    state: Tableau,
     rng: Optional[np.random.Generator] = None,
 ) -> GammaReference:
-    """Noiseless exact execution of Gamma on a given encoded input tableau.
+    """Noiseless exact execution of Gamma, in place on `state`.
 
-    The input tableau lives on plan.q_wires (apply injected input errors to
-    it beforehand). Returns the output tableau on the B wires.
+    The encoded input lives on plan.q_wires (apply injected input errors to
+    it beforehand); other wires of `state` are spectators (sibling blocks of
+    a chain) and must not collide with the plan's resource wires. On return
+    `state` (also the reference's `output`) holds the B wires and the
+    spectators. Pass a copy to keep the input.
     """
     from . import circuit as circ
 
     rng = rng or np.random.default_rng(0)
-    state = input_state.copy()
     outcomes: dict = {}
-    ec_log: list[PauliOp] = []
+    ec_log: list[DecodeResult] = []
 
     _run_ec_tableau(plan.q_gadget, state, outcomes, rng, ec_log)
-    state = state.tensor(plan.resource_tableau())
+    resource = plan.resource_tableau()
+    if set(map(str, state.labels)) & set(map(str, resource.labels)):
+        raise ValueError("gamma wires collide with spectator wires")
+    merged = state.tensor(resource)
+    state.labels, state.xs, state.zs, state.signs = merged.labels, merged.xs, merged.zs, merged.signs
     circ.run_noisy(plan.bell_circuit, state, rng=rng, outcomes=outcomes)
 
     m1 = BitVector.from_bits([outcomes[l] for l in plan.m1_labels])
@@ -672,13 +691,12 @@ def run_gamma_tableau(
     state.apply_pauli(xb, zb)
     circ.run_noisy(plan.b_correction_circuit, state, rng=rng, outcomes=outcomes)
 
-    heralds = bell.herald
     return GammaReference(
         output=state,
         outcomes=outcomes,
         bell=bell,
         ec_corrections=ec_log,
-        heralds=heralds,
+        heralds=bell.herald,
         m1_in_code=m1_in_code,
         m2_in_code=m2_in_code,
     )

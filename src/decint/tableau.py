@@ -6,29 +6,40 @@ Hermitian convention: each qubit contributes I, X, Y (= iXZ) or Z, and the
 stored sign bit s means the generator equals (-1)^s times that product.
 Used as the exact oracle backend; the Pauli-frame engine handles bulk
 Monte Carlo.
+
+Z measurements use the rowsum rule of Aaronson and Gottesman
+(arXiv:quant-ph/0406196) without destabilizers; see `Tableau.measure_z`.
+The x/z part of a tableau never depends on its signs: gates and
+measurements change it the same way whatever the signs hold, while Paulis,
+corrections and outcomes only flip signs. So the generator combination
+that gives a Pauli is memoised in `_combination`, keyed by the bytes of
+the x/z part, the wire count and the target Pauli, together with the
+sign-free half of the product's phase. A sign is then the parity of the
+selected generators' signs plus that half.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import gf2
+
 
 def _g_exponents(x1, z1, x2, z2):
-    """Aaronson-Gottesman phase function, vectorized over qubits.
+    """i-exponent (mod 4) of the Hermitian Pauli product (x1, z1) * (x2, z2).
 
-    Returns the i-exponent contributed by each qubit when multiplying the
-    Hermitian single-qubit Paulis (x1, z1) * (x2, z2).
+    With P(x, z) = i^(x.z) X^x Z^z, P1 P2 = i^g P(x1^x2, z1^z2) for
+    g = x1.z1 + x2.z2 + 2 z1.x2 - (x1^x2).(z1^z2); dot products run over
+    the last axis, so rows of stacked Paulis broadcast.
     """
-    x1 = x1.astype(np.int8)
-    z1 = z1.astype(np.int8)
-    x2 = x2.astype(np.int8)
-    z2 = z2.astype(np.int8)
-    y1 = x1 & z1
-    only_x = x1 & (1 - z1)
-    only_z = (1 - x1) & z1
-    return y1 * (z2 - x2) + only_x * (z2 * (2 * x2 - 1)) + only_z * (x2 * (1 - 2 * z2))
+
+    def dot(a, b):
+        return np.sum(a & b, axis=-1, dtype=np.int64)
+
+    return (dot(x1, z1) + dot(x2, z2) + 2 * dot(z1, x2) - dot(x1 ^ x2, z1 ^ z2)) % 4
 
 
 def pauli_product(
@@ -46,7 +57,7 @@ def pauli_product(
     z = z.copy()
     phase = (2 * s + extra_i) % 4
     for x2, z2, s2 in terms[1:]:
-        phase = (phase + 2 * s2 + int(_g_exponents(x, z, x2, z2).sum())) % 4
+        phase = (phase + 2 * s2 + int(_g_exponents(x, z, x2, z2))) % 4
         x ^= x2
         z ^= z2
     if phase % 2:
@@ -122,37 +133,16 @@ class Tableau:
         return self.labels.index(label)
 
     def assert_valid(self):
-        n = self.n
-        sym = np.zeros((n, n), dtype=np.uint8)
-        for i in range(n):
-            sym[i] = symplectic_overlap(self.xs[i], self.zs[i], self.xs, self.zs)
-        if sym.any():
+        if symplectic_overlap(self.xs[:, None], self.zs[:, None], self.xs, self.zs).any():
             raise ValueError("generators do not commute")
-        if self._rank_symplectic() != n:
+        if gf2.rank(gf2.BitMatrix.from_dense(np.concatenate([self.xs, self.zs], axis=1))) != self.n:
             raise ValueError("generators not independent")
-
-    def _rank_symplectic(self) -> int:
-        m = np.concatenate([self.xs, self.zs], axis=1).copy()
-        r = 0
-        for c in range(m.shape[1]):
-            idx = np.nonzero(m[r:, c])[0]
-            if idx.size == 0:
-                continue
-            p = r + idx[0]
-            m[[r, p]] = m[[p, r]]
-            hit = np.nonzero(m[:, c])[0]
-            hit = hit[hit != r]
-            m[hit] ^= m[r]
-            r += 1
-            if r == m.shape[0]:
-                break
-        return r
 
     def _rowsum_into(self, rows: np.ndarray, src: int):
         """generators[rows] <- generators[rows] * generators[src]."""
         if rows.size == 0:
             return
-        g = _g_exponents(self.xs[rows], self.zs[rows], self.xs[src], self.zs[src]).sum(axis=1)
+        g = _g_exponents(self.xs[rows], self.zs[rows], self.xs[src], self.zs[src])
         phase = (2 * self.signs[rows].astype(np.int64) + 2 * int(self.signs[src]) + g) % 4
         if (phase % 2).any():
             raise ValueError("rowsum of anticommuting generators")
@@ -200,56 +190,53 @@ class Tableau:
 
         Returns (outcome, deterministic). Random outcomes draw from `rng`
         unless `forced` pins them (used to realize init0 on a dirty wire).
+
+        Update rule: pick one generator p. If some generators anticommute
+        with Z_q, the outcome is random; p is the first of them and the
+        others are multiplied by it. Otherwise p is any generator in the
+        combination that gives +/-Z_q (memoised, see the module docstring),
+        and the outcome is that product's sign; replacing p by the product
+        keeps a generating set. Row p becomes (-1)^outcome Z_q. No other row
+        has X on q, so multiplying a row that has Z on q by that row only
+        XORs the outcome into its sign. Row p and column q are then dropped.
         """
         q = self.index(label)
-        anti = np.nonzero(self.xs[:, q])[0]
+        anti = np.flatnonzero(self.xs[:, q])
         if anti.size:
             p = int(anti[0])
             self._rowsum_into(anti[1:], p)
             if forced is not None:
                 outcome = int(forced)
+            elif rng is None:
+                raise ValueError("random measurement needs an rng")
             else:
-                if rng is None:
-                    raise ValueError("random measurement needs an rng")
                 outcome = int(rng.integers(0, 2))
-            self.xs[p] = 0
-            self.zs[p] = 0
-            self.zs[p, q] = 1
-            self.signs[p] = outcome
-            deterministic = False
-            zq_row = p
         else:
-            lam, sign = self._express_z(q)
-            outcome = sign
-            deterministic = True
-            sel = np.nonzero(lam)[0]
-            zq_row = int(sel[0])
-            for i in sel[1:]:
-                self._rowsum_into(np.array([zq_row]), int(i))
-        # Clear the measured column from every other generator, then drop it.
-        rest = np.nonzero(self.zs[:, q])[0]
-        rest = rest[rest != zq_row]
-        self._rowsum_into(rest, zq_row)
-        keep = np.arange(self.n) != zq_row
+            z_bits = np.zeros(self.n, np.uint8)
+            z_bits[q] = 1
+            lam, outcome = self._express(np.zeros(self.n, np.uint8), z_bits)
+            p = int(lam.argmax())
+        self.signs[self.zs[:, q] == 1] ^= outcome
+        keep = np.arange(self.n) != p
         cols = np.arange(self.n) != q
         self.xs = self.xs[keep][:, cols]
         self.zs = self.zs[keep][:, cols]
         self.signs = self.signs[keep]
         del self.labels[q]
-        return outcome, deterministic
+        return outcome, not anti.size
 
-    def _express_z(self, q: int) -> tuple[np.ndarray, int]:
-        """Write Z_q as a product of generators; returns (combination, sign)."""
-        a = np.concatenate([self.xs, self.zs], axis=1).T.copy()  # (2n, g)
-        b = np.zeros(2 * self.n, dtype=np.uint8)
-        b[self.n + q] = 1
-        lam = _solve_dense(a, b)
-        if lam is None:
-            raise ValueError("Z not in stabilizer group")
-        sel = np.nonzero(lam)[0]
-        terms = [(self.xs[i], self.zs[i], int(self.signs[i])) for i in sel]
-        x, z, s = pauli_product(terms)
-        return lam, int(s)
+    def _express(self, x_bits: np.ndarray, z_bits: np.ndarray) -> tuple[np.ndarray, int]:
+        """(combination, sign) of the generators whose product is +/-X^x Z^z.
+
+        The combination is a read-only boolean mask over the generators;
+        raises when the Pauli is not in the stabilizer group up to sign.
+        """
+        target = (np.concatenate([x_bits, z_bits]) & 1).astype(np.uint8)
+        found = _combination(self.xs.tobytes(), self.zs.tobytes(), self.n, target.tobytes())
+        if found is None:
+            raise ValueError("Pauli not in stabilizer group")
+        lam, half = found
+        return lam, (int(self.signs[lam].sum()) + half) % 2
 
     def add_fresh_zero(self, label: Hashable):
         """Append a new wire prepared in |0>."""
@@ -273,17 +260,8 @@ class Tableau:
         """Outcome bit of measuring the Pauli X^x Z^z if deterministic, else None."""
         if symplectic_overlap(self.xs, self.zs, x_bits, z_bits).any():
             return None
-        a = np.concatenate([self.xs, self.zs], axis=1).T.copy()
-        b = np.concatenate([x_bits, z_bits]).astype(np.uint8)
-        lam = _solve_dense(a, b)
-        if lam is None:
-            return None
-        sel = np.nonzero(lam)[0]
-        if sel.size == 0:
-            return 0
-        terms = [(self.xs[i], self.zs[i], int(self.signs[i])) for i in sel]
-        _, _, s = pauli_product(terms)
-        return int(s)
+        # A Pauli commuting with n independent generators lies in their group.
+        return self._express(x_bits, z_bits)[1]
 
     # -- canonical form & comparison -------------------------------------------
 
@@ -364,31 +342,22 @@ def random_stabilizer_state(
     return t
 
 
-def _solve_dense(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Solve a x = b over GF(2) for small dense uint8 systems."""
-    a = a.copy() & 1
-    b = b.copy() & 1
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        idx = np.nonzero(a[r:, c])[0]
-        if idx.size == 0:
-            continue
-        p = r + int(idx[0])
-        a[[r, p]] = a[[p, r]]
-        b[r], b[p] = b[p], b[r]
-        hit = np.nonzero(a[:, c])[0]
-        hit = hit[hit != r]
-        a[hit] ^= a[r]
-        b[hit] ^= b[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if b[r:].any():
+@functools.lru_cache(maxsize=1024)
+def _combination(xs: bytes, zs: bytes, n: int, target: bytes) -> Optional[tuple[np.ndarray, int]]:
+    """Memoised solve of prod_{i in lam} g_i = +/-target for an n-wire tableau.
+
+    `xs`/`zs` are the bytes of the (n, n) uint8 x/z parts and `target` the
+    bytes of the 2n x-then-z bits. Returns (lam, half): lam is a read-only
+    boolean mask over generators, half the product's phase with all signs
+    taken as 0, halved. None when no combination exists.
+    """
+    x = np.frombuffer(xs, np.uint8).reshape(n, n)
+    z = np.frombuffer(zs, np.uint8).reshape(n, n)
+    a = gf2.BitMatrix.from_dense(np.concatenate([x, z], axis=1).T)
+    sol = gf2.solve(a, gf2.BitVector.from_bits(np.frombuffer(target, np.uint8)))
+    if sol is None:
         return None
-    x = np.zeros(ncols, dtype=np.uint8)
-    for i, c in enumerate(pivots):
-        x[c] = b[i]
-    return x
+    lam = sol.to_array().astype(bool)
+    lam.flags.writeable = False
+    half = pauli_product([(x[i], z[i], 0) for i in np.flatnonzero(lam)])[2] if lam.any() else 0
+    return lam, int(half)

@@ -7,6 +7,7 @@ import pytest
 
 from decint import blocktree as bt
 from decint.blocktree import TreeParams
+from decint.cli import MC_FAMILY_ALPHA
 
 
 class TestNodeWeight:
@@ -229,6 +230,42 @@ class TestFinalBound:
             v = bt.nodes_at_depth(z, y)[0]
             exact = bt.exact_inclusion(params, [v])
             assert exact <= 2 * db ** (2 ** (z - y))
+
+
+class TestBinomialTest:
+    @staticmethod
+    def brute_p(hits, trials, p):
+        p = Fraction(p)
+        pmf = [math.comb(trials, j) * p**j * (1 - p) ** (trials - j) for j in range(trials + 1)]
+        return min(1.0, float(2 * min(sum(pmf[: hits + 1]), sum(pmf[hits:]))))
+
+    @pytest.mark.parametrize("trials,p", [(1, 0.5), (12, 0.1), (25, 0.37), (40, 0.01)])
+    def test_matches_exact_sum(self, trials, p):
+        for hits in range(trials + 1):
+            got = bt.binomial_two_sided_p(hits, trials, p)
+            assert got == pytest.approx(self.brute_p(hits, trials, p), rel=1e-9, abs=1e-300)
+
+    def test_degenerate_rates(self):
+        assert bt.binomial_two_sided_p(0, 100, 0.0) == 1.0
+        assert bt.binomial_two_sided_p(1, 100, 0.0) == 0.0
+        assert bt.binomial_two_sided_p(100, 100, 1.0) == 1.0
+        assert bt.binomial_two_sided_p(99, 100, 1.0) == 0.0
+
+    def test_tiny_expected_counts_accepted(self):
+        # Two z=4 sets of the tree-bounds grid: 2 hits in 1e5 trials against
+        # exact rates near 1e-6, which a 4-sigma normal test rejects.
+        alpha = MC_FAMILY_ALPHA / 327
+        for exact in (1.0300969897960899e-06, 2.0198019597049899e-06):
+            assert bt.binomial_two_sided_p(2, 100_000, exact) >= alpha
+        assert bt.binomial_two_sided_p(2, 100_000, 1.0300969897960899e-06) == pytest.approx(
+            0.0099096, rel=1e-4
+        )
+
+    def test_twofold_misestimate_rejected(self):
+        alpha = MC_FAMILY_ALPHA / 327
+        assert bt.binomial_two_sided_p(2_000, 100_000, 1e-2) < alpha
+        assert bt.binomial_two_sided_p(500, 100_000, 1e-2) < alpha
+        assert bt.binomial_two_sided_p(1_000, 100_000, 1e-2) > 0.9
 
 
 def _subsets(items):

@@ -138,6 +138,19 @@ class TestTreeBounds:
         assert rows[0].startswith("z,delta_bar,set,exact_prob,bound,margin,ok")
         assert all(r.split(",")[6] == "1" for r in rows[1:])
 
+    def test_small_rates_pass_the_exact_test(self, tmp_path):
+        # Sets with exact probability near 1e-6 see 0 to 2 hits in 1e5 trials.
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"z_grid": [2, 3, 4], "delta_bar_grid": [0.3, 0.1, 0.03], "max_size": 3,
+             "mc_trials": 100000, "seed": 1},
+        )
+        assert run("tree-bounds", cfg, tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "tree_bounds.csv").read_text().splitlines()
+        assert rows[0].split(",")[-2:] == ["mc_freq", "mc_consistent"]
+        assert len(rows) == 328 and all(r.endswith(",1") for r in rows[1:])
+
     def test_depth_cap_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"z_grid": [9], "delta_bar_grid": [0.1]})
         assert run("tree-bounds", cfg, tmp_path / "out") == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -314,6 +315,97 @@ class TestGammaNoiseless:
                 ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(5))
                 assert not ref.heralds, case
                 assert ref.output.same_state(want), case
+
+
+class TestTableauExecutor:
+    # Outcome dicts recorded before the direct measurement update and the
+    # memoised combinations: the same seed must give the same outcomes.
+    GOLDEN_STEANE = {
+        "m1.0": 0, "m1.1": 0, "m1.2": 1, "m1.3": 0, "m1.4": 1, "m1.5": 1, "m1.6": 0,
+        "m2.0": 1, "m2.1": 1, "m2.2": 1, "m2.3": 0, "m2.4": 0, "m2.5": 0, "m2.6": 0,
+        "q.r0.sx0": 1, "q.r0.sx1": 0, "q.r0.sx2": 0,
+        "q.r0.sz0": 1, "q.r0.sz1": 0, "q.r0.sz2": 0,
+    }
+    GOLDEN_TOY_3_2 = {
+        "b0.r0.sx0": 0, "b0.r0.sz0": 0, "b1.r0.sx0": 0, "b1.r0.sz0": 0,
+        "m1.0": 0, "m1.1": 1, "m1.2": 1, "m1.3": 0, "m1.4": 0,
+        "m1.5": 1, "m1.6": 1, "m1.7": 0, "m1.8": 1, "m1.9": 1,
+        "m2.0": 1, "m2.1": 1, "m2.2": 1, "m2.3": 1, "m2.4": 1,
+        "m2.5": 0, "m2.6": 1, "m2.7": 1, "m2.8": 0, "m2.9": 0,
+        "q.r0.sx0": 0, "q.r0.sx1": 0, "q.r0.sx2": 0,
+        "q.r0.sz0": 1, "q.r0.sz1": 0, "q.r0.sz2": 0,
+    }
+
+    def test_golden_outcomes_steane(self, sfam):
+        plan = interface.build_gamma(sfam, 2, 1)
+        logical = Tableau.zero_state([0])
+        logical.apply_x(0)
+        inp = sfam.level(2).encoded_tableau(logical, labels=plan.q_wires)
+        apply_error(inp, plan.q_wires[3], "Y")
+        ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(11))
+        assert ref.outcomes == self.GOLDEN_STEANE
+        assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
+
+    def test_golden_outcomes_toy_3_2(self, fam):
+        plan = interface.build_gamma(fam, 3, 2)
+        logical = random_stabilizer_state(list(range(4)), np.random.default_rng(4), moves=12)
+        inp = fam.level(3).encoded_tableau(logical, labels=plan.q_wires)
+        apply_error(inp, plan.q_wires[2], "X")
+        ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(9))
+        assert ref.outcomes == self.GOLDEN_TOY_3_2
+
+    def test_runs_in_place_with_spectators(self, fam):
+        plan = interface.build_gamma(fam, 2, 1)
+        logical = random_stabilizer_state([0, 1], np.random.default_rng(6))
+        inp = fam.level(2).encoded_tableau(logical, labels=plan.q_wires)
+        spectator = Tableau.zero_state(["s0", "s1"])
+        spectator.apply_x("s1")
+        state = inp.tensor(spectator)
+        ref = interface.run_gamma_tableau(plan, state, np.random.default_rng(2))
+        assert ref.output is state
+        assert set(state.labels) == set(plan.b_wires) | {"s0", "s1"}
+        assert state.measure_z("s0") == (0, True)
+        assert state.measure_z("s1") == (1, True)
+        assert state.same_state(interface.expected_output_tableau(plan, logical))
+
+    def test_spectator_collision_rejected(self, fam):
+        plan = interface.build_gamma(fam, 2, 1)
+        inp = fam.level(2).encoded_tableau(Tableau.zero_state([0, 1]), labels=plan.q_wires)
+        state = inp.tensor(Tableau.zero_state([plan.b_wires[0]]))
+        with pytest.raises(ValueError, match="collide"):
+            interface.run_gamma_tableau(plan, state, np.random.default_rng(0))
+
+
+class TestPlanCache:
+    def test_build_gamma_returns_the_cached_plan(self, fam):
+        assert interface.build_gamma(fam, 3, 2) is interface.build_gamma(fam, 3, 2)
+        knobs = interface.GammaKnobs(s1=2)
+        assert interface.build_gamma(fam, 3, 2, knobs) is interface.build_gamma(fam, 3, 2, knobs)
+        assert interface.build_gamma(fam, 3, 2, knobs) is not interface.build_gamma(fam, 3, 2)
+        listed = interface.GammaKnobs(proc_poly=[0, 1])
+        assert interface.build_gamma(fam, 3, 2, listed) is interface.build_gamma(
+            fam, 3, 2, interface.GammaKnobs()
+        )
+
+    def test_cached_plan_is_read_only(self, fam):
+        plan = interface.build_gamma(fam, 2, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.blocks = 3
+        with pytest.raises(ValueError):
+            plan.lxb[0, 0] ^= 1
+
+    def test_resource_tableau_copies_are_independent(self, fam):
+        plan = interface.build_gamma(fam, 3, 2)
+        fresh = interface.resource_state_tableau(plan.code_r, plan.code_rp, plan.a_wires, plan.b_wires)
+        first = plan.resource_tableau()
+        first.apply_x(first.labels[0])
+        first.measure_z(first.labels[1], np.random.default_rng(0))
+        first.rename({first.labels[0]: "moved"})
+        second = plan.resource_tableau()
+        assert second is not first
+        assert second.labels == fresh.labels
+        for attr in ("xs", "zs", "signs"):
+            assert np.array_equal(getattr(second, attr), getattr(fresh, attr))
 
 
 class TestFaultLocality:
