@@ -59,6 +59,7 @@ class Circuit:
         self.wires = list(wires)
         self._index = {w: i for i, w in enumerate(self.wires)}
         self.layers: list[list[Gate]] = layers or []
+        self._fault_table: Optional[FaultTable] = None
         if len(self._index) != len(self.wires):
             raise ValueError("duplicate wire labels")
 
@@ -73,6 +74,7 @@ class Circuit:
                     raise ValueError(f"wire {w!r} used twice in one layer")
                 seen.add(w)
         self.layers.append(gates)
+        self._fault_table = None
         return self
 
     @property
@@ -88,6 +90,17 @@ class Circuit:
 
     def measurement_labels(self) -> list[str]:
         return [g.out for layer in self.layers for g in layer if g.name == "measure"]
+
+    def fault_table(self) -> "FaultTable":
+        """The fault locations of every layer, compiled on first use.
+
+        The table lives on the circuit (ids of the short-lived circuits built
+        per call are reused) and `add_layer` drops it, so grow a circuit only
+        through `add_layer`.
+        """
+        if self._fault_table is None:
+            self._fault_table = FaultTable.compile(self)
+        return self._fault_table
 
     def validate(self) -> None:
         """Raise on malformed circuits (overlap and arity are checked on add)."""
@@ -265,9 +278,13 @@ class FrameBatch:
     x/z are (trials, wires) uint8 arrays; `flips` maps each measurement
     label to the per-trial outcome flip relative to the reference run.
     They are stored wire-major, as transposed views of (wires, trials)
-    arrays, so the column x[:, q] of one wire is contiguous and a gate
-    touches contiguous memory. Any (trials, wires) array may be assigned
-    to x or z; the layout changes speed, not results.
+    arrays, so the column x[:, q] of one wire is the contiguous row
+    x.T[q] and a gate or a correction touches contiguous memory.
+
+    Layout contract: x and z may be replaced by any (trials, wires) arrays
+    that are contiguous (C or Fortran order) and share one layout; the
+    layout changes speed, not results. Fault injection writes through the
+    flat memory of x and z, so a non-contiguous frame raises there.
     """
 
     def __init__(self, wires: Sequence[Hashable], trials: int):
@@ -281,6 +298,17 @@ class FrameBatch:
     def columns(self, wires: Sequence[Hashable]) -> np.ndarray:
         return np.array([self.index[w] for w in wires], dtype=np.intp)
 
+    def block(self, wires: Sequence[Hashable]) -> slice:
+        """The columns of adjacent `wires`, in order, as a slice.
+
+        x.T[block] is then a view of contiguous rows that updates in place,
+        with no gather and scatter.
+        """
+        start = self.index[wires[0]] if len(wires) else 0
+        if [self.index[w] for w in wires] != list(range(start, start + len(wires))):
+            raise ValueError("wires are not adjacent in the batch")
+        return slice(start, start + len(wires))
+
     def inject(self, wires: Sequence[Hashable], x: np.ndarray, z: np.ndarray):
         cols = self.columns(wires)
         self.x[:, cols] ^= x.astype(np.uint8)
@@ -289,6 +317,69 @@ class FrameBatch:
     def weight_per_trial(self, wires: Sequence[Hashable]) -> np.ndarray:
         cols = self.columns(wires)
         return ((self.x[:, cols] | self.z[:, cols]) != 0).sum(axis=1)
+
+    def flat_frames(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """Flat views of x and z with their (trial, wire) strides in elements."""
+        if self.x.strides != self.z.strides:
+            raise ValueError("frame arrays x and z must share one layout")
+        for a in (self.x, self.z):
+            if not (a.flags.c_contiguous or a.flags.f_contiguous):
+                raise ValueError("frame arrays must be contiguous")
+        s0, s1 = (s // self.x.itemsize for s in self.x.strides)
+        return self.x.ravel(order="K"), self.z.ravel(order="K"), s0, s1
+
+
+@dataclass(frozen=True)
+class LayerFaults:
+    """The fault locations of one layer: rows `rows` of its `FaultTable`.
+
+    `arity` is each location's wire count, 0 for a measurement (whose fault
+    is an outcome flip); `code_arity` is the one arity of the layer's other
+    gates, or 0 when it mixes one- and two-wire gates.
+    """
+
+    rows: slice
+    arity: np.ndarray  # (locations in the layer,) uint8
+    code_arity: int
+    meas_bounds: np.ndarray  # (2, measurements): positions p and p + 1 of each measurement
+    meas_labels: tuple
+
+
+@dataclass(frozen=True)
+class FaultTable:
+    """Fault locations of a circuit, one row per non-`discard` gate.
+
+    `cols` holds each gate's first and last wire as circuit-local indices.
+    Rows run layer by layer in gate order; `layers` slices them.
+    """
+
+    cols: np.ndarray  # (locations, 2) intp
+    layers: tuple
+
+    @classmethod
+    def compile(cls, circuit: Circuit) -> "FaultTable":
+        layer_gates = [[g for g in layer if g.name != "discard"] for layer in circuit.layers]
+        gates = [g for layer in layer_gates for g in layer]
+        cols = np.array(
+            [(circuit._index[g.wires[0]], circuit._index[g.wires[-1]]) for g in gates], dtype=np.intp
+        ).reshape(-1, 2)
+        arity = np.array([0 if g.name == "measure" else len(g.wires) for g in gates], dtype=np.uint8)
+        layers, start = [], 0
+        for layer in layer_gates:
+            rows = slice(start, start + len(layer))
+            meas = [p for p, g in enumerate(layer) if g.name == "measure"]
+            arities = set(arity[rows].tolist()) - {0}
+            layers.append(
+                LayerFaults(
+                    rows=rows,
+                    arity=arity[rows],
+                    code_arity=arities.pop() if len(arities) == 1 else 0,
+                    meas_bounds=np.array([meas, [p + 1 for p in meas]], dtype=np.intp).reshape(2, -1),
+                    meas_labels=tuple(layer[p].out for p in meas),
+                )
+            )
+            start = rows.stop
+        return cls(cols=cols, layers=tuple(layers))
 
 
 def weight_census(batch: FrameBatch, blocks: dict[str, Sequence[Hashable]]) -> dict[str, np.ndarray]:
@@ -309,6 +400,11 @@ class FrameRunner:
     repeated fragments. The chunk index is in the key, so the chunk size is
     part of the configuration: results do not depend on how many workers
     share the chunks, but they do depend on how trials are chunked.
+
+    Faults come from the circuit's compiled `FaultTable`: a run maps its
+    wire indices to batch columns with one gather and XORs each layer's
+    faults into the flat memory of the frames (see `FrameBatch` for the
+    layout contract).
     """
 
     def __init__(self, params: NoiseParams, chunk: int = 0):
@@ -324,7 +420,12 @@ class FrameRunner:
         forced_faults: Optional[dict[tuple[int, int], LocationFault]] = None,
     ) -> FrameBatch:
         delta = self.params.delta if noisy else 0.0
-        rng = rng_stream(self.params.seed, STREAM_CIRCUIT, tag, self.chunk) if delta > 0.0 else None
+        rng = None
+        if delta > 0.0 and batch.trials > 0:
+            rng = rng_stream(self.params.seed, STREAM_CIRCUIT, tag, self.chunk)
+            table = circuit.fault_table()
+            xf, zf, s0, s1 = batch.flat_frames()
+            offsets = batch.columns(circuit.wires)[table.cols] * s1
         forced_faults = forced_faults or {}
         for li, layer in enumerate(circuit.layers):
             for gi, g in enumerate(layer):
@@ -335,7 +436,8 @@ class FrameRunner:
             # Gates in a layer touch disjoint wires, so faulting the layer
             # after all its gates equals gate-then-fault at each location.
             if rng is not None:
-                _apply_layer_faults(batch, [g for g in layer if g.name != "discard"], delta, rng)
+                lf = table.layers[li]
+                _apply_layer_faults(batch, lf, offsets[lf.rows], xf, zf, s0, delta, rng)
         return batch
 
 
@@ -398,31 +500,43 @@ def propagate_frame(
     return batch.x[0].copy(), batch.z[0].copy(), flips
 
 
-def _apply_layer_faults(batch: FrameBatch, gates: list[Gate], delta: float, rng: np.random.Generator):
+def _apply_layer_faults(
+    batch: FrameBatch,
+    lf: LayerFaults,
+    offsets: np.ndarray,
+    xf: np.ndarray,
+    zf: np.ndarray,
+    s0: int,
+    delta: float,
+    rng: np.random.Generator,
+):
     """Pauli-twirled faults on one layer: each (gate, trial) fails w.p. delta.
 
     Hits are drawn location-major. A faulty measurement flips its outcome;
     any other faulty gate gets a uniform code in [1, 4^k) over its k wires,
-    two bits (x, z) per wire, as in `sample_location_fault`.
+    two bits (x, z) per wire, as in `sample_location_fault`. `offsets` holds
+    each gate's first and last wire as flat offsets into xf/zf, and trial t
+    adds t * s0.
     """
-    hits = bernoulli_positions(rng, len(gates) * batch.trials, delta)
-    loc, trial = np.divmod(hits, max(batch.trials, 1))
-    cols = np.zeros((len(gates), 2), dtype=np.intp)
-    arity = np.zeros(len(gates), dtype=np.uint8)  # 0 marks a measurement
-    for i, g in enumerate(gates):
-        if g.name == "measure":
-            lo, hi = np.searchsorted(loc, (i, i + 1))
-            batch.flips[g.out][trial[lo:hi]] ^= 1
-        else:
-            cols[i] = batch.index[g.wires[0]], batch.index[g.wires[-1]]
-            arity[i] = len(g.wires)
-    pauli = arity[loc] > 0
-    loc, trial = loc[pauli], trial[pauli]
-    k = arity[loc]
-    code = rng.integers(1, 4**k, dtype=np.uint8)
-    for j in range(2):  # wire j of a gate takes code bits 2j (x) and 2j + 1 (z)
-        on = k > j
-        part = code[on] >> (2 * j)
-        t, c = trial[on], cols[loc[on], j]
-        batch.x[t, c] ^= part & 1
-        batch.z[t, c] ^= part >> 1 & 1
+    hits = bernoulli_positions(rng, lf.arity.size * batch.trials, delta)
+    loc, trial = np.divmod(hits, batch.trials)
+    k = lf.arity[loc]
+    if lf.meas_labels:
+        lo, hi = np.searchsorted(loc, lf.meas_bounds)
+        for label, a, b in zip(lf.meas_labels, lo, hi):
+            batch.flips[label][trial[a:b]] ^= 1
+        pauli = k > 0
+        loc, trial, k = loc[pauli], trial[pauli], k[pauli]
+    if lf.code_arity:  # a scalar bound draws the same codes as the array bound, faster
+        code = rng.integers(1, 4**lf.code_arity, size=k.size, dtype=np.uint8)
+    else:
+        code = rng.integers(1, 4**k, dtype=np.uint8)
+    at = trial * s0 + offsets[loc, 0]  # wire 0 of a gate takes code bits 0 (x) and 1 (z)
+    xf[at] ^= code & 1
+    zf[at] ^= code >> 1 & 1
+    if lf.code_arity != 1:  # wire 1 of a two-wire gate takes bits 2 and 3
+        pair = k > 1
+        part = code[pair] >> 2
+        at = trial[pair] * s0 + offsets[loc[pair], 1]
+        xf[at] ^= part & 1
+        zf[at] ^= part >> 1 & 1

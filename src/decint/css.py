@@ -8,6 +8,7 @@ and doubling metadata the interface constructions rely on.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -274,18 +275,29 @@ class CssCode:
         """Encode an m-qubit logical stabilizer state into the code block.
 
         Generators: code stabilizers plus each logical generator lifted
-        through the representative pairs (signs carried exactly).
+        through the representative pairs (signs carried exactly). Each
+        encoding is built once per (code, logical state, labels); every call
+        returns a fresh copy.
         """
         if logical.n != self.m:
             raise ValueError("logical tableau must act on m qubits")
-        labels = list(labels) if labels is not None else list(range(self.n))
-        gens = self.stabilizer_generators()
-        lx = self.lx.to_dense()
-        lz = self.lz.to_dense()
-        for row in range(logical.n):
-            x, z, s = lift_with_reps(lx, lz, logical.xs[row], logical.zs[row])
-            gens.append((x, z, s ^ int(logical.signs[row])))
-        return Tableau.from_generators(labels, gens)
+        labels = tuple(labels) if labels is not None else tuple(range(self.n))
+        return _encoded_tableau(
+            self, logical.xs.tobytes(), logical.zs.tobytes(), logical.signs.tobytes(), labels
+        ).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _encoded_tableau(code: CssCode, xs: bytes, zs: bytes, signs: bytes, labels: tuple) -> Tableau:
+    lxs = np.frombuffer(xs, np.uint8).reshape(-1, code.m)
+    lzs = np.frombuffer(zs, np.uint8).reshape(-1, code.m)
+    gens = code.stabilizer_generators()
+    lx = code.lx.to_dense()
+    lz = code.lz.to_dense()
+    for x_bits, z_bits, sign in zip(lxs, lzs, signs):
+        x, z, s = lift_with_reps(lx, lz, x_bits, z_bits)
+        gens.append((x, z, s ^ sign))
+    return Tableau.from_generators(list(labels), gens)
 
 
 def lift_with_reps(

@@ -206,8 +206,8 @@ def run_block_chain_frames(
                 child_path = step.path + (j,) if plan.blocks == 2 else step.path + (0,)
                 new_live[child_path] = (
                     level - 1,
-                    run.out_x[:, sl].copy(),
-                    run.out_z[:, sl].copy(),
+                    run.out_x[:, sl].copy(order="K"),
+                    run.out_z[:, sl].copy(order="K"),
                     step.post_wait,
                 )
         live = new_live
@@ -230,15 +230,15 @@ def _ec_wait_frames(code, rounds, params, trials, chunk, tag, ex, ez):
     wires = [f"d{i}" for i in range(code.n)]
     gadget = iface.build_ec(code, rounds, wires, label_prefix="w.")
     batch = FrameBatch(gadget.wires, trials)
-    cols = batch.columns(wires)
-    batch.x[:, cols] ^= ex
-    batch.z[:, cols] ^= ez
+    rows = batch.block(wires)
+    batch.x[:, rows] ^= ex
+    batch.z[:, rows] ^= ez
     runner = FrameRunner(params, chunk=chunk)
     tables = iface._frame_tables(code)
     for rnd in range(rounds):
-        iface._ec_frame_round(gadget, batch, runner, rnd, tag, tables, cols)
+        iface._ec_frame_round(gadget, batch, runner, rnd, tag, tables, rows)
         tag += 2
-    return batch.x[:, cols].copy(), batch.z[:, cols].copy(), tag
+    return batch.x[:, rows].copy(order="K"), batch.z[:, rows].copy(order="K"), tag
 
 
 def _idle_wait_frames(params, trials, chunk, tag, layers, ex, ez):
@@ -251,7 +251,7 @@ def _idle_wait_frames(params, trials, chunk, tag, layers, ex, ez):
     batch.x ^= ex
     batch.z ^= ez
     FrameRunner(params, chunk=chunk).run(circ, batch, tag=tag)
-    return batch.x.copy(), batch.z.copy(), tag + 1
+    return batch.x.copy(order="K"), batch.z.copy(order="K"), tag + 1
 
 
 # -- whole-plan drivers --------------------------------------------------------------------

@@ -65,7 +65,9 @@ def mul_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     top = max(int(b.max()), 1) if b.size else 1
     if np.shape(a)[-1] * top >= FLOAT32_EXACT:
         raise ValueError(f"product over {np.shape(a)[-1]} terms is not exact in float32")
-    return np.matmul(a, b, dtype=np.float32).astype(np.int32)
+    # Casting first keeps matrix-vector products on BLAS; matmul(..., dtype=)
+    # casts through a slower generic loop.
+    return np.matmul(np.asarray(a, np.float32), b.astype(np.float32)).astype(np.int32)
 
 
 def mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

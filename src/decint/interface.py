@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,17 +41,24 @@ class LeaderTable:
     """Minimum-weight coset representative for every syndrome of H.
 
     Indexed by the syndrome bits packed little-endian over the rows of H.
-    Unreachable syndromes carry weight -1.
+    Unreachable syndromes carry weight -1. The leaders are stored
+    transposed, one row per qubit, so a batch lookup gathers contiguous
+    (n, trials) rows.
     """
 
     h: BitMatrix
-    errors: np.ndarray   # (2^rows, n) uint8
-    weights: np.ndarray  # (2^rows,) int16, -1 where unreachable
+    errors_t: np.ndarray  # (n, 2^rows) uint8; column s is the leader of syndrome s
+    weights: np.ndarray   # (2^rows,) int16, -1 where unreachable
 
     def lookup(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized decode: syndromes (trials, rows) -> (errors, weights)."""
+        """Vectorized decode: syndromes (trials, rows) -> (errors, weights).
+
+        `errors` is the (trials, n) transposed view of an (n, trials) array,
+        the layout of `FrameBatch`: errors.T[q] is one qubit over all trials.
+        Wire-major callers pass (rows, trials) syndromes as `s.T`.
+        """
         idx = gf2.mul_count(syndromes, 1 << np.arange(self.h.nrows))
-        return self.errors[idx], self.weights[idx]
+        return np.take(self.errors_t, idx, axis=1).T, self.weights[idx]
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,7 +86,9 @@ def build_leader_table(h: BitMatrix) -> LeaderTable:
                 filled += 1
                 if filled == reachable:
                     break
-    return LeaderTable(h=h, errors=errors, weights=weights)
+    errors_t = np.ascontiguousarray(errors.T)
+    errors_t.flags.writeable = weights.flags.writeable = False  # the table is cached and shared
+    return LeaderTable(h=h, errors_t=errors_t, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -180,6 +189,7 @@ class EcGadget:
     label_prefix: str
     cnot_depth: int
     correction_circuit: Circuit
+    _rounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def wires(self) -> tuple:
@@ -192,9 +202,14 @@ class EcGadget:
         return [f"{self.label_prefix}r{rnd}.sz{i}" for i in range(self.code.hz.nrows)]
 
     def round_circuit(self, rnd: int) -> Circuit:
-        """Extraction circuit with measurement labels for round `rnd`."""
+        """Extraction circuit with measurement labels for round `rnd`, built once."""
         if rnd == 0:
             return self.extraction
+        if rnd not in self._rounds:
+            self._rounds[rnd] = self._relabelled(rnd)
+        return self._rounds[rnd]
+
+    def _relabelled(self, rnd: int) -> Circuit:
         rename = {}
         for a, b in zip(self.x_labels(0), self.x_labels(rnd)):
             rename[a] = b
@@ -217,9 +232,16 @@ def build_ec(code: CssCode, s: int, data_wires: Sequence, label_prefix: str = "e
     X checks use |+> ancillas with CNOTs ancilla->data; Z checks use |0>
     ancillas with CNOTs data->ancilla. CNOTs are scheduled by a proper
     bipartite edge coloring, so the CNOT depth equals the max degree of the
-    check/qubit incidence graph. s = 0 yields an empty circuit.
+    check/qubit incidence graph. s = 0 yields an empty circuit. Gadgets are
+    cached per (code, s, data wires, label prefix) and shared by every
+    caller, with their circuits and compiled fault tables: treat them as
+    read-only.
     """
-    data_wires = tuple(data_wires)
+    return _build_ec(code, s, tuple(data_wires), label_prefix)
+
+
+@functools.lru_cache(maxsize=256)
+def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> EcGadget:
     if len(data_wires) != code.n:
         raise ValueError("data wire count must equal n")
     anc_x = tuple(f"{label_prefix}ax{i}" for i in range(code.hx.nrows))
@@ -806,6 +828,13 @@ def _reduced_weights(e: np.ndarray, cosets: np.ndarray) -> np.ndarray:
     return np.bitwise_count(pe[:, None, :] ^ pc[None, :, :]).sum(axis=2).min(axis=1)
 
 
+def _flip_rows(batch: FrameBatch, labels: Sequence[str]) -> np.ndarray:
+    """Outcome flips of `labels` stacked as (labels, trials) rows."""
+    if not labels:
+        return np.zeros((0, batch.trials), np.uint8)
+    return np.stack([batch.flips[l] for l in labels])
+
+
 def _ec_frame_round(
     gadget: EcGadget,
     batch: FrameBatch,
@@ -813,33 +842,27 @@ def _ec_frame_round(
     rnd: int,
     tag: int,
     tables: _FrameTables,
-    data_cols: np.ndarray,
+    data_rows: slice,
 ):
     runner.run(gadget.round_circuit(rnd), batch, tag=tag)
-    t = batch.trials
-    sx = (
-        np.stack([batch.flips[l] for l in gadget.x_labels(rnd)], axis=1)
-        if gadget.code.hx.nrows
-        else np.zeros((t, 0), np.uint8)
-    )
-    sz = (
-        np.stack([batch.flips[l] for l in gadget.z_labels(rnd)], axis=1)
-        if gadget.code.hz.nrows
-        else np.zeros((t, 0), np.uint8)
-    )
+    sx = _flip_rows(batch, gadget.x_labels(rnd))  # (X checks, trials)
+    sz = _flip_rows(batch, gadget.z_labels(rnd))
     d = gadget.code.min_distance()[0]
-    ez, wz = tables.table_z.lookup(sx)  # X checks flag Z errors
-    ex, wx = tables.table_x.lookup(sz)
-    apply_z = ((wz >= 0) & (2 * wz < d)).astype(np.uint8)[:, None]
-    apply_x = ((wx >= 0) & (2 * wx < d)).astype(np.uint8)[:, None]
-    batch.x[:, data_cols] ^= ex & apply_x
-    batch.z[:, data_cols] ^= ez & apply_z
+    ez, wz = tables.table_z.lookup(sx.T)  # X checks flag Z errors
+    ex, wx = tables.table_x.lookup(sz.T)
+    apply_z = ((wz >= 0) & (2 * wz < d)).astype(np.uint8)
+    apply_x = ((wx >= 0) & (2 * wx < d)).astype(np.uint8)
+    batch.x.T[data_rows] ^= ex.T & apply_x
+    batch.z.T[data_rows] ^= ez.T & apply_z
     runner.run(gadget.correction_circuit, batch, tag=tag + 1)
 
 
 @dataclass
 class GammaFrameRun:
-    """Frame-level result of one Gamma pass: output frames and heralds."""
+    """Frame-level result of one Gamma pass: output frames and heralds.
+
+    out_x/out_z are (trials, |B|) views of wire-major arrays, as in `FrameBatch`.
+    """
 
     out_x: np.ndarray  # (trials, |B|)
     out_z: np.ndarray
@@ -868,20 +891,20 @@ def gamma_frames(
     batch = FrameBatch(plan.all_wires, trials)
     tables_r = _frame_tables(plan.code_r)
     tables_p = _frame_tables(plan.code_rp)
-    q_cols = batch.columns(plan.q_wires)
+    q_rows = batch.block(plan.q_wires)
     if input_frames is not None:
         ex, ez = input_frames
-        batch.x[:, q_cols] ^= ex.astype(np.uint8)
-        batch.z[:, q_cols] ^= ez.astype(np.uint8)
+        batch.x[:, q_rows] ^= ex.astype(np.uint8)
+        batch.z[:, q_rows] ^= ez.astype(np.uint8)
 
     tag = tag_base
     for rnd in range(plan.knobs.s1):
-        _ec_frame_round(plan.q_gadget, batch, runner, rnd, tag, tables_r, q_cols)
+        _ec_frame_round(plan.q_gadget, batch, runner, rnd, tag, tables_r, q_rows)
         tag += 2
 
     # Resource oracle: local stochastic noise on A and B plus a failure coin.
-    ab_wires = list(plan.a_wires) + list(plan.b_wires)
-    ab_cols = batch.columns(ab_wires)
+    ab_wires = plan.a_wires + plan.b_wires
+    ab_rows = batch.block(ab_wires)
     ls_delta = (
         plan.knobs.resource_ls_delta
         if plan.knobs.resource_ls_delta is not None
@@ -889,47 +912,48 @@ def gamma_frames(
     )
     rng_o = rng_stream(params.seed, STREAM_ORACLE, oracle_stream, chunk)
     if ls_delta > 0.0:
-        ox, oz = sample_ls_bits(len(ab_cols), ls_delta, rng_o, trials)
-        batch.x[:, ab_cols] ^= ox
-        batch.z[:, ab_cols] ^= oz
+        ox, oz = sample_ls_bits(len(ab_wires), ls_delta, rng_o, trials)
+        batch.x.T[ab_rows] ^= ox.T
+        batch.z.T[ab_rows] ^= oz.T
     if plan.knobs.resource_fail_prob > 0.0:
         fail = (rng_o.random(trials) < plan.knobs.resource_fail_prob).astype(np.uint8)
         if fail.any():
-            rx = rng_o.integers(0, 2, size=(trials, len(ab_cols))).astype(np.uint8)
-            rz = rng_o.integers(0, 2, size=(trials, len(ab_cols))).astype(np.uint8)
-            batch.x[:, ab_cols] ^= rx & fail[:, None]
-            batch.z[:, ab_cols] ^= rz & fail[:, None]
+            rx = rng_o.integers(0, 2, size=(trials, len(ab_wires))).astype(np.uint8)
+            rz = rng_o.integers(0, 2, size=(trials, len(ab_wires))).astype(np.uint8)
+            batch.x.T[ab_rows] ^= rx.T & fail
+            batch.z.T[ab_rows] ^= rz.T & fail
 
     runner.run(plan.bell_circuit, batch, tag=tag)
     tag += 1
 
-    m1_flips = np.stack([batch.flips[l] for l in plan.m1_labels], axis=1)
-    m2_flips = np.stack([batch.flips[l] for l in plan.m2_labels], axis=1)
-    s1 = gf2.mul_bits(m1_flips, tables_r.hx.T)
-    s2 = gf2.mul_bits(m2_flips, tables_r.hz.T)
-    e1, w1 = plan.table_q_x.lookup(s1)
-    e2, w2 = plan.table_q_z.lookup(s2)
+    # Bell decoding on (qubits, trials) rows, as are the lift and corrections.
+    m1_flips = _flip_rows(batch, plan.m1_labels)
+    m2_flips = _flip_rows(batch, plan.m2_labels)
+    s1 = gf2.mul_bits(tables_r.hx, m1_flips)
+    s2 = gf2.mul_bits(tables_r.hz, m2_flips)
+    e1, w1 = plan.table_q_x.lookup(s1.T)
+    e2, w2 = plan.table_q_z.lookup(s2.T)
     d_r = plan.code_r.min_distance()[0]
     herald = (w1 < 0) | (w2 < 0) | (2 * w1 >= d_r) | (2 * w2 >= d_r)
-    du = gf2.mul_bits(m1_flips ^ e1, tables_r.lx.T)
-    dv = gf2.mul_bits(m2_flips ^ e2, tables_r.lz.T)
+    du = gf2.mul_bits(tables_r.lx, m1_flips ^ e1.T)  # (m_r, trials)
+    dv = gf2.mul_bits(tables_r.lz, m2_flips ^ e2.T)
 
     for g in plan.b_gadgets:
-        cols = batch.columns(g.data_wires)
+        rows = batch.block(g.data_wires)
         for rnd in range(plan.knobs.s2):
-            _ec_frame_round(g, batch, runner, rnd, tag, tables_p, cols)
+            _ec_frame_round(g, batch, runner, rnd, tag, tables_p, rows)
             tag += 2
     runner.run(plan.proc_wait_circuit, batch, tag=tag)
     tag += 1
 
     # Logical correction difference: Z^{du} X^{dv} lifted onto the B blocks.
-    b_cols = batch.columns(plan.b_wires)
-    batch.z[:, b_cols] ^= gf2.mul_bits(du, plan.lzb)
-    batch.x[:, b_cols] ^= gf2.mul_bits(dv, plan.lxb)
+    b_rows = batch.block(plan.b_wires)
+    batch.z.T[b_rows] ^= gf2.mul_bits(plan.lzb.T, du)
+    batch.x.T[b_rows] ^= gf2.mul_bits(plan.lxb.T, dv)
     runner.run(plan.b_correction_circuit, batch, tag=tag)
     return GammaFrameRun(
-        out_x=batch.x[:, b_cols].copy(),
-        out_z=batch.z[:, b_cols].copy(),
+        out_x=batch.x.T[b_rows].copy().T,
+        out_z=batch.z.T[b_rows].copy().T,
         herald=herald.astype(bool),
     )
 

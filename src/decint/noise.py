@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import mpmath
 import numpy as np
 
 # Stream purposes (mixed into Philox keys).
@@ -230,6 +229,8 @@ def tail_bound_dominates(
     if t.denominator != 1:
         raise ValueError("mu * n must be an integer on the verification grid")
     tail = binomial_tail_exact(n, delta, int(t))
+    import mpmath  # imported here: no CLI command needs it, and it slows every start
+
     with mpmath.workdps(dps):
         mmu = mpmath.mpf(mu.numerator) / mu.denominator
         mdelta = mpmath.mpf(delta.numerator) / delta.denominator

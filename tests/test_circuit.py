@@ -6,7 +6,7 @@ import pytest
 from decint import circuit as circ
 from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate, LocationFault
 from decint.interface import wilson_interval
-from decint.noise import NoiseParams
+from decint.noise import STREAM_CIRCUIT, NoiseParams, bernoulli_positions, rng_stream
 from decint.tableau import Tableau
 
 
@@ -365,3 +365,152 @@ class TestSparseFaultSampling:
         assert not np.array_equal(same, frames(tag=3, chunk=2))
         assert not np.array_equal(same, frames(tag=4, chunk=1))
         assert not np.array_equal(same, frames(tag=3, chunk=1, seed=8))
+
+
+def _reference_layer_faults(batch, gates, delta, rng):
+    """Per-gate fault injection with 2-D (trial, column) XORs: the reference
+    for the compiled tables, drawing from the generator in the same order."""
+    hits = bernoulli_positions(rng, len(gates) * batch.trials, delta)
+    loc, trial = np.divmod(hits, max(batch.trials, 1))
+    cols = np.zeros((len(gates), 2), dtype=np.intp)
+    arity = np.zeros(len(gates), dtype=np.uint8)
+    for i, g in enumerate(gates):
+        if g.name == "measure":
+            lo, hi = np.searchsorted(loc, (i, i + 1))
+            batch.flips[g.out][trial[lo:hi]] ^= 1
+        else:
+            cols[i] = batch.index[g.wires[0]], batch.index[g.wires[-1]]
+            arity[i] = len(g.wires)
+    pauli = arity[loc] > 0
+    loc, trial = loc[pauli], trial[pauli]
+    k = arity[loc]
+    code = rng.integers(1, 4**k, dtype=np.uint8)
+    for j in range(2):
+        on = k > j
+        part = code[on] >> (2 * j)
+        t, c = trial[on], cols[loc[on], j]
+        batch.x[t, c] ^= part & 1
+        batch.z[t, c] ^= part >> 1 & 1
+
+
+def _reference_run(c: Circuit, batch: FrameBatch, params: NoiseParams, tag: int, chunk: int):
+    rng = rng_stream(params.seed, STREAM_CIRCUIT, tag, chunk)
+    for layer in c.layers:
+        for g in layer:
+            circ._apply_gate_frame(batch, g)
+        _reference_layer_faults(batch, [g for g in layer if g.name != "discard"], params.delta, rng)
+    return batch
+
+
+def _same_frames(a: FrameBatch, b: FrameBatch) -> bool:
+    return (
+        np.array_equal(a.x, b.x)
+        and np.array_equal(a.z, b.z)
+        and a.flips.keys() == b.flips.keys()
+        and all(np.array_equal(a.flips[k], b.flips[k]) for k in a.flips)
+    )
+
+
+def _uniform_layer_circuit() -> Circuit:
+    """Layers whose Pauli locations share one arity, next to a mixed one."""
+    c = Circuit([f"u{i}" for i in range(6)])
+    c.add_layer([Gate("idle", (f"u{i}",)) for i in range(6)])
+    c.add_layer([Gate("cnot", ("u0", "u1")), Gate("cnot", ("u2", "u3")), Gate("cnot", ("u5", "u4"))])
+    c.add_layer([Gate("measure", ("u0",), out="m0"), Gate("h", ("u1",)), Gate("idle", ("u2",)),
+                 Gate("discard", ("u3",))])
+    c.add_layer([Gate("cnot", ("u1", "u2")), Gate("idle", ("u4",))])
+    c.add_layer([Gate("measure", (f"u{i}",), out=f"m{i}") for i in (1, 2)])
+    return c
+
+
+class TestCompiledFaultTable:
+    """Faults injected from the compiled per-layer tables into flat frame memory."""
+
+    @staticmethod
+    def batch(c: Circuit, trials: int, c_order: bool, seed: int = 3) -> FrameBatch:
+        rng = np.random.default_rng(seed)
+        b = FrameBatch(c.wires, trials)
+        x0 = rng.integers(0, 2, (trials, len(c.wires))).astype(np.uint8)
+        z0 = rng.integers(0, 2, (trials, len(c.wires))).astype(np.uint8)
+        if c_order:
+            b.x, b.z = x0, z0
+        else:
+            b.inject(c.wires, x0, z0)
+        return b
+
+    @pytest.mark.parametrize("c_order", [False, True])
+    @pytest.mark.parametrize("delta", [0.05, 0.5])
+    @pytest.mark.parametrize(
+        "make",
+        [TestFrameLayout.mixed_circuit, _fresh_wire_circuit, _uniform_layer_circuit,
+         lambda: det_random_circuit(4, 6, 3)],
+    )
+    def test_matches_per_gate_reference(self, make, delta, c_order):
+        c = make()
+        params = NoiseParams(delta=delta, seed=11)
+        got = FrameRunner(params, chunk=1).run(c, self.batch(c, 400, c_order), tag=5)
+        want = _reference_run(c, self.batch(c, 400, c_order), params, tag=5, chunk=1)
+        assert _same_frames(got, want)
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 37])
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_layouts_agree_at_the_edges(self, trials, delta):
+        c = _fresh_wire_circuit()
+        params = NoiseParams(delta=delta, seed=2)
+        wire_major = FrameRunner(params).run(c, self.batch(c, trials, False), tag=1)
+        trial_major = FrameRunner(params).run(c, self.batch(c, trials, True), tag=1)
+        assert _same_frames(wire_major, trial_major)
+        if trials:
+            assert _same_frames(wire_major, _reference_run(c, self.batch(c, trials, False), params, 1, 0))
+
+    def test_add_layer_after_run_recompiles(self):
+        def layers():
+            return [[Gate("cnot", ("a", "b")), Gate("idle", ("c",))],
+                    [Gate("h", ("a",)), Gate("measure", ("b",), out="mb"), Gate("cnot", ("c", "d"))]]
+
+        params = NoiseParams(delta=0.3, seed=4)
+        grown = Circuit(["a", "b", "c", "d"]).add_layer(layers()[0])
+        FrameRunner(params).run(grown, FrameBatch(grown.wires, 64), tag=1)
+        first = grown.fault_table()
+        assert len(first.layers) == 1
+        grown.add_layer(layers()[1])
+        assert grown.fault_table() is not first and len(grown.fault_table().layers) == 2
+        whole = Circuit(["a", "b", "c", "d"])
+        for layer in layers():
+            whole.add_layer(layer)
+        got = FrameRunner(params).run(grown, FrameBatch(grown.wires, 64), tag=1)
+        want = FrameRunner(params).run(whole, FrameBatch(whole.wires, 64), tag=1)
+        assert _same_frames(got, want) and "mb" in got.flips
+
+    def test_table_rows_skip_discards(self):
+        table = _fresh_wire_circuit().fault_table()
+        assert [lf.arity.tolist() for lf in table.layers] == [[1, 1, 2], [1, 2, 0], [1, 0, 2]]
+        assert [lf.code_arity for lf in table.layers] == [0, 0, 0]
+        uniform = _uniform_layer_circuit().fault_table()
+        assert [lf.code_arity for lf in uniform.layers] == [1, 2, 1, 0, 0]
+        assert table.cols.shape == (9, 2)
+        assert table.cols[2].tolist() == [2, 3] and table.layers[2].meas_labels == ("n",)
+
+    def test_non_contiguous_frame_raises(self):
+        c = _fresh_wire_circuit()
+        noisy = FrameRunner(NoiseParams(delta=0.1, seed=1))
+        strided = FrameBatch(c.wires, 10)
+        strided.x = np.zeros((20, 14), np.uint8)[::2]
+        strided.z = np.zeros((20, 14), np.uint8)[::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            noisy.run(c, strided)
+        mixed = FrameBatch(c.wires, 10)
+        mixed.x = np.zeros((10, 14), np.uint8)
+        with pytest.raises(ValueError, match="one layout"):
+            noisy.run(c, mixed)
+        # Noiseless runs never write through the flat memory.
+        FrameRunner(NoiseParams(delta=0.0, seed=1)).run(c, strided)
+
+    def test_block_is_a_slice_of_adjacent_wires(self):
+        batch = FrameBatch(["a", "b", "c", "d"], 3)
+        assert batch.block(["b", "c"]) == slice(1, 3) and batch.block([]) == slice(0, 0)
+        batch.x.T[batch.block(["c", "d"])] ^= 1
+        assert batch.x[:, 2:].all() and not batch.x[:, :2].any()
+        for wires in (["a", "c"], ["c", "b"]):
+            with pytest.raises(ValueError, match="adjacent"):
+                batch.block(wires)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from decint import cli, css
 
@@ -216,3 +220,17 @@ class TestManifest:
         assert manifest["code_version"]
         assert manifest["start"] and manifest["end"]
         assert "validation.csv" in manifest["outputs"]
+
+
+class TestStartup:
+    def test_cli_import_leaves_mpmath_unloaded(self):
+        # mpmath serves only noise.tail_bound_dominates, which no command calls.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, decint.cli; print('mpmath' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

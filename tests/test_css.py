@@ -6,6 +6,7 @@ import pytest
 from decint import css, gf2
 from decint.css import CssCode, PauliOp
 from decint.gf2 import BitMatrix, BitVector
+from decint.tableau import Tableau, random_stabilizer_state
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,47 @@ class TestEncodeState:
             assert t.expectation_z(np.zeros(4, np.uint8), c422.hz.row(i).to_array()) == 0
         for j in range(2):
             assert t.expectation_z(np.zeros(4, np.uint8), c422.lz.row(j).to_array()) == u[j]
+
+
+
+def _reference_encoding(code: CssCode, logical: Tableau, labels) -> Tableau:
+    """Direct construction: code stabilizers plus each lifted logical generator."""
+    gens = code.stabilizer_generators()
+    lx, lz = code.lx.to_dense(), code.lz.to_dense()
+    for row in range(logical.n):
+        x, z, s = css.lift_with_reps(lx, lz, logical.xs[row], logical.zs[row])
+        gens.append((x, z, s ^ int(logical.signs[row])))
+    return Tableau.from_generators(list(labels), gens)
+
+
+class TestEncodedTableauMemo:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_direct_construction(self, c422, seed):
+        logical = random_stabilizer_state([0, 1], np.random.default_rng(seed))
+        labels = [f"q{i}" for i in range(4)]
+        for _ in range(2):  # the second call is served from the memo
+            got = c422.encoded_tableau(logical, labels=labels)
+            want = _reference_encoding(c422, logical, labels)
+            assert got.labels == want.labels
+            assert np.array_equal(got.xs, want.xs) and np.array_equal(got.zs, want.zs)
+            assert np.array_equal(got.signs, want.signs)
+
+    def test_each_call_returns_a_fresh_copy(self, steane):
+        logical = Tableau.zero_state([0])
+        first = steane.encoded_tableau(logical)
+        first.apply_x(0)
+        second = steane.encoded_tableau(logical)
+        assert second is not first and second.same_state(_reference_encoding(steane, logical, range(7)))
+        assert not first.same_state(second)
+
+    def test_key_holds_signs_and_labels(self, steane):
+        zero = Tableau.zero_state([0])
+        one = zero.copy()
+        one.apply_x(0)
+        lz = steane.lz.row(0).to_array()
+        assert steane.encoded_tableau(zero).expectation_z(np.zeros(7, np.uint8), lz) == 0
+        assert steane.encoded_tableau(one).expectation_z(np.zeros(7, np.uint8), lz) == 1
+        assert steane.encoded_tableau(zero, labels="abcdefg").labels == list("abcdefg")
 
 
 class TestLiftLogical:

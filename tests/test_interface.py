@@ -593,3 +593,84 @@ class TestGammaValidation:
                 2,
                 1,
             )
+
+
+def _brute_min_weights(h: np.ndarray) -> np.ndarray:
+    """Min error weight per syndrome index over all 2^n errors; -1 if unreachable."""
+    rows, n = h.shape
+    errors = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.int64)
+    idx = ((errors @ h.T.astype(np.int64)) % 2) @ (1 << np.arange(rows, dtype=np.int64))
+    best = np.full(1 << rows, n + 1)
+    np.minimum.at(best, idx, errors.sum(axis=1))
+    return np.where(best > n, -1, best)
+
+
+class TestLeaderLookupRows:
+    @pytest.mark.parametrize(
+        "which", ["steane hx", "toy3 hz", "toy4 hx", "no checks"]
+    )
+    def test_matches_per_trial_decode(self, fam, sfam, which):
+        h = {
+            "steane hx": lambda: sfam.level(2).hx,
+            "toy3 hz": lambda: fam.level(3).hz,
+            "toy4 hx": lambda: fam.level(4).hx,
+            "no checks": lambda: BitMatrix.zeros(0, 5),
+        }[which]()
+        table = interface.build_leader_table(h)
+        dense = h.to_dense()
+        rows, n = dense.shape
+        rng = np.random.default_rng(rows * 31 + n)
+        syn_rows = rng.integers(0, 2, (rows, 300), dtype=np.uint8)  # wire-major syndromes
+        errors, weights = table.lookup(syn_rows.T)
+        assert errors.shape == (300, n) and errors.T.flags.c_contiguous
+        brute = _brute_min_weights(dense)
+        for t in range(300):
+            e1, w1 = table.lookup(syn_rows[:, t].reshape(1, -1))
+            assert np.array_equal(errors[t], e1[0]) and weights[t] == w1[0]
+            s = int(syn_rows[:, t] @ (1 << np.arange(rows)))
+            assert weights[t] == brute[s]
+            if weights[t] >= 0:
+                assert np.array_equal(dense @ errors[t] % 2, syn_rows[:, t])
+                assert errors[t].sum() == weights[t]
+            else:
+                assert not errors[t].any()
+
+    def test_table_is_read_only(self, fam):
+        table = interface.build_leader_table(fam.level(3).hx)
+        for arr in (table.errors_t, table.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+class TestWireMajorGamma:
+    @pytest.mark.parametrize(
+        "delta, fail_prob, counts",
+        [
+            # (failures, heralds, weight overflows, logical errors, block-0 and
+            # block-1 weight histograms, summed per-wire output errors), recorded
+            # before the compiled fault tables and the wire-major Gamma pass.
+            (0.01, 0.0, (1996, 1907, 1707, 1994, [29, 124, 480, 878, 489, 0, 0, 0, 0, 0, 0],
+                         [50, 185, 527, 788, 450, 0, 0, 0, 0, 0, 0], 19541)),
+            (0.003, 0.05, (1737, 1326, 757, 1647, [470, 418, 568, 302, 242, 0, 0, 0, 0, 0, 0],
+                           [581, 473, 486, 271, 189, 0, 0, 0, 0, 0, 0], 10244)),
+        ],
+    )
+    def test_golden_deep_tau_counts(self, fam, delta, fail_prob, counts):
+        est = interface.estimate_tau(
+            fam, 4, 3, NoiseParams(delta=delta, seed=2024), trials=2000, mu=0.25,
+            knobs=interface.GammaKnobs(resource_fail_prob=fail_prob), chunk_size=1000,
+        )
+        got = (est.failures, est.heralds, est.weight_overflows, est.logical_errors,
+               *est.block_weight_hist.tolist(), int(round(est.out_qubit_error_rate.sum() * est.trials)))
+        assert got == counts
+
+    def test_ec_gadgets_are_shared(self, fam):
+        code = fam.level(3)
+        wires = [f"d{i}" for i in range(code.n)]
+        g = interface.build_ec(code, 2, wires, label_prefix="w.")
+        assert interface.build_ec(code, 2, tuple(wires), label_prefix="w.") is g
+        assert interface.build_ec(code, 2, wires, label_prefix="v.") is not g
+        assert g.round_circuit(1) is g.round_circuit(1)
+        assert g.round_circuit(1).measurement_labels() == g.x_labels(1) + g.z_labels(1)
+        plan = interface.build_gamma(fam, 4, 3)
+        assert plan.b_gadgets[0] is interface.build_ec(code, 1, plan.block_wires(0), label_prefix="b0.")
