@@ -233,12 +233,7 @@ def run_noisy(
                 if fault.flip:
                     outcomes[g.out] ^= 1
             else:
-                for w, fx, fz in zip(g.wires, fault.x, fault.z):
-                    q = state.index(w)
-                    xb = np.zeros(state.n, np.uint8)
-                    zb = np.zeros(state.n, np.uint8)
-                    xb[q], zb[q] = fx, fz
-                    state.apply_pauli(xb, zb)
+                state.apply_pauli_on(g.wires, fault.x, fault.z)
     return state, outcomes
 
 
@@ -478,10 +473,7 @@ def _apply_forced_fault(batch: FrameBatch, g: Gate, fault: LocationFault):
         if fault.flip:
             batch.flips[g.out] ^= 1
         return
-    for w, fx, fz in zip(g.wires, fault.x, fault.z):
-        q = batch.index[w]
-        batch.x[:, q] ^= fx
-        batch.z[:, q] ^= fz
+    batch.inject(g.wires, np.asarray(fault.x), np.asarray(fault.z))
 
 
 def propagate_frame(

@@ -88,10 +88,6 @@ class UsageError(Exception):
     pass
 
 
-class InvariantFailure(Exception):
-    pass
-
-
 def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[float], int]:
     noise = config.get("noise", {})
     deltas = noise.get("delta", 0.0)
@@ -427,6 +423,9 @@ COMMANDS = {
     "e2e": cmd_e2e,
 }
 
+# Subcommands that split their work over `--workers` processes.
+PARALLEL_COMMANDS = {"interface-sweep"}
+
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="decint", description=__doc__)
@@ -439,6 +438,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.workers < 1:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        if args.workers > 1 and args.command not in PARALLEL_COMMANDS:
+            raise UsageError(f"{args.command} runs in one process; --workers must be 1")
         config_path = pathlib.Path(args.config)
         if not config_path.exists():
             raise UsageError(f"config not found: {config_path}")

@@ -332,32 +332,29 @@ def _sector_distance(h_ker: BitMatrix, h_stab: BitMatrix, cap: int) -> tuple[int
     if k == 0:
         return (0, True)
     red_stab, piv_stab = gf2.rref(h_stab)
-    stab_rows = red_stab.to_dense()[: len(piv_stab)]
+    stab = (red_stab.words[: len(piv_stab)], piv_stab)
     n = basis.ncols
-    if (1 << k) <= cap:
-        best = n + 1
-        cur = np.zeros_like(basis.words[0])
-        for i in range(1, 1 << k):
-            cur = cur ^ basis.words[(i & -i).bit_length() - 1]
-            w = int(np.bitwise_count(cur).sum())
-            if w < best and not _in_rowspace(cur, stab_rows, piv_stab, n):
-                best = w
-        return (best if best <= n else 0, True)
+    exact = (1 << k) <= cap
     # Too large to enumerate: scan the basis rows only (upper value).
+    blocks = gf2.span_blocks(basis.words) if exact else [basis.words]
     best = n + 1
-    for i in range(k):
-        w = int(np.bitwise_count(basis.words[i]).sum())
-        if w < best and not _in_rowspace(basis.words[i], stab_rows, piv_stab, n):
-            best = w
-    return (best if best <= n else 0, False)
+    for block in blocks:
+        w = np.bitwise_count(block).sum(axis=1)
+        short = w < best
+        outside = _outside_rowspace(block[short], *stab)
+        if outside.any():
+            best = int(w[short][outside].min())
+    return (best if best <= n else 0, exact)
 
 
-def _in_rowspace(words: np.ndarray, stab_rows: np.ndarray, pivots: list[int], n: int) -> bool:
-    v = gf2._unpack(words.reshape(1, -1), n)[0].copy()
+def _outside_rowspace(words: np.ndarray, stab_rows: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """Per packed row of `words`, whether it lies outside the span of the
+    reduced rows `stab_rows` with pivot columns `pivots`."""
+    words = words.copy()
     for row, p in zip(stab_rows, pivots):
-        if v[p]:
-            v ^= row
-    return not v.any()
+        hit = ((words[:, p // gf2.WORD] >> np.uint64(p % gf2.WORD)) & np.uint64(1)).astype(bool)
+        words[hit] ^= row
+    return words.any(axis=1)
 
 
 # -- standard constructions -------------------------------------------------------

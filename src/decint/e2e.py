@@ -2,10 +2,11 @@
 
 The staged schedule factorizes into per-input-block effective interfaces
 (a chain of Gamma passes with positional EC waits), so execution walks each
-block's tree independently: exact tableau mode for noiseless verification
-with injected input errors, and vectorized frame mode for Monte Carlo under
-circuit noise. Outputs are bare qubits; reported statistics are per-qubit
-logical error marginals and pairwise inclusion frequencies.
+block's tree independently. The walk is written once and runs on either
+engine of `interface`: the tableau engine for noiseless verification with
+injected input errors, the frame engine for Monte Carlo under circuit
+noise. Outputs are bare qubits; reported statistics are per-qubit logical
+error marginals and pairwise inclusion frequencies.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ import numpy as np
 
 from . import interface as iface
 from .css import CodeFamily
-from .circuit import Circuit, FrameBatch, FrameRunner, Gate
+from .circuit import Circuit, Gate
 from .noise import NoiseParams, rng_stream, sample_ls_bits, STREAM_TRIAL
 from .scheduler import InterfaceSchedule, effective_interface
 from .tableau import Tableau
+
+# Pairwise inclusion frequencies are sampled for at most this many output pairs.
+MAX_PAIRS = 40
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,67 @@ def chain_steps(schedule: InterfaceSchedule, block: int) -> list[list[ChainStep]
     return stages
 
 
-def _wait_rounds(pre: int, rounds_per_layer: int) -> int:
-    return pre * rounds_per_layer
+# -- the block-chain walk ------------------------------------------------------------
 
 
-# -- exact tableau chain --------------------------------------------------------------
+def _walk_chain(
+    family: CodeFamily,
+    schedule: InterfaceSchedule,
+    block: int,
+    knobs: Optional[iface.GammaKnobs],
+    wait_rounds_per_layer: int,
+    engine,
+    handle,
+) -> tuple[list, np.ndarray]:
+    """One block's effective interface on an engine (see `interface.gamma_pass`).
+
+    `handle` is the encoded input block. Waits before a pass run as EC
+    rounds at the block's level; waits left on bare outputs are idle
+    layers. Fault streams are tagged from (block + 1) * 1_000_000, so blocks
+    and instances draw independent noise. Returns the output block handles
+    in path order and the per-trial OR of the pass heralds.
+    """
+    tag = (block + 1) * 1_000_000
+    heralds = np.zeros(engine.trials, dtype=bool)
+    # Sub-block registry: path -> (level, handle, pending wait layers).
+    live = {(): (schedule.r, handle, 0)}
+    for steps in chain_steps(schedule, block):
+        new_live = {}
+        for step in steps:
+            level, handle, pending = live[step.path]
+            assert level == step.level
+            code = family.level(level)
+            rounds = (pending + step.pre_wait) * wait_rounds_per_layer
+            if rounds:
+                gadget = iface.build_ec(code, rounds, [f"d{i}" for i in range(code.n)], "w.")
+                engine.load(handle, gadget.data_wires, gadget.wires)
+                tag = iface.ec_rounds(gadget, engine, tag)
+                handle = engine.save(gadget.data_wires)
+            plan = iface.build_gamma(family, level, level - 1, knobs)
+            engine.load(handle, plan.q_wires, plan.all_wires)
+            heralds |= iface.gamma_pass(plan, engine, tag)
+            tag += 1000
+            for j in range(plan.blocks):
+                child_path = step.path + (j,) if plan.blocks == 2 else step.path + (0,)
+                new_live[child_path] = (level - 1, engine.save(plan.block_wires(j)), step.post_wait)
+        live = new_live
+
+    outputs = []
+    for _, (level, handle, pending) in sorted(live.items(), key=lambda kv: kv[0]):
+        if level != 1:
+            raise ValueError("chain did not reach bare qubits")
+        layers = pending * wait_rounds_per_layer
+        if layers:
+            wires = [f"o{i}" for i in range(family.level(1).n)]
+            idle = Circuit(wires)
+            for _ in range(layers):
+                idle.add_layer([Gate("idle", (w,)) for w in wires])
+            engine.load(handle, wires, wires)
+            engine.run(idle, tag)
+            tag += 1
+            handle = engine.save(wires)
+        outputs.append(handle)
+    return outputs, heralds
 
 
 @dataclass
@@ -77,67 +137,26 @@ def run_block_chain_tableau(
     """Noiseless exact execution of one block's effective interface.
 
     `injection` places one Pauli (qubit index, kind) on the encoded input.
-    Waits run as noiseless EC rounds at the block's current level; level-1
-    waits are idle. Returns per-output-qubit readouts plus a full-state
-    comparison against the input logical tableau.
+    Returns per-output-qubit readouts plus a full-state comparison against
+    the input logical tableau.
     """
     rng = np.random.default_rng(seed)
-    knobs = knobs or iface.GammaKnobs()
-    r = schedule.r
-    code_r = family.level(r)
-    init_wires = [f"L{r}.x{q}" for q in range(code_r.n)]
+    code_r = family.level(schedule.r)
+    init_wires = [f"L{schedule.r}.x{q}" for q in range(code_r.n)]
     state = code_r.encoded_tableau(logical, labels=init_wires)
+    engine = iface.TableauEngine(state, rng, {})
     if injection is not None:
         q, kind = injection
-        xb = np.zeros(state.n, np.uint8)
-        zb = np.zeros(state.n, np.uint8)
-        qi = state.index(init_wires[q])
-        if kind in "XY":
-            xb[qi] = 1
-        if kind in "ZY":
-            zb[qi] = 1
-        state.apply_pauli(xb, zb)
-
-    heralds = False
-    # Sub-block registry: path -> (level, wires, pending EC wait layers).
-    live = {(): (r, list(init_wires), 0)}
-    uid = 0
-    for steps in chain_steps(schedule, block):
-        new_live = {}
-        for step in steps:
-            level, wires, pending = live[step.path]
-            assert level == step.level
-            code = family.level(level)
-            wait_layers = pending + step.pre_wait
-            rounds = _wait_rounds(wait_layers, wait_rounds_per_layer)
-            if rounds and level > 1:
-                gadget = iface.build_ec(code, rounds, wires, label_prefix=f"w{uid}.")
-                uid += 1
-                iface._run_ec_tableau(gadget, state, {}, rng, [])
-            plan = iface.build_gamma(family, level, level - 1, knobs)
-            state.rename(dict(zip(wires, plan.q_wires)))
-            heralds |= iface.run_gamma_tableau(plan, state, rng).heralds
-            child_code = family.level(level - 1)
-            for j in range(plan.blocks):
-                child_wires = [f"L{level-1}.u{uid}.{p}" for p in range(child_code.n)]
-                uid += 1
-                state.rename(dict(zip(plan.block_wires(j), child_wires)))
-                child_path = step.path + (j,) if plan.blocks == 2 else step.path + (0,)
-                new_live[child_path] = (level - 1, child_wires, step.post_wait)
-        live = new_live
-
-    # Collect output wires in block-path order; measure and compare.
-    ordered = sorted(live.items(), key=lambda kv: kv[0])
-    out_wires = [w for _, (_, wires, _) in ordered for w in wires]
-    final = state.copy()
+        engine.xor([init_wires[q]], np.array([[kind in "XY"]]), np.array([[kind in "ZY"]]))
+    outputs, heralds = _walk_chain(
+        family, schedule, block, knobs, wait_rounds_per_layer, engine, init_wires
+    )
+    out_wires = [w for wires in outputs for w in wires]
     want = logical.copy()
     want.rename({want.labels[j]: out_wires[j] for j in range(want.n)})
-    matches = final.same_state(want)
+    matches = state.same_state(want)
     bits = np.array([state.measure_z(w, rng)[0] for w in out_wires], dtype=np.uint8)
-    return BlockChainResult(output_bits=bits, state_matches=matches, heralds=heralds)
-
-
-# -- frame Monte Carlo chain -------------------------------------------------------------
+    return BlockChainResult(output_bits=bits, state_matches=matches, heralds=bool(heralds[0]))
 
 
 @dataclass
@@ -158,100 +177,13 @@ def run_block_chain_frames(
     wait_rounds_per_layer: int = 1,
     input_frames: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> ChainChunkResult:
-    """Monte Carlo frames through one block's effective interface.
-
-    Fault streams are separated per Gamma/EC instance via tag offsets that
-    include the block index, so blocks and instances draw independent noise.
-    """
-    knobs = knobs or iface.GammaKnobs()
-    r = schedule.r
-    code_r = family.level(r)
-    base_tag = (block + 1) * 1_000_000
-    tag = base_tag
-    if input_frames is not None:
-        fx, fz = input_frames
-        fx = fx.astype(np.uint8).copy()
-        fz = fz.astype(np.uint8).copy()
-    else:
-        fx = np.zeros((trials, code_r.n), np.uint8)
-        fz = np.zeros((trials, code_r.n), np.uint8)
-    heralds = np.zeros(trials, dtype=bool)
-    live = {(): (r, fx, fz, 0)}
-    for steps in chain_steps(schedule, block):
-        new_live = {}
-        for step in steps:
-            level, ex, ez, pending = live[step.path]
-            code = family.level(level)
-            wait_layers = pending + step.pre_wait
-            rounds = _wait_rounds(wait_layers, wait_rounds_per_layer)
-            if rounds:
-                ex, ez, tag = _ec_wait_frames(
-                    code, rounds, params, trials, chunk, tag, ex, ez
-                )
-            plan = iface.build_gamma(family, level, level - 1, knobs)
-            run = iface.gamma_frames(
-                plan,
-                params,
-                trials,
-                chunk=chunk,
-                tag_base=tag,
-                oracle_stream=tag,
-                input_frames=(ex, ez),
-            )
-            tag += 1000
-            heralds |= run.herald
-            n_child = family.level(level - 1).n
-            for j in range(plan.blocks):
-                sl = slice(j * n_child, (j + 1) * n_child)
-                child_path = step.path + (j,) if plan.blocks == 2 else step.path + (0,)
-                new_live[child_path] = (
-                    level - 1,
-                    run.out_x[:, sl].copy(order="K"),
-                    run.out_z[:, sl].copy(order="K"),
-                    step.post_wait,
-                )
-        live = new_live
-
-    # Final waits on bare outputs are idle layers under noise.
-    ordered = sorted(live.items(), key=lambda kv: kv[0])
-    outs = []
-    for path, (level, ex, ez, pending) in ordered:
-        if level != 1:
-            raise ValueError("chain did not reach bare qubits")
-        layers = _wait_rounds(pending, wait_rounds_per_layer)
-        if layers:
-            ex, ez, tag = _idle_wait_frames(params, trials, chunk, tag, layers, ex, ez)
-        outs.append(((ex | ez) != 0))
-    error_bits = np.concatenate(outs, axis=1)
+    """Monte Carlo frames through one block's effective interface."""
+    engine = iface.FrameEngine(params, trials, chunk)
+    outputs, heralds = _walk_chain(
+        family, schedule, block, knobs, wait_rounds_per_layer, engine, input_frames
+    )
+    error_bits = np.concatenate([(ex | ez) != 0 for ex, ez in outputs], axis=1)
     return ChainChunkResult(trials=trials, error_bits=error_bits, heralds=heralds)
-
-
-def _ec_wait_frames(code, rounds, params, trials, chunk, tag, ex, ez):
-    wires = [f"d{i}" for i in range(code.n)]
-    gadget = iface.build_ec(code, rounds, wires, label_prefix="w.")
-    batch = FrameBatch(gadget.wires, trials)
-    rows = batch.block(wires)
-    batch.x[:, rows] ^= ex
-    batch.z[:, rows] ^= ez
-    runner = FrameRunner(params, chunk=chunk)
-    tables = iface._frame_tables(code)
-    for rnd in range(rounds):
-        iface._ec_frame_round(gadget, batch, runner, rnd, tag, tables, rows)
-        tag += 2
-    return batch.x[:, rows].copy(order="K"), batch.z[:, rows].copy(order="K"), tag
-
-
-def _idle_wait_frames(params, trials, chunk, tag, layers, ex, ez):
-    n = ex.shape[1]
-    wires = [f"o{i}" for i in range(n)]
-    circ = Circuit(wires)
-    for _ in range(layers):
-        circ.add_layer([Gate("idle", (w,)) for w in wires])
-    batch = FrameBatch(wires, trials)
-    batch.x ^= ex
-    batch.z ^= ez
-    FrameRunner(params, chunk=chunk).run(circ, batch, tag=tag)
-    return batch.x.copy(order="K"), batch.z.copy(order="K"), tag + 1
 
 
 # -- whole-plan drivers --------------------------------------------------------------------
@@ -283,7 +215,6 @@ def run_e2e_frames(
     wait_rounds_per_layer: int = 1,
     input_ls_delta: float = 0.0,
     chunk_size: int = 10_000,
-    max_pairs: int = 40,
 ) -> E2EStats:
     """Monte Carlo over the full plan: every input block's chain, merged.
 
@@ -298,7 +229,7 @@ def run_e2e_frames(
     herald_count = 0
     any_err = 0
     pair_counts: dict[tuple[int, int], int] = {}
-    pairs = _pair_sample(total_cols, max_pairs)
+    pairs = _pair_sample(total_cols, MAX_PAIRS)
     done = 0
     chunk = 0
     while done < trials:

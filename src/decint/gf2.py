@@ -72,7 +72,36 @@ def mul_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """GF(2) product of 0/1 arrays: the parities a @ b mod 2 as uint8."""
-    return (mul_count(a, b) & 1).astype(np.uint8)
+    # The cast to uint8 keeps each count modulo 256, and so its parity.
+    out = mul_count(a, b).astype(np.uint8)
+    out &= 1
+    return out
+
+
+# Rows per block of `span_blocks`.
+SPAN_BLOCK_BITS = 12
+
+
+def span_blocks(rows: np.ndarray):
+    """Every XOR combination of `rows`, in blocks of at most 2^SPAN_BLOCK_BITS.
+
+    `rows` is (k, width), packed words or 0/1 bytes. Element i of the
+    concatenated blocks is the XOR of the rows at the set bits of i, so the
+    2^k elements come in binary order and the zero combination first.
+    """
+    k = len(rows)
+    b = min(k, SPAN_BLOCK_BITS)
+    low = np.zeros((1 << b, rows.shape[1]), rows.dtype)
+    for j in range(b):
+        low[1 << j : 2 << j] = low[: 1 << j] ^ rows[j]
+    yield low
+    # Block h adds the high rows at the set bits of h; from h - 1 to h
+    # exactly the high rows up to the lowest set bit of h change.
+    prefix = np.bitwise_xor.accumulate(rows[b:], axis=0)
+    high = np.zeros(rows.shape[1], rows.dtype)
+    for h in range(1, 1 << (k - b)):
+        high ^= prefix[(h & -h).bit_length() - 1]
+        yield low ^ high
 
 
 class BitVector:
@@ -354,7 +383,7 @@ class CosetWeight:
 def coset_min_weight(basis: BitMatrix, v: BitVector, cap: Optional[int] = None) -> CosetWeight:
     """Minimum Hamming weight over the coset {v + span(basis rows)}.
 
-    Exhaustive (Gray-code) enumeration of all 2^k coset elements for
+    Exhaustive enumeration (`span_blocks`) of all 2^k coset elements for
     k <= MAX_ENUM_ROWS generators; beyond that a cap-bounded partial search
     over low-weight generator combinations is used and flagged inexact.
     """
@@ -365,14 +394,10 @@ def coset_min_weight(basis: BitMatrix, v: BitVector, cap: Optional[int] = None) 
         return CosetWeight(0, True)
     k = basis.nrows
     if k <= MAX_ENUM_ROWS:
-        cur = v.words.copy()
-        for i in range(1, 1 << k):
-            cur ^= basis.words[(i & -i).bit_length() - 1]
-            w = _popcount(cur)
-            if w < best:
-                best = w
-                if best == 0:
-                    break
+        for block in span_blocks(basis.words):
+            best = min(best, int(np.bitwise_count(block ^ v.words).sum(axis=1).min()))
+            if best == 0:
+                break
         return CosetWeight(best, True)
     # Truncated search: single and pairwise generator combinations only.
     ws = np.bitwise_count(basis.words ^ v.words).sum(axis=1)

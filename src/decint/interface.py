@@ -5,12 +5,22 @@ CNOT schedule from a proper bipartite edge coloring). `build_gamma` assembles
 the partial interface that maps one level-r block onto m_r/m_{r'} level-r'
 blocks through an encoded Bell resource and a logical Bell measurement.
 
-Two executors share the construction: an exact signed-tableau run (the
-correctness oracle) and a vectorized Pauli-frame Monte Carlo that classifies
-trials into the success/failure branches and estimates the failure
-parameter tau. Classical decoding steps are circuit-external callbacks; the
-resource state comes from an oracle emitting the ideal encoded Bell tableau
-followed by configurable local stochastic noise and a global failure coin.
+One walk, `gamma_pass`, runs the interface on two engines. An engine holds
+only what differs between them: how a fragment runs, how outcome bits are
+read as (labels, trials) rows, how a Pauli given as (wires, trials) rows
+lands on named wires, and how the Bell resource enters. `TableauEngine` is
+the exact oracle: one trial, a signed tableau and absolute outcomes.
+`FrameEngine` is the Monte Carlo: a trial batch of Pauli frames and outcome
+flips, whose resource oracle adds local stochastic noise and a global
+failure coin to the ideal encoded Bell state. The clean reference run has
+zero syndromes, so decoding flips is the same arithmetic as decoding
+absolute outcomes: syndromes, leader-table decoding and its herald rule,
+the logical Bell bits and the corrections are written once. Decoding runs
+as circuit-external callbacks between fragments. Blocks that a walk
+carries between passes are engine handles: `load` puts one on given wires
+of a fragment's wire set and `save` takes one off. Frame trials are then
+classified into the success/failure branches to estimate the failure
+parameter tau.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import gf2
+from . import circuit, gf2
 from .css import CodeFamily, CssCode, PauliOp
 from .circuit import Circuit, FrameBatch, FrameRunner, Gate
 from .gf2 import BitMatrix, BitVector
@@ -91,6 +101,45 @@ def build_leader_table(h: BitMatrix) -> LeaderTable:
     return LeaderTable(h=h, errors_t=errors_t, weights=weights)
 
 
+def _coset_elements(basis: BitMatrix) -> np.ndarray:
+    """All 2^k stabilizer combinations as dense rows, for k <= MAX_TABLE_ROWS."""
+    k = basis.nrows
+    if k > MAX_TABLE_ROWS:
+        raise ValueError(f"coset enumeration too large for {k} stabilizer generators")
+    return np.concatenate(list(gf2.span_blocks(basis.to_dense())))
+
+
+@dataclass(frozen=True)
+class _FrameTables:
+    """Per-code decode machinery: leader tables, cosets and dense checks."""
+
+    stab_x: np.ndarray  # coset elements of rowspace(H_X)
+    stab_z: np.ndarray
+    table_x: LeaderTable  # leader for H_Z syndromes (X errors)
+    table_z: LeaderTable  # leader for H_X syndromes (Z errors)
+    lx: np.ndarray
+    lz: np.ndarray
+    hx: np.ndarray
+    hz: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _frame_tables(code: CssCode) -> _FrameTables:
+    arrays = dict(
+        stab_x=_coset_elements(code.x_stabilizer_basis()),
+        stab_z=_coset_elements(code.z_stabilizer_basis()),
+        lx=code.lx.to_dense(),
+        lz=code.lz.to_dense(),
+        hx=code.hx.to_dense(),
+        hz=code.hz.to_dense(),
+    )
+    for a in arrays.values():
+        a.flags.writeable = False  # shared by every caller of the cache
+    return _FrameTables(
+        table_x=build_leader_table(code.hz), table_z=build_leader_table(code.hx), **arrays
+    )
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     """Correction estimate with per-sector ambiguity flags.
@@ -110,24 +159,33 @@ class DecodeResult:
         return self.herald_x or self.herald_z
 
 
-def decode_syndrome(code: CssCode, syn_x: BitVector, syn_z: BitVector) -> DecodeResult:
-    """Minimum-weight correction for (X-check, Z-check) syndromes.
+def _decode_css(code: CssCode, syn_x: np.ndarray, syn_z: np.ndarray):
+    """Leaders and heralds for (X-check, Z-check) syndromes, (rows, trials) each.
 
-    X-check outcomes locate Z errors and vice versa. Any true error of
-    reduced weight < d/2 decodes to a residual inside the stabilizer group.
+    Returns (ex, ez, herald_x, herald_z): (n, trials) X and Z corrections
+    and (trials,) flags. X-check outcomes locate Z errors and vice versa.
+    Any true error of reduced weight < d/2 decodes to a residual inside the
+    stabilizer group; see `DecodeResult` for the heralds.
     """
+    d = code.min_distance()[0]
+    tables = _frame_tables(code)
+    ez, wz = tables.table_z.lookup(syn_x.T)
+    ex, wx = tables.table_x.lookup(syn_z.T)
+    herald_x, herald_z = ((w < 0) | (2 * w >= d) for w in (wx, wz))
+    return ex.T, ez.T, herald_x, herald_z
+
+
+def _first_decode(ex, ez, herald_x, herald_z) -> DecodeResult:
+    """The `DecodeResult` of trial 0 of a `_decode_css` batch."""
+    correction = PauliOp(BitVector.from_bits(ex[:, 0]), BitVector.from_bits(ez[:, 0]))
+    return DecodeResult(correction, bool(herald_x[0]), bool(herald_z[0]))
+
+
+def decode_syndrome(code: CssCode, syn_x: BitVector, syn_z: BitVector) -> DecodeResult:
+    """Minimum-weight correction for (X-check, Z-check) syndromes."""
     if syn_x.n != code.hx.nrows or syn_z.n != code.hz.nrows:
         raise ValueError("syndrome lengths must match check counts")
-    d = code.min_distance()[0]
-    tx = build_leader_table(code.hx)
-    tz = build_leader_table(code.hz)
-    ez, wz = tx.lookup(syn_x.to_array().reshape(1, -1))
-    ex, wx = tz.lookup(syn_z.to_array().reshape(1, -1))
-    return DecodeResult(
-        correction=PauliOp(BitVector.from_bits(ex[0]), BitVector.from_bits(ez[0])),
-        herald_x=bool(wx[0] < 0 or 2 * wx[0] >= d),
-        herald_z=bool(wz[0] < 0 or 2 * wz[0] >= d),
-    )
+    return _first_decode(*_decode_css(code, syn_x.to_array()[:, None], syn_z.to_array()[:, None]))
 
 
 # -- syndrome extraction circuit ----------------------------------------------------
@@ -187,7 +245,6 @@ class EcGadget:
     ancilla_z: tuple
     extraction: Circuit        # one round, labels parameterized by prefix
     label_prefix: str
-    cnot_depth: int
     correction_circuit: Circuit
     _rounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -210,11 +267,8 @@ class EcGadget:
         return self._rounds[rnd]
 
     def _relabelled(self, rnd: int) -> Circuit:
-        rename = {}
-        for a, b in zip(self.x_labels(0), self.x_labels(rnd)):
-            rename[a] = b
-        for a, b in zip(self.z_labels(0), self.z_labels(rnd)):
-            rename[a] = b
+        old, new = self.x_labels(0) + self.z_labels(0), self.x_labels(rnd) + self.z_labels(rnd)
+        rename = dict(zip(old, new))
         c = Circuit(self.extraction.wires)
         for layer in self.extraction.layers:
             c.add_layer(
@@ -252,23 +306,16 @@ def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> Ec
     # an even number of qubits, so the ancilla-to-ancilla hook contributions
     # cancel pairwise and the ideal outcomes are the exact syndromes for any
     # within-phase ordering. Each phase is edge-colored to its max degree.
-    hx = code.hx.to_dense()
-    hz = code.hz.to_dense()
-    x_edges = [
-        (("ax", i), ("d", int(q)))
-        for i in range(code.hx.nrows)
-        for q in np.nonzero(hx[i])[0]
-    ]
-    z_edges = [
-        (("az", j), ("d", int(q)))
-        for j in range(code.hz.nrows)
-        for q in np.nonzero(hz[j])[0]
-    ]
-    x_colors = _bipartite_edge_coloring(x_edges)
-    z_colors = _bipartite_edge_coloring(z_edges)
-    depth_x = (max(x_colors) + 1) if x_colors else 0
-    depth_z = (max(z_colors) + 1) if z_colors else 0
-    depth = depth_x + depth_z
+    # A phase is its CNOT layers, each a list of (control, target) pairs;
+    # X-check ancillas are controls, Z-check ancillas targets.
+    cnot_layers = []
+    for h, anc, anc_controls in ((code.hx, anc_x, True), (code.hz, anc_z, False)):
+        dense = h.to_dense()
+        edges = [(("a", i), ("d", int(q))) for i in range(h.nrows) for q in np.flatnonzero(dense[i])]
+        colors = _bipartite_edge_coloring(edges)
+        for color in range(max(colors, default=-1) + 1):
+            pairs = [(anc[i], data_wires[q]) for ((_, i), (_, q)), c in zip(edges, colors) if c == color]
+            cnot_layers.append(pairs if anc_controls else [(t, c) for c, t in pairs])
 
     circ = Circuit(wires)
     if s > 0 and (anc_x or anc_z):
@@ -281,24 +328,12 @@ def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> Ec
                 [Gate("h", (w,)) for w in anc_x]
                 + [Gate("idle", (w,)) for w in data_wires + anc_z]
             )
-        for layer_id in range(depth_x):
-            gates = [
-                Gate("cnot", (anc_x[chk], data_wires[q]))
-                for ((_, chk), (_, q)), color in zip(x_edges, x_colors)
-                if color == layer_id
-            ]
-            busy = {w for g in gates for w in g.wires}
-            gates += [Gate("idle", (w,)) for w in wires if w not in busy]
-            circ.add_layer(gates)
-        for layer_id in range(depth_z):
-            gates = [
-                Gate("cnot", (data_wires[q], anc_z[chk]))
-                for ((_, chk), (_, q)), color in zip(z_edges, z_colors)
-                if color == layer_id
-            ]
-            busy = {w for g in gates for w in g.wires}
-            gates += [Gate("idle", (w,)) for w in wires if w not in busy]
-            circ.add_layer(gates)
+        for pairs in cnot_layers:
+            busy = {w for pair in pairs for w in pair}
+            circ.add_layer(
+                [Gate("cnot", pair) for pair in pairs]
+                + [Gate("idle", (w,)) for w in wires if w not in busy]
+            )
         if anc_x:
             circ.add_layer(
                 [Gate("h", (w,)) for w in anc_x]
@@ -319,7 +354,6 @@ def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> Ec
         ancilla_z=anc_z,
         extraction=circ,
         label_prefix=label_prefix,
-        cnot_depth=depth,
         correction_circuit=correction,
     )
 
@@ -334,29 +368,26 @@ class BellOutcome:
     herald: bool
 
 
-def logical_bell_process(code_r: CssCode, m1: BitVector, m2: BitVector) -> BellOutcome:
-    """Classical processing of the transversal Bell measurement strings.
+def _bell_bits(code_r: CssCode, m1: np.ndarray, m2: np.ndarray):
+    """Logical Bell bits (u, v), (m_r, trials) each, and (trials,) heralds.
 
-    m1 (X-basis readout of Q) is corrected to the nearest codeword of
-    ker(H_X), m2 (Z-basis readout of A) to ker(H_Z); logical bits are then
-    parities against the logical representatives. Herald when the correction
-    distance reaches d/2 (decoding radius exceeded).
+    m1 (X-basis readout of Q, (n, trials)) is corrected to the nearest word
+    of ker(H_X) as a Z error would be, m2 (Z-basis readout of A) to ker(H_Z)
+    as an X error; logical bits are then parities against the logical
+    representatives. Herald when either correction leaves the decoding
+    radius.
     """
+    t = _frame_tables(code_r)
+    e2, e1, herald2, herald1 = _decode_css(code_r, gf2.mul_bits(t.hx, m1), gf2.mul_bits(t.hz, m2))
+    return gf2.mul_bits(t.lx, m1 ^ e1), gf2.mul_bits(t.lz, m2 ^ e2), herald1 | herald2
+
+
+def logical_bell_process(code_r: CssCode, m1: BitVector, m2: BitVector) -> BellOutcome:
+    """Classical processing of the transversal Bell measurement strings."""
     if m1.n != code_r.n or m2.n != code_r.n:
         raise ValueError("measurement strings must have length n")
-    d = code_r.min_distance()[0]
-    t1 = build_leader_table(code_r.hx)
-    t2 = build_leader_table(code_r.hz)
-    s1 = code_r.hx.mul_vec(m1).to_array().reshape(1, -1)
-    s2 = code_r.hz.mul_vec(m2).to_array().reshape(1, -1)
-    e1, w1 = t1.lookup(s1)
-    e2, w2 = t2.lookup(s2)
-    herald = bool(w1[0] < 0 or w2[0] < 0 or 2 * w1[0] >= d or 2 * w2[0] >= d)
-    m1_hat = m1 ^ BitVector.from_bits(e1[0])
-    m2_hat = m2 ^ BitVector.from_bits(e2[0])
-    u = BitVector.from_bits([code_r.lx.row(j).dot(m1_hat) for j in range(code_r.m)])
-    v = BitVector.from_bits([code_r.lz.row(j).dot(m2_hat) for j in range(code_r.m)])
-    return BellOutcome(u=u, v=v, herald=herald)
+    u, v, herald = _bell_bits(code_r, m1.to_array()[:, None], m2.to_array()[:, None])
+    return BellOutcome(BitVector.from_bits(u[:, 0]), BitVector.from_bits(v[:, 0]), bool(herald[0]))
 
 
 # -- the partial decoding interface Gamma ---------------------------------------------
@@ -429,10 +460,7 @@ class InterfaceCircuit:
     b_correction_circuit: Circuit
     m1_labels: tuple
     m2_labels: tuple
-    # decode tables and rep matrices (dense uint8)
-    table_q_x: LeaderTable   # H_X of level r (decodes m1)
-    table_q_z: LeaderTable   # H_Z of level r (decodes m2)
-    lxb: np.ndarray          # (m_r, |B|) X-rep of logical j on the B side
+    lxb: np.ndarray          # (m_r, |B|) X-rep of logical j on the B side, dense uint8
     lzb: np.ndarray
     latency_layers: int
     n_locations: int
@@ -465,43 +493,32 @@ class InterfaceCircuit:
         return self._resource.copy()
 
 
+def _side_by_side(code: CssCode, blocks: int) -> tuple[np.ndarray, ...]:
+    """Dense stabilizer rows (xs, zs, all signs +) and logical
+    representatives (lx, lz) of `blocks` copies of `code` on adjacent wire
+    blocks; logical j of the copies acts on block j // code.m."""
+    gens = code.stabilizer_generators()
+    stab = [np.array([g[i] for g in gens], np.uint8).reshape(-1, code.n) for i in (0, 1)]
+    eye = np.eye(blocks, dtype=np.uint8)
+    return tuple(np.kron(eye, a) for a in stab + [code.lx.to_dense(), code.lz.to_dense()])
+
+
 def resource_state_tableau(
     code_r: CssCode, code_rp: CssCode, a_wires: Sequence, b_wires: Sequence
 ) -> Tableau:
     """Tableau of the encoded Bell resource: m_r EPR pairs, A side in level r,
     B side split into m_r/m_{r'} level-r' blocks."""
-    blocks = code_r.m // code_rp.m
-    na, nb = code_r.n, code_rp.n * blocks
-    labels = list(a_wires) + list(b_wires)
-    gens = []
-    zero_a = np.zeros(na, np.uint8)
-    zero_b = np.zeros(nb, np.uint8)
-
-    def emb(a_part, b_part):
-        return np.concatenate([a_part, b_part]).astype(np.uint8)
-
-    for x, z, s in code_r.stabilizer_generators():
-        gens.append((emb(x, zero_b), emb(z, zero_b), s))
-    for i in range(blocks):
-        off = i * code_rp.n
-        for x, z, s in code_rp.stabilizer_generators():
-            bx, bz = zero_b.copy(), zero_b.copy()
-            bx[off : off + code_rp.n] = x
-            bz[off : off + code_rp.n] = z
-            gens.append((emb(zero_a, bx), emb(zero_a, bz), s))
-    lx_r = code_r.lx.to_dense()
-    lz_r = code_r.lz.to_dense()
-    lx_p = code_rp.lx.to_dense()
-    lz_p = code_rp.lz.to_dense()
-    for j in range(code_r.m):
-        i, p = divmod(j, code_rp.m)
-        off = i * code_rp.n
-        bx, bz = zero_b.copy(), zero_b.copy()
-        bx[off : off + code_rp.n] = lx_p[p]
-        gens.append((emb(lx_r[j], bx), emb(np.zeros(na, np.uint8), zero_b), 0))
-        bz[off : off + code_rp.n] = lz_p[p]
-        gens.append((emb(zero_a, zero_b), emb(lz_r[j], bz), 0))
-    return Tableau.from_generators(labels, gens)
+    ax, az, lx_r, lz_r = _side_by_side(code_r, 1)
+    bx, bz, lxb, lzb = _side_by_side(code_rp, code_r.m // code_rp.m)
+    na, k = code_r.n, len(ax) + len(bx)
+    xs = np.zeros((k + 2 * code_r.m, na + lxb.shape[1]), np.uint8)
+    zs = np.zeros_like(xs)
+    xs[: len(ax), :na], zs[: len(ax), :na] = ax, az
+    xs[len(ax) : k, na:], zs[len(ax) : k, na:] = bx, bz
+    # Logical pair j: X on both sides, then Z on both sides.
+    xs[k::2] = np.hstack([lx_r, lxb])
+    zs[k + 1 :: 2] = np.hstack([lz_r, lzb])
+    return Tableau(list(a_wires) + list(b_wires), xs, zs, np.zeros(len(xs), np.uint8))
 
 
 @functools.lru_cache(maxsize=32)
@@ -573,15 +590,7 @@ def build_gamma(
     b_corr = Circuit(list(b_wires))
     b_corr.add_layer([Gate("idle", (w,)) for w in b_wires])
 
-    lx_p = code_rp.lx.to_dense()
-    lz_p = code_rp.lz.to_dense()
-    nb = len(b_wires)
-    lxb = np.zeros((code_r.m, nb), np.uint8)
-    lzb = np.zeros((code_r.m, nb), np.uint8)
-    for j in range(code_r.m):
-        i, p = divmod(j, code_rp.m)
-        lxb[j, i * code_rp.n : (i + 1) * code_rp.n] = lx_p[p]
-        lzb[j, i * code_rp.n : (i + 1) * code_rp.n] = lz_p[p]
+    *_, lxb, lzb = _side_by_side(code_rp, blocks)
     lxb.flags.writeable = lzb.flags.writeable = False  # the plan is cached and shared
 
     latency = (
@@ -616,8 +625,6 @@ def build_gamma(
         b_correction_circuit=b_corr,
         m1_labels=m1_labels,
         m2_labels=m2_labels,
-        table_q_x=build_leader_table(code_r.hx),
-        table_q_z=build_leader_table(code_r.hz),
         lxb=lxb,
         lzb=lzb,
         latency_layers=latency,
@@ -625,17 +632,165 @@ def build_gamma(
     )
 
 
+# -- one Gamma walk on two engines ----------------------------------------------------
+
+
+class TableauEngine:
+    """One exact trial: a signed tableau evolved in place, absolute outcomes.
+
+    Fragments run noiselessly and ignore their stream tags. A block handle is
+    the block's wire labels in the state.
+    """
+
+    trials = 1
+
+    def __init__(self, state: Tableau, rng: np.random.Generator, outcomes: dict):
+        self.state = state
+        self.rng = rng
+        self.outcomes = outcomes
+        self._saved = 0
+
+    def run(self, fragment: Circuit, tag: int):
+        circuit.run_noisy(fragment, self.state, rng=self.rng, outcomes=self.outcomes)
+
+    def bits(self, labels: Sequence[str]) -> np.ndarray:
+        return np.array([self.outcomes[l] for l in labels], np.uint8).reshape(-1, 1)
+
+    def xor(self, wires: Sequence, x: np.ndarray, z: np.ndarray):
+        self.state.apply_pauli_on(wires, x[:, 0], z[:, 0])
+
+    def resource(self, plan: InterfaceCircuit, tag: int):
+        resource = plan.resource_tableau()
+        if set(map(str, self.state.labels)) & set(map(str, resource.labels)):
+            raise ValueError("gamma wires collide with spectator wires")
+        merged = self.state.tensor(resource)
+        state = self.state
+        state.labels, state.xs, state.zs, state.signs = merged.labels, merged.xs, merged.zs, merged.signs
+
+    def load(self, handle: list, wires: Sequence, scope: Sequence):
+        self.state.rename(dict(zip(handle, wires)))
+
+    def save(self, wires: Sequence) -> list:
+        labels = [f"u{self._saved}.{p}" for p in range(len(wires))]
+        self._saved += 1
+        self.state.rename(dict(zip(wires, labels)))
+        return labels
+
+
+class FrameEngine:
+    """A batch of Monte Carlo trials: Pauli frames and outcome flips.
+
+    Each fragment run draws its faults from the stream of its tag; the
+    resource is the oracle's local stochastic noise plus its failure coin,
+    drawn from the oracle stream of the Gamma pass's tag. A block handle is
+    the block's (x, z) frames as (trials, n) arrays, or None when clean.
+    """
+
+    def __init__(self, params: NoiseParams, trials: int, chunk: int):
+        self.params = params
+        self.trials = trials
+        self.chunk = chunk
+        self.runner = FrameRunner(params, chunk=chunk)
+        self.batch: Optional[FrameBatch] = None
+
+    def run(self, fragment: Circuit, tag: int):
+        self.runner.run(fragment, self.batch, tag=tag)
+
+    def bits(self, labels: Sequence[str]) -> np.ndarray:
+        if not labels:
+            return np.zeros((0, self.trials), np.uint8)
+        return np.stack([self.batch.flips[l] for l in labels])
+
+    def xor(self, wires: Sequence, x: np.ndarray, z: np.ndarray):
+        rows = self.batch.block(wires)
+        self.batch.x.T[rows] ^= x
+        self.batch.z.T[rows] ^= z
+
+    def resource(self, plan: InterfaceCircuit, tag: int):
+        ab_wires = plan.a_wires + plan.b_wires
+        knobs = plan.knobs
+        ls_delta = (
+            knobs.resource_ls_delta
+            if knobs.resource_ls_delta is not None
+            else min(1.0, 2.0 * self.params.delta)
+        )
+        rng = rng_stream(self.params.seed, STREAM_ORACLE, tag, self.chunk)
+        if ls_delta > 0.0:
+            ox, oz = sample_ls_bits(len(ab_wires), ls_delta, rng, self.trials)
+            self.xor(ab_wires, ox.T, oz.T)
+        if knobs.resource_fail_prob > 0.0:
+            fail = (rng.random(self.trials) < knobs.resource_fail_prob).astype(np.uint8)
+            if fail.any():
+                shape = (self.trials, len(ab_wires))
+                rx = rng.integers(0, 2, size=shape).astype(np.uint8)
+                rz = rng.integers(0, 2, size=shape).astype(np.uint8)
+                self.xor(ab_wires, rx.T & fail, rz.T & fail)
+
+    def load(self, handle: Optional[tuple], wires: Sequence, scope: Sequence):
+        self.batch = FrameBatch(scope, self.trials)
+        if handle is not None:
+            self.xor(wires, handle[0].T, handle[1].T)
+
+    def save(self, wires: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        rows = self.batch.block(wires)
+        return self.batch.x[:, rows].copy(order="K"), self.batch.z[:, rows].copy(order="K")
+
+
+def _ec_round(gadget: EcGadget, rnd: int, engine, tag: int):
+    """One EC round: extraction, decode, correction; returns the decode.
+
+    A heralded sector is left uncorrected, so an ambiguous detection never
+    grows the residual. Uses stream tags `tag` and `tag + 1`.
+    """
+    engine.run(gadget.round_circuit(rnd), tag)
+    syn_x, syn_z = engine.bits(gadget.x_labels(rnd)), engine.bits(gadget.z_labels(rnd))
+    decoded = ex, ez, herald_x, herald_z = _decode_css(gadget.code, syn_x, syn_z)
+    engine.xor(gadget.data_wires, ex & ~herald_x, ez & ~herald_z)
+    engine.run(gadget.correction_circuit, tag + 1)
+    return decoded
+
+
+def ec_rounds(gadget: EcGadget, engine, tag: int) -> int:
+    """All rounds of `gadget` from stream tag `tag`; returns the next free tag."""
+    for rnd in range(gadget.rounds):
+        _ec_round(gadget, rnd, engine, tag)
+        tag += 2
+    return tag
+
+
+def gamma_pass(plan: InterfaceCircuit, engine, tag: int) -> np.ndarray:
+    """One Gamma pass on `engine`, whose state holds the input on plan.q_wires.
+
+    Input EC, resource, transversal Bell measurement and its decode, output
+    EC, processing wait and teleportation correction, with fragment streams
+    tagged in that order from `tag`; the resource draws from stream `tag`
+    of the oracle. Afterwards the state holds the output on plan.b_wires.
+    Returns the (trials,) Bell heralds.
+    """
+    start = tag
+    tag = ec_rounds(plan.q_gadget, engine, tag)
+    engine.resource(plan, start)
+    engine.run(plan.bell_circuit, tag)
+    u, v, herald = _bell_bits(plan.code_r, engine.bits(plan.m1_labels), engine.bits(plan.m2_labels))
+    tag += 1
+    for g in plan.b_gadgets:
+        tag = ec_rounds(g, engine, tag)
+    engine.run(plan.proc_wait_circuit, tag)
+    # Teleportation correction: Z^u on the m1-decoded bits, X^v on m2's.
+    engine.xor(plan.b_wires, gf2.mul_bits(plan.lxb.T, v), gf2.mul_bits(plan.lzb.T, u))
+    engine.run(plan.b_correction_circuit, tag + 1)
+    return herald
+
+
 # -- exact (tableau) execution --------------------------------------------------------
 
 
 @dataclass
 class GammaReference:
-    """Record of one exact run: outcomes, decoded logicals, output tableau."""
+    """Record of one exact run: outcomes, Bell herald, output tableau."""
 
     output: Tableau
     outcomes: dict
-    bell: BellOutcome
-    ec_corrections: list[DecodeResult]
     heralds: bool
     m1_in_code: bool
     m2_in_code: bool
@@ -644,23 +799,10 @@ class GammaReference:
 def _run_ec_tableau(
     gadget: EcGadget, state: Tableau, outcomes: dict, rng, corrections_log: list
 ):
-    from . import circuit as circ
-
+    """Noiseless EC rounds of `gadget` on `state`, logging each round's decode."""
+    engine = TableauEngine(state, rng, outcomes)
     for rnd in range(gadget.rounds):
-        circ.run_noisy(gadget.round_circuit(rnd), state, rng=rng, outcomes=outcomes)
-        syn_x = BitVector.from_bits([outcomes[l] for l in gadget.x_labels(rnd)]) if gadget.code.hx.nrows else BitVector.zeros(0)
-        syn_z = BitVector.from_bits([outcomes[l] for l in gadget.z_labels(rnd)]) if gadget.code.hz.nrows else BitVector.zeros(0)
-        res = decode_syndrome(gadget.code, syn_x, syn_z)
-        corrections_log.append(res)
-        ex = res.correction.x.to_array() if not res.herald_x else np.zeros(gadget.code.n, np.uint8)
-        ez = res.correction.z.to_array() if not res.herald_z else np.zeros(gadget.code.n, np.uint8)
-        for q, w in enumerate(gadget.data_wires):
-            if ex[q] or ez[q]:
-                xb = np.zeros(state.n, np.uint8)
-                zb = np.zeros(state.n, np.uint8)
-                qi = state.index(w)
-                xb[qi], zb[qi] = ex[q], ez[q]
-                state.apply_pauli(xb, zb)
+        corrections_log.append(_first_decode(*_ec_round(gadget, rnd, engine, 0)))
 
 
 def run_gamma_tableau(
@@ -676,49 +818,17 @@ def run_gamma_tableau(
     `state` (also the reference's `output`) holds the B wires and the
     spectators. Pass a copy to keep the input.
     """
-    from . import circuit as circ
-
-    rng = rng or np.random.default_rng(0)
-    outcomes: dict = {}
-    ec_log: list[DecodeResult] = []
-
-    _run_ec_tableau(plan.q_gadget, state, outcomes, rng, ec_log)
-    resource = plan.resource_tableau()
-    if set(map(str, state.labels)) & set(map(str, resource.labels)):
-        raise ValueError("gamma wires collide with spectator wires")
-    merged = state.tensor(resource)
-    state.labels, state.xs, state.zs, state.signs = merged.labels, merged.xs, merged.zs, merged.signs
-    circ.run_noisy(plan.bell_circuit, state, rng=rng, outcomes=outcomes)
-
-    m1 = BitVector.from_bits([outcomes[l] for l in plan.m1_labels])
-    m2 = BitVector.from_bits([outcomes[l] for l in plan.m2_labels])
-    m1_in_code = plan.code_r.hx.mul_vec(m1).weight() == 0
-    m2_in_code = plan.code_r.hz.mul_vec(m2).weight() == 0
-    bell = logical_bell_process(plan.code_r, m1, m2)
-
-    for g in plan.b_gadgets:
-        _run_ec_tableau(g, state, outcomes, rng, ec_log)
-    circ.run_noisy(plan.proc_wait_circuit, state, rng=rng, outcomes=outcomes)
-
-    # Teleportation correction: Z^u on the m1-decoded bits, X^v on m2's.
-    u = bell.u.to_array()
-    v = bell.v.to_array()
-    corr_x = (v @ plan.lxb) % 2
-    corr_z = (u @ plan.lzb) % 2
-    xb = np.zeros(state.n, np.uint8)
-    zb = np.zeros(state.n, np.uint8)
-    for k, w in enumerate(plan.b_wires):
-        qi = state.index(w)
-        xb[qi], zb[qi] = corr_x[k], corr_z[k]
-    state.apply_pauli(xb, zb)
-    circ.run_noisy(plan.b_correction_circuit, state, rng=rng, outcomes=outcomes)
-
+    engine = TableauEngine(state, rng or np.random.default_rng(0), {})
+    herald = gamma_pass(plan, engine, 0)
+    t = _frame_tables(plan.code_r)
+    m1_in_code, m2_in_code = (
+        not gf2.mul_bits(h, engine.bits(labels)).any()
+        for h, labels in ((t.hx, plan.m1_labels), (t.hz, plan.m2_labels))
+    )
     return GammaReference(
         output=state,
-        outcomes=outcomes,
-        bell=bell,
-        ec_corrections=ec_log,
-        heralds=bell.herald,
+        outcomes=engine.outcomes,
+        heralds=bool(herald[0]),
         m1_in_code=m1_in_code,
         m2_in_code=m2_in_code,
     )
@@ -732,17 +842,8 @@ def expected_output_tableau(plan: InterfaceCircuit, logical: Tableau) -> Tableau
     """
     from .css import lift_with_reps
 
-    gens = []
-    nb = len(plan.b_wires)
-    code = plan.code_rp
-    for i in range(plan.blocks):
-        off = i * code.n
-        for x, z, s in code.stabilizer_generators():
-            bx = np.zeros(nb, np.uint8)
-            bz = np.zeros(nb, np.uint8)
-            bx[off : off + code.n] = x
-            bz[off : off + code.n] = z
-            gens.append((bx, bz, s))
+    sx, sz, _, _ = _side_by_side(plan.code_rp, plan.blocks)
+    gens = [(x, z, 0) for x, z in zip(sx, sz)]
     for row in range(logical.n):
         x, z, s = lift_with_reps(plan.lxb, plan.lzb, logical.xs[row], logical.zs[row])
         gens.append((x, z, s ^ int(logical.signs[row])))
@@ -776,49 +877,6 @@ class ChunkStats:
         )
 
 
-def _coset_elements(basis: BitMatrix) -> np.ndarray:
-    """All 2^k stabilizer combinations as dense rows, for k <= MAX_TABLE_ROWS."""
-    k, n = basis.nrows, basis.ncols
-    if k > MAX_TABLE_ROWS:
-        raise ValueError(f"coset enumeration too large for {k} stabilizer generators")
-    dense = basis.to_dense()
-    out = np.zeros((1 << k, n), dtype=np.uint8)
-    for i in range(1, 1 << k):
-        out[i] = out[i ^ (i & -i)] ^ dense[(i & -i).bit_length() - 1]
-    return out
-
-
-@dataclass(frozen=True)
-class _FrameTables:
-    """Precomputed per-level decode machinery for trial classification."""
-
-    stab_x: np.ndarray  # coset elements of rowspace(H_X)
-    stab_z: np.ndarray
-    table_x: LeaderTable  # leader for H_Z syndromes (X errors)
-    table_z: LeaderTable  # leader for H_X syndromes (Z errors)
-    lx: np.ndarray
-    lz: np.ndarray
-    hx: np.ndarray
-    hz: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
-def _frame_tables(code: CssCode) -> _FrameTables:
-    arrays = dict(
-        stab_x=_coset_elements(code.x_stabilizer_basis()),
-        stab_z=_coset_elements(code.z_stabilizer_basis()),
-        lx=code.lx.to_dense(),
-        lz=code.lz.to_dense(),
-        hx=code.hx.to_dense(),
-        hz=code.hz.to_dense(),
-    )
-    for a in arrays.values():
-        a.flags.writeable = False  # shared by every caller of the cache
-    return _FrameTables(
-        table_x=build_leader_table(code.hz), table_z=build_leader_table(code.hx), **arrays
-    )
-
-
 def _reduced_weights(e: np.ndarray, cosets: np.ndarray) -> np.ndarray:
     """Min Hamming weight of e xor each coset element, per trial."""
     # e: (T, n), cosets: (C, n) -> (T,); rows packed into uint64 words, so the
@@ -826,35 +884,6 @@ def _reduced_weights(e: np.ndarray, cosets: np.ndarray) -> np.ndarray:
     n = e.shape[1]
     pe, pc = gf2._pack(e, n), gf2._pack(cosets, n)
     return np.bitwise_count(pe[:, None, :] ^ pc[None, :, :]).sum(axis=2).min(axis=1)
-
-
-def _flip_rows(batch: FrameBatch, labels: Sequence[str]) -> np.ndarray:
-    """Outcome flips of `labels` stacked as (labels, trials) rows."""
-    if not labels:
-        return np.zeros((0, batch.trials), np.uint8)
-    return np.stack([batch.flips[l] for l in labels])
-
-
-def _ec_frame_round(
-    gadget: EcGadget,
-    batch: FrameBatch,
-    runner: FrameRunner,
-    rnd: int,
-    tag: int,
-    tables: _FrameTables,
-    data_rows: slice,
-):
-    runner.run(gadget.round_circuit(rnd), batch, tag=tag)
-    sx = _flip_rows(batch, gadget.x_labels(rnd))  # (X checks, trials)
-    sz = _flip_rows(batch, gadget.z_labels(rnd))
-    d = gadget.code.min_distance()[0]
-    ez, wz = tables.table_z.lookup(sx.T)  # X checks flag Z errors
-    ex, wx = tables.table_x.lookup(sz.T)
-    apply_z = ((wz >= 0) & (2 * wz < d)).astype(np.uint8)
-    apply_x = ((wx >= 0) & (2 * wx < d)).astype(np.uint8)
-    batch.x.T[data_rows] ^= ex.T & apply_x
-    batch.z.T[data_rows] ^= ez.T & apply_z
-    runner.run(gadget.correction_circuit, batch, tag=tag + 1)
 
 
 @dataclass
@@ -874,8 +903,7 @@ def gamma_frames(
     params: NoiseParams,
     trials: int,
     chunk: int = 0,
-    tag_base: int = 0,
-    oracle_stream: int = 0,
+    tag: int = 0,
     input_frames: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> GammaFrameRun:
     """Vectorized frame propagation of one Gamma pass over a trial batch.
@@ -884,78 +912,14 @@ def gamma_frames(
     outcomes fixed by one tableau pass); frames track each trial's
     difference, so syndrome flips are the trial syndromes directly and the
     teleportation correction enters as the decoded logical difference.
-    `tag_base`/`oracle_stream` keep fault streams distinct when several
-    Gamma instances run inside one composite plan.
+    `tag` keeps fault streams distinct when several Gamma instances run
+    inside one composite plan (see `gamma_pass`).
     """
-    runner = FrameRunner(params, chunk=chunk)
-    batch = FrameBatch(plan.all_wires, trials)
-    tables_r = _frame_tables(plan.code_r)
-    tables_p = _frame_tables(plan.code_rp)
-    q_rows = batch.block(plan.q_wires)
-    if input_frames is not None:
-        ex, ez = input_frames
-        batch.x[:, q_rows] ^= ex.astype(np.uint8)
-        batch.z[:, q_rows] ^= ez.astype(np.uint8)
-
-    tag = tag_base
-    for rnd in range(plan.knobs.s1):
-        _ec_frame_round(plan.q_gadget, batch, runner, rnd, tag, tables_r, q_rows)
-        tag += 2
-
-    # Resource oracle: local stochastic noise on A and B plus a failure coin.
-    ab_wires = plan.a_wires + plan.b_wires
-    ab_rows = batch.block(ab_wires)
-    ls_delta = (
-        plan.knobs.resource_ls_delta
-        if plan.knobs.resource_ls_delta is not None
-        else min(1.0, 2.0 * params.delta)
-    )
-    rng_o = rng_stream(params.seed, STREAM_ORACLE, oracle_stream, chunk)
-    if ls_delta > 0.0:
-        ox, oz = sample_ls_bits(len(ab_wires), ls_delta, rng_o, trials)
-        batch.x.T[ab_rows] ^= ox.T
-        batch.z.T[ab_rows] ^= oz.T
-    if plan.knobs.resource_fail_prob > 0.0:
-        fail = (rng_o.random(trials) < plan.knobs.resource_fail_prob).astype(np.uint8)
-        if fail.any():
-            rx = rng_o.integers(0, 2, size=(trials, len(ab_wires))).astype(np.uint8)
-            rz = rng_o.integers(0, 2, size=(trials, len(ab_wires))).astype(np.uint8)
-            batch.x.T[ab_rows] ^= rx.T & fail
-            batch.z.T[ab_rows] ^= rz.T & fail
-
-    runner.run(plan.bell_circuit, batch, tag=tag)
-    tag += 1
-
-    # Bell decoding on (qubits, trials) rows, as are the lift and corrections.
-    m1_flips = _flip_rows(batch, plan.m1_labels)
-    m2_flips = _flip_rows(batch, plan.m2_labels)
-    s1 = gf2.mul_bits(tables_r.hx, m1_flips)
-    s2 = gf2.mul_bits(tables_r.hz, m2_flips)
-    e1, w1 = plan.table_q_x.lookup(s1.T)
-    e2, w2 = plan.table_q_z.lookup(s2.T)
-    d_r = plan.code_r.min_distance()[0]
-    herald = (w1 < 0) | (w2 < 0) | (2 * w1 >= d_r) | (2 * w2 >= d_r)
-    du = gf2.mul_bits(tables_r.lx, m1_flips ^ e1.T)  # (m_r, trials)
-    dv = gf2.mul_bits(tables_r.lz, m2_flips ^ e2.T)
-
-    for g in plan.b_gadgets:
-        rows = batch.block(g.data_wires)
-        for rnd in range(plan.knobs.s2):
-            _ec_frame_round(g, batch, runner, rnd, tag, tables_p, rows)
-            tag += 2
-    runner.run(plan.proc_wait_circuit, batch, tag=tag)
-    tag += 1
-
-    # Logical correction difference: Z^{du} X^{dv} lifted onto the B blocks.
-    b_rows = batch.block(plan.b_wires)
-    batch.z.T[b_rows] ^= gf2.mul_bits(plan.lzb.T, du)
-    batch.x.T[b_rows] ^= gf2.mul_bits(plan.lxb.T, dv)
-    runner.run(plan.b_correction_circuit, batch, tag=tag)
-    return GammaFrameRun(
-        out_x=batch.x.T[b_rows].copy().T,
-        out_z=batch.z.T[b_rows].copy().T,
-        herald=herald.astype(bool),
-    )
+    engine = FrameEngine(params, trials, chunk)
+    engine.load(input_frames, plan.q_wires, plan.all_wires)
+    herald = gamma_pass(plan, engine, tag)
+    out_x, out_z = engine.save(plan.b_wires)
+    return GammaFrameRun(out_x=out_x, out_z=out_z, herald=herald)
 
 
 def classify_gamma_output(
@@ -990,10 +954,9 @@ def run_gamma_chunk(
     trials: int,
     mu: float,
     chunk: int = 0,
-    input_error: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> ChunkStats:
     """One vectorized chunk of Monte Carlo trials over fault patterns."""
-    run = gamma_frames(plan, params, trials, chunk=chunk, input_frames=input_error)
+    run = gamma_frames(plan, params, trials, chunk=chunk)
     overflow, logical, hist = classify_gamma_output(plan, run, mu)
     failures = run.herald | overflow | logical
     out_err = ((run.out_x | run.out_z) != 0).sum(axis=0)

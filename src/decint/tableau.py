@@ -182,6 +182,15 @@ class Tableau:
         """Conjugate the state by the Pauli X^x Z^z (global phase dropped)."""
         self.signs ^= symplectic_overlap(self.xs, self.zs, x_bits, z_bits).astype(np.uint8)
 
+    def apply_pauli_on(self, wires: Sequence[Hashable], x_bits, z_bits):
+        """Conjugate by X^x Z^z where bit i acts on the wire labelled wires[i]."""
+        cols = [self.index(w) for w in wires]
+        xb = np.zeros(self.n, np.uint8)
+        zb = np.zeros(self.n, np.uint8)
+        xb[cols] = x_bits
+        zb[cols] = z_bits
+        self.apply_pauli(xb, zb)
+
     # -- measurement ----------------------------------------------------------
 
     def measure_z(self, label: Hashable, rng: Optional[np.random.Generator] = None,

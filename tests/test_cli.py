@@ -49,6 +49,21 @@ class TestValidateCodes:
             assert "--workers must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_workers_above_one_rejected_where_unused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"family": "toy"})
+        for command in ("validate-codes", "schedule-audit", "tree-bounds", "e2e"):
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "2"]
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert command in err and "--workers must be 1" in err
+        assert not (tmp_path / "o").exists()
+        sweep = write_config(
+            tmp_path, "s.json",
+            {"family": "toy", "r": 2, "r_prime": 1, "trials": 200, "noise": {"delta": [0.01]}},
+        )
+        argv = ["interface-sweep", "--config", sweep, "--out", str(tmp_path / "s"), "--workers", "2"]
+        assert cli.main(argv) == 0
+
     def test_dump_family_roundtrip(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"family": "toy", "dump": True})
         assert run("validate-codes", cfg, tmp_path / "out") == 0

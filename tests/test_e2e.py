@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decint import css, e2e, scheduler
+from decint import css, e2e, interface, scheduler
 from decint.noise import NoiseParams
 from decint.tableau import Tableau
 
@@ -140,3 +140,30 @@ class TestFitConstants:
     def test_degenerate_grid_rejected(self):
         assert e2e.fit_ls_constants([0.01], [0.1], [0.01]) is None
         assert e2e.fit_ls_constants([0.01, 0.02], [0.0, 0.0], [0.0, 0.0]) is None
+
+
+class TestGoldenChainCounts:
+    # Per-output-qubit error counts, herald count and any-error count of toy
+    # r = 3, h = 2 with two EC rounds per wait layer, s1 = s2 = 2, resource
+    # failures 0.05 and input LS noise 0.01 (4000 trials, seed 5), recorded
+    # while the tableau and frame chains were still written apart. Any change
+    # to a chain, EC, Bell or oracle stream tag moves them.
+    GOLDEN = {
+        0.001: ([1431, 1323, 1478, 1367, 1751, 1588, 1705, 1598], 3821, 3667),
+        0.003: ([2480, 2305, 2465, 2343, 2720, 2569, 2656, 2617], 3998, 3996),
+    }
+
+    @pytest.mark.parametrize("delta", sorted(GOLDEN))
+    def test_golden_e2e_counts(self, delta):
+        fam = css.toy_family()
+        knobs = interface.GammaKnobs(s1=2, s2=2, resource_fail_prob=0.05)
+        consts = scheduler.measured_constants(fam, knobs)
+        sched = scheduler.build_schedule(fam, 3, 1, 2, constants=consts)
+        trials = 4000
+        stats = e2e.run_e2e_frames(
+            fam, sched, NoiseParams(delta=delta, seed=5), trials, knobs=knobs,
+            wait_rounds_per_layer=2, input_ls_delta=0.01,
+        )
+        counts = np.rint(stats.logical_error_marginals * trials).astype(int).tolist()
+        got = (counts, round(stats.herald_rate * trials), round(stats.any_error_rate * trials))
+        assert got == self.GOLDEN[delta]

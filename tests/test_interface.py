@@ -674,3 +674,64 @@ class TestWireMajorGamma:
         assert g.round_circuit(1).measurement_labels() == g.x_labels(1) + g.z_labels(1)
         plan = interface.build_gamma(fam, 4, 3)
         assert plan.b_gadgets[0] is interface.build_ec(code, 1, plan.block_wires(0), label_prefix="b0.")
+
+
+class TestOneWalkTwoEngines:
+    """The exact oracle and the frame engine run the same Gamma walk."""
+
+    @pytest.mark.parametrize("steane, r, r_prime", [(True, 2, 1), (False, 3, 2)])
+    def test_single_input_errors_agree(self, fam, sfam, steane, r, r_prime):
+        # delta = 0: for every single-qubit input error the tableau run heralds
+        # exactly when the frame run does, and its output is the expected
+        # output times the frame Pauli of that trial.
+        family = sfam if steane else fam
+        plan = interface.build_gamma(family, r, r_prime)
+        code = family.level(r)
+        logical = random_stabilizer_state(
+            list(range(code.m)), np.random.default_rng(r), moves=3 * code.m
+        )
+        cases = [(q, kind) for q in range(code.n) for kind in ("X", "Z", "Y")]
+        ex = np.zeros((len(cases), code.n), np.uint8)
+        ez = np.zeros_like(ex)
+        for t, (q, kind) in enumerate(cases):
+            ex[t, q] = kind in "XY"
+            ez[t, q] = kind in "ZY"
+        run = interface.gamma_frames(
+            plan, NoiseParams(delta=0.0, seed=1), len(cases), input_frames=(ex, ez)
+        )
+        heralds = 0
+        for t, (q, kind) in enumerate(cases):
+            inp = code.encoded_tableau(logical, labels=plan.q_wires)
+            apply_error(inp, plan.q_wires[q], kind)
+            ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(t))
+            assert ref.heralds == bool(run.herald[t]), (q, kind)
+            want = interface.expected_output_tableau(plan, logical)
+            want.apply_pauli_on(plan.b_wires, run.out_x[t], run.out_z[t])
+            assert ref.output.same_state(want), (q, kind)
+            heralds += ref.heralds
+        assert heralds == (0 if steane else len(cases))  # d = 3 corrects, d = 2 detects
+
+    @pytest.mark.parametrize(
+        "delta, counts",
+        [
+            # (failures, heralds, weight overflows, logical errors, block-0 and
+            # block-1 weight histograms), recorded while the tableau and frame
+            # walks were still written apart. Any change to an EC, Bell or
+            # oracle stream tag, or to the decode, moves them.
+            (0.01, (2000, 1982, 1879, 1999,
+                    [5, 49, 357, 955, 634, 0, 0, 0, 0, 0, 0],
+                    [6, 88, 386, 925, 595, 0, 0, 0, 0, 0, 0])),
+            (0.003, (1899, 1660, 1126, 1835,
+                     [261, 291, 564, 511, 373, 0, 0, 0, 0, 0, 0],
+                     [364, 371, 590, 410, 265, 0, 0, 0, 0, 0, 0])),
+        ],
+    )
+    def test_golden_tau_counts_two_rounds_and_resource_failures(self, fam, delta, counts):
+        knobs = interface.GammaKnobs(s1=2, s2=2, resource_fail_prob=0.05)
+        est = interface.estimate_tau(
+            fam, 4, 3, NoiseParams(delta=delta, seed=5), trials=2000, mu=0.25,
+            knobs=knobs, chunk_size=1000,
+        )
+        got = (est.failures, est.heralds, est.weight_overflows, est.logical_errors,
+               *est.block_weight_hist.tolist())
+        assert got == counts
