@@ -7,7 +7,7 @@
 import numpy as np
 
 from decint import circuit as circ
-from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate, LocationFault
+from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
 from decint.noise import NoiseParams
 from decint.tableau import Tableau
 
@@ -29,12 +29,15 @@ print(c.to_json()[:200], "...")
 _, ideal = circ.run_ideal(c, Tableau.zero_state(wires))
 print("\nideal outcomes:", ideal)
 
-# Inject an X fault on the second-layer CNOT's output and compare backends.
-fault = LocationFault(x=(1, 0), z=(0, 0))
-_, noisy = circ.run_noisy(c, Tableau.zero_state(wires), faults={(1, 0): fault})
+# Inject an X fault on the second-layer CNOT's control and compare backends.
+# A fault is a location (a row of c.locations()) and a Pauli code on the
+# gate's wires: wire j takes bit 2j (x) and bit 2j + 1 (z), so code 1 is X on
+# the control.
+row, code = c.locations().index((1, 0)), 1
+_, noisy = circ.run_noisy(c, Tableau.zero_state(wires), faults={row: code})
 batch = FrameBatch(wires, 1)
 FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
-    c, batch, noisy=False, forced_faults={(1, 0): fault}
+    c, batch, noisy=False, forced_faults=([row], [0], [code])
 )
 print("tableau outcomes with fault:", noisy)
 print("frame-predicted flips:      ", {k: int(v[0]) for k, v in batch.flips.items()})

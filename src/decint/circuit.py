@@ -5,6 +5,12 @@ controlled Pauli, discard}. The signed-tableau backend is the exact oracle;
 the Pauli-frame backend propagates error frames for batches of Monte Carlo
 trials against cached reference outcomes. Classical decoder calls are not
 gates: they run as callbacks between circuit fragments (see interface.py).
+
+A fault is a location, a row of `Circuit.locations()` (every gate but
+`discard`), and a code: on a measurement 1, an outcome flip; on a k-wire
+gate a Pauli in [1, 4^k) after the gate, wire j taking bits 2j (x) and
+2j + 1 (z). Both backends take faults so, and the frame backend injects
+forced and sampled faults through one function.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import numpy as np
 from .noise import STREAM_CIRCUIT, NoiseParams, bernoulli_positions, rng_stream
 from .tableau import Tableau
 
-UNITARY_GATES = {"h", "cnot", "x", "y", "z", "idle", "cpauli"}
 GATE_ARITY = {
     "idle": 1,
     "init0": 1,
@@ -55,11 +60,12 @@ class Gate:
 class Circuit:
     """A depth-d circuit: a list of layers of gates over labelled wires."""
 
-    def __init__(self, wires: Sequence[Hashable], layers: Optional[list[list[Gate]]] = None):
+    def __init__(self, wires: Sequence[Hashable]):
         self.wires = list(wires)
         self._index = {w: i for i, w in enumerate(self.wires)}
-        self.layers: list[list[Gate]] = layers or []
+        self.layers: list[list[Gate]] = []
         self._fault_table: Optional[FaultTable] = None
+        self.idle_only = True  # every gate is an idle, or there is none
         if len(self._index) != len(self.wires):
             raise ValueError("duplicate wire labels")
 
@@ -74,6 +80,7 @@ class Circuit:
                     raise ValueError(f"wire {w!r} used twice in one layer")
                 seen.add(w)
         self.layers.append(gates)
+        self.idle_only = self.idle_only and all(g.name == "idle" for g in gates)
         self._fault_table = None
         return self
 
@@ -82,11 +89,13 @@ class Circuit:
         return len(self.layers)
 
     def locations(self) -> list[tuple[int, int]]:
-        return [(li, gi) for li, layer in enumerate(self.layers) for gi in range(len(layer))]
+        """(layer, gate) of each non-`discard` gate, in `fault_table()` row order."""
+        layers = enumerate(self.layers)
+        return [(li, gi) for li, layer in layers for gi, g in enumerate(layer) if g.name != "discard"]
 
     @property
     def n_locations(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return len(self.locations())
 
     def measurement_labels(self) -> list[str]:
         return [g.out for layer in self.layers for g in layer if g.name == "measure"]
@@ -169,33 +178,28 @@ class Circuit:
 # -- fault model --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocationFault:
-    """Sampled Pauli-twirled fault at one location.
-
-    For measurements the fault is an outcome flip (noise pushed before the
-    ideal readout); otherwise x/z masks over the gate's wires, applied after
-    the ideal gate.
-    """
-
-    x: tuple[int, ...] = ()
-    z: tuple[int, ...] = ()
-    flip: bool = False
+def code_bits(code: int, k: int) -> tuple[list[int], list[int]]:
+    """The x and z bits of Pauli code `code` on k wires: wire j takes bits 2j and 2j + 1."""
+    return [code >> 2 * j & 1 for j in range(k)], [code >> 2 * j + 1 & 1 for j in range(k)]
 
 
-def sample_location_fault(gate: Gate, rng: np.random.Generator) -> LocationFault:
-    """Uniform nontrivial Pauli on the gate support; flip for measurements."""
-    if gate.name == "measure":
-        return LocationFault(flip=True)
-    k = len(gate.wires)
-    code = int(rng.integers(1, 4**k))  # nonzero -> nontrivial
-    xs, zs = [], []
-    for _ in range(k):
-        part = code % 4
-        xs.append(1 if part in (1, 3) else 0)
-        zs.append(1 if part in (2, 3) else 0)
-        code //= 4
-    return LocationFault(x=tuple(xs), z=tuple(zs))
+def _checked_faults(table: "FaultTable", trials: int, locations, trial_idx, codes):
+    """Forced faults as (location, trial, code) arrays sorted by location, then trial;
+    ValueError on a fault outside the table or batch, a bad code or a repeat."""
+    loc, trial, code = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (locations, trial_idx, codes))
+    if not loc.size == trial.size == code.size:
+        raise ValueError("forced fault arrays differ in length")
+    if ((loc < 0) | (loc >= table.arity.size)).any():
+        raise ValueError("forced fault location outside the circuit")
+    if ((trial < 0) | (trial >= trials)).any():
+        raise ValueError("forced fault trial outside the batch")
+    k = table.arity[loc]
+    if ((code < 1) | (code >= np.where(k > 0, 4**k, 2))).any():
+        raise ValueError("forced fault code outside [1, 4^k), or not 1 on a measurement")
+    keys, order = np.unique(loc * trials + trial, return_index=True)
+    if keys.size < loc.size:
+        raise ValueError("two forced faults at one location and trial")
+    return loc[order], trial[order], code[order].astype(np.uint8)
 
 
 # -- tableau backend ------------------------------------------------------------
@@ -211,29 +215,29 @@ def run_ideal(
 def run_noisy(
     circuit: Circuit,
     state: Tableau,
-    faults: Optional[dict[tuple[int, int], LocationFault]] = None,
+    faults: Optional[dict[int, int]] = None,
     rng: Optional[np.random.Generator] = None,
     outcomes: Optional[dict[str, int]] = None,
 ) -> tuple[Tableau, dict[str, int]]:
-    """Tableau execution with explicit location faults.
-
-    `faults` maps (layer, gate) -> LocationFault; missing locations run
-    ideally. The input tableau is mutated and returned.
-    """
+    """Tableau execution with `faults` as {location: code} (see the module docstring),
+    each applied after its layer's gates. Mutates and returns the input tableau."""
     circuit.validate()
-    faults = faults or {}
     outcomes = outcomes if outcomes is not None else {}
-    for li, layer in enumerate(circuit.layers):
-        for gi, g in enumerate(layer):
-            fault = faults.get((li, gi))
+    by_layer: list[list] = [[] for _ in circuit.layers]
+    if faults:
+        _checked_faults(circuit.fault_table(), 1, list(faults), [0] * len(faults), list(faults.values()))
+        locations = circuit.locations()
+        for row, code in faults.items():
+            li, gi = locations[row]
+            by_layer[li].append((circuit.layers[li][gi], code))
+    for layer, layer_faults in zip(circuit.layers, by_layer):
+        for g in layer:
             _apply_gate_tableau(state, g, outcomes, rng)
-            if fault is None or g.name == "discard":
-                continue
+        for g, code in layer_faults:
             if g.name == "measure":
-                if fault.flip:
-                    outcomes[g.out] ^= 1
+                outcomes[g.out] ^= 1
             else:
-                state.apply_pauli_on(g.wires, fault.x, fault.z)
+                state.apply_pauli_on(g.wires, *code_bits(code, len(g.wires)))
     return state, outcomes
 
 
@@ -304,10 +308,11 @@ class FrameBatch:
             raise ValueError("wires are not adjacent in the batch")
         return slice(start, start + len(wires))
 
-    def inject(self, wires: Sequence[Hashable], x: np.ndarray, z: np.ndarray):
-        cols = self.columns(wires)
-        self.x[:, cols] ^= x.astype(np.uint8)
-        self.z[:, cols] ^= z.astype(np.uint8)
+    def xor(self, wires: Sequence[Hashable], x: np.ndarray, z: np.ndarray):
+        """XOR a Pauli onto adjacent `wires`; x and z are (wires, trials) uint8 rows."""
+        rows = self.block(wires)
+        self.x.T[rows] ^= x
+        self.z.T[rows] ^= z
 
     def weight_per_trial(self, wires: Sequence[Hashable]) -> np.ndarray:
         cols = self.columns(wires)
@@ -345,10 +350,11 @@ class FaultTable:
     """Fault locations of a circuit, one row per non-`discard` gate.
 
     `cols` holds each gate's first and last wire as circuit-local indices.
-    Rows run layer by layer in gate order; `layers` slices them.
+    Rows run layer by layer in gate order, as `Circuit.locations()`; `layers` slices them.
     """
 
     cols: np.ndarray  # (locations, 2) intp
+    arity: np.ndarray  # (locations,) uint8 wire count, 0 for a measurement
     layers: tuple
 
     @classmethod
@@ -374,7 +380,7 @@ class FaultTable:
                 )
             )
             start = rows.stop
-        return cls(cols=cols, layers=tuple(layers))
+        return cls(cols=cols, arity=arity, layers=tuple(layers))
 
 
 def weight_census(batch: FrameBatch, blocks: dict[str, Sequence[Hashable]]) -> dict[str, np.ndarray]:
@@ -388,7 +394,7 @@ def weight_census(batch: FrameBatch, blocks: dict[str, Sequence[Hashable]]) -> d
 
 
 class FrameRunner:
-    """Propagates frame batches through circuits, injecting sampled faults.
+    """Propagates frame batches through circuits, injecting faults.
 
     Each run of a fragment draws its faults from one generator keyed by
     (seed, STREAM_CIRCUIT, circuit_tag, chunk); `circuit_tag` distinguishes
@@ -412,27 +418,38 @@ class FrameRunner:
         batch: FrameBatch,
         tag: int = 0,
         noisy: bool = True,
-        forced_faults: Optional[dict[tuple[int, int], LocationFault]] = None,
+        forced_faults: Optional[tuple] = None,
     ) -> FrameBatch:
+        """Propagate `batch` through `circuit`, faulting each layer after its gates.
+
+        When `noisy`, each (location, trial) fails with probability delta and
+        gets a uniform code; `forced_faults`, if given, adds (locations, trials,
+        codes) arrays of faults (see the module docstring). Sampled and forced
+        faults go through one injector.
+        """
         delta = self.params.delta if noisy else 0.0
         rng = None
         if delta > 0.0 and batch.trials > 0:
             rng = rng_stream(self.params.seed, STREAM_CIRCUIT, tag, self.chunk)
+        if rng is not None or forced_faults is not None:
             table = circuit.fault_table()
             xf, zf, s0, s1 = batch.flat_frames()
-            offsets = batch.columns(circuit.wires)[table.cols] * s1
-        forced_faults = forced_faults or {}
+            flat = xf, zf, s0, batch.columns(circuit.wires)[table.cols] * s1
+        if forced_faults is not None:
+            forced = _checked_faults(table, batch.trials, *forced_faults)
+            bounds = np.searchsorted(forced[0], [lf.rows.start for lf in table.layers] + [table.arity.size])
         for li, layer in enumerate(circuit.layers):
-            for gi, g in enumerate(layer):
+            for g in layer:
                 _apply_gate_frame(batch, g)
-                forced = forced_faults.get((li, gi))
-                if forced is not None and g.name != "discard":
-                    _apply_forced_fault(batch, g, forced)
             # Gates in a layer touch disjoint wires, so faulting the layer
             # after all its gates equals gate-then-fault at each location.
             if rng is not None:
                 lf = table.layers[li]
-                _apply_layer_faults(batch, lf, offsets[lf.rows], xf, zf, s0, delta, rng)
+                _inject_faults(batch, lf, flat, *_draw_faults(lf, batch.trials, delta, rng))
+            if forced_faults is not None and bounds[li] < bounds[li + 1]:
+                lf = table.layers[li]
+                loc, trial, code = (a[bounds[li] : bounds[li + 1]] for a in forced)
+                _inject_faults(batch, lf, flat, loc - lf.rows.start, trial, code)
         return batch
 
 
@@ -468,14 +485,6 @@ def _apply_gate_frame(batch: FrameBatch, g: Gate):
         raise ValueError(g.name)
 
 
-def _apply_forced_fault(batch: FrameBatch, g: Gate, fault: LocationFault):
-    if g.name == "measure":
-        if fault.flip:
-            batch.flips[g.out] ^= 1
-        return
-    batch.inject(g.wires, np.asarray(fault.x), np.asarray(fault.z))
-
-
 def propagate_frame(
     circuit: Circuit, x_bits: np.ndarray, z_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
@@ -485,49 +494,45 @@ def propagate_frame(
     outcome flips the frame induces.
     """
     batch = FrameBatch(circuit.wires, 1)
-    batch.inject(circuit.wires, np.asarray([x_bits], dtype=np.uint8), np.asarray([z_bits], dtype=np.uint8))
+    batch.xor(circuit.wires, np.asarray(x_bits, np.uint8)[:, None], np.asarray(z_bits, np.uint8)[:, None])
     runner = FrameRunner(NoiseParams(delta=0.0, seed=0))
     runner.run(circuit, batch, noisy=False)
     flips = {k: int(v[0]) for k, v in batch.flips.items()}
     return batch.x[0].copy(), batch.z[0].copy(), flips
 
 
-def _apply_layer_faults(
-    batch: FrameBatch,
-    lf: LayerFaults,
-    offsets: np.ndarray,
-    xf: np.ndarray,
-    zf: np.ndarray,
-    s0: int,
-    delta: float,
-    rng: np.random.Generator,
-):
-    """Pauli-twirled faults on one layer: each (gate, trial) fails w.p. delta.
-
-    Hits are drawn location-major. A faulty measurement flips its outcome;
-    any other faulty gate gets a uniform code in [1, 4^k) over its k wires,
-    two bits (x, z) per wire, as in `sample_location_fault`. `offsets` holds
-    each gate's first and last wire as flat offsets into xf/zf, and trial t
-    adds t * s0.
-    """
-    hits = bernoulli_positions(rng, lf.arity.size * batch.trials, delta)
-    loc, trial = np.divmod(hits, batch.trials)
+def _draw_faults(lf: LayerFaults, trials: int, delta: float, rng: np.random.Generator) -> tuple:
+    """Pauli-twirled faults on one layer as (layer-local location, trial, code): hits
+    w.p. delta drawn location-major, then a uniform code for each hit but a measurement's."""
+    hits = bernoulli_positions(rng, lf.arity.size * trials, delta)
+    loc, trial = np.divmod(hits, trials)
     k = lf.arity[loc]
+    code = np.ones(loc.size, np.uint8)
+    pauli = k > 0 if lf.meas_labels else slice(None)
+    if lf.code_arity:  # a scalar bound draws the same codes as the array bound, faster
+        code[pauli] = rng.integers(1, 4**lf.code_arity, size=k[pauli].size, dtype=np.uint8)
+    else:
+        code[pauli] = rng.integers(1, 4 ** k[pauli], dtype=np.uint8)
+    return loc, trial, code
+
+
+def _inject_faults(batch: FrameBatch, lf: LayerFaults, flat: tuple, loc, trial, code):
+    """XOR one layer's faults, (layer-local location, trial, code) sorted by location
+    with no pair repeated, into the frames. `flat` holds the flat frames xf and zf,
+    the trial stride s0 and each location's first and last wire as flat offsets."""
+    xf, zf, s0, offsets = flat
+    offsets = offsets[lf.rows]
     if lf.meas_labels:
         lo, hi = np.searchsorted(loc, lf.meas_bounds)
         for label, a, b in zip(lf.meas_labels, lo, hi):
             batch.flips[label][trial[a:b]] ^= 1
-        pauli = k > 0
-        loc, trial, k = loc[pauli], trial[pauli], k[pauli]
-    if lf.code_arity:  # a scalar bound draws the same codes as the array bound, faster
-        code = rng.integers(1, 4**lf.code_arity, size=k.size, dtype=np.uint8)
-    else:
-        code = rng.integers(1, 4**k, dtype=np.uint8)
+        pauli = lf.arity[loc] > 0
+        loc, trial, code = loc[pauli], trial[pauli], code[pauli]
     at = trial * s0 + offsets[loc, 0]  # wire 0 of a gate takes code bits 0 (x) and 1 (z)
     xf[at] ^= code & 1
     zf[at] ^= code >> 1 & 1
     if lf.code_arity != 1:  # wire 1 of a two-wire gate takes bits 2 and 3
-        pair = k > 1
+        pair = lf.arity[loc] > 1
         part = code[pair] >> 2
         at = trial[pair] * s0 + offsets[loc[pair], 1]
         xf[at] ^= part & 1

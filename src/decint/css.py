@@ -40,12 +40,6 @@ class PauliOp:
     def identity(cls, n: int) -> "PauliOp":
         return cls(BitVector.zeros(n), BitVector.zeros(n))
 
-    @classmethod
-    def single(cls, kind: str, i: int, n: int) -> "PauliOp":
-        x = BitVector.unit(n, i) if kind in ("X", "Y") else BitVector.zeros(n)
-        z = BitVector.unit(n, i) if kind in ("Z", "Y") else BitVector.zeros(n)
-        return cls(x, z)
-
     def weight(self) -> int:
         return int(np.count_nonzero(self.x.to_array() | self.z.to_array()))
 

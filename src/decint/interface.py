@@ -416,17 +416,6 @@ class GammaKnobs:
     def proc_layers(self, n: int) -> int:
         return int(sum(c * n**k for k, c in enumerate(self.proc_poly)))
 
-    def to_json(self) -> dict:
-        return {
-            "s1": self.s1,
-            "s2": self.s2,
-            "proc_layers": list(self.proc_poly),
-            "resource_oracle": {
-                "ls_delta": self.resource_ls_delta,
-                "fail_prob": self.resource_fail_prob,
-            },
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "GammaKnobs":
         oracle = obj.get("resource_oracle", {})
@@ -638,8 +627,8 @@ def build_gamma(
 class TableauEngine:
     """One exact trial: a signed tableau evolved in place, absolute outcomes.
 
-    Fragments run noiselessly and ignore their stream tags. A block handle is
-    the block's wire labels in the state.
+    Fragments run noiselessly and ignore their stream tags, so an idle-only
+    fragment is skipped. A block handle is the block's wire labels in the state.
     """
 
     trials = 1
@@ -651,7 +640,8 @@ class TableauEngine:
         self._saved = 0
 
     def run(self, fragment: Circuit, tag: int):
-        circuit.run_noisy(fragment, self.state, rng=self.rng, outcomes=self.outcomes)
+        if not fragment.idle_only:
+            circuit.run_noisy(fragment, self.state, rng=self.rng, outcomes=self.outcomes)
 
     def bits(self, labels: Sequence[str]) -> np.ndarray:
         return np.array([self.outcomes[l] for l in labels], np.uint8).reshape(-1, 1)
@@ -702,9 +692,7 @@ class FrameEngine:
         return np.stack([self.batch.flips[l] for l in labels])
 
     def xor(self, wires: Sequence, x: np.ndarray, z: np.ndarray):
-        rows = self.batch.block(wires)
-        self.batch.x.T[rows] ^= x
-        self.batch.z.T[rows] ^= z
+        self.batch.xor(wires, x, z)
 
     def resource(self, plan: InterfaceCircuit, tag: int):
         ab_wires = plan.a_wires + plan.b_wires

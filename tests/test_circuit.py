@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decint import circuit as circ
-from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate, LocationFault
+from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
 from decint.interface import wilson_interval
 from decint.noise import STREAM_CIRCUIT, NoiseParams, bernoulli_positions, rng_stream
 from decint.tableau import Tableau
@@ -130,18 +130,14 @@ class TestNoisyRun:
 
     def test_flip_fault_on_measurement(self):
         c = Circuit(["q"]).add_layer([Gate("measure", ("q",), out="m")])
-        _, outs = circ.run_noisy(
-            c, Tableau.zero_state(["q"]), faults={(0, 0): LocationFault(flip=True)}
-        )
+        _, outs = circ.run_noisy(c, Tableau.zero_state(["q"]), faults={0: 1})
         assert outs["m"] == 1
 
     def test_x_fault_before_measurement(self):
         c = Circuit(["q"])
         c.add_layer([Gate("idle", ("q",))])
         c.add_layer([Gate("measure", ("q",), out="m")])
-        _, outs = circ.run_noisy(
-            c, Tableau.zero_state(["q"]), faults={(0, 0): LocationFault(x=(1,), z=(0,))}
-        )
+        _, outs = circ.run_noisy(c, Tableau.zero_state(["q"]), faults={0: 1})  # X after the idle
         assert outs["m"] == 1
 
 
@@ -178,7 +174,7 @@ class TestFrameBackend:
         batch = FrameBatch(["a", "b", "c"], 1)
         census = circ.weight_census(batch, {"b1": ["a"], "b2": ["b"], "b3": ["c"]})
         assert all(v[0] == 0 for v in census.values())
-        batch.inject(["b"], np.array([[1]], np.uint8), np.array([[0]], np.uint8))
+        batch.xor(["b"], np.array([[1]], np.uint8), np.array([[0]], np.uint8))
         census = circ.weight_census(batch, {"b1": ["a"], "b2": ["b"], "b3": ["c"]})
         assert (census["b1"][0], census["b2"][0], census["b3"][0]) == (0, 1, 0)
 
@@ -223,7 +219,7 @@ class TestFrameLayout:
         z0 = rng.integers(0, 2, (300, 4)).astype(np.uint8)
         params = NoiseParams(delta=0.1, seed=5)
         wire_major = FrameBatch(c.wires, 300)
-        wire_major.inject(c.wires, x0, z0)
+        wire_major.xor(c.wires, x0.T, z0.T)
         trial_major = FrameBatch(c.wires, 300)
         trial_major.x, trial_major.z = x0.copy(), z0.copy()
         assert trial_major.x.flags.c_contiguous and not wire_major.x.flags.c_contiguous
@@ -241,45 +237,29 @@ class TestCrossValidation:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_single_fault_outcome_flips(self, seed):
+        # One frame batch with one trial per (location, code), checked case
+        # by case against the tableau run with that single fault.
         c = det_random_circuit(seed, 6, 2)
         _, ideal = circ.run_ideal(c, Tableau.zero_state(c.wires))
         labels = c.measurement_labels()
-        for li, layer in enumerate(c.layers):
-            for gi, g in enumerate(layer):
-                kinds: list[LocationFault]
-                if g.name == "measure":
-                    kinds = [LocationFault(flip=True)]
-                else:
-                    arity = len(g.wires)
-                    kinds = []
-                    for code in range(1, 4**arity):
-                        xs, zs, cc = [], [], code
-                        for _ in range(arity):
-                            p = cc % 4
-                            xs.append(1 if p in (1, 3) else 0)
-                            zs.append(1 if p in (2, 3) else 0)
-                            cc //= 4
-                        kinds.append(LocationFault(x=tuple(xs), z=tuple(zs)))
-                for fault in kinds:
-                    _, noisy = circ.run_noisy(
-                        c, Tableau.zero_state(c.wires), faults={(li, gi): fault}
-                    )
-                    batch = FrameBatch(c.wires, 1)
-                    FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
-                        c, batch, noisy=False, forced_faults={(li, gi): fault}
-                    )
-                    for m in labels:
-                        want = ideal[m] ^ int(batch.flips[m][0])
-                        assert noisy[m] == want, (li, gi, fault, m)
+        cases = []
+        for row, (li, gi) in enumerate(c.locations()):
+            g = c.layers[li][gi]
+            top = 2 if g.name == "measure" else 4 ** len(g.wires)
+            cases += [(row, code) for code in range(1, top)]
+        rows, codes = np.array(cases).T
+        batch = FrameBatch(c.wires, len(cases))
+        FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
+            c, batch, noisy=False, forced_faults=(rows, np.arange(len(cases)), codes)
+        )
+        for t, (row, code) in enumerate(cases):
+            _, noisy = circ.run_noisy(c, Tableau.zero_state(c.wires), faults={row: code})
+            for m in labels:
+                want = ideal[m] ^ int(batch.flips[m][t])
+                assert noisy[m] == want, (row, code, m)
 
 
 class TestFaultSampling:
-    def test_sampled_fault_nontrivial(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            f = circ.sample_location_fault(Gate("cnot", ("a", "b")), rng)
-            assert any(f.x) or any(f.z)
-
     def test_frame_runner_deterministic(self):
         c = det_random_circuit(3, 5, 3)
         params = NoiseParams(delta=0.05, seed=123)
@@ -435,7 +415,7 @@ class TestCompiledFaultTable:
         if c_order:
             b.x, b.z = x0, z0
         else:
-            b.inject(c.wires, x0, z0)
+            b.xor(c.wires, x0.T, z0.T)
         return b
 
     @pytest.mark.parametrize("c_order", [False, True])
@@ -514,3 +494,99 @@ class TestCompiledFaultTable:
         for wires in (["a", "c"], ["c", "b"]):
             with pytest.raises(ValueError, match="adjacent"):
                 batch.block(wires)
+
+
+def _forced_run(c: Circuit, trials: int, c_order: bool, forced=None, delta: float = 0.3) -> FrameBatch:
+    batch = FrameBatch(c.wires, trials)
+    if c_order:
+        batch.x = np.zeros((trials, len(c.wires)), np.uint8)
+        batch.z = np.zeros((trials, len(c.wires)), np.uint8)
+    runner = FrameRunner(NoiseParams(delta=delta, seed=6), chunk=1)
+    return runner.run(c, batch, tag=2, noisy=delta > 0, forced_faults=forced)
+
+
+class TestForcedFaults:
+    """Forced faults are (location, trial, code) arrays on the sampled faults' injector."""
+
+    @staticmethod
+    def random_faults(c: Circuit, trials: int, count: int, seed: int = 8):
+        rng = np.random.default_rng(seed)
+        table = c.fault_table()
+        pairs = rng.choice(table.arity.size * trials, size=count, replace=False)  # unordered
+        loc, trial = np.divmod(pairs, trials)
+        k = table.arity[loc].astype(np.int64)
+        code = rng.integers(1, np.where(k > 0, 4**k, 2))  # 1 on a measurement
+        return loc, trial, code
+
+    @pytest.mark.parametrize("c_order", [False, True])
+    def test_forced_plus_sampled_is_the_xor_of_both(self, c_order):
+        c = TestFrameLayout.mixed_circuit()
+        forced = self.random_faults(c, 200, 300)
+        assert (np.diff(forced[0]) < 0).any()
+        both = _forced_run(c, 200, c_order, forced)
+        sampled = _forced_run(c, 200, c_order)
+        alone = _forced_run(c, 200, c_order, forced, delta=0.0)
+        assert alone.x.any() and alone.flips["ma"].any() and alone.flips["mb"].any()
+        assert np.array_equal(both.x, sampled.x ^ alone.x)
+        assert np.array_equal(both.z, sampled.z ^ alone.z)
+        for label in ("ma", "mb"):
+            assert np.array_equal(both.flips[label], sampled.flips[label] ^ alone.flips[label])
+
+    def test_each_fault_lands_after_its_gate(self):
+        c = Circuit(["a", "b"])
+        c.add_layer([Gate("h", ("a",)), Gate("idle", ("b",))]).add_layer([Gate("cnot", ("a", "b"))])
+        c.add_layer([Gate("measure", ("a",), out="ma"), Gate("measure", ("b",), out="mb")])
+        # Trial 0: X after the H, spread by the CNOT. Trial 1: code 9 on the
+        # CNOT is X on a (bits 0-1) and Z on b (bits 2-3). Trial 2: flip mb.
+        b = _forced_run(c, 3, False, ([4, 2, 0], [2, 1, 0], [1, 9, 1]), 0.0)
+        assert b.flips["ma"].tolist() == [1, 1, 0] and b.flips["mb"].tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "forced, match",
+        [
+            (([9], [0], [1]), "outside the circuit"),
+            (([-1], [0], [1]), "outside the circuit"),
+            (([0], [4], [1]), "outside the batch"),
+            (([0], [-1], [1]), "outside the batch"),
+            (([0], [0], [0]), "code"),
+            (([2], [0], [16]), "code"),
+            (([1], [0], [4]), "code"),
+            (([5], [0], [2]), "code"),
+            (([0, 1], [0], [1, 1]), "length"),
+            (([0, 1, 0], [3, 0, 3], [1, 2, 3]), "one location and trial"),
+        ],
+    )
+    def test_bad_forced_faults_raise(self, forced, match):
+        c = _fresh_wire_circuit()  # rows 2, 4, 8 are cnots, 5 and 7 measurements
+        with pytest.raises(ValueError, match=match):
+            _forced_run(c, 4, False, forced, delta=0.0)
+        with pytest.raises(ValueError, match=match):
+            _forced_run(c, 4, False, forced, delta=0.5)
+
+    def test_run_noisy_rejects_bad_faults(self):
+        c = _fresh_wire_circuit()
+        for faults in ({9: 1}, {-1: 1}, {2: 16}, {5: 2}):
+            with pytest.raises(ValueError):
+                circ.run_noisy(c, Tableau.zero_state(c.wires), faults=faults)
+
+    def test_locations_are_the_fault_table_rows(self):
+        for c in (_fresh_wire_circuit(), TestFrameLayout.mixed_circuit(), _uniform_layer_circuit()):
+            table, locs = c.fault_table(), c.locations()
+            assert len(locs) == c.n_locations == table.cols.shape[0] == table.arity.size
+            for row, (li, gi) in enumerate(locs):
+                g, rows = c.layers[li][gi], table.layers[li].rows
+                assert g.name != "discard" and rows.start <= row < rows.stop
+                assert table.cols[row].tolist() == [c.wires.index(g.wires[0]), c.wires.index(g.wires[-1])]
+                assert table.arity[row] == (0 if g.name == "measure" else len(g.wires))
+        assert _fresh_wire_circuit().n_locations == 9
+        assert (0, 3) not in _fresh_wire_circuit().locations()
+
+    def test_idle_only_flag(self):
+        c = Circuit(["a", "b"])
+        assert c.idle_only
+        c.add_layer([Gate("idle", ("a",)), Gate("idle", ("b",))]).add_layer([])
+        assert c.idle_only
+        c.add_layer([Gate("h", ("a",))])
+        assert not c.idle_only
+        c.add_layer([Gate("idle", ("a",))])
+        assert not c.idle_only

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decint import css, interface
-from decint.circuit import FrameBatch, FrameRunner, LocationFault
+from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
 from decint.css import PauliOp
 from decint.gf2 import BitMatrix, BitVector
 from decint.noise import NoiseParams
@@ -376,6 +376,20 @@ class TestTableauExecutor:
             interface.run_gamma_tableau(plan, state, np.random.default_rng(0))
 
 
+    def test_idle_only_fragments_skip_run_noisy(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(interface.circuit, "run_noisy", lambda frag, *a, **k: ran.append(frag))
+        engine = interface.TableauEngine(Tableau.zero_state(["a", "b"]), np.random.default_rng(0), {})
+        idle = Circuit(["a", "b"]).add_layer([Gate("idle", ("a",)), Gate("idle", ("b",))])
+        engine.run(idle, 0)
+        engine.run(Circuit(["a", "b"]), 1)
+        engine.run(Circuit(["a", "b"]).add_layer([]), 2)
+        assert ran == []
+        busy = Circuit(["a", "b"]).add_layer([Gate("idle", ("a",)), Gate("h", ("b",))])
+        engine.run(busy, 3)
+        assert ran == [busy]
+
+
 class TestPlanCache:
     def test_build_gamma_returns_the_cached_plan(self, fam):
         assert interface.build_gamma(fam, 3, 2) is interface.build_gamma(fam, 3, 2)
@@ -414,20 +428,18 @@ class TestFaultLocality:
         # (max arity) * (remaining depth) wires inside each fragment.
         plan = interface.build_gamma(fam, 2, 1)
         for frag in (plan.q_gadget.extraction, plan.bell_circuit):
-            for li, layer in enumerate(frag.layers):
+            for row, (li, gi) in enumerate(frag.locations()):
                 remaining = frag.depth - li
-                for gi, g in enumerate(layer):
-                    if g.name == "measure":
-                        continue
-                    fault = LocationFault(
-                        x=tuple([1] * len(g.wires)), z=tuple([0] * len(g.wires))
-                    )
-                    batch = FrameBatch(frag.wires, 1)
-                    FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
-                        frag, batch, noisy=False, forced_faults={(li, gi): fault}
-                    )
-                    support = int(((batch.x[0] | batch.z[0]) != 0).sum())
-                    assert support <= 2 * max(1, remaining), (li, gi)
+                g = frag.layers[li][gi]
+                if g.name == "measure":
+                    continue
+                code = sum(4**j for j in range(len(g.wires)))  # X on every wire of the gate
+                batch = FrameBatch(frag.wires, 1)
+                FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
+                    frag, batch, noisy=False, forced_faults=([row], [0], [code])
+                )
+                support = int(((batch.x[0] | batch.z[0]) != 0).sum())
+                assert support <= 2 * max(1, remaining), (li, gi)
 
 
 class TestEstimateTau:
