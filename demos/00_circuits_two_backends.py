@@ -37,7 +37,7 @@ row, code = c.locations().index((1, 0)), 1
 _, noisy = circ.run_noisy(c, Tableau.zero_state(wires), faults={row: code})
 batch = FrameBatch(wires, 1)
 FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
-    c, batch, noisy=False, forced_faults=([row], [0], [code])
+    c, batch, forced_faults=([row], [0], [code])
 )
 print("tableau outcomes with fault:", noisy)
 print("frame-predicted flips:      ", {k: int(v[0]) for k, v in batch.flips.items()})

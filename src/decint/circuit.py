@@ -397,10 +397,11 @@ class FrameRunner:
     """Propagates frame batches through circuits, injecting faults.
 
     Each run of a fragment draws its faults from one generator keyed by
-    (seed, STREAM_CIRCUIT, circuit_tag, chunk); `circuit_tag` distinguishes
-    repeated fragments. The chunk index is in the key, so the chunk size is
-    part of the configuration: results do not depend on how many workers
-    share the chunks, but they do depend on how trials are chunked.
+    (seed, STREAM_CIRCUIT, *key, tag, chunk): `key` is the owner's prefix
+    (see `interface.FrameEngine`) and `tag` numbers the run. The chunk index
+    is in the stream key, so the chunk size is part of the configuration:
+    results do not depend on how many workers share the chunks, but they do
+    depend on how trials are chunked.
 
     Faults come from the circuit's compiled `FaultTable`: a run maps its
     wire indices to batch columns with one gather and XORs each layer's
@@ -408,29 +409,29 @@ class FrameRunner:
     layout contract).
     """
 
-    def __init__(self, params: NoiseParams, chunk: int = 0):
+    def __init__(self, params: NoiseParams, chunk: int = 0, key: tuple = ()):
         self.params = params
         self.chunk = chunk
+        self.key = key
 
     def run(
         self,
         circuit: Circuit,
         batch: FrameBatch,
         tag: int = 0,
-        noisy: bool = True,
         forced_faults: Optional[tuple] = None,
     ) -> FrameBatch:
         """Propagate `batch` through `circuit`, faulting each layer after its gates.
 
-        When `noisy`, each (location, trial) fails with probability delta and
-        gets a uniform code; `forced_faults`, if given, adds (locations, trials,
+        Each (location, trial) fails with probability delta and gets a
+        uniform code; `forced_faults`, if given, adds (locations, trials,
         codes) arrays of faults (see the module docstring). Sampled and forced
         faults go through one injector.
         """
-        delta = self.params.delta if noisy else 0.0
+        delta = self.params.delta
         rng = None
         if delta > 0.0 and batch.trials > 0:
-            rng = rng_stream(self.params.seed, STREAM_CIRCUIT, tag, self.chunk)
+            rng = rng_stream(self.params.seed, STREAM_CIRCUIT, *self.key, tag, self.chunk)
         if rng is not None or forced_faults is not None:
             table = circuit.fault_table()
             xf, zf, s0, s1 = batch.flat_frames()
@@ -496,7 +497,7 @@ def propagate_frame(
     batch = FrameBatch(circuit.wires, 1)
     batch.xor(circuit.wires, np.asarray(x_bits, np.uint8)[:, None], np.asarray(z_bits, np.uint8)[:, None])
     runner = FrameRunner(NoiseParams(delta=0.0, seed=0))
-    runner.run(circuit, batch, noisy=False)
+    runner.run(circuit, batch)
     flips = {k: int(v[0]) for k, v in batch.flips.items()}
     return batch.x[0].copy(), batch.z[0].copy(), flips
 

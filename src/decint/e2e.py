@@ -27,33 +27,6 @@ from .tableau import Tableau
 MAX_PAIRS = 40
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One Gamma pass in a block's effective interface."""
-
-    level: int            # source level of this pass
-    path: tuple[int, ...]  # bits addressing the sub-block within its input block
-    pre_wait: int         # EC macro-layers at `level` before the pass
-    post_wait: int        # EC macro-layers at `level - 1` afterwards
-
-
-def chain_steps(schedule: InterfaceSchedule, block: int) -> list[list[ChainStep]]:
-    """Per-stage Gamma passes for one input block, with positional waits."""
-    plan = effective_interface(schedule, block)
-    stages = []
-    for y, stage_plans in enumerate(plan.stages):
-        steps = []
-        for k, sp in enumerate(stage_plans):
-            bits = tuple(int(b) for b in format(k, f"0{y}b")) if y else ()
-            steps.append(
-                ChainStep(
-                    level=sp.level, path=bits, pre_wait=sp.pre_wait, post_wait=sp.post_wait
-                )
-            )
-        stages.append(steps)
-    return stages
-
-
 # -- the block-chain walk ------------------------------------------------------------
 
 
@@ -68,41 +41,35 @@ def _walk_chain(
 ) -> tuple[list, np.ndarray]:
     """One block's effective interface on an engine (see `interface.gamma_pass`).
 
-    `handle` is the encoded input block. Waits before a pass run as EC
-    rounds at the block's level; waits left on bare outputs are idle
-    layers. Fault streams are tagged from (block + 1) * 1_000_000, so blocks
-    and instances draw independent noise. Returns the output block handles
-    in path order and the per-trial OR of the pass heralds.
+    `handle` is the encoded input block. Stage by stage, pass k of
+    `scheduler.effective_interface` lowers live descendant k into
+    descendants k * blocks + j of the next stage. Waits before a pass run
+    as EC rounds at the block's level; waits left on bare outputs are idle
+    layers. The engine keys its own streams. Returns the output block
+    handles in descendant order and the per-trial OR of the pass heralds.
     """
-    tag = (block + 1) * 1_000_000
+    if schedule.r_prime != 1:
+        raise ValueError("chain did not reach bare qubits")
     heralds = np.zeros(engine.trials, dtype=bool)
-    # Sub-block registry: path -> (level, handle, pending wait layers).
-    live = {(): (schedule.r, handle, 0)}
-    for steps in chain_steps(schedule, block):
-        new_live = {}
-        for step in steps:
-            level, handle, pending = live[step.path]
-            assert level == step.level
-            code = family.level(level)
+    live = [(handle, 0)]  # (handle, pending wait layers) per descendant
+    for stage in effective_interface(schedule, block).stages:
+        new_live = []
+        for step, (handle, pending) in zip(stage, live, strict=True):
+            code = family.level(step.level)
             rounds = (pending + step.pre_wait) * wait_rounds_per_layer
             if rounds:
                 gadget = iface.build_ec(code, rounds, [f"d{i}" for i in range(code.n)], "w.")
                 engine.load(handle, gadget.data_wires, gadget.wires)
-                tag = iface.ec_rounds(gadget, engine, tag)
+                iface.ec_rounds(gadget, engine)
                 handle = engine.save(gadget.data_wires)
-            plan = iface.build_gamma(family, level, level - 1, knobs)
+            plan = iface.build_gamma(family, step.level, step.level - 1, knobs)
             engine.load(handle, plan.q_wires, plan.all_wires)
-            heralds |= iface.gamma_pass(plan, engine, tag)
-            tag += 1000
-            for j in range(plan.blocks):
-                child_path = step.path + (j,) if plan.blocks == 2 else step.path + (0,)
-                new_live[child_path] = (level - 1, engine.save(plan.block_wires(j)), step.post_wait)
+            heralds |= iface.gamma_pass(plan, engine)
+            new_live += [(engine.save(plan.block_wires(j)), step.post_wait) for j in range(plan.blocks)]
         live = new_live
 
     outputs = []
-    for _, (level, handle, pending) in sorted(live.items(), key=lambda kv: kv[0]):
-        if level != 1:
-            raise ValueError("chain did not reach bare qubits")
+    for handle, pending in live:
         layers = pending * wait_rounds_per_layer
         if layers:
             wires = [f"o{i}" for i in range(family.level(1).n)]
@@ -110,8 +77,7 @@ def _walk_chain(
             for _ in range(layers):
                 idle.add_layer([Gate("idle", (w,)) for w in wires])
             engine.load(handle, wires, wires)
-            engine.run(idle, tag)
-            tag += 1
+            engine.run(idle)
             handle = engine.save(wires)
         outputs.append(handle)
     return outputs, heralds
@@ -178,7 +144,7 @@ def run_block_chain_frames(
     input_frames: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> ChainChunkResult:
     """Monte Carlo frames through one block's effective interface."""
-    engine = iface.FrameEngine(params, trials, chunk)
+    engine = iface.FrameEngine(params, trials, chunk, (block,))
     outputs, heralds = _walk_chain(
         family, schedule, block, knobs, wait_rounds_per_layer, engine, input_frames
     )
@@ -221,6 +187,8 @@ def run_e2e_frames(
     `input_ls_delta` injects i.i.d. local stochastic noise on the encoded
     inputs (the idealized upstream preparation residue).
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     h = schedule.h
     m_r = family.level(schedule.r).m
     n_r = family.level(schedule.r).n
@@ -230,10 +198,7 @@ def run_e2e_frames(
     any_err = 0
     pair_counts: dict[tuple[int, int], int] = {}
     pairs = _pair_sample(total_cols, MAX_PAIRS)
-    done = 0
-    chunk = 0
-    while done < trials:
-        size = min(chunk_size, trials - done)
+    for chunk, size in enumerate(iface._chunk_sizes(trials, chunk_size)):
         per_block = []
         heralds = np.zeros(size, dtype=bool)
         for i in range(h):
@@ -262,8 +227,6 @@ def run_e2e_frames(
             pair_counts[(a, b)] = pair_counts.get((a, b), 0) + int(
                 (errors[:, a] & errors[:, b]).sum()
             )
-        done += size
-        chunk += 1
     return E2EStats(
         delta=params.delta,
         trials=trials,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -233,9 +233,11 @@ def _bipartite_edge_coloring(edges: list[tuple], ) -> list[int]:
 class EcGadget:
     """One error-correction step: extraction circuit + decode metadata.
 
-    The decoder call and Pauli correction are circuit-external; the
-    correction layer's noise is carried by `correction_circuit` (one layer
-    of idle locations over the data wires).
+    Every round runs `extraction`, which labels its outcomes per check
+    (`x_labels`, `z_labels`); a walk reads them before the next round. The
+    decoder call and Pauli correction are circuit-external; the correction
+    layer's noise is carried by `correction_circuit` (one layer of idle
+    locations over the data wires).
     """
 
     code: CssCode
@@ -243,41 +245,19 @@ class EcGadget:
     data_wires: tuple
     ancilla_x: tuple
     ancilla_z: tuple
-    extraction: Circuit        # one round, labels parameterized by prefix
+    extraction: Circuit        # one round
     label_prefix: str
     correction_circuit: Circuit
-    _rounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def wires(self) -> tuple:
         return self.data_wires + self.ancilla_x + self.ancilla_z
 
-    def x_labels(self, rnd: int) -> list[str]:
-        return [f"{self.label_prefix}r{rnd}.sx{i}" for i in range(self.code.hx.nrows)]
+    def x_labels(self) -> list[str]:
+        return [f"{self.label_prefix}sx{i}" for i in range(self.code.hx.nrows)]
 
-    def z_labels(self, rnd: int) -> list[str]:
-        return [f"{self.label_prefix}r{rnd}.sz{i}" for i in range(self.code.hz.nrows)]
-
-    def round_circuit(self, rnd: int) -> Circuit:
-        """Extraction circuit with measurement labels for round `rnd`, built once."""
-        if rnd == 0:
-            return self.extraction
-        if rnd not in self._rounds:
-            self._rounds[rnd] = self._relabelled(rnd)
-        return self._rounds[rnd]
-
-    def _relabelled(self, rnd: int) -> Circuit:
-        old, new = self.x_labels(0) + self.z_labels(0), self.x_labels(rnd) + self.z_labels(rnd)
-        rename = dict(zip(old, new))
-        c = Circuit(self.extraction.wires)
-        for layer in self.extraction.layers:
-            c.add_layer(
-                [
-                    replace(g, out=rename.get(g.out, g.out)) if g.name == "measure" else g
-                    for g in layer
-                ]
-            )
-        return c
+    def z_labels(self) -> list[str]:
+        return [f"{self.label_prefix}sz{i}" for i in range(self.code.hz.nrows)]
 
 
 def build_ec(code: CssCode, s: int, data_wires: Sequence, label_prefix: str = "ec.") -> EcGadget:
@@ -340,8 +320,8 @@ def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> Ec
                 + [Gate("idle", (w,)) for w in data_wires + anc_z]
             )
         circ.add_layer(
-            [Gate("measure", (w,), out=f"{label_prefix}r0.sx{i}") for i, w in enumerate(anc_x)]
-            + [Gate("measure", (w,), out=f"{label_prefix}r0.sz{j}") for j, w in enumerate(anc_z)]
+            [Gate("measure", (w,), out=f"{label_prefix}sx{i}") for i, w in enumerate(anc_x)]
+            + [Gate("measure", (w,), out=f"{label_prefix}sz{j}") for j, w in enumerate(anc_z)]
             + [Gate("idle", (w,)) for w in data_wires]
         )
     correction = Circuit(list(data_wires))
@@ -627,8 +607,8 @@ def build_gamma(
 class TableauEngine:
     """One exact trial: a signed tableau evolved in place, absolute outcomes.
 
-    Fragments run noiselessly and ignore their stream tags, so an idle-only
-    fragment is skipped. A block handle is the block's wire labels in the state.
+    Fragments run noiselessly, so an idle-only fragment is skipped. A block
+    handle is the block's wire labels in the state.
     """
 
     trials = 1
@@ -639,7 +619,7 @@ class TableauEngine:
         self.outcomes = outcomes
         self._saved = 0
 
-    def run(self, fragment: Circuit, tag: int):
+    def run(self, fragment: Circuit):
         if not fragment.idle_only:
             circuit.run_noisy(fragment, self.state, rng=self.rng, outcomes=self.outcomes)
 
@@ -649,7 +629,7 @@ class TableauEngine:
     def xor(self, wires: Sequence, x: np.ndarray, z: np.ndarray):
         self.state.apply_pauli_on(wires, x[:, 0], z[:, 0])
 
-    def resource(self, plan: InterfaceCircuit, tag: int):
+    def resource(self, plan: InterfaceCircuit):
         resource = plan.resource_tableau()
         if set(map(str, self.state.labels)) & set(map(str, resource.labels)):
             raise ValueError("gamma wires collide with spectator wires")
@@ -670,21 +650,27 @@ class TableauEngine:
 class FrameEngine:
     """A batch of Monte Carlo trials: Pauli frames and outcome flips.
 
-    Each fragment run draws its faults from the stream of its tag; the
-    resource is the oracle's local stochastic noise plus its failure coin,
-    drawn from the oracle stream of the Gamma pass's tag. A block handle is
-    the block's (x, z) frames as (trials, n) arrays, or None when clean.
+    The engine numbers its fragment runs and its resource draws (one per
+    Gamma pass) from 0, so every draw has its own stream by construction:
+    run i draws its faults from (STREAM_CIRCUIT, *key, i, chunk) and pass p
+    the oracle's local stochastic noise and failure coin from (STREAM_ORACLE,
+    *key, p, chunk). `key` is () for a lone Gamma and (block,) in a chain.
+    A block handle is the block's (x, z) frames as (trials, n) arrays, or
+    None when clean.
     """
 
-    def __init__(self, params: NoiseParams, trials: int, chunk: int):
+    def __init__(self, params: NoiseParams, trials: int, chunk: int, key: tuple):
         self.params = params
         self.trials = trials
         self.chunk = chunk
-        self.runner = FrameRunner(params, chunk=chunk)
+        self.key = key
+        self.runner = FrameRunner(params, chunk=chunk, key=key)
         self.batch: Optional[FrameBatch] = None
+        self._runs = self._passes = 0
 
-    def run(self, fragment: Circuit, tag: int):
-        self.runner.run(fragment, self.batch, tag=tag)
+    def run(self, fragment: Circuit):
+        self.runner.run(fragment, self.batch, tag=self._runs)
+        self._runs += 1
 
     def bits(self, labels: Sequence[str]) -> np.ndarray:
         if not labels:
@@ -694,7 +680,7 @@ class FrameEngine:
     def xor(self, wires: Sequence, x: np.ndarray, z: np.ndarray):
         self.batch.xor(wires, x, z)
 
-    def resource(self, plan: InterfaceCircuit, tag: int):
+    def resource(self, plan: InterfaceCircuit):
         ab_wires = plan.a_wires + plan.b_wires
         knobs = plan.knobs
         ls_delta = (
@@ -702,7 +688,8 @@ class FrameEngine:
             if knobs.resource_ls_delta is not None
             else min(1.0, 2.0 * self.params.delta)
         )
-        rng = rng_stream(self.params.seed, STREAM_ORACLE, tag, self.chunk)
+        rng = rng_stream(self.params.seed, STREAM_ORACLE, *self.key, self._passes, self.chunk)
+        self._passes += 1
         if ls_delta > 0.0:
             ox, oz = sample_ls_bits(len(ab_wires), ls_delta, rng, self.trials)
             self.xor(ab_wires, ox.T, oz.T)
@@ -724,49 +711,44 @@ class FrameEngine:
         return self.batch.x[:, rows].copy(order="K"), self.batch.z[:, rows].copy(order="K")
 
 
-def _ec_round(gadget: EcGadget, rnd: int, engine, tag: int):
+def _ec_round(gadget: EcGadget, engine):
     """One EC round: extraction, decode, correction; returns the decode.
 
     A heralded sector is left uncorrected, so an ambiguous detection never
-    grows the residual. Uses stream tags `tag` and `tag + 1`.
+    grows the residual.
     """
-    engine.run(gadget.round_circuit(rnd), tag)
-    syn_x, syn_z = engine.bits(gadget.x_labels(rnd)), engine.bits(gadget.z_labels(rnd))
+    engine.run(gadget.extraction)
+    syn_x, syn_z = engine.bits(gadget.x_labels()), engine.bits(gadget.z_labels())
     decoded = ex, ez, herald_x, herald_z = _decode_css(gadget.code, syn_x, syn_z)
     engine.xor(gadget.data_wires, ex & ~herald_x, ez & ~herald_z)
-    engine.run(gadget.correction_circuit, tag + 1)
+    engine.run(gadget.correction_circuit)
     return decoded
 
 
-def ec_rounds(gadget: EcGadget, engine, tag: int) -> int:
-    """All rounds of `gadget` from stream tag `tag`; returns the next free tag."""
-    for rnd in range(gadget.rounds):
-        _ec_round(gadget, rnd, engine, tag)
-        tag += 2
-    return tag
+def ec_rounds(gadget: EcGadget, engine):
+    """All rounds of `gadget` on `engine`."""
+    for _ in range(gadget.rounds):
+        _ec_round(gadget, engine)
 
 
-def gamma_pass(plan: InterfaceCircuit, engine, tag: int) -> np.ndarray:
+def gamma_pass(plan: InterfaceCircuit, engine) -> np.ndarray:
     """One Gamma pass on `engine`, whose state holds the input on plan.q_wires.
 
     Input EC, resource, transversal Bell measurement and its decode, output
-    EC, processing wait and teleportation correction, with fragment streams
-    tagged in that order from `tag`; the resource draws from stream `tag`
-    of the oracle. Afterwards the state holds the output on plan.b_wires.
-    Returns the (trials,) Bell heralds.
+    EC, processing wait and teleportation correction, in that order.
+    Afterwards the state holds the output on plan.b_wires. Returns the
+    (trials,) Bell heralds.
     """
-    start = tag
-    tag = ec_rounds(plan.q_gadget, engine, tag)
-    engine.resource(plan, start)
-    engine.run(plan.bell_circuit, tag)
+    ec_rounds(plan.q_gadget, engine)
+    engine.resource(plan)
+    engine.run(plan.bell_circuit)
     u, v, herald = _bell_bits(plan.code_r, engine.bits(plan.m1_labels), engine.bits(plan.m2_labels))
-    tag += 1
     for g in plan.b_gadgets:
-        tag = ec_rounds(g, engine, tag)
-    engine.run(plan.proc_wait_circuit, tag)
+        ec_rounds(g, engine)
+    engine.run(plan.proc_wait_circuit)
     # Teleportation correction: Z^u on the m1-decoded bits, X^v on m2's.
     engine.xor(plan.b_wires, gf2.mul_bits(plan.lxb.T, v), gf2.mul_bits(plan.lzb.T, u))
-    engine.run(plan.b_correction_circuit, tag + 1)
+    engine.run(plan.b_correction_circuit)
     return herald
 
 
@@ -789,8 +771,8 @@ def _run_ec_tableau(
 ):
     """Noiseless EC rounds of `gadget` on `state`, logging each round's decode."""
     engine = TableauEngine(state, rng, outcomes)
-    for rnd in range(gadget.rounds):
-        corrections_log.append(_first_decode(*_ec_round(gadget, rnd, engine, 0)))
+    for _ in range(gadget.rounds):
+        corrections_log.append(_first_decode(*_ec_round(gadget, engine)))
 
 
 def run_gamma_tableau(
@@ -807,7 +789,7 @@ def run_gamma_tableau(
     spectators. Pass a copy to keep the input.
     """
     engine = TableauEngine(state, rng or np.random.default_rng(0), {})
-    herald = gamma_pass(plan, engine, 0)
+    herald = gamma_pass(plan, engine)
     t = _frame_tables(plan.code_r)
     m1_in_code, m2_in_code = (
         not gf2.mul_bits(h, engine.bits(labels)).any()
@@ -891,7 +873,6 @@ def gamma_frames(
     params: NoiseParams,
     trials: int,
     chunk: int = 0,
-    tag: int = 0,
     input_frames: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> GammaFrameRun:
     """Vectorized frame propagation of one Gamma pass over a trial batch.
@@ -900,12 +881,11 @@ def gamma_frames(
     outcomes fixed by one tableau pass); frames track each trial's
     difference, so syndrome flips are the trial syndromes directly and the
     teleportation correction enters as the decoded logical difference.
-    `tag` keeps fault streams distinct when several Gamma instances run
-    inside one composite plan (see `gamma_pass`).
+    Fault streams are those of a lone Gamma (see `FrameEngine`).
     """
-    engine = FrameEngine(params, trials, chunk)
+    engine = FrameEngine(params, trials, chunk, ())
     engine.load(input_frames, plan.q_wires, plan.all_wires)
-    herald = gamma_pass(plan, engine, tag)
+    herald = gamma_pass(plan, engine)
     out_x, out_z = engine.save(plan.b_wires)
     return GammaFrameRun(out_x=out_x, out_z=out_z, herald=herald)
 

@@ -4,8 +4,9 @@ composition, and the low-weight tail bound.
 Randomness is counter-based: every draw comes from a Philox stream keyed by
 (master seed, purpose, indices), so samplers are pure functions of their key
 and trivially parallel across trials and workers. The circuit-noise stream
-is keyed per fragment run, (seed, STREAM_CIRCUIT, circuit tag, chunk): one
-generator serves every location of the fragment. Bernoulli draws are sparse
+is keyed per fragment run, (seed, STREAM_CIRCUIT, *owner key, run index,
+chunk), with the run index counted by the frame engine: one generator
+serves every location of the fragment. Bernoulli draws are sparse
 (`bernoulli_positions`), so a sampler costs O(delta) per location-trial.
 """
 

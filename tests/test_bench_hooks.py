@@ -4,7 +4,7 @@
 `interface.gamma_frames`, `e2e.run_block_chain_frames` or
 `e2e.run_block_chain_tableau`, patched as module attributes, and its tracer
 patches the frame runner and the tableau executor. These tests run the probe
-traced, as the benchmark does, on one frame and one exact workload.
+traced, as the benchmark does, on a workload of each entry point.
 """
 
 import importlib.util
@@ -47,6 +47,12 @@ def load_tracer():
             {"family": "steane", "r": 2, "h": 2, "mode": "exhaustive", "noise": {"delta": 0.0}},
             "circuit.run_noisy",
             "circuit.frame_run",
+        ),
+        (
+            "e2e",
+            {"family": "toy", "r": 3, "h": 2, "trials": 300, "noise": {"delta": [0.005]}},
+            "circuit.frame_run",
+            "circuit.run_noisy",
         ),
     ],
 )

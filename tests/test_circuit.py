@@ -250,7 +250,7 @@ class TestCrossValidation:
         rows, codes = np.array(cases).T
         batch = FrameBatch(c.wires, len(cases))
         FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
-            c, batch, noisy=False, forced_faults=(rows, np.arange(len(cases)), codes)
+            c, batch, forced_faults=(rows, np.arange(len(cases)), codes)
         )
         for t, (row, code) in enumerate(cases):
             _, noisy = circ.run_noisy(c, Tableau.zero_state(c.wires), faults={row: code})
@@ -502,7 +502,7 @@ def _forced_run(c: Circuit, trials: int, c_order: bool, forced=None, delta: floa
         batch.x = np.zeros((trials, len(c.wires)), np.uint8)
         batch.z = np.zeros((trials, len(c.wires)), np.uint8)
     runner = FrameRunner(NoiseParams(delta=delta, seed=6), chunk=1)
-    return runner.run(c, batch, tag=2, noisy=delta > 0, forced_faults=forced)
+    return runner.run(c, batch, tag=2, forced_faults=forced)
 
 
 class TestForcedFaults:

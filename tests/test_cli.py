@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from decint import cli, css
 
 
@@ -210,6 +212,18 @@ class TestE2E:
         assert run("e2e", cfg, tmp_path / "out") == 0
         rows = (tmp_path / "out" / "e2e_marginals.csv").read_text().splitlines()[1:]
         assert len(rows) == 4 * 2  # m_r=4 outputs per block, h=2 blocks
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_frames_trials_below_one_usage_error(self, tmp_path, capsys, trials):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"family": "steane", "r": 2, "h": 1, "trials": trials,
+             "noise": {"delta": [0.01], "seed": 4}},
+        )
+        assert run("e2e", cfg, tmp_path / "out") == 2
+        assert "at least one trial" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "e2e_marginals.csv").exists()
 
     def test_frames_reproducible(self, tmp_path):
         cfg = write_config(

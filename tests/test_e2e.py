@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decint import css, e2e, interface, scheduler
+from decint import circuit, css, e2e, interface, noise, scheduler
 from decint.noise import NoiseParams
 from decint.tableau import Tableau
 
@@ -25,15 +25,15 @@ def toy_setup():
 class TestChainSteps:
     def test_tree_structure(self, toy_setup):
         fam, sched = toy_setup
-        stages = e2e.chain_steps(sched, 0)
+        stages = scheduler.effective_interface(sched, 0).stages
         assert len(stages) == 2
         assert len(stages[0]) == 1 and stages[0][0].level == 3
         assert len(stages[1]) == 2 and all(s.level == 2 for s in stages[1])
 
     def test_waits_follow_position(self, steane_setup):
         fam, sched = steane_setup
-        first = e2e.chain_steps(sched, 0)[0][0]
-        last = e2e.chain_steps(sched, 2)[0][0]
+        first = scheduler.effective_interface(sched, 0).stages[0][0]
+        last = scheduler.effective_interface(sched, 2).stages[0][0]
         assert first.pre_wait == 0
         assert last.pre_wait == sched.stages[0].n_layers - 1
         assert last.post_wait == 0
@@ -146,11 +146,12 @@ class TestGoldenChainCounts:
     # Per-output-qubit error counts, herald count and any-error count of toy
     # r = 3, h = 2 with two EC rounds per wait layer, s1 = s2 = 2, resource
     # failures 0.05 and input LS noise 0.01 (4000 trials, seed 5), recorded
-    # while the tableau and frame chains were still written apart. Any change
-    # to a chain, EC, Bell or oracle stream tag moves them.
+    # when the frame engine began to key the chain's streams by (block, run)
+    # and (block, pass). Any change to a stream key or to the order of a
+    # chain's fragment runs moves them.
     GOLDEN = {
-        0.001: ([1431, 1323, 1478, 1367, 1751, 1588, 1705, 1598], 3821, 3667),
-        0.003: ([2480, 2305, 2465, 2343, 2720, 2569, 2656, 2617], 3998, 3996),
+        0.001: ([1509, 1344, 1479, 1347, 1811, 1614, 1703, 1526], 3788, 3637),
+        0.003: ([2386, 2267, 2423, 2346, 2689, 2627, 2652, 2591], 3995, 3990),
     }
 
     @pytest.mark.parametrize("delta", sorted(GOLDEN))
@@ -167,3 +168,38 @@ class TestGoldenChainCounts:
         counts = np.rint(stats.logical_error_marginals * trials).astype(int).tolist()
         got = (counts, round(stats.herald_rate * trials), round(stats.any_error_rate * trials))
         assert got == self.GOLDEN[delta]
+
+
+class TestStreamKeys:
+    """The frame engine keys each draw by its own counters, never by arithmetic."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        keys = []
+        original = noise.rng_stream
+
+        def recording(seed, *ids):
+            keys.append((seed, *ids))
+            return original(seed, *ids)
+
+        for module in (noise, circuit, interface, e2e):
+            monkeypatch.setattr(module, "rng_stream", recording)
+        return keys
+
+    def test_gamma_chunk_draws_distinct_streams(self, drawn):
+        fam = css.toy_family()
+        knobs = interface.GammaKnobs(s1=2, s2=2, resource_fail_prob=0.05)
+        interface.estimate_tau(
+            fam, 4, 3, NoiseParams(delta=0.01, seed=3), trials=100, mu=0.25,
+            knobs=knobs, chunk_size=100,
+        )
+        assert {k[1] for k in drawn} == {noise.STREAM_CIRCUIT, noise.STREAM_ORACLE}
+        assert len(set(drawn)) == len(drawn)
+
+    def test_chain_chunk_draws_distinct_streams(self, drawn):
+        fam = css.toy_family()
+        sched = scheduler.build_schedule(fam, 4, 1, 4, constants=scheduler.measured_constants(fam))
+        e2e.run_e2e_frames(fam, sched, NoiseParams(delta=0.01, seed=3), 50, input_ls_delta=0.01)
+        purposes = {noise.STREAM_CIRCUIT, noise.STREAM_ORACLE, noise.STREAM_TRIAL}
+        assert {k[1] for k in drawn} == purposes
+        assert len(set(drawn)) == len(drawn)

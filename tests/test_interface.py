@@ -323,17 +323,17 @@ class TestTableauExecutor:
     GOLDEN_STEANE = {
         "m1.0": 0, "m1.1": 0, "m1.2": 1, "m1.3": 0, "m1.4": 1, "m1.5": 1, "m1.6": 0,
         "m2.0": 1, "m2.1": 1, "m2.2": 1, "m2.3": 0, "m2.4": 0, "m2.5": 0, "m2.6": 0,
-        "q.r0.sx0": 1, "q.r0.sx1": 0, "q.r0.sx2": 0,
-        "q.r0.sz0": 1, "q.r0.sz1": 0, "q.r0.sz2": 0,
+        "q.sx0": 1, "q.sx1": 0, "q.sx2": 0,
+        "q.sz0": 1, "q.sz1": 0, "q.sz2": 0,
     }
     GOLDEN_TOY_3_2 = {
-        "b0.r0.sx0": 0, "b0.r0.sz0": 0, "b1.r0.sx0": 0, "b1.r0.sz0": 0,
+        "b0.sx0": 0, "b0.sz0": 0, "b1.sx0": 0, "b1.sz0": 0,
         "m1.0": 0, "m1.1": 1, "m1.2": 1, "m1.3": 0, "m1.4": 0,
         "m1.5": 1, "m1.6": 1, "m1.7": 0, "m1.8": 1, "m1.9": 1,
         "m2.0": 1, "m2.1": 1, "m2.2": 1, "m2.3": 1, "m2.4": 1,
         "m2.5": 0, "m2.6": 1, "m2.7": 1, "m2.8": 0, "m2.9": 0,
-        "q.r0.sx0": 0, "q.r0.sx1": 0, "q.r0.sx2": 0,
-        "q.r0.sz0": 1, "q.r0.sz1": 0, "q.r0.sz2": 0,
+        "q.sx0": 0, "q.sx1": 0, "q.sx2": 0,
+        "q.sz0": 1, "q.sz1": 0, "q.sz2": 0,
     }
 
     def test_golden_outcomes_steane(self, sfam):
@@ -381,12 +381,12 @@ class TestTableauExecutor:
         monkeypatch.setattr(interface.circuit, "run_noisy", lambda frag, *a, **k: ran.append(frag))
         engine = interface.TableauEngine(Tableau.zero_state(["a", "b"]), np.random.default_rng(0), {})
         idle = Circuit(["a", "b"]).add_layer([Gate("idle", ("a",)), Gate("idle", ("b",))])
-        engine.run(idle, 0)
-        engine.run(Circuit(["a", "b"]), 1)
-        engine.run(Circuit(["a", "b"]).add_layer([]), 2)
+        engine.run(idle)
+        engine.run(Circuit(["a", "b"]))
+        engine.run(Circuit(["a", "b"]).add_layer([]))
         assert ran == []
         busy = Circuit(["a", "b"]).add_layer([Gate("idle", ("a",)), Gate("h", ("b",))])
-        engine.run(busy, 3)
+        engine.run(busy)
         assert ran == [busy]
 
 
@@ -436,7 +436,7 @@ class TestFaultLocality:
                 code = sum(4**j for j in range(len(g.wires)))  # X on every wire of the gate
                 batch = FrameBatch(frag.wires, 1)
                 FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
-                    frag, batch, noisy=False, forced_faults=([row], [0], [code])
+                    frag, batch, forced_faults=([row], [0], [code])
                 )
                 support = int(((batch.x[0] | batch.z[0]) != 0).sum())
                 assert support <= 2 * max(1, remaining), (li, gi)
@@ -682,8 +682,6 @@ class TestWireMajorGamma:
         g = interface.build_ec(code, 2, wires, label_prefix="w.")
         assert interface.build_ec(code, 2, tuple(wires), label_prefix="w.") is g
         assert interface.build_ec(code, 2, wires, label_prefix="v.") is not g
-        assert g.round_circuit(1) is g.round_circuit(1)
-        assert g.round_circuit(1).measurement_labels() == g.x_labels(1) + g.z_labels(1)
         plan = interface.build_gamma(fam, 4, 3)
         assert plan.b_gadgets[0] is interface.build_ec(code, 1, plan.block_wires(0), label_prefix="b0.")
 
