@@ -254,9 +254,9 @@ def _apply_gate_tableau(state: Tableau, g: Gate, outcomes: dict, rng):
         state.apply_y(g.wires[0])
     elif g.name == "z":
         state.apply_z(g.wires[0])
-    elif g.name == "cpauli":
-        if outcomes.get(g.control, 0):
-            getattr(state, f"apply_{g.pauli}")(g.wires[0])
+    elif g.name == "cpauli":  # per trial of a batch
+        on = np.asarray(outcomes.get(g.control, 0), np.uint8)[..., None]
+        state.apply_pauli_on(g.wires, on * (g.pauli in "xy"), on * (g.pauli in "yz"))
     elif g.name == "init0":
         state.reset_zero(g.wires[0], rng=rng)
     elif g.name == "measure":

@@ -379,6 +379,12 @@ def _e2e_exhaustive(config, family, sched, knobs, wait_rounds, base_seed, out, m
     u_patterns = config.get("logical_patterns")
     if u_patterns is None:
         u_patterns = [[0] * code_r.m, [1] * code_r.m]
+    if not isinstance(u_patterns, list) or not u_patterns:
+        raise UsageError(f"logical_patterns must be a non-empty list, got {u_patterns!r}")
+    for u in u_patterns:
+        bits_ok = isinstance(u, list) and all(type(b) is int and b in (0, 1) for b in u)
+        if not bits_ok or len(u) != code_r.m:
+            raise UsageError(f"logical pattern {u!r} needs m={code_r.m} entries, each 0 or 1")
     rows = []
     failures = 0
     for block in range(sched.h):
@@ -388,18 +394,18 @@ def _e2e_exhaustive(config, family, sched, knobs, wait_rounds, base_seed, out, m
                 if b:
                     logical.apply_x(j)
             cases = [None] + [(q, k) for q in range(code_r.n) for k in ("X", "Z", "Y")]
-            for case in cases:
-                res = e2e.run_block_chain_tableau(
-                    family, sched, block, logical, injection=case,
-                    knobs=knobs, wait_rounds_per_layer=wait_rounds, seed=base_seed,
-                )
-                wrong_bits = int((res.output_bits != np.array(u, dtype=np.uint8)).sum())
-                ok = res.state_matches and wrong_bits == 0 and not res.heralds
+            res = e2e.run_block_chain_tableau(
+                family, sched, block, logical, injections=cases,
+                knobs=knobs, wait_rounds_per_layer=wait_rounds, seed=base_seed,
+            )
+            wrong = (res.output_bits != np.array(u, dtype=np.uint8)).sum(axis=1)
+            for case, wrong_bits, match, herald in zip(cases, wrong, res.state_matches, res.heralds):
+                ok = match and wrong_bits == 0 and not herald
                 failures += 0 if ok else 1
                 rows.append(
                     [block, "".join(map(str, u)),
                      "none" if case is None else f"{case[1]}{case[0]}",
-                     wrong_bits, res.state_matches, res.heralds]
+                     int(wrong_bits), match, herald]
                 )
     write_csv(
         out / "e2e_exhaustive.csv",

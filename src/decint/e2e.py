@@ -85,9 +85,9 @@ def _walk_chain(
 
 @dataclass
 class BlockChainResult:
-    output_bits: np.ndarray      # measured Z outcomes per output qubit
-    state_matches: bool          # full output tableau equals the logical input
-    heralds: bool
+    output_bits: np.ndarray      # (trials, m) measured Z outcomes per output qubit
+    state_matches: np.ndarray    # (trials,) full output tableau equals the logical input
+    heralds: np.ndarray          # (trials,)
 
 
 def run_block_chain_tableau(
@@ -95,34 +95,41 @@ def run_block_chain_tableau(
     schedule: InterfaceSchedule,
     block: int,
     logical: Tableau,
-    injection: Optional[tuple[int, str]] = None,
+    injections: Sequence[Optional[tuple[int, str]]] = (None,),
     knobs: Optional[iface.GammaKnobs] = None,
     wait_rounds_per_layer: int = 1,
     seed: int = 0,
 ) -> BlockChainResult:
     """Noiseless exact execution of one block's effective interface.
 
-    `injection` places one Pauli (qubit index, kind) on the encoded input.
-    Returns per-output-qubit readouts plus a full-state comparison against
-    the input logical tableau.
+    Trial t places injections[t], one Pauli (qubit index, kind) or None, on
+    the encoded input. The trials walk the chain as one tableau batch, and
+    each ends as it would run alone with the same seed. Returns per-trial
+    output readouts plus a full-state comparison against the input logical
+    tableau.
     """
+    if not injections:
+        raise ValueError("need at least one injection (None for a clean trial)")
     rng = np.random.default_rng(seed)
     code_r = family.level(schedule.r)
     init_wires = [f"L{schedule.r}.x{q}" for q in range(code_r.n)]
     state = code_r.encoded_tableau(logical, labels=init_wires)
     engine = iface.TableauEngine(state, rng, {})
-    if injection is not None:
-        q, kind = injection
-        engine.xor([init_wires[q]], np.array([[kind in "XY"]]), np.array([[kind in "ZY"]]))
+    trials = len(injections)
+    x, z = np.zeros((2, code_r.n, trials), bool)
+    for t, case in enumerate(injections):
+        if case is not None:
+            x[case[0], t], z[case[0], t] = case[1] in "XY", case[1] in "ZY"
+    engine.xor(init_wires, x, z)
     outputs, heralds = _walk_chain(
         family, schedule, block, knobs, wait_rounds_per_layer, engine, init_wires
     )
     out_wires = [w for wires in outputs for w in wires]
     want = logical.copy()
     want.rename({want.labels[j]: out_wires[j] for j in range(want.n)})
-    matches = state.same_state(want)
-    bits = np.array([state.measure_z(w, rng)[0] for w in out_wires], dtype=np.uint8)
-    return BlockChainResult(output_bits=bits, state_matches=matches, heralds=bool(heralds[0]))
+    matches = np.broadcast_to(state.same_state(want), (trials,))
+    bits = np.array([state.measure_z(w, rng)[0] for w in out_wires], np.uint8).reshape(-1, trials)
+    return BlockChainResult(output_bits=bits.T, state_matches=matches, heralds=heralds)
 
 
 @dataclass

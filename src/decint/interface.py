@@ -9,18 +9,18 @@ One walk, `gamma_pass`, runs the interface on two engines. An engine holds
 only what differs between them: how a fragment runs, how outcome bits are
 read as (labels, trials) rows, how a Pauli given as (wires, trials) rows
 lands on named wires, and how the Bell resource enters. `TableauEngine` is
-the exact oracle: one trial, a signed tableau and absolute outcomes.
-`FrameEngine` is the Monte Carlo: a trial batch of Pauli frames and outcome
-flips, whose resource oracle adds local stochastic noise and a global
-failure coin to the ideal encoded Bell state. The clean reference run has
-zero syndromes, so decoding flips is the same arithmetic as decoding
-absolute outcomes: syndromes, leader-table decoding and its herald rule,
-the logical Bell bits and the corrections are written once. Decoding runs
-as circuit-external callbacks between fragments. Blocks that a walk
-carries between passes are engine handles: `load` puts one on given wires
-of a fragment's wire set and `save` takes one off. Frame trials are then
-classified into the success/failure branches to estimate the failure
-parameter tau.
+the exact oracle: a signed tableau, one state or a batch sharing one x/z
+part, and absolute outcomes. `FrameEngine` is the Monte Carlo: a trial
+batch of Pauli frames and outcome flips, whose resource oracle adds local
+stochastic noise and a global failure coin to the ideal encoded Bell
+state. The clean reference run has zero syndromes, so decoding flips is
+the same arithmetic as decoding absolute outcomes: syndromes, leader-table
+decoding and its herald rule, the logical Bell bits and the corrections
+are written once. Decoding runs as circuit-external callbacks between
+fragments. Blocks that a walk carries between passes are engine handles:
+`load` puts one on given wires of a fragment's wire set and `save` takes
+one off. Frame trials are then classified into the success/failure
+branches to estimate the failure parameter tau.
 """
 
 from __future__ import annotations
@@ -605,13 +605,14 @@ def build_gamma(
 
 
 class TableauEngine:
-    """One exact trial: a signed tableau evolved in place, absolute outcomes.
+    """Exact trials: a signed tableau evolved in place, absolute outcomes.
 
+    The state holds one trial or a batch with per-trial signs (see
+    `tableau`); the first `xor` of rows for several trials turns one state
+    into a batch. A random outcome is one rng draw shared by the batch.
     Fragments run noiselessly, so an idle-only fragment is skipped. A block
     handle is the block's wire labels in the state.
     """
-
-    trials = 1
 
     def __init__(self, state: Tableau, rng: np.random.Generator, outcomes: dict):
         self.state = state
@@ -619,15 +620,21 @@ class TableauEngine:
         self.outcomes = outcomes
         self._saved = 0
 
+    @property
+    def trials(self) -> int:
+        return self.state.trials
+
     def run(self, fragment: Circuit):
         if not fragment.idle_only:
             circuit.run_noisy(fragment, self.state, rng=self.rng, outcomes=self.outcomes)
 
     def bits(self, labels: Sequence[str]) -> np.ndarray:
-        return np.array([self.outcomes[l] for l in labels], np.uint8).reshape(-1, 1)
+        return np.array([self.outcomes[l] for l in labels], np.uint8).reshape(len(labels), self.trials)
 
     def xor(self, wires: Sequence, x: np.ndarray, z: np.ndarray):
-        self.state.apply_pauli_on(wires, x[:, 0], z[:, 0])
+        if self.state.signs.ndim == 2 and x.shape[1] != self.trials:
+            raise ValueError(f"rows for {x.shape[1]} trials on a batch of {self.trials}")
+        self.state.apply_pauli_on(wires, *(b[:, 0] if b.shape[1] == 1 else b.T for b in (x, z)))
 
     def resource(self, plan: InterfaceCircuit):
         resource = plan.resource_tableau()

@@ -16,6 +16,13 @@ that gives a Pauli is memoised in `_combination`, keyed by the bytes of
 the x/z part, the wire count and the target Pauli, together with the
 sign-free half of the product's phase. A sign is then the parity of the
 selected generators' signs plus that half.
+
+For the same reason one tableau holds a batch of exact states: `signs` is
+(n,) for one state or (trials, n) for trials that share the x/z part, and
+every method broadcasts over the leading axis. Whether a Z measurement is
+random depends on the x/z part alone, so a random outcome is one rng draw
+shared by the whole batch: the draw that each trial, run alone from an rng
+seeded alike, would take.
 """
 
 from __future__ import annotations
@@ -71,7 +78,8 @@ def symplectic_overlap(x1, z1, x2, z2) -> np.ndarray:
 
 
 class Tableau:
-    """Mutable signed stabilizer tableau over labelled wires."""
+    """Mutable signed stabilizer tableau over labelled wires, or a batch of
+    them with (trials, n) signs (see the module docstring)."""
 
     def __init__(
         self,
@@ -86,8 +94,9 @@ class Tableau:
         self.zs = np.asarray(zs, dtype=np.uint8) & 1
         self.signs = np.asarray(signs, dtype=np.uint8) & 1
         n = len(self.labels)
-        if self.xs.shape != (n, n) or self.zs.shape != (n, n) or self.signs.shape != (n,):
-            raise ValueError("tableau shape mismatch")
+        signs_ok = self.signs.ndim in (1, 2) and self.signs.shape[-1:] == (n,)
+        if self.xs.shape != (n, n) or self.zs.shape != (n, n) or not signs_ok:
+            raise ValueError(f"tableau shape mismatch: signs must be ({n},) or (trials, {n})")
         if check:
             self.assert_valid()
 
@@ -102,16 +111,18 @@ class Tableau:
     def from_generators(
         cls, labels: Sequence[Hashable], gens: Iterable[tuple[np.ndarray, np.ndarray, int]]
     ) -> "Tableau":
-        gens = list(gens)
-        xs = np.array([g[0] for g in gens], dtype=np.uint8)
-        zs = np.array([g[1] for g in gens], dtype=np.uint8)
-        signs = np.array([g[2] for g in gens], dtype=np.uint8)
+        xs, zs, signs = (np.array(part, np.uint8) for part in zip(*gens))
         return cls(labels, xs, zs, signs)
 
     def copy(self) -> "Tableau":
         return Tableau(list(self.labels), self.xs.copy(), self.zs.copy(), self.signs.copy(), check=False)
 
     def tensor(self, other: "Tableau") -> "Tableau":
+        """Product state; one state broadcasts onto a batch."""
+        if self.signs.ndim == other.signs.ndim == 2 and len(self.signs) != len(other.signs):
+            raise ValueError(f"batches of {len(self.signs)} and {len(other.signs)} trials")
+        lead = self.signs.shape[:-1] or other.signs.shape[:-1]
+        signs = [np.broadcast_to(s, lead + s.shape[-1:]) for s in (self.signs, other.signs)]
         n1, n2 = len(self.labels), len(other.labels)
         xs = np.zeros((n1 + n2, n1 + n2), np.uint8)
         zs = np.zeros_like(xs)
@@ -119,15 +130,17 @@ class Tableau:
         xs[n1:, n1:] = other.xs
         zs[:n1, :n1] = self.zs
         zs[n1:, n1:] = other.zs
-        return Tableau(
-            self.labels + other.labels, xs, zs, np.concatenate([self.signs, other.signs]), check=False
-        )
+        return Tableau(self.labels + other.labels, xs, zs, np.concatenate(signs, axis=-1), check=False)
 
     # -- bookkeeping ---------------------------------------------------------
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def trials(self) -> int:
+        return len(self.signs) if self.signs.ndim == 2 else 1
 
     def index(self, label: Hashable) -> int:
         return self.labels.index(label)
@@ -143,10 +156,9 @@ class Tableau:
         if rows.size == 0:
             return
         g = _g_exponents(self.xs[rows], self.zs[rows], self.xs[src], self.zs[src])
-        phase = (2 * self.signs[rows].astype(np.int64) + 2 * int(self.signs[src]) + g) % 4
-        if (phase % 2).any():
+        if (g % 2).any():
             raise ValueError("rowsum of anticommuting generators")
-        self.signs[rows] = (phase // 2).astype(np.uint8)
+        self.signs[..., rows] ^= self.signs[..., src, None] ^ (g // 2).astype(np.uint8)
         self.xs[rows] ^= self.xs[src]
         self.zs[rows] ^= self.zs[src]
 
@@ -179,26 +191,30 @@ class Tableau:
         self.signs ^= self.xs[:, q] ^ self.zs[:, q]
 
     def apply_pauli(self, x_bits: np.ndarray, z_bits: np.ndarray):
-        """Conjugate the state by the Pauli X^x Z^z (global phase dropped)."""
-        self.signs ^= symplectic_overlap(self.xs, self.zs, x_bits, z_bits).astype(np.uint8)
+        """Conjugate the state by the Pauli X^x Z^z (global phase dropped).
+
+        (trials, n) bits give each trial its own Pauli: one state becomes a batch.
+        """
+        pauli = np.concatenate([x_bits, z_bits], axis=-1)
+        self.signs = self.signs ^ gf2.mul_bits(pauli, np.concatenate([self.zs, self.xs], axis=1).T)
 
     def apply_pauli_on(self, wires: Sequence[Hashable], x_bits, z_bits):
-        """Conjugate by X^x Z^z where bit i acts on the wire labelled wires[i]."""
+        """Conjugate by X^x Z^z where bit i (last axis) acts on the wire wires[i]."""
         cols = [self.index(w) for w in wires]
-        xb = np.zeros(self.n, np.uint8)
-        zb = np.zeros(self.n, np.uint8)
-        xb[cols] = x_bits
-        zb[cols] = z_bits
+        xb, zb = np.zeros((2, *np.shape(x_bits)[:-1], self.n), np.uint8)
+        xb[..., cols], zb[..., cols] = x_bits, z_bits
         self.apply_pauli(xb, zb)
 
     # -- measurement ----------------------------------------------------------
 
     def measure_z(self, label: Hashable, rng: Optional[np.random.Generator] = None,
-                  forced: Optional[int] = None) -> tuple[int, bool]:
+                  forced: Optional[int] = None) -> tuple[int | np.ndarray, bool]:
         """Measure Z on a wire, collapse, and remove the wire.
 
-        Returns (outcome, deterministic). Random outcomes draw from `rng`
-        unless `forced` pins them (used to realize init0 on a dirty wire).
+        Returns (outcome, deterministic); the outcome is an int for one
+        state and a (trials,) array for a batch. Random outcomes draw once
+        from `rng` for the whole batch unless `forced` pins them (used to
+        realize init0 on a dirty wire).
 
         Update rule: pick one generator p. If some generators anticommute
         with Z_q, the outcome is random; p is the first of them and the
@@ -221,20 +237,16 @@ class Tableau:
             else:
                 outcome = int(rng.integers(0, 2))
         else:
-            z_bits = np.zeros(self.n, np.uint8)
-            z_bits[q] = 1
-            lam, outcome = self._express(np.zeros(self.n, np.uint8), z_bits)
+            lam, outcome = self._express(np.zeros(self.n, np.uint8), np.eye(1, self.n, q, np.uint8)[0])
             p = int(lam.argmax())
-        self.signs[self.zs[:, q] == 1] ^= outcome
-        keep = np.arange(self.n) != p
-        cols = np.arange(self.n) != q
-        self.xs = self.xs[keep][:, cols]
-        self.zs = self.zs[keep][:, cols]
-        self.signs = self.signs[keep]
+        outcome = np.full(self.signs.shape[:-1], outcome, np.uint8)
+        self.signs ^= self.zs[:, q] & outcome[..., None]
+        self.xs, self.zs = (np.delete(np.delete(a, p, 0), q, 1) for a in (self.xs, self.zs))
+        self.signs = np.delete(self.signs, p, -1)
         del self.labels[q]
-        return outcome, not anti.size
+        return _per_trial(outcome), not anti.size
 
-    def _express(self, x_bits: np.ndarray, z_bits: np.ndarray) -> tuple[np.ndarray, int]:
+    def _express(self, x_bits: np.ndarray, z_bits: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
         """(combination, sign) of the generators whose product is +/-X^x Z^z.
 
         The combination is a read-only boolean mask over the generators;
@@ -245,19 +257,12 @@ class Tableau:
         if found is None:
             raise ValueError("Pauli not in stabilizer group")
         lam, half = found
-        return lam, (int(self.signs[lam].sum()) + half) % 2
+        return lam, _per_trial((self.signs[..., lam].sum(axis=-1) + half) % 2)
 
     def add_fresh_zero(self, label: Hashable):
         """Append a new wire prepared in |0>."""
-        n = self.n
-        xs = np.zeros((n + 1, n + 1), np.uint8)
-        zs = np.zeros_like(xs)
-        xs[:n, :n] = self.xs
-        zs[:n, :n] = self.zs
-        zs[n, n] = 1
-        self.xs, self.zs = xs, zs
-        self.signs = np.concatenate([self.signs, [0]]).astype(np.uint8)
-        self.labels.append(label)
+        grown = self.tensor(Tableau([label], [[0]], [[1]], [0], check=False))
+        self.labels, self.xs, self.zs, self.signs = grown.labels, grown.xs, grown.zs, grown.signs
 
     def reset_zero(self, label: Hashable, rng: Optional[np.random.Generator] = None):
         """Force a wire into |0> (measure with a pinned outcome, re-add)."""
@@ -265,8 +270,8 @@ class Tableau:
             self.measure_z(label, rng=rng, forced=0)
         self.add_fresh_zero(label)
 
-    def expectation_z(self, x_bits: np.ndarray, z_bits: np.ndarray) -> Optional[int]:
-        """Outcome bit of measuring the Pauli X^x Z^z if deterministic, else None."""
+    def expectation_z(self, x_bits: np.ndarray, z_bits: np.ndarray) -> Optional[int | np.ndarray]:
+        """Outcome bit, per trial, of measuring the Pauli X^x Z^z if deterministic, else None."""
         if symplectic_overlap(self.xs, self.zs, x_bits, z_bits).any():
             return None
         # A Pauli commuting with n independent generators lies in their group.
@@ -284,25 +289,18 @@ class Tableau:
         r = 0
         n = self.n
         for c in range(2 * n):
-            col = self.xs[:, c] if c < n else self.zs[:, c - n]
-            idx = np.nonzero(col[r:])[0]
+            col = (self.xs if c < n else self.zs)[:, c % n]  # a view: sees the swap below
+            idx = np.flatnonzero(col[r:])
             if idx.size == 0:
                 continue
-            self._swap_rows(r, r + int(idx[0]))
-            col = self.xs[:, c] if c < n else self.zs[:, c - n]
-            hit = np.nonzero(col)[0]
-            hit = hit[hit != r]
-            self._rowsum_into(hit, r)
+            i = r + int(idx[0])
+            for a in (self.xs, self.zs, self.signs.T):  # swap generators r and i
+                a[[r, i]] = a[[i, r]]
+            hit = np.flatnonzero(col)
+            self._rowsum_into(hit[hit != r], r)
             r += 1
             if r == n:
                 break
-
-    def _swap_rows(self, i: int, j: int):
-        if i == j:
-            return
-        self.xs[[i, j]] = self.xs[[j, i]]
-        self.zs[[i, j]] = self.zs[[j, i]]
-        self.signs[[i, j]] = self.signs[[j, i]]
 
     def rename(self, mapping: dict):
         """Relabel wires in place (values must stay unique)."""
@@ -317,19 +315,17 @@ class Tableau:
         perm = [self.index(l) for l in labels]
         return Tableau(list(labels), self.xs[:, perm], self.zs[:, perm], self.signs.copy(), check=False)
 
-    def same_state(self, other: "Tableau") -> bool:
-        """Exact state equality (same wires, same stabilizer group and signs)."""
+    def same_state(self, other: "Tableau") -> bool | np.ndarray:
+        """Exact state equality (same wires, same stabilizer group and signs),
+        one result per trial of either side."""
         if set(map(str, self.labels)) != set(map(str, other.labels)):
             return False
         a = self.copy()
         b = other.reorder(self.labels)
         a.canonicalize()
         b.canonicalize()
-        return (
-            np.array_equal(a.xs, b.xs)
-            and np.array_equal(a.zs, b.zs)
-            and np.array_equal(a.signs, b.signs)
-        )
+        same = np.array_equal(a.xs, b.xs) and np.array_equal(a.zs, b.zs)
+        return same & (a.signs == b.signs).all(axis=-1)
 
 
 def random_stabilizer_state(
@@ -349,6 +345,11 @@ def random_stabilizer_state(
             c, tg = rng.choice(n, size=2, replace=False)
             t.apply_cnot(labels[int(c)], labels[int(tg)])
     return t
+
+
+def _per_trial(bits: np.ndarray) -> int | np.ndarray:
+    """One bit per trial: an int for one state, a (trials,) uint8 array for a batch."""
+    return int(bits) if np.ndim(bits) == 0 else bits.astype(np.uint8)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -72,3 +72,6 @@ def test_traced_probe_sees_one_engine(tmp_path, command, config, engine, other):
     layers = load_tracer().summarize(sidecar)["layers"]
     assert layers[engine]["calls"] > 0
     assert layers[other]["calls"] == 0
+    if config.get("mode") == "exhaustive":
+        # One batched chain walk per (block, logical pattern), not one per case.
+        assert layers["e2e.block_chain"]["calls"] == config["h"] * 2

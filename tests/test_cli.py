@@ -189,6 +189,31 @@ class TestE2E:
         rows = (tmp_path / "out" / "e2e_exhaustive.csv").read_text().splitlines()[1:]
         assert all(r.split(",")[3] == "0" for r in rows)
 
+    @pytest.mark.parametrize("pattern", [[1], [0, 1, 0, 1, 0, 1, 0, 1, 0], [2, 0], [2, 0, 0, 0], [1, True]])
+    def test_exhaustive_bad_logical_pattern_usage_error(self, tmp_path, capsys, pattern):
+        # Toy level 2 has m = 2 logical qubits per block.
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"family": "toy", "r": 2, "h": 1, "mode": "exhaustive",
+             "logical_patterns": [[0, 1], pattern], "noise": {"delta": 0.0}},
+        )
+        assert run("e2e", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"logical pattern {pattern!r}" in err and "m=2" in err
+        assert not (tmp_path / "out" / "e2e_exhaustive.csv").exists()
+
+    @pytest.mark.parametrize("patterns", [[], 5, [0, 1]])
+    def test_exhaustive_logical_patterns_must_be_a_list_of_lists(self, tmp_path, patterns):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"family": "toy", "r": 2, "h": 1, "mode": "exhaustive",
+             "logical_patterns": patterns, "noise": {"delta": 0.0}},
+        )
+        assert run("e2e", cfg, tmp_path / "out") == 2
+        assert not (tmp_path / "out" / "e2e_exhaustive.csv").exists()
+
     def test_frames_mode_summary(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -53,7 +53,7 @@ class TestTableauChain:
         fam, sched = steane_setup
         logical = Tableau.zero_state([0])
         for case in [(0, "X"), (3, "Z"), (6, "Y")]:
-            res = e2e.run_block_chain_tableau(fam, sched, 1, logical, injection=case)
+            res = e2e.run_block_chain_tableau(fam, sched, 1, logical, injections=[case])
             assert res.state_matches and not res.heralds, case
             assert list(res.output_bits) == [0]
 
@@ -65,6 +65,47 @@ class TestTableauChain:
         logical.apply_cnot(2, 3)
         res = e2e.run_block_chain_tableau(fam, sched, 0, logical)
         assert res.state_matches and not res.heralds
+
+
+class TestSignBatchedChain:
+    """One batched walk over every injection equals one walk per injection."""
+
+    @pytest.mark.parametrize("setup, block", [("steane_setup", 2), ("toy_setup", 0)])
+    def test_batch_equals_one_injection_runs(self, request, setup, block):
+        fam, sched = request.getfixturevalue(setup)
+        code = fam.level(sched.r)
+        cases = [None] + [(q, k) for q in range(code.n) for k in "XZY"]
+        outcomes = set()
+        # |0...0> (Z leaves it be), |1...1>, then |+...+>, read out by shared random draws.
+        for gate in ("apply_z", "apply_x", "apply_h"):
+            logical = Tableau.zero_state(list(range(code.m)))
+            for j in range(code.m):
+                getattr(logical, gate)(j)
+            res = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=cases, seed=5)
+            assert res.output_bits.shape == (len(cases), code.m)
+            assert res.state_matches.shape == res.heralds.shape == (len(cases),)
+            for t, case in enumerate(cases):
+                one = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=[case], seed=5)
+                assert np.array_equal(one.output_bits[0], res.output_bits[t]), case
+                assert one.state_matches[0] == res.state_matches[t], case
+                assert one.heralds[0] == res.heralds[t], case
+                outcomes.add((bool(res.state_matches[t]), bool(res.heralds[t])))
+        if setup == "toy_setup":  # the toy chain does fail: heralds and wrong states show up
+            assert len(outcomes) > 1
+
+    def test_no_injections_rejected(self, steane_setup):
+        fam, sched = steane_setup
+        with pytest.raises(ValueError, match="at least one injection"):
+            e2e.run_block_chain_tableau(fam, sched, 0, Tableau.zero_state([0]), injections=[])
+
+    def test_xor_rows_must_match_the_batch(self):
+        engine = interface.TableauEngine(Tableau.zero_state(["a", "b"]), np.random.default_rng(0), {})
+        engine.xor(["a"], np.ones((1, 3), np.uint8), np.zeros((1, 3), np.uint8))
+        assert engine.trials == 3
+        engine.xor(["b"], np.ones((1, 3), np.uint8), np.zeros((1, 3), np.uint8))
+        for trials in (1, 2, 4):
+            with pytest.raises(ValueError, match="batch of 3"):
+                engine.xor(["a"], np.ones((1, trials), np.uint8), np.zeros((1, trials), np.uint8))
 
 
 class TestFrameChain:

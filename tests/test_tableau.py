@@ -318,3 +318,140 @@ class TestCombinationMemo:
         assert sign == u.expectation_z(x, z)
         ev = np.vdot(state_vector(u), dense_pauli(x, z) @ state_vector(u)).real
         assert sign == (0 if ev > 0 else 1)
+
+
+# -- sign batches ----------------------------------------------------------------------
+
+TRIALS = 5
+
+
+def batch_and_singles(n: int, seed: int) -> tuple[Tableau, list[Tableau]]:
+    """A random signed state under TRIALS distinct Paulis: as one batch and one by one."""
+    base = signed_random_state(n, seed)
+    rng = np.random.default_rng(100 + seed)
+    words = set()
+    while len(words) < TRIALS:
+        words.add(tuple(rng.integers(0, 2, 2 * n)))
+    paulis = np.array(sorted(words), np.uint8)
+    batch = base.copy()
+    batch.apply_pauli(paulis[:, :n], paulis[:, n:])
+    singles = []
+    for p in paulis:
+        single = base.copy()
+        single.apply_pauli(p[:n], p[n:])
+        singles.append(single)
+    return batch, singles
+
+
+def assert_batch_matches(batch: Tableau, singles: list[Tableau]):
+    assert batch.signs.shape == (TRIALS, batch.n) and batch.trials == TRIALS
+    for k, single in enumerate(singles):
+        assert single.signs.shape == (single.n,)
+        assert single.labels == batch.labels
+        assert np.array_equal(single.xs, batch.xs) and np.array_equal(single.zs, batch.zs)
+        assert np.array_equal(single.signs, batch.signs[k]), k
+
+
+def per_trial(outcome) -> list[int]:
+    return [int(b) for b in np.broadcast_to(outcome, (TRIALS,))]
+
+
+class TestSignBatch:
+    """A batch of trials evolves exactly as each trial run alone."""
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (5, 2)])
+    def test_gates_and_paulis(self, n, seed):
+        batch, singles = batch_and_singles(n, seed)
+        assert_batch_matches(batch, singles)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, (2, TRIALS, 2)).astype(np.uint8)
+        ops = [("apply_h", (0,)), ("apply_s", (1,)), ("apply_cnot", (0, 2)), ("apply_x", (2,)),
+               ("apply_y", (0,)), ("apply_z", (1,)), ("apply_cnot", (2, 1)), ("apply_s", (0,))]
+        for name, wires in ops:
+            for t in [batch, *singles]:
+                getattr(t, name)(*wires)
+            assert_batch_matches(batch, singles)
+        batch.apply_pauli_on([2, 0], bits[0], bits[1])
+        for k, single in enumerate(singles):
+            single.apply_pauli_on([2, 0], bits[0, k], bits[1, k])
+        assert_batch_matches(batch, singles)
+        shared = rng.integers(0, 2, (2, 2)).astype(np.uint8)
+        for t in [batch, *singles]:
+            t.apply_pauli_on([1, 2], shared[0], shared[1])
+        assert_batch_matches(batch, singles)
+
+    @pytest.mark.parametrize("n, seed", [(3, 3), (4, 4), (5, 5)])
+    def test_measurements_share_one_draw(self, n, seed):
+        # Wire "a" picks up the parity of wires 1 and 2, then per-trial X
+        # flips; measuring 0, 1 (forced to 1 if random), 2 and "a" mixes
+        # random outcomes, one rng draw each, with deterministic ones that
+        # differ from trial to trial.
+        batch, singles = batch_and_singles(n, seed)
+        flips = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], np.uint8)
+
+        def run(t: Tableau, x: np.ndarray) -> list:
+            t.reset_zero("a", np.random.default_rng(seed))
+            t.apply_cnot(1, "a")
+            t.apply_cnot(2, "a")
+            t.apply_pauli_on([1, 2, "a"], x, 0 * x)
+            plan = [(0, None), (1, 1), (2, None), ("a", None)]
+            return [t.measure_z(w, np.random.default_rng(seed + i), forced=f) for i, (w, f) in enumerate(plan)]
+
+        got = run(batch, flips)
+        for k, single in enumerate(singles):
+            want = run(single, flips[k])
+            assert [(per_trial(out)[k], det) for out, det in got] == want, k
+        assert_batch_matches(batch, singles)
+        assert {det for _, det in got} == {False, True}
+        out_a, det_a = got[-1]
+        assert det_a and set(per_trial(out_a)) == {0, 1}
+
+    @pytest.mark.parametrize("n, seed", [(3, 6), (4, 7), (5, 8)])
+    def test_reset_expectation_tensor_canonical(self, n, seed):
+        batch, singles = batch_and_singles(n, seed)
+        batch.reset_zero(1, np.random.default_rng(seed))
+        for single in singles:
+            single.reset_zero(1, np.random.default_rng(seed))
+        assert_batch_matches(batch, singles)
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            x, z = rng.integers(0, 2, (2, n)).astype(np.uint8)
+            got = batch.expectation_z(x, z)
+            want = [single.expectation_z(x, z) for single in singles]
+            assert (got is None) == (want[0] is None)
+            if got is not None:
+                assert per_trial(got) == want
+        other = signed_random_state(2, seed)
+        other.rename({0: "b0", 1: "b1"})
+        for joined in (lambda t: t.tensor(other), lambda t: other.tensor(t)):
+            assert_batch_matches(joined(batch), [joined(single) for single in singles])
+        canon = batch.copy()
+        canon.canonicalize()
+        for single in singles:
+            single.canonicalize()
+        assert_batch_matches(canon, singles)
+        for k, single in enumerate(singles):
+            want = [other_single.same_state(single) for other_single in singles]
+            assert list(batch.same_state(single)) == want and want[k]
+            assert list(single.same_state(batch)) == want
+
+    def test_distinct_paulis_give_distinct_states(self):
+        batch, singles = batch_and_singles(4, 9)
+        assert not batch.same_state(singles[0]).all()
+
+
+class TestBatchShapes:
+    def test_signs_must_be_one_or_two_dimensional(self):
+        eye, zero = np.eye(3, dtype=np.uint8), np.zeros((3, 3), np.uint8)
+        Tableau([0, 1, 2], zero, eye, np.zeros((4, 3)))
+        for shape in [(), (2,), (4, 2), (2, 4, 3)]:
+            with pytest.raises(ValueError, match="signs must be"):
+                Tableau([0, 1, 2], zero, eye, np.zeros(shape))
+
+    def test_tensor_of_unequal_batches(self):
+        a, b = Tableau.zero_state(["a"]), Tableau.zero_state(["b"])
+        a.apply_pauli(np.zeros((2, 1), np.uint8), np.zeros((2, 1), np.uint8))
+        b.apply_pauli(np.zeros((3, 1), np.uint8), np.zeros((3, 1), np.uint8))
+        with pytest.raises(ValueError, match="batches of 2 and 3"):
+            a.tensor(b)
+        assert a.tensor(Tableau.zero_state(["c"])).signs.shape == (2, 2)
