@@ -1,16 +1,17 @@
 """Layered Clifford circuit IR plus two execution backends.
 
-The gate set is {idle, init0, measure-Z, H, CNOT, X/Y/Z, classically
-controlled Pauli, discard}. The signed-tableau backend is the exact oracle;
-the Pauli-frame backend propagates error frames for batches of Monte Carlo
-trials against cached reference outcomes. Classical decoder calls are not
-gates: they run as callbacks between circuit fragments (see interface.py).
+The gate set is {idle, init0, measure-Z, H, CNOT}, the gates the EC gadgets,
+the interfaces and the chain walk emit. The signed-tableau backend is the
+exact oracle; the Pauli-frame backend propagates error frames for batches of
+Monte Carlo trials against cached reference outcomes. Classical feed-forward
+is not a gate: decoder calls and the Paulis they choose run as callbacks
+between circuit fragments (see interface.py).
 
-A fault is a location, a row of `Circuit.locations()` (every gate but
-`discard`), and a code: on a measurement 1, an outcome flip; on a k-wire
-gate a Pauli in [1, 4^k) after the gate, wire j taking bits 2j (x) and
-2j + 1 (z). Both backends take faults so, and the frame backend injects
-forced and sampled faults through one function.
+A fault is a location, a row of `Circuit.locations()` (one per gate), and a
+code: on a measurement 1, an outcome flip; on a k-wire gate a Pauli in
+[1, 4^k) after the gate, wire j taking bits 2j (x) and 2j + 1 (z). Both
+backends take faults so, and the frame backend injects forced and sampled
+faults through one function.
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ GATE_ARITY = {
     "measure": 1,
     "h": 1,
     "cnot": 2,
-    "x": 1,
-    "y": 1,
-    "z": 1,
-    "cpauli": 1,
-    "discard": 1,
 }
 
 
@@ -42,9 +38,7 @@ GATE_ARITY = {
 class Gate:
     name: str
     wires: tuple
-    out: Optional[str] = None      # classical outcome label (measure)
-    pauli: Optional[str] = None    # pauli kind for cpauli: "x" | "y" | "z"
-    control: Optional[str] = None  # classical control label for cpauli
+    out: Optional[str] = None  # classical outcome label (measure)
 
     def __post_init__(self):
         if self.name not in GATE_ARITY:
@@ -53,8 +47,6 @@ class Gate:
             raise ValueError(f"{self.name} arity mismatch: {self.wires}")
         if self.name == "measure" and self.out is None:
             raise ValueError("measure needs an outcome label")
-        if self.name == "cpauli" and (self.pauli not in ("x", "y", "z") or self.control is None):
-            raise ValueError("cpauli needs a pauli kind and a classical control")
 
 
 class Circuit:
@@ -65,6 +57,7 @@ class Circuit:
         self._index = {w: i for i, w in enumerate(self.wires)}
         self.layers: list[list[Gate]] = []
         self._fault_table: Optional[FaultTable] = None
+        self._outs: set[str] = set()  # outcome labels of every measurement
         self.idle_only = True  # every gate is an idle, or there is none
         if len(self._index) != len(self.wires):
             raise ValueError("duplicate wire labels")
@@ -79,6 +72,11 @@ class Circuit:
                 if w in seen:
                     raise ValueError(f"wire {w!r} used twice in one layer")
                 seen.add(w)
+        outs = [g.out for g in gates if g.name == "measure"]
+        for label in outs:
+            if label in self._outs or outs.count(label) > 1:
+                raise ValueError(f"duplicate outcome label {label!r}")
+        self._outs.update(outs)
         self.layers.append(gates)
         self.idle_only = self.idle_only and all(g.name == "idle" for g in gates)
         self._fault_table = None
@@ -89,13 +87,12 @@ class Circuit:
         return len(self.layers)
 
     def locations(self) -> list[tuple[int, int]]:
-        """(layer, gate) of each non-`discard` gate, in `fault_table()` row order."""
-        layers = enumerate(self.layers)
-        return [(li, gi) for li, layer in layers for gi, g in enumerate(layer) if g.name != "discard"]
+        """(layer, gate) of each gate, in `fault_table()` row order."""
+        return [(li, gi) for li, layer in enumerate(self.layers) for gi in range(len(layer))]
 
     @property
     def n_locations(self) -> int:
-        return len(self.locations())
+        return sum(map(len, self.layers))
 
     def measurement_labels(self) -> list[str]:
         return [g.out for layer in self.layers for g in layer if g.name == "measure"]
@@ -111,20 +108,6 @@ class Circuit:
             self._fault_table = FaultTable.compile(self)
         return self._fault_table
 
-    def validate(self) -> None:
-        """Raise on malformed circuits (overlap and arity are checked on add)."""
-        known: set[str] = set()
-        for layer in self.layers:
-            produced = set()
-            for g in layer:
-                if g.name == "cpauli" and g.control not in known:
-                    raise ValueError(f"cpauli control {g.control!r} precedes its measurement")
-                if g.name == "measure":
-                    if g.out in known:
-                        raise ValueError(f"duplicate outcome label {g.out!r}")
-                    produced.add(g.out)
-            known |= produced
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
@@ -133,17 +116,8 @@ class Circuit:
                 return {"gate": g.name, "in": [str(g.wires[0])], "out": [g.out]}
             if g.name == "init0":
                 return {"gate": g.name, "in": [], "out": [str(g.wires[0])]}
-            if g.name == "cpauli":
-                return {
-                    "gate": f"c{g.pauli}",
-                    "in": [g.control, str(g.wires[0])],
-                    "out": [str(g.wires[0])],
-                }
-            return {
-                "gate": g.name,
-                "in": [str(w) for w in g.wires],
-                "out": [str(w) for w in g.wires] if g.name != "discard" else [],
-            }
+            wires = [str(w) for w in g.wires]
+            return {"gate": g.name, "in": wires, "out": wires}
 
         return json.dumps(
             {
@@ -165,10 +139,6 @@ class Circuit:
                     gates.append(Gate("measure", (g["in"][0],), out=g["out"][0]))
                 elif name == "init0":
                     gates.append(Gate("init0", (g["out"][0],)))
-                elif name in ("cx", "cy", "cz") and len(g["in"]) == 2:
-                    gates.append(
-                        Gate("cpauli", (g["in"][1],), pauli=name[1], control=g["in"][0])
-                    )
                 else:
                     gates.append(Gate(name, tuple(g["in"])))
             circ.add_layer(gates)
@@ -221,7 +191,6 @@ def run_noisy(
 ) -> tuple[Tableau, dict[str, int]]:
     """Tableau execution with `faults` as {location: code} (see the module docstring),
     each applied after its layer's gates. Mutates and returns the input tableau."""
-    circuit.validate()
     outcomes = outcomes if outcomes is not None else {}
     by_layer: list[list] = [[] for _ in circuit.layers]
     if faults:
@@ -242,30 +211,15 @@ def run_noisy(
 
 
 def _apply_gate_tableau(state: Tableau, g: Gate, outcomes: dict, rng):
-    if g.name == "idle":
-        return
     if g.name == "h":
         state.apply_h(g.wires[0])
     elif g.name == "cnot":
         state.apply_cnot(g.wires[0], g.wires[1])
-    elif g.name == "x":
-        state.apply_x(g.wires[0])
-    elif g.name == "y":
-        state.apply_y(g.wires[0])
-    elif g.name == "z":
-        state.apply_z(g.wires[0])
-    elif g.name == "cpauli":  # per trial of a batch
-        on = np.asarray(outcomes.get(g.control, 0), np.uint8)[..., None]
-        state.apply_pauli_on(g.wires, on * (g.pauli in "xy"), on * (g.pauli in "yz"))
     elif g.name == "init0":
         state.reset_zero(g.wires[0], rng=rng)
     elif g.name == "measure":
         outcome, _ = state.measure_z(g.wires[0], rng=rng)
         outcomes[g.out] = outcome
-    elif g.name == "discard":
-        state.measure_z(g.wires[0], rng=rng)
-    else:  # pragma: no cover
-        raise ValueError(g.name)
 
 
 # -- Pauli frame backend ---------------------------------------------------------
@@ -347,7 +301,7 @@ class LayerFaults:
 
 @dataclass(frozen=True)
 class FaultTable:
-    """Fault locations of a circuit, one row per non-`discard` gate.
+    """Fault locations of a circuit, one row per gate.
 
     `cols` holds each gate's first and last wire as circuit-local indices.
     Rows run layer by layer in gate order, as `Circuit.locations()`; `layers` slices them.
@@ -359,14 +313,13 @@ class FaultTable:
 
     @classmethod
     def compile(cls, circuit: Circuit) -> "FaultTable":
-        layer_gates = [[g for g in layer if g.name != "discard"] for layer in circuit.layers]
-        gates = [g for layer in layer_gates for g in layer]
+        gates = [g for layer in circuit.layers for g in layer]
         cols = np.array(
             [(circuit._index[g.wires[0]], circuit._index[g.wires[-1]]) for g in gates], dtype=np.intp
         ).reshape(-1, 2)
         arity = np.array([0 if g.name == "measure" else len(g.wires) for g in gates], dtype=np.uint8)
         layers, start = [], 0
-        for layer in layer_gates:
+        for layer in circuit.layers:
             rows = slice(start, start + len(layer))
             meas = [p for p, g in enumerate(layer) if g.name == "measure"]
             arities = set(arity[rows].tolist()) - {0}
@@ -455,35 +408,21 @@ class FrameRunner:
 
 
 def _apply_gate_frame(batch: FrameBatch, g: Gate):
-    ix = batch.index
-    if g.name in ("idle", "x", "y", "z"):
-        return  # fixed Paulis commute with the frame up to phase
+    if g.name == "idle":
+        return
+    q = batch.index[g.wires[0]]
     if g.name == "h":
-        q = ix[g.wires[0]]
         batch.x[:, q], batch.z[:, q] = batch.z[:, q].copy(), batch.x[:, q].copy()
     elif g.name == "cnot":
-        c, t = ix[g.wires[0]], ix[g.wires[1]]
-        batch.x[:, t] ^= batch.x[:, c]
-        batch.z[:, c] ^= batch.z[:, t]
-    elif g.name == "cpauli":
-        # Control bit differs from the reference run where its flip is set.
-        flip = batch.flips.get(g.control)
-        if flip is not None and flip.any():
-            q = ix[g.wires[0]]
-            if g.pauli in ("x", "y"):
-                batch.x[:, q] ^= flip
-            if g.pauli in ("z", "y"):
-                batch.z[:, q] ^= flip
+        t = batch.index[g.wires[1]]
+        batch.x[:, t] ^= batch.x[:, q]
+        batch.z[:, q] ^= batch.z[:, t]
     elif g.name == "measure":
-        q = ix[g.wires[0]]
         batch.flips[g.out] = batch.x[:, q].copy()
         batch.z[:, q] = 0
-    elif g.name in ("init0", "discard"):
-        q = ix[g.wires[0]]
+    else:  # init0
         batch.x[:, q] = 0
         batch.z[:, q] = 0
-    else:  # pragma: no cover
-        raise ValueError(g.name)
 
 
 def propagate_frame(

@@ -856,11 +856,17 @@ class ChunkStats:
 
 def _reduced_weights(e: np.ndarray, cosets: np.ndarray) -> np.ndarray:
     """Min Hamming weight of e xor each coset element, per trial."""
-    # e: (T, n), cosets: (C, n) -> (T,); rows packed into uint64 words, so the
-    # work array is T x C x ceil(n / 64) words.
+    # e: (T, n), cosets: (C, n) -> (T,); rows packed into uint64 words and the
+    # cosets taken 2^SPAN_BLOCK_BITS at a time, so the work array is at most
+    # T x 4096 x ceil(n / 64) words.
     n = e.shape[1]
     pe, pc = gf2._pack(e, n), gf2._pack(cosets, n)
-    return np.bitwise_count(pe[:, None, :] ^ pc[None, :, :]).sum(axis=2).min(axis=1)
+    step = 1 << gf2.SPAN_BLOCK_BITS
+    best = None
+    for lo in range(0, len(pc), step):
+        w = np.bitwise_count(pe[:, None, :] ^ pc[None, lo : lo + step]).sum(axis=2).min(axis=1)
+        best = w if best is None else np.minimum(best, w)
+    return best
 
 
 @dataclass
@@ -976,7 +982,6 @@ class TauEstimate:
     block_weight_hist: np.ndarray
     out_qubit_error_rate: np.ndarray
     latency_layers: int
-    pauli_twirl: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -996,7 +1001,6 @@ class TauEstimate:
             "block_weight_hist": self.block_weight_hist.tolist(),
             "out_qubit_error_rate": self.out_qubit_error_rate.tolist(),
             "latency_layers": self.latency_layers,
-            "pauli_twirl": self.pauli_twirl,
         }
 
 
@@ -1064,5 +1068,4 @@ def estimate_tau(
         block_weight_hist=stats.block_weight_hist,
         out_qubit_error_rate=stats.out_qubit_errors / stats.trials,
         latency_layers=plan.latency_layers,
-        pauli_twirl=params.pauli_twirl,
     )

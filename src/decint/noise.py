@@ -8,6 +8,10 @@ is keyed per fragment run, (seed, STREAM_CIRCUIT, *owner key, run index,
 chunk), with the run index counted by the frame engine: one generator
 serves every location of the fragment. Bernoulli draws are sparse
 (`bernoulli_positions`), so a sampler costs O(delta) per location-trial.
+
+The arbitrary replacement channel at each location is instantiated as its
+Pauli-twirled member, the simulable instance; reports record this as
+`pauli_twirl: true`.
 """
 
 from __future__ import annotations
@@ -42,31 +46,21 @@ def rng_stream(seed: int, *ids: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Circuit-level noise configuration.
-
-    `pauli_twirl` records that the arbitrary replacement channel is
-    instantiated as its Pauli-twirled member (the simulable instance); it is
-    carried into every report.
-    """
+    """Circuit-level noise configuration."""
 
     delta: float
     seed: int
-    pauli_twirl: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
 
     def to_json(self) -> dict:
-        return {"delta": self.delta, "seed": self.seed, "pauli_twirl": self.pauli_twirl}
+        return {"delta": self.delta, "seed": self.seed}
 
     @classmethod
     def from_json(cls, obj: dict) -> "NoiseParams":
-        return cls(
-            delta=float(obj["delta"]),
-            seed=int(obj["seed"]),
-            pauli_twirl=bool(obj.get("pauli_twirl", True)),
-        )
+        return cls(delta=float(obj["delta"]), seed=int(obj["seed"]))
 
 
 def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:

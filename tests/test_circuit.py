@@ -54,21 +54,34 @@ class TestCircuitValidation:
         with pytest.raises(ValueError):
             Gate("cnot", ("a",))
 
-    def test_control_must_exist(self):
-        c = Circuit(["a"])
-        c.add_layer([Gate("cpauli", ("a",), pauli="x", control="nope")])
-        with pytest.raises(ValueError):
-            c.validate()
+    def test_duplicate_outcome_label_in_one_layer_rejected(self):
+        c = Circuit(["a", "b"])
+        with pytest.raises(ValueError, match="duplicate outcome label 'm'"):
+            c.add_layer([Gate("measure", ("a",), out="m"), Gate("measure", ("b",), out="m")])
+        assert c.depth == 0
+        c.add_layer([Gate("measure", ("a",), out="m")])  # the rejected layer left no label behind
+        assert c.measurement_labels() == ["m"]
+
+    def test_duplicate_outcome_label_across_layers_rejected(self):
+        c = Circuit(["a", "b"]).add_layer([Gate("measure", ("a",), out="m"), Gate("idle", ("b",))])
+        with pytest.raises(ValueError, match="duplicate outcome label 'm'"):
+            c.add_layer([Gate("measure", ("b",), out="m")])
+        assert c.depth == 1
 
     def test_json_roundtrip(self):
         c = Circuit(["a", "b"])
         c.add_layer([Gate("init0", ("a",)), Gate("init0", ("b",))])
         c.add_layer([Gate("h", ("a",))])
         c.add_layer([Gate("cnot", ("a", "b"))])
-        c.add_layer([Gate("measure", ("a",), out="m0")])
-        c.add_layer([Gate("cpauli", ("b",), pauli="x", control="m0")])
+        c.add_layer([Gate("measure", ("a",), out="m0"), Gate("idle", ("b",))])
         back = Circuit.from_json(c.to_json())
         assert back.to_json() == c.to_json()
+        assert back.layers == c.layers
+
+    def test_from_json_rejects_classical_control(self):
+        text = Circuit(["a", "b"]).add_layer([Gate("cnot", ("a", "b"))]).to_json().replace("cnot", "cx")
+        with pytest.raises(ValueError, match="unknown gate 'cx'"):
+            Circuit.from_json(text)
 
 
 class TestIdealRun:
@@ -93,30 +106,39 @@ class TestIdealRun:
             assert outs["ma"] == outs["mb"]
 
     def test_teleport_with_corrections(self):
-        # Teleport |1> through a Bell pair using classically controlled Paulis.
+        # Teleport |1> through a Bell pair; the outcomes are fed forward
+        # between circuit fragments, as the Gamma walk does.
         wires = ["src", "a", "b"]
         c = Circuit(wires)
-        c.add_layer([Gate("x", ("src",))])
         c.add_layer([Gate("h", ("a",))])
         c.add_layer([Gate("cnot", ("a", "b"))])
         c.add_layer([Gate("cnot", ("src", "a"))])
         c.add_layer([Gate("h", ("src",))])
         c.add_layer([Gate("measure", ("src",), out="mz")])
         c.add_layer([Gate("measure", ("a",), out="mx")])
-        c.add_layer([Gate("cpauli", ("b",), pauli="x", control="mx")])
-        c.add_layer([Gate("cpauli", ("b",), pauli="z", control="mz")])
-        c.add_layer([Gate("measure", ("b",), out="out")])
+        readout = Circuit(["b"]).add_layer([Gate("measure", ("b",), out="out")])
+        seen = set()
         for seed in range(16):
-            _, outs = circ.run_ideal(c, Tableau.zero_state(wires), np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            state = Tableau.zero_state(wires)
+            state.apply_x("src")
+            state, outs = circ.run_ideal(c, state, rng)
+            seen.add((outs["mx"], outs["mz"]))
+            state.apply_pauli_on(["b"], [outs["mx"]], [outs["mz"]])
+            _, outs = circ.run_ideal(readout, state, rng)
             assert outs["out"] == 1
+        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_init0_resets(self):
         c = Circuit(["q"])
-        c.add_layer([Gate("x", ("q",))])
         c.add_layer([Gate("init0", ("q",))])
         c.add_layer([Gate("measure", ("q",), out="m")])
-        _, outs = circ.run_ideal(c, Tableau.zero_state(["q"]))
-        assert outs["m"] == 0
+        bare = Circuit(["q"]).add_layer([Gate("measure", ("q",), out="m")])
+        for circuit, want in ((c, 0), (bare, 1)):
+            state = Tableau.zero_state(["q"])
+            state.apply_x("q")
+            _, outs = circ.run_ideal(circuit, state)
+            assert outs["m"] == want
 
 
 class TestNoisyRun:
@@ -202,9 +224,8 @@ class TestFrameLayout:
         c = Circuit(["a", "b", "c", "d"])
         c.add_layer([Gate("h", ("a",)), Gate("cnot", ("b", "c")), Gate("init0", ("d",))])
         c.add_layer([Gate("measure", ("a",), out="ma"), Gate("cnot", ("c", "b")), Gate("idle", ("d",))])
-        c.add_layer([Gate("cpauli", ("b",), pauli="y", control="ma"), Gate("h", ("c",)),
-                     Gate("cnot", ("d", "a"))])
-        c.add_layer([Gate("measure", ("b",), out="mb"), Gate("discard", ("c",)), Gate("idle", ("a",))])
+        c.add_layer([Gate("h", ("b",)), Gate("h", ("c",)), Gate("cnot", ("d", "a"))])
+        c.add_layer([Gate("measure", ("b",), out="mb"), Gate("init0", ("c",)), Gate("idle", ("a",))])
         return c
 
     def test_public_shape_is_trials_by_wires(self):
@@ -274,10 +295,10 @@ def _fresh_wire_circuit() -> Circuit:
     """Every location on its own wires, so each fault stays where it landed."""
     c = Circuit([f"w{i}" for i in range(14)])
     c.add_layer([Gate("idle", ("w0",)), Gate("h", ("w1",)), Gate("cnot", ("w2", "w3")),
-                 Gate("discard", ("w4",))])
+                 Gate("init0", ("w4",))])
     c.add_layer([Gate("init0", ("w5",)), Gate("cnot", ("w6", "w7")), Gate("measure", ("w8",), out="m")])
     c.add_layer([Gate("idle", ("w9",)), Gate("measure", ("w10",), out="n"),
-                 Gate("cnot", ("w11", "w12")), Gate("discard", ("w13",))])
+                 Gate("cnot", ("w11", "w12")), Gate("init0", ("w13",))])
     return c
 
 
@@ -287,7 +308,8 @@ def _wilson_contains(hits: int, trials: int, p: float, z: float = 3.29) -> bool:
 
 
 class TestSparseFaultSampling:
-    PAULI_LOCS = (("w0",), ("w1",), ("w2", "w3"), ("w5",), ("w6", "w7"), ("w9",), ("w11", "w12"))
+    PAULI_LOCS = (("w0",), ("w1",), ("w2", "w3"), ("w4",), ("w5",), ("w6", "w7"), ("w9",), ("w11", "w12"),
+                  ("w13",))
 
     def run(self, delta, trials, seed=7, tag=0, chunk=0):
         c = _fresh_wire_circuit()
@@ -317,11 +339,6 @@ class TestSparseFaultSampling:
             z = NormalDist().inv_cdf(1 - 0.0005 / (counts.size - 1))
             for n in counts[1:]:
                 assert _wilson_contains(int(n), trials, 1 / (counts.size - 1), z), (wires, counts)
-
-    def test_discard_never_faulted(self):
-        b = self.run(1.0, 500)
-        cols = b.columns(["w4", "w13"])
-        assert not b.x[:, cols].any() and not b.z[:, cols].any()
 
     def test_delta_edges_and_zero_trials(self):
         quiet = self.run(0.0, 300)
@@ -378,7 +395,7 @@ def _reference_run(c: Circuit, batch: FrameBatch, params: NoiseParams, tag: int,
     for layer in c.layers:
         for g in layer:
             circ._apply_gate_frame(batch, g)
-        _reference_layer_faults(batch, [g for g in layer if g.name != "discard"], params.delta, rng)
+        _reference_layer_faults(batch, layer, params.delta, rng)
     return batch
 
 
@@ -397,7 +414,7 @@ def _uniform_layer_circuit() -> Circuit:
     c.add_layer([Gate("idle", (f"u{i}",)) for i in range(6)])
     c.add_layer([Gate("cnot", ("u0", "u1")), Gate("cnot", ("u2", "u3")), Gate("cnot", ("u5", "u4"))])
     c.add_layer([Gate("measure", ("u0",), out="m0"), Gate("h", ("u1",)), Gate("idle", ("u2",)),
-                 Gate("discard", ("u3",))])
+                 Gate("init0", ("u3",))])
     c.add_layer([Gate("cnot", ("u1", "u2")), Gate("idle", ("u4",))])
     c.add_layer([Gate("measure", (f"u{i}",), out=f"m{i}") for i in (1, 2)])
     return c
@@ -461,15 +478,6 @@ class TestCompiledFaultTable:
         got = FrameRunner(params).run(grown, FrameBatch(grown.wires, 64), tag=1)
         want = FrameRunner(params).run(whole, FrameBatch(whole.wires, 64), tag=1)
         assert _same_frames(got, want) and "mb" in got.flips
-
-    def test_table_rows_skip_discards(self):
-        table = _fresh_wire_circuit().fault_table()
-        assert [lf.arity.tolist() for lf in table.layers] == [[1, 1, 2], [1, 2, 0], [1, 0, 2]]
-        assert [lf.code_arity for lf in table.layers] == [0, 0, 0]
-        uniform = _uniform_layer_circuit().fault_table()
-        assert [lf.code_arity for lf in uniform.layers] == [1, 2, 1, 0, 0]
-        assert table.cols.shape == (9, 2)
-        assert table.cols[2].tolist() == [2, 3] and table.layers[2].meas_labels == ("n",)
 
     def test_non_contiguous_frame_raises(self):
         c = _fresh_wire_circuit()
@@ -544,20 +552,20 @@ class TestForcedFaults:
     @pytest.mark.parametrize(
         "forced, match",
         [
-            (([9], [0], [1]), "outside the circuit"),
+            (([11], [0], [1]), "outside the circuit"),
             (([-1], [0], [1]), "outside the circuit"),
             (([0], [4], [1]), "outside the batch"),
             (([0], [-1], [1]), "outside the batch"),
             (([0], [0], [0]), "code"),
             (([2], [0], [16]), "code"),
             (([1], [0], [4]), "code"),
-            (([5], [0], [2]), "code"),
+            (([6], [0], [2]), "code"),
             (([0, 1], [0], [1, 1]), "length"),
             (([0, 1, 0], [3, 0, 3], [1, 2, 3]), "one location and trial"),
         ],
     )
     def test_bad_forced_faults_raise(self, forced, match):
-        c = _fresh_wire_circuit()  # rows 2, 4, 8 are cnots, 5 and 7 measurements
+        c = _fresh_wire_circuit()  # rows 2, 5, 9 are cnots, 6 and 8 measurements
         with pytest.raises(ValueError, match=match):
             _forced_run(c, 4, False, forced, delta=0.0)
         with pytest.raises(ValueError, match=match):
@@ -565,7 +573,7 @@ class TestForcedFaults:
 
     def test_run_noisy_rejects_bad_faults(self):
         c = _fresh_wire_circuit()
-        for faults in ({9: 1}, {-1: 1}, {2: 16}, {5: 2}):
+        for faults in ({11: 1}, {-1: 1}, {2: 16}, {6: 2}):
             with pytest.raises(ValueError):
                 circ.run_noisy(c, Tableau.zero_state(c.wires), faults=faults)
 
@@ -573,13 +581,19 @@ class TestForcedFaults:
         for c in (_fresh_wire_circuit(), TestFrameLayout.mixed_circuit(), _uniform_layer_circuit()):
             table, locs = c.fault_table(), c.locations()
             assert len(locs) == c.n_locations == table.cols.shape[0] == table.arity.size
+            assert locs == [(li, gi) for li, layer in enumerate(c.layers) for gi in range(len(layer))]
             for row, (li, gi) in enumerate(locs):
                 g, rows = c.layers[li][gi], table.layers[li].rows
-                assert g.name != "discard" and rows.start <= row < rows.stop
+                assert rows.start <= row < rows.stop
                 assert table.cols[row].tolist() == [c.wires.index(g.wires[0]), c.wires.index(g.wires[-1])]
                 assert table.arity[row] == (0 if g.name == "measure" else len(g.wires))
-        assert _fresh_wire_circuit().n_locations == 9
-        assert (0, 3) not in _fresh_wire_circuit().locations()
+        table = _fresh_wire_circuit().fault_table()
+        assert [lf.arity.tolist() for lf in table.layers] == [[1, 1, 2, 1], [1, 2, 0], [1, 0, 2, 1]]
+        assert [lf.code_arity for lf in table.layers] == [0, 0, 0]
+        assert table.cols.shape == (11, 2)
+        assert table.cols[2].tolist() == [2, 3] and table.layers[2].meas_labels == ("n",)
+        uniform = _uniform_layer_circuit().fault_table()
+        assert [lf.code_arity for lf in uniform.layers] == [1, 2, 1, 0, 0]
 
     def test_idle_only_flag(self):
         c = Circuit(["a", "b"])

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from decint import css, interface
+from decint import css, gf2, interface
 from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
 from decint.css import PauliOp
 from decint.gf2 import BitMatrix, BitVector
@@ -539,6 +539,14 @@ class TestFrameClassification:
         brute = ((e[:, None, :] ^ cosets[None, :, :]) != 0).sum(axis=2).min(axis=1)
         assert np.array_equal(interface._reduced_weights(e, cosets), brute)
         assert np.array_equal(interface._reduced_weights(e[:, ::-1], cosets[:, ::-1]), brute)
+        # More cosets than one slice of 2^SPAN_BLOCK_BITS: the minimum runs across slices.
+        many = rng.integers(0, 2, (5000, n), dtype=np.uint8)
+        many[0] = 0
+        many[4500] = e[40]  # reaches weight 0 through the second slice
+        few = e[15:45]
+        brute = ((few[:, None, :] ^ many[None, :, :]) != 0).sum(axis=2).min(axis=1)
+        assert len(many) > 1 << gf2.SPAN_BLOCK_BITS and brute[-5] == 0
+        assert np.array_equal(interface._reduced_weights(few, many), brute)
 
     def test_coset_enumeration_fails_fast(self):
         limit = interface.MAX_TABLE_ROWS
