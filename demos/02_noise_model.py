@@ -2,25 +2,30 @@
 # The noise model: independent location faults, local stochastic samples,
 # composition, and the low-weight tail bound with its exact verification.
 
-import math
 from fractions import Fraction
 
+import numpy as np
+
 from decint import noise
-from decint.noise import NoiseParams
 
 # --- fault patterns over circuit locations ---------------------------------------
-params = NoiseParams(delta=0.1, seed=42)
-fp = noise.sample_fault_pattern(10_000, params)
-print(f"faulty fraction at delta=0.1: {len(fp)/10_000:.4f}")
+# Each location is faulty with probability delta; the draw is sparse.
+rng = noise.rng_stream(42, noise.STREAM_CIRCUIT, 0)
+faulty = noise.bernoulli_positions(rng, 10_000, 0.1)
+print(f"faulty fraction at delta=0.1: {faulty.size/10_000:.4f}")
 
-# Same seed, same pattern; the samplers are pure functions of their keys.
-assert noise.sample_fault_pattern(100, params, trial=5) == noise.sample_fault_pattern(
-    100, params, trial=5
+# Same key, same pattern; the samplers are pure functions of their keys.
+assert np.array_equal(
+    noise.bernoulli_positions(noise.rng_stream(42, noise.STREAM_CIRCUIT, 5), 100, 0.1),
+    noise.bernoulli_positions(noise.rng_stream(42, noise.STREAM_CIRCUIT, 5), 100, 0.1),
 )
 
 # --- local stochastic channels ----------------------------------------------------
-s = noise.sample_ls_iid(qubits=12, delta=0.3, seed=7)
-print("ls support:", s.support, "assignment:", s.paulis)
+# One sample as x, z bits; X, Z and Y read off the two bits.
+(x,), (z,) = noise.sample_ls_bits(12, 0.3, seed=7, trials=1)
+support = np.flatnonzero(x | z)
+paulis = tuple("XZY"[x[q] + 2 * z[q] - 1] for q in support)
+print("ls support:", tuple(int(q) for q in support), "assignment:", paulis)
 
 # The i.i.d. instance saturates the defining inclusion bound with equality:
 x, z = noise.sample_ls_bits(4, 0.2, seed=1, trials=200_000)
@@ -33,10 +38,10 @@ print("compose(0.01, 0.02) =", noise.compose_ls(0.01, 0.02))
 
 # --- the overflow tail bound -------------------------------------------------------
 # Probability that a parameter-delta channel touches more than mu*n of n
-# qubits: h * (2^{h2(mu)/mu} delta)^{mu n}.
+# qubits: h * (2^{h2(mu)/mu} delta)^{mu n}. Support sizes are binomial.
 for n in (20, 50):
     tb = noise.tail_bound(mu=0.2, delta=0.01, n=n, h=1)
-    sizes = noise.support_sizes(n, 0.01, 10**6, seed=3)
+    sizes = noise.rng_stream(3, noise.STREAM_LS, 0).binomial(n, 0.01, size=10**6)
     tau_hat = float((sizes > 0.2 * n).mean())
     print(f"n={n}: analytic bound {tb.value:.3e}  empirical overflow {tau_hat:.3e}")
 
@@ -46,6 +51,6 @@ ok, tail, bound = noise.tail_bound_dominates(Fraction(1, 5), Fraction(1, 100), 5
 print(f"exact tail {float(tail):.3e} <= bound {bound:.3e}: {ok}")
 
 # Truncation into the low-weight branch:
-samples = [noise.sample_ls_iid(50, 0.01, seed=9, trial=t) for t in range(2000)]
-res = noise.ls_truncate(samples, mu=0.2, n=50)
-print(f"overflow frequency over {res.total} samples: {res.tau_hat:.4f}")
+x, z = noise.sample_ls_bits(50, 0.01, seed=9, trials=2000)
+overflow = ((x | z).sum(axis=1) > 0.2 * 50).mean()
+print(f"overflow frequency over {len(x)} samples: {overflow:.4f}")

@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import circuit, gf2
-from .css import CodeFamily, CssCode, PauliOp
+from .css import CodeFamily, CssCode
 from .circuit import Circuit, FrameBatch, FrameRunner, Gate
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 from .noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_bits
 from .tableau import Tableau
 
@@ -140,52 +140,25 @@ def _frame_tables(code: CssCode) -> _FrameTables:
     )
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    """Correction estimate with per-sector ambiguity flags.
-
-    A sector heralds when no coset leader exists within the certified
-    radius floor((d-1)/2); the leader (if any) is still reported, but EC
-    executors abstain from applying a heralded sector so that an ambiguous
-    detection never grows the residual reduced weight.
-    """
-
-    correction: PauliOp
-    herald_x: bool  # X-error estimate uncertain
-    herald_z: bool
-
-    @property
-    def herald(self) -> bool:
-        return self.herald_x or self.herald_z
-
-
-def _decode_css(code: CssCode, syn_x: np.ndarray, syn_z: np.ndarray):
+def decode_syndrome(code: CssCode, syn_x: np.ndarray, syn_z: np.ndarray):
     """Leaders and heralds for (X-check, Z-check) syndromes, (rows, trials) each.
 
     Returns (ex, ez, herald_x, herald_z): (n, trials) X and Z corrections
     and (trials,) flags. X-check outcomes locate Z errors and vice versa.
     Any true error of reduced weight < d/2 decodes to a residual inside the
-    stabilizer group; see `DecodeResult` for the heralds.
+    stabilizer group. A sector heralds when no coset leader exists within
+    the certified radius floor((d-1)/2); the leader (if any) is still
+    reported, but EC rounds abstain from applying a heralded sector so that
+    an ambiguous detection never grows the residual reduced weight.
     """
+    if len(syn_x) != code.hx.nrows or len(syn_z) != code.hz.nrows:
+        raise ValueError("syndrome rows must match check counts")
     d = code.min_distance()[0]
     tables = _frame_tables(code)
     ez, wz = tables.table_z.lookup(syn_x.T)
     ex, wx = tables.table_x.lookup(syn_z.T)
     herald_x, herald_z = ((w < 0) | (2 * w >= d) for w in (wx, wz))
     return ex.T, ez.T, herald_x, herald_z
-
-
-def _first_decode(ex, ez, herald_x, herald_z) -> DecodeResult:
-    """The `DecodeResult` of trial 0 of a `_decode_css` batch."""
-    correction = PauliOp(BitVector.from_bits(ex[:, 0]), BitVector.from_bits(ez[:, 0]))
-    return DecodeResult(correction, bool(herald_x[0]), bool(herald_z[0]))
-
-
-def decode_syndrome(code: CssCode, syn_x: BitVector, syn_z: BitVector) -> DecodeResult:
-    """Minimum-weight correction for (X-check, Z-check) syndromes."""
-    if syn_x.n != code.hx.nrows or syn_z.n != code.hz.nrows:
-        raise ValueError("syndrome lengths must match check counts")
-    return _first_decode(*_decode_css(code, syn_x.to_array()[:, None], syn_z.to_array()[:, None]))
 
 
 # -- syndrome extraction circuit ----------------------------------------------------
@@ -341,14 +314,7 @@ def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> Ec
 # -- logical Bell processing ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BellOutcome:
-    u: BitVector
-    v: BitVector
-    herald: bool
-
-
-def _bell_bits(code_r: CssCode, m1: np.ndarray, m2: np.ndarray):
+def logical_bell_process(code_r: CssCode, m1: np.ndarray, m2: np.ndarray):
     """Logical Bell bits (u, v), (m_r, trials) each, and (trials,) heralds.
 
     m1 (X-basis readout of Q, (n, trials)) is corrected to the nearest word
@@ -357,17 +323,11 @@ def _bell_bits(code_r: CssCode, m1: np.ndarray, m2: np.ndarray):
     representatives. Herald when either correction leaves the decoding
     radius.
     """
+    if len(m1) != code_r.n or len(m2) != code_r.n:
+        raise ValueError("readout rows must match the code length n")
     t = _frame_tables(code_r)
-    e2, e1, herald2, herald1 = _decode_css(code_r, gf2.mul_bits(t.hx, m1), gf2.mul_bits(t.hz, m2))
+    e2, e1, herald2, herald1 = decode_syndrome(code_r, gf2.mul_bits(t.hx, m1), gf2.mul_bits(t.hz, m2))
     return gf2.mul_bits(t.lx, m1 ^ e1), gf2.mul_bits(t.lz, m2 ^ e2), herald1 | herald2
-
-
-def logical_bell_process(code_r: CssCode, m1: BitVector, m2: BitVector) -> BellOutcome:
-    """Classical processing of the transversal Bell measurement strings."""
-    if m1.n != code_r.n or m2.n != code_r.n:
-        raise ValueError("measurement strings must have length n")
-    u, v, herald = _bell_bits(code_r, m1.to_array()[:, None], m2.to_array()[:, None])
-    return BellOutcome(BitVector.from_bits(u[:, 0]), BitVector.from_bits(v[:, 0]), bool(herald[0]))
 
 
 # -- the partial decoding interface Gamma ---------------------------------------------
@@ -726,7 +686,7 @@ def _ec_round(gadget: EcGadget, engine):
     """
     engine.run(gadget.extraction)
     syn_x, syn_z = engine.bits(gadget.x_labels()), engine.bits(gadget.z_labels())
-    decoded = ex, ez, herald_x, herald_z = _decode_css(gadget.code, syn_x, syn_z)
+    decoded = ex, ez, herald_x, herald_z = decode_syndrome(gadget.code, syn_x, syn_z)
     engine.xor(gadget.data_wires, ex & ~herald_x, ez & ~herald_z)
     engine.run(gadget.correction_circuit)
     return decoded
@@ -749,7 +709,7 @@ def gamma_pass(plan: InterfaceCircuit, engine) -> np.ndarray:
     ec_rounds(plan.q_gadget, engine)
     engine.resource(plan)
     engine.run(plan.bell_circuit)
-    u, v, herald = _bell_bits(plan.code_r, engine.bits(plan.m1_labels), engine.bits(plan.m2_labels))
+    u, v, herald = logical_bell_process(plan.code_r, engine.bits(plan.m1_labels), engine.bits(plan.m2_labels))
     for g in plan.b_gadgets:
         ec_rounds(g, engine)
     engine.run(plan.proc_wait_circuit)
@@ -769,17 +729,6 @@ class GammaReference:
     output: Tableau
     outcomes: dict
     heralds: bool
-    m1_in_code: bool
-    m2_in_code: bool
-
-
-def _run_ec_tableau(
-    gadget: EcGadget, state: Tableau, outcomes: dict, rng, corrections_log: list
-):
-    """Noiseless EC rounds of `gadget` on `state`, logging each round's decode."""
-    engine = TableauEngine(state, rng, outcomes)
-    for _ in range(gadget.rounds):
-        corrections_log.append(_first_decode(*_ec_round(gadget, engine)))
 
 
 def run_gamma_tableau(
@@ -797,18 +746,7 @@ def run_gamma_tableau(
     """
     engine = TableauEngine(state, rng or np.random.default_rng(0), {})
     herald = gamma_pass(plan, engine)
-    t = _frame_tables(plan.code_r)
-    m1_in_code, m2_in_code = (
-        not gf2.mul_bits(h, engine.bits(labels)).any()
-        for h, labels in ((t.hx, plan.m1_labels), (t.hz, plan.m2_labels))
-    )
-    return GammaReference(
-        output=state,
-        outcomes=engine.outcomes,
-        heralds=bool(herald[0]),
-        m1_in_code=m1_in_code,
-        m2_in_code=m2_in_code,
-    )
+    return GammaReference(output=state, outcomes=engine.outcomes, heralds=bool(herald[0]))
 
 
 def expected_output_tableau(plan: InterfaceCircuit, logical: Tableau) -> Tableau:
@@ -929,29 +867,6 @@ def classify_gamma_output(
     return overflow, logical, hist
 
 
-def run_gamma_chunk(
-    plan: InterfaceCircuit,
-    params: NoiseParams,
-    trials: int,
-    mu: float,
-    chunk: int = 0,
-) -> ChunkStats:
-    """One vectorized chunk of Monte Carlo trials over fault patterns."""
-    run = gamma_frames(plan, params, trials, chunk=chunk)
-    overflow, logical, hist = classify_gamma_output(plan, run, mu)
-    failures = run.herald | overflow | logical
-    out_err = ((run.out_x | run.out_z) != 0).sum(axis=0)
-    return ChunkStats(
-        trials=trials,
-        failures=int(failures.sum()),
-        heralds=int(run.herald.sum()),
-        weight_overflows=int(overflow.sum()),
-        logical_errors=int(logical.sum()),
-        block_weight_hist=hist,
-        out_qubit_errors=out_err.astype(np.int64),
-    )
-
-
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     if trials == 0:
         return (0.0, 1.0)
@@ -1009,9 +924,22 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([rem] if rem else [])
 
 
-def _chunk_job(args):
-    plan, params, size, mu, chunk = args
-    return run_gamma_chunk(plan, params, size, mu, chunk=chunk)
+def _chunk_job(args) -> ChunkStats:
+    """One vectorized chunk of Monte Carlo trials: run and classify."""
+    plan, params, trials, mu, chunk = args
+    run = gamma_frames(plan, params, trials, chunk=chunk)
+    overflow, logical, hist = classify_gamma_output(plan, run, mu)
+    failures = run.herald | overflow | logical
+    out_err = ((run.out_x | run.out_z) != 0).sum(axis=0)
+    return ChunkStats(
+        trials=trials,
+        failures=int(failures.sum()),
+        heralds=int(run.herald.sum()),
+        weight_overflows=int(overflow.sum()),
+        logical_errors=int(logical.sum()),
+        block_weight_hist=hist,
+        out_qubit_errors=out_err.astype(np.int64),
+    )
 
 
 def estimate_tau(

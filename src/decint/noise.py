@@ -1,5 +1,5 @@
-"""Stochastic circuit-level noise: fault patterns, local stochastic samples,
-composition, and the low-weight tail bound.
+"""Stochastic circuit-level noise: keyed random streams, the Bernoulli draw,
+the local stochastic (LS) sampler, composition, and the low-weight tail bound.
 
 Randomness is counter-based: every draw comes from a Philox stream keyed by
 (master seed, purpose, indices), so samplers are pure functions of their key
@@ -8,6 +8,7 @@ is keyed per fragment run, (seed, STREAM_CIRCUIT, *owner key, run index,
 chunk), with the run index counted by the frame engine: one generator
 serves every location of the fragment. Bernoulli draws are sparse
 (`bernoulli_positions`), so a sampler costs O(delta) per location-trial.
+`sample_ls_bits` is the one LS sampler: a batch of trials as x, z bits.
 
 The arbitrary replacement channel at each location is instantiated as its
 Pauli-twirled member, the simulable instance; reports record this as
@@ -19,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-# Stream purposes (mixed into Philox keys).
-STREAM_FAULT_PATTERN = 1
+# Stream purposes (mixed into Philox keys). Purpose 1 is retired; renumbering
+# the others would change every stream.
 STREAM_LS = 2
 STREAM_CIRCUIT = 3
 STREAM_ORACLE = 4
@@ -80,65 +81,6 @@ def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.nd
     return pos[: np.searchsorted(pos, total)]
 
 
-@dataclass(frozen=True)
-class FaultPattern:
-    """Subset of circuit locations that are faulty in one execution."""
-
-    locations: frozenset
-
-    def __contains__(self, loc) -> bool:
-        return loc in self.locations
-
-    def __len__(self) -> int:
-        return len(self.locations)
-
-
-def sample_fault_pattern(
-    locations: Union[int, Sequence], params: NoiseParams, trial: int = 0
-) -> FaultPattern:
-    """Each location independently faulty with probability delta."""
-    labels = list(range(locations)) if isinstance(locations, int) else list(locations)
-    rng = rng_stream(params.seed, STREAM_FAULT_PATTERN, trial)
-    return FaultPattern(frozenset(labels[i] for i in bernoulli_positions(rng, len(labels), params.delta)))
-
-
-PAULI_KINDS = ("X", "Z", "Y")
-
-
-@dataclass(frozen=True)
-class LocalStochasticSample:
-    """Support set plus a nontrivial Pauli on each supported qubit."""
-
-    n: int
-    support: tuple[int, ...]
-    paulis: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.paulis):
-            raise ValueError("support/assignment length mismatch")
-
-    def as_bits(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.zeros(self.n, dtype=np.uint8)
-        z = np.zeros(self.n, dtype=np.uint8)
-        for q, p in zip(self.support, self.paulis):
-            if p in ("X", "Y"):
-                x[q] = 1
-            if p in ("Z", "Y"):
-                z[q] = 1
-        return x, z
-
-
-def sample_ls_iid(qubits: int, delta: float, seed: int, trial: int = 0) -> LocalStochasticSample:
-    """I.i.d. support with probability delta, uniform nontrivial Pauli on it.
-
-    Satisfies Pr(T subset of A) = delta^|T| with equality.
-    """
-    (x,), (z,) = sample_ls_bits(qubits, delta, seed, 1, stream=trial)
-    support = tuple(int(i) for i in np.flatnonzero(x | z))
-    paulis = tuple(PAULI_KINDS[x[i] + 2 * z[i] - 1] for i in support)
-    return LocalStochasticSample(qubits, support, paulis)
-
-
 def sample_ls_bits(
     qubits: int, delta: float, seed: Union[int, np.random.Generator], trials: int, stream: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +94,7 @@ def sample_ls_bits(
     x = np.zeros((trials, qubits), dtype=np.uint8)
     z = np.zeros_like(x)
     hits = bernoulli_positions(rng, trials * qubits, delta)
-    kinds = rng.integers(0, 3, size=hits.size, dtype=np.uint8)  # PAULI_KINDS index
+    kinds = rng.integers(0, 3, size=hits.size, dtype=np.uint8)  # 0 = X, 1 = Z, 2 = Y
     x.flat[hits] = kinds != 1  # X or Y
     z.flat[hits] = kinds != 0  # Z or Y
     return x, z
@@ -234,36 +176,3 @@ def tail_bound_dominates(
         bound_lo = bound * (1 - mpmath.mpf("1e-40"))
         ok = mpmath.mpf(tail.numerator) / tail.denominator <= bound_lo
         return bool(ok), tail, float(bound)
-
-
-@dataclass
-class TruncationResult:
-    kept: list
-    total: int
-    overflow: int
-
-    @property
-    def tau_hat(self) -> float:
-        return self.overflow / self.total if self.total else 0.0
-
-
-def ls_truncate(
-    samples: Iterable[LocalStochasticSample], mu: float, n: int
-) -> TruncationResult:
-    """Partition samples into support <= mu*n (kept) and overflow."""
-    kept = []
-    overflow = 0
-    total = 0
-    for s in samples:
-        total += 1
-        if len(s.support) <= mu * n:
-            kept.append(s)
-        else:
-            overflow += 1
-    return TruncationResult(kept=kept, total=total, overflow=overflow)
-
-
-def support_sizes(n: int, delta: float, trials: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Support sizes of `trials` i.i.d. samples (binomial fast path)."""
-    rng = rng_stream(seed, STREAM_LS, stream)
-    return rng.binomial(n, delta, size=trials)

@@ -3,8 +3,9 @@
 `perfbench/probe.py` ends set-up at the first call to
 `interface.gamma_frames`, `e2e.run_block_chain_frames` or
 `e2e.run_block_chain_tableau`, patched as module attributes, and its tracer
-patches the frame runner and the tableau executor. These tests run the probe
-traced, as the benchmark does, on a workload of each entry point.
+patches the frame runner, the tableau executor, the decoder and the Bell
+readout. These tests run the probe traced, as the benchmark does, on a
+workload of each entry point.
 """
 
 import importlib.util
@@ -72,6 +73,9 @@ def test_traced_probe_sees_one_engine(tmp_path, command, config, engine, other):
     layers = load_tracer().summarize(sidecar)["layers"]
     assert layers[engine]["calls"] > 0
     assert layers[other]["calls"] == 0
+    # The real decodes and Bell readouts run through the traced module attributes.
+    assert layers["interface.decode_syndrome"]["calls"] > 0
+    assert layers["interface.bell_process"]["calls"] > 0
     if config.get("mode") == "exhaustive":
         # One batched chain walk per (block, logical pattern), not one per case.
         assert layers["e2e.block_chain"]["calls"] == config["h"] * 2

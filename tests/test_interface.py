@@ -76,54 +76,51 @@ class TestLeaderTable:
         assert w[0] == 0 and not got[0].any()
 
 
+def col(bits) -> np.ndarray:
+    """One trial as a (rows, 1) column."""
+    return np.asarray(bits, np.uint8).reshape(-1, 1)
+
+
+def syndromes(code, ex, ez):
+    """(X-check, Z-check) syndromes of (n, trials) X and Z errors."""
+    return gf2.mul_bits(code.hx.to_dense(), ez), gf2.mul_bits(code.hz.to_dense(), ex)
+
+
 class TestDecodeSyndrome:
     def test_zero_syndrome_identity(self, sfam):
         code = sfam.level(2)
-        res = interface.decode_syndrome(code, BitVector.zeros(3), BitVector.zeros(3))
-        assert res.correction.weight() == 0 and not res.herald
+        ex, ez, herald_x, herald_z = interface.decode_syndrome(code, col([0] * 3), col([0] * 3))
+        assert not ex.any() and not ez.any()
+        assert not herald_x[0] and not herald_z[0]
 
     def test_steane_x3_recovered_exactly(self, sfam):
         code = sfam.level(2)
         e = np.zeros(7, np.uint8)
         e[3] = 1
-        syn_z = BitVector.from_bits((code.hz.to_dense() @ e) % 2)
-        res = interface.decode_syndrome(code, BitVector.zeros(3), syn_z)
-        assert not res.herald
-        assert np.array_equal(res.correction.x.to_array(), e)
-        assert res.correction.z.weight() == 0
+        syn_z = col((code.hz.to_dense() @ e) % 2)
+        ex, ez, herald_x, herald_z = interface.decode_syndrome(code, col([0] * 3), syn_z)
+        assert not herald_x[0] and not herald_z[0]
+        assert np.array_equal(ex[:, 0], e)
+        assert not ez.any()
 
     def test_steane_all_weight_one_residual_stabilizer(self, sfam):
+        # The identity and all 21 weight-one Paulis, decoded as one batch.
         code = sfam.level(2)
-        hx = code.hx.to_dense()
-        hz = code.hz.to_dense()
-        cases = [(np.zeros(7, np.uint8), np.zeros(7, np.uint8))]
-        for q in range(7):
-            for kind in ("X", "Z", "Y"):
-                ex = np.zeros(7, np.uint8)
-                ez = np.zeros(7, np.uint8)
-                if kind in "XY":
-                    ex[q] = 1
-                if kind in "ZY":
-                    ez[q] = 1
-                cases.append((ex, ez))
-        for ex, ez in cases:
-            syn_x = BitVector.from_bits((hx @ ez) % 2)
-            syn_z = BitVector.from_bits((hz @ ex) % 2)
-            res = interface.decode_syndrome(code, syn_x, syn_z)
-            assert not res.herald
-            rx = (res.correction.x.to_array() ^ ex).tolist()
-            rz = (res.correction.z.to_array() ^ ez).tolist()
-            red = code.reduced_weight(
-                PauliOp(BitVector.from_bits(rx), BitVector.from_bits(rz))
-            )
-            assert red.weight == 0
+        ex = np.zeros((7, 22), np.uint8)
+        ez = np.zeros((7, 22), np.uint8)
+        for i, (q, kind) in enumerate(itertools.product(range(7), ("X", "Z", "Y")), start=1):
+            ex[q, i] = kind in "XY"
+            ez[q, i] = kind in "ZY"
+        cx, cz, herald_x, herald_z = interface.decode_syndrome(code, *syndromes(code, ex, ez))
+        assert not herald_x.any() and not herald_z.any()
+        for t in range(22):
+            rx, rz = (BitVector.from_bits(c[:, t] ^ e[:, t]) for c, e in ((cx, ex), (cz, ez)))
+            assert code.reduced_weight(PauliOp(rx, rz)).weight == 0, t
 
     def test_d2_code_heralds_ambiguity(self, fam):
         code = fam.level(2)
-        res = interface.decode_syndrome(
-            code, BitVector.from_bits([1]), BitVector.zeros(1)
-        )
-        assert res.herald_z and not res.herald_x
+        _, _, herald_x, herald_z = interface.decode_syndrome(code, col([1]), col([0]))
+        assert herald_z[0] and not herald_x[0]
 
 
 class TestBuildEc:
@@ -160,10 +157,10 @@ class TestBuildEc:
         g = interface.build_ec(code, 1, [f"d{i}" for i in range(7)])
         st = code.encode_state([0], labels=g.data_wires)
         apply_error(st, "d1", "X")
-        outcomes, log = {}, []
-        interface._run_ec_tableau(g, st, outcomes, np.random.default_rng(0), log)
+        engine = interface.TableauEngine(st, np.random.default_rng(0), {})
+        _, _, herald_x, herald_z = interface._ec_round(g, engine)
         assert st.same_state(code.encode_state([0], labels=g.data_wires))
-        assert not log[0].herald
+        assert not herald_x[0] and not herald_z[0]
 
     def test_ec_contract_exhaustive_at_d3(self, sfam):
         # Noiseless gadget, input reduced weight 1 < d/2: output reduced
@@ -175,7 +172,7 @@ class TestBuildEc:
             for kind in ("X", "Z", "Y"):
                 st = code.encode_state([0], labels=g.data_wires)
                 apply_error(st, f"d{q}", kind)
-                interface._run_ec_tableau(g, st, {}, np.random.default_rng(1), [])
+                interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(1), {}))
                 assert st.same_state(clean), (q, kind)
 
     def test_c422_weight_one_residual_bounded(self, fam):
@@ -187,8 +184,8 @@ class TestBuildEc:
             for kind in ("X", "Z"):
                 st = code.encode_state([0, 0], labels=g.data_wires)
                 apply_error(st, f"d{q}", kind)
-                outcomes, log = {}, []
-                interface._run_ec_tableau(g, st, outcomes, np.random.default_rng(0), log)
+                outcomes = {}
+                interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(0), outcomes))
                 assert any(outcomes.values())  # detected
                 # Residual state differs from the clean one by the original
                 # error (reduced weight 1): re-applying it restores.
@@ -200,43 +197,78 @@ class TestBuildEc:
 class TestLogicalBellProcess:
     def test_exact_codewords(self, fam):
         code = fam.level(2)
-        m1 = BitVector.zeros(4)
-        m2 = BitVector.zeros(4)
-        out = interface.logical_bell_process(code, m1, m2)
-        assert (out.u.weight(), out.v.weight(), out.herald) == (0, 0, False)
+        u, v, herald = interface.logical_bell_process(code, col([0] * 4), col([0] * 4))
+        assert (int(u.sum()), int(v.sum()), bool(herald[0])) == (0, 0, False)
 
     def test_single_flip_steane_same_outcome(self, sfam):
+        # Ten random ker(H_X) words, each with one random bit flipped, as one batch.
         code = sfam.level(2)
         rng = np.random.default_rng(2)
-        kx = css.gf2.nullspace_basis(code.hx)
-        for trial in range(10):
-            combo = rng.integers(0, 2, kx.nrows)
-            m1 = BitVector.zeros(7)
-            for i, c in enumerate(combo):
-                if c:
-                    m1 = m1 ^ kx.row(i)
-            base = interface.logical_bell_process(code, m1, BitVector.zeros(7))
-            q = int(rng.integers(0, 7))
-            flipped = m1 ^ BitVector.unit(7, q)
-            out = interface.logical_bell_process(code, flipped, BitVector.zeros(7))
-            assert not out.herald
-            assert out.u == base.u and out.v == base.v
+        kx = css.gf2.nullspace_basis(code.hx).to_dense()
+        m1 = gf2.mul_bits(kx.T, rng.integers(0, 2, (len(kx), 10), dtype=np.uint8))
+        flipped = m1.copy()
+        flipped[rng.integers(0, 7, 10), np.arange(10)] ^= 1
+        zeros = np.zeros((7, 10), np.uint8)
+        base_u, base_v, _ = interface.logical_bell_process(code, m1, zeros)
+        u, v, herald = interface.logical_bell_process(code, flipped, zeros)
+        assert not herald.any()
+        assert np.array_equal(u, base_u) and np.array_equal(v, base_v)
 
     def test_radius_flips_herald(self, fam):
         # ceil(d/2) = 1 flip on the d = 2 code exceeds the decoding radius.
         code = fam.level(2)
-        m1 = BitVector.from_bits([1, 0, 0, 0])
-        out = interface.logical_bell_process(code, m1, BitVector.zeros(4))
-        assert out.herald
+        _, _, herald = interface.logical_bell_process(code, col([1, 0, 0, 0]), col([0] * 4))
+        assert herald[0]
 
     def test_steane_two_flips_alias_silently(self, sfam):
         # The Hamming-based readout code is perfect (covering radius 1), so a
         # 2-flip error sits inside another codeword's ball: it decodes with a
         # weight-1 move and cannot herald. Documented behavior.
         code = sfam.level(2)
-        m1 = BitVector.from_bits([1, 1, 0, 0, 0, 0, 0])
-        out = interface.logical_bell_process(code, m1, BitVector.zeros(7))
-        assert not out.herald
+        _, _, herald = interface.logical_bell_process(code, col([1, 1, 0, 0, 0, 0, 0]), col([0] * 7))
+        assert not herald[0]
+
+
+def batch_codes():
+    toy, steane = css.toy_family(), css.steane_family()
+    return [(f"toy{r}", toy.level(r)) for r in (2, 3, 4)] + [("steane2", steane.level(2))]
+
+
+class TestBatchedCalls:
+    @pytest.mark.parametrize("name, code", batch_codes())
+    def test_decode_batch_equals_columns(self, name, code):
+        rng = np.random.default_rng(31)
+        syn_x = rng.integers(0, 2, (code.hx.nrows, 64), dtype=np.uint8)
+        syn_z = rng.integers(0, 2, (code.hz.nrows, 64), dtype=np.uint8)
+        batch = interface.decode_syndrome(code, syn_x, syn_z)
+        for t in range(64):
+            one = interface.decode_syndrome(code, syn_x[:, t : t + 1], syn_z[:, t : t + 1])
+            for got, want in zip(batch, one):
+                assert np.array_equal(got[..., t], want[..., 0]), t
+
+    @pytest.mark.parametrize("name, code", batch_codes())
+    def test_bell_batch_equals_columns(self, name, code):
+        rng = np.random.default_rng(32)
+        m1 = rng.integers(0, 2, (code.n, 64), dtype=np.uint8)
+        m2 = rng.integers(0, 2, (code.n, 64), dtype=np.uint8)
+        batch = interface.logical_bell_process(code, m1, m2)
+        for t in range(64):
+            one = interface.logical_bell_process(code, m1[:, t : t + 1], m2[:, t : t + 1])
+            for got, want in zip(batch, one):
+                assert np.array_equal(got[..., t], want[..., 0]), t
+
+    def test_wrong_row_counts_raise(self, sfam):
+        code = sfam.level(2)
+        ok_x, ok_z = np.zeros((code.hx.nrows, 5), np.uint8), np.zeros((code.hz.nrows, 5), np.uint8)
+        with pytest.raises(ValueError):
+            interface.decode_syndrome(code, ok_x[:-1], ok_z)
+        with pytest.raises(ValueError):
+            interface.decode_syndrome(code, ok_x, np.zeros((code.hz.nrows + 1, 5), np.uint8))
+        m = np.zeros((code.n, 5), np.uint8)
+        with pytest.raises(ValueError):
+            interface.logical_bell_process(code, m[:-1], m)
+        with pytest.raises(ValueError):
+            interface.logical_bell_process(code, m, np.zeros((code.n + 1, 5), np.uint8))
 
 
 class TestGammaNoiseless:
@@ -260,7 +292,11 @@ class TestGammaNoiseless:
                 logical.apply_x(j)
         inp = code.encoded_tableau(logical, labels=plan.q_wires)
         ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(1))
-        assert not ref.heralds and ref.m1_in_code and ref.m2_in_code
+        assert not ref.heralds
+        # Both Bell readouts are codewords of the level-r readout codes.
+        for h, labels in ((code.hx, plan.m1_labels), (code.hz, plan.m2_labels)):
+            readout = np.array([ref.outcomes[l] for l in labels], np.uint8)
+            assert not (h.to_dense() @ readout % 2).any()
         assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
 
     @pytest.mark.parametrize("seed", range(20))

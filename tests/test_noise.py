@@ -7,46 +7,52 @@ import pytest
 
 from decint import noise
 from decint.interface import wilson_interval
-from decint.noise import NoiseParams
+
+
+def fault_positions(total: int, delta: float, seed: int, trial: int = 0) -> np.ndarray:
+    """Faulty locations among `total`, each with probability delta."""
+    return noise.bernoulli_positions(noise.rng_stream(seed, noise.STREAM_CIRCUIT, trial), total, delta)
 
 
 class TestFaultPattern:
     def test_delta_zero_empty(self):
-        fp = noise.sample_fault_pattern(1000, NoiseParams(delta=0.0, seed=1))
-        assert len(fp) == 0
+        assert fault_positions(1000, 0.0, seed=1).size == 0
 
     def test_delta_one_full(self):
-        fp = noise.sample_fault_pattern(1000, NoiseParams(delta=1.0, seed=1))
-        assert len(fp) == 1000
+        assert np.array_equal(fault_positions(1000, 1.0, seed=1), np.arange(1000))
 
     def test_marginal_concentration(self):
         n = 10**6
-        fp = noise.sample_fault_pattern(n, NoiseParams(delta=0.1, seed=7))
-        assert abs(len(fp) / n - 0.1) < 0.001
+        assert abs(fault_positions(n, 0.1, seed=7).size / n - 0.1) < 0.001
 
     def test_reproducible(self):
-        p = NoiseParams(delta=0.3, seed=42)
-        assert noise.sample_fault_pattern(50, p, trial=3) == noise.sample_fault_pattern(
-            50, p, trial=3
-        )
-        assert noise.sample_fault_pattern(50, p, trial=3) != noise.sample_fault_pattern(
-            50, p, trial=4
-        )
+        a = fault_positions(50, 0.3, seed=42, trial=3)
+        assert np.array_equal(a, fault_positions(50, 0.3, seed=42, trial=3))
+        assert not np.array_equal(a, fault_positions(50, 0.3, seed=42, trial=4))
 
-    def test_labels(self):
-        fp = noise.sample_fault_pattern([("a", 0), ("a", 1)], NoiseParams(delta=1.0, seed=0))
-        assert ("a", 0) in fp and ("a", 1) in fp
+
+class _FixedGenerator(np.random.Generator):
+    """Geometric gaps of 2 and a fixed sequence of Pauli kinds."""
+
+    def __init__(self, kinds):
+        super().__init__(np.random.Philox(0))
+        self.kinds = np.array(kinds, np.uint8)
+
+    def geometric(self, p, size=None):
+        return np.full(size, 2, dtype=np.int64)
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        return self.kinds[:size].astype(dtype)
 
 
 class TestLocalStochastic:
     def test_delta_zero(self):
-        s = noise.sample_ls_iid(10, 0.0, seed=1)
-        assert s.support == ()
+        x, z = noise.sample_ls_bits(10, 0.0, seed=1, trials=1)
+        assert not (x | z).any()
 
     def test_delta_one(self):
-        s = noise.sample_ls_iid(10, 1.0, seed=1)
-        assert s.support == tuple(range(10))
-        assert all(p in "XZY" for p in s.paulis)
+        x, z = noise.sample_ls_bits(10, 1.0, seed=1, trials=1)
+        assert (x | z).all()  # every qubit carries X, Z or Y
 
     def test_pair_inclusion_frequency(self):
         # Pr(T in A) = delta^2 exactly for |T| = 2; empirical within 3 sigma.
@@ -72,15 +78,15 @@ class TestLocalStochastic:
                 assert freq <= delta**size + 3 * sigma
 
     def test_as_bits(self):
-        s = noise.LocalStochasticSample(4, (1, 3), ("Y", "Z"))
-        x, z = s.as_bits()
-        assert list(x) == [0, 1, 0, 0]
-        assert list(z) == [0, 1, 0, 1]
+        # Support (1, 3) with Paulis (Y, Z): kinds index X, Z, Y as 0, 1, 2.
+        x, z = noise.sample_ls_bits(4, 0.5, _FixedGenerator([2, 1]), 1)
+        assert list(x[0]) == [0, 1, 0, 0]
+        assert list(z[0]) == [0, 1, 0, 1]
 
     def test_reproducible(self):
-        a = noise.sample_ls_iid(30, 0.3, seed=5, trial=2)
-        b = noise.sample_ls_iid(30, 0.3, seed=5, trial=2)
-        assert a == b
+        a = noise.sample_ls_bits(30, 0.3, seed=5, trials=1, stream=2)
+        b = noise.sample_ls_bits(30, 0.3, seed=5, trials=1, stream=2)
+        assert all(np.array_equal(p, q) for p, q in zip(a, b))
 
 
 class TestCompose:
@@ -135,20 +141,22 @@ class TestTailBound:
         assert noise.binomial_tail_exact(5, Fraction(1, 10), 0) == 1
 
 
+def overflow_count(n: int, delta: float, trials: int, mu: float, seed: int) -> int:
+    """Trials whose LS support on n qubits exceeds mu * n."""
+    x, z = noise.sample_ls_bits(n, delta, seed=seed, trials=trials)
+    return int(((x | z).sum(axis=1) > mu * n).sum())
+
+
 class TestTruncate:
     def test_delta_zero_no_overflow(self):
-        samples = [noise.sample_ls_iid(20, 0.0, seed=1, trial=t) for t in range(100)]
-        res = noise.ls_truncate(samples, mu=0.1, n=20)
-        assert res.overflow == 0 and res.total == 100
+        assert overflow_count(20, 0.0, 100, mu=0.1, seed=1) == 0
 
     def test_mu_n_at_least_n(self):
-        samples = [noise.sample_ls_iid(10, 0.9, seed=2, trial=t) for t in range(50)]
-        res = noise.ls_truncate(samples, mu=1.0, n=10)
-        assert res.overflow == 0
+        assert overflow_count(10, 0.9, 50, mu=1.0, seed=2) == 0
 
     def test_overflow_within_analytic_bound(self):
         n, mu, delta, trials = 50, 0.2, 0.01, 10**6
-        sizes = noise.support_sizes(n, delta, trials, seed=9)
+        sizes = noise.rng_stream(9, noise.STREAM_LS, 0).binomial(n, delta, size=trials)
         tau_hat = (sizes > mu * n).mean()
         bound = noise.tail_bound(mu, delta, n, h=1).value
         sigma = math.sqrt(max(bound, tau_hat) * 1.0 / trials) + 1e-12
@@ -162,6 +170,11 @@ class TestRngStream:
         c = noise.rng_stream(1, 2, 3).random(4)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+    def test_stream_purposes_distinct(self):
+        purposes = {k: v for k, v in vars(noise).items() if k.startswith("STREAM_")}
+        assert len(purposes) >= 5
+        assert len(set(purposes.values())) == len(purposes), purposes
 
 
 def _wilson_contains(hits: int, trials: int, p: float, z: float = 3.29) -> bool:
@@ -242,9 +255,3 @@ class TestLsBits:
         assert all(np.array_equal(a, b) for a, b in zip(keyed, direct))
         other = noise.sample_ls_bits(7, 0.2, seed=9, trials=300, stream=5)
         assert not np.array_equal(keyed[0], other[0])
-
-    def test_iid_sample_matches_bits(self):
-        s = noise.sample_ls_iid(40, 0.3, seed=6, trial=2)
-        (x,), (z,) = noise.sample_ls_bits(40, 0.3, seed=6, trials=1, stream=2)
-        bx, bz = s.as_bits()
-        assert np.array_equal(bx, x) and np.array_equal(bz, z)
