@@ -10,10 +10,9 @@ doubles underflow); Monte Carlo uses vectorized sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,25 +23,29 @@ Node = tuple[int, ...]  # path from the root: () is the root, bits go down
 MAX_EXACT_DEPTH = 6  # z <= 6 keeps the exact recursion and enumerations small
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class _TreeFields(NamedTuple):
+    z: int
+    taus: tuple[Fraction, ...]
+
+
+class TreeParams(_TreeFields):
     """Perfect binary tree of depth z-1 with per-depth fresh-failure rates.
 
     taus[y] is the fresh-failure probability at depth y (the level-(r-y)
     interface); exact arithmetic uses them as Fractions.
     """
 
-    z: int
-    taus: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.z < 1:
+    def __new__(cls, z: int, taus: tuple[Fraction, ...]):
+        if z < 1:
             raise ValueError("z must be >= 1")
-        if len(self.taus) != self.z:
+        if len(taus) != z:
             raise ValueError("need one tau per depth 0..z-1")
-        for t in self.taus:
+        for t in taus:
             if not 0 <= t <= 1:
                 raise ValueError("taus must lie in [0, 1]")
+        return super().__new__(cls, z, taus)
 
     @classmethod
     def from_floats(cls, z: int, taus: Sequence[float]) -> "TreeParams":
@@ -112,8 +115,7 @@ def f_of_v(t_bar: Iterable[Node], v: Node) -> int:
 # -- sampling ---------------------------------------------------------------------
 
 
-@dataclass
-class TreeSample:
+class TreeSample(NamedTuple):
     """One sampled realization: states over all nodes plus the derived sets."""
 
     params: TreeParams
@@ -282,8 +284,7 @@ def partitions_leaf_set(failure_sets: Sequence[Iterable[Node]], f_bar: Iterable[
 # -- bound verification -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     t_bar: tuple[Node, ...]
     exact: Fraction
     bound: Fraction

@@ -17,8 +17,7 @@ faults through one function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,19 +33,23 @@ GATE_ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields(NamedTuple):
     name: str
     wires: tuple
-    out: Optional[str] = None  # classical outcome label (measure)
+    out: Optional[str]  # classical outcome label (measure)
 
-    def __post_init__(self):
-        if self.name not in GATE_ARITY:
-            raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.wires) != GATE_ARITY[self.name]:
-            raise ValueError(f"{self.name} arity mismatch: {self.wires}")
-        if self.name == "measure" and self.out is None:
+
+class Gate(_GateFields):
+    __slots__ = ()
+
+    def __new__(cls, name: str, wires: tuple, out: Optional[str] = None):
+        if name not in GATE_ARITY:
+            raise ValueError(f"unknown gate {name!r}")
+        if len(wires) != GATE_ARITY[name]:
+            raise ValueError(f"{name} arity mismatch: {wires}")
+        if name == "measure" and out is None:
             raise ValueError("measure needs an outcome label")
+        return super().__new__(cls, name, wires, out)
 
 
 class Circuit:
@@ -283,8 +286,7 @@ class FrameBatch:
         return self.x.ravel(order="K"), self.z.ravel(order="K"), s0, s1
 
 
-@dataclass(frozen=True)
-class LayerFaults:
+class LayerFaults(NamedTuple):
     """The fault locations of one layer: rows `rows` of its `FaultTable`.
 
     `arity` is each location's wire count, 0 for a measurement (whose fault
@@ -299,8 +301,7 @@ class LayerFaults:
     meas_labels: tuple
 
 
-@dataclass(frozen=True)
-class FaultTable:
+class FaultTable(NamedTuple):
     """Fault locations of a circuit, one row per gate.
 
     `cols` holds each gate's first and last wire as circuit-local indices.

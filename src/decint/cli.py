@@ -10,17 +10,17 @@ e2e. Exit codes: 0 success, 1 invariant failure, 2 usage error. Identical
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
 import pathlib
 import sys
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from . import __version__, blocktree, css, e2e, interface, scheduler
+from . import __version__, css, e2e, interface, scheduler
 from .noise import NoiseParams
 from .plotsvg import write_loglog_svg
 
@@ -29,8 +29,6 @@ def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, Fraction):
         return f"{float(value):.17g}"
     return str(value)
 
@@ -73,6 +71,21 @@ class Manifest:
         path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
 
+class UsageError(Exception):
+    """A bad command line or config: exit code 2."""
+
+
+@contextlib.contextmanager
+def _config_values():
+    """Report a missing or malformed config value as a usage error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise UsageError(f"config has no {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config value: {exc}") from None
+
+
 def load_family(name_or_path: str) -> css.CodeFamily:
     if name_or_path in css.BUILTIN_FAMILIES:
         return css.BUILTIN_FAMILIES[name_or_path]()
@@ -81,11 +94,35 @@ def load_family(name_or_path: str) -> css.CodeFamily:
         raise UsageError(
             f"unknown family {name_or_path!r} (builtin: {sorted(css.BUILTIN_FAMILIES)})"
         )
-    return css.load_family(path)
+    try:
+        return css.load_family(path)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"family {str(path)!r} does not load: {exc!r}") from None
 
 
-class UsageError(Exception):
-    pass
+def _family(config: dict) -> css.CodeFamily:
+    with _config_values():
+        name = config["family"]
+    return load_family(name)
+
+
+def _grid(config: dict, key: str, default: list) -> list:
+    grid = config.get(key, default)
+    if not isinstance(grid, list) or not grid:
+        raise UsageError(f"{key} must be a non-empty list, got {grid!r}")
+    return grid
+
+
+def _trials(config: dict) -> int:
+    trials = int(config["trials"])
+    if trials < 1:
+        raise UsageError(f"need at least one trial, got {trials}")
+    return trials
+
+
+def _check_levels(family: css.CodeFamily, r: int, r_prime: int) -> None:
+    if not 1 <= r_prime < r <= family.depth:
+        raise UsageError(f"need 1 <= r_prime < r <= {family.depth}, got r={r}, r_prime={r_prime}")
 
 
 def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[float], int]:
@@ -98,14 +135,20 @@ def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[floa
     seed = int(noise.get("seed", config.get("seed", 0)))
     if seed_override is not None:
         seed = seed_override
-    return [float(d) for d in deltas], seed
+    return [_probability("delta", float(d)) for d in deltas], seed
+
+
+def _probability(key: str, value):
+    if not 0 <= value <= 1:
+        raise UsageError(f"{key} must lie in [0, 1], got {value}")
+    return value
 
 
 # -- subcommands -------------------------------------------------------------------
 
 
 def cmd_validate_codes(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
-    family = load_family(config["family"])
+    family = _family(config)
     manifest = Manifest("validate-codes", config, out)
     report = family.validate()
     rows = [[c.name, c.passed, c.detail] for c in report.checks]
@@ -131,13 +174,15 @@ def cmd_validate_codes(config: dict, out: pathlib.Path, seed: Optional[int], wor
 
 
 def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
-    family = load_family(config["family"])
-    deltas, base_seed = _noise_params(config, seed)
-    r = int(config["r"])
-    r_prime = int(config["r_prime"])
-    trials = int(config["trials"])
-    mu = float(config.get("mu", 0.25))
-    knobs = interface.GammaKnobs.from_json(config)
+    family = _family(config)
+    with _config_values():
+        deltas, base_seed = _noise_params(config, seed)
+        r = int(config["r"])
+        r_prime = int(config["r_prime"])
+        trials = _trials(config)
+        mu = float(config.get("mu", 0.25))
+        knobs = interface.GammaKnobs.from_json(config)
+    _check_levels(family, r, r_prime)
     manifest = Manifest("interface-sweep", config, out)
     rows = []
     rates = []
@@ -200,10 +245,15 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
 
 
 def cmd_schedule_audit(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
-    family = load_family(config["family"])
-    h_grid = config.get("h_grid", [1, 2, 4, 8])
-    r_grid = config.get("r_grid", [family.depth])
-    r_prime = int(config.get("r_prime", 1))
+    family = _family(config)
+    with _config_values():
+        h_grid = [int(h) for h in _grid(config, "h_grid", [1, 2, 4, 8])]
+        r_grid = [int(r) for r in _grid(config, "r_grid", [family.depth])]
+        r_prime = int(config.get("r_prime", 1))
+    for r in r_grid:
+        _check_levels(family, r, r_prime)
+    if min(h_grid) < 1:
+        raise UsageError(f"h_grid entries must be positive, got {h_grid}")
     consts = scheduler.measured_constants(family)
     manifest = Manifest("schedule-audit", config, out)
     census_rows = []
@@ -211,7 +261,7 @@ def cmd_schedule_audit(config: dict, out: pathlib.Path, seed: Optional[int], wor
     violated = False
     for r in r_grid:
         for h in h_grid:
-            sched = scheduler.build_schedule(family, int(r), r_prime, int(h), constants=consts)
+            sched = scheduler.build_schedule(family, r, r_prime, h, constants=consts)
             problems = scheduler.audit_schedule(sched)
             if problems:
                 violated = True
@@ -222,7 +272,7 @@ def cmd_schedule_audit(config: dict, out: pathlib.Path, seed: Optional[int], wor
             for c in rep.per_layer:
                 census_rows.append(
                     [r, h, c.level, c.layer, c.eta1, c.eta2, c.total,
-                     c.total / (family.level(int(r)).m * int(h))]
+                     c.total / (family.level(r).m * h)]
                 )
             margin_rows.append(
                 [r, h, rep.max_total, rep.ratio,
@@ -253,30 +303,37 @@ MC_FAMILY_ALPHA = 1e-3
 
 
 def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
-    z_grid = config.get("z_grid", [2, 3, 4])
-    db_grid = config.get("delta_bar_grid", [0.3, 0.1, 0.03])
-    max_size = int(config.get("max_size", 3))
-    leaf_only = bool(config.get("leaf_only", True))
-    mc_trials = int(config.get("mc_trials", 0))
-    base_seed = int(config.get("seed", 0) if seed is None else seed)
+    # Imported here: only this command needs the tree module and exact fractions.
+    from fractions import Fraction
+
+    from . import blocktree
+
+    with _config_values():
+        z_grid = [int(z) for z in _grid(config, "z_grid", [2, 3, 4])]
+        db_grid = _grid(config, "delta_bar_grid", [0.3, 0.1, 0.03])
+        db_fracs = [_probability("delta_bar", Fraction(str(db))) for db in db_grid]
+        max_size = int(config.get("max_size", 3))
+        leaf_only = bool(config.get("leaf_only", True))
+        mc_trials = int(config.get("mc_trials", 0))
+        base_seed = int(config.get("seed", 0) if seed is None else seed)
+    for z in z_grid:
+        if not 1 <= z <= blocktree.MAX_EXACT_DEPTH + 1:
+            raise UsageError(f"z={z} lies outside 1..{blocktree.MAX_EXACT_DEPTH + 1} (the exact-mode depth cap)")
     manifest = Manifest("tree-bounds", config, out)
     rows = []
     mc_rows = []
     all_ok = True
     for z in z_grid:
-        if z - 1 > blocktree.MAX_EXACT_DEPTH:
-            raise UsageError(f"z={z} exceeds the exact-mode depth cap")
-        for db in db_grid:
-            db_frac = Fraction(str(db))
-            checks = blocktree.check_final_bound(int(z), db_frac, max_size=max_size, leaf_only=leaf_only)
-            params = blocktree.TreeParams.bound_saturating(int(z), db_frac)
+        for db, db_frac in zip(db_grid, db_fracs):
+            checks = blocktree.check_final_bound(z, db_frac, max_size=max_size, leaf_only=leaf_only)
+            params = blocktree.TreeParams.bound_saturating(z, db_frac)
             alive = None
             if mc_trials:
                 manifest.add_seed(f"tree z={z} db={db}", base_seed)
                 alive, _ = blocktree.sample_states_batch(params, base_seed, mc_trials)
             for c in checks:
                 all_ok &= c.ok
-                row = [z, db, _set_descriptor(c.t_bar), c.exact, c.bound,
+                row = [z, db, _set_descriptor(c.t_bar), float(c.exact), float(c.bound),
                        float(c.bound - c.exact), c.ok, "", ""]
                 rows.append(row)
                 if alive is not None:
@@ -311,15 +368,24 @@ def _set_descriptor(t_bar) -> str:
 
 
 def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
-    family = load_family(config["family"])
-    r = int(config["r"])
-    h = int(config["h"])
-    deltas, base_seed = _noise_params(config, seed)
-    knobs = interface.GammaKnobs.from_json(config)
-    wait_rounds = int(config.get("wait_rounds", 1))
+    family = _family(config)
+    with _config_values():
+        r = int(config["r"])
+        h = int(config["h"])
+        deltas, base_seed = _noise_params(config, seed)
+        knobs = interface.GammaKnobs.from_json(config)
+        wait_rounds = int(config.get("wait_rounds", 1))
+        mode = config.get("mode", "frames")
+        if mode not in ("frames", "exhaustive"):
+            raise UsageError(f"mode must be 'frames' or 'exhaustive', got {mode!r}")
+        if mode == "frames":
+            trials = _trials(config)
+            input_ls = _probability("input_ls_delta", float(config.get("input_ls_delta", 0.0)))
+    _check_levels(family, r, 1)
+    if h < 1:
+        raise UsageError(f"h must be positive, got {h}")
     consts = scheduler.measured_constants(family, knobs)
     sched = scheduler.build_schedule(family, r, 1, h, constants=consts)
-    mode = config.get("mode", "frames")
     manifest = Manifest("e2e", config, out)
     (out / "schedule.json").write_text(sched.to_json() + "\n")
     manifest.add_output("schedule.json")
@@ -327,8 +393,6 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
     if mode == "exhaustive":
         return _e2e_exhaustive(config, family, sched, knobs, wait_rounds, base_seed, out, manifest)
 
-    trials = int(config["trials"])
-    input_ls = float(config.get("input_ls_delta", 0.0))
     rows = []
     singles = []
     pairs_mean = []
@@ -449,16 +513,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         config_path = pathlib.Path(args.config)
         if not config_path.exists():
             raise UsageError(f"config not found: {config_path}")
-        config = json.loads(config_path.read_text())
+        try:
+            config = json.loads(config_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config {config_path} is not JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise UsageError(f"config {config_path} must hold a JSON object")
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out, args.seed, args.workers)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"usage error: {exc!r}", file=sys.stderr)
-        return 2
+    except Exception:  # an internal invariant failed: exit 1 with its message
+        import traceback
+
+        traceback.print_exc()
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import pathlib
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,16 +20,20 @@ from .gf2 import BitMatrix, BitVector, CosetWeight
 from .tableau import Tableau, pauli_product
 
 
-@dataclass(frozen=True)
-class PauliOp:
-    """Sign-free n-qubit Pauli, split into X and Z parts."""
-
+class _PauliFields(NamedTuple):
     x: BitVector
     z: BitVector
 
-    def __post_init__(self):
-        if self.x.n != self.z.n:
+
+class PauliOp(_PauliFields):
+    """Sign-free n-qubit Pauli, split into X and Z parts."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: BitVector, z: BitVector):
+        if x.n != z.n:
             raise ValueError("X and Z parts must have equal length")
+        return super().__new__(cls, x, z)
 
     @property
     def n(self) -> int:
@@ -44,17 +47,15 @@ class PauliOp:
         return int(np.count_nonzero(self.x.to_array() | self.z.to_array()))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     subject: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     def add(self, name: str, passed: bool, detail: str = ""):
         self.checks.append(CheckResult(name, bool(passed), detail))
@@ -157,7 +158,7 @@ class CssCode:
 
     def validate(self) -> ValidationReport:
         """Check every CssCode invariant; failures are reported, not raised."""
-        rep = ValidationReport(self.name)
+        rep = ValidationReport(self.name, [])
         rep.add("hx_hz_orthogonal", (self.hx @ self.hz.transpose()).is_zero())
         rx, rz = gf2.rank(self.hx), gf2.rank(self.hz)
         rep.add(
@@ -354,23 +355,28 @@ def _outside_rowspace(words: np.ndarray, stab_rows: np.ndarray, pivots: list[int
 # -- standard constructions -------------------------------------------------------
 
 
-def trivial_code() -> CssCode:
-    code = CssCode.from_checks(BitMatrix.zeros(0, 1), BitMatrix.zeros(0, 1), name="trivial")
-    code._distance = (1, True)
+def _recorded(code: CssCode, distance: int) -> CssCode:
+    """`code` with its exact distance recorded, so no caller searches for it."""
+    code._distance = (distance, True)
     return code
+
+
+def trivial_code() -> CssCode:
+    hz = BitMatrix.zeros(0, 1)
+    return _recorded(CssCode.from_checks(hz, hz, name="trivial", compute_distance=False), 1)
 
 
 def c422() -> CssCode:
     h = BitMatrix.from_rows(["1111"])
-    return CssCode.from_checks(h, h, name="[[4,2,2]]")
+    return _recorded(CssCode.from_checks(h, h, name="[[4,2,2]]", compute_distance=False), 2)
 
 
 def steane_code() -> CssCode:
     hamming = BitMatrix.from_rows(["0001111", "0110011", "1010101"])
-    return CssCode.from_checks(hamming, hamming, name="steane")
+    return _recorded(CssCode.from_checks(hamming, hamming, name="steane", compute_distance=False), 3)
 
 
-def build_hgp(h1: BitMatrix, h2: BitMatrix, name: str = "") -> CssCode:
+def build_hgp(h1: BitMatrix, h2: BitMatrix, name: str = "", compute_distance: bool = True) -> CssCode:
     """Hypergraph product of two classical parity-check matrices."""
     a = h1.to_dense()
     b = h2.to_dense()
@@ -388,6 +394,7 @@ def build_hgp(h1: BitMatrix, h2: BitMatrix, name: str = "") -> CssCode:
         BitMatrix.from_dense(hx % 2),
         BitMatrix.from_dense(hz % 2),
         name=name or f"hgp({r1}x{n1},{r2}x{n2})",
+        compute_distance=compute_distance,
     )
 
 
@@ -411,8 +418,7 @@ def freeze_logicals(code: CssCode, m_new: int) -> CssCode:
 # -- code families ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CodeFamily:
+class CodeFamily(NamedTuple):
     """Sequence of CSS codes indexed by level r = 1, 2, ...
 
     The doubling/rate properties are required only for levels r > r0; r0 is
@@ -435,7 +441,7 @@ class CodeFamily:
         return len(self.levels)
 
     def validate(self) -> ValidationReport:
-        rep = ValidationReport(f"family:{self.provenance or 'anonymous'}")
+        rep = ValidationReport(f"family:{self.provenance or 'anonymous'}", [])
         first = self.levels[0]
         rep.add("level1_trivial", first.n == 1 and first.m == 1)
         for r in range(2, self.depth + 1):
@@ -499,14 +505,16 @@ def toy_family() -> CodeFamily:
     """Shipped small family: [[1,1,1]], [[4,2,2]], [[10,4,2]], [[16,8,2]].
 
     Levels 3 and 4 are hypergraph products with m already a power of two,
-    so the rate adjustment is the identity on them. Distances are recorded
-    as exactly computed at these sizes.
+    so the rate adjustment is the identity on them. The exact distances are
+    recorded rather than searched for on every load; tests check them
+    against a fresh `CssCode.min_distance()`.
     """
+    rep3, rep5 = BitMatrix.from_rows(["111"]), BitMatrix.from_rows(["11111"])
     levels = (
         trivial_code(),
         c422(),
-        build_hgp(BitMatrix.from_rows(["111"]), BitMatrix.from_rows(["111"]), name="hgp33"),
-        build_hgp(BitMatrix.from_rows(["111"]), BitMatrix.from_rows(["11111"]), name="hgp35"),
+        _recorded(build_hgp(rep3, rep3, name="hgp33", compute_distance=False), 2),
+        _recorded(build_hgp(rep3, rep5, name="hgp35", compute_distance=False), 2),
     )
     return CodeFamily(levels=levels, alpha=0.4, beta=0.125, r0=1, provenance="builtin-toy")
 
@@ -515,7 +523,8 @@ def steane_family() -> CodeFamily:
     """Trivial + Steane variant (m = 1 at level 2, distance 3).
 
     Breaks the doubling property on purpose; r0 = 2 exempts its top level.
-    Used to exercise the correctable-error contract of the interface.
+    Used to exercise the correctable-error contract of the interface. The
+    distances are recorded, as in `toy_family`.
     """
     return CodeFamily(
         levels=(trivial_code(), steane_code()),

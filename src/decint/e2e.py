@@ -11,8 +11,7 @@ error marginals and pairwise inclusion frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -83,8 +82,7 @@ def _walk_chain(
     return outputs, heralds
 
 
-@dataclass
-class BlockChainResult:
+class BlockChainResult(NamedTuple):
     output_bits: np.ndarray      # (trials, m) measured Z outcomes per output qubit
     state_matches: np.ndarray    # (trials,) full output tableau equals the logical input
     heralds: np.ndarray          # (trials,)
@@ -132,8 +130,7 @@ def run_block_chain_tableau(
     return BlockChainResult(output_bits=bits.T, state_matches=matches, heralds=heralds)
 
 
-@dataclass
-class ChainChunkResult:
+class ChainChunkResult(NamedTuple):
     trials: int
     error_bits: np.ndarray   # (trials, m_r) per-output-qubit error indicator
     heralds: np.ndarray      # (trials,)
@@ -162,8 +159,7 @@ def run_block_chain_frames(
 # -- whole-plan drivers --------------------------------------------------------------------
 
 
-@dataclass
-class E2EStats:
+class E2EStats(NamedTuple):
     """Aggregated end-to-end statistics over all blocks and trials."""
 
     delta: float

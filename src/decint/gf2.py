@@ -10,8 +10,7 @@ value, so concurrent use from multiple workers is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -367,8 +366,7 @@ def row_space_contains(m: BitMatrix, v: BitVector) -> bool:
     return solve(m.transpose(), v) is not None
 
 
-@dataclass(frozen=True)
-class CosetWeight:
+class CosetWeight(NamedTuple):
     """Result of a coset minimum-weight search.
 
     `exact` is False when the generator count exceeded the enumeration limit;

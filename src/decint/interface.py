@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +45,7 @@ MAX_TABLE_ROWS = 14  # leader tables are dense in 2^{#checks}
 # -- coset-leader syndrome decoding ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeaderTable:
+class LeaderTable(NamedTuple):
     """Minimum-weight coset representative for every syndrome of H.
 
     Indexed by the syndrome bits packed little-endian over the rows of H.
@@ -109,8 +107,7 @@ def _coset_elements(basis: BitMatrix) -> np.ndarray:
     return np.concatenate(list(gf2.span_blocks(basis.to_dense())))
 
 
-@dataclass(frozen=True)
-class _FrameTables:
+class _FrameTables(NamedTuple):
     """Per-code decode machinery: leader tables, cosets and dense checks."""
 
     stab_x: np.ndarray  # coset elements of rowspace(H_X)
@@ -202,8 +199,7 @@ def _bipartite_edge_coloring(edges: list[tuple], ) -> list[int]:
     return colors
 
 
-@dataclass(frozen=True)
-class EcGadget:
+class EcGadget(NamedTuple):
     """One error-correction step: extraction circuit + decode metadata.
 
     Every round runs `extraction`, which labels its outcomes per check
@@ -333,8 +329,15 @@ def logical_bell_process(code_r: CssCode, m1: np.ndarray, m2: np.ndarray):
 # -- the partial decoding interface Gamma ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaKnobs:
+class _GammaKnobFields(NamedTuple):
+    s1: int
+    s2: int
+    proc_poly: tuple
+    resource_ls_delta: Optional[float]
+    resource_fail_prob: float
+
+
+class GammaKnobs(_GammaKnobFields):
     """Tunable structure of the interface circuit.
 
     proc_poly are polynomial coefficients in n_r giving the classical
@@ -343,15 +346,18 @@ class GammaKnobs:
     parameter); resource_fail_prob is the oracle's global failure coin.
     """
 
-    s1: int = 1
-    s2: int = 1
-    proc_poly: tuple = (0, 1)
-    resource_ls_delta: Optional[float] = None
-    resource_fail_prob: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls,
+        s1: int = 1,
+        s2: int = 1,
+        proc_poly: Sequence = (0, 1),
+        resource_ls_delta: Optional[float] = None,
+        resource_fail_prob: float = 0.0,
+    ):
         # Plans are cached per knobs, so every field must be hashable.
-        object.__setattr__(self, "proc_poly", tuple(self.proc_poly))
+        return super().__new__(cls, s1, s2, tuple(proc_poly), resource_ls_delta, resource_fail_prob)
 
     def proc_layers(self, n: int) -> int:
         return int(sum(c * n**k for k, c in enumerate(self.proc_poly)))
@@ -368,8 +374,7 @@ class GammaKnobs:
         )
 
 
-@dataclass(frozen=True)
-class InterfaceCircuit:
+class InterfaceCircuit(NamedTuple):
     """The partial interface Gamma_{r,r'}: wires, fragments, decode tables."""
 
     family: CodeFamily
@@ -413,13 +418,9 @@ class InterfaceCircuit:
         n = self.code_rp.n
         return self.b_wires[i * n : (i + 1) * n]
 
-    @functools.cached_property
-    def _resource(self) -> Tableau:
-        return resource_state_tableau(self.code_r, self.code_rp, self.a_wires, self.b_wires)
-
     def resource_tableau(self) -> Tableau:
-        """A fresh copy of the encoded Bell resource, built once per plan."""
-        return self._resource.copy()
+        """A fresh copy of the encoded Bell resource, built on first use."""
+        return resource_state_tableau(self.code_r, self.code_rp, self.a_wires, self.b_wires).copy()
 
 
 def _side_by_side(code: CssCode, blocks: int) -> tuple[np.ndarray, ...]:
@@ -432,11 +433,14 @@ def _side_by_side(code: CssCode, blocks: int) -> tuple[np.ndarray, ...]:
     return tuple(np.kron(eye, a) for a in stab + [code.lx.to_dense(), code.lz.to_dense()])
 
 
-def resource_state_tableau(
-    code_r: CssCode, code_rp: CssCode, a_wires: Sequence, b_wires: Sequence
-) -> Tableau:
+@functools.lru_cache(maxsize=32)
+def resource_state_tableau(code_r: CssCode, code_rp: CssCode, a_wires: tuple, b_wires: tuple) -> Tableau:
     """Tableau of the encoded Bell resource: m_r EPR pairs, A side in level r,
-    B side split into m_r/m_{r'} level-r' blocks."""
+    B side split into m_r/m_{r'} level-r' blocks.
+
+    Built once per argument tuple and shared by every caller: copy it
+    before changing it (`InterfaceCircuit.resource_tableau` does).
+    """
     ax, az, lx_r, lz_r = _side_by_side(code_r, 1)
     bx, bz, lxb, lzb = _side_by_side(code_rp, code_r.m // code_rp.m)
     na, k = code_r.n, len(ax) + len(bx)
@@ -447,7 +451,9 @@ def resource_state_tableau(
     # Logical pair j: X on both sides, then Z on both sides.
     xs[k::2] = np.hstack([lx_r, lxb])
     zs[k + 1 :: 2] = np.hstack([lz_r, lzb])
-    return Tableau(list(a_wires) + list(b_wires), xs, zs, np.zeros(len(xs), np.uint8))
+    tab = Tableau(list(a_wires) + list(b_wires), xs, zs, np.zeros(len(xs), np.uint8))
+    tab.xs.flags.writeable = tab.zs.flags.writeable = tab.signs.flags.writeable = False  # cached and shared
+    return tab
 
 
 @functools.lru_cache(maxsize=32)
@@ -722,8 +728,7 @@ def gamma_pass(plan: InterfaceCircuit, engine) -> np.ndarray:
 # -- exact (tableau) execution --------------------------------------------------------
 
 
-@dataclass
-class GammaReference:
+class GammaReference(NamedTuple):
     """Record of one exact run: outcomes, Bell herald, output tableau."""
 
     output: Tableau
@@ -768,8 +773,7 @@ def expected_output_tableau(plan: InterfaceCircuit, logical: Tableau) -> Tableau
 # -- Monte Carlo (frame) execution ------------------------------------------------------
 
 
-@dataclass
-class ChunkStats:
+class ChunkStats(NamedTuple):
     trials: int = 0
     failures: int = 0
     heralds: int = 0
@@ -807,8 +811,7 @@ def _reduced_weights(e: np.ndarray, cosets: np.ndarray) -> np.ndarray:
     return best
 
 
-@dataclass
-class GammaFrameRun:
+class GammaFrameRun(NamedTuple):
     """Frame-level result of one Gamma pass: output frames and heralds.
 
     out_x/out_z are (trials, |B|) views of wire-major arrays, as in `FrameBatch`.
@@ -877,8 +880,7 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float,
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass
-class TauEstimate:
+class TauEstimate(NamedTuple):
     """Monte Carlo estimate of the interface failure parameter."""
 
     r: int

@@ -18,9 +18,7 @@ Pauli-twirled member, the simulable instance; reports record this as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -45,16 +43,20 @@ def rng_stream(seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Circuit-level noise configuration."""
-
+class _NoiseFields(NamedTuple):
     delta: float
     seed: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
+
+class NoiseParams(_NoiseFields):
+    """Circuit-level noise configuration."""
+
+    __slots__ = ()
+
+    def __new__(cls, delta: float, seed: int):
+        if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
+        return super().__new__(cls, delta, seed)
 
     def to_json(self) -> dict:
         return {"delta": self.delta, "seed": self.seed}
@@ -113,8 +115,7 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-@dataclass(frozen=True)
-class TailBound:
+class TailBound(NamedTuple):
     value: float
     threshold_ok: bool  # delta < 2^{-h2(mu)/mu}
     mu: float
@@ -144,6 +145,8 @@ def tail_bound(mu: float, delta: float, n: int, h: int) -> TailBound:
 
 def binomial_tail_exact(n: int, delta: Fraction, t: int) -> Fraction:
     """Pr(Bin(n, delta) >= t) in exact rational arithmetic."""
+    from fractions import Fraction  # imported here: it pulls in decimal, and only tail checks need it
+
     delta = Fraction(delta)
     total = Fraction(0)
     for k in range(t, n + 1):
@@ -160,6 +163,8 @@ def tail_bound_dominates(
     shrunk by a 1e-40 relative margin so a True verdict is a genuine
     certificate (the bound itself is irrational).
     """
+    from fractions import Fraction
+
     mu = Fraction(mu)
     delta = Fraction(delta)
     t = mu * n

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .css import CodeFamily
 
 
-@dataclass(frozen=True)
-class ScheduleConstants:
+class ScheduleConstants(NamedTuple):
     """Footprint constants: per-block qubit counts used by the census.
 
     Defaults are measured from the interface module's actual circuits:
@@ -51,8 +49,7 @@ def measured_constants(family: CodeFamily, knobs=None) -> ScheduleConstants:
     return ScheduleConstants(theta=1, theta1=theta1, p1_table=p1_table)
 
 
-@dataclass(frozen=True)
-class MacroLayer:
+class MacroLayer(NamedTuple):
     """One macro-layer of a stage: which blocks do what."""
 
     level: int
@@ -66,8 +63,7 @@ class MacroLayer:
         return self.gamma_blocks[1] - self.gamma_blocks[0]
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     level: int              # r'': the level being lowered to level-1
     h_level: int            # number of blocks entering this stage
     h_step: int             # blocks receiving the interface per macro-layer
@@ -78,8 +74,7 @@ class Stage:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
-class InterfaceSchedule:
+class InterfaceSchedule(NamedTuple):
     family: CodeFamily
     r: int
     r_prime: int
@@ -164,8 +159,7 @@ def build_schedule(
     )
 
 
-@dataclass(frozen=True)
-class LayerCensus:
+class LayerCensus(NamedTuple):
     level: int
     layer: int
     eta1: int   # EC qubits
@@ -178,8 +172,7 @@ class LayerCensus:
         return self.eta1 + self.eta2
 
 
-@dataclass
-class OverheadReport:
+class OverheadReport(NamedTuple):
     r: int
     r_prime: int
     h: int
@@ -260,8 +253,7 @@ def qubit_census(schedule: InterfaceSchedule) -> OverheadReport:
     )
 
 
-@dataclass(frozen=True)
-class BlockStagePlan:
+class BlockStagePlan(NamedTuple):
     """What one descendant block experiences during one stage.
 
     Waits are in macro-layers: pre_wait at the current level before its
@@ -276,8 +268,7 @@ class BlockStagePlan:
     post_wait: int
 
 
-@dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(NamedTuple):
     input_block: int
     stages: tuple[tuple[BlockStagePlan, ...], ...]  # one tuple per stage
 
@@ -318,8 +309,7 @@ def effective_interface(schedule: InterfaceSchedule, i: int) -> BlockPlan:
     return BlockPlan(input_block=i, stages=tuple(stages))
 
 
-@dataclass(frozen=True)
-class FullPlan:
+class FullPlan(NamedTuple):
     """Schedule for Xi^{[h]}_r: staged lowering plus the final parallel
     level-r'-to-bare layer on every output block."""
 

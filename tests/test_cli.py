@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -116,6 +117,14 @@ class TestInterfaceSweep:
         cfg["noise"] = {"delta": [], "seed": 1}
         path = write_config(tmp_path, "c.json", cfg)
         assert run("interface-sweep", path, tmp_path / "out") == 2
+
+    def test_two_workers_write_the_same_sweep(self, tmp_path):
+        cfg = dict(self.CFG, trials=4000)
+        path = write_config(tmp_path, "c.json", cfg)
+        for workers in ("1", "2"):
+            argv = ["interface-sweep", "--config", path, "--out", str(tmp_path / workers), "--workers", workers]
+            assert cli.main(argv) == 0
+        assert (tmp_path / "1" / "sweep.csv").read_bytes() == (tmp_path / "2" / "sweep.csv").read_bytes()
 
 
 class TestScheduleAudit:
@@ -264,6 +273,43 @@ class TestE2E:
         ).read_bytes()
 
 
+class TestExitCodes:
+    SWEEP = {"family": "toy", "r": 2, "r_prime": 1, "trials": 100, "noise": {"delta": [0.01]}}
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("interface-sweep", {"family": "toy", "r": 2, "trials": 100}, "'r_prime'"),
+            ("interface-sweep", dict(SWEEP, noise={"delta": [0.01, 1.5]}), "delta must lie in [0, 1]"),
+            ("interface-sweep", dict(SWEEP, trials="many"), "bad config value"),
+            ("interface-sweep", dict(SWEEP, r=7), "r_prime < r <= 4"),
+            ("schedule-audit", {"family": "toy", "h_grid": []}, "h_grid must be a non-empty list"),
+            ("tree-bounds", {"z_grid": [2], "delta_bar_grid": [2]}, "delta_bar must lie in [0, 1]"),
+            ("e2e", {"family": "steane", "r": 2, "trials": 10}, "'h'"),
+            ("e2e", {"family": "steane", "r": 2, "h": 1, "mode": "exhaustve"}, "mode must be"),
+        ],
+    )
+    def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
+        cfg = write_config(tmp_path, "c.json", config)
+        assert run(command, cfg, tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_that_is_not_json_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("{family: toy")
+        assert run("validate-codes", str(path), tmp_path / "out") == 2
+
+    def test_invariant_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("frame batch lost a trial")
+
+        monkeypatch.setattr(cli.interface, "estimate_tau", broken)
+        cfg = write_config(tmp_path, "c.json", self.SWEEP)
+        assert run("interface-sweep", cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "ValueError: frame batch lost a trial" in err and "usage error" not in err
+
+
 class TestManifest:
     def test_manifest_fields(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"family": "toy"})
@@ -276,15 +322,34 @@ class TestManifest:
         assert "validation.csv" in manifest["outputs"]
 
 
+def modules_after_cli_import() -> set:
+    """Module names loaded by `import decint.cli` in a fresh interpreter."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, decint.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
 class TestStartup:
     def test_cli_import_leaves_mpmath_unloaded(self):
         # mpmath serves only noise.tail_bound_dominates, which no command calls.
-        root = pathlib.Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys, decint.cli; print('mpmath' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120,
+        assert "mpmath" not in modules_after_cli_import()
+
+    def test_cli_import_leaves_tree_bounds_and_dataclasses_unloaded(self, tmp_path):
+        # Records are NamedTuples (no per-class code generation at import), and
+        # only tree-bounds needs the tree module and exact fractions.
+        loaded = modules_after_cli_import()
+        assert not {"dataclasses", "fractions", "decint.blocktree"} & loaded
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"z_grid": [2, 3], "delta_bar_grid": [0.3, 0.1], "max_size": 2, "mc_trials": 2000, "seed": 7},
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert run("tree-bounds", cfg, tmp_path / "out") == 0
+        # Golden digest: where the tree module is imported must not change a byte.
+        digest = hashlib.sha256((tmp_path / "out" / "tree_bounds.csv").read_bytes()).hexdigest()
+        assert digest == "7fe9a535333a29b3fa71c94f8b2e4367acf9bd0cebe4bc20e14bc004a2f96995"

@@ -113,6 +113,14 @@ class TestMinDistance:
         assert steane.min_distance() == (3, True)
         assert brute_sector_distance(steane.hx, steane.hz) == 3
 
+    @pytest.mark.parametrize("name", sorted(css.BUILTIN_FAMILIES))
+    def test_builtin_family_distances_match_a_fresh_search(self, name):
+        # The builtin families record their distances instead of searching on load.
+        for code in css.BUILTIN_FAMILIES[name]().levels:
+            fresh = CssCode(code.hx, code.hz, code.lx, code.lz)
+            assert fresh.distance is None
+            assert code.distance == fresh.min_distance()
+
     def test_detectability_below_distance(self, steane):
         # No non-stabilizer Pauli of weight < d commutes with all checks.
         d = steane.min_distance()[0]

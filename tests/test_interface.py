@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -439,14 +438,14 @@ class TestPlanCache:
 
     def test_cached_plan_is_read_only(self, fam):
         plan = interface.build_gamma(fam, 2, 1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             plan.blocks = 3
         with pytest.raises(ValueError):
             plan.lxb[0, 0] ^= 1
 
     def test_resource_tableau_copies_are_independent(self, fam):
         plan = interface.build_gamma(fam, 3, 2)
-        fresh = interface.resource_state_tableau(plan.code_r, plan.code_rp, plan.a_wires, plan.b_wires)
+        fresh = interface.resource_state_tableau.__wrapped__(plan.code_r, plan.code_rp, plan.a_wires, plan.b_wires)
         first = plan.resource_tableau()
         first.apply_x(first.labels[0])
         first.measure_z(first.labels[1], np.random.default_rng(0))
