@@ -12,9 +12,11 @@ h = BitMatrix.from_rows(["1111"])  # the [[4,2,2]] check, both sectors
 print("rank([1111]) =", gf2.rank(h))
 print("kernel dimension =", gf2.nullspace_basis(h).nrows)  # even-weight space
 
-# Coset minimum weight is the quantity error correction actually bounds:
-v = BitVector.from_bits([1, 1, 1, 0])
-print("min weight in 1110 + span{1111} =", gf2.coset_min_weight(h, v).weight)
+# Coset minimum weight is the quantity error correction actually bounds. The
+# search takes a batch, one row per trial:
+e = np.array([[1, 1, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]], np.uint8)
+res = gf2.coset_min_weight(h, e)
+print("min weights in {1110, 1100, 1111} + span{1111} =", res.weight, "exact:", res.exact)
 
 # --- a CSS code from its checks ------------------------------------------------
 code = css.c422()

@@ -21,14 +21,15 @@ assert np.array_equal(
 )
 
 # --- local stochastic channels ----------------------------------------------------
-# One sample as x, z bits; X, Z and Y read off the two bits.
-(x,), (z,) = noise.sample_ls_bits(12, 0.3, seed=7, trials=1)
+# One sample as x, z bits; X, Z and Y read off the two bits. The sampler draws
+# from the generator its caller keys.
+(x,), (z,) = noise.sample_ls_bits(12, 0.3, np.random.default_rng(7), 1)
 support = np.flatnonzero(x | z)
 paulis = tuple("XZY"[x[q] + 2 * z[q] - 1] for q in support)
 print("ls support:", tuple(int(q) for q in support), "assignment:", paulis)
 
 # The i.i.d. instance saturates the defining inclusion bound with equality:
-x, z = noise.sample_ls_bits(4, 0.2, seed=1, trials=200_000)
+x, z = noise.sample_ls_bits(4, 0.2, np.random.default_rng(1), 200_000)
 sup = (x | z) != 0
 print(f"Pr(q0,q1 both hit): {float((sup[:,0] & sup[:,1]).mean()):.4f} "
       f"(exactly delta^2 = {0.2**2})")
@@ -41,7 +42,7 @@ print("compose(0.01, 0.02) =", noise.compose_ls(0.01, 0.02))
 # qubits: h * (2^{h2(mu)/mu} delta)^{mu n}. Support sizes are binomial.
 for n in (20, 50):
     tb = noise.tail_bound(mu=0.2, delta=0.01, n=n, h=1)
-    sizes = noise.rng_stream(3, noise.STREAM_LS, 0).binomial(n, 0.01, size=10**6)
+    sizes = np.random.default_rng(3).binomial(n, 0.01, size=10**6)
     tau_hat = float((sizes > 0.2 * n).mean())
     print(f"n={n}: analytic bound {tb.value:.3e}  empirical overflow {tau_hat:.3e}")
 
@@ -51,6 +52,6 @@ ok, tail, bound = noise.tail_bound_dominates(Fraction(1, 5), Fraction(1, 100), 5
 print(f"exact tail {float(tail):.3e} <= bound {bound:.3e}: {ok}")
 
 # Truncation into the low-weight branch:
-x, z = noise.sample_ls_bits(50, 0.01, seed=9, trials=2000)
+x, z = noise.sample_ls_bits(50, 0.01, np.random.default_rng(9), 2000)
 overflow = ((x | z).sum(axis=1) > 0.2 * 50).mean()
 print(f"overflow frequency over {len(x)} samples: {overflow:.4f}")

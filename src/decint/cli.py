@@ -82,7 +82,7 @@ def _config_values():
         yield
     except KeyError as exc:
         raise UsageError(f"config has no {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise UsageError(f"bad config value: {exc}") from None
 
 
@@ -96,8 +96,8 @@ def load_family(name_or_path: str) -> css.CodeFamily:
         )
     try:
         return css.load_family(path)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"family {str(path)!r} does not load: {exc!r}") from None
+    except (KeyError, IndexError, OSError, ValueError) as exc:
+        raise UsageError(f"family {str(path)!r} does not load: {type(exc).__name__}: {exc}") from None
 
 
 def _family(config: dict) -> css.CodeFamily:
@@ -136,6 +136,12 @@ def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[floa
     if seed_override is not None:
         seed = seed_override
     return [_probability("delta", float(d)) for d in deltas], seed
+
+
+def _count(key: str, value: int) -> int:
+    if value < 0:
+        raise UsageError(f"{key} must be non-negative, got {value}")
+    return value
 
 
 def _probability(key: str, value):
@@ -314,7 +320,7 @@ def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], worker
         db_fracs = [_probability("delta_bar", Fraction(str(db))) for db in db_grid]
         max_size = int(config.get("max_size", 3))
         leaf_only = bool(config.get("leaf_only", True))
-        mc_trials = int(config.get("mc_trials", 0))
+        mc_trials = _count("mc_trials", int(config.get("mc_trials", 0)))
         base_seed = int(config.get("seed", 0) if seed is None else seed)
     for z in z_grid:
         if not 1 <= z <= blocktree.MAX_EXACT_DEPTH + 1:
@@ -374,7 +380,7 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         h = int(config["h"])
         deltas, base_seed = _noise_params(config, seed)
         knobs = interface.GammaKnobs.from_json(config)
-        wait_rounds = int(config.get("wait_rounds", 1))
+        wait_rounds = _count("wait_rounds", int(config.get("wait_rounds", 1)))
         mode = config.get("mode", "frames")
         if mode not in ("frames", "exhaustive"):
             raise UsageError(f"mode must be 'frames' or 'exhaustive', got {mode!r}")

@@ -195,8 +195,8 @@ class CssCode:
         red, piv = gf2.rref(self.hz)
         return BitMatrix.from_dense(red.to_dense()[: len(piv)])
 
-    def reduced_weight(self, p: PauliOp, cap: Optional[int] = None) -> CosetWeight:
-        """Stabilizer-reduced weight max(|e_x|_red, |e_z|_red).
+    def reduced_weight(self, p: PauliOp) -> CosetWeight:
+        """Stabilizer-reduced weight max(|e_x|_red, |e_z|_red), as an int.
 
         The X part reduces against X-type stabilizers (rows of H_X) and the
         Z part against Z-type stabilizers; exact whenever both enumerations
@@ -204,9 +204,9 @@ class CssCode:
         """
         if p.n != self.n:
             raise ValueError("operator length mismatch")
-        wx = gf2.coset_min_weight(self.x_stabilizer_basis(), p.x, cap=cap)
-        wz = gf2.coset_min_weight(self.z_stabilizer_basis(), p.z, cap=cap)
-        return CosetWeight(max(wx.weight, wz.weight), wx.exact and wz.exact)
+        wx = gf2.coset_min_weight(self.x_stabilizer_basis(), p.x.to_array()[None])
+        wz = gf2.coset_min_weight(self.z_stabilizer_basis(), p.z.to_array()[None])
+        return CosetWeight(int(max(wx.weight[0], wz.weight[0])), wx.exact and wz.exact)
 
     def min_distance(self, cap: int = 1 << 22) -> tuple[int, bool]:
         """Minimum distance min(d_X, d_Z) by exhaustive kernel enumeration.

@@ -57,9 +57,9 @@ def _walk_chain(
             code = family.level(step.level)
             rounds = (pending + step.pre_wait) * wait_rounds_per_layer
             if rounds:
-                gadget = iface.build_ec(code, rounds, [f"d{i}" for i in range(code.n)], "w.")
+                gadget = iface.build_ec(code, [f"d{i}" for i in range(code.n)], "w.")
                 engine.load(handle, gadget.data_wires, gadget.wires)
-                iface.ec_rounds(gadget, engine)
+                iface.ec_rounds(gadget, engine, rounds)
                 handle = engine.save(gadget.data_wires)
             plan = iface.build_gamma(family, step.level, step.level - 1, knobs)
             engine.load(handle, plan.q_wires, plan.all_wires)

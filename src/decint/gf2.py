@@ -3,7 +3,8 @@
 Rows are packed into 64-bit words so that row XOR and popcount (the hot
 operations in syndrome decoding and coset searches) are single numpy ops.
 Products of dense 0/1 trial batches go through `mul_bits`, one float32 BLAS
-matmul.
+matmul. `coset_min_weight` is the one coset search: the stabilizer-reduced
+weight of every trial of a batch, exact up to MAX_ENUM_ROWS generators.
 All objects are immutable after construction; every operation returns a new
 value, so concurrent use from multiple workers is safe.
 """
@@ -17,7 +18,7 @@ import numpy as np
 WORD = 64
 
 # Exhaustive coset enumeration is allowed up to this many generators; beyond
-# it coset_min_weight only reports a cap-bounded upper estimate.
+# it coset_min_weight reports an upper bound flagged inexact.
 MAX_ENUM_ROWS = 20
 
 
@@ -369,43 +370,43 @@ def row_space_contains(m: BitMatrix, v: BitVector) -> bool:
 class CosetWeight(NamedTuple):
     """Result of a coset minimum-weight search.
 
-    `exact` is False when the generator count exceeded the enumeration limit;
-    then `weight` is only the best value seen (reported as >= cap when the
-    truncated search never got below the cap).
+    `weight` holds one minimum per trial. `exact` is False when the generator
+    count exceeded MAX_ENUM_ROWS; then each weight is the least over the zero,
+    single and pairwise generator combinations only, an upper bound.
     """
 
-    weight: int
+    weight: np.ndarray
     exact: bool
 
 
-def coset_min_weight(basis: BitMatrix, v: BitVector, cap: Optional[int] = None) -> CosetWeight:
-    """Minimum Hamming weight over the coset {v + span(basis rows)}.
+def coset_min_weight(basis: BitMatrix, e: np.ndarray) -> CosetWeight:
+    """Minimum Hamming weight over each coset {e[t] + span(basis rows)}.
 
-    Exhaustive enumeration (`span_blocks`) of all 2^k coset elements for
-    k <= MAX_ENUM_ROWS generators; beyond that a cap-bounded partial search
-    over low-weight generator combinations is used and flagged inexact.
+    `e` is a (trials, n) 0/1 array in any layout, such as the transposed
+    views of `FrameBatch`. It is packed once, and the coset elements are
+    walked in packed blocks of at most 2^SPAN_BLOCK_BITS rows, so the work
+    array is at most trials x 2^SPAN_BLOCK_BITS x words. Exhaustive
+    (`span_blocks`) for k <= MAX_ENUM_ROWS generators; beyond that only the
+    single and pairwise combinations are tried and the result is inexact.
     """
-    if basis.ncols != v.n:
+    e = np.asarray(e)
+    if e.ndim != 2 or e.shape[1] != basis.ncols:
         raise ValueError("length mismatch")
-    best = v.weight()
-    if best == 0:
-        return CosetWeight(0, True)
-    k = basis.nrows
-    if k <= MAX_ENUM_ROWS:
-        for block in span_blocks(basis.words):
-            best = min(best, int(np.bitwise_count(block ^ v.words).sum(axis=1).min()))
-            if best == 0:
-                break
-        return CosetWeight(best, True)
-    # Truncated search: single and pairwise generator combinations only.
-    ws = np.bitwise_count(basis.words ^ v.words).sum(axis=1)
-    best = min(best, int(ws.min()))
-    for i in range(k):
-        ws2 = np.bitwise_count((basis.words ^ basis.words[i]) ^ v.words).sum(axis=1)
-        best = min(best, int(ws2[np.arange(k) != i].min()))
-    if cap is not None and best > cap:
-        best = cap
-    return CosetWeight(best, False)
+    exact = basis.nrows <= MAX_ENUM_ROWS
+    if exact:
+        blocks = span_blocks(basis.words)
+    else:
+        g = basis.words
+        i, j = np.triu_indices(basis.nrows, 1)
+        combos = np.concatenate([np.zeros_like(g[:1]), g, g[i] ^ g[j]])
+        step = 1 << SPAN_BLOCK_BITS
+        blocks = (combos[lo : lo + step] for lo in range(0, len(combos), step))
+    packed = _pack(e, basis.ncols)[:, None]
+    best = None
+    for block in blocks:
+        w = np.bitwise_count(packed ^ block).sum(axis=2).min(axis=1)
+        best = w if best is None else np.minimum(best, w)
+    return CosetWeight(best, exact)
 
 
 def matrix_to_text(m: BitMatrix) -> str:

@@ -1,7 +1,8 @@
 """Error-correction gadgets and teleportation-based partial decoding interfaces.
 
-`build_ec` assembles the syndrome-extraction gadget (one ancilla per check,
-CNOT schedule from a proper bipartite edge coloring). `build_gamma` assembles
+`build_ec` assembles one round of the syndrome-extraction gadget (one
+ancilla per check, CNOT schedule from a proper bipartite edge coloring);
+`ec_rounds` runs it as many rounds as its caller asks. `build_gamma` assembles
 the partial interface that maps one level-r block onto m_r/m_{r'} level-r'
 blocks through an encoded Bell resource and a logical Bell measurement.
 
@@ -20,7 +21,9 @@ are written once. Decoding runs as circuit-external callbacks between
 fragments. Blocks that a walk carries between passes are engine handles:
 `load` puts one on given wires of a fragment's wire set and `save` takes
 one off. Frame trials are then classified into the success/failure
-branches to estimate the failure parameter tau.
+branches to estimate the failure parameter tau: residual weights through
+the one coset search `gf2.coset_min_weight`, logical errors through
+`decode_syndrome`, the one caller of `LeaderTable.lookup`.
 """
 
 from __future__ import annotations
@@ -99,19 +102,11 @@ def build_leader_table(h: BitMatrix) -> LeaderTable:
     return LeaderTable(h=h, errors_t=errors_t, weights=weights)
 
 
-def _coset_elements(basis: BitMatrix) -> np.ndarray:
-    """All 2^k stabilizer combinations as dense rows, for k <= MAX_TABLE_ROWS."""
-    k = basis.nrows
-    if k > MAX_TABLE_ROWS:
-        raise ValueError(f"coset enumeration too large for {k} stabilizer generators")
-    return np.concatenate(list(gf2.span_blocks(basis.to_dense())))
-
-
 class _FrameTables(NamedTuple):
-    """Per-code decode machinery: leader tables, cosets and dense checks."""
+    """Per-code decode machinery: leader tables, stabilizer bases and dense checks."""
 
-    stab_x: np.ndarray  # coset elements of rowspace(H_X)
-    stab_z: np.ndarray
+    stab_x: BitMatrix  # basis of rowspace(H_X), the X-type stabilizers
+    stab_z: BitMatrix
     table_x: LeaderTable  # leader for H_Z syndromes (X errors)
     table_z: LeaderTable  # leader for H_X syndromes (Z errors)
     lx: np.ndarray
@@ -123,8 +118,6 @@ class _FrameTables(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _frame_tables(code: CssCode) -> _FrameTables:
     arrays = dict(
-        stab_x=_coset_elements(code.x_stabilizer_basis()),
-        stab_z=_coset_elements(code.z_stabilizer_basis()),
         lx=code.lx.to_dense(),
         lz=code.lz.to_dense(),
         hx=code.hx.to_dense(),
@@ -133,7 +126,11 @@ def _frame_tables(code: CssCode) -> _FrameTables:
     for a in arrays.values():
         a.flags.writeable = False  # shared by every caller of the cache
     return _FrameTables(
-        table_x=build_leader_table(code.hz), table_z=build_leader_table(code.hx), **arrays
+        stab_x=code.x_stabilizer_basis(),
+        stab_z=code.z_stabilizer_basis(),
+        table_x=build_leader_table(code.hz),
+        table_z=build_leader_table(code.hx),
+        **arrays,
     )
 
 
@@ -200,21 +197,21 @@ def _bipartite_edge_coloring(edges: list[tuple], ) -> list[int]:
 
 
 class EcGadget(NamedTuple):
-    """One error-correction step: extraction circuit + decode metadata.
+    """One error-correction round: extraction circuit + decode metadata.
 
-    Every round runs `extraction`, which labels its outcomes per check
-    (`x_labels`, `z_labels`); a walk reads them before the next round. The
-    decoder call and Pauli correction are circuit-external; the correction
-    layer's noise is carried by `correction_circuit` (one layer of idle
-    locations over the data wires).
+    `ec_rounds` runs it a given number of times. Every round runs
+    `extraction`, which labels its outcomes per check (`x_labels`,
+    `z_labels`); a walk reads them before the next round. The decoder call
+    and Pauli correction are circuit-external; the correction layer's noise
+    is carried by `correction_circuit` (one layer of idle locations over the
+    data wires).
     """
 
     code: CssCode
-    rounds: int
     data_wires: tuple
     ancilla_x: tuple
     ancilla_z: tuple
-    extraction: Circuit        # one round
+    extraction: Circuit
     label_prefix: str
     correction_circuit: Circuit
 
@@ -229,22 +226,22 @@ class EcGadget(NamedTuple):
         return [f"{self.label_prefix}sz{i}" for i in range(self.code.hz.nrows)]
 
 
-def build_ec(code: CssCode, s: int, data_wires: Sequence, label_prefix: str = "ec.") -> EcGadget:
-    """Syndrome-extraction gadget: s rounds, one ancilla per check row.
+def build_ec(code: CssCode, data_wires: Sequence, label_prefix: str = "ec.") -> EcGadget:
+    """Syndrome-extraction gadget: one round, one ancilla per check row.
 
     X checks use |+> ancillas with CNOTs ancilla->data; Z checks use |0>
     ancillas with CNOTs data->ancilla. CNOTs are scheduled by a proper
     bipartite edge coloring, so the CNOT depth equals the max degree of the
-    check/qubit incidence graph. s = 0 yields an empty circuit. Gadgets are
-    cached per (code, s, data wires, label prefix) and shared by every
-    caller, with their circuits and compiled fault tables: treat them as
-    read-only.
+    check/qubit incidence graph. The caller picks the round count
+    (`ec_rounds`). Gadgets are cached per (code, data wires, label prefix)
+    and shared by every caller, with their circuits and compiled fault
+    tables: treat them as read-only.
     """
-    return _build_ec(code, s, tuple(data_wires), label_prefix)
+    return _build_ec(code, tuple(data_wires), label_prefix)
 
 
 @functools.lru_cache(maxsize=256)
-def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> EcGadget:
+def _build_ec(code: CssCode, data_wires: tuple, label_prefix: str) -> EcGadget:
     if len(data_wires) != code.n:
         raise ValueError("data wire count must equal n")
     anc_x = tuple(f"{label_prefix}ax{i}" for i in range(code.hx.nrows))
@@ -267,7 +264,7 @@ def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> Ec
             cnot_layers.append(pairs if anc_controls else [(t, c) for c, t in pairs])
 
     circ = Circuit(wires)
-    if s > 0 and (anc_x or anc_z):
+    if anc_x or anc_z:
         circ.add_layer(
             [Gate("init0", (w,)) for w in anc_x + anc_z]
             + [Gate("idle", (w,)) for w in data_wires]
@@ -297,7 +294,6 @@ def _build_ec(code: CssCode, s: int, data_wires: tuple, label_prefix: str) -> Ec
     correction.add_layer([Gate("idle", (w,)) for w in data_wires])
     return EcGadget(
         code=code,
-        rounds=s,
         data_wires=data_wires,
         ancilla_x=anc_x,
         ancilla_z=anc_z,
@@ -356,6 +352,8 @@ class GammaKnobs(_GammaKnobFields):
         resource_ls_delta: Optional[float] = None,
         resource_fail_prob: float = 0.0,
     ):
+        if s1 < 0 or s2 < 0:
+            raise ValueError(f"EC round counts must be non-negative, got s1={s1}, s2={s2}")
         # Plans are cached per knobs, so every field must be hashable.
         return super().__new__(cls, s1, s2, tuple(proc_poly), resource_ls_delta, resource_fail_prob)
 
@@ -481,12 +479,11 @@ def build_gamma(
     b_wires = tuple(
         f"b{i}.{p}" for i in range(blocks) for p in range(code_rp.n)
     )
-    q_gadget = build_ec(code_r, knobs.s1, q_wires, label_prefix="q.")
+    q_gadget = build_ec(code_r, q_wires, label_prefix="q.")
     if r_prime > 1:
         b_gadgets = tuple(
             build_ec(
                 code_rp,
-                knobs.s2,
                 b_wires[i * code_rp.n : (i + 1) * code_rp.n],
                 label_prefix=f"b{i}.",
             )
@@ -698,9 +695,9 @@ def _ec_round(gadget: EcGadget, engine):
     return decoded
 
 
-def ec_rounds(gadget: EcGadget, engine):
-    """All rounds of `gadget` on `engine`."""
-    for _ in range(gadget.rounds):
+def ec_rounds(gadget: EcGadget, engine, rounds: int):
+    """`rounds` EC rounds of `gadget` on `engine`."""
+    for _ in range(rounds):
         _ec_round(gadget, engine)
 
 
@@ -712,12 +709,12 @@ def gamma_pass(plan: InterfaceCircuit, engine) -> np.ndarray:
     Afterwards the state holds the output on plan.b_wires. Returns the
     (trials,) Bell heralds.
     """
-    ec_rounds(plan.q_gadget, engine)
+    ec_rounds(plan.q_gadget, engine, plan.knobs.s1)
     engine.resource(plan)
     engine.run(plan.bell_circuit)
     u, v, herald = logical_bell_process(plan.code_r, engine.bits(plan.m1_labels), engine.bits(plan.m2_labels))
     for g in plan.b_gadgets:
-        ec_rounds(g, engine)
+        ec_rounds(g, engine, plan.knobs.s2)
     engine.run(plan.proc_wait_circuit)
     # Teleportation correction: Z^u on the m1-decoded bits, X^v on m2's.
     engine.xor(plan.b_wires, gf2.mul_bits(plan.lxb.T, v), gf2.mul_bits(plan.lzb.T, u))
@@ -796,21 +793,6 @@ class ChunkStats(NamedTuple):
         )
 
 
-def _reduced_weights(e: np.ndarray, cosets: np.ndarray) -> np.ndarray:
-    """Min Hamming weight of e xor each coset element, per trial."""
-    # e: (T, n), cosets: (C, n) -> (T,); rows packed into uint64 words and the
-    # cosets taken 2^SPAN_BLOCK_BITS at a time, so the work array is at most
-    # T x 4096 x ceil(n / 64) words.
-    n = e.shape[1]
-    pe, pc = gf2._pack(e, n), gf2._pack(cosets, n)
-    step = 1 << gf2.SPAN_BLOCK_BITS
-    best = None
-    for lo in range(0, len(pc), step):
-        w = np.bitwise_count(pe[:, None, :] ^ pc[None, lo : lo + step]).sum(axis=2).min(axis=1)
-        best = w if best is None else np.minimum(best, w)
-    return best
-
-
 class GammaFrameRun(NamedTuple):
     """Frame-level result of one Gamma pass: output frames and heralds.
 
@@ -847,8 +829,16 @@ def gamma_frames(
 def classify_gamma_output(
     plan: InterfaceCircuit, run: GammaFrameRun, mu: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial (overflow, logical, histogram) classification of residuals."""
-    tables_p = _frame_tables(plan.code_rp)
+    """Per-trial (overflow, logical, histogram) classification of residuals.
+
+    A block overflows when its stabilizer-reduced residual weight
+    (`gf2.coset_min_weight`) exceeds mu * n_{r'}. That search is exact here:
+    the code's leader tables cap its check count, hence its generator count,
+    at MAX_TABLE_ROWS = 14 < gf2.MAX_ENUM_ROWS. A block is a logical error
+    when its residual, corrected by the `decode_syndrome` leaders of its own
+    syndrome, flips a logical.
+    """
+    t = _frame_tables(plan.code_rp)
     trials = run.out_x.shape[0]
     n_p = plan.code_rp.n
     overflow = np.zeros(trials, dtype=bool)
@@ -858,14 +848,11 @@ def classify_gamma_output(
         sl = slice(i * n_p, (i + 1) * n_p)
         ex = run.out_x[:, sl]
         ez = run.out_z[:, sl]
-        rw = np.maximum(
-            _reduced_weights(ex, tables_p.stab_x), _reduced_weights(ez, tables_p.stab_z)
-        )
+        rw = np.maximum(gf2.coset_min_weight(t.stab_x, ex).weight, gf2.coset_min_weight(t.stab_z, ez).weight)
         overflow |= rw > mu * n_p
-        ehat_z, _ = tables_p.table_z.lookup(gf2.mul_bits(ez, tables_p.hx.T))
-        ehat_x, _ = tables_p.table_x.lookup(gf2.mul_bits(ex, tables_p.hz.T))
-        logical |= gf2.mul_bits(ex ^ ehat_x, tables_p.lz.T).any(axis=1)
-        logical |= gf2.mul_bits(ez ^ ehat_z, tables_p.lx.T).any(axis=1)
+        ehat_x, ehat_z, _, _ = decode_syndrome(plan.code_rp, gf2.mul_bits(t.hx, ez.T), gf2.mul_bits(t.hz, ex.T))
+        logical |= gf2.mul_bits(t.lz, ex.T ^ ehat_x).any(axis=0)
+        logical |= gf2.mul_bits(t.lx, ez.T ^ ehat_z).any(axis=0)
         np.add.at(hist[i], rw, 1)
     return overflow, logical, hist
 

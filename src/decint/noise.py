@@ -18,13 +18,12 @@ Pauli-twirled member, the simulable instance; reports record this as
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
-# Stream purposes (mixed into Philox keys). Purpose 1 is retired; renumbering
-# the others would change every stream.
-STREAM_LS = 2
+# Stream purposes (mixed into Philox keys). Purposes 1 and 2 are retired;
+# renumbering the others would change every stream.
 STREAM_CIRCUIT = 3
 STREAM_ORACLE = 4
 STREAM_TRIAL = 5
@@ -84,15 +83,13 @@ def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.nd
 
 
 def sample_ls_bits(
-    qubits: int, delta: float, seed: Union[int, np.random.Generator], trials: int, stream: int = 0
+    qubits: int, delta: float, rng: np.random.Generator, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched i.i.d. local stochastic samples as (trials, qubits) x, z bits.
 
     Every (trial, qubit) is in the support with probability delta and carries
-    a uniform nontrivial Pauli there. An int `seed` keys the generator as
-    (seed, STREAM_LS, stream); a Generator is drawn from directly.
+    a uniform nontrivial Pauli there. The caller keys `rng`.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, STREAM_LS, stream)
     x = np.zeros((trials, qubits), dtype=np.uint8)
     z = np.zeros_like(x)
     hits = bernoulli_positions(rng, trials * qubits, delta)

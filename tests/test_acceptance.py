@@ -106,7 +106,8 @@ class TestCriterion4TailBound:
                         ok, tail, bound = noise.tail_bound_dominates(mu, delta, n, h)
                         assert ok, (n, mu, delta, h, float(tail), bound)
         trials = 10**6
-        sizes = noise.rng_stream(401, noise.STREAM_LS, 0).binomial(50, 0.01, size=trials)
+        # Key (seed, 2, 0) is that of the retired LS stream purpose: the draws stay as recorded.
+        sizes = noise.rng_stream(401, 2, 0).binomial(50, 0.01, size=trials)
         tau_hat = float((sizes > 0.2 * 50).mean())
         bound = noise.tail_bound(0.2, 0.01, 50, h=1).value
         sigma = math.sqrt(max(bound * (1 - bound), tau_hat * (1 - tau_hat), 1e-12) / trials)

@@ -287,12 +287,43 @@ class TestExitCodes:
             ("tree-bounds", {"z_grid": [2], "delta_bar_grid": [2]}, "delta_bar must lie in [0, 1]"),
             ("e2e", {"family": "steane", "r": 2, "trials": 10}, "'h'"),
             ("e2e", {"family": "steane", "r": 2, "h": 1, "mode": "exhaustve"}, "mode must be"),
+            ("interface-sweep", dict(SWEEP, noise=[0.1]), "bad config value"),
+            ("interface-sweep", dict(SWEEP, resource_oracle=[1]), "bad config value"),
+            ("interface-sweep", dict(SWEEP, s1=-1), "EC round counts must be non-negative"),
+            ("e2e", {"family": "steane", "r": 2, "h": 1, "mode": "exhaustive", "s2": -1},
+             "EC round counts must be non-negative"),
+            ("e2e", {"family": "steane", "r": 2, "h": 1, "mode": "exhaustive", "wait_rounds": -1},
+             "wait_rounds must be non-negative"),
+            ("tree-bounds", {"z_grid": [2], "mc_trials": -5}, "mc_trials must be non-negative"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
         cfg = write_config(tmp_path, "c.json", config)
         assert run(command, cfg, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("no-manifest", "family.json"),
+            ("no-level-file", "level_2.txt"),
+            ("truncated-level", "IndexError"),
+        ],
+    )
+    def test_malformed_family_dir_is_a_usage_error(self, tmp_path, capsys, damage, message):
+        fam = tmp_path / "fam"
+        css.save_family(css.toy_family(), fam)
+        if damage == "no-manifest":
+            (fam / "family.json").unlink()
+        elif damage == "no-level-file":
+            (fam / "level_2.txt").unlink()
+        else:
+            level = fam / "level_2.txt"
+            level.write_text(level.read_text().splitlines()[0] + "\nHX\n")
+        cfg = write_config(tmp_path, "c.json", {"family": str(fam)})
+        assert run("validate-codes", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "does not load" in err and message in err
 
     def test_config_that_is_not_json_is_a_usage_error(self, tmp_path):
         path = tmp_path / "c.json"

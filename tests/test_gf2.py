@@ -19,14 +19,18 @@ def brute_kernel(m: BitMatrix) -> list[BitVector]:
     return out
 
 
-def brute_coset_min(basis: BitMatrix, v: BitVector) -> int:
-    best = v.weight()
-    for combo in itertools.product([0, 1], repeat=basis.nrows):
-        w = v
-        for i, c in enumerate(combo):
-            if c:
-                w = w ^ basis.row(i)
-        best = min(best, w.weight())
+def brute_coset_min(basis: BitMatrix, e: np.ndarray) -> np.ndarray:
+    """Oracle: min weight of each row of e over all 2^k combinations of the
+    basis rows, built as dense rows by a float32 matmul, 2^15 at a time."""
+    dense = basis.to_dense().astype(np.float32)
+    k = basis.nrows
+    best = None
+    for lo in range(0, 1 << k, 1 << 15):
+        idx = np.arange(lo, min(lo + (1 << 15), 1 << k))
+        combos = ((idx[:, None] >> np.arange(k)) & 1).astype(np.float32)
+        elements = (combos @ dense).astype(np.uint8) & 1
+        w = np.count_nonzero(e[:, None, :] != elements, axis=2).min(axis=1)
+        best = w if best is None else np.minimum(best, w)
     return best
 
 
@@ -123,57 +127,69 @@ class TestInverse:
 
 
 class TestCosetMinWeight:
+    # Batched calls: every row of `e` is one trial.
     def test_zero_vector(self):
-        res = gf2.coset_min_weight(BitMatrix.from_rows(["1111"]), BitVector.zeros(4))
-        assert res.weight == 0 and res.exact
+        e = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], np.uint8)
+        res = gf2.coset_min_weight(BitMatrix.from_rows(["1111"]), e)
+        assert res.weight.tolist() == [0, 0] and res.exact
 
     def test_weight_one_coset(self):
         # Coset {1110, 0001}: min weight 1.
-        res = gf2.coset_min_weight(
-            BitMatrix.from_rows(["1111"]), BitVector.from_bits([1, 1, 1, 0])
-        )
-        assert (res.weight, res.exact) == (1, True)
+        e = np.array([[1, 1, 1, 0], [0, 0, 0, 1]], np.uint8)
+        res = gf2.coset_min_weight(BitMatrix.from_rows(["1111"]), e)
+        assert (res.weight.tolist(), res.exact) == ([1, 1], True)
 
     def test_weight_two_coset(self):
         # Coset {1100, 0011}: min weight 2.
-        res = gf2.coset_min_weight(
-            BitMatrix.from_rows(["1111"]), BitVector.from_bits([1, 1, 0, 0])
-        )
-        assert (res.weight, res.exact) == (2, True)
+        e = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], np.uint8)
+        res = gf2.coset_min_weight(BitMatrix.from_rows(["1111"]), e)
+        assert (res.weight.tolist(), res.exact) == ([2, 2], True)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed + 9)
         basis = random_matrix(rng, rng.integers(1, 7), 10)
-        v = BitVector.from_bits(rng.integers(0, 2, size=10))
-        res = gf2.coset_min_weight(basis, v)
+        e = rng.integers(0, 2, size=(50, 10), dtype=np.uint8)
+        res = gf2.coset_min_weight(basis, e)
         assert res.exact
-        assert res.weight == brute_coset_min(basis, v)
-        assert res.weight <= v.weight()
+        assert np.array_equal(res.weight, brute_coset_min(basis, e))
+        assert (res.weight <= e.sum(axis=1)).all()
 
     def test_truncation_flagged(self):
+        # One generator past the limit: only the zero, single and pairwise
+        # combinations are tried, so each weight bounds the true minimum
+        # from above and pairs of generators still reduce to zero.
         rng = np.random.default_rng(3)
-        basis = random_matrix(rng, gf2.MAX_ENUM_ROWS + 1, 40)
-        v = BitVector.from_bits(rng.integers(0, 2, size=40))
-        res = gf2.coset_min_weight(basis, v, cap=2)
+        basis = random_matrix(rng, gf2.MAX_ENUM_ROWS + 1, 24)
+        g = basis.to_dense()
+        e = rng.integers(0, 2, size=(5, 24), dtype=np.uint8)
+        e[1] = g[3] ^ g[17]
+        e[2] = g[5] ^ (np.arange(24) < 2)
+        res = gf2.coset_min_weight(basis, e)
         assert not res.exact
-        assert res.weight <= v.weight()
+        brute = brute_coset_min(basis, e)
+        assert (res.weight >= brute).all() and (res.weight <= e.sum(axis=1)).all()
+        assert res.weight[1] == brute[1] == 0
+        assert res.weight[2] <= 2
 
     def test_sixteen_generators_vs_dense_oracle(self):
         # Full 2^16 coset, cross-checked against a dense-matrix enumeration
-        # (an independent implementation route from the packed Gray code).
+        # (an independent implementation route from the packed span blocks).
         rng = np.random.default_rng(16)
         dense = rng.integers(0, 2, size=(16, 24), dtype=np.uint8)
         basis = BitMatrix.from_dense(dense)
-        v_bits = rng.integers(0, 2, size=24, dtype=np.uint8)
-        v = BitVector.from_bits(v_bits)
+        e = rng.integers(0, 2, size=(4, 24), dtype=np.uint8)
         combos = ((np.arange(1 << 16, dtype=np.uint32)[:, None] >> np.arange(16)) & 1).astype(
             np.uint8
         )
         elements = (combos @ dense) % 2
-        oracle = int(((elements ^ v_bits) != 0).sum(axis=1).min())
-        res = gf2.coset_min_weight(basis, v)
-        assert res.exact and res.weight == oracle
+        oracle = ((elements[None] ^ e[:, None]) != 0).sum(axis=2).min(axis=1)
+        res = gf2.coset_min_weight(basis, e)
+        assert res.exact and np.array_equal(res.weight, oracle)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            gf2.coset_min_weight(BitMatrix.from_rows(["1111"]), np.zeros((2, 3), np.uint8))
 
 
 class TestMulBits:

@@ -124,12 +124,18 @@ class TestDecodeSyndrome:
 
 class TestBuildEc:
     def test_s_zero_identity(self, fam):
-        g = interface.build_ec(fam.level(2), 0, [f"d{i}" for i in range(4)])
-        assert g.extraction.depth == 0
+        # Zero rounds run nothing: the state and the outcomes stay as they were.
+        code = fam.level(2)
+        g = interface.build_ec(code, [f"d{i}" for i in range(4)])
+        st = code.encode_state([1, 0], labels=g.data_wires)
+        apply_error(st, "d2", "X")
+        before, outcomes = st.copy(), {}
+        interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(0), outcomes), 0)
+        assert st.same_state(before) and not outcomes
 
     def test_ancilla_count(self, fam):
         code = fam.level(3)
-        g = interface.build_ec(code, 1, [f"d{i}" for i in range(code.n)])
+        g = interface.build_ec(code, [f"d{i}" for i in range(code.n)])
         assert len(g.ancilla_x) == code.hx.nrows
         assert len(g.ancilla_z) == code.hz.nrows
 
@@ -137,7 +143,7 @@ class TestBuildEc:
         # Each check's own CNOTs fit inside max-check-weight layers; with
         # prep and readout that is the "weight + 2" pipeline.
         for code in (fam.level(2), fam.level(3), fam.level(4), sfam.level(2)):
-            g = interface.build_ec(code, 1, [f"d{i}" for i in range(code.n)])
+            g = interface.build_ec(code, [f"d{i}" for i in range(code.n)])
             max_w = 0
             for m in (code.hx, code.hz):
                 for i in range(m.nrows):
@@ -153,7 +159,7 @@ class TestBuildEc:
 
     def test_steane_corrects_single_x(self, sfam):
         code = sfam.level(2)
-        g = interface.build_ec(code, 1, [f"d{i}" for i in range(7)])
+        g = interface.build_ec(code, [f"d{i}" for i in range(7)])
         st = code.encode_state([0], labels=g.data_wires)
         apply_error(st, "d1", "X")
         engine = interface.TableauEngine(st, np.random.default_rng(0), {})
@@ -165,26 +171,26 @@ class TestBuildEc:
         # Noiseless gadget, input reduced weight 1 < d/2: output reduced
         # weight 0, for every single-qubit Pauli.
         code = sfam.level(2)
-        g = interface.build_ec(code, 1, [f"d{i}" for i in range(7)])
+        g = interface.build_ec(code, [f"d{i}" for i in range(7)])
         clean = code.encode_state([0], labels=g.data_wires)
         for q in range(7):
             for kind in ("X", "Z", "Y"):
                 st = code.encode_state([0], labels=g.data_wires)
                 apply_error(st, f"d{q}", kind)
-                interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(1), {}))
+                interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(1), {}), 1)
                 assert st.same_state(clean), (q, kind)
 
     def test_c422_weight_one_residual_bounded(self, fam):
         # Exhaustive over the 8 single-qubit X/Z errors: detected, and the
         # abstaining decoder leaves residual reduced weight <= 1.
         code = fam.level(2)
-        g = interface.build_ec(code, 1, [f"d{i}" for i in range(4)])
+        g = interface.build_ec(code, [f"d{i}" for i in range(4)])
         for q in range(4):
             for kind in ("X", "Z"):
                 st = code.encode_state([0, 0], labels=g.data_wires)
                 apply_error(st, f"d{q}", kind)
                 outcomes = {}
-                interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(0), outcomes))
+                interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(0), outcomes), 1)
                 assert any(outcomes.values())  # detected
                 # Residual state differs from the clean one by the original
                 # error (reduced weight 1): re-applying it restores.
@@ -565,39 +571,93 @@ class TestEstimateTau:
 class TestFrameClassification:
     @pytest.mark.parametrize("n", [1, 10, 63, 64, 65, 130])
     def test_reduced_weights_match_broadcast(self, n):
+        # k = 13 generators: the span walks in two blocks of 2^12. Column 0
+        # is set only in the last generator, so a residual with bit 0 set
+        # reaches weight 0 only through the second block.
         rng = np.random.default_rng(n)
-        e = rng.integers(0, 2, (200, n), dtype=np.uint8)
-        e[:20] = 0  # zero errors
-        cosets = rng.integers(0, 2, (8, n), dtype=np.uint8)
-        cosets[0] = 0
-        e[20:30] = cosets[3]  # errors that reduce to weight 0
-        brute = ((e[:, None, :] ^ cosets[None, :, :]) != 0).sum(axis=2).min(axis=1)
-        assert np.array_equal(interface._reduced_weights(e, cosets), brute)
-        assert np.array_equal(interface._reduced_weights(e[:, ::-1], cosets[:, ::-1]), brute)
-        # More cosets than one slice of 2^SPAN_BLOCK_BITS: the minimum runs across slices.
-        many = rng.integers(0, 2, (5000, n), dtype=np.uint8)
-        many[0] = 0
-        many[4500] = e[40]  # reaches weight 0 through the second slice
-        few = e[15:45]
-        brute = ((few[:, None, :] ^ many[None, :, :]) != 0).sum(axis=2).min(axis=1)
-        assert len(many) > 1 << gf2.SPAN_BLOCK_BITS and brute[-5] == 0
-        assert np.array_equal(interface._reduced_weights(few, many), brute)
-
-    def test_coset_enumeration_fails_fast(self):
-        limit = interface.MAX_TABLE_ROWS
-        with pytest.raises(ValueError, match="too large"):
-            interface._coset_elements(BitMatrix.identity(limit + 1))
-        elements = interface._coset_elements(BitMatrix.identity(limit))
-        assert elements.shape == (1 << limit, limit)
-        assert len({row.tobytes() for row in elements}) == 1 << limit
+        k = 13
+        gens = rng.integers(0, 2, (k, n), dtype=np.uint8)
+        gens[:, 0] = 0
+        gens[k - 1, 0] = 1
+        combos = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+        span = (combos @ gens) % 2
+        e = rng.integers(0, 2, (60, n), dtype=np.uint8)
+        e[:10] = 0  # zero errors
+        e[10:20] = span[3]  # errors that reduce to weight 0 in the first block
+        e[20:30] = span[(1 << 12) + 5]  # ... and only in the second block
+        brute = np.array([np.count_nonzero(row != span, axis=1).min() for row in e])
+        first = np.array([np.count_nonzero(row != span[: 1 << 12], axis=1).min() for row in e[20:30]])
+        assert k > gf2.SPAN_BLOCK_BITS and (brute[:30] == 0).all() and (first > 0).all()
+        basis = BitMatrix.from_dense(gens)
+        for rows in (e, np.ascontiguousarray(e.T).T):  # row-major and FrameBatch layouts
+            res = gf2.coset_min_weight(basis, rows)
+            assert res.exact and np.array_equal(res.weight, brute)
+        reversed_basis = BitMatrix.from_dense(gens[:, ::-1])
+        assert np.array_equal(gf2.coset_min_weight(reversed_basis, e[:, ::-1]).weight, brute)
 
     def test_frame_tables_cached_and_read_only(self, fam):
         code = fam.level(3)
         tables = interface._frame_tables(code)
         assert interface._frame_tables(code) is tables
-        for arr in (tables.stab_x, tables.stab_z, tables.lx, tables.lz, tables.hx, tables.hz):
+        assert tables.stab_x == code.x_stabilizer_basis() and tables.stab_z == code.z_stabilizer_basis()
+        for arr in (tables.stab_x.words, tables.stab_z.words, tables.lx, tables.lz, tables.hx, tables.hz):
             with pytest.raises(ValueError):
                 arr[0, 0] ^= 1
+
+    @staticmethod
+    def brute_classification(plan, run, mu):
+        """Reference: dense 2^k stabilizer cosets and direct leader lookups."""
+        code = plan.code_rp
+        n = code.n
+
+        def span(basis):
+            k = basis.nrows
+            combos = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
+            return (combos @ basis.to_dense()) % 2
+
+        def weights(e, cosets):
+            return ((e[:, None, :] ^ cosets[None]) != 0).sum(axis=2).min(axis=1)
+
+        stab_x, stab_z = span(code.x_stabilizer_basis()), span(code.z_stabilizer_basis())
+        table_x, table_z = interface.build_leader_table(code.hz), interface.build_leader_table(code.hx)
+        hx, hz, lx, lz = (m.to_dense() for m in (code.hx, code.hz, code.lx, code.lz))
+        overflow = np.zeros(len(run.herald), bool)
+        logical = np.zeros(len(run.herald), bool)
+        hist = np.zeros((plan.blocks, n + 1), np.int64)
+        for i in range(plan.blocks):
+            ex = np.array(run.out_x[:, i * n : (i + 1) * n])
+            ez = np.array(run.out_z[:, i * n : (i + 1) * n])
+            rw = np.maximum(weights(ex, stab_x), weights(ez, stab_z))
+            overflow |= rw > mu * n
+            ehat_x, _ = table_x.lookup(ex @ hz.T % 2)
+            ehat_z, _ = table_z.lookup(ez @ hx.T % 2)
+            logical |= ((ex ^ ehat_x) @ lz.T % 2).any(axis=1)
+            logical |= ((ez ^ ehat_z) @ lx.T % 2).any(axis=1)
+            hist[i] = np.bincount(rw, minlength=n + 1)
+        return overflow, logical, hist
+
+    def test_classification_matches_brute_force(self, fam):
+        plan = interface.build_gamma(fam, 4, 3)
+        run = interface.gamma_frames(plan, NoiseParams(delta=0.01, seed=77), 3000)
+        got = interface.classify_gamma_output(plan, run, 0.25)
+        assert got[0].any() and got[1].any() and (got[2][:, 1:] > 0).any()
+        for a, b in zip(got, self.brute_classification(plan, run, 0.25)):
+            assert np.array_equal(a, b)
+
+    def test_classification_decodes_before_reading_logicals(self, fam, sfam):
+        # No leader of a toy code flips one of its logicals, so a toy batch
+        # cannot tell a decoded residual from a raw one. Steane leaders can:
+        # classify random residuals on two Steane output blocks.
+        plan = interface.build_gamma(fam, 4, 3)._replace(code_rp=sfam.level(2))
+        rng = np.random.default_rng(5)
+        out_x, out_z = ((rng.random((14, 2000)) < 0.1).astype(np.uint8).T for _ in range(2))
+        run = interface.GammaFrameRun(out_x=out_x, out_z=out_z, herald=np.zeros(2000, bool))
+        got = interface.classify_gamma_output(plan, run, 0.25)
+        want = self.brute_classification(plan, run, 0.25)
+        raw = (out_x[:, :7] @ sfam.level(2).lz.to_dense().T % 2).any(axis=1)
+        assert (raw != want[1]).any()  # the decode matters on this batch
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "delta, fail_prob, counts",
@@ -722,11 +782,11 @@ class TestWireMajorGamma:
     def test_ec_gadgets_are_shared(self, fam):
         code = fam.level(3)
         wires = [f"d{i}" for i in range(code.n)]
-        g = interface.build_ec(code, 2, wires, label_prefix="w.")
-        assert interface.build_ec(code, 2, tuple(wires), label_prefix="w.") is g
-        assert interface.build_ec(code, 2, wires, label_prefix="v.") is not g
+        g = interface.build_ec(code, wires, label_prefix="w.")
+        assert interface.build_ec(code, tuple(wires), label_prefix="w.") is g
+        assert interface.build_ec(code, wires, label_prefix="v.") is not g
         plan = interface.build_gamma(fam, 4, 3)
-        assert plan.b_gadgets[0] is interface.build_ec(code, 1, plan.block_wires(0), label_prefix="b0.")
+        assert plan.b_gadgets[0] is interface.build_ec(code, plan.block_wires(0), label_prefix="b0.")
 
 
 class TestOneWalkTwoEngines:

@@ -17,6 +17,14 @@ INVALID = {
     "gate-arity": (lambda: Gate("cnot", ("a",)), r"cnot arity mismatch: \('a',\)"),
     "gate-measure-label": (lambda: Gate("measure", ("a",)), "measure needs an outcome label"),
     "noise-delta": (lambda: NoiseParams(delta=1.5, seed=0), r"delta must lie in \[0, 1\]"),
+    "knobs-s1": (
+        lambda: interface.GammaKnobs(s1=-1),
+        "EC round counts must be non-negative, got s1=-1, s2=1",
+    ),
+    "knobs-s2": (
+        lambda: interface.GammaKnobs(s2=-2),
+        "EC round counts must be non-negative, got s1=1, s2=-2",
+    ),
     "pauli-lengths": (
         lambda: css.PauliOp(BitVector.zeros(3), BitVector.zeros(4)),
         "X and Z parts must have equal length",
