@@ -5,9 +5,9 @@
 import numpy as np
 
 from decint import css, gf2
-from decint.gf2 import BitMatrix, BitVector
+from decint.gf2 import BitMatrix
 
-# --- bit-packed GF(2) linear algebra ------------------------------------------
+# --- GF(2) linear algebra: 0/1 arrays and packed matrices ---------------------
 h = BitMatrix.from_rows(["1111"])  # the [[4,2,2]] check, both sectors
 print("rank([1111]) =", gf2.rank(h))
 print("kernel dimension =", gf2.nullspace_basis(h).nrows)  # even-weight space
@@ -31,9 +31,9 @@ print("LZ:")
 print(code.lz.to_dense())
 
 # Stabilizer-reduced weight: X on three qubits is one stabilizer away from
-# a single-qubit error.
-p = css.PauliOp(BitVector.from_bits([1, 1, 1, 0]), BitVector.zeros(4))
-print("reduced weight of XXXI:", code.reduced_weight(p).weight)
+# a single-qubit error. The X part reduces against the X-type stabilizers.
+xxxi = np.array([[1, 1, 1, 0]], np.uint8)
+print("reduced weight of XXXI:", gf2.coset_min_weight(code.x_stabilizer_basis(), xxxi).weight[0])
 
 # --- hypergraph products and the toy family -------------------------------------
 fam = css.toy_family()
@@ -51,5 +51,5 @@ print("\nbase code m =", base3.m, "-> frozen to m =", css.freeze_logicals(base3,
 # Encoded states are signed stabilizer tableaus; checks read 0 and logical
 # Z operators read the encoded bits.
 tab = fam.level(2).encode_state([1, 0])
-lz0 = fam.level(2).lz.row(0).to_array()
+lz0 = fam.level(2).lz.to_dense()[0]
 print("logical Z_0 readout of |10_L>:", tab.expectation_z(np.zeros(4, np.uint8), lz0))

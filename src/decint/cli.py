@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, css, e2e, interface, scheduler
+from .interface import as_int
 from .noise import NoiseParams
 from .plotsvg import write_loglog_svg
 
@@ -114,7 +115,7 @@ def _grid(config: dict, key: str, default: list) -> list:
 
 
 def _trials(config: dict) -> int:
-    trials = int(config["trials"])
+    trials = as_int(config["trials"])
     if trials < 1:
         raise UsageError(f"need at least one trial, got {trials}")
     return trials
@@ -132,7 +133,7 @@ def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[floa
         deltas = [deltas]
     if not deltas:
         raise UsageError("empty delta grid")
-    seed = int(noise.get("seed", config.get("seed", 0)))
+    seed = as_int(noise.get("seed", config.get("seed", 0)))
     if seed_override is not None:
         seed = seed_override
     return [_probability("delta", float(d)) for d in deltas], seed
@@ -183,8 +184,8 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
     family = _family(config)
     with _config_values():
         deltas, base_seed = _noise_params(config, seed)
-        r = int(config["r"])
-        r_prime = int(config["r_prime"])
+        r = as_int(config["r"])
+        r_prime = as_int(config["r_prime"])
         trials = _trials(config)
         mu = float(config.get("mu", 0.25))
         knobs = interface.GammaKnobs.from_json(config)
@@ -253,9 +254,9 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
 def cmd_schedule_audit(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
     family = _family(config)
     with _config_values():
-        h_grid = [int(h) for h in _grid(config, "h_grid", [1, 2, 4, 8])]
-        r_grid = [int(r) for r in _grid(config, "r_grid", [family.depth])]
-        r_prime = int(config.get("r_prime", 1))
+        h_grid = [as_int(h) for h in _grid(config, "h_grid", [1, 2, 4, 8])]
+        r_grid = [as_int(r) for r in _grid(config, "r_grid", [family.depth])]
+        r_prime = as_int(config.get("r_prime", 1))
     for r in r_grid:
         _check_levels(family, r, r_prime)
     if min(h_grid) < 1:
@@ -315,13 +316,13 @@ def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], worker
     from . import blocktree
 
     with _config_values():
-        z_grid = [int(z) for z in _grid(config, "z_grid", [2, 3, 4])]
+        z_grid = [as_int(z) for z in _grid(config, "z_grid", [2, 3, 4])]
         db_grid = _grid(config, "delta_bar_grid", [0.3, 0.1, 0.03])
         db_fracs = [_probability("delta_bar", Fraction(str(db))) for db in db_grid]
-        max_size = int(config.get("max_size", 3))
+        max_size = as_int(config.get("max_size", 3))
         leaf_only = bool(config.get("leaf_only", True))
-        mc_trials = _count("mc_trials", int(config.get("mc_trials", 0)))
-        base_seed = int(config.get("seed", 0) if seed is None else seed)
+        mc_trials = _count("mc_trials", as_int(config.get("mc_trials", 0)))
+        base_seed = as_int(config.get("seed", 0) if seed is None else seed)
     for z in z_grid:
         if not 1 <= z <= blocktree.MAX_EXACT_DEPTH + 1:
             raise UsageError(f"z={z} lies outside 1..{blocktree.MAX_EXACT_DEPTH + 1} (the exact-mode depth cap)")
@@ -376,11 +377,11 @@ def _set_descriptor(t_bar) -> str:
 def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
     family = _family(config)
     with _config_values():
-        r = int(config["r"])
-        h = int(config["h"])
+        r = as_int(config["r"])
+        h = as_int(config["h"])
         deltas, base_seed = _noise_params(config, seed)
         knobs = interface.GammaKnobs.from_json(config)
-        wait_rounds = _count("wait_rounds", int(config.get("wait_rounds", 1)))
+        wait_rounds = _count("wait_rounds", as_int(config.get("wait_rounds", 1)))
         mode = config.get("mode", "frames")
         if mode not in ("frames", "exhaustive"):
             raise UsageError(f"mode must be 'frames' or 'exhaustive', got {mode!r}")

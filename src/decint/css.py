@@ -1,4 +1,4 @@
-"""CSS codes: logical structure, reduced weights, distances, and families.
+"""CSS codes: logical structure, distances, and families.
 
 A CSS code is held as the pair of binary check matrices (H_X, H_Z) with
 H_X H_Z^T = 0, plus a cached symplectic-dual basis of logical operator
@@ -16,35 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import gf2
-from .gf2 import BitMatrix, BitVector, CosetWeight
+from .gf2 import BitMatrix
 from .tableau import Tableau, pauli_product
-
-
-class _PauliFields(NamedTuple):
-    x: BitVector
-    z: BitVector
-
-
-class PauliOp(_PauliFields):
-    """Sign-free n-qubit Pauli, split into X and Z parts."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: BitVector, z: BitVector):
-        if x.n != z.n:
-            raise ValueError("X and Z parts must have equal length")
-        return super().__new__(cls, x, z)
-
-    @property
-    def n(self) -> int:
-        return self.x.n
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliOp":
-        return cls(BitVector.zeros(n), BitVector.zeros(n))
-
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.x.to_array() | self.z.to_array()))
 
 
 class CheckResult(NamedTuple):
@@ -85,8 +58,7 @@ def _quotient_basis(candidates: BitMatrix, modulus: BitMatrix) -> BitMatrix:
     mod_rows = red_mod.to_dense()[: len(piv_mod)]
     accepted: list[np.ndarray] = []
     accepted_piv: list[int] = []
-    for i in range(candidates.nrows):
-        v = candidates.row(i).to_array()
+    for v in candidates.to_dense():
         for row, p in zip(mod_rows, piv_mod):
             if v[p]:
                 v ^= row
@@ -108,15 +80,7 @@ class CssCode:
     Immutable by convention: treat every attribute as read-only.
     """
 
-    def __init__(
-        self,
-        hx: BitMatrix,
-        hz: BitMatrix,
-        lx: BitMatrix,
-        lz: BitMatrix,
-        name: str = "",
-        distance: Optional[tuple[int, bool]] = None,
-    ):
+    def __init__(self, hx: BitMatrix, hz: BitMatrix, lx: BitMatrix, lz: BitMatrix, name: str = ""):
         if hx.ncols != hz.ncols:
             raise ValueError("H_X and H_Z act on different qubit counts")
         self.n = hx.ncols
@@ -126,12 +90,10 @@ class CssCode:
         self.lz = lz
         self.m = lx.nrows
         self.name = name or f"[[{self.n},{self.m}]]"
-        self._distance = distance
+        self._distance: Optional[tuple[int, bool]] = None
 
     @classmethod
-    def from_checks(
-        cls, hx: BitMatrix, hz: BitMatrix, name: str = "", compute_distance: bool = True
-    ) -> "CssCode":
+    def from_checks(cls, hx: BitMatrix, hz: BitMatrix, name: str = "") -> "CssCode":
         """Derive logical representatives from the check matrices.
 
         L_X spans ker(H_Z)/rowspace(H_X) and L_Z spans ker(H_X)/rowspace(H_Z);
@@ -146,10 +108,7 @@ class CssCode:
         if lx.nrows:
             pairing = lx @ lz.transpose()
             lz = gf2.inverse(pairing).transpose() @ lz
-        code = cls(hx, hz, lx, lz, name=name)
-        if compute_distance and code.n <= 24:
-            code._distance = code.min_distance()
-        return code
+        return cls(hx, hz, lx, lz, name=name)
 
     def __repr__(self) -> str:
         return f"CssCode({self.name}, n={self.n}, m={self.m})"
@@ -185,7 +144,7 @@ class CssCode:
             )
         return rep
 
-    # -- weights and distance ----------------------------------------------------
+    # -- stabilizers and distance ------------------------------------------------
 
     def x_stabilizer_basis(self) -> BitMatrix:
         red, piv = gf2.rref(self.hx)
@@ -195,24 +154,12 @@ class CssCode:
         red, piv = gf2.rref(self.hz)
         return BitMatrix.from_dense(red.to_dense()[: len(piv)])
 
-    def reduced_weight(self, p: PauliOp) -> CosetWeight:
-        """Stabilizer-reduced weight max(|e_x|_red, |e_z|_red), as an int.
-
-        The X part reduces against X-type stabilizers (rows of H_X) and the
-        Z part against Z-type stabilizers; exact whenever both enumerations
-        stayed within the generator limit.
-        """
-        if p.n != self.n:
-            raise ValueError("operator length mismatch")
-        wx = gf2.coset_min_weight(self.x_stabilizer_basis(), p.x.to_array()[None])
-        wz = gf2.coset_min_weight(self.z_stabilizer_basis(), p.z.to_array()[None])
-        return CosetWeight(int(max(wx.weight[0], wz.weight[0])), wx.exact and wz.exact)
-
     def min_distance(self, cap: int = 1 << 22) -> tuple[int, bool]:
         """Minimum distance min(d_X, d_Z) by exhaustive kernel enumeration.
 
         Exact when both kernels fit inside `cap` enumerated vectors;
-        otherwise a best-seen upper value with the exact flag cleared.
+        otherwise a best-seen upper value with the exact flag cleared. The
+        result is memoised on the code.
         """
         if self._distance is not None:
             return self._distance
@@ -221,10 +168,6 @@ class CssCode:
         result = (min(dx, dz), ex and ez)
         self._distance = result
         return result
-
-    @property
-    def distance(self) -> Optional[tuple[int, bool]]:
-        return self._distance
 
     # -- encoded states ------------------------------------------------------------
 
@@ -363,20 +306,20 @@ def _recorded(code: CssCode, distance: int) -> CssCode:
 
 def trivial_code() -> CssCode:
     hz = BitMatrix.zeros(0, 1)
-    return _recorded(CssCode.from_checks(hz, hz, name="trivial", compute_distance=False), 1)
+    return _recorded(CssCode.from_checks(hz, hz, name="trivial"), 1)
 
 
 def c422() -> CssCode:
     h = BitMatrix.from_rows(["1111"])
-    return _recorded(CssCode.from_checks(h, h, name="[[4,2,2]]", compute_distance=False), 2)
+    return _recorded(CssCode.from_checks(h, h, name="[[4,2,2]]"), 2)
 
 
 def steane_code() -> CssCode:
     hamming = BitMatrix.from_rows(["0001111", "0110011", "1010101"])
-    return _recorded(CssCode.from_checks(hamming, hamming, name="steane", compute_distance=False), 3)
+    return _recorded(CssCode.from_checks(hamming, hamming, name="steane"), 3)
 
 
-def build_hgp(h1: BitMatrix, h2: BitMatrix, name: str = "", compute_distance: bool = True) -> CssCode:
+def build_hgp(h1: BitMatrix, h2: BitMatrix, name: str = "") -> CssCode:
     """Hypergraph product of two classical parity-check matrices."""
     a = h1.to_dense()
     b = h2.to_dense()
@@ -394,7 +337,6 @@ def build_hgp(h1: BitMatrix, h2: BitMatrix, name: str = "", compute_distance: bo
         BitMatrix.from_dense(hx % 2),
         BitMatrix.from_dense(hz % 2),
         name=name or f"hgp({r1}x{n1},{r2}x{n2})",
-        compute_distance=compute_distance,
     )
 
 
@@ -457,11 +399,12 @@ class CodeFamily(NamedTuple):
                     code.m >= self.alpha * code.n,
                     f"m={code.m}, alpha*n={self.alpha * code.n:.3f}",
                 )
-                if code.distance is not None and code.distance[1]:
+                d, exact = code.min_distance()
+                if exact:
                     rep.add(
                         f"distance_r{r}",
-                        code.distance[0] >= self.beta * code.n,
-                        f"d={code.distance[0]}, beta*n={self.beta * code.n:.3f}",
+                        d >= self.beta * code.n,
+                        f"d={d}, beta*n={self.beta * code.n:.3f}",
                     )
         for r in range(1, self.depth + 1):
             sub = self.level(r).validate()
@@ -513,8 +456,8 @@ def toy_family() -> CodeFamily:
     levels = (
         trivial_code(),
         c422(),
-        _recorded(build_hgp(rep3, rep3, name="hgp33", compute_distance=False), 2),
-        _recorded(build_hgp(rep3, rep5, name="hgp35", compute_distance=False), 2),
+        _recorded(build_hgp(rep3, rep3, name="hgp33"), 2),
+        _recorded(build_hgp(rep3, rep5, name="hgp35"), 2),
     )
     return CodeFamily(levels=levels, alpha=0.4, beta=0.125, r0=1, provenance="builtin-toy")
 
@@ -568,7 +511,7 @@ def code_from_text(text: str, name: str = "") -> CssCode:
     if "LX" in blocks and "LZ" in blocks:
         code = CssCode(blocks["HX"], blocks["HZ"], blocks["LX"], blocks["LZ"], name=name)
     else:
-        code = CssCode.from_checks(blocks["HX"], blocks["HZ"], name=name, compute_distance=False)
+        code = CssCode.from_checks(blocks["HX"], blocks["HZ"], name=name)
     if code.n != n or code.m != m:
         raise ValueError("header does not match matrix blocks")
     return code

@@ -1,17 +1,18 @@
-"""Dense GF(2) linear algebra over bit-packed rows.
+"""Dense GF(2) linear algebra: 0/1 arrays and one bit-packed matrix type.
 
-Rows are packed into 64-bit words so that row XOR and popcount (the hot
-operations in syndrome decoding and coset searches) are single numpy ops.
-Products of dense 0/1 trial batches go through `mul_bits`, one float32 BLAS
-matmul. `coset_min_weight` is the one coset search: the stabilizer-reduced
-weight of every trial of a batch, exact up to MAX_ENUM_ROWS generators.
-All objects are immutable after construction; every operation returns a new
-value, so concurrent use from multiple workers is safe.
+A GF(2) vector is a 1-D 0/1 uint8 array. `BitMatrix` packs its rows into
+64-bit words so that row XOR and popcount (the hot operations in elimination
+and coset searches) are single numpy ops. Every GF(2) matrix product goes
+through `mul_bits`, one float32 BLAS matmul. `coset_min_weight` is the one
+coset search: the stabilizer-reduced weight of every trial of a batch, exact
+up to MAX_ENUM_ROWS generators. A `BitMatrix` is immutable after
+construction; every operation returns a new value, so concurrent use from
+multiple workers is safe.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,10 +43,6 @@ def _unpack(words: np.ndarray, ncols: int) -> np.ndarray:
         return np.zeros((words.shape[0], 0), dtype=np.uint8)
     bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
     return bits[:, :ncols]
-
-
-def _popcount(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
 
 
 # float32 holds every integer below 2^24 exactly, so a float32 product of 0/1
@@ -104,77 +101,6 @@ def span_blocks(rows: np.ndarray):
         yield low ^ high
 
 
-class BitVector:
-    """Immutable GF(2) vector of fixed length."""
-
-    __slots__ = ("words", "n")
-
-    def __init__(self, words: np.ndarray, n: int):
-        self.words = words
-        self.n = n
-        words.flags.writeable = False
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        arr = np.fromiter((int(b) & 1 for b in bits), dtype=np.uint8)
-        return cls(_pack(arr.reshape(1, -1), arr.size)[0].copy(), arr.size)
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(np.zeros(_nwords(n), dtype=np.uint64), n)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls.from_bits([1] * n)
-
-    @classmethod
-    def unit(cls, n: int, i: int) -> "BitVector":
-        bits = np.zeros(n, dtype=np.uint8)
-        bits[i] = 1
-        return cls.from_bits(bits)
-
-    def to_array(self) -> np.ndarray:
-        return _unpack(self.words.reshape(1, -1), self.n)[0]
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return int((self.words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVector(self.words ^ other.words, self.n)
-
-    def dot(self, other: "BitVector") -> int:
-        """Inner product mod 2."""
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return _popcount(self.words & other.words) & 1
-
-    def weight(self) -> int:
-        return _popcount(self.words)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.words.tobytes()))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:
-        return f"BitVector({self.to01()})"
-
-    def to01(self) -> str:
-        return "".join(str(b) for b in self.to_array())
-
-
 class BitMatrix:
     """Immutable GF(2) matrix with bit-packed rows."""
 
@@ -220,15 +146,6 @@ class BitMatrix:
     def to_dense(self) -> np.ndarray:
         return _unpack(self.words, self.ncols)
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.words[i].copy(), self.ncols)
-
-    def rows(self) -> list[BitVector]:
-        return [self.row(i) for i in range(self.nrows)]
-
-    def get(self, i: int, j: int) -> int:
-        return int((self.words[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense(self.to_dense().T)
 
@@ -239,21 +156,10 @@ class BitMatrix:
             np.vstack([self.words, other.words]), self.nrows + other.nrows, self.ncols
         )
 
-    def mul_vec(self, v: BitVector) -> BitVector:
-        """Matrix-vector product over GF(2)."""
-        if v.n != self.ncols:
-            raise ValueError("dimension mismatch")
-        bits = (np.bitwise_count(self.words & v.words).sum(axis=1) & 1).astype(np.uint8)
-        return BitVector.from_bits(bits) if self.nrows else BitVector.zeros(0)
-
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        bt = other.transpose()
-        out = np.zeros((self.nrows, other.ncols), dtype=np.uint8)
-        for j in range(other.ncols):
-            out[:, j] = np.bitwise_count(self.words & bt.words[j]).sum(axis=1) & 1
-        return BitMatrix.from_dense(out)
+        return BitMatrix.from_dense(mul_bits(self.to_dense(), other.to_dense()))
 
     def is_zero(self) -> bool:
         return not self.words.any()
@@ -336,19 +242,19 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
     return BitMatrix.from_dense(basis)
 
 
-def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
-    """Some x with Mx = b, or None when the system is inconsistent."""
-    if b.n != m.nrows:
+def solve(m: BitMatrix, b: np.ndarray) -> Optional[np.ndarray]:
+    """Some 0/1 array x with Mx = b for a 1-D 0/1 array b, or None when the
+    system is inconsistent."""
+    b = np.asarray(b, dtype=np.uint8)
+    if b.shape != (m.nrows,):
         raise ValueError("rhs length must equal nrows")
-    aug = _pack(b.to_array().reshape(-1, 1), 1)
-    work, pivots, aug = m._rref_words(extra=aug)
+    _, pivots, aug = m._rref_words(extra=_pack(b.reshape(-1, 1), 1))
     red_b = _unpack(aug, 1)[:, 0]
     if red_b[len(pivots):].any():
         return None
     x = np.zeros(m.ncols, dtype=np.uint8)
-    for i, p in enumerate(pivots):
-        x[p] = red_b[i]
-    return BitVector.from_bits(x)
+    x[pivots] = red_b[: len(pivots)]
+    return x
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
@@ -362,8 +268,8 @@ def inverse(m: BitMatrix) -> BitMatrix:
     return BitMatrix(aug, m.nrows, m.nrows)
 
 
-def row_space_contains(m: BitMatrix, v: BitVector) -> bool:
-    """Whether v lies in the row space of m."""
+def row_space_contains(m: BitMatrix, v: np.ndarray) -> bool:
+    """Whether the 1-D 0/1 array v lies in the row space of m."""
     return solve(m.transpose(), v) is not None
 
 

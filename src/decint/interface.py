@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -325,6 +326,13 @@ def logical_bell_process(code_r: CssCode, m1: np.ndarray, m2: np.ndarray):
 # -- the partial decoding interface Gamma ---------------------------------------------
 
 
+def as_int(value) -> int:
+    """A config count as an int; a bool or a non-integral float raises."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 class _GammaKnobFields(NamedTuple):
     s1: int
     s2: int
@@ -355,7 +363,10 @@ class GammaKnobs(_GammaKnobFields):
         if s1 < 0 or s2 < 0:
             raise ValueError(f"EC round counts must be non-negative, got s1={s1}, s2={s2}")
         # Plans are cached per knobs, so every field must be hashable.
-        return super().__new__(cls, s1, s2, tuple(proc_poly), resource_ls_delta, resource_fail_prob)
+        proc_poly = tuple(proc_poly)
+        if not all(isinstance(c, numbers.Real) for c in proc_poly):
+            raise ValueError(f"proc_layers coefficients must be numbers, got {proc_poly!r}")
+        return super().__new__(cls, s1, s2, proc_poly, resource_ls_delta, resource_fail_prob)
 
     def proc_layers(self, n: int) -> int:
         return int(sum(c * n**k for k, c in enumerate(self.proc_poly)))
@@ -364,9 +375,9 @@ class GammaKnobs(_GammaKnobFields):
     def from_json(cls, obj: dict) -> "GammaKnobs":
         oracle = obj.get("resource_oracle", {})
         return cls(
-            s1=int(obj.get("s1", 1)),
-            s2=int(obj.get("s2", 1)),
-            proc_poly=tuple(obj.get("proc_layers", (0, 1))),
+            s1=as_int(obj.get("s1", 1)),
+            s2=as_int(obj.get("s2", 1)),
+            proc_poly=obj.get("proc_layers", (0, 1)),
             resource_ls_delta=oracle.get("ls_delta"),
             resource_fail_prob=float(oracle.get("fail_prob", 0.0)),
         )

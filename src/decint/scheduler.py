@@ -184,20 +184,6 @@ class OverheadReport(NamedTuple):
     eta1_ok: bool
     eta2_ok: bool
 
-    def rows(self) -> list[dict]:
-        return [
-            {
-                "level": c.level,
-                "layer": c.layer,
-                "ec_qubits": c.eta1,
-                "gamma_qubits": c.eta2,
-                "total": c.total,
-                "eta1_bound": c.bound1,
-                "eta2_bound": c.bound2,
-            }
-            for c in self.per_layer
-        ]
-
 
 def qubit_census(schedule: InterfaceSchedule) -> OverheadReport:
     """Exact per-macro-layer qubit counts and the two overhead inequalities.

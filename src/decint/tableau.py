@@ -364,10 +364,10 @@ def _combination(xs: bytes, zs: bytes, n: int, target: bytes) -> Optional[tuple[
     x = np.frombuffer(xs, np.uint8).reshape(n, n)
     z = np.frombuffer(zs, np.uint8).reshape(n, n)
     a = gf2.BitMatrix.from_dense(np.concatenate([x, z], axis=1).T)
-    sol = gf2.solve(a, gf2.BitVector.from_bits(np.frombuffer(target, np.uint8)))
+    sol = gf2.solve(a, np.frombuffer(target, np.uint8))
     if sol is None:
         return None
-    lam = sol.to_array().astype(bool)
+    lam = sol.astype(bool)
     lam.flags.writeable = False
     half = pauli_product([(x[i], z[i], 0) for i in np.flatnonzero(lam)])[2] if lam.any() else 0
     return lam, int(half)

@@ -73,6 +73,20 @@ class TestValidateCodes:
         back = css.load_family(tmp_path / "out" / "family")
         assert back.depth == 4 and back.validate().passed
 
+    def test_dumped_family_validates_the_same_checks(self, tmp_path):
+        # The reloaded levels carry no recorded distances; validation finds
+        # them by search and checks every exact one, as for the builtin.
+        cfg = write_config(tmp_path, "c.json", {"family": "toy", "dump": True})
+        assert run("validate-codes", cfg, tmp_path / "builtin") == 0
+        cfg = write_config(tmp_path, "d.json", {"family": str(tmp_path / "builtin" / "family")})
+        assert run("validate-codes", cfg, tmp_path / "dumped") == 0
+        names = [
+            [line.split(",")[0] for line in (tmp_path / out / "validation.csv").read_text().splitlines()]
+            for out in ("builtin", "dumped")
+        ]
+        assert names[0] == names[1] and len(names[0]) == 1 + 46
+        assert {"distance_r2", "distance_r3", "distance_r4"} <= set(names[1])
+
 
 class TestInterfaceSweep:
     CFG = {
@@ -295,6 +309,10 @@ class TestExitCodes:
             ("e2e", {"family": "steane", "r": 2, "h": 1, "mode": "exhaustive", "wait_rounds": -1},
              "wait_rounds must be non-negative"),
             ("tree-bounds", {"z_grid": [2], "mc_trials": -5}, "mc_trials must be non-negative"),
+            ("interface-sweep", dict(SWEEP, trials=100.7, s1=1.5), "expected an integer, got 100.7"),
+            ("interface-sweep", dict(SWEEP, s1=1.5), "expected an integer, got 1.5"),
+            ("interface-sweep", dict(SWEEP, trials=True), "expected an integer, got True"),
+            ("interface-sweep", dict(SWEEP, proc_layers="ab"), "proc_layers coefficients must be numbers"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):

@@ -1,4 +1,4 @@
-"""Smoke test: the demos that drive every tableau entry point run to the end."""
+"""Smoke test: every demo runs to the end."""
 
 import os
 import pathlib
@@ -11,7 +11,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["00_circuits_two_backends.py", "03_partial_interface.py", "06_end_to_end.py"]
+    "demo",
+    [
+        "00_circuits_two_backends.py",
+        "01_codes_and_families.py",
+        "02_noise_model.py",
+        "03_partial_interface.py",
+        "04_schedule_overhead.py",
+        "05_block_tree_bounds.py",
+        "06_end_to_end.py",
+    ],
 )
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decint import gf2
-from decint.gf2 import BitMatrix, BitVector
+from decint.gf2 import BitMatrix
 
 
-def brute_kernel(m: BitMatrix) -> list[BitVector]:
+def brute_kernel(m: BitMatrix) -> list[np.ndarray]:
     """Oracle: enumerate all 2^ncols vectors and keep the kernel."""
     out = []
     for bits in itertools.product([0, 1], repeat=m.ncols):
-        v = BitVector.from_bits(bits)
-        if m.mul_vec(v).weight() == 0:
+        v = np.array(bits, dtype=np.uint8)
+        if not gf2.mul_bits(m.to_dense(), v).any():
             out.append(v)
     return out
 
@@ -68,10 +68,10 @@ class TestNullspace:
         basis = gf2.nullspace_basis(h)
         assert basis.nrows == 3
         assert gf2.rank(basis) == 3
-        kernel = {v.to01() for v in brute_kernel(h)}
+        kernel = {v.tobytes() for v in brute_kernel(h)}
         assert len(kernel) == 8
-        for i in range(basis.nrows):
-            assert basis.row(i).to01() in kernel
+        for row in basis.to_dense():
+            assert row.tobytes() in kernel
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nullspace_properties(self, seed):
@@ -86,34 +86,38 @@ class TestNullspace:
 
 class TestSolve:
     def test_identity(self):
-        b = BitVector.from_bits([1, 0, 1])
-        assert gf2.solve(BitMatrix.identity(3), b) == b
+        b = np.array([1, 0, 1], np.uint8)
+        x = gf2.solve(BitMatrix.identity(3), b)
+        assert x.dtype == np.uint8 and np.array_equal(x, b)
 
     def test_zero_inconsistent(self):
-        assert gf2.solve(BitMatrix.zeros(2, 3), BitVector.from_bits([1, 0])) is None
+        assert gf2.solve(BitMatrix.zeros(2, 3), np.array([1, 0], np.uint8)) is None
 
     def test_parity_check(self):
         m = BitMatrix.from_rows(["1111"])
-        x = gf2.solve(m, BitVector.from_bits([1]))
+        x = gf2.solve(m, np.array([1], np.uint8))
         assert x is not None
-        assert x.weight() % 2 == 1
-        assert m.mul_vec(x) == BitVector.from_bits([1])
+        assert x.sum() % 2 == 1
+        assert np.array_equal(gf2.mul_bits(m.to_dense(), x), [1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            gf2.solve(BitMatrix.identity(3), BitVector.from_bits([1, 0]))
+            gf2.solve(BitMatrix.identity(3), np.array([1, 0], np.uint8))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_solution_verifies(self, seed):
         rng = np.random.default_rng(seed + 100)
         m = random_matrix(rng, rng.integers(1, 9), rng.integers(1, 9))
-        b = BitVector.from_bits(rng.integers(0, 2, size=m.nrows))
+        b = rng.integers(0, 2, size=m.nrows, dtype=np.uint8)
         x = gf2.solve(m, b)
         if x is not None:
-            assert m.mul_vec(x) == b
+            assert np.array_equal(gf2.mul_bits(m.to_dense(), x), b)
         else:
             # Oracle: inconsistency confirmed by exhaustion.
-            assert all(m.mul_vec(v) != b for v in brute_kernel(BitMatrix.zeros(0, m.ncols)))
+            assert all(
+                not np.array_equal(gf2.mul_bits(m.to_dense(), v), b)
+                for v in brute_kernel(BitMatrix.zeros(0, m.ncols))
+            )
 
 
 class TestInverse:
@@ -205,6 +209,17 @@ class TestMulBits:
         # Transposed (non-contiguous) operands, as the check matrices are passed.
         assert np.array_equal(gf2.mul_bits(a, b.T.copy().T), got)
 
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (6, 70, 2), (0, 4, 3), (2, 0, 3)])
+    def test_bitmatrix_product(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        r, k, c = shape
+        a = rng.integers(0, 2, (r, k), dtype=np.uint8)
+        b = rng.integers(0, 2, (k, c), dtype=np.uint8)
+        got = BitMatrix.from_dense(a) @ BitMatrix.from_dense(b)
+        assert got == BitMatrix.from_dense((a.astype(np.int64) @ b) % 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            BitMatrix.from_dense(a) @ BitMatrix.zeros(k + 1, c)
+
     def test_mul_count_with_weights(self):
         rng = np.random.default_rng(3)
         a = rng.integers(0, 2, (40, 14), dtype=np.uint8)
@@ -265,6 +280,3 @@ class TestImmutability:
         m = BitMatrix.identity(3)
         with pytest.raises(ValueError):
             m.words[0, 0] = 0
-        v = BitVector.from_bits([1, 0])
-        with pytest.raises(ValueError):
-            v.words[0] = 5

@@ -9,7 +9,6 @@ import pytest
 from decint import css, interface
 from decint.blocktree import TreeParams
 from decint.circuit import Gate
-from decint.gf2 import BitVector
 from decint.noise import NoiseParams
 
 INVALID = {
@@ -25,9 +24,9 @@ INVALID = {
         lambda: interface.GammaKnobs(s2=-2),
         "EC round counts must be non-negative, got s1=1, s2=-2",
     ),
-    "pauli-lengths": (
-        lambda: css.PauliOp(BitVector.zeros(3), BitVector.zeros(4)),
-        "X and Z parts must have equal length",
+    "knobs-proc-poly": (
+        lambda: interface.GammaKnobs(proc_poly="ab"),
+        r"proc_layers coefficients must be numbers, got \('a', 'b'\)",
     ),
     "tree-z": (lambda: TreeParams(0, ()), "z must be >= 1"),
     "tree-tau-count": (lambda: TreeParams(2, (Fraction(1, 2),)), r"need one tau per depth 0\.\.z-1"),
