@@ -6,6 +6,7 @@ import numpy as np
 
 from decint import css, gf2
 from decint.gf2 import BitMatrix
+from decint.tableau import Tableau
 
 # --- GF(2) linear algebra: 0/1 arrays and packed matrices ---------------------
 h = BitMatrix.from_rows(["1111"])  # the [[4,2,2]] check, both sectors
@@ -48,8 +49,11 @@ print("family checks passed:", report.passed)
 base3 = css.build_hgp(BitMatrix.from_rows(["110", "011"]), BitMatrix.from_rows(["1111"]))
 print("\nbase code m =", base3.m, "-> frozen to m =", css.freeze_logicals(base3, 2).m)
 
-# Encoded states are signed stabilizer tableaus; checks read 0 and logical
-# Z operators read the encoded bits.
-tab = fam.level(2).encode_state([1, 0])
+# Encoded states are signed stabilizer tableaus, built by one encoder from a
+# logical tableau: here |10>, on one [[4,2,2]] block. Checks read 0 and
+# logical Z operators read the encoded bits.
+logical = Tableau.zero_state([0, 1])
+logical.apply_x(0)
+tab = css.encoded_tableau((fam.level(2),), logical, range(4))
 lz0 = fam.level(2).lz.to_dense()[0]
 print("logical Z_0 readout of |10_L>:", tab.expectation_z(np.zeros(4, np.uint8), lz0))

@@ -16,12 +16,18 @@ print(f"total wires {plan.qubit_count}, locations {plan.n_locations}, "
       f"latency {plan.latency_layers} layers")
 
 # --- noiseless exactness -----------------------------------------------------------
+# One encoder, css.encoded_tableau(codes, logical, labels), builds every
+# encoded state: the input block, the Bell resource (logical Bell pairs
+# across the A block and the B blocks) and the expected output.
 code = fam.level(2)
 logical = random_stabilizer_state([0, 1], np.random.default_rng(3))
-inp = code.encoded_tableau(logical, labels=plan.q_wires)
+inp = css.encoded_tableau((code,), logical, plan.q_wires)
 ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(0))
 print("\nnoiseless run reproduces the logical state:",
       ref.output.same_state(interface.expected_output_tableau(plan, logical)))
+resource = plan.resource_tableau()
+xx = np.concatenate([code.lx.to_dense()[0], plan.lxb[0]])
+print("resource holds X_0^A X_0^B:", resource.expectation_z(xx, np.zeros_like(xx)) == 0)
 
 # The classical Bell processing corrects readout errors within the decoding
 # radius; on the distance-3 Steane variant every single-qubit input error
@@ -31,7 +37,7 @@ splan = interface.build_gamma(sfam, 2, 1)
 steane = sfam.level(2)
 logical1 = Tableau.zero_state([0])
 logical1.apply_x(0)
-inp = steane.encoded_tableau(logical1, labels=splan.q_wires)
+inp = css.encoded_tableau((steane,), logical1, splan.q_wires)
 xb = np.zeros(inp.n, np.uint8)
 xb[inp.index(splan.q_wires[4])] = 1
 inp.apply_pauli(xb, np.zeros(inp.n, np.uint8))  # X error on qubit 4

@@ -2,8 +2,11 @@
 
 A CSS code is held as the pair of binary check matrices (H_X, H_Z) with
 H_X H_Z^T = 0, plus a cached symplectic-dual basis of logical operator
-representatives. Code families bundle levels r = 1, 2, ... with the rate
-and doubling metadata the interface constructions rely on.
+representatives. One encoder, `encoded_tableau`, builds every encoded
+stabilizer state: a logical tableau put on blocks of codes that sit on
+adjacent wires, through the one phase-exact lift `lift_with_reps`. Code
+families bundle levels r = 1, 2, ... with the rate and doubling metadata
+the interface constructions rely on.
 """
 
 from __future__ import annotations
@@ -154,88 +157,81 @@ class CssCode:
         red, piv = gf2.rref(self.hz)
         return BitMatrix.from_dense(red.to_dense()[: len(piv)])
 
-    def min_distance(self, cap: int = 1 << 22) -> tuple[int, bool]:
+    def min_distance(self) -> tuple[int, bool]:
         """Minimum distance min(d_X, d_Z) by exhaustive kernel enumeration.
 
-        Exact when both kernels fit inside `cap` enumerated vectors;
-        otherwise a best-seen upper value with the exact flag cleared. The
-        result is memoised on the code.
+        Exact when both kernels fit inside MAX_DISTANCE_ENUM enumerated
+        vectors; otherwise a best-seen upper value with the exact flag
+        cleared. The result is memoised on the code.
         """
-        if self._distance is not None:
-            return self._distance
-        dz, ez = _sector_distance(self.hx, self.hz, cap)
-        dx, ex = _sector_distance(self.hz, self.hx, cap)
-        result = (min(dx, dz), ex and ez)
-        self._distance = result
-        return result
+        if self._distance is None:
+            dz, ez = _sector_distance(self.hx, self.hz)
+            dx, ex = _sector_distance(self.hz, self.hx)
+            self._distance = (min(dx, dz), ex and ez)
+        return self._distance
 
-    # -- encoded states ------------------------------------------------------------
 
-    def stabilizer_generators(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        gens = []
-        bx = self.x_stabilizer_basis().to_dense()
-        bz = self.z_stabilizer_basis().to_dense()
-        zero = np.zeros(self.n, dtype=np.uint8)
-        for row in bx:
-            gens.append((row.copy(), zero.copy(), 0))
-        for row in bz:
-            gens.append((zero.copy(), row.copy(), 0))
-        return gens
+# -- encoded states ----------------------------------------------------------------
 
-    def encode_state(self, u: Sequence[int], labels: Optional[Sequence] = None) -> Tableau:
-        """Tableau of the logical basis state |u_L>.
 
-        Generators: the code stabilizers plus each logical-Z representative
-        signed by (-1)^{u_j}.
-        """
-        u = list(u)
-        if len(u) != self.m:
-            raise ValueError("logical string length must equal m")
-        labels = list(labels) if labels is not None else list(range(self.n))
-        gens = self.stabilizer_generators()
-        lz = self.lz.to_dense()
-        zero = np.zeros(self.n, dtype=np.uint8)
-        for j in range(self.m):
-            gens.append((zero.copy(), lz[j].copy(), int(u[j]) & 1))
-        return Tableau.from_generators(labels, gens)
+def encoded_tableau(codes: Sequence[CssCode], logical: Tableau, labels: Sequence) -> Tableau:
+    """Encode a logical stabilizer state into blocks of `codes` on adjacent wires.
 
-    def lift_logical(self, x_bits: np.ndarray, z_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Physical representative of the logical Pauli X^x Z^z (Hermitian).
-
-        Y on logical qubit j contributes i * LX_j * LZ_j; the accumulated
-        phase is folded into the returned sign bit.
-        """
-        return lift_with_reps(self.lx.to_dense(), self.lz.to_dense(), x_bits, z_bits)
-
-    def encoded_tableau(
-        self, logical: Tableau, labels: Optional[Sequence] = None
-    ) -> Tableau:
-        """Encode an m-qubit logical stabilizer state into the code block.
-
-        Generators: code stabilizers plus each logical generator lifted
-        through the representative pairs (signs carried exactly). Each
-        encoding is built once per (code, logical state, labels); every call
-        returns a fresh copy.
-        """
-        if logical.n != self.m:
-            raise ValueError("logical tableau must act on m qubits")
-        labels = tuple(labels) if labels is not None else tuple(range(self.n))
-        return _encoded_tableau(
-            self, logical.xs.tobytes(), logical.zs.tobytes(), logical.signs.tobytes(), labels
-        ).copy()
+    Logical qubit j becomes the j-th logical of the concatenated blocks, and
+    block i acts on the next codes[i].n of `labels`. Generators: each
+    block's X then Z stabilizer basis, block by block, then each logical
+    generator lifted through the block-diagonal representatives (signs
+    carried exactly). A batch of logical states, (trials, m) signs, encodes
+    to a batch with (trials, n) signs. Each encoding is built once per
+    (codes, logical state, labels); every call returns a fresh copy.
+    """
+    codes, labels = tuple(codes), tuple(labels)
+    if logical.n != sum(c.m for c in codes):
+        raise ValueError("logical tableau must act on the blocks' total logical count")
+    return _encoded_tableau(
+        codes, logical.xs.tobytes(), logical.zs.tobytes(), logical.signs.tobytes(),
+        logical.signs.shape, labels,
+    ).copy()
 
 
 @functools.lru_cache(maxsize=64)
-def _encoded_tableau(code: CssCode, xs: bytes, zs: bytes, signs: bytes, labels: tuple) -> Tableau:
-    lxs = np.frombuffer(xs, np.uint8).reshape(-1, code.m)
-    lzs = np.frombuffer(zs, np.uint8).reshape(-1, code.m)
-    gens = code.stabilizer_generators()
-    lx = code.lx.to_dense()
-    lz = code.lz.to_dense()
-    for x_bits, z_bits, sign in zip(lxs, lzs, signs):
-        x, z, s = lift_with_reps(lx, lz, x_bits, z_bits)
-        gens.append((x, z, s ^ sign))
-    return Tableau.from_generators(list(labels), gens)
+def _encoded_tableau(
+    codes: tuple, xs: bytes, zs: bytes, signs: bytes, sign_shape: tuple, labels: tuple
+) -> Tableau:
+    m = sign_shape[-1]
+    logical_xs, logical_zs = (np.frombuffer(b, np.uint8).reshape(m, m) for b in (xs, zs))
+    stab_x, stab_z, lx, lz = (
+        _block_diag(parts) for parts in zip(*(_stabilizers_and_logicals(c) for c in codes))
+    )
+    k, n = stab_x.shape
+    out_xs, out_zs = (np.concatenate([a, np.zeros((m, n), np.uint8)]) for a in (stab_x, stab_z))
+    out_signs = np.zeros(sign_shape[:-1] + (k + m,), np.uint8)
+    out_signs[..., k:] = np.frombuffer(signs, np.uint8).reshape(sign_shape)
+    for row in range(m):
+        out_xs[k + row], out_zs[k + row], s = lift_with_reps(lx, lz, logical_xs[row], logical_zs[row])
+        out_signs[..., k + row] ^= s
+    return Tableau(labels, out_xs, out_zs, out_signs)
+
+
+def _stabilizers_and_logicals(code: CssCode) -> tuple[np.ndarray, ...]:
+    """Dense (x, z) stabilizer rows, X basis first, and (lx, lz) of one block."""
+    bx = code.x_stabilizer_basis().to_dense()
+    bz = code.z_stabilizer_basis().to_dense()
+    return (
+        np.concatenate([bx, np.zeros_like(bz)]),
+        np.concatenate([np.zeros_like(bx), bz]),
+        code.lx.to_dense(),
+        code.lz.to_dense(),
+    )
+
+
+def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
+    out = np.zeros((sum(a.shape[0] for a in mats), sum(a.shape[1] for a in mats)), np.uint8)
+    r = c = 0
+    for a in mats:
+        out[r : r + a.shape[0], c : c + a.shape[1]] = a
+        r, c = r + a.shape[0], c + a.shape[1]
+    return out
 
 
 def lift_with_reps(
@@ -263,7 +259,11 @@ def lift_with_reps(
     return pauli_product(terms, extra_i=ys)
 
 
-def _sector_distance(h_ker: BitMatrix, h_stab: BitMatrix, cap: int) -> tuple[int, bool]:
+# Kernels of up to this many vectors are enumerated exactly by `min_distance`.
+MAX_DISTANCE_ENUM = 1 << 22
+
+
+def _sector_distance(h_ker: BitMatrix, h_stab: BitMatrix) -> tuple[int, bool]:
     """Min weight over ker(h_ker) minus rowspace(h_stab)."""
     basis = gf2.nullspace_basis(h_ker)
     k = basis.nrows
@@ -272,7 +272,7 @@ def _sector_distance(h_ker: BitMatrix, h_stab: BitMatrix, cap: int) -> tuple[int
     red_stab, piv_stab = gf2.rref(h_stab)
     stab = (red_stab.words[: len(piv_stab)], piv_stab)
     n = basis.ncols
-    exact = (1 << k) <= cap
+    exact = (1 << k) <= MAX_DISTANCE_ENUM
     # Too large to enumerate: scan the basis rows only (upper value).
     blocks = gf2.span_blocks(basis.words) if exact else [basis.words]
     best = n + 1

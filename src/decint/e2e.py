@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import interface as iface
+from . import css, interface as iface
 from .css import CodeFamily
 from .circuit import Circuit, Gate
 from .noise import NoiseParams, rng_stream, sample_ls_bits, STREAM_TRIAL
@@ -111,7 +111,7 @@ def run_block_chain_tableau(
     rng = np.random.default_rng(seed)
     code_r = family.level(schedule.r)
     init_wires = [f"L{schedule.r}.x{q}" for q in range(code_r.n)]
-    state = code_r.encoded_tableau(logical, labels=init_wires)
+    state = css.encoded_tableau((code_r,), logical, init_wires)
     engine = iface.TableauEngine(state, rng, {})
     trials = len(injections)
     x, z = np.zeros((2, code_r.n, trials), bool)

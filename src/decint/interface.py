@@ -4,7 +4,10 @@
 ancilla per check, CNOT schedule from a proper bipartite edge coloring);
 `ec_rounds` runs it as many rounds as its caller asks. `build_gamma` assembles
 the partial interface that maps one level-r block onto m_r/m_{r'} level-r'
-blocks through an encoded Bell resource and a logical Bell measurement.
+blocks through an encoded Bell resource and a logical Bell measurement. The
+resource (`InterfaceCircuit.resource_tableau`) and the exact reference output
+(`expected_output_tableau`) are logical tableaus put on their blocks by
+`css.encoded_tableau`.
 
 One walk, `gamma_pass`, runs the interface on two engines. An engine holds
 only what differs between them: how a fragment runs, how outcome bits are
@@ -36,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import circuit, gf2
+from . import circuit, css, gf2
 from .css import CodeFamily, CssCode
 from .circuit import Circuit, FrameBatch, FrameRunner, Gate
 from .gf2 import BitMatrix
@@ -428,41 +431,16 @@ class InterfaceCircuit(NamedTuple):
         return self.b_wires[i * n : (i + 1) * n]
 
     def resource_tableau(self) -> Tableau:
-        """A fresh copy of the encoded Bell resource, built on first use."""
-        return resource_state_tableau(self.code_r, self.code_rp, self.a_wires, self.b_wires).copy()
-
-
-def _side_by_side(code: CssCode, blocks: int) -> tuple[np.ndarray, ...]:
-    """Dense stabilizer rows (xs, zs, all signs +) and logical
-    representatives (lx, lz) of `blocks` copies of `code` on adjacent wire
-    blocks; logical j of the copies acts on block j // code.m."""
-    gens = code.stabilizer_generators()
-    stab = [np.array([g[i] for g in gens], np.uint8).reshape(-1, code.n) for i in (0, 1)]
-    eye = np.eye(blocks, dtype=np.uint8)
-    return tuple(np.kron(eye, a) for a in stab + [code.lx.to_dense(), code.lz.to_dense()])
-
-
-@functools.lru_cache(maxsize=32)
-def resource_state_tableau(code_r: CssCode, code_rp: CssCode, a_wires: tuple, b_wires: tuple) -> Tableau:
-    """Tableau of the encoded Bell resource: m_r EPR pairs, A side in level r,
-    B side split into m_r/m_{r'} level-r' blocks.
-
-    Built once per argument tuple and shared by every caller: copy it
-    before changing it (`InterfaceCircuit.resource_tableau` does).
-    """
-    ax, az, lx_r, lz_r = _side_by_side(code_r, 1)
-    bx, bz, lxb, lzb = _side_by_side(code_rp, code_r.m // code_rp.m)
-    na, k = code_r.n, len(ax) + len(bx)
-    xs = np.zeros((k + 2 * code_r.m, na + lxb.shape[1]), np.uint8)
-    zs = np.zeros_like(xs)
-    xs[: len(ax), :na], zs[: len(ax), :na] = ax, az
-    xs[len(ax) : k, na:], zs[len(ax) : k, na:] = bx, bz
-    # Logical pair j: X on both sides, then Z on both sides.
-    xs[k::2] = np.hstack([lx_r, lxb])
-    zs[k + 1 :: 2] = np.hstack([lz_r, lzb])
-    tab = Tableau(list(a_wires) + list(b_wires), xs, zs, np.zeros(len(xs), np.uint8))
-    tab.xs.flags.writeable = tab.zs.flags.writeable = tab.signs.flags.writeable = False  # cached and shared
-    return tab
+        """The encoded Bell resource: m_r Bell pairs, logical j of the A block
+        with logical j of the B blocks. The encoder builds it on first use;
+        every call returns a fresh copy."""
+        m = self.code_r.m
+        bell = Tableau.zero_state(list(range(2 * m)))
+        for j in range(m):
+            bell.apply_h(j)
+            bell.apply_cnot(j, m + j)
+        codes = (self.code_r,) + (self.code_rp,) * self.blocks
+        return css.encoded_tableau(codes, bell, self.a_wires + self.b_wires)
 
 
 @functools.lru_cache(maxsize=32)
@@ -533,7 +511,8 @@ def build_gamma(
     b_corr = Circuit(list(b_wires))
     b_corr.add_layer([Gate("idle", (w,)) for w in b_wires])
 
-    *_, lxb, lzb = _side_by_side(code_rp, blocks)
+    eye = np.eye(blocks, dtype=np.uint8)
+    lxb, lzb = (np.kron(eye, reps.to_dense()) for reps in (code_rp.lx, code_rp.lz))
     lxb.flags.writeable = lzb.flags.writeable = False  # the plan is cached and shared
 
     latency = (
@@ -763,19 +742,8 @@ def run_gamma_tableau(
 
 
 def expected_output_tableau(plan: InterfaceCircuit, logical: Tableau) -> Tableau:
-    """Encoded reference: the m_r-qubit logical tableau lifted to the B blocks.
-
-    Uses the block-embedded representative matrices, with exact phase
-    tracking where representatives overlap inside a block.
-    """
-    from .css import lift_with_reps
-
-    sx, sz, _, _ = _side_by_side(plan.code_rp, plan.blocks)
-    gens = [(x, z, 0) for x, z in zip(sx, sz)]
-    for row in range(logical.n):
-        x, z, s = lift_with_reps(plan.lxb, plan.lzb, logical.xs[row], logical.zs[row])
-        gens.append((x, z, s ^ int(logical.signs[row])))
-    return Tableau.from_generators(list(plan.b_wires), gens)
+    """Encoded reference: the m_r-qubit logical tableau lifted to the B blocks."""
+    return css.encoded_tableau((plan.code_rp,) * plan.blocks, logical, plan.b_wires)
 
 
 # -- Monte Carlo (frame) execution ------------------------------------------------------
@@ -793,15 +761,7 @@ class ChunkStats(NamedTuple):
     def merge(self, other: "ChunkStats") -> "ChunkStats":
         if self.block_weight_hist is None:
             return other
-        return ChunkStats(
-            trials=self.trials + other.trials,
-            failures=self.failures + other.failures,
-            heralds=self.heralds + other.heralds,
-            weight_overflows=self.weight_overflows + other.weight_overflows,
-            logical_errors=self.logical_errors + other.logical_errors,
-            block_weight_hist=self.block_weight_hist + other.block_weight_hist,
-            out_qubit_errors=self.out_qubit_errors + other.out_qubit_errors,
-        )
+        return ChunkStats(*(a + b for a, b in zip(self, other)))
 
 
 class GammaFrameRun(NamedTuple):
@@ -899,24 +859,7 @@ class TauEstimate(NamedTuple):
     latency_layers: int
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "r_prime": self.r_prime,
-            "delta": self.delta,
-            "seed": self.seed,
-            "trials": self.trials,
-            "failures": self.failures,
-            "heralds": self.heralds,
-            "weight_overflows": self.weight_overflows,
-            "logical_errors": self.logical_errors,
-            "rate": self.rate,
-            "wilson_lo": self.wilson_lo,
-            "wilson_hi": self.wilson_hi,
-            "mu": self.mu,
-            "block_weight_hist": self.block_weight_hist.tolist(),
-            "out_qubit_error_rate": self.out_qubit_error_rate.tolist(),
-            "latency_layers": self.latency_layers,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self._asdict().items()}
 
 
 def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:

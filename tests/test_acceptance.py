@@ -54,7 +54,7 @@ class TestCriterion2NoiselessExactness:
         for seed in range(20):
             states.append(random_stabilizer_state([0, 1], np.random.default_rng(seed)))
         for k, logical in enumerate(states):
-            inp = code.encoded_tableau(logical, labels=plan.q_wires)
+            inp = css.encoded_tableau((code,), logical, plan.q_wires)
             ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(k))
             assert not ref.heralds
             assert ref.output.same_state(interface.expected_output_tableau(plan, logical)), k
@@ -77,7 +77,7 @@ class TestCriterion3CorrectableErrors:
             cases = [None] + [(q, k) for q in range(7) for k in ("X", "Z", "Y")]
             assert len(cases) == 22
             for case in cases:
-                inp = code.encoded_tableau(logical, labels=plan.q_wires)
+                inp = css.encoded_tableau((code,), logical, plan.q_wires)
                 if case is not None:
                     q, kind = case
                     xb = np.zeros(inp.n, np.uint8)

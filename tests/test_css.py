@@ -119,6 +119,20 @@ class TestMinDistance:
             fresh = CssCode(code.hx, code.hz, code.lx, code.lz)
             assert code.min_distance() == fresh.min_distance()
 
+    def test_inexact_above_the_enumeration_cap(self, c422, monkeypatch):
+        # A kernel larger than MAX_DISTANCE_ENUM gives an upper value, flagged
+        # inexact, and the family check then skips that level's distance.
+        def family_checks(code):
+            fam = css.CodeFamily(levels=(css.trivial_code(), code), alpha=0.4, beta=0.125)
+            return [c.name for c in fam.validate().checks]
+
+        assert "distance_r2" in family_checks(CssCode(c422.hx, c422.hz, c422.lx, c422.lz))
+        monkeypatch.setattr(css, "MAX_DISTANCE_ENUM", 4)
+        fresh = CssCode(c422.hx, c422.hz, c422.lx, c422.lz)
+        assert fresh.min_distance()[1] is False
+        checks = family_checks(fresh)
+        assert "rate_r2" in checks and "distance_r2" not in checks
+
     def test_detectability_below_distance(self, steane):
         # No non-stabilizer Pauli of weight < d commutes with all checks.
         d = steane.min_distance()[0]
@@ -140,13 +154,22 @@ class TestMinDistance:
                     assert gf2.row_space_contains(steane.hz, z)
 
 
+def encode_basis(code: CssCode, u) -> Tableau:
+    """|u_L> through the one encoder."""
+    logical = Tableau.zero_state(list(range(len(u))))
+    for j, b in enumerate(u):
+        if b:
+            logical.apply_x(j)
+    return css.encoded_tableau((code,), logical, range(code.n))
+
+
 class TestEncodeState:
     def test_trivial_zero(self):
-        t = css.trivial_code().encode_state([0])
+        t = encode_basis(css.trivial_code(), [0])
         assert t.measure_z(0) == (0, True)
 
     def test_c422_stabilizers(self, c422):
-        t = c422.encode_state([0, 0])
+        t = encode_basis(c422, [0, 0])
         ones = np.ones(4, dtype=np.uint8)
         zeros = np.zeros(4, dtype=np.uint8)
         assert t.expectation_z(ones, zeros) == 0  # XXXX
@@ -156,13 +179,13 @@ class TestEncodeState:
             assert t.expectation_z(zeros, lz) == 0
 
     def test_steane_logical_one(self, steane):
-        t = steane.encode_state([1])
+        t = encode_basis(steane, [1])
         lz = steane.lz.to_dense()[0]
         assert t.expectation_z(np.zeros(7, np.uint8), lz) == 1
 
     @pytest.mark.parametrize("u", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_c422_syndrome_zero_and_logical_signs(self, c422, u):
-        t = c422.encode_state(u)
+        t = encode_basis(c422, u)
         for i in range(c422.hx.nrows):
             assert t.expectation_z(c422.hx.to_dense()[i], np.zeros(4, np.uint8)) == 0
         for i in range(c422.hz.nrows):
@@ -171,10 +194,11 @@ class TestEncodeState:
             assert t.expectation_z(np.zeros(4, np.uint8), c422.lz.to_dense()[j]) == u[j]
 
 
-
 def _reference_encoding(code: CssCode, logical: Tableau, labels) -> Tableau:
     """Direct construction: code stabilizers plus each lifted logical generator."""
-    gens = code.stabilizer_generators()
+    zero = np.zeros(code.n, np.uint8)
+    gens = [(row, zero, 0) for row in code.x_stabilizer_basis().to_dense()]
+    gens += [(zero, row, 0) for row in code.z_stabilizer_basis().to_dense()]
     lx, lz = code.lx.to_dense(), code.lz.to_dense()
     for row in range(logical.n):
         x, z, s = css.lift_with_reps(lx, lz, logical.xs[row], logical.zs[row])
@@ -188,7 +212,7 @@ class TestEncodedTableauMemo:
         logical = random_stabilizer_state([0, 1], np.random.default_rng(seed))
         labels = [f"q{i}" for i in range(4)]
         for _ in range(2):  # the second call is served from the memo
-            got = c422.encoded_tableau(logical, labels=labels)
+            got = css.encoded_tableau((c422,), logical, labels)
             want = _reference_encoding(c422, logical, labels)
             assert got.labels == want.labels
             assert np.array_equal(got.xs, want.xs) and np.array_equal(got.zs, want.zs)
@@ -196,9 +220,9 @@ class TestEncodedTableauMemo:
 
     def test_each_call_returns_a_fresh_copy(self, steane):
         logical = Tableau.zero_state([0])
-        first = steane.encoded_tableau(logical)
+        first = css.encoded_tableau((steane,), logical, range(7))
         first.apply_x(0)
-        second = steane.encoded_tableau(logical)
+        second = css.encoded_tableau((steane,), logical, range(7))
         assert second is not first and second.same_state(_reference_encoding(steane, logical, range(7)))
         assert not first.same_state(second)
 
@@ -207,19 +231,46 @@ class TestEncodedTableauMemo:
         one = zero.copy()
         one.apply_x(0)
         lz = steane.lz.to_dense()[0]
-        assert steane.encoded_tableau(zero).expectation_z(np.zeros(7, np.uint8), lz) == 0
-        assert steane.encoded_tableau(one).expectation_z(np.zeros(7, np.uint8), lz) == 1
-        assert steane.encoded_tableau(zero, labels="abcdefg").labels == list("abcdefg")
+        assert css.encoded_tableau((steane,), zero, range(7)).expectation_z(np.zeros(7, np.uint8), lz) == 0
+        assert css.encoded_tableau((steane,), one, range(7)).expectation_z(np.zeros(7, np.uint8), lz) == 1
+        assert css.encoded_tableau((steane,), zero, "abcdefg").labels == list("abcdefg")
+
+    def test_sign_batch_encodes_every_trial(self, steane):
+        # Trial 0 holds |0>, trial 1 holds |1>: one encoded state per trial.
+        batch = Tableau.zero_state([0])
+        batch.signs = np.array([[0], [1]], np.uint8)
+        got = css.encoded_tableau((steane,), batch, range(7))
+        assert got.signs.shape == (2, 7)
+        lz = steane.lz.to_dense()[0]
+        np.testing.assert_array_equal(got.expectation_z(np.zeros(7, np.uint8), lz), [0, 1])
+
+    def test_blocks_sit_on_adjacent_wires(self, c422, steane):
+        # A product logical state encodes to the product of its blocks.
+        first = random_stabilizer_state([0, 1], np.random.default_rng(2))
+        second = Tableau.zero_state([2])
+        second.apply_x(2)
+        got = css.encoded_tableau((c422, steane), first.tensor(second), range(11))
+        want = _reference_encoding(c422, first, range(4)).tensor(
+            _reference_encoding(steane, second, range(4, 11))
+        )
+        assert got.same_state(want)
+
+    def test_rejects_mismatched_blocks(self, c422):
+        with pytest.raises(ValueError, match="logical count"):
+            css.encoded_tableau((c422,), Tableau.zero_state([0]), range(4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            css.encoded_tableau((c422,), Tableau.zero_state([0, 1]), range(5))
 
 
 class TestLiftLogical:
     def test_lift_x_is_representative(self, c422):
-        x, z, s = c422.lift_logical(np.array([1, 0]), np.array([0, 0]))
-        assert np.array_equal(x, c422.lx.to_dense()[0])
+        lx, lz = c422.lx.to_dense(), c422.lz.to_dense()
+        x, z, s = css.lift_with_reps(lx, lz, np.array([1, 0]), np.array([0, 0]))
+        assert np.array_equal(x, lx[0])
         assert not z.any() and s == 0
 
     def test_lift_y_hermitian(self, steane):
-        x, z, s = steane.lift_logical(np.array([1]), np.array([1]))
+        x, z, s = css.lift_with_reps(steane.lx.to_dense(), steane.lz.to_dense(), np.array([1]), np.array([1]))
         assert np.array_equal(x, steane.lx.to_dense()[0])
         assert np.array_equal(z, steane.lz.to_dense()[0])
         assert s in (0, 1)

@@ -20,6 +20,15 @@ def sfam():
     return css.steane_family()
 
 
+def encode_basis(code: css.CssCode, u, wires) -> Tableau:
+    """|u_L> of `code` on `wires`."""
+    logical = Tableau.zero_state(list(range(len(u))))
+    for j, b in enumerate(u):
+        if b:
+            logical.apply_x(j)
+    return css.encoded_tableau((code,), logical, wires)
+
+
 def apply_error(tab: Tableau, wire, kind: str):
     xb = np.zeros(tab.n, np.uint8)
     zb = np.zeros(tab.n, np.uint8)
@@ -126,7 +135,7 @@ class TestBuildEc:
         # Zero rounds run nothing: the state and the outcomes stay as they were.
         code = fam.level(2)
         g = interface.build_ec(code, [f"d{i}" for i in range(4)])
-        st = code.encode_state([1, 0], labels=g.data_wires)
+        st = encode_basis(code, [1, 0], g.data_wires)
         apply_error(st, "d2", "X")
         before, outcomes = st.copy(), {}
         interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(0), outcomes), 0)
@@ -158,11 +167,11 @@ class TestBuildEc:
     def test_steane_corrects_single_x(self, sfam):
         code = sfam.level(2)
         g = interface.build_ec(code, [f"d{i}" for i in range(7)])
-        st = code.encode_state([0], labels=g.data_wires)
+        st = encode_basis(code, [0], g.data_wires)
         apply_error(st, "d1", "X")
         engine = interface.TableauEngine(st, np.random.default_rng(0), {})
         _, _, herald_x, herald_z = interface._ec_round(g, engine)
-        assert st.same_state(code.encode_state([0], labels=g.data_wires))
+        assert st.same_state(encode_basis(code, [0], g.data_wires))
         assert not herald_x[0] and not herald_z[0]
 
     def test_ec_contract_exhaustive_at_d3(self, sfam):
@@ -170,10 +179,10 @@ class TestBuildEc:
         # weight 0, for every single-qubit Pauli.
         code = sfam.level(2)
         g = interface.build_ec(code, [f"d{i}" for i in range(7)])
-        clean = code.encode_state([0], labels=g.data_wires)
+        clean = encode_basis(code, [0], g.data_wires)
         for q in range(7):
             for kind in ("X", "Z", "Y"):
-                st = code.encode_state([0], labels=g.data_wires)
+                st = encode_basis(code, [0], g.data_wires)
                 apply_error(st, f"d{q}", kind)
                 interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(1), {}), 1)
                 assert st.same_state(clean), (q, kind)
@@ -185,7 +194,7 @@ class TestBuildEc:
         g = interface.build_ec(code, [f"d{i}" for i in range(4)])
         for q in range(4):
             for kind in ("X", "Z"):
-                st = code.encode_state([0, 0], labels=g.data_wires)
+                st = encode_basis(code, [0, 0], g.data_wires)
                 apply_error(st, f"d{q}", kind)
                 outcomes = {}
                 interface.ec_rounds(g, interface.TableauEngine(st, np.random.default_rng(0), outcomes), 1)
@@ -194,7 +203,7 @@ class TestBuildEc:
                 # error (reduced weight 1): re-applying it restores.
                 st2 = st.copy()
                 apply_error(st2, f"d{q}", kind)
-                assert st2.same_state(code.encode_state([0, 0], labels=g.data_wires))
+                assert st2.same_state(encode_basis(code, [0, 0], g.data_wires))
 
 
 class TestLogicalBellProcess:
@@ -285,6 +294,26 @@ class TestGammaNoiseless:
         tab = plan.resource_tableau()
         assert tab.n == plan.code_r.n + plan.blocks * plan.code_rp.n
 
+    @pytest.mark.parametrize("name, r, rp", [("toy", 2, 1), ("toy", 3, 2), ("toy", 4, 3), ("steane", 2, 1)])
+    def test_resource_holds_its_bell_pairs(self, name, r, rp):
+        # Every X^A_j X^B_j, every Z^A_j Z^B_j and every block stabilizer reads 0.
+        plan = interface.build_gamma(css.BUILTIN_FAMILIES[name](), r, rp)
+        tab = plan.resource_tableau()
+        assert tab.labels == list(plan.a_wires + plan.b_wires)
+        zero = np.zeros(tab.n, np.uint8)
+        reps = zip(plan.code_r.lx.to_dense(), plan.lxb, plan.code_r.lz.to_dense(), plan.lzb)
+        for ax, bx, az, bz in reps:
+            assert tab.expectation_z(np.concatenate([ax, bx]), zero) == 0
+            assert tab.expectation_z(zero, np.concatenate([az, bz])) == 0
+        n_r, n_rp = plan.code_r.n, plan.code_rp.n
+        blocks = [(plan.code_r, 0)] + [(plan.code_rp, n_r + i * n_rp) for i in range(plan.blocks)]
+        for code, start in blocks:
+            for basis, is_x in ((code.x_stabilizer_basis(), True), (code.z_stabilizer_basis(), False)):
+                for row in basis.to_dense():
+                    pauli = zero.copy()
+                    pauli[start : start + code.n] = row
+                    assert tab.expectation_z(pauli if is_x else zero, zero if is_x else pauli) == 0
+
     @pytest.mark.parametrize("u", list(itertools.product([0, 1], repeat=2)))
     def test_basis_states_exact(self, fam, u):
         plan = interface.build_gamma(fam, 2, 1)
@@ -293,7 +322,7 @@ class TestGammaNoiseless:
         for j, b in enumerate(u):
             if b:
                 logical.apply_x(j)
-        inp = code.encoded_tableau(logical, labels=plan.q_wires)
+        inp = css.encoded_tableau((code,), logical, plan.q_wires)
         ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(1))
         assert not ref.heralds
         # Both Bell readouts are codewords of the level-r readout codes.
@@ -307,7 +336,7 @@ class TestGammaNoiseless:
         plan = interface.build_gamma(fam, 2, 1)
         code = fam.level(2)
         logical = random_stabilizer_state([0, 1], np.random.default_rng(seed))
-        inp = code.encoded_tableau(logical, labels=plan.q_wires)
+        inp = css.encoded_tableau((code,), logical, plan.q_wires)
         ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(seed + 1))
         assert not ref.heralds
         assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
@@ -317,7 +346,7 @@ class TestGammaNoiseless:
         code = fam.level(3)
         logical = Tableau.zero_state(list(range(4)))
         logical.apply_x(2)
-        inp = code.encoded_tableau(logical, labels=plan.q_wires)
+        inp = css.encoded_tableau((code,), logical, plan.q_wires)
         ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(0))
         assert not ref.heralds
         assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
@@ -333,7 +362,7 @@ class TestGammaNoiseless:
             logical = random_stabilizer_state(
                 list(range(code.m)), np.random.default_rng(seed), moves=3 * code.m
             )
-            inp = code.encoded_tableau(logical, labels=plan.q_wires)
+            inp = css.encoded_tableau((code,), logical, plan.q_wires)
             ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(seed + 50))
             assert not ref.heralds
             assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
@@ -348,7 +377,7 @@ class TestGammaNoiseless:
             want = interface.expected_output_tableau(plan, logical)
             cases = [None] + [(q, k) for q in range(7) for k in ("X", "Z", "Y")]
             for case in cases:
-                inp = code.encoded_tableau(logical, labels=plan.q_wires)
+                inp = css.encoded_tableau((code,), logical, plan.q_wires)
                 if case is not None:
                     apply_error(inp, plan.q_wires[case[0]], case[1])
                 ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(5))
@@ -379,7 +408,7 @@ class TestTableauExecutor:
         plan = interface.build_gamma(sfam, 2, 1)
         logical = Tableau.zero_state([0])
         logical.apply_x(0)
-        inp = sfam.level(2).encoded_tableau(logical, labels=plan.q_wires)
+        inp = css.encoded_tableau((sfam.level(2),), logical, plan.q_wires)
         apply_error(inp, plan.q_wires[3], "Y")
         ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(11))
         assert ref.outcomes == self.GOLDEN_STEANE
@@ -388,7 +417,7 @@ class TestTableauExecutor:
     def test_golden_outcomes_toy_3_2(self, fam):
         plan = interface.build_gamma(fam, 3, 2)
         logical = random_stabilizer_state(list(range(4)), np.random.default_rng(4), moves=12)
-        inp = fam.level(3).encoded_tableau(logical, labels=plan.q_wires)
+        inp = css.encoded_tableau((fam.level(3),), logical, plan.q_wires)
         apply_error(inp, plan.q_wires[2], "X")
         ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(9))
         assert ref.outcomes == self.GOLDEN_TOY_3_2
@@ -396,7 +425,7 @@ class TestTableauExecutor:
     def test_runs_in_place_with_spectators(self, fam):
         plan = interface.build_gamma(fam, 2, 1)
         logical = random_stabilizer_state([0, 1], np.random.default_rng(6))
-        inp = fam.level(2).encoded_tableau(logical, labels=plan.q_wires)
+        inp = css.encoded_tableau((fam.level(2),), logical, plan.q_wires)
         spectator = Tableau.zero_state(["s0", "s1"])
         spectator.apply_x("s1")
         state = inp.tensor(spectator)
@@ -409,7 +438,7 @@ class TestTableauExecutor:
 
     def test_spectator_collision_rejected(self, fam):
         plan = interface.build_gamma(fam, 2, 1)
-        inp = fam.level(2).encoded_tableau(Tableau.zero_state([0, 1]), labels=plan.q_wires)
+        inp = css.encoded_tableau((fam.level(2),), Tableau.zero_state([0, 1]), plan.q_wires)
         state = inp.tensor(Tableau.zero_state([plan.b_wires[0]]))
         with pytest.raises(ValueError, match="collide"):
             interface.run_gamma_tableau(plan, state, np.random.default_rng(0))
@@ -449,12 +478,13 @@ class TestPlanCache:
 
     def test_resource_tableau_copies_are_independent(self, fam):
         plan = interface.build_gamma(fam, 3, 2)
-        fresh = interface.resource_state_tableau.__wrapped__(plan.code_r, plan.code_rp, plan.a_wires, plan.b_wires)
         first = plan.resource_tableau()
         first.apply_x(first.labels[0])
         first.measure_z(first.labels[1], np.random.default_rng(0))
         first.rename({first.labels[0]: "moved"})
         second = plan.resource_tableau()
+        css._encoded_tableau.cache_clear()
+        fresh = plan.resource_tableau()  # rebuilt by the encoder
         assert second is not first
         assert second.labels == fresh.labels
         for attr in ("xs", "zs", "signs"):
@@ -812,7 +842,7 @@ class TestOneWalkTwoEngines:
         )
         heralds = 0
         for t, (q, kind) in enumerate(cases):
-            inp = code.encoded_tableau(logical, labels=plan.q_wires)
+            inp = css.encoded_tableau((code,), logical, plan.q_wires)
             apply_error(inp, plan.q_wires[q], kind)
             ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(t))
             assert ref.heralds == bool(run.herald[t]), (q, kind)

@@ -65,3 +65,26 @@ def test_plan_and_chunk_stats_survive_pickle():
     assert type(again) is interface.ChunkStats
     for a, b in zip(stats, again):
         np.testing.assert_array_equal(a, b)
+
+
+def test_chunk_stats_merge_sums_every_field():
+    a = interface.ChunkStats(10, 3, 1, 2, 1, np.array([[4, 6]]), np.array([1, 2]))
+    b = interface.ChunkStats(5, 1, 0, 1, 0, np.array([[2, 3]]), np.array([0, 1]))
+    assert interface.ChunkStats().merge(a) is a
+    merged = a.merge(b)
+    assert merged[:5] == (15, 4, 1, 3, 1)
+    np.testing.assert_array_equal(merged.block_weight_hist, [[6, 9]])
+    np.testing.assert_array_equal(merged.out_qubit_errors, [1, 3])
+
+
+def test_tau_estimate_json_keeps_field_order_and_lists_arrays():
+    est = interface.estimate_tau(css.toy_family(), 2, 1, NoiseParams(0.01, 3), trials=200, mu=0.25)
+    got = est.to_json()
+    assert list(got) == [
+        "r", "r_prime", "delta", "seed", "trials", "failures", "heralds", "weight_overflows",
+        "logical_errors", "rate", "wilson_lo", "wilson_hi", "mu", "block_weight_hist",
+        "out_qubit_error_rate", "latency_layers",
+    ]
+    assert got["block_weight_hist"] == est.block_weight_hist.tolist()
+    assert got["out_qubit_error_rate"] == est.out_qubit_error_rate.tolist()
+    assert all(not isinstance(v, np.ndarray) for v in got.values())
