@@ -26,7 +26,7 @@ c.add_layer([Gate("measure", (w,), out=f"m{w}") for w in wires])
 print("circuit JSON:")
 print(c.to_json()[:200], "...")
 
-_, ideal = circ.run_ideal(c, Tableau.zero_state(wires))
+_, ideal = circ.run_noisy(c, Tableau.zero_state(wires))
 print("\nideal outcomes:", ideal)
 
 # Inject an X fault on the second-layer CNOT's control and compare backends.
@@ -42,14 +42,16 @@ FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
 print("tableau outcomes with fault:", noisy)
 print("frame-predicted flips:      ", {k: int(v[0]) for k, v in batch.flips.items()})
 
-# Frames compose linearly, so conjugation is a group action:
-fx, fz, _ = circ.propagate_frame(c, np.array([1, 0, 0], np.uint8), np.zeros(3, np.uint8))
-print("\nX on q0 conjugated through the circuit -> x:", fx, "z:", fz)
+# Frames compose linearly, so conjugation is a group action. A noiseless run
+# of a one-trial batch conjugates one frame:
+batch = FrameBatch(wires, 1)
+batch.xor(["q0"], np.ones((1, 1), np.uint8), np.zeros((1, 1), np.uint8))
+FrameRunner(NoiseParams(delta=0.0, seed=0)).run(c, batch)
+print("\nX on q0 conjugated through the circuit -> x:", batch.x[0], "z:", batch.z[0])
 
 # Bulk noise: 100k trials of the same circuit at delta = 0.01 in one call.
 batch = FrameBatch(wires, 100_000)
 FrameRunner(NoiseParams(delta=0.01, seed=5)).run(c, batch)
 flips = np.stack([batch.flips[f"m{w}"] for w in wires], axis=1)
 print(f"\n100k-trial flip marginals at delta=0.01: {flips.mean(axis=0).round(4)}")
-print("census of residual frames per wire:",
-      circ.weight_census(batch, {w: [w] for w in wires})["q0"].mean().round(4))
+print("mean residual frame weight on q0:", ((batch.x[:, 0] | batch.z[:, 0]) != 0).mean().round(4))

@@ -53,7 +53,7 @@ print("\nbase code m =", base3.m, "-> frozen to m =", css.freeze_logicals(base3,
 # logical tableau: here |10>, on one [[4,2,2]] block. Checks read 0 and
 # logical Z operators read the encoded bits.
 logical = Tableau.zero_state([0, 1])
-logical.apply_x(0)
+logical.apply_pauli_on([0], [1], [0])
 tab = css.encoded_tableau((fam.level(2),), logical, range(4))
 lz0 = fam.level(2).lz.to_dense()[0]
 print("logical Z_0 readout of |10_L>:", tab.expectation_z(np.zeros(4, np.uint8), lz0))

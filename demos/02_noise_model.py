@@ -34,8 +34,13 @@ sup = (x | z) != 0
 print(f"Pr(q0,q1 both hit): {float((sup[:,0] & sup[:,1]).mean()):.4f} "
       f"(exactly delta^2 = {0.2**2})")
 
-# Composition certifies the sum of the parameters.
-print("compose(0.01, 0.02) =", noise.compose_ls(0.01, 0.02))
+# Composition: the union of two independent samples, parameters 0.05 and 0.08,
+# is local stochastic with the sum of the parameters, 0.13.
+xa, za = noise.sample_ls_bits(4, 0.05, np.random.default_rng(2), 200_000)
+xb, zb = noise.sample_ls_bits(4, 0.08, np.random.default_rng(3), 200_000)
+sup = (xa | za | xb | zb) != 0
+print(f"composed: Pr(q0,q1 both hit): {float((sup[:,0] & sup[:,1]).mean()):.4f} "
+      f"<= 0.13^2 = {0.13**2:.4f}")
 
 # --- the overflow tail bound -------------------------------------------------------
 # Probability that a parameter-delta channel touches more than mu*n of n

@@ -22,9 +22,11 @@ print(f"total wires {plan.qubit_count}, locations {plan.n_locations}, "
 code = fam.level(2)
 logical = random_stabilizer_state([0, 1], np.random.default_rng(3))
 inp = css.encoded_tableau((code,), logical, plan.q_wires)
-ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(0))
+# One Gamma pass, gamma_pass, runs on a tableau engine (exact) or a frame
+# engine (Monte Carlo); the tableau engine evolves `inp` in place.
+interface.gamma_pass(plan, interface.TableauEngine(inp, np.random.default_rng(0), {}))
 print("\nnoiseless run reproduces the logical state:",
-      ref.output.same_state(interface.expected_output_tableau(plan, logical)))
+      inp.same_state(interface.expected_output_tableau(plan, logical)))
 resource = plan.resource_tableau()
 xx = np.concatenate([code.lx.to_dense()[0], plan.lxb[0]])
 print("resource holds X_0^A X_0^B:", resource.expectation_z(xx, np.zeros_like(xx)) == 0)
@@ -36,14 +38,12 @@ sfam = css.steane_family()
 splan = interface.build_gamma(sfam, 2, 1)
 steane = sfam.level(2)
 logical1 = Tableau.zero_state([0])
-logical1.apply_x(0)
+logical1.apply_pauli_on([0], [1], [0])
 inp = css.encoded_tableau((steane,), logical1, splan.q_wires)
-xb = np.zeros(inp.n, np.uint8)
-xb[inp.index(splan.q_wires[4])] = 1
-inp.apply_pauli(xb, np.zeros(inp.n, np.uint8))  # X error on qubit 4
-out = interface.run_gamma_tableau(splan, inp, np.random.default_rng(1))
+inp.apply_pauli_on([splan.q_wires[4]], [1], [0])  # X error on qubit 4
+interface.gamma_pass(splan, interface.TableauEngine(inp, np.random.default_rng(1), {}))
 print("Steane variant absorbs an injected X4:",
-      out.output.same_state(interface.expected_output_tableau(splan, logical1)))
+      inp.same_state(interface.expected_output_tableau(splan, logical1)))
 
 # --- Monte Carlo failure estimation ---------------------------------------------
 # A trial fails on a herald, a residual above mu*n per block, or a wrong

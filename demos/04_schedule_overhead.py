@@ -4,6 +4,7 @@
 # error correction, and account for every qubit exactly.
 
 from decint import css, scheduler
+from decint.interface import build_gamma
 
 fam = css.toy_family()
 consts = scheduler.measured_constants(fam)
@@ -40,7 +41,8 @@ for h in (1, 4, 16, 64, 256, 1024):
     print(f"{h:>5d}  {rep.max_total:>9d}   {rep.ratio:.3f}")
 print("(the ratio settles near a constant once h exceeds p1(m_r))")
 
-# Composing the final bare-qubit layer:
-full = scheduler.compose_full(scheduler.build_schedule(fam, 3, 2, h=4, constants=consts))
-print(f"\nfull plan: staged part + {full.final_blocks} parallel level-2 interfaces "
-      f"({full.final_layer_qubits} qubits in the final layer)")
+# Composing the final bare-qubit layer: one Gamma_(2,1) on every output block.
+sched = scheduler.build_schedule(fam, 3, 2, h=4, constants=consts)
+final_layer = build_gamma(fam, 2, 1).qubit_count * sched.output_blocks
+print(f"\nfull plan: staged part ({scheduler.qubit_census(sched).max_total} qubits at most) "
+      f"+ {sched.output_blocks} parallel level-2 interfaces ({final_layer} qubits in the final layer)")

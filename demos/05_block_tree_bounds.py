@@ -18,12 +18,14 @@ for y, tau in enumerate(params.taus):
     print(f"  depth {y}: tau = 0.1^{2**(z - y)} = {float(tau):.2e}")
 
 # --- sampled patterns respect the pattern constraint ------------------------------
-sample = bt.sample_tree(TreeParams.from_floats(4, [0.3] * 4), seed=1)
-print("\nsampled fresh-failure sets per depth:",
-      [sorted(f) for f in sample.failure_sets])
-print("valid block error pattern:", bt.is_block_error_pattern(sample.failure_sets))
-print("partition predicate holds:",
-      bt.partitions_leaf_set(sample.failure_sets, sample.leaf_failures, 4))
+# One trial of the batched sampler: F_y holds the depth-y nodes that fail fresh,
+# F-bar the leaves that are not alive.
+alive, fresh = bt.sample_states_batch(TreeParams.from_floats(4, [0.3] * 4), seed=1, trials=1)
+failure_sets = [{v for v in bt.nodes_at_depth(4, y) if fresh[v][0]} for y in range(4)]
+leaf_failures = {v for v in bt.leaves(4) if not alive[v][0]}
+print("\nsampled fresh-failure sets per depth:", [sorted(f) for f in failure_sets])
+print("valid block error pattern:", bt.is_block_error_pattern(failure_sets))
+print("partition predicate holds:", bt.partitions_leaf_set(failure_sets, leaf_failures, 4))
 
 # --- node weight and the f(v) recursion helper -----------------------------------
 t_bar = [(0, 0, 0), (0, 1, 0)]

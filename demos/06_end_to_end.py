@@ -17,7 +17,7 @@ print("plan: 3 Steane blocks -> 3 bare qubits,",
 
 # --- exact mode: injected errors below d/2 leave no trace --------------------------
 logical = Tableau.zero_state([0])
-logical.apply_x(0)  # |1>_L per block
+logical.apply_pauli_on([0], [1], [0])  # |1>_L per block
 # One batched walk per block runs every injection as its own exact trial.
 cases = [None] + [(q, k) for q in range(7) for k in "XZY"]
 clean = 0

@@ -115,35 +115,6 @@ def f_of_v(t_bar: Iterable[Node], v: Node) -> int:
 # -- sampling ---------------------------------------------------------------------
 
 
-class TreeSample(NamedTuple):
-    """One sampled realization: states over all nodes plus the derived sets."""
-
-    params: TreeParams
-    states: dict[Node, int]
-    failure_sets: list[set[Node]]     # F_y: fresh failures per depth
-    leaf_failures: set[Node]          # F-bar: leaves with X in {1, 2}
-
-
-def sample_tree(params: TreeParams, seed: int, trial: int = 0) -> TreeSample:
-    """Top-down sampling: alive nodes fail independently at their depth's tau."""
-    rng = rng_stream(seed, STREAM_TREE, trial)
-    states: dict[Node, int] = {}
-    failure_sets: list[set[Node]] = [set() for _ in range(params.z)]
-    for y in range(params.z):
-        tau = float(params.taus[y])
-        for v in nodes_at_depth(params.z, y):
-            parent_state = states[v[:-1]] if y else 0
-            if parent_state != 0:
-                states[v] = 2
-            elif rng.random() < tau:
-                states[v] = 1
-                failure_sets[y].add(v)
-            else:
-                states[v] = 0
-    leaf_failures = {v for v in leaves(params.z) if states[v] != 0}
-    return TreeSample(params, states, failure_sets, leaf_failures)
-
-
 def sample_states_batch(params: TreeParams, seed: int, trials: int, stream: int = 0):
     """Vectorized sampling: returns alive masks per node in BFS order.
 

@@ -178,13 +178,6 @@ def _checked_faults(table: "FaultTable", trials: int, locations, trial_idx, code
 # -- tableau backend ------------------------------------------------------------
 
 
-def run_ideal(
-    circuit: Circuit, state: Tableau, rng: Optional[np.random.Generator] = None
-) -> tuple[Tableau, dict[str, int]]:
-    """Exact stabilizer evolution; random outcomes drawn from `rng`."""
-    return run_noisy(circuit, state, faults=None, rng=rng)
-
-
 def run_noisy(
     circuit: Circuit,
     state: Tableau,
@@ -271,10 +264,6 @@ class FrameBatch:
         self.x.T[rows] ^= x
         self.z.T[rows] ^= z
 
-    def weight_per_trial(self, wires: Sequence[Hashable]) -> np.ndarray:
-        cols = self.columns(wires)
-        return ((self.x[:, cols] | self.z[:, cols]) != 0).sum(axis=1)
-
     def flat_frames(self) -> tuple[np.ndarray, np.ndarray, int, int]:
         """Flat views of x and z with their (trial, wire) strides in elements."""
         if self.x.strides != self.z.strides:
@@ -335,16 +324,6 @@ class FaultTable(NamedTuple):
             )
             start = rows.stop
         return cls(cols=cols, arity=arity, layers=tuple(layers))
-
-
-def weight_census(batch: FrameBatch, blocks: dict[str, Sequence[Hashable]]) -> dict[str, np.ndarray]:
-    """Per-block frame support sizes; blocks must partition the wires."""
-    seen: list = []
-    for ws in blocks.values():
-        seen.extend(ws)
-    if sorted(map(str, seen)) != sorted(map(str, batch.wires)):
-        raise ValueError("blocks must partition the wire set")
-    return {name: batch.weight_per_trial(ws) for name, ws in blocks.items()}
 
 
 class FrameRunner:
@@ -424,22 +403,6 @@ def _apply_gate_frame(batch: FrameBatch, g: Gate):
     else:  # init0
         batch.x[:, q] = 0
         batch.z[:, q] = 0
-
-
-def propagate_frame(
-    circuit: Circuit, x_bits: np.ndarray, z_bits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
-    """Conjugate a single Pauli frame through the circuit, noiselessly.
-
-    Returns the final (x, z) frame over circuit.wires plus the measurement
-    outcome flips the frame induces.
-    """
-    batch = FrameBatch(circuit.wires, 1)
-    batch.xor(circuit.wires, np.asarray(x_bits, np.uint8)[:, None], np.asarray(z_bits, np.uint8)[:, None])
-    runner = FrameRunner(NoiseParams(delta=0.0, seed=0))
-    runner.run(circuit, batch)
-    flips = {k: int(v[0]) for k, v in batch.flips.items()}
-    return batch.x[0].copy(), batch.z[0].copy(), flips
 
 
 def _draw_faults(lf: LayerFaults, trials: int, delta: float, rng: np.random.Generator) -> tuple:

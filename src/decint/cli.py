@@ -188,6 +188,8 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
         r_prime = as_int(config["r_prime"])
         trials = _trials(config)
         mu = float(config.get("mu", 0.25))
+        if not 0 < mu < 1:
+            raise UsageError(f"mu must lie in (0, 1), got {mu}")
         knobs = interface.GammaKnobs.from_json(config)
     _check_levels(family, r, r_prime)
     manifest = Manifest("interface-sweep", config, out)
@@ -461,9 +463,7 @@ def _e2e_exhaustive(config, family, sched, knobs, wait_rounds, base_seed, out, m
     for block in range(sched.h):
         for u in u_patterns:
             logical = Tableau.zero_state(list(range(code_r.m)))
-            for j, b in enumerate(u):
-                if b:
-                    logical.apply_x(j)
+            logical.apply_pauli_on(logical.labels, u, [0] * code_r.m)
             cases = [None] + [(q, k) for q in range(code_r.n) for k in ("X", "Z", "Y")]
             res = e2e.run_block_chain_tableau(
                 family, sched, block, logical, injections=cases,

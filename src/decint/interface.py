@@ -369,6 +369,9 @@ class GammaKnobs(_GammaKnobFields):
         proc_poly = tuple(proc_poly)
         if not all(isinstance(c, numbers.Real) for c in proc_poly):
             raise ValueError(f"proc_layers coefficients must be numbers, got {proc_poly!r}")
+        for key, p in (("ls_delta", resource_ls_delta), ("fail_prob", resource_fail_prob)):
+            if p is not None and not 0 <= p <= 1:
+                raise ValueError(f"resource_oracle {key} must lie in [0, 1], got {p}")
         return super().__new__(cls, s1, s2, proc_poly, resource_ls_delta, resource_fail_prob)
 
     def proc_layers(self, n: int) -> int:
@@ -713,32 +716,6 @@ def gamma_pass(plan: InterfaceCircuit, engine) -> np.ndarray:
 
 
 # -- exact (tableau) execution --------------------------------------------------------
-
-
-class GammaReference(NamedTuple):
-    """Record of one exact run: outcomes, Bell herald, output tableau."""
-
-    output: Tableau
-    outcomes: dict
-    heralds: bool
-
-
-def run_gamma_tableau(
-    plan: InterfaceCircuit,
-    state: Tableau,
-    rng: Optional[np.random.Generator] = None,
-) -> GammaReference:
-    """Noiseless exact execution of Gamma, in place on `state`.
-
-    The encoded input lives on plan.q_wires (apply injected input errors to
-    it beforehand); other wires of `state` are spectators (sibling blocks of
-    a chain) and must not collide with the plan's resource wires. On return
-    `state` (also the reference's `output`) holds the B wires and the
-    spectators. Pass a copy to keep the input.
-    """
-    engine = TableauEngine(state, rng or np.random.default_rng(0), {})
-    herald = gamma_pass(plan, engine)
-    return GammaReference(output=state, outcomes=engine.outcomes, heralds=bool(herald[0]))
 
 
 def expected_output_tableau(plan: InterfaceCircuit, logical: Tableau) -> Tableau:

@@ -99,11 +99,6 @@ def sample_ls_bits(
     return x, z
 
 
-def compose_ls(a_delta: float, b_delta: float) -> float:
-    """Certified parameter of the composition: the sum, capped at 1."""
-    return min(1.0, a_delta + b_delta)
-
-
 def binary_entropy(x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError("entropy argument outside [0, 1]")

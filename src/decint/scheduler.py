@@ -295,48 +295,6 @@ def effective_interface(schedule: InterfaceSchedule, i: int) -> BlockPlan:
     return BlockPlan(input_block=i, stages=tuple(stages))
 
 
-class FullPlan(NamedTuple):
-    """Schedule for Xi^{[h]}_r: staged lowering plus the final parallel
-    level-r'-to-bare layer on every output block."""
-
-    schedule: InterfaceSchedule
-    final_gamma_qubits_per_block: int
-
-    @property
-    def final_blocks(self) -> int:
-        return self.schedule.output_blocks
-
-    @property
-    def final_layer_qubits(self) -> int:
-        return self.final_blocks * self.final_gamma_qubits_per_block
-
-    def total_qubits(self) -> int:
-        report = qubit_census(self.schedule)
-        return max(report.max_total, self.final_layer_qubits)
-
-
-def compose_full(
-    schedule: InterfaceSchedule, gamma_r1_qubits_per_block: Optional[int] = None
-) -> FullPlan:
-    """Append the parallel Gamma_{r',1} layer on all output blocks.
-
-    The per-block footprint defaults to the measured Gamma_{r',1} circuit
-    size (a constant once r' is fixed).
-    """
-    if gamma_r1_qubits_per_block is None:
-        from .interface import build_gamma
-
-        if schedule.r_prime == 1:
-            gamma_r1_qubits_per_block = schedule.family.level(1).n
-        else:
-            plan = build_gamma(schedule.family, schedule.r_prime, 1)
-            gamma_r1_qubits_per_block = plan.qubit_count
-    return FullPlan(
-        schedule=schedule,
-        final_gamma_qubits_per_block=gamma_r1_qubits_per_block,
-    )
-
-
 def audit_schedule(schedule: InterfaceSchedule) -> list[str]:
     """Exhaustive well-formedness audit; returns a list of violations.
 

@@ -180,16 +180,6 @@ class Tableau:
         self.xs[:, t] ^= self.xs[:, c]
         self.zs[:, c] ^= self.zs[:, t]
 
-    def apply_x(self, label: Hashable):
-        self.signs ^= self.zs[:, self.index(label)]
-
-    def apply_z(self, label: Hashable):
-        self.signs ^= self.xs[:, self.index(label)]
-
-    def apply_y(self, label: Hashable):
-        q = self.index(label)
-        self.signs ^= self.xs[:, q] ^ self.zs[:, q]
-
     def apply_pauli(self, x_bits: np.ndarray, z_bits: np.ndarray):
         """Conjugate the state by the Pauli X^x Z^z (global phase dropped).
 

@@ -47,17 +47,16 @@ class TestCriterion2NoiselessExactness:
         states = []
         for u in itertools.product([0, 1], repeat=2):
             logical = Tableau.zero_state([0, 1])
-            for j, b in enumerate(u):
-                if b:
-                    logical.apply_x(j)
+            logical.apply_pauli_on(logical.labels, u, [0] * len(u))
             states.append(logical)
         for seed in range(20):
             states.append(random_stabilizer_state([0, 1], np.random.default_rng(seed)))
         for k, logical in enumerate(states):
             inp = css.encoded_tableau((code,), logical, plan.q_wires)
-            ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(k))
-            assert not ref.heralds
-            assert ref.output.same_state(interface.expected_output_tableau(plan, logical)), k
+            engine = interface.TableauEngine(inp, np.random.default_rng(k), {})
+            herald = interface.gamma_pass(plan, engine)
+            assert not herald[0]
+            assert inp.same_state(interface.expected_output_tableau(plan, logical)), k
         elapsed = time.time() - t0
         assert elapsed < 10.0, f"{elapsed:.2f}s exceeds 10s budget"
         report(2, "noiseless interface exactness")
@@ -71,8 +70,7 @@ class TestCriterion3CorrectableErrors:
         code = fam.level(2)
         for u in ((0,), (1,)):
             logical = Tableau.zero_state([0])
-            if u[0]:
-                logical.apply_x(0)
+            logical.apply_pauli_on([0], u, [0])
             want = interface.expected_output_tableau(plan, logical)
             cases = [None] + [(q, k) for q in range(7) for k in ("X", "Z", "Y")]
             assert len(cases) == 22
@@ -80,17 +78,11 @@ class TestCriterion3CorrectableErrors:
                 inp = css.encoded_tableau((code,), logical, plan.q_wires)
                 if case is not None:
                     q, kind = case
-                    xb = np.zeros(inp.n, np.uint8)
-                    zb = np.zeros(inp.n, np.uint8)
-                    qi = inp.index(plan.q_wires[q])
-                    if kind in "XY":
-                        xb[qi] = 1
-                    if kind in "ZY":
-                        zb[qi] = 1
-                    inp.apply_pauli(xb, zb)
-                ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(7))
-                assert not ref.heralds, case
-                assert ref.output.same_state(want), case
+                    inp.apply_pauli_on([plan.q_wires[q]], [kind in "XY"], [kind in "ZY"])
+                engine = interface.TableauEngine(inp, np.random.default_rng(7), {})
+                herald = interface.gamma_pass(plan, engine)
+                assert not herald[0], case
+                assert inp.same_state(want), case
         elapsed = time.time() - t0
         assert elapsed < 60.0, f"{elapsed:.2f}s exceeds 1min budget"
         report(3, "correctable-error completeness")

@@ -60,25 +60,33 @@ class TestFofV:
             bt.f_of_v([(0, 0)], (0, 0))
 
 
+def sampled_patterns(params: TreeParams, seed: int, trials: int):
+    """(F_0, ..., F_{z-1}) and F-bar of each trial of one `sample_states_batch` call:
+    F_y holds the depth-y nodes that fail fresh, F-bar the leaves that are not alive."""
+    alive, fresh = bt.sample_states_batch(params, seed=seed, trials=trials)
+    for t in range(trials):
+        failure_sets = [{v for v in bt.nodes_at_depth(params.z, y) if fresh[v][t]} for y in range(params.z)]
+        yield failure_sets, {v for v in bt.leaves(params.z) if not alive[v][t]}
+
+
 class TestSampling:
     def test_all_zero_taus(self):
         params = TreeParams.from_floats(3, [0, 0, 0])
-        s = bt.sample_tree(params, seed=1)
-        assert s.leaf_failures == set()
-        assert all(not f for f in s.failure_sets)
+        for failure_sets, leaf_failures in sampled_patterns(params, seed=1, trials=20):
+            assert leaf_failures == set()
+            assert all(not f for f in failure_sets)
 
     def test_root_always_fails(self):
         params = TreeParams(3, (Fraction(1), Fraction(0), Fraction(0)))
-        s = bt.sample_tree(params, seed=1)
-        assert s.failure_sets[0] == {()}
-        assert s.leaf_failures == set(bt.leaves(3))
+        for failure_sets, leaf_failures in sampled_patterns(params, seed=1, trials=20):
+            assert failure_sets[0] == {()}
+            assert leaf_failures == set(bt.leaves(3))
 
     def test_sampled_patterns_valid(self):
         params = TreeParams.from_floats(4, [0.3, 0.3, 0.3, 0.3])
-        for trial in range(200):
-            s = bt.sample_tree(params, seed=5, trial=trial)
-            assert bt.is_block_error_pattern(s.failure_sets)
-            assert bt.partitions_leaf_set(s.failure_sets, s.leaf_failures, params.z)
+        for failure_sets, leaf_failures in sampled_patterns(params, seed=5, trials=200):
+            assert bt.is_block_error_pattern(failure_sets)
+            assert bt.partitions_leaf_set(failure_sets, leaf_failures, params.z)
 
     def test_batch_marginal_matches(self):
         params = TreeParams.from_floats(2, [0.2, 0.1])

@@ -91,7 +91,7 @@ class TestIdealRun:
             c = Circuit(["q"]).add_layer([Gate("h", ("q",))]).add_layer(
                 [Gate("measure", ("q",), out="m")]
             )
-            _, outs = circ.run_ideal(c, Tableau.zero_state(["q"]), np.random.default_rng(seed))
+            _, outs = circ.run_noisy(c, Tableau.zero_state(["q"]), rng=np.random.default_rng(seed))
             seen.add(outs["m"])
         assert seen == {0, 1}
 
@@ -102,7 +102,7 @@ class TestIdealRun:
             c.add_layer([Gate("cnot", ("a", "b"))])
             c.add_layer([Gate("measure", ("a",), out="ma")])
             c.add_layer([Gate("measure", ("b",), out="mb")])
-            _, outs = circ.run_ideal(c, Tableau.zero_state(["a", "b"]), np.random.default_rng(seed))
+            _, outs = circ.run_noisy(c, Tableau.zero_state(["a", "b"]), rng=np.random.default_rng(seed))
             assert outs["ma"] == outs["mb"]
 
     def test_teleport_with_corrections(self):
@@ -121,11 +121,11 @@ class TestIdealRun:
         for seed in range(16):
             rng = np.random.default_rng(seed)
             state = Tableau.zero_state(wires)
-            state.apply_x("src")
-            state, outs = circ.run_ideal(c, state, rng)
+            state.apply_pauli_on(["src"], [1], [0])
+            state, outs = circ.run_noisy(c, state, rng=rng)
             seen.add((outs["mx"], outs["mz"]))
             state.apply_pauli_on(["b"], [outs["mx"]], [outs["mz"]])
-            _, outs = circ.run_ideal(readout, state, rng)
+            _, outs = circ.run_noisy(readout, state, rng=rng)
             assert outs["out"] == 1
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -136,8 +136,8 @@ class TestIdealRun:
         bare = Circuit(["q"]).add_layer([Gate("measure", ("q",), out="m")])
         for circuit, want in ((c, 0), (bare, 1)):
             state = Tableau.zero_state(["q"])
-            state.apply_x("q")
-            _, outs = circ.run_ideal(circuit, state)
+            state.apply_pauli_on(["q"], [1], [0])
+            _, outs = circ.run_noisy(circuit, state)
             assert outs["m"] == want
 
 
@@ -145,7 +145,7 @@ class TestNoisyRun:
     def test_empty_pattern_equals_ideal(self):
         for seed in range(100):
             c = det_random_circuit(seed, 5, 3)
-            t1, o1 = circ.run_ideal(c, Tableau.zero_state(c.wires))
+            t1, o1 = circ.run_noisy(c, Tableau.zero_state(c.wires))
             t2, o2 = circ.run_noisy(c, Tableau.zero_state(c.wires), faults={})
             assert o1 == o2
             assert all(v == 0 for v in o1.values())
@@ -163,57 +163,49 @@ class TestNoisyRun:
         assert outs["m"] == 1
 
 
+def propagate(c: Circuit, x_bits, z_bits) -> FrameBatch:
+    """Noiseless frame propagation of one frame per trial; x/z bits are (trials, wires)."""
+    x_bits, z_bits = np.atleast_2d(x_bits, z_bits)
+    batch = FrameBatch(c.wires, len(x_bits))
+    batch.xor(c.wires, x_bits.T.astype(np.uint8), z_bits.T.astype(np.uint8))
+    return FrameRunner(NoiseParams(0.0, 0)).run(c, batch)
+
+
 class TestFrameBackend:
     def test_identity_frame_stays_identity(self):
         c = det_random_circuit(1, 4, 3)
-        x, z, flips = circ.propagate_frame(c, np.zeros(4, np.uint8), np.zeros(4, np.uint8))
-        assert not x.any() and not z.any()
-        assert all(v == 0 for v in flips.values())
+        b = propagate(c, np.zeros(4), np.zeros(4))
+        assert not b.x.any() and not b.z.any()
+        assert not any(v.any() for v in b.flips.values())
 
     def test_x_through_h_becomes_z(self):
         c = Circuit(["q"]).add_layer([Gate("h", ("q",))])
-        x, z, _ = circ.propagate_frame(c, np.array([1], np.uint8), np.array([0], np.uint8))
-        assert (x[0], z[0]) == (0, 1)
+        b = propagate(c, [1], [0])
+        assert (b.x[0, 0], b.z[0, 0]) == (0, 1)
 
     def test_x_on_cnot_control_spreads(self):
         c = Circuit(["c", "t"]).add_layer([Gate("cnot", ("c", "t"))])
-        x, z, _ = circ.propagate_frame(c, np.array([1, 0], np.uint8), np.array([0, 0], np.uint8))
-        assert list(x) == [1, 1] and list(z) == [0, 0]
+        b = propagate(c, [1, 0], [0, 0])
+        assert list(b.x[0]) == [1, 1] and list(b.z[0]) == [0, 0]
 
     def test_group_action_on_random_frames(self):
+        # Trials P, Q and PQ of one batch: the frame map is a homomorphism.
         rng = np.random.default_rng(0)
         for seed in range(10):
             c = det_random_circuit(seed, 5, 2)
-            p_x, p_z = rng.integers(0, 2, (2, 5)).astype(np.uint8)
-            q_x, q_z = rng.integers(0, 2, (2, 5)).astype(np.uint8)
-            fx1, fz1, _ = circ.propagate_frame(c, p_x, p_z)
-            fx2, fz2, _ = circ.propagate_frame(c, q_x, q_z)
-            fx12, fz12, _ = circ.propagate_frame(c, p_x ^ q_x, p_z ^ q_z)
-            assert np.array_equal(fx12, fx1 ^ fx2)
-            assert np.array_equal(fz12, fz1 ^ fz2)
+            p_x, p_z, q_x, q_z = rng.integers(0, 2, (4, 5))
+            b = propagate(c, [p_x, q_x, p_x ^ q_x], [p_z, q_z, p_z ^ q_z])
+            assert np.array_equal(b.x[2], b.x[0] ^ b.x[1])
+            assert np.array_equal(b.z[2], b.z[0] ^ b.z[1])
+            for flips in b.flips.values():
+                assert flips[2] == flips[0] ^ flips[1]
 
     def test_weight_census(self):
         batch = FrameBatch(["a", "b", "c"], 1)
-        census = circ.weight_census(batch, {"b1": ["a"], "b2": ["b"], "b3": ["c"]})
-        assert all(v[0] == 0 for v in census.values())
         batch.xor(["b"], np.array([[1]], np.uint8), np.array([[0]], np.uint8))
-        census = circ.weight_census(batch, {"b1": ["a"], "b2": ["b"], "b3": ["c"]})
-        assert (census["b1"][0], census["b2"][0], census["b3"][0]) == (0, 1, 0)
-
-    def test_census_requires_partition(self):
-        batch = FrameBatch(["a", "b"], 1)
-        with pytest.raises(ValueError):
-            circ.weight_census(batch, {"b1": ["a"]})
-
-    def test_census_additivity_random(self):
-        rng = np.random.default_rng(4)
-        batch = FrameBatch(list(range(9)), 16)
-        batch.x = rng.integers(0, 2, batch.x.shape).astype(np.uint8)
-        batch.z = rng.integers(0, 2, batch.z.shape).astype(np.uint8)
-        blocks = {"a": [0, 1, 2], "b": [3, 4, 5], "c": [6, 7, 8]}
-        census = circ.weight_census(batch, blocks)
-        total = sum(census.values())
-        assert np.array_equal(total, batch.weight_per_trial(batch.wires))
+        weights = [((batch.x[:, cols] | batch.z[:, cols]) != 0).sum(axis=1)[0]
+                   for cols in (batch.columns([w]) for w in batch.wires)]
+        assert weights == [0, 1, 0]
 
 
 class TestFrameLayout:
@@ -261,7 +253,7 @@ class TestCrossValidation:
         # One frame batch with one trial per (location, code), checked case
         # by case against the tableau run with that single fault.
         c = det_random_circuit(seed, 6, 2)
-        _, ideal = circ.run_ideal(c, Tableau.zero_state(c.wires))
+        _, ideal = circ.run_noisy(c, Tableau.zero_state(c.wires))
         labels = c.measurement_labels()
         cases = []
         for row, (li, gi) in enumerate(c.locations()):

@@ -313,6 +313,13 @@ class TestExitCodes:
             ("interface-sweep", dict(SWEEP, s1=1.5), "expected an integer, got 1.5"),
             ("interface-sweep", dict(SWEEP, trials=True), "expected an integer, got True"),
             ("interface-sweep", dict(SWEEP, proc_layers="ab"), "proc_layers coefficients must be numbers"),
+            ("interface-sweep", dict(SWEEP, resource_oracle={"ls_delta": 1.5}), "ls_delta must lie in [0, 1]"),
+            ("interface-sweep", dict(SWEEP, resource_oracle={"ls_delta": -0.1}), "ls_delta must lie in [0, 1]"),
+            ("interface-sweep", dict(SWEEP, resource_oracle={"fail_prob": -1}), "fail_prob must lie in [0, 1]"),
+            ("e2e", {"family": "steane", "r": 2, "h": 1, "mode": "exhaustive", "resource_oracle": {"fail_prob": 3}},
+             "fail_prob must lie in [0, 1]"),
+            ("interface-sweep", dict(SWEEP, mu=-0.5), "mu must lie in (0, 1)"),
+            ("interface-sweep", dict(SWEEP, mu="nan"), "mu must lie in (0, 1)"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):

@@ -157,9 +157,7 @@ class TestMinDistance:
 def encode_basis(code: CssCode, u) -> Tableau:
     """|u_L> through the one encoder."""
     logical = Tableau.zero_state(list(range(len(u))))
-    for j, b in enumerate(u):
-        if b:
-            logical.apply_x(j)
+    logical.apply_pauli_on(logical.labels, u, [0] * len(u))
     return css.encoded_tableau((code,), logical, range(code.n))
 
 
@@ -221,7 +219,7 @@ class TestEncodedTableauMemo:
     def test_each_call_returns_a_fresh_copy(self, steane):
         logical = Tableau.zero_state([0])
         first = css.encoded_tableau((steane,), logical, range(7))
-        first.apply_x(0)
+        first.apply_pauli_on([0], [1], [0])
         second = css.encoded_tableau((steane,), logical, range(7))
         assert second is not first and second.same_state(_reference_encoding(steane, logical, range(7)))
         assert not first.same_state(second)
@@ -229,7 +227,7 @@ class TestEncodedTableauMemo:
     def test_key_holds_signs_and_labels(self, steane):
         zero = Tableau.zero_state([0])
         one = zero.copy()
-        one.apply_x(0)
+        one.apply_pauli_on([0], [1], [0])
         lz = steane.lz.to_dense()[0]
         assert css.encoded_tableau((steane,), zero, range(7)).expectation_z(np.zeros(7, np.uint8), lz) == 0
         assert css.encoded_tableau((steane,), one, range(7)).expectation_z(np.zeros(7, np.uint8), lz) == 1
@@ -248,7 +246,7 @@ class TestEncodedTableauMemo:
         # A product logical state encodes to the product of its blocks.
         first = random_stabilizer_state([0, 1], np.random.default_rng(2))
         second = Tableau.zero_state([2])
-        second.apply_x(2)
+        second.apply_pauli_on([2], [1], [0])
         got = css.encoded_tableau((c422, steane), first.tensor(second), range(11))
         want = _reference_encoding(c422, first, range(4)).tensor(
             _reference_encoding(steane, second, range(4, 11))

@@ -1,0 +1,57 @@
+"""No public name of decint goes uncalled by the library without a reason.
+
+A module-level public function or class that nothing in src/ references
+outside its own definition is a wrapper or twin that only tests and demos
+call. Each such name must be listed below with the reason it stays; a new
+one fails the test until it gains a caller, is deleted or is listed.
+References are matched by name (a bare name or an attribute), so a method
+or attribute of the same name counts as a reference.
+"""
+
+import ast
+import pathlib
+
+import decint
+
+SRC = pathlib.Path(decint.__file__).parent
+
+ALLOWED = {
+    "blocktree.brute_force_inclusion": "test oracle: enumeration reference for exact_inclusion",
+    "blocktree.chain_rule_probability": "test oracle: the chain-rule pattern law sampled frequencies are checked against",
+    "blocktree.f_of_v": "paper definition shown by demo 05",
+    "blocktree.partitions_leaf_set": "paper definition shown by demo 05",
+    "css.build_family_rate_adjusted": "planned caller under ROADMAP item 2 (the Hamming family)",
+    "gf2.row_space_contains": "test oracle: membership checks on logical operators",
+    "interface.expected_output_tableau": "test oracle: the exact reference output of a Gamma pass",
+    "noise.tail_bound": "paper definition shown by demo 02",
+    "noise.tail_bound_dominates": "paper definition shown by demo 02",
+    "scheduler.roundtrip_from_block_plans": "paper definition shown by demo 04",
+    "tableau.random_stabilizer_state": "test oracle: random logical inputs for the exactness tests",
+}
+
+
+def unreferenced_names() -> set[str]:
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    refs: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(node)
+    dead = set()
+    for mod, tree in trees.items():
+        for d in tree.body:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
+                own = {id(n) for n in ast.walk(d)}
+                if all(id(n) in own for n in refs.get(d.name, [])):
+                    dead.add(f"{mod}.{d.name}")
+    return dead
+
+
+def test_every_uncalled_public_name_is_allowed():
+    dead = unreferenced_names()
+    new = sorted(dead - ALLOWED.keys())
+    assert not new, f"public names with no caller in src/ (delete them, call them or list them): {new}"
+    stale = sorted(ALLOWED.keys() - dead)
+    assert not stale, f"listed names that now have a caller in src/: {stale}"

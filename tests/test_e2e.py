@@ -43,7 +43,7 @@ class TestTableauChain:
     def test_clean_run_all_blocks(self, steane_setup):
         fam, sched = steane_setup
         logical = Tableau.zero_state([0])
-        logical.apply_x(0)
+        logical.apply_pauli_on([0], [1], [0])
         for block in range(3):
             res = e2e.run_block_chain_tableau(fam, sched, block, logical)
             assert res.state_matches and not res.heralds
@@ -60,7 +60,7 @@ class TestTableauChain:
     def test_toy_multilevel_chain(self, toy_setup):
         fam, sched = toy_setup
         logical = Tableau.zero_state(list(range(4)))
-        logical.apply_x(0)
+        logical.apply_pauli_on([0], [1], [0])
         logical.apply_h(2)
         logical.apply_cnot(2, 3)
         res = e2e.run_block_chain_tableau(fam, sched, 0, logical)
@@ -77,10 +77,12 @@ class TestSignBatchedChain:
         cases = [None] + [(q, k) for q in range(code.n) for k in "XZY"]
         outcomes = set()
         # |0...0> (Z leaves it be), |1...1>, then |+...+>, read out by shared random draws.
-        for gate in ("apply_z", "apply_x", "apply_h"):
+        preps = (lambda t, j: t.apply_pauli_on([j], [0], [1]), lambda t, j: t.apply_pauli_on([j], [1], [0]),
+                 Tableau.apply_h)
+        for prep in preps:
             logical = Tableau.zero_state(list(range(code.m)))
             for j in range(code.m):
-                getattr(logical, gate)(j)
+                prep(logical, j)
             res = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=cases, seed=5)
             assert res.output_bits.shape == (len(cases), code.m)
             assert res.state_matches.shape == res.heralds.shape == (len(cases),)

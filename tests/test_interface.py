@@ -23,21 +23,12 @@ def sfam():
 def encode_basis(code: css.CssCode, u, wires) -> Tableau:
     """|u_L> of `code` on `wires`."""
     logical = Tableau.zero_state(list(range(len(u))))
-    for j, b in enumerate(u):
-        if b:
-            logical.apply_x(j)
+    logical.apply_pauli_on(logical.labels, u, [0] * len(u))
     return css.encoded_tableau((code,), logical, wires)
 
 
 def apply_error(tab: Tableau, wire, kind: str):
-    xb = np.zeros(tab.n, np.uint8)
-    zb = np.zeros(tab.n, np.uint8)
-    q = tab.index(wire)
-    if kind in "XY":
-        xb[q] = 1
-    if kind in "ZY":
-        zb[q] = 1
-    tab.apply_pauli(xb, zb)
+    tab.apply_pauli_on([wire], [kind in "XY"], [kind in "ZY"])
 
 
 class TestEdgeColoring:
@@ -319,17 +310,16 @@ class TestGammaNoiseless:
         plan = interface.build_gamma(fam, 2, 1)
         code = fam.level(2)
         logical = Tableau.zero_state([0, 1])
-        for j, b in enumerate(u):
-            if b:
-                logical.apply_x(j)
+        logical.apply_pauli_on(logical.labels, u, [0] * len(u))
         inp = css.encoded_tableau((code,), logical, plan.q_wires)
-        ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(1))
-        assert not ref.heralds
+        engine = interface.TableauEngine(inp, np.random.default_rng(1), {})
+        herald = interface.gamma_pass(plan, engine)
+        assert not herald[0]
         # Both Bell readouts are codewords of the level-r readout codes.
         for h, labels in ((code.hx, plan.m1_labels), (code.hz, plan.m2_labels)):
-            readout = np.array([ref.outcomes[l] for l in labels], np.uint8)
+            readout = np.array([engine.outcomes[l] for l in labels], np.uint8)
             assert not (h.to_dense() @ readout % 2).any()
-        assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
+        assert inp.same_state(interface.expected_output_tableau(plan, logical))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_logical_states_exact(self, fam, seed):
@@ -337,19 +327,21 @@ class TestGammaNoiseless:
         code = fam.level(2)
         logical = random_stabilizer_state([0, 1], np.random.default_rng(seed))
         inp = css.encoded_tableau((code,), logical, plan.q_wires)
-        ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(seed + 1))
-        assert not ref.heralds
-        assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
+        engine = interface.TableauEngine(inp, np.random.default_rng(seed + 1), {})
+        herald = interface.gamma_pass(plan, engine)
+        assert not herald[0]
+        assert inp.same_state(interface.expected_output_tableau(plan, logical))
 
     def test_gamma_3_2_basis_exact(self, fam):
         plan = interface.build_gamma(fam, 3, 2)
         code = fam.level(3)
         logical = Tableau.zero_state(list(range(4)))
-        logical.apply_x(2)
+        logical.apply_pauli_on([2], [1], [0])
         inp = css.encoded_tableau((code,), logical, plan.q_wires)
-        ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(0))
-        assert not ref.heralds
-        assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
+        engine = interface.TableauEngine(inp, np.random.default_rng(0), {})
+        herald = interface.gamma_pass(plan, engine)
+        assert not herald[0]
+        assert inp.same_state(interface.expected_output_tableau(plan, logical))
 
     @pytest.mark.parametrize("levels", [(3, 2), (4, 3), (3, 1)])
     def test_higher_levels_random_states_exact(self, fam, levels):
@@ -363,26 +355,27 @@ class TestGammaNoiseless:
                 list(range(code.m)), np.random.default_rng(seed), moves=3 * code.m
             )
             inp = css.encoded_tableau((code,), logical, plan.q_wires)
-            ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(seed + 50))
-            assert not ref.heralds
-            assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
+            engine = interface.TableauEngine(inp, np.random.default_rng(seed + 50), {})
+            herald = interface.gamma_pass(plan, engine)
+            assert not herald[0]
+            assert inp.same_state(interface.expected_output_tableau(plan, logical))
 
     def test_steane_correctable_errors_exhaustive(self, sfam):
         plan = interface.build_gamma(sfam, 2, 1)
         code = sfam.level(2)
         for u in ((0,), (1,)):
             logical = Tableau.zero_state([0])
-            if u[0]:
-                logical.apply_x(0)
+            logical.apply_pauli_on([0], u, [0])
             want = interface.expected_output_tableau(plan, logical)
             cases = [None] + [(q, k) for q in range(7) for k in ("X", "Z", "Y")]
             for case in cases:
                 inp = css.encoded_tableau((code,), logical, plan.q_wires)
                 if case is not None:
                     apply_error(inp, plan.q_wires[case[0]], case[1])
-                ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(5))
-                assert not ref.heralds, case
-                assert ref.output.same_state(want), case
+                engine = interface.TableauEngine(inp, np.random.default_rng(5), {})
+                herald = interface.gamma_pass(plan, engine)
+                assert not herald[0], case
+                assert inp.same_state(want), case
 
 
 class TestTableauExecutor:
@@ -407,30 +400,33 @@ class TestTableauExecutor:
     def test_golden_outcomes_steane(self, sfam):
         plan = interface.build_gamma(sfam, 2, 1)
         logical = Tableau.zero_state([0])
-        logical.apply_x(0)
+        logical.apply_pauli_on([0], [1], [0])
         inp = css.encoded_tableau((sfam.level(2),), logical, plan.q_wires)
         apply_error(inp, plan.q_wires[3], "Y")
-        ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(11))
-        assert ref.outcomes == self.GOLDEN_STEANE
-        assert ref.output.same_state(interface.expected_output_tableau(plan, logical))
+        engine = interface.TableauEngine(inp, np.random.default_rng(11), {})
+        interface.gamma_pass(plan, engine)
+        assert engine.outcomes == self.GOLDEN_STEANE
+        assert inp.same_state(interface.expected_output_tableau(plan, logical))
 
     def test_golden_outcomes_toy_3_2(self, fam):
         plan = interface.build_gamma(fam, 3, 2)
         logical = random_stabilizer_state(list(range(4)), np.random.default_rng(4), moves=12)
         inp = css.encoded_tableau((fam.level(3),), logical, plan.q_wires)
         apply_error(inp, plan.q_wires[2], "X")
-        ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(9))
-        assert ref.outcomes == self.GOLDEN_TOY_3_2
+        engine = interface.TableauEngine(inp, np.random.default_rng(9), {})
+        interface.gamma_pass(plan, engine)
+        assert engine.outcomes == self.GOLDEN_TOY_3_2
 
     def test_runs_in_place_with_spectators(self, fam):
         plan = interface.build_gamma(fam, 2, 1)
         logical = random_stabilizer_state([0, 1], np.random.default_rng(6))
         inp = css.encoded_tableau((fam.level(2),), logical, plan.q_wires)
         spectator = Tableau.zero_state(["s0", "s1"])
-        spectator.apply_x("s1")
+        spectator.apply_pauli_on(["s1"], [1], [0])
         state = inp.tensor(spectator)
-        ref = interface.run_gamma_tableau(plan, state, np.random.default_rng(2))
-        assert ref.output is state
+        engine = interface.TableauEngine(state, np.random.default_rng(2), {})
+        interface.gamma_pass(plan, engine)
+        assert engine.state is state
         assert set(state.labels) == set(plan.b_wires) | {"s0", "s1"}
         assert state.measure_z("s0") == (0, True)
         assert state.measure_z("s1") == (1, True)
@@ -441,7 +437,7 @@ class TestTableauExecutor:
         inp = css.encoded_tableau((fam.level(2),), Tableau.zero_state([0, 1]), plan.q_wires)
         state = inp.tensor(Tableau.zero_state([plan.b_wires[0]]))
         with pytest.raises(ValueError, match="collide"):
-            interface.run_gamma_tableau(plan, state, np.random.default_rng(0))
+            interface.gamma_pass(plan, interface.TableauEngine(state, np.random.default_rng(0), {}))
 
 
     def test_idle_only_fragments_skip_run_noisy(self, monkeypatch):
@@ -479,7 +475,7 @@ class TestPlanCache:
     def test_resource_tableau_copies_are_independent(self, fam):
         plan = interface.build_gamma(fam, 3, 2)
         first = plan.resource_tableau()
-        first.apply_x(first.labels[0])
+        first.apply_pauli_on([first.labels[0]], [1], [0])
         first.measure_z(first.labels[1], np.random.default_rng(0))
         first.rename({first.labels[0]: "moved"})
         second = plan.resource_tableau()
@@ -844,12 +840,13 @@ class TestOneWalkTwoEngines:
         for t, (q, kind) in enumerate(cases):
             inp = css.encoded_tableau((code,), logical, plan.q_wires)
             apply_error(inp, plan.q_wires[q], kind)
-            ref = interface.run_gamma_tableau(plan, inp, np.random.default_rng(t))
-            assert ref.heralds == bool(run.herald[t]), (q, kind)
+            engine = interface.TableauEngine(inp, np.random.default_rng(t), {})
+            herald = interface.gamma_pass(plan, engine)
+            assert herald[0] == bool(run.herald[t]), (q, kind)
             want = interface.expected_output_tableau(plan, logical)
             want.apply_pauli_on(plan.b_wires, run.out_x[t], run.out_z[t])
-            assert ref.output.same_state(want), (q, kind)
-            heralds += ref.heralds
+            assert inp.same_state(want), (q, kind)
+            heralds += herald[0]
         assert heralds == (0 if steane else len(cases))  # d = 3 corrects, d = 2 detects
 
     @pytest.mark.parametrize(

@@ -125,16 +125,17 @@ class TestEffectiveInterface:
 
 class TestComposeFull:
     def test_final_layer_census(self, fam, consts):
+        # The parallel Gamma_{r',1} layer on every output block.
+        from decint.interface import build_gamma
+
         s = scheduler.build_schedule(fam, 3, 2, h=4, constants=consts)
-        full = scheduler.compose_full(s)
-        assert full.final_blocks == 8
-        assert full.final_layer_qubits == 8 * full.final_gamma_qubits_per_block
-        assert full.total_qubits() >= scheduler.qubit_census(s).max_total
+        final_layer = build_gamma(fam, 2, 1).qubit_count * s.output_blocks
+        assert s.output_blocks == 8
+        assert final_layer >= 8 * fam.level(2).n
 
     def test_trivial_target_level(self, fam, consts):
         s = scheduler.build_schedule(fam, 2, 1, h=4, constants=consts)
-        full = scheduler.compose_full(s)
-        assert full.final_gamma_qubits_per_block == 1  # bare qubits already
+        assert fam.level(s.r_prime).n == 1  # bare qubits already: no final layer
 
     def test_json_export(self, fam, consts):
         s = scheduler.build_schedule(fam, 3, 1, h=4, constants=consts)

@@ -46,7 +46,7 @@ class TestStates:
 
     def test_x_flips_outcome(self):
         t = Tableau.zero_state(["a"])
-        t.apply_x("a")
+        t.apply_pauli_on(["a"], [1], [0])
         assert t.measure_z("a") == (1, True)
 
     def test_bell_pair_correlation(self):
@@ -102,7 +102,7 @@ class TestStates:
     def test_different_states_detected(self):
         a = Tableau.zero_state([0])
         b = Tableau.zero_state([0])
-        b.apply_x(0)
+        b.apply_pauli_on([0], [1], [0])
         assert not a.same_state(b)
 
     def test_apply_pauli_anticommutation_signs(self):
@@ -122,7 +122,7 @@ class TestStates:
     def test_tensor(self):
         a = Tableau.zero_state(["a"])
         b = Tableau.zero_state(["b"])
-        b.apply_x("b")
+        b.apply_pauli_on(["b"], [1], [0])
         t = a.tensor(b)
         assert t.measure_z("a") == (0, True)
         assert t.measure_z("b") == (1, True)
@@ -365,11 +365,12 @@ class TestSignBatch:
         assert_batch_matches(batch, singles)
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, (2, TRIALS, 2)).astype(np.uint8)
-        ops = [("apply_h", (0,)), ("apply_s", (1,)), ("apply_cnot", (0, 2)), ("apply_x", (2,)),
-               ("apply_y", (0,)), ("apply_z", (1,)), ("apply_cnot", (2, 1)), ("apply_s", (0,))]
-        for name, wires in ops:
+        ops = [("apply_h", (0,)), ("apply_s", (1,)), ("apply_cnot", (0, 2)), ("apply_pauli_on", ([2], [1], [0])),
+               ("apply_pauli_on", ([0], [1], [1])), ("apply_pauli_on", ([1], [0], [1])), ("apply_cnot", (2, 1)),
+               ("apply_s", (0,))]
+        for name, args in ops:
             for t in [batch, *singles]:
-                getattr(t, name)(*wires)
+                getattr(t, name)(*args)
             assert_batch_matches(batch, singles)
         batch.apply_pauli_on([2, 0], bits[0], bits[1])
         for k, single in enumerate(singles):
