@@ -5,13 +5,12 @@
 import numpy as np
 
 from decint import css, gf2
-from decint.gf2 import BitMatrix
 from decint.tableau import Tableau
 
-# --- GF(2) linear algebra: 0/1 arrays and packed matrices ---------------------
-h = BitMatrix.from_rows(["1111"])  # the [[4,2,2]] check, both sectors
+# --- GF(2) linear algebra: vectors and matrices are 0/1 uint8 arrays ----------
+h = np.array([[1, 1, 1, 1]], np.uint8)  # the [[4,2,2]] check, both sectors
 print("rank([1111]) =", gf2.rank(h))
-print("kernel dimension =", gf2.nullspace_basis(h).nrows)  # even-weight space
+print("kernel dimension =", len(gf2.nullspace_basis(h)))  # even-weight space
 
 # Coset minimum weight is the quantity error correction actually bounds. The
 # search takes a batch, one row per trial:
@@ -26,10 +25,12 @@ print(code.validate())
 print("distance:", code.min_distance())
 
 # Logical representatives come out paired: LX_i anticommutes with LZ_j iff i=j.
+# A code's check and logical matrices are read-only arrays.
 print("LX:")
-print(code.lx.to_dense())
+print(code.lx)
 print("LZ:")
-print(code.lz.to_dense())
+print(code.lz)
+print("LX LZ^T =", gf2.mul_bits(code.lx, code.lz.T).tolist(), "| hx writeable:", code.hx.flags.writeable)
 
 # Stabilizer-reduced weight: X on three qubits is one stabilizer away from
 # a single-qubit error. The X part reduces against the X-type stabilizers.
@@ -46,7 +47,7 @@ report = fam.validate()
 print("family checks passed:", report.passed)
 
 # Rate adjustment: freeze logical qubits down to the nearest power of two.
-base3 = css.build_hgp(BitMatrix.from_rows(["110", "011"]), BitMatrix.from_rows(["1111"]))
+base3 = css.build_hgp(np.array([[1, 1, 0], [0, 1, 1]], np.uint8), np.ones((1, 4), np.uint8))
 print("\nbase code m =", base3.m, "-> frozen to m =", css.freeze_logicals(base3, 2).m)
 
 # Encoded states are signed stabilizer tableaus, built by one encoder from a
@@ -55,5 +56,5 @@ print("\nbase code m =", base3.m, "-> frozen to m =", css.freeze_logicals(base3,
 logical = Tableau.zero_state([0, 1])
 logical.apply_pauli_on([0], [1], [0])
 tab = css.encoded_tableau((fam.level(2),), logical, range(4))
-lz0 = fam.level(2).lz.to_dense()[0]
+lz0 = fam.level(2).lz[0]
 print("logical Z_0 readout of |10_L>:", tab.expectation_z(np.zeros(4, np.uint8), lz0))

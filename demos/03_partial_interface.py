@@ -28,7 +28,7 @@ interface.gamma_pass(plan, interface.TableauEngine(inp, np.random.default_rng(0)
 print("\nnoiseless run reproduces the logical state:",
       inp.same_state(interface.expected_output_tableau(plan, logical)))
 resource = plan.resource_tableau()
-xx = np.concatenate([code.lx.to_dense()[0], plan.lxb[0]])
+xx = np.concatenate([code.lx[0], plan.lxb[0]])
 print("resource holds X_0^A X_0^B:", resource.expectation_z(xx, np.zeros_like(xx)) == 0)
 
 # The classical Bell processing corrects readout errors within the decoding

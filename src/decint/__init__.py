@@ -1,7 +1,7 @@
 """decint: simulation and verification toolkit for fault-tolerant decoding
 interfaces of quantum LDPC codes.
 
-Submodules: gf2 (bit-packed linear algebra), css (codes and families),
+Submodules: gf2 (linear algebra on 0/1 arrays), css (codes and families),
 noise (stochastic circuit noise and local stochastic channels), tableau and
 circuit (exact and frame simulation), interface (EC gadgets and the partial
 decoding interface), scheduler (constant-overhead schedules), blocktree

@@ -148,6 +148,15 @@ class Circuit:
         return circ
 
 
+def idle_circuit(wires: Sequence[Hashable], layers: int = 1) -> Circuit:
+    """`layers` layers of idle locations on `wires`: a wait, or the noise slot
+    of a correction applied between fragments."""
+    circ = Circuit(wires)
+    for _ in range(layers):
+        circ.add_layer([Gate("idle", (w,)) for w in wires])
+    return circ
+
+
 # -- fault model --------------------------------------------------------------
 
 

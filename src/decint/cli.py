@@ -126,6 +126,18 @@ def _check_levels(family: css.CodeFamily, r: int, r_prime: int) -> None:
         raise UsageError(f"need 1 <= r_prime < r <= {family.depth}, got r={r}, r_prime={r_prime}")
 
 
+def _check_decodable(family: css.CodeFamily, levels) -> None:
+    """Every level a run decodes needs leader tables, which stop at MAX_TABLE_ROWS checks."""
+    for r in levels:
+        code = family.level(r)
+        checks = max(len(code.hx), len(code.hz))
+        if checks > interface.MAX_TABLE_ROWS:
+            raise UsageError(
+                f"level {r} has {checks} checks in one sector; leader tables "
+                f"decode at most {interface.MAX_TABLE_ROWS}"
+            )
+
+
 def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[float], int]:
     noise = config.get("noise", {})
     deltas = noise.get("delta", 0.0)
@@ -192,6 +204,7 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
             raise UsageError(f"mu must lie in (0, 1), got {mu}")
         knobs = interface.GammaKnobs.from_json(config)
     _check_levels(family, r, r_prime)
+    _check_decodable(family, (r, r_prime))
     manifest = Manifest("interface-sweep", config, out)
     rows = []
     rates = []
@@ -387,12 +400,23 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         mode = config.get("mode", "frames")
         if mode not in ("frames", "exhaustive"):
             raise UsageError(f"mode must be 'frames' or 'exhaustive', got {mode!r}")
+        input_ls = _probability("input_ls_delta", float(config.get("input_ls_delta", 0.0)))
         if mode == "frames":
             trials = _trials(config)
-            input_ls = _probability("input_ls_delta", float(config.get("input_ls_delta", 0.0)))
+    if mode == "exhaustive":
+        # Exhaustive mode runs at delta = 0; refuse noise it would ignore.
+        for key, value in (
+            ("noise.delta", max(deltas)),
+            ("resource_oracle.ls_delta", knobs.resource_ls_delta or 0),
+            ("resource_oracle.fail_prob", knobs.resource_fail_prob),
+            ("input_ls_delta", input_ls),
+        ):
+            if value > 0:
+                raise UsageError(f"exhaustive mode is noiseless: {key} must be 0, got {value}")
     _check_levels(family, r, 1)
     if h < 1:
         raise UsageError(f"h must be positive, got {h}")
+    _check_decodable(family, range(1, r + 1))
     consts = scheduler.measured_constants(family, knobs)
     sched = scheduler.build_schedule(family, r, 1, h, constants=consts)
     manifest = Manifest("e2e", config, out)

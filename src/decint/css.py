@@ -1,12 +1,13 @@
 """CSS codes: logical structure, distances, and families.
 
 A CSS code is held as the pair of binary check matrices (H_X, H_Z) with
-H_X H_Z^T = 0, plus a cached symplectic-dual basis of logical operator
-representatives. One encoder, `encoded_tableau`, builds every encoded
-stabilizer state: a logical tableau put on blocks of codes that sit on
-adjacent wires, through the one phase-exact lift `lift_with_reps`. Code
-families bundle levels r = 1, 2, ... with the rate and doubling metadata
-the interface constructions rely on.
+H_X H_Z^T = 0, plus a symplectic-dual basis of logical operator
+representatives (L_X, L_Z); all four are read-only 2-D 0/1 uint8 arrays.
+One encoder, `encoded_tableau`, builds every encoded stabilizer state: a
+logical tableau put on blocks of codes that sit on adjacent wires, through
+the one phase-exact lift `lift_with_reps`. Code families bundle levels
+r = 1, 2, ... with the rate and doubling metadata the interface
+constructions rely on.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import gf2
-from .gf2 import BitMatrix
 from .tableau import Tableau, pauli_product
 
 
@@ -51,17 +51,17 @@ class ValidationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _quotient_basis(candidates: BitMatrix, modulus: BitMatrix) -> BitMatrix:
+def _quotient_basis(candidates: np.ndarray, modulus: np.ndarray) -> np.ndarray:
     """Representatives of span(candidates) / span(modulus), deterministically.
 
     Reduces every candidate against the RREF of the modulus, then keeps the
     rows that extend the running basis (lowest candidate index wins).
     """
     red_mod, piv_mod = gf2.rref(modulus)
-    mod_rows = red_mod.to_dense()[: len(piv_mod)]
+    mod_rows = red_mod[: len(piv_mod)]
     accepted: list[np.ndarray] = []
     accepted_piv: list[int] = []
-    for v in candidates.to_dense():
+    for v in np.array(candidates, np.uint8):
         for row, p in zip(mod_rows, piv_mod):
             if v[p]:
                 v ^= row
@@ -72,31 +72,41 @@ def _quotient_basis(candidates: BitMatrix, modulus: BitMatrix) -> BitMatrix:
         if nz.size:
             accepted.append(v)
             accepted_piv.append(int(nz[0]))
-    if not accepted:
-        return BitMatrix.zeros(0, candidates.ncols)
-    return BitMatrix.from_dense(np.array(accepted, dtype=np.uint8))
+    return np.array(accepted, np.uint8).reshape(len(accepted), np.shape(candidates)[1])
+
+
+# Kernels of up to this many vectors are enumerated exactly by `min_distance`.
+MAX_DISTANCE_ENUM = 1 << 22
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only 2-D 0/1 uint8 copy of a matrix."""
+    a = np.array(a, dtype=np.uint8)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    a.flags.writeable = False
+    return a
 
 
 class CssCode:
-    """CSS code with cached logical operator representatives.
+    """CSS code with its logical operator representatives.
 
-    Immutable by convention: treat every attribute as read-only.
+    hx, hz, lx and lz are read-only copies of the given matrices, so a code
+    shared through a cache stays as built; treat the other attributes as
+    read-only too.
     """
 
-    def __init__(self, hx: BitMatrix, hz: BitMatrix, lx: BitMatrix, lz: BitMatrix, name: str = ""):
-        if hx.ncols != hz.ncols:
+    def __init__(self, hx, hz, lx, lz, name: str = ""):
+        self.hx, self.hz, self.lx, self.lz = (_read_only(a) for a in (hx, hz, lx, lz))
+        if self.hx.shape[1] != self.hz.shape[1]:
             raise ValueError("H_X and H_Z act on different qubit counts")
-        self.n = hx.ncols
-        self.hx = hx
-        self.hz = hz
-        self.lx = lx
-        self.lz = lz
-        self.m = lx.nrows
+        self.n = self.hx.shape[1]
+        self.m = len(self.lx)
         self.name = name or f"[[{self.n},{self.m}]]"
         self._distance: Optional[tuple[int, bool]] = None
 
     @classmethod
-    def from_checks(cls, hx: BitMatrix, hz: BitMatrix, name: str = "") -> "CssCode":
+    def from_checks(cls, hx: np.ndarray, hz: np.ndarray, name: str = "") -> "CssCode":
         """Derive logical representatives from the check matrices.
 
         L_X spans ker(H_Z)/rowspace(H_X) and L_Z spans ker(H_X)/rowspace(H_Z);
@@ -106,11 +116,10 @@ class CssCode:
         """
         lx = _quotient_basis(gf2.nullspace_basis(hz), hx)
         lz = _quotient_basis(gf2.nullspace_basis(hx), hz)
-        if lx.nrows != lz.nrows:
+        if len(lx) != len(lz):
             raise ValueError("inconsistent logical dimensions")
-        if lx.nrows:
-            pairing = lx @ lz.transpose()
-            lz = gf2.inverse(pairing).transpose() @ lz
+        if len(lx):
+            lz = gf2.mul_bits(gf2.inverse(gf2.mul_bits(lx, lz.T)).T, lz)
         return cls(hx, hz, lx, lz, name=name)
 
     def __repr__(self) -> str:
@@ -121,41 +130,41 @@ class CssCode:
     def validate(self) -> ValidationReport:
         """Check every CssCode invariant; failures are reported, not raised."""
         rep = ValidationReport(self.name, [])
-        rep.add("hx_hz_orthogonal", (self.hx @ self.hz.transpose()).is_zero())
+        rep.add("hx_hz_orthogonal", not gf2.mul_bits(self.hx, self.hz.T).any())
         rx, rz = gf2.rank(self.hx), gf2.rank(self.hz)
         rep.add(
             "logical_count",
             self.m == self.n - rx - rz,
             f"m={self.m}, n-rank(HX)-rank(HZ)={self.n - rx - rz}",
         )
-        rep.add("lx_shape", self.lx.nrows == self.m and self.lx.ncols == self.n)
-        rep.add("lz_shape", self.lz.nrows == self.m and self.lz.ncols == self.n)
-        rep.add("lx_commutes_with_z_checks", (self.hz @ self.lx.transpose()).is_zero())
-        rep.add("lz_commutes_with_x_checks", (self.hx @ self.lz.transpose()).is_zero())
+        rep.add("lx_shape", self.lx.shape == (self.m, self.n))
+        rep.add("lz_shape", self.lz.shape == (self.m, self.n))
+        rep.add("lx_commutes_with_z_checks", not gf2.mul_bits(self.hz, self.lx.T).any())
+        rep.add("lz_commutes_with_x_checks", not gf2.mul_bits(self.hx, self.lz.T).any())
         if self.m:
             rep.add(
                 "symplectic_pairing",
-                (self.lx @ self.lz.transpose()) == BitMatrix.identity(self.m),
+                np.array_equal(gf2.mul_bits(self.lx, self.lz.T), np.eye(self.m, dtype=np.uint8)),
             )
             rep.add(
                 "lx_independent_of_stabilizers",
-                gf2.rank(self.hx.stack(self.lx)) == rx + self.m,
+                gf2.rank(np.concatenate([self.hx, self.lx])) == rx + self.m,
             )
             rep.add(
                 "lz_independent_of_stabilizers",
-                gf2.rank(self.hz.stack(self.lz)) == rz + self.m,
+                gf2.rank(np.concatenate([self.hz, self.lz])) == rz + self.m,
             )
         return rep
 
     # -- stabilizers and distance ------------------------------------------------
 
-    def x_stabilizer_basis(self) -> BitMatrix:
+    def x_stabilizer_basis(self) -> np.ndarray:
         red, piv = gf2.rref(self.hx)
-        return BitMatrix.from_dense(red.to_dense()[: len(piv)])
+        return red[: len(piv)]
 
-    def z_stabilizer_basis(self) -> BitMatrix:
+    def z_stabilizer_basis(self) -> np.ndarray:
         red, piv = gf2.rref(self.hz)
-        return BitMatrix.from_dense(red.to_dense()[: len(piv)])
+        return red[: len(piv)]
 
     def min_distance(self) -> tuple[int, bool]:
         """Minimum distance min(d_X, d_Z) by exhaustive kernel enumeration.
@@ -165,9 +174,13 @@ class CssCode:
         cleared. The result is memoised on the code.
         """
         if self._distance is None:
-            dz, ez = _sector_distance(self.hx, self.hz)
-            dx, ex = _sector_distance(self.hz, self.hx)
-            self._distance = (min(dx, dz), ex and ez)
+            found = []
+            # Z logicals: ker(H_X) outside rowspace(H_Z); then X logicals.
+            for h_ker, h_stab in ((self.hx, self.hz), (self.hz, self.hx)):
+                basis = gf2.nullspace_basis(h_ker)
+                exact = (1 << len(basis)) <= MAX_DISTANCE_ENUM
+                found.append((gf2.min_weight_outside(basis, h_stab, exhaustive=exact), exact))
+            self._distance = (min(d for d, _ in found), all(e for _, e in found))
         return self._distance
 
 
@@ -215,13 +228,12 @@ def _encoded_tableau(
 
 def _stabilizers_and_logicals(code: CssCode) -> tuple[np.ndarray, ...]:
     """Dense (x, z) stabilizer rows, X basis first, and (lx, lz) of one block."""
-    bx = code.x_stabilizer_basis().to_dense()
-    bz = code.z_stabilizer_basis().to_dense()
+    bx, bz = code.x_stabilizer_basis(), code.z_stabilizer_basis()
     return (
         np.concatenate([bx, np.zeros_like(bz)]),
         np.concatenate([np.zeros_like(bx), bz]),
-        code.lx.to_dense(),
-        code.lz.to_dense(),
+        code.lx,
+        code.lz,
     )
 
 
@@ -259,42 +271,6 @@ def lift_with_reps(
     return pauli_product(terms, extra_i=ys)
 
 
-# Kernels of up to this many vectors are enumerated exactly by `min_distance`.
-MAX_DISTANCE_ENUM = 1 << 22
-
-
-def _sector_distance(h_ker: BitMatrix, h_stab: BitMatrix) -> tuple[int, bool]:
-    """Min weight over ker(h_ker) minus rowspace(h_stab)."""
-    basis = gf2.nullspace_basis(h_ker)
-    k = basis.nrows
-    if k == 0:
-        return (0, True)
-    red_stab, piv_stab = gf2.rref(h_stab)
-    stab = (red_stab.words[: len(piv_stab)], piv_stab)
-    n = basis.ncols
-    exact = (1 << k) <= MAX_DISTANCE_ENUM
-    # Too large to enumerate: scan the basis rows only (upper value).
-    blocks = gf2.span_blocks(basis.words) if exact else [basis.words]
-    best = n + 1
-    for block in blocks:
-        w = np.bitwise_count(block).sum(axis=1)
-        short = w < best
-        outside = _outside_rowspace(block[short], *stab)
-        if outside.any():
-            best = int(w[short][outside].min())
-    return (best if best <= n else 0, exact)
-
-
-def _outside_rowspace(words: np.ndarray, stab_rows: np.ndarray, pivots: list[int]) -> np.ndarray:
-    """Per packed row of `words`, whether it lies outside the span of the
-    reduced rows `stab_rows` with pivot columns `pivots`."""
-    words = words.copy()
-    for row, p in zip(stab_rows, pivots):
-        hit = ((words[:, p // gf2.WORD] >> np.uint64(p % gf2.WORD)) & np.uint64(1)).astype(bool)
-        words[hit] ^= row
-    return words.any(axis=1)
-
-
 # -- standard constructions -------------------------------------------------------
 
 
@@ -305,24 +281,27 @@ def _recorded(code: CssCode, distance: int) -> CssCode:
 
 
 def trivial_code() -> CssCode:
-    hz = BitMatrix.zeros(0, 1)
+    hz = np.zeros((0, 1), np.uint8)
     return _recorded(CssCode.from_checks(hz, hz, name="trivial"), 1)
 
 
 def c422() -> CssCode:
-    h = BitMatrix.from_rows(["1111"])
+    h = np.ones((1, 4), np.uint8)
     return _recorded(CssCode.from_checks(h, h, name="[[4,2,2]]"), 2)
 
 
+# The [7,4,3] Hamming code's checks: column j is j + 1 in binary.
+HAMMING_743 = np.array([[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]], np.uint8)
+
+
 def steane_code() -> CssCode:
-    hamming = BitMatrix.from_rows(["0001111", "0110011", "1010101"])
-    return _recorded(CssCode.from_checks(hamming, hamming, name="steane"), 3)
+    return _recorded(CssCode.from_checks(HAMMING_743, HAMMING_743, name="steane"), 3)
 
 
-def build_hgp(h1: BitMatrix, h2: BitMatrix, name: str = "") -> CssCode:
+def build_hgp(h1: np.ndarray, h2: np.ndarray, name: str = "") -> CssCode:
     """Hypergraph product of two classical parity-check matrices."""
-    a = h1.to_dense()
-    b = h2.to_dense()
+    a = np.asarray(h1, np.uint8)
+    b = np.asarray(h2, np.uint8)
     r1, n1 = a.shape
     r2, n2 = b.shape
     hx = np.concatenate(
@@ -333,11 +312,7 @@ def build_hgp(h1: BitMatrix, h2: BitMatrix, name: str = "") -> CssCode:
         [np.kron(np.eye(n1, dtype=np.uint8), b), np.kron(a.T, np.eye(r2, dtype=np.uint8))],
         axis=1,
     )
-    return CssCode.from_checks(
-        BitMatrix.from_dense(hx % 2),
-        BitMatrix.from_dense(hz % 2),
-        name=name or f"hgp({r1}x{n1},{r2}x{n2})",
-    )
+    return CssCode.from_checks(hx, hz, name=name or f"hgp({r1}x{n1},{r2}x{n2})")
 
 
 def freeze_logicals(code: CssCode, m_new: int) -> CssCode:
@@ -350,11 +325,8 @@ def freeze_logicals(code: CssCode, m_new: int) -> CssCode:
         raise ValueError("m_new out of range")
     if m_new == code.m:
         return code
-    frozen = BitMatrix.from_dense(code.lz.to_dense()[m_new:])
-    hz = code.hz.stack(frozen)
-    lx = BitMatrix.from_dense(code.lx.to_dense()[:m_new])
-    lz = BitMatrix.from_dense(code.lz.to_dense()[:m_new])
-    return CssCode(code.hx, hz, lx, lz, name=f"{code.name}/m={m_new}")
+    hz = np.concatenate([code.hz, code.lz[m_new:]])
+    return CssCode(code.hx, hz, code.lx[:m_new], code.lz[:m_new], name=f"{code.name}/m={m_new}")
 
 
 # -- code families ---------------------------------------------------------------
@@ -452,7 +424,7 @@ def toy_family() -> CodeFamily:
     recorded rather than searched for on every load; tests check them
     against a fresh `CssCode.min_distance()`.
     """
-    rep3, rep5 = BitMatrix.from_rows(["111"]), BitMatrix.from_rows(["11111"])
+    rep3, rep5 = np.ones((1, 3), np.uint8), np.ones((1, 5), np.uint8)
     levels = (
         trivial_code(),
         c422(),
@@ -494,7 +466,7 @@ def code_to_text(code: CssCode) -> str:
 def code_from_text(text: str, name: str = "") -> CssCode:
     lines = text.splitlines()
     n, m = (int(t) for t in lines[0].split())
-    blocks: dict[str, BitMatrix] = {}
+    blocks: dict[str, np.ndarray] = {}
     i = 1
     while i < len(lines):
         tag = lines[i].strip()

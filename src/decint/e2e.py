@@ -17,7 +17,7 @@ import numpy as np
 
 from . import css, interface as iface
 from .css import CodeFamily
-from .circuit import Circuit, Gate
+from .circuit import idle_circuit
 from .noise import NoiseParams, rng_stream, sample_ls_bits, STREAM_TRIAL
 from .scheduler import InterfaceSchedule, effective_interface
 from .tableau import Tableau
@@ -72,11 +72,8 @@ def _walk_chain(
         layers = pending * wait_rounds_per_layer
         if layers:
             wires = [f"o{i}" for i in range(family.level(1).n)]
-            idle = Circuit(wires)
-            for _ in range(layers):
-                idle.add_layer([Gate("idle", (w,)) for w in wires])
             engine.load(handle, wires, wires)
-            engine.run(idle)
+            engine.run(idle_circuit(wires, layers))
             handle = engine.save(wires)
         outputs.append(handle)
     return outputs, heralds

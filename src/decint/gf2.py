@@ -1,18 +1,19 @@
-"""Dense GF(2) linear algebra: 0/1 arrays and one bit-packed matrix type.
+"""Dense GF(2) linear algebra on 0/1 uint8 arrays.
 
-A GF(2) vector is a 1-D 0/1 uint8 array. `BitMatrix` packs its rows into
-64-bit words so that row XOR and popcount (the hot operations in elimination
-and coset searches) are single numpy ops. Every GF(2) matrix product goes
-through `mul_bits`, one float32 BLAS matmul. `coset_min_weight` is the one
-coset search: the stabilizer-reduced weight of every trial of a batch, exact
-up to MAX_ENUM_ROWS generators. A `BitMatrix` is immutable after
-construction; every operation returns a new value, so concurrent use from
-multiple workers is safe.
+A GF(2) vector is a 1-D 0/1 uint8 array and a GF(2) matrix a 2-D one.
+Every product goes through `mul_bits`, one float32 BLAS matmul.
+Elimination (`rank`, `rref`, `nullspace_basis`, `solve`, `inverse`) works
+on a copy of the rows with one pivot rule, so its results are unique and
+inputs are never changed. Rows are packed into 64-bit words, where XOR and
+popcount are single numpy ops, only inside the two enumerations:
+`coset_min_weight`, the one coset search (the stabilizer-reduced weight of
+every trial of a batch, exact up to MAX_ENUM_ROWS generators), and
+`min_weight_outside`, the span walk behind `CssCode.min_distance`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,26 +24,14 @@ WORD = 64
 MAX_ENUM_ROWS = 20
 
 
-def _nwords(ncols: int) -> int:
-    return max(1, (ncols + WORD - 1) // WORD)
-
-
-def _pack(dense: np.ndarray, ncols: int) -> np.ndarray:
-    """Pack a (rows, ncols) 0/1 array into little-endian uint64 words."""
-    dense = np.asarray(dense, dtype=np.uint8)
-    rows = dense.size // ncols if ncols else len(dense)
+def _pack(dense: np.ndarray) -> np.ndarray:
+    """Pack a (rows, ncols) 0/1 array, any layout, into little-endian uint64 words."""
+    rows, ncols = np.shape(dense)
     # Zero-pad every row to whole words, then pack the flat buffer in one pass.
-    words = _nwords(ncols)
+    words = max(1, -(-ncols // WORD))
     padded = np.zeros((rows, words * WORD), dtype=np.uint8)
-    padded[:, :ncols] = dense.reshape(rows, ncols)
+    padded[:, :ncols] = dense
     return np.packbits(padded, axis=None, bitorder="little").view(np.uint64).reshape(rows, words)
-
-
-def _unpack(words: np.ndarray, ncols: int) -> np.ndarray:
-    if ncols == 0:
-        return np.zeros((words.shape[0], 0), dtype=np.uint8)
-    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
-    return bits[:, :ncols]
 
 
 # float32 holds every integer below 2^24 exactly, so a float32 product of 0/1
@@ -75,16 +64,17 @@ def mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows per block of `span_blocks`.
+# Rows per block of `_span_blocks`.
 SPAN_BLOCK_BITS = 12
 
 
-def span_blocks(rows: np.ndarray):
-    """Every XOR combination of `rows`, in blocks of at most 2^SPAN_BLOCK_BITS.
+def _span_blocks(rows: np.ndarray):
+    """Every XOR combination of the packed `rows`, in blocks of at most
+    2^SPAN_BLOCK_BITS.
 
-    `rows` is (k, width), packed words or 0/1 bytes. Element i of the
-    concatenated blocks is the XOR of the rows at the set bits of i, so the
-    2^k elements come in binary order and the zero combination first.
+    Element i of the concatenated blocks is the XOR of the rows at the set
+    bits of i, so the 2^k elements come in binary order and the zero
+    combination first.
     """
     k = len(rows)
     b = min(k, SPAN_BLOCK_BITS)
@@ -101,176 +91,88 @@ def span_blocks(rows: np.ndarray):
         yield low ^ high
 
 
-class BitMatrix:
-    """Immutable GF(2) matrix with bit-packed rows."""
-
-    __slots__ = ("words", "nrows", "ncols")
-
-    def __init__(self, words: np.ndarray, nrows: int, ncols: int):
-        self.words = words.reshape(nrows, _nwords(ncols))
-        self.nrows = nrows
-        self.ncols = ncols
-        self.words.flags.writeable = False
-
-    @classmethod
-    def from_rows(cls, rows: Sequence, ncols: Optional[int] = None) -> "BitMatrix":
-        """Build from row iterables of 0/1 entries (or '01' strings)."""
-        parsed = [
-            [int(ch) & 1 for ch in (row if not isinstance(row, str) else list(row))]
-            for row in rows
-        ]
-        if parsed:
-            ncols = len(parsed[0]) if ncols is None else ncols
-            if any(len(r) != ncols for r in parsed):
-                raise ValueError("ragged rows")
-        else:
-            ncols = 0 if ncols is None else ncols
-        dense = np.array(parsed, dtype=np.uint8).reshape(len(parsed), ncols)
-        return cls(_pack(dense, ncols), len(parsed), ncols)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
-        dense = np.asarray(dense, dtype=np.uint8) & 1
-        if dense.ndim != 2:
-            raise ValueError("expected 2-d array")
-        return cls(_pack(dense, dense.shape[1]), dense.shape[0], dense.shape[1])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls(np.zeros((nrows, _nwords(ncols)), dtype=np.uint64), nrows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
-
-    def to_dense(self) -> np.ndarray:
-        return _unpack(self.words, self.ncols)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.ncols != other.ncols:
-            raise ValueError("column mismatch")
-        return BitMatrix(
-            np.vstack([self.words, other.words]), self.nrows + other.nrows, self.ncols
-        )
-
-    def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        return BitMatrix.from_dense(mul_bits(self.to_dense(), other.to_dense()))
-
-    def is_zero(self) -> bool:
-        return not self.words.any()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and bool(np.array_equal(self.words, other.words))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.words.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.nrows}x{self.ncols})"
-
-    # -- elimination ---------------------------------------------------------
-
-    def _rref_words(self, extra: Optional[np.ndarray] = None):
-        """Reduced row echelon form on a working copy.
-
-        Pivoting is deterministic: columns scanned left to right, ties broken
-        by lowest row index. Optionally carries an augmented block `extra`
-        through the same row operations.
-        """
-        work = self.words.copy()
-        aug = extra.copy() if extra is not None else None
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            w, b = divmod(c, WORD)
-            mask = np.uint64(1) << np.uint64(b)
-            pr = -1
-            for i in range(r, self.nrows):
-                if work[i, w] & mask:
-                    pr = i
-                    break
-            if pr < 0:
-                continue
-            if pr != r:
-                work[[r, pr]] = work[[pr, r]]
-                if aug is not None:
-                    aug[[r, pr]] = aug[[pr, r]]
-            sel = (work[:, w] & mask) != 0
-            sel[r] = False
-            if sel.any():
-                work[sel] ^= work[r]
-                if aug is not None:
-                    aug[sel] ^= aug[r]
-            pivots.append(c)
-            r += 1
-        return work, pivots, aug
+# -- elimination ---------------------------------------------------------------
 
 
-def rank(m: BitMatrix) -> int:
+def _eliminate(work: np.ndarray, ncols: int) -> list[int]:
+    """Row-reduce `work` in place over its first `ncols` columns.
+
+    Columns are scanned left to right and the lowest remaining row with a 1
+    becomes the pivot row, so the reduced form is the unique RREF. Columns
+    past `ncols` (an augmented block) follow the same row operations.
+    Returns the pivot columns.
+    """
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        hits = np.flatnonzero(work[r:, c])
+        if not hits.size:
+            continue
+        if hits[0]:
+            work[[r, r + hits[0]]] = work[[r + hits[0], r]]
+        sel = work[:, c] != 0
+        sel[r] = False
+        work[sel] ^= work[r]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def rank(m: np.ndarray) -> int:
     """GF(2) rank via row reduction; the input is unchanged."""
-    _, pivots, _ = m._rref_words()
-    return len(pivots)
+    return len(_eliminate(np.array(m, np.uint8), np.shape(m)[1]))
 
 
-def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
+def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list."""
-    work, pivots, _ = m._rref_words()
-    return BitMatrix(work, m.nrows, m.ncols), pivots
+    red = np.array(m, np.uint8)
+    return red, _eliminate(red, red.shape[1])
 
 
-def nullspace_basis(m: BitMatrix) -> BitMatrix:
+def nullspace_basis(m: np.ndarray) -> np.ndarray:
     """Basis of {v : Mv = 0}, one row per free column; ncols - rank rows."""
-    work, pivots, _ = m._rref_words()
-    red = _unpack(work, m.ncols)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = np.zeros((len(free), m.ncols), dtype=np.uint8)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, p in enumerate(pivots):
-            basis[k, p] = red[i, f]
-    return BitMatrix.from_dense(basis)
+    red, pivots = rref(m)
+    free = [c for c in range(red.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), red.shape[1]), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = red[: len(pivots), free].T
+    return basis
 
 
-def solve(m: BitMatrix, b: np.ndarray) -> Optional[np.ndarray]:
+def solve(m: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """Some 0/1 array x with Mx = b for a 1-D 0/1 array b, or None when the
     system is inconsistent."""
-    b = np.asarray(b, dtype=np.uint8)
-    if b.shape != (m.nrows,):
+    rows, ncols = np.shape(m)
+    if np.shape(b) != (rows,):
         raise ValueError("rhs length must equal nrows")
-    _, pivots, aug = m._rref_words(extra=_pack(b.reshape(-1, 1), 1))
-    red_b = _unpack(aug, 1)[:, 0]
-    if red_b[len(pivots):].any():
+    work = np.column_stack([np.asarray(m, np.uint8), np.asarray(b, np.uint8)])
+    pivots = _eliminate(work, ncols)
+    if work[len(pivots) :, ncols].any():
         return None
-    x = np.zeros(m.ncols, dtype=np.uint8)
-    x[pivots] = red_b[: len(pivots)]
+    x = np.zeros(ncols, dtype=np.uint8)
+    x[pivots] = work[: len(pivots), ncols]
     return x
 
 
-def inverse(m: BitMatrix) -> BitMatrix:
+def inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a square full-rank matrix."""
-    if m.nrows != m.ncols:
+    n = len(m)
+    if np.shape(m) != (n, n):
         raise ValueError("not square")
-    aug = BitMatrix.identity(m.nrows).words
-    work, pivots, aug = m._rref_words(extra=aug)
-    if len(pivots) != m.nrows:
+    work = np.concatenate([np.asarray(m, np.uint8), np.eye(n, dtype=np.uint8)], axis=1)
+    if len(_eliminate(work, n)) != n:
         raise ValueError("singular matrix")
-    return BitMatrix(aug, m.nrows, m.nrows)
+    return work[:, n:]
 
 
-def row_space_contains(m: BitMatrix, v: np.ndarray) -> bool:
+def row_space_contains(m: np.ndarray, v: np.ndarray) -> bool:
     """Whether the 1-D 0/1 array v lies in the row space of m."""
-    return solve(m.transpose(), v) is not None
+    return solve(np.asarray(m).T, v) is not None
+
+
+# -- enumerations on packed rows -------------------------------------------------
 
 
 class CosetWeight(NamedTuple):
@@ -285,29 +187,29 @@ class CosetWeight(NamedTuple):
     exact: bool
 
 
-def coset_min_weight(basis: BitMatrix, e: np.ndarray) -> CosetWeight:
+def coset_min_weight(basis: np.ndarray, e: np.ndarray) -> CosetWeight:
     """Minimum Hamming weight over each coset {e[t] + span(basis rows)}.
 
     `e` is a (trials, n) 0/1 array in any layout, such as the transposed
     views of `FrameBatch`. It is packed once, and the coset elements are
     walked in packed blocks of at most 2^SPAN_BLOCK_BITS rows, so the work
-    array is at most trials x 2^SPAN_BLOCK_BITS x words. Exhaustive
-    (`span_blocks`) for k <= MAX_ENUM_ROWS generators; beyond that only the
-    single and pairwise combinations are tried and the result is inexact.
+    array is at most trials x 2^SPAN_BLOCK_BITS x words. Exhaustive for
+    k <= MAX_ENUM_ROWS generators; beyond that only the single and pairwise
+    combinations are tried and the result is inexact.
     """
     e = np.asarray(e)
-    if e.ndim != 2 or e.shape[1] != basis.ncols:
+    if e.ndim != 2 or e.shape[1] != np.shape(basis)[1]:
         raise ValueError("length mismatch")
-    exact = basis.nrows <= MAX_ENUM_ROWS
+    g = _pack(basis)
+    exact = len(g) <= MAX_ENUM_ROWS
     if exact:
-        blocks = span_blocks(basis.words)
+        blocks = _span_blocks(g)
     else:
-        g = basis.words
-        i, j = np.triu_indices(basis.nrows, 1)
+        i, j = np.triu_indices(len(g), 1)
         combos = np.concatenate([np.zeros_like(g[:1]), g, g[i] ^ g[j]])
         step = 1 << SPAN_BLOCK_BITS
         blocks = (combos[lo : lo + step] for lo in range(0, len(combos), step))
-    packed = _pack(e, basis.ncols)[:, None]
+    packed = _pack(e)[:, None]
     best = None
     for block in blocks:
         w = np.bitwise_count(packed ^ block).sum(axis=2).min(axis=1)
@@ -315,21 +217,49 @@ def coset_min_weight(basis: BitMatrix, e: np.ndarray) -> CosetWeight:
     return CosetWeight(best, exact)
 
 
-def matrix_to_text(m: BitMatrix) -> str:
+def min_weight_outside(span: np.ndarray, modulus: np.ndarray, exhaustive: bool = True) -> int:
+    """Least Hamming weight in span(span rows) outside span(modulus rows).
+
+    0 when no such vector exists. With `exhaustive` False only the rows of
+    `span` themselves are tried: an upper value when one of them lies
+    outside, else 0.
+    """
+    n = np.shape(span)[1]
+    red, pivots = rref(modulus)
+    reducers = list(zip(_pack(red[: len(pivots)]), pivots))
+    rows = _pack(span)
+    best = n + 1
+    for block in _span_blocks(rows) if exhaustive else [rows]:
+        w = np.bitwise_count(block).sum(axis=1)
+        short = w < best
+        cand = block[short]
+        # Reduce each candidate against the modulus RREF; what is left is
+        # nonzero exactly when the candidate lies outside its span.
+        for row, p in reducers:
+            cand[((cand[:, p // WORD] >> np.uint64(p % WORD)) & np.uint64(1)).astype(bool)] ^= row
+        outside = cand.any(axis=1)
+        if outside.any():
+            best = int(w[short][outside].min())
+    return best if best <= n else 0
+
+
+# -- text format -------------------------------------------------------------------
+
+
+def matrix_to_text(m: np.ndarray) -> str:
     """Plain-text format: first line 'nrows ncols', then 0/1 rows."""
-    lines = [f"{m.nrows} {m.ncols}"]
-    dense = m.to_dense()
-    for i in range(m.nrows):
-        lines.append("".join(str(b) for b in dense[i]))
+    lines = [f"{len(m)} {np.shape(m)[1]}"]
+    lines += ["".join(str(b) for b in row) for row in m]
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_text(text: str) -> BitMatrix:
+def matrix_from_text(text: str) -> np.ndarray:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
     nrows, ncols = (int(t) for t in lines[0].split())
     rows = lines[1 : 1 + nrows]
-    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+    bits = np.frombuffer("".join(rows).encode(), np.uint8) - np.uint8(ord("0"))
+    if len(rows) != nrows or any(len(r) != ncols for r in rows) or (bits > 1).any():
         raise ValueError("malformed matrix text")
-    return BitMatrix.from_rows(rows, ncols=ncols)
+    return bits.reshape(nrows, ncols)

@@ -26,7 +26,9 @@ fragments. Blocks that a walk carries between passes are engine handles:
 one off. Frame trials are then classified into the success/failure
 branches to estimate the failure parameter tau: residual weights through
 the one coset search `gf2.coset_min_weight`, logical errors through
-`decode_syndrome`, the one caller of `LeaderTable.lookup`.
+`decode_syndrome`, the one caller of `LeaderTable.lookup`. Check and
+logical matrices are read straight from the codes' read-only arrays; the
+leader tables and stabilizer bases are built once per code.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ import numpy as np
 
 from . import circuit, css, gf2
 from .css import CodeFamily, CssCode
-from .circuit import Circuit, FrameBatch, FrameRunner, Gate
-from .gf2 import BitMatrix
+from .circuit import Circuit, FrameBatch, FrameRunner, Gate, idle_circuit
 from .noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_bits
 from .tableau import Tableau
 
@@ -61,7 +62,7 @@ class LeaderTable(NamedTuple):
     (n, trials) rows.
     """
 
-    h: BitMatrix
+    h: np.ndarray  # (rows, n) check matrix
     errors_t: np.ndarray  # (n, 2^rows) uint8; column s is the leader of syndrome s
     weights: np.ndarray   # (2^rows,) int16, -1 where unreachable
 
@@ -72,18 +73,17 @@ class LeaderTable(NamedTuple):
         the layout of `FrameBatch`: errors.T[q] is one qubit over all trials.
         Wire-major callers pass (rows, trials) syndromes as `s.T`.
         """
-        idx = gf2.mul_count(syndromes, 1 << np.arange(self.h.nrows))
+        idx = gf2.mul_count(syndromes, 1 << np.arange(len(self.h)))
         return np.take(self.errors_t, idx, axis=1).T, self.weights[idx]
 
 
-@functools.lru_cache(maxsize=None)
-def build_leader_table(h: BitMatrix) -> LeaderTable:
-    if h.nrows > MAX_TABLE_ROWS:
-        raise ValueError(f"leader table too large for {h.nrows} checks")
-    n = h.ncols
-    size = 1 << h.nrows
-    hd = h.to_dense().astype(np.int64)
-    pow2 = 1 << np.arange(h.nrows, dtype=np.int64)
+def build_leader_table(h: np.ndarray) -> LeaderTable:
+    rows, n = h.shape
+    if rows > MAX_TABLE_ROWS:
+        raise ValueError(f"leader table too large for {rows} checks")
+    size = 1 << rows
+    hd = h.astype(np.int64)
+    pow2 = 1 << np.arange(rows, dtype=np.int64)
     errors = np.zeros((size, n), dtype=np.uint8)
     weights = np.full(size, -1, dtype=np.int16)
     reachable = 1 << gf2.rank(h)
@@ -107,34 +107,25 @@ def build_leader_table(h: BitMatrix) -> LeaderTable:
 
 
 class _FrameTables(NamedTuple):
-    """Per-code decode machinery: leader tables, stabilizer bases and dense checks."""
+    """Per-code decode machinery, built once per code: the leader tables and
+    the stabilizer bases of the coset search, all read-only. The check and
+    logical matrices are read from the code itself."""
 
-    stab_x: BitMatrix  # basis of rowspace(H_X), the X-type stabilizers
-    stab_z: BitMatrix
+    stab_x: np.ndarray  # basis of rowspace(H_X), the X-type stabilizers
+    stab_z: np.ndarray
     table_x: LeaderTable  # leader for H_Z syndromes (X errors)
     table_z: LeaderTable  # leader for H_X syndromes (Z errors)
-    lx: np.ndarray
-    lz: np.ndarray
-    hx: np.ndarray
-    hz: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
 def _frame_tables(code: CssCode) -> _FrameTables:
-    arrays = dict(
-        lx=code.lx.to_dense(),
-        lz=code.lz.to_dense(),
-        hx=code.hx.to_dense(),
-        hz=code.hz.to_dense(),
-    )
-    for a in arrays.values():
-        a.flags.writeable = False  # shared by every caller of the cache
+    stab_x, stab_z = code.x_stabilizer_basis(), code.z_stabilizer_basis()
+    stab_x.flags.writeable = stab_z.flags.writeable = False  # shared by every caller of the cache
     return _FrameTables(
-        stab_x=code.x_stabilizer_basis(),
-        stab_z=code.z_stabilizer_basis(),
+        stab_x=stab_x,
+        stab_z=stab_z,
         table_x=build_leader_table(code.hz),
         table_z=build_leader_table(code.hx),
-        **arrays,
     )
 
 
@@ -149,7 +140,7 @@ def decode_syndrome(code: CssCode, syn_x: np.ndarray, syn_z: np.ndarray):
     reported, but EC rounds abstain from applying a heralded sector so that
     an ambiguous detection never grows the residual reduced weight.
     """
-    if len(syn_x) != code.hx.nrows or len(syn_z) != code.hz.nrows:
+    if len(syn_x) != len(code.hx) or len(syn_z) != len(code.hz):
         raise ValueError("syndrome rows must match check counts")
     d = code.min_distance()[0]
     tables = _frame_tables(code)
@@ -204,8 +195,8 @@ class EcGadget(NamedTuple):
     """One error-correction round: extraction circuit + decode metadata.
 
     `ec_rounds` runs it a given number of times. Every round runs
-    `extraction`, which labels its outcomes per check (`x_labels`,
-    `z_labels`); a walk reads them before the next round. The decoder call
+    `extraction`, which labels its outcomes per check with `x_labels` and
+    `z_labels`; a walk reads them before the next round. The decoder call
     and Pauli correction are circuit-external; the correction layer's noise
     is carried by `correction_circuit` (one layer of idle locations over the
     data wires).
@@ -216,18 +207,13 @@ class EcGadget(NamedTuple):
     ancilla_x: tuple
     ancilla_z: tuple
     extraction: Circuit
-    label_prefix: str
+    x_labels: tuple
+    z_labels: tuple
     correction_circuit: Circuit
 
     @property
     def wires(self) -> tuple:
         return self.data_wires + self.ancilla_x + self.ancilla_z
-
-    def x_labels(self) -> list[str]:
-        return [f"{self.label_prefix}sx{i}" for i in range(self.code.hx.nrows)]
-
-    def z_labels(self) -> list[str]:
-        return [f"{self.label_prefix}sz{i}" for i in range(self.code.hz.nrows)]
 
 
 def build_ec(code: CssCode, data_wires: Sequence, label_prefix: str = "ec.") -> EcGadget:
@@ -248,8 +234,10 @@ def build_ec(code: CssCode, data_wires: Sequence, label_prefix: str = "ec.") -> 
 def _build_ec(code: CssCode, data_wires: tuple, label_prefix: str) -> EcGadget:
     if len(data_wires) != code.n:
         raise ValueError("data wire count must equal n")
-    anc_x = tuple(f"{label_prefix}ax{i}" for i in range(code.hx.nrows))
-    anc_z = tuple(f"{label_prefix}az{i}" for i in range(code.hz.nrows))
+    anc_x = tuple(f"{label_prefix}ax{i}" for i in range(len(code.hx)))
+    anc_z = tuple(f"{label_prefix}az{i}" for i in range(len(code.hz)))
+    x_labels = tuple(f"{label_prefix}sx{i}" for i in range(len(code.hx)))
+    z_labels = tuple(f"{label_prefix}sz{i}" for i in range(len(code.hz)))
     wires = list(data_wires) + list(anc_x) + list(anc_z)
 
     # X-check and Z-check CNOTs run in separate phases: CSS checks overlap on
@@ -260,8 +248,7 @@ def _build_ec(code: CssCode, data_wires: tuple, label_prefix: str) -> EcGadget:
     # X-check ancillas are controls, Z-check ancillas targets.
     cnot_layers = []
     for h, anc, anc_controls in ((code.hx, anc_x, True), (code.hz, anc_z, False)):
-        dense = h.to_dense()
-        edges = [(("a", i), ("d", int(q))) for i in range(h.nrows) for q in np.flatnonzero(dense[i])]
+        edges = [(("a", i), ("d", int(q))) for i in range(len(h)) for q in np.flatnonzero(h[i])]
         colors = _bipartite_edge_coloring(edges)
         for color in range(max(colors, default=-1) + 1):
             pairs = [(anc[i], data_wires[q]) for ((_, i), (_, q)), c in zip(edges, colors) if c == color]
@@ -290,20 +277,19 @@ def _build_ec(code: CssCode, data_wires: tuple, label_prefix: str) -> EcGadget:
                 + [Gate("idle", (w,)) for w in data_wires + anc_z]
             )
         circ.add_layer(
-            [Gate("measure", (w,), out=f"{label_prefix}sx{i}") for i, w in enumerate(anc_x)]
-            + [Gate("measure", (w,), out=f"{label_prefix}sz{j}") for j, w in enumerate(anc_z)]
+            [Gate("measure", (w,), out=label) for w, label in zip(anc_x, x_labels)]
+            + [Gate("measure", (w,), out=label) for w, label in zip(anc_z, z_labels)]
             + [Gate("idle", (w,)) for w in data_wires]
         )
-    correction = Circuit(list(data_wires))
-    correction.add_layer([Gate("idle", (w,)) for w in data_wires])
     return EcGadget(
         code=code,
         data_wires=data_wires,
         ancilla_x=anc_x,
         ancilla_z=anc_z,
         extraction=circ,
-        label_prefix=label_prefix,
-        correction_circuit=correction,
+        x_labels=x_labels,
+        z_labels=z_labels,
+        correction_circuit=idle_circuit(data_wires),
     )
 
 
@@ -321,9 +307,10 @@ def logical_bell_process(code_r: CssCode, m1: np.ndarray, m2: np.ndarray):
     """
     if len(m1) != code_r.n or len(m2) != code_r.n:
         raise ValueError("readout rows must match the code length n")
-    t = _frame_tables(code_r)
-    e2, e1, herald2, herald1 = decode_syndrome(code_r, gf2.mul_bits(t.hx, m1), gf2.mul_bits(t.hz, m2))
-    return gf2.mul_bits(t.lx, m1 ^ e1), gf2.mul_bits(t.lz, m2 ^ e2), herald1 | herald2
+    e2, e1, herald2, herald1 = decode_syndrome(
+        code_r, gf2.mul_bits(code_r.hx, m1), gf2.mul_bits(code_r.hz, m2)
+    )
+    return gf2.mul_bits(code_r.lx, m1 ^ e1), gf2.mul_bits(code_r.lz, m2 ^ e2), herald1 | herald2
 
 
 # -- the partial decoding interface Gamma ---------------------------------------------
@@ -507,15 +494,11 @@ def build_gamma(
     wait = knobs.proc_layers(code_r.n)
     ec_depth = b_gadgets[0].extraction.depth if b_gadgets else 0
     idle_layers = max(0, wait - knobs.s2 * ec_depth) if r_prime > 1 else wait
-    proc_wait = Circuit(list(b_wires))
-    for _ in range(idle_layers):
-        proc_wait.add_layer([Gate("idle", (w,)) for w in b_wires])
-
-    b_corr = Circuit(list(b_wires))
-    b_corr.add_layer([Gate("idle", (w,)) for w in b_wires])
+    proc_wait = idle_circuit(b_wires, idle_layers)
+    b_corr = idle_circuit(b_wires)
 
     eye = np.eye(blocks, dtype=np.uint8)
-    lxb, lzb = (np.kron(eye, reps.to_dense()) for reps in (code_rp.lx, code_rp.lz))
+    lxb, lzb = (np.kron(eye, reps) for reps in (code_rp.lx, code_rp.lz))
     lxb.flags.writeable = lzb.flags.writeable = False  # the plan is cached and shared
 
     latency = (
@@ -681,7 +664,7 @@ def _ec_round(gadget: EcGadget, engine):
     grows the residual.
     """
     engine.run(gadget.extraction)
-    syn_x, syn_z = engine.bits(gadget.x_labels()), engine.bits(gadget.z_labels())
+    syn_x, syn_z = engine.bits(gadget.x_labels), engine.bits(gadget.z_labels)
     decoded = ex, ez, herald_x, herald_z = decode_syndrome(gadget.code, syn_x, syn_z)
     engine.xor(gadget.data_wires, ex & ~herald_x, ez & ~herald_z)
     engine.run(gadget.correction_circuit)
@@ -786,9 +769,10 @@ def classify_gamma_output(
     when its residual, corrected by the `decode_syndrome` leaders of its own
     syndrome, flips a logical.
     """
-    t = _frame_tables(plan.code_rp)
+    code = plan.code_rp
+    t = _frame_tables(code)
     trials = run.out_x.shape[0]
-    n_p = plan.code_rp.n
+    n_p = code.n
     overflow = np.zeros(trials, dtype=bool)
     logical = np.zeros(trials, dtype=bool)
     hist = np.zeros((plan.blocks, n_p + 1), dtype=np.int64)
@@ -798,9 +782,9 @@ def classify_gamma_output(
         ez = run.out_z[:, sl]
         rw = np.maximum(gf2.coset_min_weight(t.stab_x, ex).weight, gf2.coset_min_weight(t.stab_z, ez).weight)
         overflow |= rw > mu * n_p
-        ehat_x, ehat_z, _, _ = decode_syndrome(plan.code_rp, gf2.mul_bits(t.hx, ez.T), gf2.mul_bits(t.hz, ex.T))
-        logical |= gf2.mul_bits(t.lz, ex.T ^ ehat_x).any(axis=0)
-        logical |= gf2.mul_bits(t.lx, ez.T ^ ehat_z).any(axis=0)
+        ehat_x, ehat_z, _, _ = decode_syndrome(code, gf2.mul_bits(code.hx, ez.T), gf2.mul_bits(code.hz, ex.T))
+        logical |= gf2.mul_bits(code.lz, ex.T ^ ehat_x).any(axis=0)
+        logical |= gf2.mul_bits(code.lx, ez.T ^ ehat_z).any(axis=0)
         np.add.at(hist[i], rw, 1)
     return overflow, logical, hist
 

@@ -40,7 +40,7 @@ def measured_constants(family: CodeFamily, knobs=None) -> ScheduleConstants:
     theta1 = 1
     for r in range(2, family.depth + 1):
         code = family.level(r)
-        ec_footprint = code.n + code.hx.nrows + code.hz.nrows
+        ec_footprint = code.n + len(code.hx) + len(code.hz)
         theta1 = max(theta1, math.ceil(ec_footprint / code.m))
         plan = build_gamma(family, r, r - 1, knobs)
         p1_table[r] = math.ceil(plan.qubit_count / code.m)

@@ -148,7 +148,7 @@ class Tableau:
     def assert_valid(self):
         if symplectic_overlap(self.xs[:, None], self.zs[:, None], self.xs, self.zs).any():
             raise ValueError("generators do not commute")
-        if gf2.rank(gf2.BitMatrix.from_dense(np.concatenate([self.xs, self.zs], axis=1))) != self.n:
+        if gf2.rank(np.concatenate([self.xs, self.zs], axis=1)) != self.n:
             raise ValueError("generators not independent")
 
     def _rowsum_into(self, rows: np.ndarray, src: int):
@@ -353,8 +353,7 @@ def _combination(xs: bytes, zs: bytes, n: int, target: bytes) -> Optional[tuple[
     """
     x = np.frombuffer(xs, np.uint8).reshape(n, n)
     z = np.frombuffer(zs, np.uint8).reshape(n, n)
-    a = gf2.BitMatrix.from_dense(np.concatenate([x, z], axis=1).T)
-    sol = gf2.solve(a, np.frombuffer(target, np.uint8))
+    sol = gf2.solve(np.concatenate([x, z], axis=1).T, np.frombuffer(target, np.uint8))
     if sol is None:
         return None
     lam = sol.astype(bool)

@@ -212,6 +212,15 @@ class TestE2E:
         rows = (tmp_path / "out" / "e2e_exhaustive.csv").read_text().splitlines()[1:]
         assert all(r.split(",")[3] == "0" for r in rows)
 
+    def test_exhaustive_accepts_explicit_zero_noise(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"family": "steane", "r": 2, "h": 1, "mode": "exhaustive", "noise": {"delta": [0.0]},
+             "resource_oracle": {"ls_delta": 0.0, "fail_prob": 0.0}, "input_ls_delta": 0.0},
+        )
+        assert run("e2e", cfg, tmp_path / "out") == 0
+
     @pytest.mark.parametrize("pattern", [[1], [0, 1, 0, 1, 0, 1, 0, 1, 0], [2, 0], [2, 0, 0, 0], [1, True]])
     def test_exhaustive_bad_logical_pattern_usage_error(self, tmp_path, capsys, pattern):
         # Toy level 2 has m = 2 logical qubits per block.
@@ -289,6 +298,7 @@ class TestE2E:
 
 class TestExitCodes:
     SWEEP = {"family": "toy", "r": 2, "r_prime": 1, "trials": 100, "noise": {"delta": [0.01]}}
+    EXHAUSTIVE = {"family": "steane", "r": 2, "h": 1, "mode": "exhaustive"}
 
     @pytest.mark.parametrize(
         "command, config, message",
@@ -320,6 +330,12 @@ class TestExitCodes:
              "fail_prob must lie in [0, 1]"),
             ("interface-sweep", dict(SWEEP, mu=-0.5), "mu must lie in (0, 1)"),
             ("interface-sweep", dict(SWEEP, mu="nan"), "mu must lie in (0, 1)"),
+            ("e2e", dict(EXHAUSTIVE, noise={"delta": 0.1}, resource_oracle={"fail_prob": 0.5}),
+             "noise.delta must be 0, got 0.1"),
+            ("e2e", dict(EXHAUSTIVE, noise={"delta": [0.0, 0.01]}), "noise.delta must be 0"),
+            ("e2e", dict(EXHAUSTIVE, resource_oracle={"ls_delta": 0.2}), "resource_oracle.ls_delta must be 0"),
+            ("e2e", dict(EXHAUSTIVE, resource_oracle={"fail_prob": 0.5}), "resource_oracle.fail_prob must be 0"),
+            ("e2e", dict(EXHAUSTIVE, input_ls_delta=0.1), "input_ls_delta must be 0"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
@@ -349,6 +365,21 @@ class TestExitCodes:
         assert run("validate-codes", cfg, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "does not load" in err and message in err
+
+    def test_level_over_the_leader_table_limit_is_a_usage_error(self, tmp_path, capsys):
+        # Level 3 is HGP(Hamming, Hamming) = [[58,16,3]], 21 checks per sector.
+        hgp = css.build_hgp(css.HAMMING_743, css.HAMMING_743)
+        levels = (css.trivial_code(), css.steane_code(), hgp)
+        css.save_family(css.CodeFamily(levels=levels, alpha=0.1, beta=0.1), tmp_path / "fam")
+        for command, config in (
+            ("interface-sweep", {"r": 3, "r_prime": 2, "trials": 10}),
+            ("e2e", {"r": 3, "h": 1, "trials": 10}),
+        ):
+            cfg = write_config(tmp_path, "c.json", dict(config, family=str(tmp_path / "fam")))
+            assert run(command, cfg, tmp_path / command) == 2
+            err = capsys.readouterr().err
+            assert "level 3 has 21 checks" in err and "Traceback" not in err
+            assert not any((tmp_path / command).iterdir())  # refused before any work
 
     def test_config_that_is_not_json_is_a_usage_error(self, tmp_path):
         path = tmp_path / "c.json"
@@ -409,3 +440,32 @@ class TestStartup:
         # Golden digest: where the tree module is imported must not change a byte.
         digest = hashlib.sha256((tmp_path / "out" / "tree_bounds.csv").read_bytes()).hexdigest()
         assert digest == "7fe9a535333a29b3fa71c94f8b2e4367acf9bd0cebe4bc20e14bc004a2f96995"
+
+
+class TestSameSeedOutputs:
+    """Pinned digests (first 16 hex digits of the sha256) of three outputs at
+    --seed 5 and --workers 1. A change to a random stream, the decoder or the
+    classification moves them; a refactor must not."""
+
+    @pytest.mark.parametrize(
+        "command, config, output, digest",
+        [
+            ("interface-sweep",
+             {"family": "toy", "r": 4, "r_prime": 3, "noise": {"delta": [0.01]}, "mu": 0.25,
+              "trials": 50_000},
+             "sweep.csv", "af4e696ababc3736"),
+            ("e2e",
+             {"family": "steane", "r": 2, "h": 2, "mode": "exhaustive", "noise": {"delta": 0.0}},
+             "e2e_exhaustive.csv", "70e4b124480f47d0"),
+            ("e2e",
+             {"family": "toy", "r": 4, "h": 4, "mode": "frames", "noise": {"delta": [0.001]},
+              "trials": 3000},
+             "e2e_marginals.csv", "5d1a6e8e1d7fe3a3"),
+        ],
+        ids=["tau-deep", "exhaustive-steane", "e2e-wide"],
+    )
+    def test_digest(self, tmp_path, command, config, output, digest):
+        cfg = write_config(tmp_path, "c.json", config)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "5", "--workers", "1"]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256((tmp_path / "out" / output).read_bytes()).hexdigest()[:16] == digest

@@ -5,7 +5,6 @@ import pytest
 
 from decint import css, gf2
 from decint.css import CssCode
-from decint.gf2 import BitMatrix
 from decint.tableau import Tableau, random_stabilizer_state
 
 
@@ -19,16 +18,21 @@ def steane():
     return css.steane_code()
 
 
-def brute_sector_distance(h_ker: BitMatrix, h_stab: BitMatrix) -> int:
+def bits(*rows: str) -> np.ndarray:
+    """A 0/1 matrix from '01' row strings."""
+    return np.array([[int(ch) for ch in row] for row in rows], np.uint8)
+
+
+def brute_sector_distance(h_ker: np.ndarray, h_stab: np.ndarray) -> int:
     """Oracle: enumerate all vectors, min weight in ker(h_ker) \\ rowspace(h_stab)."""
-    n = h_ker.ncols
+    n = h_ker.shape[1]
     best = n + 1
     for bits in itertools.product([0, 1], repeat=n):
         v = np.array(bits, dtype=np.uint8)
         w = int(v.sum())
         if w == 0 or w >= best:
             continue
-        if gf2.mul_bits(h_ker.to_dense(), v).any():
+        if gf2.mul_bits(h_ker, v).any():
             continue
         if gf2.row_space_contains(h_stab, v):
             continue
@@ -52,8 +56,8 @@ class TestValidate:
         assert c422.m == 2
 
     def test_nonorthogonal_checks_fail(self):
-        h = BitMatrix.from_rows(["10"])
-        code = CssCode(h, h, BitMatrix.from_rows(["01"]), BitMatrix.from_rows(["01"]))
+        h = bits("10")
+        code = CssCode(h, h, bits("01"), bits("01"))
         rep = code.validate()
         assert not rep.passed
         assert any(c.name == "hx_hz_orthogonal" for c in rep.failures())
@@ -70,6 +74,25 @@ class TestValidate:
         assert (code.n, code.m) == (1, 1)
 
 
+class TestReadOnlyMatrices:
+    def test_builtin_code_matrices_not_writeable(self):
+        for family in css.BUILTIN_FAMILIES.values():
+            for code in family().levels:
+                for m in (code.hx, code.hz, code.lx, code.lz):
+                    assert m.dtype == np.uint8 and m.ndim == 2 and m.shape[1] == code.n
+                    if m.size:
+                        with pytest.raises(ValueError):
+                            m[0, 0] ^= 1
+
+    def test_codes_copy_their_matrices(self):
+        h = bits("1111")
+        code = CssCode.from_checks(h, h)
+        h[0, 0] = 0
+        assert code.hx[0, 0] == 1 and code.hz[0, 0] == 1
+        with pytest.raises(ValueError, match="2-D"):
+            CssCode(h[0], h, code.lx, code.lz)
+
+
 class TestReducedWeight:
     def test_identity(self, c422):
         zero = np.zeros((1, 4), np.uint8)
@@ -84,8 +107,8 @@ class TestReducedWeight:
 
     def test_zero_on_whole_stabilizer_group(self, steane):
         # Exhaustive over the 2^6 stabilizer group elements.
-        bx = steane.x_stabilizer_basis().to_dense()
-        bz = steane.z_stabilizer_basis().to_dense()
+        bx = steane.x_stabilizer_basis()
+        bz = steane.z_stabilizer_basis()
         combos = np.array(list(itertools.product([0, 1], repeat=len(bx) + len(bz))), np.uint8)
         x = gf2.mul_bits(combos[:, : len(bx)], bx)
         z = gf2.mul_bits(combos[:, len(bx) :], bz)
@@ -95,8 +118,8 @@ class TestReducedWeight:
         rng = np.random.default_rng(5)
         x = rng.integers(0, 2, (20, 7), dtype=np.uint8)
         z = rng.integers(0, 2, (20, 7), dtype=np.uint8)
-        s_x = steane.x_stabilizer_basis().to_dense()[rng.integers(0, 3, 20)]
-        s_z = steane.z_stabilizer_basis().to_dense()[rng.integers(0, 3, 20)]
+        s_x = steane.x_stabilizer_basis()[rng.integers(0, 3, 20)]
+        s_z = steane.z_stabilizer_basis()[rng.integers(0, 3, 20)]
         assert np.array_equal(reduced_weight(steane, x, z), reduced_weight(steane, x ^ s_x, z ^ s_z))
 
 
@@ -146,8 +169,8 @@ class TestMinDistance:
                     x[q] = k in "XY"
                     z[q] = k in "ZY"
                 commutes = (
-                    not gf2.mul_bits(steane.hz.to_dense(), x).any()
-                    and not gf2.mul_bits(steane.hx.to_dense(), z).any()
+                    not gf2.mul_bits(steane.hz, x).any()
+                    and not gf2.mul_bits(steane.hx, z).any()
                 )
                 if commutes:
                     assert gf2.row_space_contains(steane.hx, x)
@@ -173,31 +196,31 @@ class TestEncodeState:
         assert t.expectation_z(ones, zeros) == 0  # XXXX
         assert t.expectation_z(zeros, ones) == 0  # ZZZZ
         for j in range(2):
-            lz = c422.lz.to_dense()[j]
+            lz = c422.lz[j]
             assert t.expectation_z(zeros, lz) == 0
 
     def test_steane_logical_one(self, steane):
         t = encode_basis(steane, [1])
-        lz = steane.lz.to_dense()[0]
+        lz = steane.lz[0]
         assert t.expectation_z(np.zeros(7, np.uint8), lz) == 1
 
     @pytest.mark.parametrize("u", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_c422_syndrome_zero_and_logical_signs(self, c422, u):
         t = encode_basis(c422, u)
-        for i in range(c422.hx.nrows):
-            assert t.expectation_z(c422.hx.to_dense()[i], np.zeros(4, np.uint8)) == 0
-        for i in range(c422.hz.nrows):
-            assert t.expectation_z(np.zeros(4, np.uint8), c422.hz.to_dense()[i]) == 0
+        for row in c422.hx:
+            assert t.expectation_z(row, np.zeros(4, np.uint8)) == 0
+        for row in c422.hz:
+            assert t.expectation_z(np.zeros(4, np.uint8), row) == 0
         for j in range(2):
-            assert t.expectation_z(np.zeros(4, np.uint8), c422.lz.to_dense()[j]) == u[j]
+            assert t.expectation_z(np.zeros(4, np.uint8), c422.lz[j]) == u[j]
 
 
 def _reference_encoding(code: CssCode, logical: Tableau, labels) -> Tableau:
     """Direct construction: code stabilizers plus each lifted logical generator."""
     zero = np.zeros(code.n, np.uint8)
-    gens = [(row, zero, 0) for row in code.x_stabilizer_basis().to_dense()]
-    gens += [(zero, row, 0) for row in code.z_stabilizer_basis().to_dense()]
-    lx, lz = code.lx.to_dense(), code.lz.to_dense()
+    gens = [(row, zero, 0) for row in code.x_stabilizer_basis()]
+    gens += [(zero, row, 0) for row in code.z_stabilizer_basis()]
+    lx, lz = code.lx, code.lz
     for row in range(logical.n):
         x, z, s = css.lift_with_reps(lx, lz, logical.xs[row], logical.zs[row])
         gens.append((x, z, s ^ int(logical.signs[row])))
@@ -228,7 +251,7 @@ class TestEncodedTableauMemo:
         zero = Tableau.zero_state([0])
         one = zero.copy()
         one.apply_pauli_on([0], [1], [0])
-        lz = steane.lz.to_dense()[0]
+        lz = steane.lz[0]
         assert css.encoded_tableau((steane,), zero, range(7)).expectation_z(np.zeros(7, np.uint8), lz) == 0
         assert css.encoded_tableau((steane,), one, range(7)).expectation_z(np.zeros(7, np.uint8), lz) == 1
         assert css.encoded_tableau((steane,), zero, "abcdefg").labels == list("abcdefg")
@@ -239,7 +262,7 @@ class TestEncodedTableauMemo:
         batch.signs = np.array([[0], [1]], np.uint8)
         got = css.encoded_tableau((steane,), batch, range(7))
         assert got.signs.shape == (2, 7)
-        lz = steane.lz.to_dense()[0]
+        lz = steane.lz[0]
         np.testing.assert_array_equal(got.expectation_z(np.zeros(7, np.uint8), lz), [0, 1])
 
     def test_blocks_sit_on_adjacent_wires(self, c422, steane):
@@ -262,37 +285,37 @@ class TestEncodedTableauMemo:
 
 class TestLiftLogical:
     def test_lift_x_is_representative(self, c422):
-        lx, lz = c422.lx.to_dense(), c422.lz.to_dense()
+        lx, lz = c422.lx, c422.lz
         x, z, s = css.lift_with_reps(lx, lz, np.array([1, 0]), np.array([0, 0]))
         assert np.array_equal(x, lx[0])
         assert not z.any() and s == 0
 
     def test_lift_y_hermitian(self, steane):
-        x, z, s = css.lift_with_reps(steane.lx.to_dense(), steane.lz.to_dense(), np.array([1]), np.array([1]))
-        assert np.array_equal(x, steane.lx.to_dense()[0])
-        assert np.array_equal(z, steane.lz.to_dense()[0])
+        x, z, s = css.lift_with_reps(steane.lx, steane.lz, np.array([1]), np.array([1]))
+        assert np.array_equal(x, steane.lx[0])
+        assert np.array_equal(z, steane.lz[0])
         assert s in (0, 1)
 
 
 class TestHgp:
     def test_two_bit_repetition(self):
-        h = BitMatrix.from_rows(["11"])
+        h = bits("11")
         code = css.build_hgp(h, h)
-        assert (code.hx @ code.hz.transpose()).is_zero()
+        assert not gf2.mul_bits(code.hx, code.hz.T).any()
         assert code.validate().passed
         assert code.m == code.n - gf2.rank(code.hx) - gf2.rank(code.hz)
 
     def test_three_bit_repetition_toric_like(self):
-        h = BitMatrix.from_rows(["110", "011"])
+        h = bits("110", "011")
         code = css.build_hgp(h, h)
         assert code.validate().passed
         assert code.m == 1
 
     def test_toy_level_codes(self):
-        c3 = css.build_hgp(BitMatrix.from_rows(["111"]), BitMatrix.from_rows(["111"]))
+        c3 = css.build_hgp(bits("111"), bits("111"))
         assert (c3.n, c3.m) == (10, 4)
         assert c3.min_distance() == (2, True)
-        c4 = css.build_hgp(BitMatrix.from_rows(["111"]), BitMatrix.from_rows(["11111"]))
+        c4 = css.build_hgp(bits("111"), bits("11111"))
         assert (c4.n, c4.m) == (16, 8)
         assert c4.validate().passed
 
@@ -314,26 +337,26 @@ class TestFamilies:
         adjusted = css.build_family_rate_adjusted(base, alpha=0.4, c1=2.0)
         assert [c.m for c in adjusted.levels] == [1, 2, 4, 8]
         for got, want in zip(adjusted.levels[1:], base):
-            assert got.hx == want.hx and got.hz == want.hz
+            assert np.array_equal(got.hx, want.hx) and np.array_equal(got.hz, want.hz)
 
     def test_rate_adjust_freezes_odd_m(self):
         # Base code with m = 3: freeze one logical to reach 2^1.
-        h1 = BitMatrix.from_rows(["110", "011"])
-        h2 = BitMatrix.from_rows(["1111"])
+        h1 = bits("110", "011")
+        h2 = bits("1111")
         base3 = css.build_hgp(h1, h2)
         assert base3.m == 3
-        big = css.build_hgp(BitMatrix.from_rows(["111"]), BitMatrix.from_rows(["11111"]))
+        big = css.build_hgp(bits("111"), bits("11111"))
         adjusted = css.build_family_rate_adjusted([base3, big], alpha=0.2, c1=2.0)
         lvl2 = adjusted.level(2)
         assert lvl2.m == 2 and lvl2.n == base3.n
-        assert (lvl2.hx @ lvl2.hz.transpose()).is_zero()
+        assert not gf2.mul_bits(lvl2.hx, lvl2.hz.T).any()
         assert lvl2.validate().passed
         assert gf2.rank(lvl2.hz) == gf2.rank(base3.hz) + 1
 
     def test_freeze_preserves_orthogonality(self):
-        code = css.build_hgp(BitMatrix.from_rows(["111"]), BitMatrix.from_rows(["111"]))
+        code = css.build_hgp(bits("111"), bits("111"))
         frozen = css.freeze_logicals(code, 2)
-        assert (frozen.hx @ frozen.hz.transpose()).is_zero()
+        assert not gf2.mul_bits(frozen.hx, frozen.hz.T).any()
         assert frozen.validate().passed
 
     def test_rate_adjust_rejects_bad_base(self):
@@ -346,8 +369,8 @@ class TestSerialization:
     def test_code_roundtrip(self, steane):
         text = css.code_to_text(steane)
         back = css.code_from_text(text, name="steane")
-        assert back.hx == steane.hx and back.hz == steane.hz
-        assert back.lx == steane.lx and back.lz == steane.lz
+        for tag in ("hx", "hz", "lx", "lz"):
+            assert np.array_equal(getattr(back, tag), getattr(steane, tag))
 
     def test_family_roundtrip(self, tmp_path):
         fam = css.toy_family()
@@ -356,7 +379,8 @@ class TestSerialization:
         assert back.depth == fam.depth
         assert back.alpha == fam.alpha and back.r0 == fam.r0
         for a, b in zip(back.levels, fam.levels):
-            assert a.hx == b.hx and a.hz == b.hz and a.lx == b.lx and a.lz == b.lz
+            for tag in ("hx", "hz", "lx", "lz"):
+                assert np.array_equal(getattr(a, tag), getattr(b, tag))
 
     def test_corrupt_family_detected(self, tmp_path):
         fam = css.toy_family()

@@ -137,7 +137,7 @@ class TestFrameChain:
         # A logical X on the input (weight-3 representative) survives EC and
         # decoding, flipping the output qubit deterministically at delta=0.
         code = fam.level(2)
-        lx = code.lx.to_dense()[0]
+        lx = code.lx[0]
         fx = np.tile(lx, (50, 1)).astype(np.uint8)
         fz = np.zeros_like(fx)
         res = e2e.run_block_chain_frames(

@@ -5,7 +5,6 @@ import pytest
 
 from decint import css, gf2, interface
 from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
-from decint.gf2 import BitMatrix
 from decint.noise import NoiseParams
 from decint.tableau import Tableau, random_stabilizer_state
 
@@ -63,7 +62,7 @@ class TestLeaderTable:
         for q in range(7):
             e = np.zeros(7, np.uint8)
             e[q] = 1
-            syn = (code.hx.to_dense() @ e) % 2
+            syn = (code.hx @ e) % 2
             got, w = t.lookup(syn.reshape(1, -1))
             assert w[0] == 1
             assert np.array_equal(got[0], e)
@@ -81,7 +80,7 @@ def col(bits) -> np.ndarray:
 
 def syndromes(code, ex, ez):
     """(X-check, Z-check) syndromes of (n, trials) X and Z errors."""
-    return gf2.mul_bits(code.hx.to_dense(), ez), gf2.mul_bits(code.hz.to_dense(), ex)
+    return gf2.mul_bits(code.hx, ez), gf2.mul_bits(code.hz, ex)
 
 
 class TestDecodeSyndrome:
@@ -95,7 +94,7 @@ class TestDecodeSyndrome:
         code = sfam.level(2)
         e = np.zeros(7, np.uint8)
         e[3] = 1
-        syn_z = col((code.hz.to_dense() @ e) % 2)
+        syn_z = col((code.hz @ e) % 2)
         ex, ez, herald_x, herald_z = interface.decode_syndrome(code, col([0] * 3), syn_z)
         assert not herald_x[0] and not herald_z[0]
         assert np.array_equal(ex[:, 0], e)
@@ -135,8 +134,8 @@ class TestBuildEc:
     def test_ancilla_count(self, fam):
         code = fam.level(3)
         g = interface.build_ec(code, [f"d{i}" for i in range(code.n)])
-        assert len(g.ancilla_x) == code.hx.nrows
-        assert len(g.ancilla_z) == code.hz.nrows
+        assert len(g.ancilla_x) == len(code.hx)
+        assert len(g.ancilla_z) == len(code.hz)
 
     def test_per_check_pipeline_depth(self, fam, sfam):
         # Each check's own CNOTs fit inside max-check-weight layers; with
@@ -145,12 +144,12 @@ class TestBuildEc:
             g = interface.build_ec(code, [f"d{i}" for i in range(code.n)])
             max_w = 0
             for m in (code.hx, code.hz):
-                max_w = max(max_w, int(m.to_dense().sum(axis=1).max()))
+                max_w = max(max_w, int(m.sum(axis=1).max()))
             per_check = {}
             for li, layer in enumerate(g.extraction.layers):
                 for gate in layer:
                     if gate.name == "cnot":
-                        anc = gate.wires[0] if str(gate.wires[0]).startswith(g.label_prefix) else gate.wires[1]
+                        anc = gate.wires[0] if gate.wires[0] in g.ancilla_x + g.ancilla_z else gate.wires[1]
                         per_check.setdefault(anc, []).append(li)
             for anc, layers in per_check.items():
                 assert len(layers) <= max_w
@@ -207,7 +206,7 @@ class TestLogicalBellProcess:
         # Ten random ker(H_X) words, each with one random bit flipped, as one batch.
         code = sfam.level(2)
         rng = np.random.default_rng(2)
-        kx = css.gf2.nullspace_basis(code.hx).to_dense()
+        kx = css.gf2.nullspace_basis(code.hx)
         m1 = gf2.mul_bits(kx.T, rng.integers(0, 2, (len(kx), 10), dtype=np.uint8))
         flipped = m1.copy()
         flipped[rng.integers(0, 7, 10), np.arange(10)] ^= 1
@@ -241,8 +240,8 @@ class TestBatchedCalls:
     @pytest.mark.parametrize("name, code", batch_codes())
     def test_decode_batch_equals_columns(self, name, code):
         rng = np.random.default_rng(31)
-        syn_x = rng.integers(0, 2, (code.hx.nrows, 64), dtype=np.uint8)
-        syn_z = rng.integers(0, 2, (code.hz.nrows, 64), dtype=np.uint8)
+        syn_x = rng.integers(0, 2, (len(code.hx), 64), dtype=np.uint8)
+        syn_z = rng.integers(0, 2, (len(code.hz), 64), dtype=np.uint8)
         batch = interface.decode_syndrome(code, syn_x, syn_z)
         for t in range(64):
             one = interface.decode_syndrome(code, syn_x[:, t : t + 1], syn_z[:, t : t + 1])
@@ -262,11 +261,11 @@ class TestBatchedCalls:
 
     def test_wrong_row_counts_raise(self, sfam):
         code = sfam.level(2)
-        ok_x, ok_z = np.zeros((code.hx.nrows, 5), np.uint8), np.zeros((code.hz.nrows, 5), np.uint8)
+        ok_x, ok_z = np.zeros((len(code.hx), 5), np.uint8), np.zeros((len(code.hz), 5), np.uint8)
         with pytest.raises(ValueError):
             interface.decode_syndrome(code, ok_x[:-1], ok_z)
         with pytest.raises(ValueError):
-            interface.decode_syndrome(code, ok_x, np.zeros((code.hz.nrows + 1, 5), np.uint8))
+            interface.decode_syndrome(code, ok_x, np.zeros((len(code.hz) + 1, 5), np.uint8))
         m = np.zeros((code.n, 5), np.uint8)
         with pytest.raises(ValueError):
             interface.logical_bell_process(code, m[:-1], m)
@@ -292,7 +291,7 @@ class TestGammaNoiseless:
         tab = plan.resource_tableau()
         assert tab.labels == list(plan.a_wires + plan.b_wires)
         zero = np.zeros(tab.n, np.uint8)
-        reps = zip(plan.code_r.lx.to_dense(), plan.lxb, plan.code_r.lz.to_dense(), plan.lzb)
+        reps = zip(plan.code_r.lx, plan.lxb, plan.code_r.lz, plan.lzb)
         for ax, bx, az, bz in reps:
             assert tab.expectation_z(np.concatenate([ax, bx]), zero) == 0
             assert tab.expectation_z(zero, np.concatenate([az, bz])) == 0
@@ -300,7 +299,7 @@ class TestGammaNoiseless:
         blocks = [(plan.code_r, 0)] + [(plan.code_rp, n_r + i * n_rp) for i in range(plan.blocks)]
         for code, start in blocks:
             for basis, is_x in ((code.x_stabilizer_basis(), True), (code.z_stabilizer_basis(), False)):
-                for row in basis.to_dense():
+                for row in basis:
                     pauli = zero.copy()
                     pauli[start : start + code.n] = row
                     assert tab.expectation_z(pauli if is_x else zero, zero if is_x else pauli) == 0
@@ -318,7 +317,7 @@ class TestGammaNoiseless:
         # Both Bell readouts are codewords of the level-r readout codes.
         for h, labels in ((code.hx, plan.m1_labels), (code.hz, plan.m2_labels)):
             readout = np.array([engine.outcomes[l] for l in labels], np.uint8)
-            assert not (h.to_dense() @ readout % 2).any()
+            assert not (h @ readout % 2).any()
         assert inp.same_state(interface.expected_output_tableau(plan, logical))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -563,7 +562,7 @@ class TestEstimateTau:
     def test_frame_path_logical_input_flips_output(self, sfam):
         # A logical X on the input survives decoding as a logical flip.
         plan = interface.build_gamma(sfam, 2, 1)
-        lx = sfam.level(2).lx.to_dense()[0]
+        lx = sfam.level(2).lx[0]
         trials = 16
         ex = np.tile(lx, (trials, 1)).astype(np.uint8)
         ez = np.zeros_like(ex)
@@ -612,19 +611,18 @@ class TestFrameClassification:
         brute = np.array([np.count_nonzero(row != span, axis=1).min() for row in e])
         first = np.array([np.count_nonzero(row != span[: 1 << 12], axis=1).min() for row in e[20:30]])
         assert k > gf2.SPAN_BLOCK_BITS and (brute[:30] == 0).all() and (first > 0).all()
-        basis = BitMatrix.from_dense(gens)
         for rows in (e, np.ascontiguousarray(e.T).T):  # row-major and FrameBatch layouts
-            res = gf2.coset_min_weight(basis, rows)
+            res = gf2.coset_min_weight(gens, rows)
             assert res.exact and np.array_equal(res.weight, brute)
-        reversed_basis = BitMatrix.from_dense(gens[:, ::-1])
-        assert np.array_equal(gf2.coset_min_weight(reversed_basis, e[:, ::-1]).weight, brute)
+        assert np.array_equal(gf2.coset_min_weight(gens[:, ::-1], e[:, ::-1]).weight, brute)
 
     def test_frame_tables_cached_and_read_only(self, fam):
         code = fam.level(3)
         tables = interface._frame_tables(code)
         assert interface._frame_tables(code) is tables
-        assert tables.stab_x == code.x_stabilizer_basis() and tables.stab_z == code.z_stabilizer_basis()
-        for arr in (tables.stab_x.words, tables.stab_z.words, tables.lx, tables.lz, tables.hx, tables.hz):
+        assert np.array_equal(tables.stab_x, code.x_stabilizer_basis())
+        assert np.array_equal(tables.stab_z, code.z_stabilizer_basis())
+        for arr in (tables.stab_x, tables.stab_z, code.hx, code.hz, code.lx, code.lz):
             with pytest.raises(ValueError):
                 arr[0, 0] ^= 1
 
@@ -635,16 +633,16 @@ class TestFrameClassification:
         n = code.n
 
         def span(basis):
-            k = basis.nrows
+            k = len(basis)
             combos = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
-            return (combos @ basis.to_dense()) % 2
+            return (combos @ basis) % 2
 
         def weights(e, cosets):
             return ((e[:, None, :] ^ cosets[None]) != 0).sum(axis=2).min(axis=1)
 
         stab_x, stab_z = span(code.x_stabilizer_basis()), span(code.z_stabilizer_basis())
         table_x, table_z = interface.build_leader_table(code.hz), interface.build_leader_table(code.hx)
-        hx, hz, lx, lz = (m.to_dense() for m in (code.hx, code.hz, code.lx, code.lz))
+        hx, hz, lx, lz = code.hx, code.hz, code.lx, code.lz
         overflow = np.zeros(len(run.herald), bool)
         logical = np.zeros(len(run.herald), bool)
         hist = np.zeros((plan.blocks, n + 1), np.int64)
@@ -678,7 +676,7 @@ class TestFrameClassification:
         run = interface.GammaFrameRun(out_x=out_x, out_z=out_z, herald=np.zeros(2000, bool))
         got = interface.classify_gamma_output(plan, run, 0.25)
         want = self.brute_classification(plan, run, 0.25)
-        raw = (out_x[:, :7] @ sfam.level(2).lz.to_dense().T % 2).any(axis=1)
+        raw = (out_x[:, :7] @ sfam.level(2).lz.T % 2).any(axis=1)
         assert (raw != want[1]).any()  # the decode matters on this batch
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -753,23 +751,22 @@ class TestLeaderLookupRows:
             "steane hx": lambda: sfam.level(2).hx,
             "toy3 hz": lambda: fam.level(3).hz,
             "toy4 hx": lambda: fam.level(4).hx,
-            "no checks": lambda: BitMatrix.zeros(0, 5),
+            "no checks": lambda: np.zeros((0, 5), np.uint8),
         }[which]()
         table = interface.build_leader_table(h)
-        dense = h.to_dense()
-        rows, n = dense.shape
+        rows, n = h.shape
         rng = np.random.default_rng(rows * 31 + n)
         syn_rows = rng.integers(0, 2, (rows, 300), dtype=np.uint8)  # wire-major syndromes
         errors, weights = table.lookup(syn_rows.T)
         assert errors.shape == (300, n) and errors.T.flags.c_contiguous
-        brute = _brute_min_weights(dense)
+        brute = _brute_min_weights(h)
         for t in range(300):
             e1, w1 = table.lookup(syn_rows[:, t].reshape(1, -1))
             assert np.array_equal(errors[t], e1[0]) and weights[t] == w1[0]
             s = int(syn_rows[:, t] @ (1 << np.arange(rows)))
             assert weights[t] == brute[s]
             if weights[t] >= 0:
-                assert np.array_equal(dense @ errors[t] % 2, syn_rows[:, t])
+                assert np.array_equal(h @ errors[t] % 2, syn_rows[:, t])
                 assert errors[t].sum() == weights[t]
             else:
                 assert not errors[t].any()

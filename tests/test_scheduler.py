@@ -159,4 +159,4 @@ class TestMeasuredConstants:
     def test_theta1_covers_ec_footprints(self, fam, consts):
         for r in range(1, fam.depth + 1):
             code = fam.level(r)
-            assert consts.theta1 * code.m >= code.n + code.hx.nrows + code.hz.nrows
+            assert consts.theta1 * code.m >= code.n + len(code.hx) + len(code.hz)

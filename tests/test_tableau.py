@@ -293,8 +293,7 @@ class TestCombinationMemo:
         lam, sign = t._express(x, z)
         assert _combination.cache_info().hits == before + 1
         assert lam is first[0] and sign == first[1]
-        a = gf2.BitMatrix.from_dense(np.concatenate([t.xs, t.zs], axis=1).T)
-        fresh = gf2.solve(a, np.concatenate([x, z]))
+        fresh = gf2.solve(np.concatenate([t.xs, t.zs], axis=1).T, np.concatenate([x, z]))
         assert np.array_equal(lam, fresh.astype(bool))
         sel = np.flatnonzero(lam)
         assert sign == pauli_product([(t.xs[i], t.zs[i], int(t.signs[i])) for i in sel])[2]
