@@ -87,6 +87,38 @@ def _config_values():
         raise UsageError(f"bad config value: {exc}") from None
 
 
+# The config keys each command reads, and the keys of its nested sections.
+# Any other key is a usage error: a misspelt knob would otherwise run with
+# its default.
+_KNOB_KEYS = {"s1", "s2", "proc_layers", "resource_oracle"}  # GammaKnobs.from_json
+CONFIG_KEYS = {
+    "validate-codes": {"family", "dump"},
+    "interface-sweep": {"family", "noise", "seed", "r", "r_prime", "trials", "mu"} | _KNOB_KEYS,
+    "schedule-audit": {"family", "h_grid", "r_grid", "r_prime"},
+    "tree-bounds": {"z_grid", "delta_bar_grid", "max_size", "leaf_only", "mc_trials", "seed"},
+    "e2e": {
+        "family", "noise", "seed", "r", "h", "trials", "mode", "wait_rounds",
+        "input_ls_delta", "logical_patterns",
+    } | _KNOB_KEYS,
+}
+SECTION_KEYS = {"noise": {"delta", "seed"}, "resource_oracle": {"ls_delta", "fail_prob"}}
+
+
+def _check_keys(command: str, config: dict) -> None:
+    def refuse(keys: set, where: str, known: set):
+        if keys:
+            names = ", ".join(map(repr, sorted(keys)))
+            raise UsageError(f"unknown config key {names} {where} (it reads {sorted(known)})")
+
+    known = CONFIG_KEYS[command]
+    refuse(config.keys() - known, f"for {command}", known)
+    for section, keys in SECTION_KEYS.items():
+        value = config.get(section)
+        # A section that is not an object fails later, where it is read.
+        if section in known and isinstance(value, dict):
+            refuse(value.keys() - keys, f"in {section}", keys)
+
+
 def load_family(name_or_path: str) -> css.CodeFamily:
     if name_or_path in css.BUILTIN_FAMILIES:
         return css.BUILTIN_FAMILIES[name_or_path]()
@@ -550,6 +582,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise UsageError(f"config {config_path} is not JSON: {exc}") from None
         if not isinstance(config, dict):
             raise UsageError(f"config {config_path} must hold a JSON object")
+        _check_keys(args.command, config)
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, out, args.seed, args.workers)

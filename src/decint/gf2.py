@@ -1,14 +1,17 @@
 """Dense GF(2) linear algebra on 0/1 uint8 arrays.
 
 A GF(2) vector is a 1-D 0/1 uint8 array and a GF(2) matrix a 2-D one.
-Every product goes through `mul_bits`, one float32 BLAS matmul.
-Elimination (`rank`, `rref`, `nullspace_basis`, `solve`, `inverse`) works
-on a copy of the rows with one pivot rule, so its results are unique and
-inputs are never changed. Rows are packed into 64-bit words, where XOR and
-popcount are single numpy ops, only inside the two enumerations:
-`coset_min_weight`, the one coset search (the stabilizer-reduced weight of
-every trial of a batch, exact up to MAX_ENUM_ROWS generators), and
-`min_weight_outside`, the span walk behind `CssCode.min_distance`.
+Every product goes through `mul_bits`, which XORs the 0/1 rows that each
+row of the left operand selects, with no float or integer round-trip;
+`mul_count` is the one float32 BLAS product, for weighted sums such as a
+packed syndrome index. Elimination (`rank`, `rref`, `nullspace_basis`,
+`solve`, `inverse`) works on a copy of the rows with one pivot rule, so its
+results are unique and inputs are never changed. Rows are packed into 64-bit
+words, where XOR and popcount are single numpy ops, only inside the two
+enumerations: `coset_min_weight`, the one coset search (the
+stabilizer-reduced weight of every trial of a batch, exact up to
+MAX_ENUM_ROWS generators), and `min_weight_outside`, the span walk behind
+`CssCode.min_distance`.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ FLOAT32_EXACT = 1 << 24
 def mul_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product a @ b of a 0/1 array and a nonnegative integer array.
 
-    One BLAS float32 matmul over a trial batch. Raises when a partial sum
-    could reach 2^24 (inner dimension times the largest entry of b), where
-    float32 stops counting exactly.
+    One BLAS float32 matmul, for weighted sums such as the packed syndrome
+    index of `interface.LeaderTable.lookup`. Raises when a partial sum could
+    reach 2^24 (inner dimension times the largest entry of b), where float32
+    stops counting exactly. GF(2) products go through `mul_bits`.
     """
     b = np.asarray(b)
     top = max(int(b.max()), 1) if b.size else 1
@@ -57,10 +61,37 @@ def mul_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """GF(2) product of 0/1 arrays: the parities a @ b mod 2 as uint8."""
-    # The cast to uint8 keeps each count modulo 256, and so its parity.
-    out = mul_count(a, b).astype(np.uint8)
-    out &= 1
+    """GF(2) product of 0/1 arrays: the parities a @ b mod 2 as uint8.
+
+    Either operand may be 1-D, as in `np.matmul`. Each output row is the XOR
+    of the rows of b that the matching row of a selects; when a has more rows
+    than b has columns, the product is computed transposed, (b.T @ a.T).T,
+    so the loop runs over the shorter of the two dimensions. A small product
+    (a tableau sign batch, say), whose outer-by-inner-by-outer broadcast has
+    at most SMALL_PRODUCT entries, is one AND and one XOR reduction instead.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 1 or b.ndim == 1:
+        out = mul_bits(a[None] if a.ndim == 1 else a, b[:, None] if b.ndim == 1 else b)
+        return out.reshape(a.shape[:-1] + b.shape[1:])
+    if len(a) > b.shape[1]:
+        return _xor_rows(b.T, a.T).T
+    return _xor_rows(a, b)
+
+
+# Products whose selector-times-rows array has at most this many entries run
+# as one broadcast; the row loop's per-row overhead dominates them.
+SMALL_PRODUCT = 1 << 14
+
+
+def _xor_rows(sel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row i of the result is the XOR of the `rows` at the 1 entries of sel[i]."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)  # contiguous rows gather fastest
+    if sel.size * rows.shape[1] <= SMALL_PRODUCT:
+        return np.bitwise_xor.reduce(np.asarray(sel, np.uint8)[:, :, None] & rows, axis=1)
+    out = np.zeros((len(sel), rows.shape[1]), np.uint8)
+    for pick, o in zip(sel.astype(bool), out):
+        np.bitwise_xor.reduce(rows[pick], axis=0, out=o)
     return out
 
 
@@ -178,9 +209,9 @@ def row_space_contains(m: np.ndarray, v: np.ndarray) -> bool:
 class CosetWeight(NamedTuple):
     """Result of a coset minimum-weight search.
 
-    `weight` holds one minimum per trial. `exact` is False when the generator
-    count exceeded MAX_ENUM_ROWS; then each weight is the least over the zero,
-    single and pairwise generator combinations only, an upper bound.
+    `weight` holds one int64 minimum per trial. `exact` is False when the
+    generator count exceeded MAX_ENUM_ROWS; then each weight is the least over
+    the zero, single and pairwise generator combinations only, an upper bound.
     """
 
     weight: np.ndarray
@@ -209,12 +240,19 @@ def coset_min_weight(basis: np.ndarray, e: np.ndarray) -> CosetWeight:
         combos = np.concatenate([np.zeros_like(g[:1]), g, g[i] ^ g[j]])
         step = 1 << SPAN_BLOCK_BITS
         blocks = (combos[lo : lo + step] for lo in range(0, len(combos), step))
-    packed = _pack(e)[:, None]
+    # One contiguous row of trials per word; each block is then summed word by
+    # word into a (combinations, trials) array and reduced along its leading
+    # axis, which numpy vectorises across trials.
+    packed = np.ascontiguousarray(_pack(e).T)
+    wide = np.uint8 if e.shape[1] < 256 else np.uint16
     best = None
     for block in blocks:
-        w = np.bitwise_count(packed ^ block).sum(axis=2).min(axis=1)
+        w = np.bitwise_count(block[:, :1] ^ packed[0]).astype(wide, copy=False)
+        for j in range(1, len(packed)):
+            w += np.bitwise_count(block[:, j : j + 1] ^ packed[j])
+        w = w.min(axis=0)
         best = w if best is None else np.minimum(best, w)
-    return CosetWeight(best, exact)
+    return CosetWeight(best.astype(np.int64), exact)
 
 
 def min_weight_outside(span: np.ndarray, modulus: np.ndarray, exhaustive: bool = True) -> int:

@@ -44,7 +44,7 @@ import numpy as np
 from . import circuit, css, gf2
 from .css import CodeFamily, CssCode
 from .circuit import Circuit, FrameBatch, FrameRunner, Gate, idle_circuit
-from .noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_bits
+from .noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_hits
 from .tableau import Tableau
 
 MAX_TABLE_ROWS = 14  # leader tables are dense in 2^{#checks}
@@ -601,8 +601,10 @@ class FrameEngine:
     run i draws its faults from (STREAM_CIRCUIT, *key, i, chunk) and pass p
     the oracle's local stochastic noise and failure coin from (STREAM_ORACLE,
     *key, p, chunk). `key` is () for a lone Gamma and (block,) in a chain.
-    A block handle is the block's (x, z) frames as (trials, n) arrays, or
-    None when clean.
+    The oracle's noise is a sparse `sample_ls_hits` draw XORed straight
+    into the flat frames of the A and B wires, with no dense (trials,
+    |A|+|B|) array. A block handle is the block's (x, z) frames as (trials,
+    n) arrays, or None when clean.
     """
 
     def __init__(self, params: NoiseParams, trials: int, chunk: int, key: tuple):
@@ -637,8 +639,12 @@ class FrameEngine:
         rng = rng_stream(self.params.seed, STREAM_ORACLE, *self.key, self._passes, self.chunk)
         self._passes += 1
         if ls_delta > 0.0:
-            ox, oz = sample_ls_bits(len(ab_wires), ls_delta, rng, self.trials)
-            self.xor(ab_wires, ox.T, oz.T)
+            # Sparse hits go straight into the flat frames, as circuit faults do.
+            start = self.batch.block(ab_wires).start
+            xf, zf, s0, s1 = self.batch.flat_frames()
+            for flat, hits in zip((xf, zf), sample_ls_hits(len(ab_wires), ls_delta, rng, self.trials)):
+                trial, k = np.divmod(hits, len(ab_wires))
+                flat[trial * s0 + (start + k) * s1] ^= 1
         if knobs.resource_fail_prob > 0.0:
             fail = (rng.random(self.trials) < knobs.resource_fail_prob).astype(np.uint8)
             if fail.any():

@@ -8,7 +8,9 @@ is keyed per fragment run, (seed, STREAM_CIRCUIT, *owner key, run index,
 chunk), with the run index counted by the frame engine: one generator
 serves every location of the fragment. Bernoulli draws are sparse
 (`bernoulli_positions`), so a sampler costs O(delta) per location-trial.
-`sample_ls_bits` is the one LS sampler: a batch of trials as x, z bits.
+`sample_ls_hits` is the one LS sampler: a batch of trials as the flat
+positions of its X and Z parts, which the frame engine XORs straight into
+its frames; `sample_ls_bits` spreads the same draw into dense x, z bits.
 
 The arbitrary replacement channel at each location is instantiated as its
 Pauli-twirled member, the simulable instance; reports record this as
@@ -82,20 +84,30 @@ def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.nd
     return pos[: np.searchsorted(pos, total)]
 
 
+def sample_ls_hits(
+    qubits: int, delta: float, rng: np.random.Generator, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched i.i.d. local stochastic samples as sparse hits.
+
+    Every (trial, qubit) is in the support with probability delta and carries
+    a uniform nontrivial Pauli there. Returns the sorted flat positions
+    trial * qubits + qubit that carry an X part and those that carry a Z part
+    (a Y is in both). The caller keys `rng`.
+    """
+    hits = bernoulli_positions(rng, trials * qubits, delta)
+    kinds = rng.integers(0, 3, size=hits.size, dtype=np.uint8)  # 0 = X, 1 = Z, 2 = Y
+    return hits[kinds != 1], hits[kinds != 0]
+
+
 def sample_ls_bits(
     qubits: int, delta: float, rng: np.random.Generator, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched i.i.d. local stochastic samples as (trials, qubits) x, z bits.
-
-    Every (trial, qubit) is in the support with probability delta and carries
-    a uniform nontrivial Pauli there. The caller keys `rng`.
-    """
+    """`sample_ls_hits` as dense (trials, qubits) x, z bits."""
     x = np.zeros((trials, qubits), dtype=np.uint8)
     z = np.zeros_like(x)
-    hits = bernoulli_positions(rng, trials * qubits, delta)
-    kinds = rng.integers(0, 3, size=hits.size, dtype=np.uint8)  # 0 = X, 1 = Z, 2 = Y
-    x.flat[hits] = kinds != 1  # X or Y
-    z.flat[hits] = kinds != 0  # Z or Y
+    x_hits, z_hits = sample_ls_hits(qubits, delta, rng, trials)
+    x.flat[x_hits] = 1
+    z.flat[z_hits] = 1
     return x, z
 
 

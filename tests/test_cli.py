@@ -336,12 +336,25 @@ class TestExitCodes:
             ("e2e", dict(EXHAUSTIVE, resource_oracle={"ls_delta": 0.2}), "resource_oracle.ls_delta must be 0"),
             ("e2e", dict(EXHAUSTIVE, resource_oracle={"fail_prob": 0.5}), "resource_oracle.fail_prob must be 0"),
             ("e2e", dict(EXHAUSTIVE, input_ls_delta=0.1), "input_ls_delta must be 0"),
+            # Keys a command never reads: a misspelt knob would run with its default.
+            ("interface-sweep", dict(SWEEP, resource_orcle={"fail_prob": 0.5}), "unknown config key 'resource_orcle'"),
+            ("interface-sweep", dict(SWEEP, chunk_size=2), "unknown config key 'chunk_size'"),
+            ("interface-sweep", dict(SWEEP, noise={"delta": [0.01], "sead": 3}), "unknown config key 'sead' in noise"),
+            ("interface-sweep", dict(SWEEP, resource_oracle={"failprob": 0.5}), "unknown config key 'failprob' in resource_oracle"),
+            ("e2e", dict(EXHAUSTIVE, resource_oracle={"ls_delta": 0.0, "fail": 0}), "unknown config key 'fail' in resource_oracle"),
+            ("e2e", dict(EXHAUSTIVE, wait_round=2), "unknown config key 'wait_round'"),
+            ("validate-codes", {"family": "toy", "seed": 3}, "unknown config key 'seed'"),
+            ("schedule-audit", {"family": "toy", "h_grid": [1], "r": 4}, "unknown config key 'r'"),
+            ("tree-bounds", {"z_grid": [2], "family": "toy"}, "unknown config key 'family'"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
         cfg = write_config(tmp_path, "c.json", config)
         assert run(command, cfg, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
+
+    def test_every_command_lists_its_config_keys(self):
+        assert cli.CONFIG_KEYS.keys() == cli.COMMANDS.keys()
 
     @pytest.mark.parametrize(
         "damage, message",

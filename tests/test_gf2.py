@@ -195,6 +195,17 @@ class TestCosetMinWeight:
         res = gf2.coset_min_weight(dense, e)
         assert res.exact and np.array_equal(res.weight, oracle)
 
+    def test_many_words_and_weights_past_255(self):
+        # Five 64-bit words per trial, summed word by word, and a minimum
+        # weight that does not fit in a uint8.
+        rng = np.random.default_rng(300)
+        basis = (rng.random((3, 300)) < 0.03).astype(np.uint8)
+        e = rng.integers(0, 2, size=(20, 300), dtype=np.uint8)
+        e[0] = 1
+        res = gf2.coset_min_weight(basis, e)
+        assert res.exact and np.array_equal(res.weight, brute_coset_min(basis, e))
+        assert res.weight[0] > 255
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             gf2.coset_min_weight(bits("1111"), np.zeros((2, 3), np.uint8))
@@ -250,12 +261,47 @@ class TestMulBits:
         b = rng.integers(0, 2, (9, 6)).astype(bool)
         assert np.array_equal(gf2.mul_bits(a, b), (a.astype(np.int64) @ b) % 2)
 
+    @pytest.mark.parametrize("shape", [(20, 8, 10000), (10000, 8, 20), (22, 14, 7)])
+    def test_gamma_shapes(self, shape):
+        # The teleportation correction (more columns than rows: the row loop),
+        # its transpose (the loop over b's columns) and a tableau sign batch
+        # (transposed, and under SMALL_PRODUCT: one broadcast).
+        t, k, m = shape
+        rng = np.random.default_rng(t)
+        a = rng.integers(0, 2, (t, k), dtype=np.uint8)
+        b = rng.integers(0, 2, (k, m), dtype=np.uint8)
+        assert np.array_equal(gf2.mul_bits(a, b), (a.astype(np.int64) @ b) % 2)
+
+    @pytest.mark.parametrize("rows", [1, 5, 30])
+    def test_one_dimensional_operands(self, rows):
+        # The tableau multiplies a lone 1-D Pauli into its generators.
+        rng = np.random.default_rng(rows)
+        m = rng.integers(0, 2, (rows, 12), dtype=np.uint8)
+        v = rng.integers(0, 2, 12, dtype=np.uint8)
+        w = rng.integers(0, 2, rows, dtype=np.uint8)
+        ref = m.astype(np.int64)
+        assert np.array_equal(gf2.mul_bits(m, v), (ref @ v) % 2)
+        assert np.array_equal(gf2.mul_bits(w, m), (w.astype(np.int64) @ ref) % 2)
+        assert gf2.mul_bits(m, v).shape == (rows,) and gf2.mul_bits(w, m).shape == (12,)
+        assert int(gf2.mul_bits(v, v)) == int(v.astype(np.int64) @ v) % 2
+
+    def test_wire_major_operand(self):
+        # FrameBatch frames are (trials, n) views of (n, trials) arrays; the
+        # check products take their transposes, or the frames themselves.
+        rng = np.random.default_rng(6)
+        frames = rng.integers(0, 2, (16, 3000), dtype=np.uint8).T
+        h = rng.integers(0, 2, (5, 16), dtype=np.uint8)
+        ref = h.astype(np.int64) @ frames.T % 2
+        assert np.array_equal(gf2.mul_bits(h, frames.T), ref)
+        assert np.array_equal(gf2.mul_bits(frames, h.T), ref.T)
+
     def test_inner_dimension_guard(self):
+        # Only the float32 count has a limit; the XOR product has none.
         # Zero-size operands: the guard fires before any allocation.
         inner = gf2.FLOAT32_EXACT
         with pytest.raises(ValueError):
-            gf2.mul_bits(np.zeros((0, inner), np.uint8), np.zeros((inner, 0), np.uint8))
-        gf2.mul_bits(np.zeros((0, inner - 1), np.uint8), np.zeros((inner - 1, 0), np.uint8))
+            gf2.mul_count(np.zeros((0, inner), np.uint8), np.zeros((inner, 0), np.uint8))
+        gf2.mul_count(np.zeros((0, inner - 1), np.uint8), np.zeros((inner - 1, 0), np.uint8))
         with pytest.raises(ValueError):
             gf2.mul_count(np.ones((1, 3), np.uint8), np.array([1 << 23, 0, 0]))
 

@@ -5,7 +5,7 @@ import pytest
 
 from decint import css, gf2, interface
 from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
-from decint.noise import NoiseParams
+from decint.noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_bits
 from decint.tableau import Tableau, random_stabilizer_state
 
 
@@ -799,6 +799,26 @@ class TestWireMajorGamma:
         got = (est.failures, est.heralds, est.weight_overflows, est.logical_errors,
                *est.block_weight_hist.tolist(), int(round(est.out_qubit_error_rate.sum() * est.trials)))
         assert got == counts
+
+    @pytest.mark.parametrize("ls_delta", [0.02, 1.0])
+    def test_resource_pass_leaves_the_ls_draw(self, fam, ls_delta):
+        # One resource pass on zero frames leaves exactly the oracle's LS
+        # sample on the A and B wires, drawn from the stream of that pass.
+        plan = interface.build_gamma(fam, 3, 2, interface.GammaKnobs(resource_ls_delta=ls_delta))
+        seed, key, chunk, trials = 11, (4,), 3, 500
+        engine = interface.FrameEngine(NoiseParams(delta=0.0, seed=seed), trials, chunk, key)
+        ab = plan.a_wires + plan.b_wires
+        for p in range(2):
+            engine.load(None, (), plan.all_wires)
+            engine.resource(plan)
+            rng = rng_stream(seed, STREAM_ORACLE, *key, p, chunk)
+            want_x, want_z = sample_ls_bits(len(ab), ls_delta, rng, trials)
+            cols = engine.batch.block(ab)
+            assert np.array_equal(engine.batch.x[:, cols], want_x)
+            assert np.array_equal(engine.batch.z[:, cols], want_z)
+            assert engine.batch.x.sum() == want_x.sum() and engine.batch.z.sum() == want_z.sum()
+        if ls_delta == 1.0:
+            assert (want_x | want_z).all()
 
     def test_ec_gadgets_are_shared(self, fam):
         code = fam.level(3)
