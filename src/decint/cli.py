@@ -87,38 +87,6 @@ def _config_values():
         raise UsageError(f"bad config value: {exc}") from None
 
 
-# The config keys each command reads, and the keys of its nested sections.
-# Any other key is a usage error: a misspelt knob would otherwise run with
-# its default.
-_KNOB_KEYS = {"s1", "s2", "proc_layers", "resource_oracle"}  # GammaKnobs.from_json
-CONFIG_KEYS = {
-    "validate-codes": {"family", "dump"},
-    "interface-sweep": {"family", "noise", "seed", "r", "r_prime", "trials", "mu"} | _KNOB_KEYS,
-    "schedule-audit": {"family", "h_grid", "r_grid", "r_prime"},
-    "tree-bounds": {"z_grid", "delta_bar_grid", "max_size", "leaf_only", "mc_trials", "seed"},
-    "e2e": {
-        "family", "noise", "seed", "r", "h", "trials", "mode", "wait_rounds",
-        "input_ls_delta", "logical_patterns",
-    } | _KNOB_KEYS,
-}
-SECTION_KEYS = {"noise": {"delta", "seed"}, "resource_oracle": {"ls_delta", "fail_prob"}}
-
-
-def _check_keys(command: str, config: dict) -> None:
-    def refuse(keys: set, where: str, known: set):
-        if keys:
-            names = ", ".join(map(repr, sorted(keys)))
-            raise UsageError(f"unknown config key {names} {where} (it reads {sorted(known)})")
-
-    known = CONFIG_KEYS[command]
-    refuse(config.keys() - known, f"for {command}", known)
-    for section, keys in SECTION_KEYS.items():
-        value = config.get(section)
-        # A section that is not an object fails later, where it is read.
-        if section in known and isinstance(value, dict):
-            refuse(value.keys() - keys, f"in {section}", keys)
-
-
 def load_family(name_or_path: str) -> css.CodeFamily:
     if name_or_path in css.BUILTIN_FAMILIES:
         return css.BUILTIN_FAMILIES[name_or_path]()
@@ -170,6 +138,9 @@ def _check_decodable(family: css.CodeFamily, levels) -> None:
             )
 
 
+NOISE_KEYS = {"delta", "seed"}  # the keys of `noise` that _noise_params reads
+
+
 def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[float], int]:
     noise = config.get("noise", {})
     deltas = noise.get("delta", 0.0)
@@ -193,6 +164,38 @@ def _probability(key: str, value):
     if not 0 <= value <= 1:
         raise UsageError(f"{key} must lie in [0, 1], got {value}")
     return value
+
+
+# The config keys each command reads, and the keys of its nested sections.
+# Any other key is a usage error: a misspelt knob would otherwise run with
+# its default.
+_KNOB_KEYS = set(interface.GammaKnobs.JSON_DEFAULTS)
+CONFIG_KEYS = {
+    "validate-codes": {"family", "dump"},
+    "interface-sweep": {"family", "noise", "seed", "r", "r_prime", "trials", "mu"} | _KNOB_KEYS,
+    "schedule-audit": {"family", "h_grid", "r_grid", "r_prime"},
+    "tree-bounds": {"z_grid", "delta_bar_grid", "max_size", "leaf_only", "mc_trials", "seed"},
+    "e2e": {
+        "family", "noise", "seed", "r", "h", "trials", "mode", "wait_rounds",
+        "input_ls_delta", "logical_patterns",
+    } | _KNOB_KEYS,
+}
+SECTION_KEYS = {"noise": NOISE_KEYS, "resource_oracle": set(interface.GammaKnobs.ORACLE_DEFAULTS)}
+
+
+def _check_keys(command: str, config: dict) -> None:
+    def refuse(keys: set, where: str, known: set):
+        if keys:
+            names = ", ".join(map(repr, sorted(keys)))
+            raise UsageError(f"unknown config key {names} {where} (it reads {sorted(known)})")
+
+    known = CONFIG_KEYS[command]
+    refuse(config.keys() - known, f"for {command}", known)
+    for section, keys in SECTION_KEYS.items():
+        value = config.get(section)
+        # A section that is not an object fails later, where it is read.
+        if section in known and isinstance(value, dict):
+            refuse(value.keys() - keys, f"in {section}", keys)
 
 
 # -- subcommands -------------------------------------------------------------------

@@ -66,29 +66,22 @@ def mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Either operand may be 1-D, as in `np.matmul`. Each output row is the XOR
     of the rows of b that the matching row of a selects; when a has more rows
     than b has columns, the product is computed transposed, (b.T @ a.T).T,
-    so the loop runs over the shorter of the two dimensions. A small product
-    (a tableau sign batch, say), whose outer-by-inner-by-outer broadcast has
-    at most SMALL_PRODUCT entries, is one AND and one XOR reduction instead.
+    so the loop runs over the shorter of the two dimensions.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim == 1 or b.ndim == 1:
         out = mul_bits(a[None] if a.ndim == 1 else a, b[:, None] if b.ndim == 1 else b)
         return out.reshape(a.shape[:-1] + b.shape[1:])
+    if a.shape[1] != len(b):
+        raise ValueError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
     if len(a) > b.shape[1]:
         return _xor_rows(b.T, a.T).T
     return _xor_rows(a, b)
 
 
-# Products whose selector-times-rows array has at most this many entries run
-# as one broadcast; the row loop's per-row overhead dominates them.
-SMALL_PRODUCT = 1 << 14
-
-
 def _xor_rows(sel: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row i of the result is the XOR of the `rows` at the 1 entries of sel[i]."""
     rows = np.ascontiguousarray(rows, dtype=np.uint8)  # contiguous rows gather fastest
-    if sel.size * rows.shape[1] <= SMALL_PRODUCT:
-        return np.bitwise_xor.reduce(np.asarray(sel, np.uint8)[:, :, None] & rows, axis=1)
     out = np.zeros((len(sel), rows.shape[1]), np.uint8)
     for pick, o in zip(sel.astype(bool), out):
         np.bitwise_xor.reduce(rows[pick], axis=0, out=o)

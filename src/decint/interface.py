@@ -364,15 +364,21 @@ class GammaKnobs(_GammaKnobFields):
     def proc_layers(self, n: int) -> int:
         return int(sum(c * n**k for k, c in enumerate(self.proc_poly)))
 
+    # The config keys from_json reads, with their defaults: at the top level
+    # and inside resource_oracle. The CLI refuses any other key there.
+    JSON_DEFAULTS = {"s1": 1, "s2": 1, "proc_layers": (0, 1), "resource_oracle": {}}
+    ORACLE_DEFAULTS = {"ls_delta": None, "fail_prob": 0.0}
+
     @classmethod
     def from_json(cls, obj: dict) -> "GammaKnobs":
-        oracle = obj.get("resource_oracle", {})
+        top = {**cls.JSON_DEFAULTS, **obj}
+        oracle = {**cls.ORACLE_DEFAULTS, **top["resource_oracle"]}
         return cls(
-            s1=as_int(obj.get("s1", 1)),
-            s2=as_int(obj.get("s2", 1)),
-            proc_poly=obj.get("proc_layers", (0, 1)),
-            resource_ls_delta=oracle.get("ls_delta"),
-            resource_fail_prob=float(oracle.get("fail_prob", 0.0)),
+            s1=as_int(top["s1"]),
+            s2=as_int(top["s2"]),
+            proc_poly=top["proc_layers"],
+            resource_ls_delta=oracle["ls_delta"],
+            resource_fail_prob=float(oracle["fail_prob"]),
         )
 
 
@@ -602,9 +608,9 @@ class FrameEngine:
     the oracle's local stochastic noise and failure coin from (STREAM_ORACLE,
     *key, p, chunk). `key` is () for a lone Gamma and (block,) in a chain.
     The oracle's noise is a sparse `sample_ls_hits` draw XORed straight
-    into the flat frames of the A and B wires, with no dense (trials,
-    |A|+|B|) array. A block handle is the block's (x, z) frames as (trials,
-    n) arrays, or None when clean.
+    into the frames of the A and B wires, with no dense (trials, |A|+|B|)
+    array. A block handle is the block's (x, z) frames as (trials, n)
+    arrays, or None when clean.
     """
 
     def __init__(self, params: NoiseParams, trials: int, chunk: int, key: tuple):
@@ -639,12 +645,12 @@ class FrameEngine:
         rng = rng_stream(self.params.seed, STREAM_ORACLE, *self.key, self._passes, self.chunk)
         self._passes += 1
         if ls_delta > 0.0:
-            # Sparse hits go straight into the flat frames, as circuit faults do.
+            # Sparse hits go straight into the frames; each position is hit once.
             start = self.batch.block(ab_wires).start
-            xf, zf, s0, s1 = self.batch.flat_frames()
-            for flat, hits in zip((xf, zf), sample_ls_hits(len(ab_wires), ls_delta, rng, self.trials)):
+            xz_hits = sample_ls_hits(len(ab_wires), ls_delta, rng, self.trials)
+            for frame, hits in zip((self.batch.x, self.batch.z), xz_hits):
                 trial, k = np.divmod(hits, len(ab_wires))
-                flat[trial * s0 + (start + k) * s1] ^= 1
+                frame[trial, start + k] ^= 1
         if knobs.resource_fail_prob > 0.0:
             fail = (rng.random(self.trials) < knobs.resource_fail_prob).astype(np.uint8)
             if fail.any():

@@ -265,7 +265,7 @@ class TestMulBits:
     def test_gamma_shapes(self, shape):
         # The teleportation correction (more columns than rows: the row loop),
         # its transpose (the loop over b's columns) and a tableau sign batch
-        # (transposed, and under SMALL_PRODUCT: one broadcast).
+        # (transposed: 7 iterations, not 22).
         t, k, m = shape
         rng = np.random.default_rng(t)
         a = rng.integers(0, 2, (t, k), dtype=np.uint8)
@@ -294,6 +294,14 @@ class TestMulBits:
         ref = h.astype(np.int64) @ frames.T % 2
         assert np.array_equal(gf2.mul_bits(h, frames.T), ref)
         assert np.array_equal(gf2.mul_bits(frames, h.T), ref.T)
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape", [((3, 1), (5, 4)), ((2, 3), (4, 9)), ((9, 3), (4, 2)), ((3,), (4, 2))]
+    )
+    def test_inner_dimension_mismatch(self, a_shape, b_shape):
+        # Every path raises, as np.matmul does; (3, 1) @ (5, 4) must not broadcast.
+        with pytest.raises(ValueError, match="inner dimension mismatch"):
+            gf2.mul_bits(np.ones(a_shape, np.uint8), np.ones(b_shape, np.uint8))
 
     def test_inner_dimension_guard(self):
         # Only the float32 count has a limit; the XOR product has none.
