@@ -30,15 +30,15 @@ _, ideal = circ.run_noisy(c, Tableau.zero_state(wires))
 print("\nideal outcomes:", ideal)
 
 # Inject an X fault on the second-layer CNOT's control and compare backends.
-# A fault is a location (a row of c.locations()) and a Pauli code on the
-# gate's wires: wire j takes bit 2j (x) and bit 2j + 1 (z), so code 1 is X on
-# the control.
-row, code = c.locations().index((1, 0)), 1
-_, noisy = circ.run_noisy(c, Tableau.zero_state(wires), faults={row: code})
+# A fault is a location (a row of c.fault_table(), one per gate, layer by
+# layer), a trial and a Pauli code on the gate's wires: wire j takes bit 2j
+# (x) and bit 2j + 1 (z), so code 1 is X on the control. Both backends take
+# the same (locations, trials, codes) arrays.
+row = c.fault_table().layers[1].rows.start  # gate 0 of layer 1
+faults = ([row], [0], [1])
+_, noisy = circ.run_noisy(c, Tableau.zero_state(wires), faults=faults)
 batch = FrameBatch(wires, 1)
-FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
-    c, batch, forced_faults=([row], [0], [code])
-)
+FrameRunner(NoiseParams(delta=0.0, seed=0)).run(c, batch, forced_faults=faults)
 print("tableau outcomes with fault:", noisy)
 print("frame-predicted flips:      ", {k: int(v[0]) for k, v in batch.flips.items()})
 

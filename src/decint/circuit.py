@@ -7,11 +7,13 @@ Monte Carlo trials against cached reference outcomes. Classical feed-forward
 is not a gate: decoder calls and the Paulis they choose run as callbacks
 between circuit fragments (see interface.py).
 
-A fault is a location, a row of `Circuit.locations()` (one per gate), and a
-code: on a measurement 1, an outcome flip; on a k-wire gate a Pauli in
-[1, 4^k) after the gate, wire j taking bits 2j (x) and 2j + 1 (z). Both
-backends take faults so, and the frame backend injects forced and sampled
-faults through one function.
+A fault is a location, a row of `Circuit.fault_table()` (one per gate, layer
+by layer in gate order), a trial and a code: on a measurement 1, an outcome
+flip; on a k-wire gate a Pauli in [1, 4^k) after the gate, wire j taking
+bits 2j (x) and 2j + 1 (z). Both backends take faults as one (locations,
+trials, codes) triple of arrays, and both inject a layer's faults into Pauli
+frames through one function; the tableau backend then conjugates its state
+by the frames that were hit.
 """
 
 from __future__ import annotations
@@ -89,16 +91,9 @@ class Circuit:
     def depth(self) -> int:
         return len(self.layers)
 
-    def locations(self) -> list[tuple[int, int]]:
-        """(layer, gate) of each gate, in `fault_table()` row order."""
-        return [(li, gi) for li, layer in enumerate(self.layers) for gi in range(len(layer))]
-
     @property
     def n_locations(self) -> int:
         return sum(map(len, self.layers))
-
-    def measurement_labels(self) -> list[str]:
-        return [g.out for layer in self.layers for g in layer if g.name == "measure"]
 
     def fault_table(self) -> "FaultTable":
         """The fault locations of every layer, compiled on first use.
@@ -160,28 +155,30 @@ def idle_circuit(wires: Sequence[Hashable], layers: int = 1) -> Circuit:
 # -- fault model --------------------------------------------------------------
 
 
-def code_bits(code: int, k: int) -> tuple[list[int], list[int]]:
-    """The x and z bits of Pauli code `code` on k wires: wire j takes bits 2j and 2j + 1."""
-    return [code >> 2 * j & 1 for j in range(k)], [code >> 2 * j + 1 & 1 for j in range(k)]
-
-
-def _checked_faults(table: "FaultTable", trials: int, locations, trial_idx, codes):
-    """Forced faults as (location, trial, code) arrays sorted by location, then trial;
+def _checked_faults(table: "FaultTable", trials: int, faults: tuple) -> dict:
+    """Faults (locations, trials, codes) split by layer: {layer: (layer-local locations,
+    trials, codes)} for each layer with a fault, sorted by location, then trial.
     ValueError on a fault outside the table or batch, a bad code or a repeat."""
-    loc, trial, code = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (locations, trial_idx, codes))
+    loc, trial, code = (np.asarray(a, dtype=np.int64).reshape(-1) for a in faults)
     if not loc.size == trial.size == code.size:
-        raise ValueError("forced fault arrays differ in length")
+        raise ValueError("fault arrays differ in length")
     if ((loc < 0) | (loc >= table.arity.size)).any():
-        raise ValueError("forced fault location outside the circuit")
+        raise ValueError("fault location outside the circuit")
     if ((trial < 0) | (trial >= trials)).any():
-        raise ValueError("forced fault trial outside the batch")
+        raise ValueError("fault trial outside the batch")
     k = table.arity[loc]
     if ((code < 1) | (code >= np.where(k > 0, 4**k, 2))).any():
-        raise ValueError("forced fault code outside [1, 4^k), or not 1 on a measurement")
+        raise ValueError("fault code outside [1, 4^k), or not 1 on a measurement")
     keys, order = np.unique(loc * trials + trial, return_index=True)
     if keys.size < loc.size:
-        raise ValueError("two forced faults at one location and trial")
-    return loc[order], trial[order], code[order].astype(np.uint8)
+        raise ValueError("two faults at one location and trial")
+    loc, trial, code = loc[order], trial[order], code[order].astype(np.uint8)
+    bounds = np.searchsorted(loc, [lf.rows.start for lf in table.layers] + [table.arity.size])
+    return {
+        li: (loc[a:b] - lf.rows.start, trial[a:b], code[a:b])
+        for li, (lf, a, b) in enumerate(zip(table.layers, bounds[:-1], bounds[1:]))
+        if a < b
+    }
 
 
 # -- tableau backend ------------------------------------------------------------
@@ -190,29 +187,41 @@ def _checked_faults(table: "FaultTable", trials: int, locations, trial_idx, code
 def run_noisy(
     circuit: Circuit,
     state: Tableau,
-    faults: Optional[dict[int, int]] = None,
+    faults: Optional[tuple] = None,
     rng: Optional[np.random.Generator] = None,
     outcomes: Optional[dict[str, int]] = None,
 ) -> tuple[Tableau, dict[str, int]]:
-    """Tableau execution with `faults` as {location: code} (see the module docstring),
-    each applied after its layer's gates. Mutates and returns the input tableau."""
+    """Tableau execution with `faults` as (locations, trials, codes) arrays (see the
+    module docstring), each applied after its layer's gates. Trial t is row t of a
+    sign batch, and trial 0 the only trial of one state. Mutates and returns the
+    input tableau."""
     outcomes = outcomes if outcomes is not None else {}
-    by_layer: list[list] = [[] for _ in circuit.layers]
-    if faults:
-        _checked_faults(circuit.fault_table(), 1, list(faults), [0] * len(faults), list(faults.values()))
-        locations = circuit.locations()
-        for row, code in faults.items():
-            li, gi = locations[row]
-            by_layer[li].append((circuit.layers[li][gi], code))
-    for layer, layer_faults in zip(circuit.layers, by_layer):
+    by_layer = {} if faults is None else _checked_faults(circuit.fault_table(), state.trials, faults)
+    for li, layer in enumerate(circuit.layers):
         for g in layer:
             _apply_gate_tableau(state, g, outcomes, rng)
-        for g, code in layer_faults:
-            if g.name == "measure":
-                outcomes[g.out] ^= 1
-            else:
-                state.apply_pauli_on(g.wires, *code_bits(code, len(g.wires)))
+        if li in by_layer:
+            _apply_faults_tableau(circuit, state, li, by_layer[li], outcomes)
     return state, outcomes
+
+
+def _apply_faults_tableau(circuit: Circuit, state: Tableau, li: int, faults: tuple, outcomes: dict):
+    """Inject layer li's faults into scratch frames over the circuit's wires, then
+    conjugate `state` by the frames of the wires that were hit and flip the faulted
+    outcomes."""
+    table = circuit.fault_table()
+    lf = table.layers[li]
+    scratch = FrameBatch(circuit.wires, state.trials)
+    scratch.flips = {label: np.zeros(state.trials, np.uint8) for label in lf.meas_labels}
+    _inject_faults(scratch, lf, table.cols, *faults)
+    single = state.signs.ndim == 1
+    for label, flip in scratch.flips.items():
+        outcomes[label] ^= int(flip[0]) if single else flip
+    # Measured wires have left the state; their faults are outcome flips.
+    hit = np.flatnonzero((scratch._x | scratch._z).any(axis=1))
+    if hit.size:
+        x, z = (a[hit].T[0] if single else a[hit].T for a in (scratch._x, scratch._z))
+        state.apply_pauli_on([circuit.wires[q] for q in hit], x, z)
 
 
 def _apply_gate_tableau(state: Tableau, g: Gate, outcomes: dict, rng):
@@ -233,25 +242,29 @@ def _apply_gate_tableau(state: Tableau, g: Gate, outcomes: dict, rng):
 class FrameBatch:
     """Pauli error frames for a batch of trials over a fixed wire set.
 
-    x/z are (trials, wires) uint8 arrays; `flips` maps each measurement
-    label to the per-trial outcome flip relative to the reference run.
-    They are stored wire-major, as transposed views of (wires, trials)
-    arrays, so the column x[:, q] of one wire is the contiguous row
-    x.T[q] and a gate or a correction touches contiguous memory.
-
-    Layout contract: x and z may be replaced by any (trials, wires) arrays
-    that are contiguous (C or Fortran order) and share one layout; the
-    layout changes speed, not results. Fault injection writes through the
-    flat memory of x and z, so a non-contiguous frame raises there.
+    The frames are stored wire-major, as (wires, trials) uint8 arrays, so
+    the frame of one wire is a contiguous row and a gate or a correction
+    touches contiguous memory. `x` and `z` are their (trials, wires)
+    transposed views; the properties cannot be rebound, so the layout is
+    fixed. `flips` maps each measurement label to the per-trial outcome flip
+    relative to the reference run.
     """
 
     def __init__(self, wires: Sequence[Hashable], trials: int):
         self.wires = list(wires)
         self.index = {w: i for i, w in enumerate(self.wires)}
         self.trials = trials
-        self.x = np.zeros((len(self.wires), trials), dtype=np.uint8).T
-        self.z = np.zeros((len(self.wires), trials), dtype=np.uint8).T
+        self._x = np.zeros((len(self.wires), trials), dtype=np.uint8)
+        self._z = np.zeros((len(self.wires), trials), dtype=np.uint8)
         self.flips: dict[str, np.ndarray] = {}
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._x.T
+
+    @property
+    def z(self) -> np.ndarray:
+        return self._z.T
 
     def columns(self, wires: Sequence[Hashable]) -> np.ndarray:
         return np.array([self.index[w] for w in wires], dtype=np.intp)
@@ -270,18 +283,15 @@ class FrameBatch:
     def xor(self, wires: Sequence[Hashable], x: np.ndarray, z: np.ndarray):
         """XOR a Pauli onto adjacent `wires`; x and z are (wires, trials) uint8 rows."""
         rows = self.block(wires)
-        self.x.T[rows] ^= x
-        self.z.T[rows] ^= z
+        self._x[rows] ^= x
+        self._z[rows] ^= z
 
-    def flat_frames(self) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """Flat views of x and z with their (trial, wire) strides in elements."""
-        if self.x.strides != self.z.strides:
-            raise ValueError("frame arrays x and z must share one layout")
-        for a in (self.x, self.z):
-            if not (a.flags.c_contiguous or a.flags.f_contiguous):
-                raise ValueError("frame arrays must be contiguous")
-        s0, s1 = (s // self.x.itemsize for s in self.x.strides)
-        return self.x.ravel(order="K"), self.z.ravel(order="K"), s0, s1
+    def xor_at(self, cols: np.ndarray, trials: np.ndarray, x_bits: np.ndarray, z_bits: np.ndarray):
+        """XOR bit i of x_bits and z_bits into the frames at (trials[i], cols[i]), no
+        pair repeated, by one flat scatter per frame at offsets col * trials + trial."""
+        at = cols * self.trials + trials
+        self._x.reshape(-1)[at] ^= x_bits
+        self._z.reshape(-1)[at] ^= z_bits
 
 
 class LayerFaults(NamedTuple):
@@ -303,7 +313,7 @@ class FaultTable(NamedTuple):
     """Fault locations of a circuit, one row per gate.
 
     `cols` holds each gate's first and last wire as circuit-local indices.
-    Rows run layer by layer in gate order, as `Circuit.locations()`; `layers` slices them.
+    Rows run layer by layer in gate order; `layers` slices them.
     """
 
     cols: np.ndarray  # (locations, 2) intp
@@ -347,8 +357,7 @@ class FrameRunner:
 
     Faults come from the circuit's compiled `FaultTable`: a run maps its
     wire indices to batch columns with one gather and XORs each layer's
-    faults into the flat memory of the frames (see `FrameBatch` for the
-    layout contract).
+    faults into the frames through `FrameBatch.xor_at`.
     """
 
     def __init__(self, params: NoiseParams, chunk: int = 0, key: tuple = ()):
@@ -376,11 +385,8 @@ class FrameRunner:
             rng = rng_stream(self.params.seed, STREAM_CIRCUIT, *self.key, tag, self.chunk)
         if rng is not None or forced_faults is not None:
             table = circuit.fault_table()
-            xf, zf, s0, s1 = batch.flat_frames()
-            flat = xf, zf, s0, batch.columns(circuit.wires)[table.cols] * s1
-        if forced_faults is not None:
-            forced = _checked_faults(table, batch.trials, *forced_faults)
-            bounds = np.searchsorted(forced[0], [lf.rows.start for lf in table.layers] + [table.arity.size])
+            cols = batch.columns(circuit.wires)[table.cols]
+        forced = {} if forced_faults is None else _checked_faults(table, batch.trials, forced_faults)
         for li, layer in enumerate(circuit.layers):
             for g in layer:
                 _apply_gate_frame(batch, g)
@@ -388,30 +394,28 @@ class FrameRunner:
             # after all its gates equals gate-then-fault at each location.
             if rng is not None:
                 lf = table.layers[li]
-                _inject_faults(batch, lf, flat, *_draw_faults(lf, batch.trials, delta, rng))
-            if forced_faults is not None and bounds[li] < bounds[li + 1]:
-                lf = table.layers[li]
-                loc, trial, code = (a[bounds[li] : bounds[li + 1]] for a in forced)
-                _inject_faults(batch, lf, flat, loc - lf.rows.start, trial, code)
+                _inject_faults(batch, lf, cols, *_draw_faults(lf, batch.trials, delta, rng))
+            if li in forced:
+                _inject_faults(batch, table.layers[li], cols, *forced[li])
         return batch
 
 
 def _apply_gate_frame(batch: FrameBatch, g: Gate):
     if g.name == "idle":
         return
-    q = batch.index[g.wires[0]]
+    x, z, q = batch._x, batch._z, batch.index[g.wires[0]]
     if g.name == "h":
-        batch.x[:, q], batch.z[:, q] = batch.z[:, q].copy(), batch.x[:, q].copy()
+        x[q], z[q] = z[q].copy(), x[q].copy()
     elif g.name == "cnot":
         t = batch.index[g.wires[1]]
-        batch.x[:, t] ^= batch.x[:, q]
-        batch.z[:, q] ^= batch.z[:, t]
+        x[t] ^= x[q]
+        z[q] ^= z[t]
     elif g.name == "measure":
-        batch.flips[g.out] = batch.x[:, q].copy()
-        batch.z[:, q] = 0
+        batch.flips[g.out] = x[q].copy()
+        z[q] = 0
     else:  # init0
-        batch.x[:, q] = 0
-        batch.z[:, q] = 0
+        x[q] = 0
+        z[q] = 0
 
 
 def _draw_faults(lf: LayerFaults, trials: int, delta: float, rng: np.random.Generator) -> tuple:
@@ -429,24 +433,20 @@ def _draw_faults(lf: LayerFaults, trials: int, delta: float, rng: np.random.Gene
     return loc, trial, code
 
 
-def _inject_faults(batch: FrameBatch, lf: LayerFaults, flat: tuple, loc, trial, code):
+def _inject_faults(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray, loc, trial, code):
     """XOR one layer's faults, (layer-local location, trial, code) sorted by location
-    with no pair repeated, into the frames. `flat` holds the flat frames xf and zf,
-    the trial stride s0 and each location's first and last wire as flat offsets."""
-    xf, zf, s0, offsets = flat
-    offsets = offsets[lf.rows]
+    with no pair repeated, into the frames; `cols` holds each location's first and
+    last wire as batch columns."""
+    cols = cols[lf.rows]
     if lf.meas_labels:
         lo, hi = np.searchsorted(loc, lf.meas_bounds)
         for label, a, b in zip(lf.meas_labels, lo, hi):
             batch.flips[label][trial[a:b]] ^= 1
         pauli = lf.arity[loc] > 0
         loc, trial, code = loc[pauli], trial[pauli], code[pauli]
-    at = trial * s0 + offsets[loc, 0]  # wire 0 of a gate takes code bits 0 (x) and 1 (z)
-    xf[at] ^= code & 1
-    zf[at] ^= code >> 1 & 1
+    # Wire 0 of a gate takes code bits 0 (x) and 1 (z).
+    batch.xor_at(cols[loc, 0], trial, code & 1, code >> 1 & 1)
     if lf.code_arity != 1:  # wire 1 of a two-wire gate takes bits 2 and 3
         pair = lf.arity[loc] > 1
         part = code[pair] >> 2
-        at = trial[pair] * s0 + offsets[loc[pair], 1]
-        xf[at] ^= part & 1
-        zf[at] ^= part >> 1 & 1
+        batch.xor_at(cols[loc[pair], 1], trial[pair], part & 1, part >> 1 & 1)

@@ -435,6 +435,9 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         mode = config.get("mode", "frames")
         if mode not in ("frames", "exhaustive"):
             raise UsageError(f"mode must be 'frames' or 'exhaustive', got {mode!r}")
+        other = "trials" if mode == "exhaustive" else "logical_patterns"
+        if other in config:
+            raise UsageError(f"{mode} mode does not read config key {other!r}")
         input_ls = _probability("input_ls_delta", float(config.get("input_ls_delta", 0.0)))
         if mode == "frames":
             trials = _trials(config)

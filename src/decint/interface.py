@@ -646,11 +646,9 @@ class FrameEngine:
         self._passes += 1
         if ls_delta > 0.0:
             # Sparse hits go straight into the frames; each position is hit once.
-            start = self.batch.block(ab_wires).start
-            xz_hits = sample_ls_hits(len(ab_wires), ls_delta, rng, self.trials)
-            for frame, hits in zip((self.batch.x, self.batch.z), xz_hits):
-                trial, k = np.divmod(hits, len(ab_wires))
-                frame[trial, start + k] ^= 1
+            hits, x_bits, z_bits = sample_ls_hits(len(ab_wires), ls_delta, rng, self.trials)
+            trial, k = np.divmod(hits, len(ab_wires))
+            self.batch.xor_at(self.batch.block(ab_wires).start + k, trial, x_bits, z_bits)
         if knobs.resource_fail_prob > 0.0:
             fail = (rng.random(self.trials) < knobs.resource_fail_prob).astype(np.uint8)
             if fail.any():
@@ -669,24 +667,18 @@ class FrameEngine:
         return self.batch.x[:, rows].copy(order="K"), self.batch.z[:, rows].copy(order="K")
 
 
-def _ec_round(gadget: EcGadget, engine):
-    """One EC round: extraction, decode, correction; returns the decode.
+def ec_rounds(gadget: EcGadget, engine, rounds: int):
+    """`rounds` EC rounds of `gadget` on `engine`: extraction, decode, correction.
 
     A heralded sector is left uncorrected, so an ambiguous detection never
     grows the residual.
     """
-    engine.run(gadget.extraction)
-    syn_x, syn_z = engine.bits(gadget.x_labels), engine.bits(gadget.z_labels)
-    decoded = ex, ez, herald_x, herald_z = decode_syndrome(gadget.code, syn_x, syn_z)
-    engine.xor(gadget.data_wires, ex & ~herald_x, ez & ~herald_z)
-    engine.run(gadget.correction_circuit)
-    return decoded
-
-
-def ec_rounds(gadget: EcGadget, engine, rounds: int):
-    """`rounds` EC rounds of `gadget` on `engine`."""
     for _ in range(rounds):
-        _ec_round(gadget, engine)
+        engine.run(gadget.extraction)
+        syn_x, syn_z = engine.bits(gadget.x_labels), engine.bits(gadget.z_labels)
+        ex, ez, herald_x, herald_z = decode_syndrome(gadget.code, syn_x, syn_z)
+        engine.xor(gadget.data_wires, ex & ~herald_x, ez & ~herald_z)
+        engine.run(gadget.correction_circuit)
 
 
 def gamma_pass(plan: InterfaceCircuit, engine) -> np.ndarray:

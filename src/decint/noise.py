@@ -86,17 +86,17 @@ def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.nd
 
 def sample_ls_hits(
     qubits: int, delta: float, rng: np.random.Generator, trials: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched i.i.d. local stochastic samples as sparse hits.
 
     Every (trial, qubit) is in the support with probability delta and carries
     a uniform nontrivial Pauli there. Returns the sorted flat positions
-    trial * qubits + qubit that carry an X part and those that carry a Z part
-    (a Y is in both). The caller keys `rng`.
+    trial * qubits + qubit of the support and the uint8 x and z bits of the
+    Pauli at each. The caller keys `rng`.
     """
     hits = bernoulli_positions(rng, trials * qubits, delta)
     kinds = rng.integers(0, 3, size=hits.size, dtype=np.uint8)  # 0 = X, 1 = Z, 2 = Y
-    return hits[kinds != 1], hits[kinds != 0]
+    return hits, (kinds != 1).view(np.uint8), (kinds != 0).view(np.uint8)
 
 
 def sample_ls_bits(
@@ -105,9 +105,9 @@ def sample_ls_bits(
     """`sample_ls_hits` as dense (trials, qubits) x, z bits."""
     x = np.zeros((trials, qubits), dtype=np.uint8)
     z = np.zeros_like(x)
-    x_hits, z_hits = sample_ls_hits(qubits, delta, rng, trials)
-    x.flat[x_hits] = 1
-    z.flat[z_hits] = 1
+    hits, x_bits, z_bits = sample_ls_hits(qubits, delta, rng, trials)
+    x.flat[hits] = x_bits
+    z.flat[hits] = z_bits
     return x, z
 
 

@@ -258,12 +258,6 @@ class BlockPlan(NamedTuple):
     input_block: int
     stages: tuple[tuple[BlockStagePlan, ...], ...]  # one tuple per stage
 
-    def total_layer_count(self) -> int:
-        # Every block is live through every macro-layer of every stage.
-        return sum(
-            plans[0].pre_wait + 1 + plans[0].post_wait for plans in self.stages
-        )
-
 
 def effective_interface(schedule: InterfaceSchedule, i: int) -> BlockPlan:
     """Per-block view: the sequence of waits and interface applications.

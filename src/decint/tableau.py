@@ -28,7 +28,7 @@ seeded alike, would take.
 from __future__ import annotations
 
 import functools
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -106,13 +106,6 @@ class Tableau:
     def zero_state(cls, labels: Sequence[Hashable]) -> "Tableau":
         n = len(labels)
         return cls(labels, np.zeros((n, n), np.uint8), np.eye(n, dtype=np.uint8), np.zeros(n, np.uint8))
-
-    @classmethod
-    def from_generators(
-        cls, labels: Sequence[Hashable], gens: Iterable[tuple[np.ndarray, np.ndarray, int]]
-    ) -> "Tableau":
-        xs, zs, signs = (np.array(part, np.uint8) for part in zip(*gens))
-        return cls(labels, xs, zs, signs)
 
     def copy(self) -> "Tableau":
         return Tableau(list(self.labels), self.xs.copy(), self.zs.copy(), self.signs.copy(), check=False)

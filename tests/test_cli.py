@@ -346,12 +346,17 @@ class TestExitCodes:
             ("validate-codes", {"family": "toy", "seed": 3}, "unknown config key 'seed'"),
             ("schedule-audit", {"family": "toy", "h_grid": [1], "r": 4}, "unknown config key 'r'"),
             ("tree-bounds", {"z_grid": [2], "family": "toy"}, "unknown config key 'family'"),
+            # Keys only the other e2e mode reads.
+            ("e2e", dict(EXHAUSTIVE, trials=7), "exhaustive mode does not read config key 'trials'"),
+            ("e2e", {"family": "steane", "r": 2, "h": 1, "trials": 10, "logical_patterns": [[1]]},
+             "frames mode does not read config key 'logical_patterns'"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
         cfg = write_config(tmp_path, "c.json", config)
         assert run(command, cfg, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
+        assert not any((tmp_path / "out").glob("*"))
 
     def test_every_command_lists_its_config_keys(self):
         assert cli.CONFIG_KEYS.keys() == cli.COMMANDS.keys()

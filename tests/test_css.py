@@ -224,7 +224,8 @@ def _reference_encoding(code: CssCode, logical: Tableau, labels) -> Tableau:
     for row in range(logical.n):
         x, z, s = css.lift_with_reps(lx, lz, logical.xs[row], logical.zs[row])
         gens.append((x, z, s ^ int(logical.signs[row])))
-    return Tableau.from_generators(list(labels), gens)
+    xs, zs, signs = zip(*gens)
+    return Tableau(list(labels), np.array(xs), np.array(zs), np.array(signs))
 
 
 class TestEncodedTableauMemo:

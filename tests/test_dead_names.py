@@ -1,11 +1,12 @@
 """No public name of decint goes uncalled by the library without a reason.
 
-A module-level public function or class that nothing in src/ references
-outside its own definition is a wrapper or twin that only tests and demos
-call. Each such name must be listed below with the reason it stays; a new
-one fails the test until it gains a caller, is deleted or is listed.
-References are matched by name (a bare name or an attribute), so a method
-or attribute of the same name counts as a reference.
+A module-level public function or class, or a public method or property of
+a public class, that nothing in src/ references outside its own definition
+is a wrapper or twin that only tests and demos call. Each such name must be
+listed below with the reason it stays; a new one fails the test until it
+gains a caller, is deleted or is listed. References are matched by name (a
+bare name or an attribute), so a method or attribute of the same name counts
+as a reference.
 """
 
 import ast
@@ -16,6 +17,7 @@ import decint
 SRC = pathlib.Path(decint.__file__).parent
 
 ALLOWED = {
+    "blocktree.TreeParams.from_floats": "paper definition shown by demo 05",
     "blocktree.brute_force_inclusion": "test oracle: enumeration reference for exact_inclusion",
     "blocktree.chain_rule_probability": "test oracle: the chain-rule pattern law sampled frequencies are checked against",
     "blocktree.f_of_v": "paper definition shown by demo 05",
@@ -26,6 +28,7 @@ ALLOWED = {
     "noise.tail_bound": "paper definition shown by demo 02",
     "noise.tail_bound_dominates": "paper definition shown by demo 02",
     "scheduler.roundtrip_from_block_plans": "paper definition shown by demo 04",
+    "tableau.Tableau.expectation_z": "test oracle: the sign of a stabilizer in an exact state",
     "tableau.random_stabilizer_state": "test oracle: random logical inputs for the exactness tests",
 }
 
@@ -39,13 +42,17 @@ def unreferenced_names() -> set[str]:
                 refs.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append(node)
+    def public(body) -> list:
+        return [d for d in body if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")]
+
     dead = set()
     for mod, tree in trees.items():
-        for d in tree.body:
-            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_"):
-                own = {id(n) for n in ast.walk(d)}
-                if all(id(n) in own for n in refs.get(d.name, [])):
-                    dead.add(f"{mod}.{d.name}")
+        for d in public(tree.body):
+            members = [(f"{d.name}.{m.name}", m) for m in public(d.body)] if isinstance(d, ast.ClassDef) else []
+            for name, node in [(d.name, d), *members]:
+                own = {id(n) for n in ast.walk(node)}
+                if all(id(n) in own for n in refs.get(node.name, [])):
+                    dead.add(f"{mod}.{name}")
     return dead
 
 

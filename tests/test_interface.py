@@ -160,8 +160,9 @@ class TestBuildEc:
         st = encode_basis(code, [0], g.data_wires)
         apply_error(st, "d1", "X")
         engine = interface.TableauEngine(st, np.random.default_rng(0), {})
-        _, _, herald_x, herald_z = interface._ec_round(g, engine)
+        interface.ec_rounds(g, engine, 1)
         assert st.same_state(encode_basis(code, [0], g.data_wires))
+        _, _, herald_x, herald_z = interface.decode_syndrome(code, engine.bits(g.x_labels), engine.bits(g.z_labels))
         assert not herald_x[0] and not herald_z[0]
 
     def test_ec_contract_exhaustive_at_d3(self, sfam):
@@ -492,9 +493,10 @@ class TestFaultLocality:
         # (max arity) * (remaining depth) wires inside each fragment.
         plan = interface.build_gamma(fam, 2, 1)
         for frag in (plan.q_gadget.extraction, plan.bell_circuit):
-            for row, (li, gi) in enumerate(frag.locations()):
+            rows = [(li, lf.rows.start + gi, g) for li, lf in enumerate(frag.fault_table().layers)
+                    for gi, g in enumerate(frag.layers[li])]
+            for li, row, g in rows:
                 remaining = frag.depth - li
-                g = frag.layers[li][gi]
                 if g.name == "measure":
                     continue
                 code = sum(4**j for j in range(len(g.wires)))  # X on every wire of the gate
@@ -503,7 +505,7 @@ class TestFaultLocality:
                     frag, batch, forced_faults=([row], [0], [code])
                 )
                 support = int(((batch.x[0] | batch.z[0]) != 0).sum())
-                assert support <= 2 * max(1, remaining), (li, gi)
+                assert support <= 2 * max(1, remaining), (li, row)
 
 
 class TestEstimateTau:

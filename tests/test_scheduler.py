@@ -115,7 +115,9 @@ class TestEffectiveInterface:
         s = scheduler.build_schedule(fam, 4, 1, h=6, constants=consts)
         total_layers = sum(st.n_layers for st in s.stages)
         for i in range(6):
-            assert scheduler.effective_interface(s, i).total_layer_count() == total_layers
+            # Every block is live through every macro-layer of every stage.
+            stages = scheduler.effective_interface(s, i).stages
+            assert sum(plans[0].pre_wait + 1 + plans[0].post_wait for plans in stages) == total_layers
 
     def test_roundtrip_reassembles_schedule(self, fam, consts):
         for h in [1, 3, 8, 17]:
