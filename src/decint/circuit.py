@@ -13,7 +13,8 @@ flip; on a k-wire gate a Pauli in [1, 4^k) after the gate, wire j taking
 bits 2j (x) and 2j + 1 (z). Both backends take faults as one (locations,
 trials, codes) triple of arrays, and both inject a layer's faults into Pauli
 frames through one function; the tableau backend then conjugates its state
-by the frames that were hit.
+by the frames that were hit. The frame backend draws a run's faults at
+once and applies a layer's gates by kind, not gate by gate.
 """
 
 from __future__ import annotations
@@ -156,9 +157,8 @@ def idle_circuit(wires: Sequence[Hashable], layers: int = 1) -> Circuit:
 
 
 def _checked_faults(table: "FaultTable", trials: int, faults: tuple) -> dict:
-    """Faults (locations, trials, codes) split by layer: {layer: (layer-local locations,
-    trials, codes)} for each layer with a fault, sorted by location, then trial.
-    ValueError on a fault outside the table or batch, a bad code or a repeat."""
+    """Faults (locations, trials, codes) sorted by location, then trial, and split by
+    `_by_layer`. ValueError on a fault outside the table or batch, a bad code or a repeat."""
     loc, trial, code = (np.asarray(a, dtype=np.int64).reshape(-1) for a in faults)
     if not loc.size == trial.size == code.size:
         raise ValueError("fault arrays differ in length")
@@ -172,13 +172,14 @@ def _checked_faults(table: "FaultTable", trials: int, faults: tuple) -> dict:
     keys, order = np.unique(loc * trials + trial, return_index=True)
     if keys.size < loc.size:
         raise ValueError("two faults at one location and trial")
-    loc, trial, code = loc[order], trial[order], code[order].astype(np.uint8)
+    return _by_layer(table, loc[order], trial[order], code[order].astype(np.uint8))
+
+
+def _by_layer(table: "FaultTable", loc, trial, code) -> dict:
+    """Faults sorted by location as {layer: (locations, trials, codes)}, faulted layers only."""
     bounds = np.searchsorted(loc, [lf.rows.start for lf in table.layers] + [table.arity.size])
-    return {
-        li: (loc[a:b] - lf.rows.start, trial[a:b], code[a:b])
-        for li, (lf, a, b) in enumerate(zip(table.layers, bounds[:-1], bounds[1:]))
-        if a < b
-    }
+    spans = enumerate(zip(bounds[:-1], bounds[1:]))
+    return {li: (loc[a:b], trial[a:b], code[a:b]) for li, (a, b) in spans if a < b}
 
 
 # -- tableau backend ------------------------------------------------------------
@@ -295,18 +296,17 @@ class FrameBatch:
 
 
 class LayerFaults(NamedTuple):
-    """The fault locations of one layer: rows `rows` of its `FaultTable`.
+    """The fault locations and gates of one layer: rows `rows` of its `FaultTable`.
 
-    `arity` is each location's wire count, 0 for a measurement (whose fault
-    is an outcome flip); `code_arity` is the one arity of the layer's other
-    gates, or 0 when it mixes one- and two-wire gates.
+    `h`, `cnot` and `init0` hold the rows of the layer's gates of each kind.
     """
 
     rows: slice
-    arity: np.ndarray  # (locations in the layer,) uint8
-    code_arity: int
-    meas_bounds: np.ndarray  # (2, measurements): positions p and p + 1 of each measurement
+    meas_bounds: np.ndarray  # (2, measurements): rows r and r + 1 of each measurement
     meas_labels: tuple
+    h: np.ndarray
+    cnot: np.ndarray
+    init0: np.ndarray
 
 
 class FaultTable(NamedTuple):
@@ -327,22 +327,28 @@ class FaultTable(NamedTuple):
             [(circuit._index[g.wires[0]], circuit._index[g.wires[-1]]) for g in gates], dtype=np.intp
         ).reshape(-1, 2)
         arity = np.array([0 if g.name == "measure" else len(g.wires) for g in gates], dtype=np.uint8)
+
+        def where(name, rows):
+            return np.array([r for r in range(rows.start, rows.stop) if gates[r].name == name], dtype=np.intp)
+
         layers, start = [], 0
         for layer in circuit.layers:
             rows = slice(start, start + len(layer))
-            meas = [p for p, g in enumerate(layer) if g.name == "measure"]
-            arities = set(arity[rows].tolist()) - {0}
+            meas = where("measure", rows)
             layers.append(
                 LayerFaults(
                     rows=rows,
-                    arity=arity[rows],
-                    code_arity=arities.pop() if len(arities) == 1 else 0,
-                    meas_bounds=np.array([meas, [p + 1 for p in meas]], dtype=np.intp).reshape(2, -1),
-                    meas_labels=tuple(layer[p].out for p in meas),
+                    meas_bounds=np.stack([meas, meas + 1]),
+                    meas_labels=tuple(gates[r].out for r in meas),
+                    h=where("h", rows), cnot=where("cnot", rows), init0=where("init0", rows),
                 )
             )
             start = rows.stop
         return cls(cols=cols, arity=arity, layers=tuple(layers))
+
+
+# Row k maps a uniform u in [0, 15) to a uniform code on k wires, 1 on a measurement (15 = 3 * 5).
+_CODES = np.array([[1] * 15, [u % 3 + 1 for u in range(15)], [u + 1 for u in range(15)]], np.uint8)
 
 
 class FrameRunner:
@@ -355,9 +361,9 @@ class FrameRunner:
     results do not depend on how many workers share the chunks, but they do
     depend on how trials are chunked.
 
-    Faults come from the circuit's compiled `FaultTable`: a run maps its
-    wire indices to batch columns with one gather and XORs each layer's
-    faults into the frames through `FrameBatch.xor_at`.
+    A run draws its faults once, location-major by `fault_table()` row: the
+    Bernoulli hits, then one uint8 per hit that the `_CODES` table maps to a
+    code. A layer's gates run by kind, CNOTs as in-place XORs of row views.
     """
 
     def __init__(self, params: NoiseParams, chunk: int = 0, key: tuple = ()):
@@ -376,77 +382,67 @@ class FrameRunner:
 
         Each (location, trial) fails with probability delta and gets a
         uniform code; `forced_faults`, if given, adds (locations, trials,
-        codes) arrays of faults (see the module docstring). Sampled and forced
-        faults go through one injector.
+        codes) arrays of faults (see the module docstring), split by layer and
+        injected like the sampled ones.
         """
-        delta = self.params.delta
-        rng = None
-        if delta > 0.0 and batch.trials > 0:
+        table = circuit.fault_table()
+        faults = [] if forced_faults is None else [_checked_faults(table, batch.trials, forced_faults)]
+        if self.params.delta > 0.0 and batch.trials > 0:
             rng = rng_stream(self.params.seed, STREAM_CIRCUIT, *self.key, tag, self.chunk)
-        if rng is not None or forced_faults is not None:
-            table = circuit.fault_table()
-            cols = batch.columns(circuit.wires)[table.cols]
-        forced = {} if forced_faults is None else _checked_faults(table, batch.trials, forced_faults)
-        for li, layer in enumerate(circuit.layers):
-            for g in layer:
-                _apply_gate_frame(batch, g)
+            faults.append(_by_layer(table, *_draw_faults(table, batch.trials, self.params.delta, rng)))
+        cols = batch.columns(circuit.wires)[table.cols]
+        for li, lf in enumerate(table.layers):
+            _apply_gates(batch, lf, cols)
             # Gates in a layer touch disjoint wires, so faulting the layer
             # after all its gates equals gate-then-fault at each location.
-            if rng is not None:
-                lf = table.layers[li]
-                _inject_faults(batch, lf, cols, *_draw_faults(lf, batch.trials, delta, rng))
-            if li in forced:
-                _inject_faults(batch, table.layers[li], cols, *forced[li])
+            for by_layer in faults:
+                if li in by_layer:
+                    _inject_faults(batch, lf, cols, *by_layer[li])
         return batch
 
 
-def _apply_gate_frame(batch: FrameBatch, g: Gate):
-    if g.name == "idle":
-        return
-    x, z, q = batch._x, batch._z, batch.index[g.wires[0]]
-    if g.name == "h":
-        x[q], z[q] = z[q].copy(), x[q].copy()
-    elif g.name == "cnot":
-        t = batch.index[g.wires[1]]
-        x[t] ^= x[q]
-        z[q] ^= z[t]
-    elif g.name == "measure":
-        batch.flips[g.out] = x[q].copy()
+def _apply_gates(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray):
+    """One layer's gates on the frames; `cols` maps locations to their batch columns."""
+    x, z = batch._x, batch._z
+    if lf.h.size:
+        q = cols[lf.h, 0]
+        x[q], z[q] = z[q], x[q]
+    # A layer holds a few CNOTs: in-place XORs of row views beat fancy-indexed copies.
+    for c, t in cols[lf.cnot].tolist():
+        x[t] ^= x[c]
+        z[c] ^= z[t]
+    if lf.meas_labels:
+        q = cols[lf.meas_bounds[0], 0]
+        batch.flips.update(zip(lf.meas_labels, x[q]))
         z[q] = 0
-    else:  # init0
-        x[q] = 0
-        z[q] = 0
+    if lf.init0.size:
+        q = cols[lf.init0, 0]
+        x[q] = z[q] = 0
 
 
-def _draw_faults(lf: LayerFaults, trials: int, delta: float, rng: np.random.Generator) -> tuple:
-    """Pauli-twirled faults on one layer as (layer-local location, trial, code): hits
-    w.p. delta drawn location-major, then a uniform code for each hit but a measurement's."""
-    hits = bernoulli_positions(rng, lf.arity.size * trials, delta)
-    loc, trial = np.divmod(hits, trials)
-    k = lf.arity[loc]
-    code = np.ones(loc.size, np.uint8)
-    pauli = k > 0 if lf.meas_labels else slice(None)
-    if lf.code_arity:  # a scalar bound draws the same codes as the array bound, faster
-        code[pauli] = rng.integers(1, 4**lf.code_arity, size=k[pauli].size, dtype=np.uint8)
-    else:
-        code[pauli] = rng.integers(1, 4 ** k[pauli], dtype=np.uint8)
-    return loc, trial, code
+def _draw_faults(table: FaultTable, trials: int, delta: float, rng: np.random.Generator) -> tuple:
+    """Pauli-twirled faults on every location as (locations, trials, codes), sorted by
+    location: hits w.p. delta drawn location-major, then one code for each hit."""
+    n = table.arity.size
+    hits = bernoulli_positions(rng, n * trials, delta)
+    counts = np.diff(np.searchsorted(hits, np.arange(n + 1) * trials))
+    hits -= np.repeat(np.arange(0, n * trials, trials), counts)  # the trials, in place: the largest array
+    at = np.repeat(table.arity * np.uint8(15), counts) + rng.integers(0, 15, size=hits.size, dtype=np.uint8)
+    return np.repeat(np.arange(n), counts), hits, _CODES.reshape(-1).take(at)
 
 
 def _inject_faults(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray, loc, trial, code):
-    """XOR one layer's faults, (layer-local location, trial, code) sorted by location
-    with no pair repeated, into the frames; `cols` holds each location's first and
-    last wire as batch columns."""
-    cols = cols[lf.rows]
-    if lf.meas_labels:
+    """XOR one layer's faults, (location, trial, code) sorted by location with no pair
+    repeated, into the frames; `cols` maps locations to their batch columns."""
+    if lf.meas_labels:  # a measurement's fault flips its outcome; the rest are Paulis
         lo, hi = np.searchsorted(loc, lf.meas_bounds)
+        pauli = np.ones(loc.size, bool)
         for label, a, b in zip(lf.meas_labels, lo, hi):
             batch.flips[label][trial[a:b]] ^= 1
-        pauli = lf.arity[loc] > 0
+            pauli[a:b] = False
         loc, trial, code = loc[pauli], trial[pauli], code[pauli]
-    # Wire 0 of a gate takes code bits 0 (x) and 1 (z).
+    # Wire 0 of a gate takes code bits 0 (x) and 1 (z), wire 1 of a CNOT bits 2
+    # and 3; a one-wire code has no bits 2 and 3, so it XORs zeros on its wire.
     batch.xor_at(cols[loc, 0], trial, code & 1, code >> 1 & 1)
-    if lf.code_arity != 1:  # wire 1 of a two-wire gate takes bits 2 and 3
-        pair = lf.arity[loc] > 1
-        part = code[pair] >> 2
-        batch.xor_at(cols[loc[pair], 1], trial[pair], part & 1, part >> 1 & 1)
+    if lf.cnot.size:
+        batch.xor_at(cols[loc, 1], trial, code >> 2 & 1, code >> 3)

@@ -6,8 +6,8 @@ Randomness is counter-based: every draw comes from a Philox stream keyed by
 and trivially parallel across trials and workers. The circuit-noise stream
 is keyed per fragment run, (seed, STREAM_CIRCUIT, *owner key, run index,
 chunk), with the run index counted by the frame engine: one generator
-serves every location of the fragment. Bernoulli draws are sparse
-(`bernoulli_positions`), so a sampler costs O(delta) per location-trial.
+serves every location of the fragment. Bernoulli draws are sparse, by geometric
+gaps (`bernoulli_positions`), so a sampler costs O(delta) per location-trial.
 `sample_ls_hits` is the one LS sampler: a batch of trials as the flat
 positions of its X and Z parts, which the frame engine XORs straight into
 its frames; `sample_ls_bits` spreads the same draw into dense x, z bits.
@@ -71,13 +71,17 @@ def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.nd
     """Sorted positions in range(total) of i.i.d. Bernoulli(p) successes.
 
     Gaps between successes are geometric, so the cost is O(total * p) draws,
-    not O(total); the result has exact i.i.d. Bernoulli(p) semantics.
+    not O(total); the result has exact i.i.d. Bernoulli(p) semantics. Below p = 1/3
+    the gaps equal numpy's `geometric`, ceil(E / -log1p(-p)) for E ~ Exp(1), in one array op.
     """
     if p <= 0.0:  # geometric(0) raises; p = 1 needs no branch, its gaps are all 1
         return np.empty(0, dtype=np.int64)
-    mean = total * p
-    gaps = rng.geometric(p, size=int(mean + 5.0 * math.sqrt(mean)) + 8)
-    pos = np.cumsum(np.minimum(gaps, total + 1)) - 1  # geometric saturates at int64 max for tiny p
+    size = int(total * p + 5.0 * math.sqrt(total * p)) + 8
+    gaps = rng.standard_exponential(size) if p < 1 / 3 else rng.geometric(p, size)
+    if p < 1 / 3:  # numpy's geometric, in place: a fragment run's gaps are its largest array
+        np.ceil(np.divide(gaps, -math.log1p(-p), out=gaps), out=gaps)
+    pos = np.cumsum(np.minimum(gaps, total + 1, out=gaps), dtype=np.int64)  # tiny p: no int64 overflow
+    pos -= 1
     if pos[-1] < total:  # the batch fell short (rare): the rest starts fresh after pos[-1]
         rest = bernoulli_positions(rng, total - 1 - int(pos[-1]), p)
         return np.concatenate([pos, pos[-1] + 1 + rest])

@@ -344,38 +344,61 @@ class TestSparseFaultSampling:
         assert not np.array_equal(same, frames(tag=3, chunk=1, seed=8))
 
 
-def _reference_layer_faults(batch, gates, delta, rng):
-    """Per-gate fault injection with 2-D (trial, column) XORs: the reference
-    for the compiled tables, drawing from the generator in the same order."""
-    hits = bernoulli_positions(rng, len(gates) * batch.trials, delta)
-    loc, trial = np.divmod(hits, max(batch.trials, 1))
-    cols = np.zeros((len(gates), 2), dtype=np.intp)
-    arity = np.zeros(len(gates), dtype=np.uint8)
+def _reference_gate(batch: FrameBatch, g: Gate):
+    """One gate's frame map by (trial, column) writes through the transposed views:
+    the reference for the runner's per-layer row operations."""
+    x, z, q = batch.x, batch.z, batch.index[g.wires[0]]
+    if g.name == "h":
+        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+    elif g.name == "cnot":
+        t = batch.index[g.wires[1]]
+        x[:, t] ^= x[:, q]
+        z[:, q] ^= z[:, t]
+    elif g.name == "measure":
+        batch.flips[g.out] = x[:, q].copy()
+        z[:, q] = 0
+    elif g.name == "init0":
+        x[:, q] = 0
+        z[:, q] = 0
+
+
+def _reference_faults(c: Circuit, trials: int, delta: float, rng) -> list:
+    """Each gate's faults as (trials, codes), gate by gate in layer order, drawn from
+    the generator in the runner's order: Bernoulli hits over every (gate, trial),
+    gate-major, then one byte u in [0, 15) per hit, which is the code u + 1 on a
+    CNOT, u % 3 + 1 on a one-wire gate and 1 on a measurement."""
+    gates = [g for layer in c.layers for g in layer]
+    hits = bernoulli_positions(rng, len(gates) * trials, delta)
+    u = rng.integers(0, 15, size=hits.size, dtype=np.uint8)
+    loc, trial = np.divmod(hits, max(trials, 1))
+    faults = []
     for i, g in enumerate(gates):
+        on = loc == i
         if g.name == "measure":
-            lo, hi = np.searchsorted(loc, (i, i + 1))
-            batch.flips[g.out][trial[lo:hi]] ^= 1
+            code = np.ones(on.sum(), np.uint8)
         else:
-            cols[i] = batch.index[g.wires[0]], batch.index[g.wires[-1]]
-            arity[i] = len(g.wires)
-    pauli = arity[loc] > 0
-    loc, trial = loc[pauli], trial[pauli]
-    k = arity[loc]
-    code = rng.integers(1, 4**k, dtype=np.uint8)
-    for j in range(2):
-        on = k > j
-        part = code[on] >> (2 * j)
-        t, c = trial[on], cols[loc[on], j]
-        batch.x[t, c] ^= part & 1
-        batch.z[t, c] ^= part >> 1 & 1
+            code = u[on] + 1 if g.name == "cnot" else u[on] % 3 + 1
+        faults.append((trial[on], code))
+    return faults
 
 
 def _reference_run(c: Circuit, batch: FrameBatch, params: NoiseParams, tag: int, chunk: int):
+    """Gate-by-gate propagation, each layer's faults XORed in after its gates by 2-D
+    (trial, column) writes."""
     rng = rng_stream(params.seed, STREAM_CIRCUIT, tag, chunk)
+    faults = iter(_reference_faults(c, batch.trials, params.delta, rng))
     for layer in c.layers:
         for g in layer:
-            circ._apply_gate_frame(batch, g)
-        _reference_layer_faults(batch, layer, params.delta, rng)
+            _reference_gate(batch, g)
+        for g in layer:
+            trial, code = next(faults)
+            if g.name == "measure":
+                batch.flips[g.out][trial] ^= 1
+                continue
+            for j, w in enumerate(g.wires):  # wire j takes code bits 2j (x) and 2j + 1 (z)
+                part = code >> (2 * j)
+                batch.x[trial, batch.index[w]] ^= part & 1
+                batch.z[trial, batch.index[w]] ^= part >> 1 & 1
     return batch
 
 
@@ -557,12 +580,11 @@ class TestForcedFaults:
                 assert table.cols[row].tolist() == [c.wires.index(g.wires[0]), c.wires.index(g.wires[-1])]
                 assert table.arity[row] == (0 if g.name == "measure" else len(g.wires))
         table = _fresh_wire_circuit().fault_table()
-        assert [lf.arity.tolist() for lf in table.layers] == [[1, 1, 2, 1], [1, 2, 0], [1, 0, 2, 1]]
-        assert [lf.code_arity for lf in table.layers] == [0, 0, 0]
+        assert [table.arity[lf.rows].tolist() for lf in table.layers] == [[1, 1, 2, 1], [1, 2, 0], [1, 0, 2, 1]]
         assert table.cols.shape == (11, 2)
         assert table.cols[2].tolist() == [2, 3] and table.layers[2].meas_labels == ("n",)
-        uniform = _uniform_layer_circuit().fault_table()
-        assert [lf.code_arity for lf in uniform.layers] == [1, 2, 1, 0, 0]
+        groups = [[lf.h.tolist(), lf.cnot.tolist(), lf.init0.tolist(), lf.meas_bounds.tolist()] for lf in table.layers]
+        assert groups == [[[1], [2], [3], [[], []]], [[], [5], [4], [[6], [7]]], [[], [9], [10], [[8], [9]]]]
 
     def test_idle_only_flag(self):
         c = Circuit(["a", "b"])

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -8,12 +9,19 @@ import sys
 import pytest
 
 from decint import cli, css
+from decint.interface import wilson_interval
 
 
 def write_config(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def wilson_overlap(a: int, b: int, trials: int, z: float = 3.29) -> bool:
+    """The 99.9% Wilson intervals of a and b successes in `trials` overlap."""
+    (lo_a, hi_a), (lo_b, hi_b) = wilson_interval(a, trials, z=z), wilson_interval(b, trials, z=z)
+    return lo_a <= hi_b and lo_b <= hi_a
 
 
 def run(command, config, out):
@@ -463,27 +471,43 @@ class TestStartup:
 class TestSameSeedOutputs:
     """Pinned digests (first 16 hex digits of the sha256) of three outputs at
     --seed 5 and --workers 1. A change to a random stream, the decoder or the
-    classification moves them; a refactor must not."""
+    classification moves them; a refactor must not.
+
+    `previous` holds the counts of the frame runs before circuit faults were
+    drawn once per fragment run (digests af4e696ababc3736 and
+    5d1a6e8e1d7fe3a3); the new counts must agree with them, their 99.9%
+    Wilson intervals overlapping. A `_rate` column is a rate of `trials`."""
 
     @pytest.mark.parametrize(
-        "command, config, output, digest",
+        "command, config, output, digest, previous",
         [
             ("interface-sweep",
              {"family": "toy", "r": 4, "r_prime": 3, "noise": {"delta": [0.01]}, "mu": 0.25,
               "trials": 50_000},
-             "sweep.csv", "af4e696ababc3736"),
+             "sweep.csv", "f41b44ee603afd64",
+             {"failures": [49903], "heralds": [47616], "logical_errors": [49707], "weight_overflows": [42134]}),
             ("e2e",
              {"family": "steane", "r": 2, "h": 2, "mode": "exhaustive", "noise": {"delta": 0.0}},
-             "e2e_exhaustive.csv", "70e4b124480f47d0"),
+             "e2e_exhaustive.csv", "70e4b124480f47d0", {}),
             ("e2e",
              {"family": "toy", "r": 4, "h": 4, "mode": "frames", "noise": {"delta": [0.001]},
               "trials": 3000},
-             "e2e_marginals.csv", "5d1a6e8e1d7fe3a3"),
+             "e2e_marginals.csv", "3dd458c0ea7ab176",
+             {"error_rate": [1560, 1396, 1355, 1178, 1567, 1381, 1396, 1217, 1640, 1477, 1450, 1236, 1638,
+                             1461, 1389, 1191, 1675, 1548, 1526, 1317, 1782, 1557, 1578, 1326, 1802, 1744,
+                             1645, 1446, 1772, 1653, 1614, 1365]}),
         ],
         ids=["tau-deep", "exhaustive-steane", "e2e-wide"],
     )
-    def test_digest(self, tmp_path, command, config, output, digest):
+    def test_digest(self, tmp_path, command, config, output, digest, previous):
         cfg = write_config(tmp_path, "c.json", config)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "5", "--workers", "1"]
         assert cli.main(argv) == 0
         assert hashlib.sha256((tmp_path / "out" / output).read_bytes()).hexdigest()[:16] == digest
+        rows = list(csv.DictReader((tmp_path / "out" / output).read_text().splitlines()))
+        for column, old in previous.items():
+            assert len(rows) == len(old)
+            for row, before in zip(rows, old):
+                trials = int(row["trials"])
+                now = round(float(row[column]) * trials) if column.endswith("_rate") else int(row[column])
+                assert wilson_overlap(before, now, trials), (column, before, now)

@@ -189,10 +189,14 @@ class TestGoldenChainCounts:
     # Per-output-qubit error counts, herald count and any-error count of toy
     # r = 3, h = 2 with two EC rounds per wait layer, s1 = s2 = 2, resource
     # failures 0.05 and input LS noise 0.01 (4000 trials, seed 5), recorded
-    # when the frame engine began to key the chain's streams by (block, run)
-    # and (block, pass). Any change to a stream key or to the order of a
-    # chain's fragment runs moves them.
+    # when circuit faults began to be drawn once per fragment run. Any change
+    # to a stream key or to the order of a chain's fragment runs moves them.
     GOLDEN = {
+        0.001: ([1521, 1378, 1476, 1374, 1763, 1651, 1743, 1553], 3802, 3671),
+        0.003: ([2399, 2305, 2439, 2349, 2657, 2561, 2680, 2559], 3998, 3991),
+    }
+    # The same counts as the per-layer draws gave them.
+    PREVIOUS = {
         0.001: ([1509, 1344, 1479, 1347, 1811, 1614, 1703, 1526], 3788, 3637),
         0.003: ([2386, 2267, 2423, 2346, 2689, 2627, 2652, 2591], 3995, 3990),
     }
@@ -211,6 +215,10 @@ class TestGoldenChainCounts:
         counts = np.rint(stats.logical_error_marginals * trials).astype(int).tolist()
         got = (counts, round(stats.herald_rate * trials), round(stats.any_error_rate * trials))
         assert got == self.GOLDEN[delta]
+        old, new = self.PREVIOUS[delta], got
+        for a, b in zip([*old[0], *old[1:]], [*new[0], *new[1:]]):
+            (lo_a, hi_a), (lo_b, hi_b) = (interface.wilson_interval(c, trials, z=3.29) for c in (a, b))
+            assert lo_a <= hi_b and lo_b <= hi_a, (old, new)  # 99.9% intervals overlap
 
 
 class TestStreamKeys:

@@ -183,10 +183,37 @@ def _wilson_contains(hits: int, trials: int, p: float, z: float = 3.29) -> bool:
 
 
 class _OnesGenerator(np.random.Generator):
-    """Geometric gaps of 1: every position succeeds, batch after batch."""
+    """Exponential draws so small that every gap is 1 for p < 1/3: every position
+    succeeds, batch after batch."""
+
+    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+        return np.full(size, 1e-300)
+
+
+class _CallLog(np.random.Generator):
+    """A Philox generator that logs which gap draw `bernoulli_positions` calls."""
+
+    def __init__(self):
+        super().__init__(np.random.Philox(0))
+        self.calls = []
 
     def geometric(self, p, size=None):
-        return np.ones(size, dtype=np.int64)
+        self.calls.append("geometric")
+        return super().geometric(p, size)
+
+    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+        self.calls.append("exponential")
+        return super().standard_exponential(size, dtype, method, out)
+
+
+def _geometric_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
+    """`bernoulli_positions` with its gaps from `rng.geometric`, numpy's per-element draw."""
+    mean = total * p
+    gaps = rng.geometric(p, size=int(mean + 5.0 * math.sqrt(mean)) + 8)
+    pos = np.cumsum(np.minimum(gaps, total + 1)) - 1
+    if pos[-1] < total:
+        return np.concatenate([pos, pos[-1] + 1 + _geometric_positions(rng, total - 1 - int(pos[-1]), p)])
+    return pos[: np.searchsorted(pos, total)]
 
 
 class TestBernoulliPositions:
@@ -222,6 +249,22 @@ class TestBernoulliPositions:
     def test_draws_more_batches_when_needed(self):
         rng = _OnesGenerator(np.random.Philox(0))
         assert np.array_equal(noise.bernoulli_positions(rng, 5000, 0.01), np.arange(5000))
+
+    @pytest.mark.parametrize("p", [1e-5, 0.01, 0.3])
+    def test_exponential_gaps_are_numpys_geometric(self, p):
+        # Below 1/3 numpy's geometric is ceil(E / -log1p(-p)) per element; the
+        # vectorised inversion draws the same gaps and leaves the same state.
+        ours, numpys = noise.rng_stream(9, 1), noise.rng_stream(9, 1)
+        total = 4_000_000 if p < 1e-3 else 200_000
+        got = noise.bernoulli_positions(ours, total, p)
+        assert got.size > 10 and np.array_equal(got, _geometric_positions(numpys, total, p))
+        assert repr(ours.bit_generator.state) == repr(numpys.bit_generator.state)
+
+    def test_p_at_least_a_third_draws_geometric_gaps(self):
+        for p, call in ((np.nextafter(1 / 3, 0), "exponential"), (1 / 3, "geometric"), (0.9, "geometric")):
+            rng = _CallLog()
+            noise.bernoulli_positions(rng, 1000, p)
+            assert rng.calls == [call], p
 
     def test_same_key_same_positions(self):
         a = noise.bernoulli_positions(noise.rng_stream(4, 1), 10**5, 0.01)
