@@ -47,14 +47,15 @@ print("Steane variant absorbs an injected X4:",
 
 # --- Monte Carlo failure estimation ---------------------------------------------
 # A trial fails on a herald, a residual above mu*n per block, or a wrong
-# logical outcome. 10^5 trials per point run in about a second.
+# logical outcome. 10^5 trials per point run in about a second. estimate_tau
+# returns the counts summed over its chunks of trials (`run_chunks`).
 print("\ndelta      failures/trials   rate     wilson interval")
 for delta in (0.02, 0.01, 0.005):
     est = interface.estimate_tau(
         fam, 2, 1, NoiseParams(delta=delta, seed=2024), trials=100_000, mu=0.25
     )
-    print(f"{delta:<9g}  {est.failures:>6d}/{est.trials}  {est.rate:.4f}  "
-          f"({est.wilson_lo:.4f}, {est.wilson_hi:.4f})")
+    lo, hi = interface.wilson_interval(est.failures, est.trials)
+    print(f"{delta:<9g}  {est.failures:>6d}/{est.trials}  {est.rate:.4f}  ({lo:.4f}, {hi:.4f})")
 
 est = interface.estimate_tau(fam, 2, 1, NoiseParams(delta=0.01, seed=1), trials=50_000, mu=0.25)
 print("\nper-output-qubit error marginals:", est.out_qubit_error_rate.round(4))

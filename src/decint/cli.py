@@ -253,7 +253,7 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
         mean_w = est.block_weight_hist @ np.arange(est.block_weight_hist.shape[1])
         mean_w = mean_w / est.trials
         rows.append(
-            [delta, est.trials, est.failures, est.wilson_lo, est.wilson_hi,
+            [delta, est.trials, est.failures, *interface.wilson_interval(est.failures, est.trials),
              est.heralds, est.logical_errors, est.weight_overflows]
             + [float(w) for w in mean_w]
         )
@@ -467,6 +467,8 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
     rows = []
     singles = []
     pairs_mean = []
+    herald_rates = []
+    any_error_rates = []
     for delta in deltas:
         params = NoiseParams(delta=delta, seed=base_seed)
         manifest.add_seed(f"e2e delta={delta}", base_seed)
@@ -477,9 +479,9 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         for q, m in enumerate(stats.logical_error_marginals):
             rows.append([delta, trials, q, float(m)])
         singles.append(stats.mean_marginal())
-        pairs_mean.append(
-            float(np.mean(list(stats.pair_inclusion.values()))) if stats.pair_inclusion else 0.0
-        )
+        pairs_mean.append(float(np.mean(stats.pair_errors / trials)) if stats.pair_errors.size else 0.0)
+        herald_rates.append(stats.herald_rate)
+        any_error_rates.append(stats.any_error_rate)
     write_csv(out / "e2e_marginals.csv", ["delta", "trials", "output_qubit", "error_rate"], rows)
     manifest.add_output("e2e_marginals.csv")
     fit = e2e.fit_ls_constants(deltas, singles, pairs_mean)
@@ -487,6 +489,8 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         "deltas": deltas,
         "mean_singleton_rates": singles,
         "mean_pair_rates": pairs_mean,
+        "herald_rates": herald_rates,
+        "any_error_rates": any_error_rates,
         "fitted_kappa1": None if fit is None else fit[0],
         "fitted_kappa2": None if fit is None else fit[1],
         "pauli_twirl": True,

@@ -157,19 +157,72 @@ def run_block_chain_frames(
 
 
 class E2EStats(NamedTuple):
-    """Aggregated end-to-end statistics over all blocks and trials."""
+    """Whole-plan counts over all blocks and trials; `interface.run_chunks` sums
+    them field by field."""
 
-    delta: float
     trials: int
-    h: int
-    outputs_per_block: int
-    logical_error_marginals: np.ndarray  # per output qubit
-    pair_inclusion: dict[tuple[int, int], float]
-    herald_rate: float
-    any_error_rate: float
+    output_errors: np.ndarray  # (h * m_r,) error count per output qubit
+    pair_errors: np.ndarray    # joint error count per row of `_pair_sample`
+    heralds: int               # trials where any Gamma pass of any block heralded
+    any_errors: int            # trials with an error on any output qubit
+
+    @property
+    def logical_error_marginals(self) -> np.ndarray:
+        return self.output_errors / self.trials
+
+    @property
+    def herald_rate(self) -> float:
+        return self.heralds / self.trials
+
+    @property
+    def any_error_rate(self) -> float:
+        return self.any_errors / self.trials
 
     def mean_marginal(self) -> float:
         return float(self.logical_error_marginals.mean())
+
+
+def _e2e_chunk(
+    family: CodeFamily,
+    schedule: InterfaceSchedule,
+    params: NoiseParams,
+    knobs: Optional[iface.GammaKnobs],
+    wait_rounds_per_layer: int,
+    input_ls_delta: float,
+    trials: int,
+    chunk: int,
+) -> E2EStats:
+    """One chunk of whole-plan trials: every input block's chain, counted."""
+    n_r = family.level(schedule.r).n
+    per_block = []
+    heralds = np.zeros(trials, dtype=bool)
+    for i in range(schedule.h):
+        input_frames = None
+        if input_ls_delta > 0.0:
+            rng_in = rng_stream(params.seed, STREAM_TRIAL, i, chunk)
+            input_frames = sample_ls_bits(n_r, input_ls_delta, rng_in, trials)
+        res = run_block_chain_frames(
+            family,
+            schedule,
+            i,
+            params,
+            trials,
+            chunk=chunk,
+            knobs=knobs,
+            wait_rounds_per_layer=wait_rounds_per_layer,
+            input_frames=input_frames,
+        )
+        per_block.append(res.error_bits)
+        heralds |= res.heralds
+    errors = np.concatenate(per_block, axis=1)
+    a, b = _pair_sample(errors.shape[1], MAX_PAIRS).T
+    return E2EStats(
+        trials=trials,
+        output_errors=errors.sum(axis=0),
+        pair_errors=(errors[:, a] & errors[:, b]).sum(axis=0),
+        heralds=int(heralds.sum()),
+        any_errors=int(errors.any(axis=1).sum()),
+    )
 
 
 def run_e2e_frames(
@@ -182,65 +235,19 @@ def run_e2e_frames(
     input_ls_delta: float = 0.0,
     chunk_size: int = 10_000,
 ) -> E2EStats:
-    """Monte Carlo over the full plan: every input block's chain, merged.
+    """Monte Carlo over the full plan: every input block's chain, summed over chunks.
 
     `input_ls_delta` injects i.i.d. local stochastic noise on the encoded
     inputs (the idealized upstream preparation residue).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    h = schedule.h
-    m_r = family.level(schedule.r).m
-    n_r = family.level(schedule.r).n
-    total_cols = m_r * h
-    err_sum = np.zeros(total_cols, dtype=np.int64)
-    herald_count = 0
-    any_err = 0
-    pair_counts: dict[tuple[int, int], int] = {}
-    pairs = _pair_sample(total_cols, MAX_PAIRS)
-    for chunk, size in enumerate(iface._chunk_sizes(trials, chunk_size)):
-        per_block = []
-        heralds = np.zeros(size, dtype=bool)
-        for i in range(h):
-            input_frames = None
-            if input_ls_delta > 0.0:
-                rng_in = rng_stream(params.seed, STREAM_TRIAL, i, chunk)
-                input_frames = sample_ls_bits(n_r, input_ls_delta, rng_in, size)
-            res = run_block_chain_frames(
-                family,
-                schedule,
-                i,
-                params,
-                size,
-                chunk=chunk,
-                knobs=knobs,
-                wait_rounds_per_layer=wait_rounds_per_layer,
-                input_frames=input_frames,
-            )
-            per_block.append(res.error_bits)
-            heralds |= res.heralds
-        errors = np.concatenate(per_block, axis=1)
-        err_sum += errors.sum(axis=0)
-        herald_count += int(heralds.sum())
-        any_err += int(errors.any(axis=1).sum())
-        for a, b in pairs:
-            pair_counts[(a, b)] = pair_counts.get((a, b), 0) + int(
-                (errors[:, a] & errors[:, b]).sum()
-            )
-    return E2EStats(
-        delta=params.delta,
-        trials=trials,
-        h=h,
-        outputs_per_block=m_r,
-        logical_error_marginals=err_sum / trials,
-        pair_inclusion={k: v / trials for k, v in pair_counts.items()},
-        herald_rate=herald_count / trials,
-        any_error_rate=any_err / trials,
-    )
+    args = (family, schedule, params, knobs, wait_rounds_per_layer, input_ls_delta)
+    return iface.run_chunks(_e2e_chunk, trials, chunk_size, args)
 
 
-def _pair_sample(n: int, max_pairs: int) -> list[tuple[int, int]]:
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+def _pair_sample(n: int, max_pairs: int) -> np.ndarray:
+    """Output pairs (a, b), a < b, as (pairs, 2) rows: all of them, or at most
+    `max_pairs` taken at an even stride."""
+    pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)], dtype=np.intp).reshape(-1, 2)
     if len(pairs) <= max_pairs:
         return pairs
     step = max(1, len(pairs) // max_pairs)

@@ -28,7 +28,9 @@ branches to estimate the failure parameter tau: residual weights through
 the one coset search `gf2.coset_min_weight`, logical errors through
 `decode_syndrome`, the one caller of `LeaderTable.lookup`. Check and
 logical matrices are read straight from the codes' read-only arrays; the
-leader tables and stabilizer bases are built once per code.
+leader tables and stabilizer bases are built once per code. `run_chunks` is
+the one chunked Monte Carlo loop, for `estimate_tau` here and for
+`e2e.run_e2e_frames`.
 """
 
 from __future__ import annotations
@@ -396,7 +398,7 @@ class InterfaceCircuit(NamedTuple):
     a_wires: tuple
     b_wires: tuple          # flattened, block-major
     q_gadget: EcGadget
-    b_gadgets: tuple        # per block (empty for r' = 1)
+    b_gadgets: tuple        # per block (empty for r' = 1 or s2 = 0)
     bell_circuit: Circuit
     proc_wait_circuit: Circuit
     b_correction_circuit: Circuit
@@ -409,10 +411,11 @@ class InterfaceCircuit(NamedTuple):
 
     @property
     def all_wires(self) -> tuple:
+        """Every wire a pass touches: the Q ancillas only when the input EC runs."""
+        q_ancillas = self.q_gadget.ancilla_x + self.q_gadget.ancilla_z if self.knobs.s1 else ()
         return (
             self.q_wires
-            + self.q_gadget.ancilla_x
-            + self.q_gadget.ancilla_z
+            + q_ancillas
             + self.a_wires
             + self.b_wires
             + tuple(w for g in self.b_gadgets for w in g.ancilla_x + g.ancilla_z)
@@ -465,7 +468,7 @@ def build_gamma(
         f"b{i}.{p}" for i in range(blocks) for p in range(code_rp.n)
     )
     q_gadget = build_ec(code_r, q_wires, label_prefix="q.")
-    if r_prime > 1:
+    if r_prime > 1 and knobs.s2:
         b_gadgets = tuple(
             build_ec(
                 code_rp,
@@ -714,18 +717,23 @@ def expected_output_tableau(plan: InterfaceCircuit, logical: Tableau) -> Tableau
 
 
 class ChunkStats(NamedTuple):
-    trials: int = 0
-    failures: int = 0
-    heralds: int = 0
-    weight_overflows: int = 0
-    logical_errors: int = 0
-    block_weight_hist: Optional[np.ndarray] = None  # (blocks, n_rp + 1)
-    out_qubit_errors: Optional[np.ndarray] = None   # per B wire counts
+    """Counts of a batch of Gamma trials; `run_chunks` sums them field by field."""
 
-    def merge(self, other: "ChunkStats") -> "ChunkStats":
-        if self.block_weight_hist is None:
-            return other
-        return ChunkStats(*(a + b for a, b in zip(self, other)))
+    trials: int
+    failures: int
+    heralds: int
+    weight_overflows: int
+    logical_errors: int
+    block_weight_hist: np.ndarray  # (blocks, n_rp + 1)
+    out_qubit_errors: np.ndarray   # per B wire counts
+
+    @property
+    def rate(self) -> float:
+        return self.failures / self.trials
+
+    @property
+    def out_qubit_error_rate(self) -> np.ndarray:
+        return self.out_qubit_errors / self.trials
 
 
 class GammaFrameRun(NamedTuple):
@@ -803,38 +811,36 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float,
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-class TauEstimate(NamedTuple):
-    """Monte Carlo estimate of the interface failure parameter."""
-
-    r: int
-    r_prime: int
-    delta: float
-    seed: int
-    trials: int
-    failures: int
-    heralds: int
-    weight_overflows: int
-    logical_errors: int
-    rate: float
-    wilson_lo: float
-    wilson_hi: float
-    mu: float
-    block_weight_hist: np.ndarray
-    out_qubit_error_rate: np.ndarray
-    latency_layers: int
-
-    def to_json(self) -> dict:
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self._asdict().items()}
-
-
 def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     full, rem = divmod(trials, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
 
 
-def _chunk_job(args) -> ChunkStats:
+def run_chunks(job, trials: int, chunk_size: int, args: tuple, workers: int = 1):
+    """Monte Carlo over `trials` in chunks: the field-by-field sum of the job records.
+
+    Chunk c of `size` trials runs `job(*args, size, c)`, a picklable function
+    that keys its random streams by c and returns a NamedTuple of counts
+    (ints and integer arrays). Chunks hold `chunk_size` trials, the last one
+    the remainder, so the chunk size is part of the configuration and the
+    worker count never changes the result. With workers > 1 the chunks run
+    in a forked pool.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    jobs = [(*args, size, chunk) for chunk, size in enumerate(_chunk_sizes(trials, chunk_size))]
+    if workers > 1:
+        import multiprocessing as mp
+
+        with mp.get_context("fork").Pool(workers) as pool:
+            results = pool.starmap(job, jobs)
+    else:
+        results = [job(*j) for j in jobs]
+    return type(results[0])(*(sum(field) for field in zip(*results)))
+
+
+def _chunk_job(plan: InterfaceCircuit, params: NoiseParams, mu: float, trials: int, chunk: int) -> ChunkStats:
     """One vectorized chunk of Monte Carlo trials: run and classify."""
-    plan, params, trials, mu, chunk = args
     run = gamma_frames(plan, params, trials, chunk=chunk)
     overflow, logical, hist = classify_gamma_output(plan, run, mu)
     failures = run.herald | overflow | logical
@@ -860,48 +866,13 @@ def estimate_tau(
     knobs: Optional[GammaKnobs] = None,
     chunk_size: int = 10_000,
     workers: int = 1,
-) -> TauEstimate:
-    """Monte Carlo failure estimate for Gamma_{r,r'} under circuit noise.
+) -> ChunkStats:
+    """Monte Carlo failure counts for Gamma_{r,r'} under circuit noise.
 
     A trial fails when (a) the Bell processing heralds, (b) any output
     block's residual reduced weight exceeds mu * n_{r'}, or (c) a logical
-    outcome is wrong after ideal decoding. Deterministic in (seed, config);
-    the chunk size is part of the configuration, so worker count never
-    changes the result.
+    outcome is wrong after ideal decoding. Deterministic in (seed, config,
+    chunk_size), whatever the worker count (see `run_chunks`).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     plan = build_gamma(family, r, r_prime, knobs)
-    jobs = [
-        (plan, params, size, mu, chunk)
-        for chunk, size in enumerate(_chunk_sizes(trials, chunk_size))
-    ]
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_chunk_job, jobs)
-    else:
-        results = [_chunk_job(j) for j in jobs]
-    stats = ChunkStats()
-    for res in results:
-        stats = stats.merge(res)
-    lo, hi = wilson_interval(stats.failures, stats.trials)
-    return TauEstimate(
-        r=r,
-        r_prime=r_prime,
-        delta=params.delta,
-        seed=params.seed,
-        trials=stats.trials,
-        failures=stats.failures,
-        heralds=stats.heralds,
-        weight_overflows=stats.weight_overflows,
-        logical_errors=stats.logical_errors,
-        rate=stats.failures / stats.trials,
-        wilson_lo=lo,
-        wilson_hi=hi,
-        mu=mu,
-        block_weight_hist=stats.block_weight_hist,
-        out_qubit_error_rate=stats.out_qubit_errors / stats.trials,
-        latency_layers=plan.latency_layers,
-    )
+    return run_chunks(_chunk_job, trials, chunk_size, (plan, params, mu), workers)

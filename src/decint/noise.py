@@ -59,13 +59,6 @@ class NoiseParams(_NoiseFields):
             raise ValueError("delta must lie in [0, 1]")
         return super().__new__(cls, delta, seed)
 
-    def to_json(self) -> dict:
-        return {"delta": self.delta, "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NoiseParams":
-        return cls(delta=float(obj["delta"]), seed=int(obj["seed"]))
-
 
 def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
     """Sorted positions in range(total) of i.i.d. Bernoulli(p) successes.

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from decint import cli, css
+from decint import cli, css, e2e, scheduler
 from decint.interface import wilson_interval
+from decint.noise import NoiseParams
 
 
 def write_config(tmp_path, name, obj):
@@ -277,6 +278,22 @@ class TestE2E:
         assert run("e2e", cfg, tmp_path / "out") == 0
         rows = (tmp_path / "out" / "e2e_marginals.csv").read_text().splitlines()[1:]
         assert len(rows) == 4 * 2  # m_r=4 outputs per block, h=2 blocks
+
+    def test_frames_summary_rates_are_the_run_counts(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"family": "toy", "r": 2, "h": 2, "trials": 300,
+             "noise": {"delta": [0.005, 0.001], "seed": 6}},
+        )
+        assert run("e2e", cfg, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "e2e_summary.json").read_text())
+        fam = css.toy_family()
+        sched = scheduler.build_schedule(fam, 2, 1, 2, constants=scheduler.measured_constants(fam))
+        runs = [e2e.run_e2e_frames(fam, sched, NoiseParams(delta=d, seed=6), 300) for d in (0.005, 0.001)]
+        assert summary["herald_rates"] == [stats.heralds / 300 for stats in runs]
+        assert summary["any_error_rates"] == [stats.any_errors / 300 for stats in runs]
+        assert all(0 < stats.heralds < 300 and 0 < stats.any_errors < 300 for stats in runs)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_frames_trials_below_one_usage_error(self, tmp_path, capsys, trials):

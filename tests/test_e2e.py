@@ -169,6 +169,31 @@ class TestE2EStats:
         assert stats.any_error_rate < 0.01
 
 
+    def test_chunks_sum_the_block_chains(self, toy_setup):
+        # Three chunks (40, 40, 20 trials), each the hand sum of its blocks' chains.
+        fam, sched = toy_setup
+        params = NoiseParams(delta=0.001, seed=8)
+        stats = e2e.run_e2e_frames(fam, sched, params, 100, input_ls_delta=0.01, chunk_size=40)
+        errors, heralds = [], []
+        for chunk, size in enumerate([40, 40, 20]):
+            runs = []
+            for block in range(sched.h):
+                rng = noise.rng_stream(params.seed, noise.STREAM_TRIAL, block, chunk)
+                frames = noise.sample_ls_bits(fam.level(sched.r).n, 0.01, rng, size)
+                runs.append(e2e.run_block_chain_frames(
+                    fam, sched, block, params, size, chunk=chunk, input_frames=frames
+                ))
+            errors.append(np.concatenate([run.error_bits for run in runs], axis=1))
+            heralds.append(np.any([run.heralds for run in runs], axis=0))
+        errors, heralds = np.concatenate(errors), np.concatenate(heralds)
+        pairs = e2e._pair_sample(errors.shape[1], e2e.MAX_PAIRS)
+        assert stats.trials == 100
+        np.testing.assert_array_equal(stats.output_errors, errors.sum(axis=0))
+        np.testing.assert_array_equal(stats.pair_errors, [(errors[:, a] & errors[:, b]).sum() for a, b in pairs])
+        assert (stats.heralds, stats.any_errors) == (heralds.sum(), errors.any(axis=1).sum())
+        assert stats.pair_errors.any() and 0 < stats.heralds < 100
+
+
 class TestFitConstants:
     def test_recovers_synthetic_constants(self):
         k1, k2 = 3.0, 0.5
@@ -212,8 +237,7 @@ class TestGoldenChainCounts:
             fam, sched, NoiseParams(delta=delta, seed=5), trials, knobs=knobs,
             wait_rounds_per_layer=2, input_ls_delta=0.01,
         )
-        counts = np.rint(stats.logical_error_marginals * trials).astype(int).tolist()
-        got = (counts, round(stats.herald_rate * trials), round(stats.any_error_rate * trials))
+        got = (stats.output_errors.tolist(), stats.heralds, stats.any_errors)
         assert got == self.GOLDEN[delta]
         old, new = self.PREVIOUS[delta], got
         for a, b in zip([*old[0], *old[1:]], [*new[0], *new[1:]]):

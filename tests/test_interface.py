@@ -286,6 +286,23 @@ class TestGammaNoiseless:
         assert len(plan.q_wires) == 4 and len(plan.a_wires) == 4
         assert plan.blocks == 2 and len(plan.b_wires) == 2
 
+    @pytest.mark.parametrize(
+        "name, r, counts",
+        [
+            ("toy", 4, {(1, 1): 72, (0, 0): 52, (0, 1): 64, (1, 0): 60}),
+            ("steane", 2, {(1, 1): 21, (0, 0): 15, (0, 1): 15, (1, 0): 21}),
+        ],
+    )
+    def test_qubit_count_is_the_wires_a_pass_runs(self, fam, sfam, name, r, counts):
+        # Q ancillas only with input EC (s1 > 0), B gadgets only with output EC (s2 > 0);
+        # a frame batch over exactly these wires runs the whole pass.
+        family = fam if name == "toy" else sfam
+        for (s1, s2), count in counts.items():
+            plan = interface.build_gamma(family, r, r - 1, interface.GammaKnobs(s1=s1, s2=s2))
+            assert plan.qubit_count == count
+            assert len(plan.b_gadgets) == (plan.blocks if s2 and r > 2 else 0)
+            interface.gamma_frames(plan, NoiseParams(delta=0.05, seed=1), 20)
+
     def test_resource_tableau_valid(self, fam):
         plan = interface.build_gamma(fam, 3, 2)
         tab = plan.resource_tableau()
@@ -525,7 +542,8 @@ class TestEstimateTau:
         p = NoiseParams(delta=0.01, seed=11)
         a = interface.estimate_tau(fam, 2, 1, p, trials=4000, mu=0.25)
         b = interface.estimate_tau(fam, 2, 1, p, trials=4000, mu=0.25)
-        assert a.to_json() == b.to_json()
+        for x, y in zip(a, b, strict=True):
+            np.testing.assert_array_equal(x, y)
 
     def test_worker_count_invariant(self, fam):
         p = NoiseParams(delta=0.01, seed=11)
@@ -533,7 +551,9 @@ class TestEstimateTau:
         b = interface.estimate_tau(
             fam, 2, 1, p, trials=4000, mu=0.25, chunk_size=1000, workers=2
         )
-        assert a.to_json() == b.to_json()
+        assert type(b) is interface.ChunkStats
+        for x, y in zip(a, b, strict=True):
+            np.testing.assert_array_equal(x, y)
 
     def test_monotone_small(self, fam):
         rates = []

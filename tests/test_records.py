@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from decint import css, interface
+from decint import css, e2e, interface
 from decint.blocktree import TreeParams
 from decint.circuit import Gate
 from decint.noise import NoiseParams
@@ -45,7 +45,8 @@ def test_valid_records_keep_their_fields():
     gate = Gate("measure", ("a",), out="m")
     assert (gate.name, gate.wires, gate.out) == ("measure", ("a",), "m")
     assert Gate("h", ("a",)).out is None
-    assert NoiseParams(0.5, 3).to_json() == {"delta": 0.5, "seed": 3}
+    params = NoiseParams(0.5, 3)
+    assert (params.delta, params.seed) == (0.5, 3)
     assert TreeParams.from_floats(2, [0.5, 0.25]).taus == (Fraction(1, 2), Fraction(1, 4))
     assert interface.GammaKnobs(proc_poly=[0, 2]).proc_poly == (0, 2)
 
@@ -60,31 +61,43 @@ def test_plan_and_chunk_stats_survive_pickle():
     params = NoiseParams(delta=0.02, seed=3)
     for a, b in zip(interface.gamma_frames(plan, params, 500), interface.gamma_frames(back, params, 500)):
         np.testing.assert_array_equal(a, b)
-    stats = interface._chunk_job((plan, params, 500, 0.25, 0))
+    stats = interface._chunk_job(plan, params, 0.25, 500, 0)
     again = pickle.loads(pickle.dumps(stats))
     assert type(again) is interface.ChunkStats
     for a, b in zip(stats, again):
         np.testing.assert_array_equal(a, b)
 
 
-def test_chunk_stats_merge_sums_every_field():
-    a = interface.ChunkStats(10, 3, 1, 2, 1, np.array([[4, 6]]), np.array([1, 2]))
-    b = interface.ChunkStats(5, 1, 0, 1, 0, np.array([[2, 3]]), np.array([0, 1]))
-    assert interface.ChunkStats().merge(a) is a
-    merged = a.merge(b)
-    assert merged[:5] == (15, 4, 1, 3, 1)
-    np.testing.assert_array_equal(merged.block_weight_hist, [[6, 9]])
-    np.testing.assert_array_equal(merged.out_qubit_errors, [1, 3])
+def test_run_chunks_sums_every_field():
+    # Chunk 0 holds 10 trials and chunk 1 the other 5; each job returns its record.
+    records = {
+        interface.ChunkStats: (
+            interface.ChunkStats(10, 3, 1, 2, 1, np.array([[4, 6]]), np.array([1, 2])),
+            interface.ChunkStats(5, 1, 0, 1, 0, np.array([[2, 3]]), np.array([0, 1])),
+        ),
+        e2e.E2EStats: (
+            e2e.E2EStats(10, np.array([3, 1, 2]), np.array([1, 0, 1]), 2, 4),
+            e2e.E2EStats(5, np.array([0, 2, 2]), np.array([0, 1, 1]), 1, 3),
+        ),
+    }
+    want = {
+        interface.ChunkStats: (15, 4, 1, 3, 1, [[6, 9]], [1, 3]),
+        e2e.E2EStats: (15, [3, 3, 4], [1, 1, 2], 3, 7),
+    }
+    for kind, (a, b) in records.items():
+        sizes = []
+
+        def job(tag, trials, chunk):
+            assert tag == "args"
+            sizes.append(trials)
+            return (a, b)[chunk]
+
+        summed = interface.run_chunks(job, 15, 10, ("args",))
+        assert type(summed) is kind and sizes == [10, 5]
+        for got, expected in zip(summed, want[kind], strict=True):
+            np.testing.assert_array_equal(got, expected)
 
 
-def test_tau_estimate_json_keeps_field_order_and_lists_arrays():
-    est = interface.estimate_tau(css.toy_family(), 2, 1, NoiseParams(0.01, 3), trials=200, mu=0.25)
-    got = est.to_json()
-    assert list(got) == [
-        "r", "r_prime", "delta", "seed", "trials", "failures", "heralds", "weight_overflows",
-        "logical_errors", "rate", "wilson_lo", "wilson_hi", "mu", "block_weight_hist",
-        "out_qubit_error_rate", "latency_layers",
-    ]
-    assert got["block_weight_hist"] == est.block_weight_hist.tolist()
-    assert got["out_qubit_error_rate"] == est.out_qubit_error_rate.tolist()
-    assert all(not isinstance(v, np.ndarray) for v in got.values())
+def test_run_chunks_needs_a_trial():
+    with pytest.raises(ValueError, match="^need at least one trial$"):
+        interface.run_chunks(lambda trials, chunk: None, 0, 10, ())
