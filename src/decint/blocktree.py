@@ -115,13 +115,13 @@ def f_of_v(t_bar: Iterable[Node], v: Node) -> int:
 # -- sampling ---------------------------------------------------------------------
 
 
-def sample_states_batch(params: TreeParams, seed: int, trials: int, stream: int = 0):
+def sample_states_batch(params: TreeParams, seed: int, trials: int):
     """Vectorized sampling: returns alive masks per node in BFS order.
 
     Output maps each node to a boolean array over trials: True where
     X_v = 0 (so ~alive[v] is the X_v in {1,2} event).
     """
-    rng = rng_stream(seed, STREAM_TREE, stream)
+    rng = rng_stream(seed, STREAM_TREE, 0)  # index 0: the key tree-bounds outputs were drawn from
     alive: dict[Node, np.ndarray] = {}
     fresh: dict[Node, np.ndarray] = {}
     for y in range(params.z):

@@ -5,6 +5,12 @@ renders static SVG summary plots.
 Subcommands: validate-codes, interface-sweep, schedule-audit, tree-bounds,
 e2e. Exit codes: 0 success, 1 invariant failure, 2 usage error. Identical
 (config, seed) reproduces byte-identical CSVs.
+
+A command accepts exactly the config keys it reads: the config records
+every read, and any key left unread (a misspelt knob would otherwise run
+with its default) is a usage error. Each command reads its whole config
+before it builds its `Manifest`, which refuses unread keys and names every
+output, so a usage error writes no file.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, css, e2e, interface, scheduler
-from .interface import as_int
 from .noise import NoiseParams
 from .plotsvg import write_loglog_svg
 
@@ -47,7 +52,10 @@ def config_hash(config: dict) -> str:
 
 
 class Manifest:
-    def __init__(self, command: str, config: dict, out_dir: pathlib.Path):
+    """The run's record and the one place that names its outputs."""
+
+    def __init__(self, command: str, config: _Config, out_dir: pathlib.Path):
+        config.refuse_unread()
         self.data = {
             "command": command,
             "config_hash": config_hash(config),
@@ -60,8 +68,10 @@ class Manifest:
         }
         self.out_dir = out_dir
 
-    def add_output(self, name: str):
+    def output(self, name: str) -> pathlib.Path:
+        """Record output `name` and return its path."""
         self.data["outputs"].append(name)
+        return self.out_dir / name
 
     def add_seed(self, label: str, seed: int):
         self.data["task_seeds"].append({"task": label, "seed": seed})
@@ -74,6 +84,35 @@ class Manifest:
 
 class UsageError(Exception):
     """A bad command line or config: exit code 2."""
+
+
+class _Config(dict):
+    """A JSON config object that records the keys read through [] or .get.
+
+    Nested objects are `_Config`s of their own, named by `where` in errors.
+    """
+
+    def __init__(self, obj: dict, where: str):
+        super().__init__((k, _Config(v, f"in {k}") if isinstance(v, dict) else v) for k, v in obj.items())
+        self.where = where
+        self.reads: set[str] = set()
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+    def refuse_unread(self) -> None:
+        unread = self.keys() - self.reads
+        if unread:
+            names = ", ".join(map(repr, sorted(unread)))
+            raise UsageError(f"unknown config key {names} {self.where} (it reads {sorted(self.reads)})")
+        for value in self.values():
+            if isinstance(value, _Config):
+                value.refuse_unread()
 
 
 @contextlib.contextmanager
@@ -114,8 +153,21 @@ def _grid(config: dict, key: str, default: list) -> list:
     return grid
 
 
+def _as_int(value) -> int:
+    """A config count as an int; a bool or a non-integral float raises."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _seed(value, override: Optional[int]) -> int:
+    """The config seed, checked even when --seed overrides it."""
+    value = _as_int(value)
+    return value if override is None else override
+
+
 def _trials(config: dict) -> int:
-    trials = as_int(config["trials"])
+    trials = _as_int(config["trials"])
     if trials < 1:
         raise UsageError(f"need at least one trial, got {trials}")
     return trials
@@ -138,9 +190,6 @@ def _check_decodable(family: css.CodeFamily, levels) -> None:
             )
 
 
-NOISE_KEYS = {"delta", "seed"}  # the keys of `noise` that _noise_params reads
-
-
 def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[float], int]:
     noise = config.get("noise", {})
     deltas = noise.get("delta", 0.0)
@@ -148,9 +197,7 @@ def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[floa
         deltas = [deltas]
     if not deltas:
         raise UsageError("empty delta grid")
-    seed = as_int(noise.get("seed", config.get("seed", 0)))
-    if seed_override is not None:
-        seed = seed_override
+    seed = _seed(noise.get("seed", config.get("seed", 0)), seed_override)
     return [_probability("delta", float(d)) for d in deltas], seed
 
 
@@ -166,36 +213,15 @@ def _probability(key: str, value):
     return value
 
 
-# The config keys each command reads, and the keys of its nested sections.
-# Any other key is a usage error: a misspelt knob would otherwise run with
-# its default.
-_KNOB_KEYS = set(interface.GammaKnobs.JSON_DEFAULTS)
-CONFIG_KEYS = {
-    "validate-codes": {"family", "dump"},
-    "interface-sweep": {"family", "noise", "seed", "r", "r_prime", "trials", "mu"} | _KNOB_KEYS,
-    "schedule-audit": {"family", "h_grid", "r_grid", "r_prime"},
-    "tree-bounds": {"z_grid", "delta_bar_grid", "max_size", "leaf_only", "mc_trials", "seed"},
-    "e2e": {
-        "family", "noise", "seed", "r", "h", "trials", "mode", "wait_rounds",
-        "input_ls_delta", "logical_patterns",
-    } | _KNOB_KEYS,
-}
-SECTION_KEYS = {"noise": NOISE_KEYS, "resource_oracle": set(interface.GammaKnobs.ORACLE_DEFAULTS)}
-
-
-def _check_keys(command: str, config: dict) -> None:
-    def refuse(keys: set, where: str, known: set):
-        if keys:
-            names = ", ".join(map(repr, sorted(keys)))
-            raise UsageError(f"unknown config key {names} {where} (it reads {sorted(known)})")
-
-    known = CONFIG_KEYS[command]
-    refuse(config.keys() - known, f"for {command}", known)
-    for section, keys in SECTION_KEYS.items():
-        value = config.get(section)
-        # A section that is not an object fails later, where it is read.
-        if section in known and isinstance(value, dict):
-            refuse(value.keys() - keys, f"in {section}", keys)
+def _knobs(config: dict) -> interface.GammaKnobs:
+    oracle = config.get("resource_oracle", {})
+    return interface.GammaKnobs(
+        s1=_as_int(config.get("s1", 1)),
+        s2=_as_int(config.get("s2", 1)),
+        proc_poly=config.get("proc_layers", (0, 1)),
+        resource_ls_delta=oracle.get("ls_delta"),
+        resource_fail_prob=float(oracle.get("fail_prob", 0.0)),
+    )
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -203,6 +229,7 @@ def _check_keys(command: str, config: dict) -> None:
 
 def cmd_validate_codes(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
     family = _family(config)
+    dump = config.get("dump")
     manifest = Manifest("validate-codes", config, out)
     report = family.validate()
     rows = [[c.name, c.passed, c.detail] for c in report.checks]
@@ -211,13 +238,10 @@ def cmd_validate_codes(config: dict, out: pathlib.Path, seed: Optional[int], wor
         code = family.level(r)
         d, exact = code.min_distance()
         distances.append([r, code.n, code.m, d, exact])
-    write_csv(out / "validation.csv", ["check", "passed", "detail"], rows)
-    write_csv(out / "distances.csv", ["level", "n", "m", "distance", "exact"], distances)
-    manifest.add_output("validation.csv")
-    manifest.add_output("distances.csv")
-    if config.get("dump"):
-        css.save_family(family, out / "family")
-        manifest.add_output("family/")
+    write_csv(manifest.output("validation.csv"), ["check", "passed", "detail"], rows)
+    write_csv(manifest.output("distances.csv"), ["level", "n", "m", "distance", "exact"], distances)
+    if dump:
+        css.save_family(family, manifest.output("family/"))
     manifest.finish()
     if not report.passed:
         for c in report.failures():
@@ -231,13 +255,13 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
     family = _family(config)
     with _config_values():
         deltas, base_seed = _noise_params(config, seed)
-        r = as_int(config["r"])
-        r_prime = as_int(config["r_prime"])
+        r = _as_int(config["r"])
+        r_prime = _as_int(config["r_prime"])
         trials = _trials(config)
         mu = float(config.get("mu", 0.25))
         if not 0 < mu < 1:
             raise UsageError(f"mu must lie in (0, 1), got {mu}")
-        knobs = interface.GammaKnobs.from_json(config)
+        knobs = _knobs(config)
     _check_levels(family, r, r_prime)
     _check_decodable(family, (r, r_prime))
     manifest = Manifest("interface-sweep", config, out)
@@ -264,8 +288,7 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
         "delta", "trials", "failures", "wilson_lo", "wilson_hi",
         "heralds", "logical_errors", "weight_overflows",
     ] + [f"mean_out_weight_block{i}" for i in range(blocks)]
-    write_csv(out / "sweep.csv", header, rows)
-    manifest.add_output("sweep.csv")
+    write_csv(manifest.output("sweep.csv"), header, rows)
     # Measured output-noise coefficient: marginal ~ lambda' * delta (reported,
     # never asserted; the existential constants are not reproducible).
     marginals = out_marginals
@@ -285,17 +308,15 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
         "ec_note": "one noisy syndrome round with exact table decoding realizes "
         "the single-shot EC contract at these code sizes only",
     }
-    (out / "sweep_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    manifest.add_output("sweep_summary.json")
+    manifest.output("sweep_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     write_loglog_svg(
-        out / "sweep.svg",
+        manifest.output("sweep.svg"),
         deltas,
         [max(r_, 1e-12) for r_ in rates],
         title=f"Gamma_{{{r},{r_prime}}} failure rate",
         xlabel="delta",
         ylabel="failure rate",
     )
-    manifest.add_output("sweep.svg")
     manifest.finish()
     print(f"interface-sweep: {len(deltas)} deltas x {trials} trials")
     return 0
@@ -304,9 +325,9 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
 def cmd_schedule_audit(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
     family = _family(config)
     with _config_values():
-        h_grid = [as_int(h) for h in _grid(config, "h_grid", [1, 2, 4, 8])]
-        r_grid = [as_int(r) for r in _grid(config, "r_grid", [family.depth])]
-        r_prime = as_int(config.get("r_prime", 1))
+        h_grid = [_as_int(h) for h in _grid(config, "h_grid", [1, 2, 4, 8])]
+        r_grid = [_as_int(r) for r in _grid(config, "r_grid", [family.depth])]
+        r_prime = _as_int(config.get("r_prime", 1))
     for r in r_grid:
         _check_levels(family, r, r_prime)
     if min(h_grid) < 1:
@@ -333,21 +354,19 @@ def cmd_schedule_audit(config: dict, out: pathlib.Path, seed: Optional[int], wor
                 )
             margin_rows.append(
                 [r, h, rep.max_total, rep.ratio,
-                 rep.per_layer[0].bound1, rep.per_layer[0].bound2,
+                 rep.bound1, rep.bound2,
                  rep.eta1_ok and rep.eta2_ok]
             )
     write_csv(
-        out / "census.csv",
+        manifest.output("census.csv"),
         ["r", "h", "level", "layer", "ec_qubits", "gamma_qubits", "total", "ratio"],
         census_rows,
     )
     write_csv(
-        out / "margins.csv",
+        manifest.output("margins.csv"),
         ["r", "h", "max_total", "ratio", "eta1_bound", "eta2_bound", "bounds_ok"],
         margin_rows,
     )
-    manifest.add_output("census.csv")
-    manifest.add_output("margins.csv")
     manifest.finish()
     if violated:
         return 1
@@ -366,13 +385,13 @@ def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], worker
     from . import blocktree
 
     with _config_values():
-        z_grid = [as_int(z) for z in _grid(config, "z_grid", [2, 3, 4])]
+        z_grid = [_as_int(z) for z in _grid(config, "z_grid", [2, 3, 4])]
         db_grid = _grid(config, "delta_bar_grid", [0.3, 0.1, 0.03])
         db_fracs = [_probability("delta_bar", Fraction(str(db))) for db in db_grid]
-        max_size = as_int(config.get("max_size", 3))
+        max_size = _as_int(config.get("max_size", 3))
         leaf_only = bool(config.get("leaf_only", True))
-        mc_trials = _count("mc_trials", as_int(config.get("mc_trials", 0)))
-        base_seed = as_int(config.get("seed", 0) if seed is None else seed)
+        mc_trials = _count("mc_trials", _as_int(config.get("mc_trials", 0)))
+        base_seed = _seed(config.get("seed", 0), seed)
     for z in z_grid:
         if not 1 <= z <= blocktree.MAX_EXACT_DEPTH + 1:
             raise UsageError(f"z={z} lies outside 1..{blocktree.MAX_EXACT_DEPTH + 1} (the exact-mode depth cap)")
@@ -405,14 +424,12 @@ def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], worker
         all_ok &= mc_ok
         row[-2:] = [hits / mc_trials, mc_ok]
     write_csv(
-        out / "tree_bounds.csv",
+        manifest.output("tree_bounds.csv"),
         ["z", "delta_bar", "set", "exact_prob", "bound", "margin", "ok", "mc_freq", "mc_consistent"],
         rows,
     )
-    manifest.add_output("tree_bounds.csv")
     summary = {"total_sets": len(rows), "all_ok": bool(all_ok)}
-    (out / "tree_bounds_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    manifest.add_output("tree_bounds_summary.json")
+    manifest.output("tree_bounds_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     manifest.finish()
     if not all_ok:
         return 1
@@ -427,20 +444,21 @@ def _set_descriptor(t_bar) -> str:
 def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
     family = _family(config)
     with _config_values():
-        r = as_int(config["r"])
-        h = as_int(config["h"])
+        r = _as_int(config["r"])
+        h = _as_int(config["h"])
         deltas, base_seed = _noise_params(config, seed)
-        knobs = interface.GammaKnobs.from_json(config)
-        wait_rounds = _count("wait_rounds", as_int(config.get("wait_rounds", 1)))
+        knobs = _knobs(config)
+        wait_rounds = _count("wait_rounds", _as_int(config.get("wait_rounds", 1)))
         mode = config.get("mode", "frames")
         if mode not in ("frames", "exhaustive"):
             raise UsageError(f"mode must be 'frames' or 'exhaustive', got {mode!r}")
-        other = "trials" if mode == "exhaustive" else "logical_patterns"
-        if other in config:
-            raise UsageError(f"{mode} mode does not read config key {other!r}")
         input_ls = _probability("input_ls_delta", float(config.get("input_ls_delta", 0.0)))
         if mode == "frames":
             trials = _trials(config)
+    _check_levels(family, r, 1)
+    if h < 1:
+        raise UsageError(f"h must be positive, got {h}")
+    _check_decodable(family, range(1, r + 1))
     if mode == "exhaustive":
         # Exhaustive mode runs at delta = 0; refuse noise it would ignore.
         for key, value in (
@@ -451,18 +469,14 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         ):
             if value > 0:
                 raise UsageError(f"exhaustive mode is noiseless: {key} must be 0, got {value}")
-    _check_levels(family, r, 1)
-    if h < 1:
-        raise UsageError(f"h must be positive, got {h}")
-    _check_decodable(family, range(1, r + 1))
+        u_patterns = _logical_patterns(config, family.level(r).m)
+    manifest = Manifest("e2e", config, out)
     consts = scheduler.measured_constants(family, knobs)
     sched = scheduler.build_schedule(family, r, 1, h, constants=consts)
-    manifest = Manifest("e2e", config, out)
-    (out / "schedule.json").write_text(sched.to_json() + "\n")
-    manifest.add_output("schedule.json")
+    manifest.output("schedule.json").write_text(sched.to_json() + "\n")
 
     if mode == "exhaustive":
-        return _e2e_exhaustive(config, family, sched, knobs, wait_rounds, base_seed, out, manifest)
+        return _e2e_exhaustive(u_patterns, family, sched, knobs, wait_rounds, base_seed, manifest)
 
     rows = []
     singles = []
@@ -482,8 +496,7 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         pairs_mean.append(float(np.mean(stats.pair_errors / trials)) if stats.pair_errors.size else 0.0)
         herald_rates.append(stats.herald_rate)
         any_error_rates.append(stats.any_error_rate)
-    write_csv(out / "e2e_marginals.csv", ["delta", "trials", "output_qubit", "error_rate"], rows)
-    manifest.add_output("e2e_marginals.csv")
+    write_csv(manifest.output("e2e_marginals.csv"), ["delta", "trials", "output_qubit", "error_rate"], rows)
     fit = e2e.fit_ls_constants(deltas, singles, pairs_mean)
     summary = {
         "deltas": deltas,
@@ -496,34 +509,37 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         "pauli_twirl": True,
         "note": "fitted constants are measured analogues, not asserted values",
     }
-    (out / "e2e_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    manifest.add_output("e2e_summary.json")
+    manifest.output("e2e_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     if len(deltas) > 1:
         write_loglog_svg(
-            out / "e2e.svg", deltas, [max(s, 1e-12) for s in singles],
+            manifest.output("e2e.svg"), deltas, [max(s, 1e-12) for s in singles],
             title=f"Xi^[{h}]_{r} output error marginal",
             xlabel="delta", ylabel="mean marginal",
         )
-        manifest.add_output("e2e.svg")
     manifest.finish()
     print(f"e2e: {len(deltas)} deltas x {trials} trials on h={h} blocks")
     return 0
 
 
-def _e2e_exhaustive(config, family, sched, knobs, wait_rounds, base_seed, out, manifest) -> int:
-    """delta = 0 with exhaustive single-qubit injections per block."""
-    from .tableau import Tableau
-
-    code_r = family.level(sched.r)
+def _logical_patterns(config: dict, m: int) -> list:
+    """The exhaustive mode's logical inputs, each m bits (default all 0, all 1)."""
     u_patterns = config.get("logical_patterns")
     if u_patterns is None:
-        u_patterns = [[0] * code_r.m, [1] * code_r.m]
+        return [[0] * m, [1] * m]
     if not isinstance(u_patterns, list) or not u_patterns:
         raise UsageError(f"logical_patterns must be a non-empty list, got {u_patterns!r}")
     for u in u_patterns:
         bits_ok = isinstance(u, list) and all(type(b) is int and b in (0, 1) for b in u)
-        if not bits_ok or len(u) != code_r.m:
-            raise UsageError(f"logical pattern {u!r} needs m={code_r.m} entries, each 0 or 1")
+        if not bits_ok or len(u) != m:
+            raise UsageError(f"logical pattern {u!r} needs m={m} entries, each 0 or 1")
+    return u_patterns
+
+
+def _e2e_exhaustive(u_patterns, family, sched, knobs, wait_rounds, base_seed, manifest) -> int:
+    """delta = 0 with exhaustive single-qubit injections per block."""
+    from .tableau import Tableau
+
+    code_r = family.level(sched.r)
     rows = []
     failures = 0
     for block in range(sched.h):
@@ -545,11 +561,10 @@ def _e2e_exhaustive(config, family, sched, knobs, wait_rounds, base_seed, out, m
                      int(wrong_bits), match, herald]
                 )
     write_csv(
-        out / "e2e_exhaustive.csv",
+        manifest.output("e2e_exhaustive.csv"),
         ["block", "logical", "injection", "wrong_output_bits", "state_match", "herald"],
         rows,
     )
-    manifest.add_output("e2e_exhaustive.csv")
     manifest.finish()
     if failures:
         print(f"e2e exhaustive: {failures} failing cases", file=sys.stderr)
@@ -592,10 +607,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise UsageError(f"config {config_path} is not JSON: {exc}") from None
         if not isinstance(config, dict):
             raise UsageError(f"config {config_path} must hold a JSON object")
-        _check_keys(args.command, config)
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config, out, args.seed, args.workers)
+        return COMMANDS[args.command](_Config(config, f"for {args.command}"), out, args.seed, args.workers)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import numpy as np
 from . import css, interface as iface
 from .css import CodeFamily
 from .circuit import idle_circuit
-from .noise import NoiseParams, rng_stream, sample_ls_bits, STREAM_TRIAL
+from .noise import NoiseParams, rng_stream, sample_ls_bits, STREAM_TABLEAU, STREAM_TRIAL
 from .scheduler import InterfaceSchedule, effective_interface
 from .tableau import Tableau
 
@@ -105,7 +105,7 @@ def run_block_chain_tableau(
     """
     if not injections:
         raise ValueError("need at least one injection (None for a clean trial)")
-    rng = np.random.default_rng(seed)
+    rng = rng_stream(seed, STREAM_TABLEAU, block)
     code_r = family.level(schedule.r)
     init_wires = [f"L{schedule.r}.x{q}" for q in range(code_r.n)]
     state = css.encoded_tableau((code_r,), logical, init_wires)

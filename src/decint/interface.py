@@ -318,13 +318,6 @@ def logical_bell_process(code_r: CssCode, m1: np.ndarray, m2: np.ndarray):
 # -- the partial decoding interface Gamma ---------------------------------------------
 
 
-def as_int(value) -> int:
-    """A config count as an int; a bool or a non-integral float raises."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 class _GammaKnobFields(NamedTuple):
     s1: int
     s2: int
@@ -365,23 +358,6 @@ class GammaKnobs(_GammaKnobFields):
 
     def proc_layers(self, n: int) -> int:
         return int(sum(c * n**k for k, c in enumerate(self.proc_poly)))
-
-    # The config keys from_json reads, with their defaults: at the top level
-    # and inside resource_oracle. The CLI refuses any other key there.
-    JSON_DEFAULTS = {"s1": 1, "s2": 1, "proc_layers": (0, 1), "resource_oracle": {}}
-    ORACLE_DEFAULTS = {"ls_delta": None, "fail_prob": 0.0}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GammaKnobs":
-        top = {**cls.JSON_DEFAULTS, **obj}
-        oracle = {**cls.ORACLE_DEFAULTS, **top["resource_oracle"]}
-        return cls(
-            s1=as_int(top["s1"]),
-            s2=as_int(top["s2"]),
-            proc_poly=top["proc_layers"],
-            resource_ls_delta=oracle["ls_delta"],
-            resource_fail_prob=float(oracle["fail_prob"]),
-        )
 
 
 class InterfaceCircuit(NamedTuple):

@@ -30,6 +30,7 @@ STREAM_CIRCUIT = 3
 STREAM_ORACLE = 4
 STREAM_TRIAL = 5
 STREAM_TREE = 6
+STREAM_TABLEAU = 7
 
 _MIX1 = 0x9E3779B97F4A7C15
 _MIX2 = 0xBF58476D1CE4E5B9

@@ -164,8 +164,6 @@ class LayerCensus(NamedTuple):
     layer: int
     eta1: int   # EC qubits
     eta2: int   # interface qubits
-    bound1: int
-    bound2: int
 
     @property
     def total(self) -> int:
@@ -173,14 +171,11 @@ class LayerCensus(NamedTuple):
 
 
 class OverheadReport(NamedTuple):
-    r: int
-    r_prime: int
-    h: int
-    theta: int
-    theta1: int
     per_layer: list[LayerCensus]
     max_total: int
     ratio: float          # max_total / (m_r * h)
+    bound1: int           # every layer's eta1 is at most bound1
+    bound2: int           # and its eta2 at most bound2
     eta1_ok: bool
     eta2_ok: bool
 
@@ -214,26 +209,14 @@ def qubit_census(schedule: InterfaceSchedule) -> OverheadReport:
             eta2 = consts.theta * p1 * m_lvl * ml.gamma_count
             eta1_ok &= eta1 <= bound1
             eta2_ok &= eta2 <= bound2
-            per_layer.append(
-                LayerCensus(
-                    level=stage.level,
-                    layer=ml.index,
-                    eta1=eta1,
-                    eta2=eta2,
-                    bound1=bound1,
-                    bound2=bound2,
-                )
-            )
+            per_layer.append(LayerCensus(level=stage.level, layer=ml.index, eta1=eta1, eta2=eta2))
     max_total = max(c.total for c in per_layer)
     return OverheadReport(
-        r=schedule.r,
-        r_prime=schedule.r_prime,
-        h=h,
-        theta=consts.theta,
-        theta1=consts.theta1,
         per_layer=per_layer,
         max_total=max_total,
         ratio=max_total / (m_r * h),
+        bound1=bound1,
+        bound2=bound2,
         eta1_ok=eta1_ok,
         eta2_ok=eta2_ok,
     )

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -172,9 +174,16 @@ class TestRngStream:
 
     def test_stream_purposes_distinct(self):
         purposes = {k: v for k, v in vars(noise).items() if k.startswith("STREAM_")}
-        assert sorted(purposes) == ["STREAM_CIRCUIT", "STREAM_ORACLE", "STREAM_TREE", "STREAM_TRIAL"]
+        assert sorted(purposes) == ["STREAM_CIRCUIT", "STREAM_ORACLE", "STREAM_TABLEAU", "STREAM_TREE", "STREAM_TRIAL"]
         assert len(set(purposes.values())) == len(purposes), purposes
         assert not {1, 2} & set(purposes.values())  # retired purposes stay unused
+
+    def test_only_noise_builds_generators(self):
+        # Every other module draws from rng_stream, so each stream has one key.
+        src = pathlib.Path(noise.__file__).parent
+        makers = re.compile(r"default_rng|Generator\(|Philox\(")
+        callers = sorted(p.name for p in src.glob("*.py") if makers.search(p.read_text()))
+        assert callers == ["noise.py"]
 
 
 def _wilson_contains(hits: int, trials: int, p: float, z: float = 3.29) -> bool:
