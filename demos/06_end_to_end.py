@@ -16,15 +16,17 @@ print("plan: 3 Steane blocks -> 3 bare qubits,",
       f"{sched.stages[0].n_layers} macro-layers")
 
 # --- exact mode: injected errors below d/2 leave no trace --------------------------
-logical = Tableau.zero_state([0])
-logical.apply_pauli_on([0], [1], [0])  # |1>_L per block
-# One batched walk per block runs every injection as its own exact trial.
+# |0>_L and |1>_L differ in their signs alone, so one batched walk per block
+# runs both, with every injection as its own exact trial.
 cases = [None] + [(q, k) for q in range(7) for k in "XZY"]
+bits = np.repeat([[0], [1]], len(cases), axis=0)
+logical = Tableau.zero_state([0])
+logical.apply_pauli_on([0], bits, np.zeros_like(bits))
 clean = 0
 for block in range(3):
-    res = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=cases)
-    clean += int((res.state_matches & (res.output_bits == 1).all(axis=1)).sum())
-print(f"exhaustive single-qubit injections: {clean}/66 outputs exact")
+    res = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=cases * 2)
+    clean += int((res.state_matches & (res.output_bits == bits).all(axis=1)).sum())
+print(f"exhaustive single-qubit injections on |0>_L and |1>_L: {clean}/{3 * 2 * len(cases)} outputs exact")
 
 # --- Monte Carlo under circuit noise ----------------------------------------------
 print("\ndelta     mean output error marginal   per-qubit (block position matters)")

@@ -540,26 +540,27 @@ def _e2e_exhaustive(u_patterns, family, sched, knobs, wait_rounds, base_seed, ma
     from .tableau import Tableau
 
     code_r = family.level(sched.r)
+    cases = [None] + [(q, k) for q in range(code_r.n) for k in ("X", "Z", "Y")]
+    # |u>_L = X_L^u |0...0>_L flips the signs of Z_L alone, so every pattern
+    # shares one chain walk: trial (pattern p, case c) is p * len(cases) + c.
+    bits = np.repeat(np.array(u_patterns, dtype=np.uint8), len(cases), axis=0)
+    keys = [("".join(map(str, u)), "none" if case is None else f"{case[1]}{case[0]}")
+            for u in u_patterns for case in cases]
+    logical = Tableau.zero_state(list(range(code_r.m)))
+    logical.apply_pauli_on(logical.labels, bits, np.zeros_like(bits))
     rows = []
     failures = 0
     for block in range(sched.h):
-        for u in u_patterns:
-            logical = Tableau.zero_state(list(range(code_r.m)))
-            logical.apply_pauli_on(logical.labels, u, [0] * code_r.m)
-            cases = [None] + [(q, k) for q in range(code_r.n) for k in ("X", "Z", "Y")]
-            res = e2e.run_block_chain_tableau(
-                family, sched, block, logical, injections=cases,
-                knobs=knobs, wait_rounds_per_layer=wait_rounds, seed=base_seed,
-            )
-            wrong = (res.output_bits != np.array(u, dtype=np.uint8)).sum(axis=1)
-            for case, wrong_bits, match, herald in zip(cases, wrong, res.state_matches, res.heralds):
-                ok = match and wrong_bits == 0 and not herald
-                failures += 0 if ok else 1
-                rows.append(
-                    [block, "".join(map(str, u)),
-                     "none" if case is None else f"{case[1]}{case[0]}",
-                     int(wrong_bits), match, herald]
-                )
+        manifest.add_seed(f"exhaustive block={block}", base_seed)
+        res = e2e.run_block_chain_tableau(
+            family, sched, block, logical, injections=cases * len(u_patterns),
+            knobs=knobs, wait_rounds_per_layer=wait_rounds, seed=base_seed,
+        )
+        wrong = (res.output_bits != bits).sum(axis=1)
+        for key, wrong_bits, match, herald in zip(keys, wrong, res.state_matches, res.heralds):
+            ok = match and wrong_bits == 0 and not herald
+            failures += 0 if ok else 1
+            rows.append([block, *key, int(wrong_bits), match, herald])
     write_csv(
         manifest.output("e2e_exhaustive.csv"),
         ["block", "logical", "injection", "wrong_output_bits", "state_match", "herald"],
@@ -583,6 +584,8 @@ COMMANDS = {
 
 # Subcommands that split their work over `--workers` processes.
 PARALLEL_COMMANDS = {"interface-sweep"}
+# Subcommands that read a seed from their config, which --seed overrides.
+SEEDED_COMMANDS = {"interface-sweep", "tree-bounds", "e2e"}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -598,6 +601,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise UsageError(f"--workers must be at least 1, got {args.workers}")
         if args.workers > 1 and args.command not in PARALLEL_COMMANDS:
             raise UsageError(f"{args.command} runs in one process; --workers must be 1")
+        if args.seed is not None and args.command not in SEEDED_COMMANDS:
+            raise UsageError(f"{args.command} reads no seed; drop --seed")
         config_path = pathlib.Path(args.config)
         if not config_path.exists():
             raise UsageError(f"config not found: {config_path}")

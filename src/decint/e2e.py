@@ -98,19 +98,22 @@ def run_block_chain_tableau(
     """Noiseless exact execution of one block's effective interface.
 
     Trial t places injections[t], one Pauli (qubit index, kind) or None, on
-    the encoded input. The trials walk the chain as one tableau batch, and
-    each ends as it would run alone with the same seed. Returns per-trial
-    output readouts plus a full-state comparison against the input logical
-    tableau.
+    the encoded input. `logical` is one state shared by every trial or a
+    sign batch with one trial per injection, trial t encoding logical trial
+    t. The trials walk the chain as one tableau batch, and each ends as it
+    would run alone with the same seed. Returns per-trial output readouts
+    plus a full-state comparison against the input logical tableau.
     """
     if not injections:
         raise ValueError("need at least one injection (None for a clean trial)")
+    trials = len(injections)
+    if logical.signs.ndim == 2 and logical.trials != trials:
+        raise ValueError(f"logical batch of {logical.trials} trials for {trials} injections")
     rng = rng_stream(seed, STREAM_TABLEAU, block)
     code_r = family.level(schedule.r)
     init_wires = [f"L{schedule.r}.x{q}" for q in range(code_r.n)]
     state = css.encoded_tableau((code_r,), logical, init_wires)
     engine = iface.TableauEngine(state, rng, {})
-    trials = len(injections)
     x, z = np.zeros((2, code_r.n, trials), bool)
     for t, case in enumerate(injections):
         if case is not None:

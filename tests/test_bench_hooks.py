@@ -77,5 +77,5 @@ def test_traced_probe_sees_one_engine(tmp_path, command, config, engine, other):
     assert layers["interface.decode_syndrome"]["calls"] > 0
     assert layers["interface.bell_process"]["calls"] > 0
     if config.get("mode") == "exhaustive":
-        # One batched chain walk per (block, logical pattern), not one per case.
-        assert layers["e2e.block_chain"]["calls"] == config["h"] * 2
+        # One batched chain walk per block, not one per logical pattern or case.
+        assert layers["e2e.block_chain"]["calls"] == config["h"]

@@ -230,6 +230,31 @@ class TestE2E:
         )
         assert run("e2e", cfg, tmp_path / "out") == 0
 
+    def test_exhaustive_walks_each_block_once(self, tmp_path, monkeypatch):
+        # Every logical pattern and injection of a block shares one chain walk.
+        walked = []
+        walk = e2e.run_block_chain_tableau
+
+        def counted(*args, **kwargs):
+            walked.append(args[2])
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(cli.e2e, "run_block_chain_tableau", counted)
+        code = css.toy_family().level(4)
+        patterns = [[1] * code.m, [j % 2 for j in range(code.m)], [0] * code.m]
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"family": "toy", "r": 4, "h": 2, "mode": "exhaustive", "logical_patterns": patterns},
+        )
+        assert run("e2e", cfg, tmp_path / "out") == 1  # the toy chain fails some cases
+        assert walked == [0, 1]
+        rows = list(csv.DictReader((tmp_path / "out" / "e2e_exhaustive.csv").read_text().splitlines()))
+        cases = ["none"] + [f"{k}{q}" for q in range(code.n) for k in "XZY"]
+        assert [(r["block"], r["logical"], r["injection"]) for r in rows] == [
+            (str(b), "".join(map(str, u)), case) for b in range(2) for u in patterns for case in cases
+        ]
+
     @pytest.mark.parametrize("pattern", [[1], [0, 1, 0, 1, 0, 1, 0, 1, 0], [2, 0], [2, 0, 0, 0], [1, True]])
     def test_exhaustive_bad_logical_pattern_usage_error(self, tmp_path, capsys, pattern):
         # Toy level 2 has m = 2 logical qubits per block.
@@ -383,6 +408,20 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*"))
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("validate-codes", {"family": "toy"}),
+            ("schedule-audit", {"family": "toy", "h_grid": [1], "r_grid": [2]}),
+        ],
+    )
+    def test_seed_where_none_is_read_is_a_usage_error(self, tmp_path, capsys, command, config):
+        cfg = write_config(tmp_path, "c.json", config)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "99"]) == 2
+        err = capsys.readouterr().err
+        assert f"{command} reads no seed" in err
+        assert not (tmp_path / "out").exists()
+
     KNOBS = {"s1": 1, "s2": 1, "proc_layers": [0, 1], "resource_oracle": {"ls_delta": 0.0, "fail_prob": 0.0}}
 
     @pytest.mark.parametrize(
@@ -411,11 +450,12 @@ class TestExitCodes:
         ids=["validate-codes", "interface-sweep", "schedule-audit", "tree-bounds", "e2e-frames", "e2e-exhaustive"],
     )
     def test_every_config_key_is_accepted(self, tmp_path, command, config, outputs):
-        # Every key each command reads, the config seeds alongside --seed;
+        # Every key each command reads, the config seeds alongside --seed where one is read;
         # the manifest names every file written.
         cfg = write_config(tmp_path, "c.json", config)
         out = tmp_path / "out"
-        assert cli.main([command, "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+        seed = [] if command in ("validate-codes", "schedule-audit") else ["--seed", "3"]
+        assert cli.main([command, "--config", cfg, "--out", str(out), *seed]) == 0
         assert json.loads((out / "manifest.json").read_text())["outputs"] == outputs
         assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *(o.rstrip("/") for o in outputs)])
 

@@ -95,6 +95,44 @@ class TestSignBatchedChain:
         if setup == "toy_setup":  # the toy chain does fail: heralds and wrong states show up
             assert len(outcomes) > 1
 
+    @pytest.mark.parametrize("setup, block", [("steane_setup", 2), ("toy_setup", 0)])
+    def test_patterns_share_one_walk(self, request, setup, block):
+        # |u>_L differs from |0...0>_L in its signs alone, so one walk over
+        # patterns x cases equals one walk per pattern, trial by trial.
+        fam, sched = request.getfixturevalue(setup)
+        code = fam.level(sched.r)
+        cases = [None] + [(q, k) for q in range(code.n) for k in "XZY"]
+        patterns = np.unique([[0] * code.m, [1] * code.m, [j % 2 for j in range(code.m)]], axis=0)
+        patterns = patterns.astype(np.uint8)
+        bits = np.repeat(patterns, len(cases), axis=0)
+        batch = Tableau.zero_state(list(range(code.m)))
+        batch.apply_pauli_on(batch.labels, bits, np.zeros_like(bits))
+        res = e2e.run_block_chain_tableau(fam, sched, block, batch, injections=cases * len(patterns), seed=5)
+        failing = 0
+        for p, u in enumerate(patterns):
+            logical = Tableau.zero_state(list(range(code.m)))
+            logical.apply_pauli_on(logical.labels, u, np.zeros_like(u))
+            one = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=cases, seed=5)
+            part = slice(p * len(cases), (p + 1) * len(cases))
+            assert np.array_equal(res.output_bits[part], one.output_bits), u
+            assert np.array_equal(res.state_matches[part], one.state_matches), u
+            assert np.array_equal(res.heralds[part], one.heralds), u
+            failing += int((~one.state_matches | one.heralds | (one.output_bits != u).any(axis=1)).sum())
+        # The Steane chain corrects every single injection; the toy chain does fail.
+        assert (failing > 0) == (setup == "toy_setup")
+
+    def test_logical_batch_must_match_the_injections(self, steane_setup, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a circuit ran")
+
+        monkeypatch.setattr(circuit, "run_noisy", refuse)
+        fam, sched = steane_setup
+        logical = Tableau.zero_state([0])
+        logical.apply_pauli_on([0], np.ones((3, 1), np.uint8), np.zeros((3, 1), np.uint8))
+        for injections in ([None], [None, (0, "X")], [None] * 4):
+            with pytest.raises(ValueError, match=f"logical batch of 3 trials for {len(injections)} injections"):
+                e2e.run_block_chain_tableau(fam, sched, 0, logical, injections=injections)
+
     def test_no_injections_rejected(self, steane_setup):
         fam, sched = steane_setup
         with pytest.raises(ValueError, match="at least one injection"):
