@@ -525,20 +525,24 @@ class TestManifest:
         assert "validation.csv" in manifest["outputs"]
 
 
-def modules_after_cli_import() -> set:
-    """Module names loaded by `import decint.cli` in a fresh interpreter."""
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run `python args...` in a fresh interpreter with `src` on its path."""
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, decint.cli; print(*sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+def modules_after_cli_import() -> set:
+    """Module names loaded by `import decint.cli` in a fresh interpreter."""
+    done = fresh_python("-c", "import sys, decint.cli; print(*sys.modules)")
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
 
 
 class TestStartup:
+    SWEEP = {"family": "toy", "r": 2, "r_prime": 1, "noise": {"delta": [0.01]}, "trials": 200, "mu": 0.25}
+
     def test_cli_import_leaves_mpmath_unloaded(self):
         # mpmath serves only noise.tail_bound_dominates, which no command calls.
         assert "mpmath" not in modules_after_cli_import()
@@ -556,6 +560,27 @@ class TestStartup:
         # Golden digest: where the tree module is imported must not change a byte.
         digest = hashlib.sha256((tmp_path / "out" / "tree_bounds.csv").read_bytes()).hexdigest()
         assert digest == "7fe9a535333a29b3fa71c94f8b2e4367acf9bd0cebe4bc20e14bc004a2f96995"
+
+    def test_main_freezes_the_import_heap(self, tmp_path):
+        # In a fresh process, so the count is main's own freeze and not pytest's heap.
+        cfg = write_config(tmp_path, "c.json", self.SWEEP)
+        script = "import gc, sys\nfrom decint import cli\ncode = cli.main(sys.argv[1:])\nprint(code, gc.get_freeze_count())"
+        done = fresh_python("-c", script, "interface-sweep", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        code, frozen = map(int, done.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert frozen > 0
+
+    def test_module_entry_writes_the_in_process_sweep(self, tmp_path):
+        # Freezing changes only the collector's bookkeeping: the process entry
+        # users run writes the same bytes as main called in this process.
+        cfg = write_config(tmp_path, "c.json", self.SWEEP)
+        argv = ["interface-sweep", "--config", cfg, "--seed", "5", "--out"]
+        done = fresh_python("-m", "decint.cli", *argv, str(tmp_path / "module"))
+        assert done.returncode == 0, done.stderr
+        assert cli.main([*argv, str(tmp_path / "in_process")]) == 0
+        module, in_process = (tmp_path / d / "sweep.csv" for d in ("module", "in_process"))
+        assert module.read_bytes() == in_process.read_bytes()
 
 
 class TestSameSeedOutputs:
