@@ -13,8 +13,8 @@ flip; on a k-wire gate a Pauli in [1, 4^k) after the gate, wire j taking
 bits 2j (x) and 2j + 1 (z). Both backends take faults as one (locations,
 trials, codes) triple of arrays, and both inject a layer's faults into Pauli
 frames through one function; the tableau backend then conjugates its state
-by the frames that were hit. The frame backend draws a run's faults at
-once and applies a layer's gates by kind, not gate by gate.
+by the frames that were hit. Both backends walk the compiled layers of
+`Circuit.fault_table()` and apply a layer's gates by kind, not gate by gate.
 """
 
 from __future__ import annotations
@@ -195,12 +195,27 @@ def run_noisy(
     """Tableau execution with `faults` as (locations, trials, codes) arrays (see the
     module docstring), each applied after its layer's gates. Trial t is row t of a
     sign batch, and trial 0 the only trial of one state. Mutates and returns the
-    input tableau."""
+    input tableau.
+
+    A layer is one `apply_layer` step, its measurements and resets in gate order and
+    one tensor of fresh |0> wires: its gates commute, so this is gate-by-gate execution.
+    """
     outcomes = outcomes if outcomes is not None else {}
-    by_layer = {} if faults is None else _checked_faults(circuit.fault_table(), state.trials, faults)
-    for li, layer in enumerate(circuit.layers):
-        for g in layer:
-            _apply_gate_tableau(state, g, outcomes, rng)
+    table = circuit.fault_table()
+    by_layer = {} if faults is None else _checked_faults(table, state.trials, faults)
+    wires = circuit.wires
+    for li, lf in enumerate(table.layers):
+        state.apply_layer([wires[q] for q in table.cols[lf.h, 0].tolist()],
+                          [(wires[c], wires[t]) for c, t in table.cols[lf.cnot].tolist()])
+        outs = dict(zip(lf.meas_bounds[0].tolist(), lf.meas_labels))
+        for row in sorted([*outs, *lf.init0.tolist()]):
+            wire = wires[table.cols[row, 0]]
+            if row in outs:
+                outcomes[outs[row]] = state.measure_z(wire, rng)[0]
+            elif wire in state.labels:
+                state.measure_z(wire, forced=0)
+        if lf.init0.size:
+            state.reset_zero([wires[q] for q in table.cols[lf.init0, 0].tolist()])
         if li in by_layer:
             _apply_faults_tableau(circuit, state, li, by_layer[li], outcomes)
     return state, outcomes
@@ -223,18 +238,6 @@ def _apply_faults_tableau(circuit: Circuit, state: Tableau, li: int, faults: tup
     if hit.size:
         x, z = (a[hit].T[0] if single else a[hit].T for a in (scratch._x, scratch._z))
         state.apply_pauli_on([circuit.wires[q] for q in hit], x, z)
-
-
-def _apply_gate_tableau(state: Tableau, g: Gate, outcomes: dict, rng):
-    if g.name == "h":
-        state.apply_h(g.wires[0])
-    elif g.name == "cnot":
-        state.apply_cnot(g.wires[0], g.wires[1])
-    elif g.name == "init0":
-        state.reset_zero(g.wires[0], rng=rng)
-    elif g.name == "measure":
-        outcome, _ = state.measure_z(g.wires[0], rng=rng)
-        outcomes[g.out] = outcome
 
 
 # -- Pauli frame backend ---------------------------------------------------------
@@ -327,23 +330,22 @@ class FaultTable(NamedTuple):
             [(circuit._index[g.wires[0]], circuit._index[g.wires[-1]]) for g in gates], dtype=np.intp
         ).reshape(-1, 2)
         arity = np.array([0 if g.name == "measure" else len(g.wires) for g in gates], dtype=np.uint8)
-
-        def where(name, rows):
-            return np.array([r for r in range(rows.start, rows.stop) if gates[r].name == name], dtype=np.intp)
-
         layers, start = [], 0
         for layer in circuit.layers:
-            rows = slice(start, start + len(layer))
-            meas = where("measure", rows)
+            rows = {name: [] for name in GATE_ARITY}  # the layer's rows of each gate kind, in one pass
+            for r, g in enumerate(layer, start):
+                rows[g.name].append(r)
+            meas = rows["measure"]
             layers.append(
                 LayerFaults(
-                    rows=rows,
-                    meas_bounds=np.stack([meas, meas + 1]),
+                    rows=slice(start, start + len(layer)),
+                    meas_bounds=np.array([meas, [r + 1 for r in meas]], np.intp),
                     meas_labels=tuple(gates[r].out for r in meas),
-                    h=where("h", rows), cnot=where("cnot", rows), init0=where("init0", rows),
+                    h=np.array(rows["h"], np.intp), cnot=np.array(rows["cnot"], np.intp),
+                    init0=np.array(rows["init0"], np.intp),
                 )
             )
-            start = rows.stop
+            start += len(layer)
         return cls(cols=cols, arity=arity, layers=tuple(layers))
 
 

@@ -5,10 +5,10 @@ Every product goes through `mul_bits`, which XORs the 0/1 rows that each
 row of the left operand selects, with no float or integer round-trip;
 `mul_count` is the one float32 BLAS product, for weighted sums such as a
 packed syndrome index. Elimination (`rank`, `rref`, `nullspace_basis`,
-`solve`, `inverse`) works on a copy of the rows with one pivot rule, so its
-results are unique and inputs are never changed. Rows are packed into 64-bit
-words, where XOR and popcount are single numpy ops, only inside the two
-enumerations: `coset_min_weight`, the one coset search (the
+`solve`, `inverse`) works on a copy with one pivot rule, so its results are
+unique and inputs are never changed; it holds columns as Python-int bitsets.
+Rows are packed into 64-bit words, where XOR and popcount are single numpy
+ops, only inside the two enumerations: `coset_min_weight`, the one coset search (the
 stabilizer-reduced weight of every trial of a batch, exact up to
 MAX_ENUM_ROWS generators), and `min_weight_outside`, the span walk behind
 `CssCode.min_distance`.
@@ -124,23 +124,31 @@ def _eliminate(work: np.ndarray, ncols: int) -> list[int]:
     Columns are scanned left to right and the lowest remaining row with a 1
     becomes the pivot row, so the reduced form is the unique RREF. Columns
     past `ncols` (an augmented block) follow the same row operations.
-    Returns the pivot columns.
+    Returns the pivot columns. Column k is a Python int, bit i for row i; rows
+    from the pivot row down are zero left of column c, so only columns c on change.
     """
+    packed = np.packbits(work.T, axis=1, bitorder="little")
+    data, nb = packed.tobytes(), packed.shape[1]
+    cols = [int.from_bytes(data[k * nb : (k + 1) * nb], "little") for k in range(len(packed))]
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        if r == len(work):
-            break
-        hits = np.flatnonzero(work[r:, c])
-        if not hits.size:
+        r = len(pivots)
+        below = cols[c] >> r
+        if not below:
             continue
-        if hits[0]:
-            work[[r, r + hits[0]]] = work[[r + hits[0], r]]
-        sel = work[:, c] != 0
-        sel[r] = False
-        work[sel] ^= work[r]
+        i = r + (below & -below).bit_length() - 1
+        row, swap = 1 << r, 1 << r | 1 << i
+        if i != r:  # swap rows r and i
+            for k in range(c, len(cols)):
+                if (cols[k] >> r ^ cols[k] >> i) & 1:
+                    cols[k] ^= swap
+        others = cols[c] ^ row  # add row r to the other rows with a 1 in column c
+        for k in range(c, len(cols)):
+            if cols[k] & row:
+                cols[k] ^= others
         pivots.append(c)
-        r += 1
+    bits = np.frombuffer(b"".join([col.to_bytes(nb, "little") for col in cols]), np.uint8)
+    work[:] = np.unpackbits(bits.reshape(packed.shape), axis=1, count=len(work), bitorder="little").T
     return pivots
 
 

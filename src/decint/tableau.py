@@ -7,7 +7,8 @@ stored sign bit s means the generator equals (-1)^s times that product.
 Used as the exact oracle backend; the Pauli-frame engine handles bulk
 Monte Carlo.
 
-Z measurements use the rowsum rule of Aaronson and Gottesman
+`circuit.run_noisy` applies a layer's H and CNOT gates in one `apply_layer`
+step. Z measurements use the rowsum rule of Aaronson and Gottesman
 (arXiv:quant-ph/0406196) without destabilizers; see `Tableau.measure_z`.
 The x/z part of a tableau never depends on its signs: gates and
 measurements change it the same way whatever the signs hold, while Paulis,
@@ -55,21 +56,20 @@ def pauli_product(
     """Multiply Hermitian Paulis (x, z, sign) left to right.
 
     `extra_i` adds a global i^extra_i factor (used when lifting Y = iXZ).
-    The result must be Hermitian again; raises otherwise.
+    The result must be Hermitian again; raises otherwise. Moving each X^x_j
+    left past the Z^z_i with i < j gives P_1 ... P_k = i^g P(x, z) for the
+    XORs x and z and g = sum_i x_i.z_i + 2 sum_{i<j} z_i.x_j - x.z.
     """
     if not terms:
         raise ValueError("empty product")
-    x, z, s = terms[0]
-    x = x.copy()
-    z = z.copy()
-    phase = (2 * s + extra_i) % 4
-    for x2, z2, s2 in terms[1:]:
-        phase = (phase + 2 * s2 + int(_g_exponents(x, z, x2, z2))) % 4
-        x ^= x2
-        z ^= z2
+    x, z = (np.array([t[b] for t in terms], np.uint8) for b in (0, 1))
+    xs, zs = np.bitwise_xor.reduce(x, axis=0), np.bitwise_xor.reduce(z, axis=0)
+    z_before = np.cumsum(z, axis=0)[:-1]  # row j - 1: sum of z_i over i < j
+    g = np.count_nonzero(x & z) + 2 * int((z_before * x[1:]).sum()) - np.count_nonzero(xs & zs)
+    phase = 2 * sum(int(t[2]) for t in terms) + extra_i + int(g)
     if phase % 2:
         raise ValueError("non-Hermitian Pauli product")
-    return x, z, (phase // 2) % 2
+    return xs, zs, phase // 2 % 2
 
 
 def symplectic_overlap(x1, z1, x2, z2) -> np.ndarray:
@@ -105,7 +105,7 @@ class Tableau:
     @classmethod
     def zero_state(cls, labels: Sequence[Hashable]) -> "Tableau":
         n = len(labels)
-        return cls(labels, np.zeros((n, n), np.uint8), np.eye(n, dtype=np.uint8), np.zeros(n, np.uint8))
+        return cls(labels, np.zeros((n, n), np.uint8), np.eye(n, dtype=np.uint8), np.zeros(n), check=False)
 
     def copy(self) -> "Tableau":
         return Tableau(list(self.labels), self.xs.copy(), self.zs.copy(), self.signs.copy(), check=False)
@@ -157,10 +157,23 @@ class Tableau:
 
     # -- gates ----------------------------------------------------------------
 
+    def apply_layer(self, h: Sequence[Hashable] = (), cnot: Sequence[tuple[Hashable, Hashable]] = ()):
+        """Conjugate by H on the wires `h` and CNOT on the (control, target) wire
+        pairs `cnot`, all in one step: the gates touch distinct wires, so they commute."""
+        x, z, at = self.xs, self.zs, self.labels.index
+        if len(h):
+            q = [at(w) for w in h]
+            xq, zq = x[:, q], z[:, q]
+            self.signs ^= np.bitwise_xor.reduce(xq & zq, axis=1)
+            x[:, q], z[:, q] = zq, xq
+        if len(cnot):
+            c, t = np.array([(at(a), at(b)) for a, b in cnot]).T
+            xc, zc, xt, zt = x[:, c], z[:, c], x[:, t], z[:, t]
+            self.signs ^= np.bitwise_xor.reduce(xc & zt & (xt ^ zc ^ 1), axis=1)
+            x[:, t], z[:, c] = xt ^ xc, zc ^ zt
+
     def apply_h(self, label: Hashable):
-        q = self.index(label)
-        self.signs ^= self.xs[:, q] & self.zs[:, q]
-        self.xs[:, q], self.zs[:, q] = self.zs[:, q].copy(), self.xs[:, q].copy()
+        self.apply_layer(h=[label])
 
     def apply_s(self, label: Hashable):
         q = self.index(label)
@@ -168,10 +181,7 @@ class Tableau:
         self.zs[:, q] ^= self.xs[:, q]
 
     def apply_cnot(self, control: Hashable, target: Hashable):
-        c, t = self.index(control), self.index(target)
-        self.signs ^= self.xs[:, c] & self.zs[:, t] & (self.xs[:, t] ^ self.zs[:, c] ^ 1)
-        self.xs[:, t] ^= self.xs[:, c]
-        self.zs[:, c] ^= self.zs[:, t]
+        self.apply_layer(cnot=[(control, target)])
 
     def apply_pauli(self, x_bits: np.ndarray, z_bits: np.ndarray):
         """Conjugate the state by the Pauli X^x Z^z (global phase dropped).
@@ -220,45 +230,44 @@ class Tableau:
             else:
                 outcome = int(rng.integers(0, 2))
         else:
-            lam, outcome = self._express(np.zeros(self.n, np.uint8), np.eye(1, self.n, q, np.uint8)[0])
+            lam, outcome = self._express(np.eye(1, 2 * self.n, self.n + q, np.uint8)[0])
             p = int(lam.argmax())
         outcome = np.full(self.signs.shape[:-1], outcome, np.uint8)
         self.signs ^= self.zs[:, q] & outcome[..., None]
-        self.xs, self.zs = (np.delete(np.delete(a, p, 0), q, 1) for a in (self.xs, self.zs))
-        self.signs = np.delete(self.signs, p, -1)
+        keep = np.ones((self.n, self.n), bool)  # drop row p and column q
+        keep[p] = keep[:, q] = False
+        self.xs, self.zs = (a[keep].reshape(self.n - 1, self.n - 1) for a in (self.xs, self.zs))
+        self.signs = self.signs[..., np.arange(self.n) != p]
         del self.labels[q]
         return _per_trial(outcome), not anti.size
 
-    def _express(self, x_bits: np.ndarray, z_bits: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
-        """(combination, sign) of the generators whose product is +/-X^x Z^z.
+    def _express(self, target: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+        """(combination, sign) of the generators whose product is +/-target (2n x-then-z bits).
 
         The combination is a read-only boolean mask over the generators;
         raises when the Pauli is not in the stabilizer group up to sign.
         """
-        target = (np.concatenate([x_bits, z_bits]) & 1).astype(np.uint8)
         found = _combination(self.xs.tobytes(), self.zs.tobytes(), self.n, target.tobytes())
         if found is None:
             raise ValueError("Pauli not in stabilizer group")
         lam, half = found
         return lam, _per_trial((self.signs[..., lam].sum(axis=-1) + half) % 2)
 
-    def add_fresh_zero(self, label: Hashable):
-        """Append a new wire prepared in |0>."""
-        grown = self.tensor(Tableau([label], [[0]], [[1]], [0], check=False))
+    def reset_zero(self, labels: Sequence[Hashable]):
+        """Force wires into |0>: measure each present one with a pinned outcome,
+        then append them all as fresh |0> wires with one tensor."""
+        for label in labels:
+            if label in self.labels:
+                self.measure_z(label, forced=0)
+        grown = self.tensor(Tableau.zero_state(labels))
         self.labels, self.xs, self.zs, self.signs = grown.labels, grown.xs, grown.zs, grown.signs
-
-    def reset_zero(self, label: Hashable, rng: Optional[np.random.Generator] = None):
-        """Force a wire into |0> (measure with a pinned outcome, re-add)."""
-        if label in self.labels:
-            self.measure_z(label, rng=rng, forced=0)
-        self.add_fresh_zero(label)
 
     def expectation_z(self, x_bits: np.ndarray, z_bits: np.ndarray) -> Optional[int | np.ndarray]:
         """Outcome bit, per trial, of measuring the Pauli X^x Z^z if deterministic, else None."""
         if symplectic_overlap(self.xs, self.zs, x_bits, z_bits).any():
             return None
         # A Pauli commuting with n independent generators lies in their group.
-        return self._express(x_bits, z_bits)[1]
+        return self._express((np.concatenate([x_bits, z_bits]) & 1).astype(np.uint8))[1]
 
     # -- canonical form & comparison -------------------------------------------
 

@@ -7,7 +7,7 @@ from decint import circuit as circ
 from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
 from decint.interface import wilson_interval
 from decint.noise import STREAM_CIRCUIT, NoiseParams, bernoulli_positions, rng_stream
-from decint.tableau import Tableau
+from decint.tableau import Tableau, random_stabilizer_state
 
 
 def det_random_circuit(seed: int, n_qubits: int, n_layers: int) -> Circuit:
@@ -161,6 +161,132 @@ class TestNoisyRun:
         c.add_layer([Gate("measure", ("q",), out="m")])
         _, outs = circ.run_noisy(c, Tableau.zero_state(["q"]), faults=([0], [0], [1]))  # X after the idle
         assert outs["m"] == 1
+
+
+def _reference_h(t: Tableau, wire):
+    """H by the Aaronson-Gottesman rule, written out here so that the reference
+    shares no gate code with `run_noisy`."""
+    q = t.index(wire)
+    t.signs ^= t.xs[:, q] & t.zs[:, q]
+    t.xs[:, q], t.zs[:, q] = t.zs[:, q].copy(), t.xs[:, q].copy()
+
+
+def _reference_cnot(t: Tableau, control, target):
+    c, g = t.index(control), t.index(target)
+    t.signs ^= t.xs[:, c] & t.zs[:, g] & (t.xs[:, g] ^ t.zs[:, c] ^ 1)
+    t.xs[:, g] ^= t.xs[:, c]
+    t.zs[:, c] ^= t.zs[:, g]
+
+
+def _reference_tableau_run(c: Circuit, state: Tableau, faults: tuple, rng) -> tuple[dict, list]:
+    """Gate-by-gate tableau execution: every gate of a layer in order, then the
+    layer's faults one at a time. Returns the outcomes and, per measurement,
+    whether it was deterministic."""
+    batch = state.signs.ndim == 2
+    outcomes, dets = {}, []
+    start = 0
+    for layer in c.layers:
+        for g in layer:
+            if g.name == "h":
+                _reference_h(state, g.wires[0])
+            elif g.name == "cnot":
+                _reference_cnot(state, *g.wires)
+            elif g.name == "init0":
+                state.reset_zero([g.wires[0]])
+            elif g.name == "measure":
+                outcomes[g.out], det = state.measure_z(g.wires[0], rng)
+                dets.append(det)
+        for loc, trial, code in zip(*faults):
+            if not start <= loc < start + len(layer):
+                continue
+            g = layer[loc - start]
+            if g.name == "measure":
+                flip = np.eye(1, state.trials, trial, np.uint8)[0] if batch else 1
+                outcomes[g.out] = outcomes[g.out] ^ flip
+                continue
+            x, z = (np.array([code >> (2 * j + b) & 1 for j in range(len(g.wires))], np.uint8) for b in (0, 1))
+            if batch:  # this trial's Pauli, identity on the others
+                x, z = (np.outer(np.eye(1, state.trials, trial, np.uint8)[0], v) for v in (x, z))
+            state.apply_pauli_on(g.wires, x, z)
+        start += len(layer)
+    return outcomes, dets
+
+
+def _random_mixed_circuit(rng, wires: list, present: set) -> tuple[Circuit, dict]:
+    """Eight random layers over the five gates. H, CNOT, idle and measure act on
+    wires in the state, init0 on present and absent wires alike; `present` is
+    updated layer by layer. Also returns how many init0 gates hit each kind."""
+    c = Circuit(wires)
+    resets = {"present": 0, "fresh": 0}
+    for _ in range(8):
+        gates, free = [], [wires[i] for i in rng.permutation(len(wires))]
+        while free:
+            w = free.pop()
+            if w not in present:
+                if rng.random() < 0.6:
+                    gates.append(Gate("init0", (w,)))
+                    resets["fresh"] += 1
+                continue
+            kind = rng.choice(["h", "cnot", "idle", "measure", "init0"], p=[0.25, 0.3, 0.1, 0.2, 0.15])
+            partners = [p for p in free if p in present]
+            if kind == "cnot" and partners:
+                free.remove(partners[0])
+                pair = (w, partners[0]) if rng.random() < 0.5 else (partners[0], w)
+                gates.append(Gate("cnot", pair))
+            elif kind == "measure":
+                gates.append(Gate("measure", (w,), out=f"m{c.depth}_{w}"))
+            elif kind == "init0":
+                gates.append(Gate("init0", (w,)))
+                resets["present"] += 1
+            else:
+                gates.append(Gate("idle" if kind == "idle" else "h", (w,)))
+        c.add_layer(gates)
+        present -= {g.wires[0] for g in gates if g.name == "measure"}
+        present |= {g.wires[0] for g in gates if g.name == "init0"}
+    return c, resets
+
+
+def _random_forced_faults(rng, c: Circuit, trials: int) -> tuple:
+    """Up to eight faults at distinct (location, trial) pairs with valid codes."""
+    arity = c.fault_table().arity
+    picks = rng.choice(arity.size * trials, size=min(8, arity.size * trials), replace=False)
+    loc, trial = picks // trials, picks % trials
+    code = [1 if arity[l] == 0 else int(rng.integers(1, 4 ** int(arity[l]))) for l in loc]
+    return loc.tolist(), trial.tolist(), code
+
+
+class TestLayerWalk:
+    """`run_noisy` runs a layer as one step; it must leave the tableau, bit for
+    bit, and the outcomes that a gate-by-gate run leaves."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["one-state", "sign-batch"])
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "forced-faults"])
+    def test_matches_the_gate_by_gate_reference(self, batch, faulted):
+        seen_dets, seen_resets = set(), {"present": 0, "fresh": 0}
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            wires = [f"w{i}" for i in range(7)]
+            present = set(wires[: 4 + seed % 3])
+            state = random_stabilizer_state(sorted(present), rng)
+            if batch:
+                state.apply_pauli(*rng.integers(0, 2, (2, 4, state.n), dtype=np.uint8))
+            c, resets = _random_mixed_circuit(rng, wires, present)
+            trials = state.trials
+            faults = _random_forced_faults(rng, c, trials) if faulted else ([], [], [])
+            got, want = state.copy(), state.copy()
+            _, got_out = circ.run_noisy(c, got, faults=faults, rng=np.random.default_rng(seed))
+            want_out, dets = _reference_tableau_run(c, want, faults, np.random.default_rng(seed))
+            assert got.labels == want.labels, seed
+            for name in ("xs", "zs", "signs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (seed, name)
+            assert got_out.keys() == want_out.keys(), seed
+            for label, bit in want_out.items():
+                assert np.array_equal(got_out[label], bit), (seed, label)
+            seen_dets.update(dets)
+            for kind in resets:
+                seen_resets[kind] += resets[kind]
+        assert seen_dets == {False, True}
+        assert min(seen_resets.values()) > 0
 
 
 def propagate(c: Circuit, x_bits, z_bits) -> FrameBatch:

@@ -135,6 +135,68 @@ class TestInverse:
         assert np.array_equal(gf2.mul_bits(m, gf2.inverse(m)), np.eye(6, dtype=np.uint8))
 
 
+def reference_eliminate(work: np.ndarray, ncols: int) -> list[int]:
+    """Reference: the dense numpy elimination, one row swap and one masked
+    row XOR per pivot, with the pivot rule of `gf2._eliminate`."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        hits = np.flatnonzero(work[r:, c])
+        if not hits.size:
+            continue
+        if hits[0]:
+            work[[r, r + hits[0]]] = work[[r + hits[0], r]]
+        sel = work[:, c] != 0
+        sel[r] = False
+        work[sel] ^= work[r]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+class TestEliminate:
+    """`_eliminate` leaves the same array and pivots as the dense reference,
+    augmented columns included, so every rref/rank/solve/inverse is unchanged."""
+
+    @staticmethod
+    def systems(rng, rows, ncols, extra):
+        """A dense, a sparse and a rank-deficient (repeated rows) system."""
+        dense = random_matrix(rng, rows, ncols + extra)
+        sparse = (rng.random((rows, ncols + extra)) < 0.05).astype(np.uint8)
+        low = dense[rng.integers(0, max(1, rows // 3), rows)] if rows else dense
+        return [dense, sparse, low]
+
+    def check(self, work, ncols):
+        want = work.copy()
+        want_pivots = reference_eliminate(want, ncols)
+        got = work.copy()
+        assert gf2._eliminate(got, ncols) == want_pivots
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "rows, ncols",
+        [(0, 0), (0, 5), (5, 0), (1, 1), (63, 63), (64, 64), (65, 65), (130, 130), (200, 63), (40, 64),
+         (150, 65), (10, 130), (3, 64), (26, 13), (194, 97)],
+    )
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_matches_the_dense_reference(self, rows, ncols, extra):
+        rng = np.random.default_rng(1000 * rows + 10 * ncols + extra)
+        for work in self.systems(rng, rows, ncols, extra):
+            self.check(work, ncols)
+
+    @pytest.mark.parametrize("n", [1, 13, 63, 64, 65, 97])
+    def test_solve_and_inverse_blocks(self, n):
+        # The blocks `solve` and `inverse` build: [M | b] and [M | I].
+        rng = np.random.default_rng(n)
+        m = random_matrix(rng, 2 * n, n)
+        for b in (m[:, :1] ^ m[:, -1:], random_matrix(rng, 2 * n, 1)):
+            self.check(np.concatenate([m, b], axis=1), n)
+        square = random_matrix(rng, n, n)
+        self.check(np.concatenate([square, np.eye(n, dtype=np.uint8)], axis=1), n)
+
+
 class TestCosetMinWeight:
     # Batched calls: every row of `e` is one trial.
     def test_zero_vector(self):
