@@ -198,7 +198,7 @@ def run_noisy(
     input tableau.
 
     A layer is one `apply_layer` step, its measurements and resets in gate order and
-    one tensor of fresh |0> wires: its gates commute, so this is gate-by-gate execution.
+    one `extend` by fresh |0> wires: its gates commute, so this is gate-by-gate execution.
     """
     outcomes = outcomes if outcomes is not None else {}
     table = circuit.fault_table()

@@ -564,9 +564,7 @@ class TableauEngine:
         resource = plan.resource_tableau()
         if set(map(str, self.state.labels)) & set(map(str, resource.labels)):
             raise ValueError("gamma wires collide with spectator wires")
-        merged = self.state.tensor(resource)
-        state = self.state
-        state.labels, state.xs, state.zs, state.signs = merged.labels, merged.xs, merged.zs, merged.signs
+        self.state.extend(resource)
 
     def load(self, handle: list, wires: Sequence, scope: Sequence):
         self.state.rename(dict(zip(handle, wires)))

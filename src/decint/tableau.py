@@ -7,47 +7,30 @@ stored sign bit s means the generator equals (-1)^s times that product.
 Used as the exact oracle backend; the Pauli-frame engine handles bulk
 Monte Carlo.
 
-`circuit.run_noisy` applies a layer's H and CNOT gates in one `apply_layer`
-step. Z measurements use the rowsum rule of Aaronson and Gottesman
-(arXiv:quant-ph/0406196) without destabilizers; see `Tableau.measure_z`.
+Destabilizer i anticommutes with generator i alone and commutes with every
+destabilizer (Aaronson-Gottesman, arXiv:quant-ph/0406196); +/-P in the group
+is the product of the generators whose destabilizers anticommute with P, so
+a deterministic outcome needs no solve. Bit 2i of the Python-int bitsets
+`_x[c]`, `_z[c]` holds generator i on wire c and bit 2i + 1 destabilizer i
+(its sign is not kept), as in Stim's packed tableau (Gidney, arXiv:2103.02202).
+
 The x/z part of a tableau never depends on its signs: gates and
 measurements change it the same way whatever the signs hold, while Paulis,
-corrections and outcomes only flip signs. So the generator combination
-that gives a Pauli is memoised in `_combination`, keyed by the bytes of
-the x/z part, the wire count and the target Pauli, together with the
-sign-free half of the product's phase. A sign is then the parity of the
-selected generators' signs plus that half.
-
-For the same reason one tableau holds a batch of exact states: `signs` is
-(n,) for one state or (trials, n) for trials that share the x/z part, and
-every method broadcasts over the leading axis. Whether a Z measurement is
-random depends on the x/z part alone, so a random outcome is one rng draw
-shared by the whole batch: the draw that each trial, run alone from an rng
-seeded alike, would take.
+corrections and outcomes only flip signs. So one tableau holds a batch of
+exact states: `signs` is (n,) for one state or (trials, n) for trials that
+share the x/z part, and every method broadcasts over the leading axis.
+Whether a Z measurement is random depends on the x/z part alone, so a
+random outcome is one rng draw shared by the whole batch: the draw that
+each trial, run alone from an rng seeded alike, would take.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
 from . import gf2
-
-
-def _g_exponents(x1, z1, x2, z2):
-    """i-exponent (mod 4) of the Hermitian Pauli product (x1, z1) * (x2, z2).
-
-    With P(x, z) = i^(x.z) X^x Z^z, P1 P2 = i^g P(x1^x2, z1^z2) for
-    g = x1.z1 + x2.z2 + 2 z1.x2 - (x1^x2).(z1^z2); dot products run over
-    the last axis, so rows of stacked Paulis broadcast.
-    """
-
-    def dot(a, b):
-        return np.sum(a & b, axis=-1, dtype=np.int64)
-
-    return (dot(x1, z1) + dot(x2, z2) + 2 * dot(z1, x2) - dot(x1 ^ x2, z1 ^ z2)) % 4
 
 
 def pauli_product(
@@ -72,60 +55,89 @@ def pauli_product(
     return xs, zs, phase // 2 % 2
 
 
-def symplectic_overlap(x1, z1, x2, z2) -> np.ndarray:
-    """1 where the two Paulis anticommute (row-wise)."""
-    return ((x1 & z2).sum(axis=-1) + (z1 & x2).sum(axis=-1)) % 2
+def _even(n: int) -> int:
+    """The generator bits of n rows: bits 0, 2, ..., 2n - 2."""
+    return (1 << 2 * n) // 3
+
+
+def _bits(values: Sequence[int], n: int, part: int = 0) -> np.ndarray:
+    """Read-only (len(values), n) uint8 array: entry [k, i] is bit 2i + part of values[k]."""
+    nb = (2 * n + 7) // 8
+    data = np.frombuffer(b"".join([v.to_bytes(nb, "little") for v in values]), np.uint8)
+    bits = np.unpackbits(data.reshape(len(values), nb), axis=1, count=2 * n, bitorder="little")[:, part::2]
+    bits.flags.writeable = False
+    return bits
+
+
+def _columns(stab: np.ndarray, destab: np.ndarray) -> list[int]:
+    """Column bitsets of (rows, wires) generator and destabilizer bits."""
+    both = np.zeros((stab.shape[1], 2 * len(stab)), np.uint8)
+    both[:, 0::2], both[:, 1::2] = stab.T, destab.T
+    return [int.from_bytes(col.tobytes(), "little") for col in np.packbits(both, axis=1, bitorder="little")]
+
+
+def _paired(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) rows of which row i anticommutes with generator i alone.
+
+    Eliminating (S | I), S = (xs | zs), gives S's pivots and E with
+    E S[:, pivots] = I. The unit Pauli U_k on the other half (x <-> z) of
+    pivot k's wire meets generator j where S[j, pivot k] = 1, so E^T U pairs.
+    """
+    n = len(xs)
+    red, pivots = gf2.rref(np.concatenate([xs, zs, np.eye(n, dtype=np.uint8)], axis=1))
+    if len(pivots) != n or pivots[-1:] >= [2 * n]:
+        raise ValueError("generators not independent")
+    d = np.zeros((n, 2 * n), np.uint8)
+    d[:, (np.array(pivots, np.intp) + n) % (2 * n)] = red[:, 2 * n :].T
+    return d[:, :n], d[:, n:]
 
 
 class Tableau:
-    """Mutable signed stabilizer tableau over labelled wires, or a batch of
-    them with (trials, n) signs (see the module docstring)."""
+    """Mutable signed stabilizer tableau over labelled wires, or a sign batch (see the module docstring)."""
 
-    def __init__(
-        self,
-        labels: Sequence[Hashable],
-        xs: np.ndarray,
-        zs: np.ndarray,
-        signs: np.ndarray,
-        check: bool = True,
-    ):
+    def __init__(self, labels: Sequence[Hashable], xs: np.ndarray, zs: np.ndarray, signs: np.ndarray):
+        """A state from its generators: row i of xs/zs and signs[..., i] give generator i."""
         self.labels: list[Hashable] = list(labels)
-        self.xs = np.asarray(xs, dtype=np.uint8) & 1
-        self.zs = np.asarray(zs, dtype=np.uint8) & 1
+        xs, zs = (np.asarray(a, dtype=np.uint8) & 1 for a in (xs, zs))
         self.signs = np.asarray(signs, dtype=np.uint8) & 1
         n = len(self.labels)
         signs_ok = self.signs.ndim in (1, 2) and self.signs.shape[-1:] == (n,)
-        if self.xs.shape != (n, n) or self.zs.shape != (n, n) or not signs_ok:
+        if xs.shape != (n, n) or zs.shape != (n, n) or not signs_ok:
             raise ValueError(f"tableau shape mismatch: signs must be ({n},) or (trials, {n})")
-        if check:
-            self.assert_valid()
+        dx, dz = _paired(xs, zs)
+        self._x, self._z = _columns(xs, dx), _columns(zs, dz)
+        for i in range(n):  # destabilizer i times the generators j < i whose destabilizers it meets
+            gens = (self._overlaps(2 * i + 1) & _even(i) << 1) >> 1
+            for cols in (self._x, self._z) if gens else ():
+                cols[:] = [v ^ ((v & gens).bit_count() & 1) << 2 * i + 1 for v in cols]
+        self.assert_valid()
+
+    @classmethod
+    def _of(cls, labels: list, x: list[int], z: list[int], signs: np.ndarray) -> "Tableau":
+        t = cls.__new__(cls)
+        t.labels, t._x, t._z, t.signs = labels, x, z, signs
+        return t
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def zero_state(cls, labels: Sequence[Hashable]) -> "Tableau":
-        n = len(labels)
-        return cls(labels, np.zeros((n, n), np.uint8), np.eye(n, dtype=np.uint8), np.zeros(n), check=False)
+        """Generator c is Z_c and destabilizer c is X_c."""
+        x, z = ([b << 2 * c for c in range(len(labels))] for b in (2, 1))
+        return cls._of(list(labels), x, z, np.zeros(len(labels), np.uint8))
 
     def copy(self) -> "Tableau":
-        return Tableau(list(self.labels), self.xs.copy(), self.zs.copy(), self.signs.copy(), check=False)
+        return Tableau._of(list(self.labels), list(self._x), list(self._z), self.signs.copy())
 
-    def tensor(self, other: "Tableau") -> "Tableau":
-        """Product state; one state broadcasts onto a batch."""
+    def extend(self, other: "Tableau"):
+        """Tensor `other` onto this state in place, its wires last; one state broadcasts onto a batch."""
         if self.signs.ndim == other.signs.ndim == 2 and len(self.signs) != len(other.signs):
             raise ValueError(f"batches of {len(self.signs)} and {len(other.signs)} trials")
         lead = self.signs.shape[:-1] or other.signs.shape[:-1]
-        signs = [np.broadcast_to(s, lead + s.shape[-1:]) for s in (self.signs, other.signs)]
-        n1, n2 = len(self.labels), len(other.labels)
-        xs = np.zeros((n1 + n2, n1 + n2), np.uint8)
-        zs = np.zeros_like(xs)
-        xs[:n1, :n1] = self.xs
-        xs[n1:, n1:] = other.xs
-        zs[:n1, :n1] = self.zs
-        zs[n1:, n1:] = other.zs
-        return Tableau(self.labels + other.labels, xs, zs, np.concatenate(signs, axis=-1), check=False)
-
-    # -- bookkeeping ---------------------------------------------------------
+        self.signs = np.hstack([np.broadcast_to(s, lead + s.shape[-1:]) for s in (self.signs, other.signs)])
+        self._x += [v << 2 * self.n for v in other._x]
+        self._z += [v << 2 * self.n for v in other._z]
+        self.labels += other.labels
 
     @property
     def n(self) -> int:
@@ -135,68 +147,109 @@ class Tableau:
     def trials(self) -> int:
         return len(self.signs) if self.signs.ndim == 2 else 1
 
-    def index(self, label: Hashable) -> int:
-        return self.labels.index(label)
+    @property
+    def xs(self) -> np.ndarray:
+        """Generator X bits, read-only (n, n): row i is generator i."""
+        return _bits(self._x, self.n).T
+
+    @property
+    def zs(self) -> np.ndarray:
+        return _bits(self._z, self.n).T
 
     def assert_valid(self):
-        if symplectic_overlap(self.xs[:, None], self.zs[:, None], self.xs, self.zs).any():
-            raise ValueError("generators do not commute")
-        if gf2.rank(np.concatenate([self.xs, self.zs], axis=1)) != self.n:
-            raise ValueError("generators not independent")
+        """Generators commute, and each row anticommutes with its partner
+        alone (generator i with destabilizer i), which makes them independent."""
+        for i in range(2 * self.n):
+            hit = self._overlaps(i)
+            if not i % 2 and hit & _even(self.n):
+                raise ValueError("generators do not commute")
+            if hit != 1 << (i ^ 1):
+                raise ValueError("destabilizers do not pair with the generators")
 
-    def _rowsum_into(self, rows: np.ndarray, src: int):
-        """generators[rows] <- generators[rows] * generators[src]."""
-        if rows.size == 0:
-            return
-        g = _g_exponents(self.xs[rows], self.zs[rows], self.xs[src], self.zs[src])
-        if (g % 2).any():
+    def _overlaps(self, i: int) -> int:
+        """The row bits of the rows that row bit i anticommutes with."""
+        hit = 0
+        for xc, zc in zip(self._x, self._z):
+            hit ^= (zc if xc >> i & 1 else 0) ^ (xc if zc >> i & 1 else 0)
+        return hit
+
+    def _rowsum(self, rows: int, p: int) -> int:
+        """Multiply the rows at the row bits `rows` by generator p; return the
+        generators' sign flips beyond p's sign, as generator bits.
+
+        Where p is X, Y or Z, a row's product with it is i^e times a Hermitian
+        Pauli: e = +1 where the row holds the Pauli before p's in the cycle X,
+        Y, Z and -1 where it holds the one after. A bit-sliced mod-4 counter
+        (lo, hi) sums e per row; for commuting rows lo ends 0 and hi flips."""
+        x, z = self._x, self._z
+        lo = hi = 0
+        for c in range(len(x)):
+            px, pz = x[c] >> 2 * p & 1, z[c] >> 2 * p & 1
+            if px | pz:
+                rx, rz = x[c] & rows, z[c] & rows
+                xo, yo, zo = rx & ~rz, rx & rz, rz & ~rx
+                up, down = (zo, yo) if not pz else (yo, xo) if not px else (xo, zo)
+                hi ^= lo & up
+                lo ^= up
+                hi ^= ~lo & down
+                lo ^= down
+                x[c] ^= rows if px else 0
+                z[c] ^= rows if pz else 0
+        if lo & rows & _even(self.n):
             raise ValueError("rowsum of anticommuting generators")
-        self.signs[..., rows] ^= self.signs[..., src, None] ^ (g // 2).astype(np.uint8)
-        self.xs[rows] ^= self.xs[src]
-        self.zs[rows] ^= self.zs[src]
+        return hi & _even(self.n)
+
+    def _sign(self, rows: int, ys: int = 0) -> np.ndarray:
+        """Per trial, the sign bit of the row-order product of the generators at
+        `rows`, Hermitian with `ys` Y factors: their signs' XOR and half of its
+        i-exponent g = sum_i x_i.z_i + 2 sum_{i<j} z_i.x_j - ys (see `pauli_product`)."""
+        nb = (6 * self.n + 7) // 8  # 6n bits a wire: bits start below 2n and the shifts move them < 4n
+        rx, rz = (int.from_bytes(b"".join([(v & rows).to_bytes(nb, "little") for v in cols]), "little")
+                  for cols in (self._x, self._z))
+        below, s = rz << 2, 2  # bit 2j of a wire: the parity of z_i over the rows i < j
+        while s < 2 * self.n:
+            below ^= below << s
+            s <<= 1
+        g = (rx & rz).bit_count() + 2 * (rx & below).bit_count() - ys
+        return (self.signs & _bits([rows], self.n)[0]).sum(axis=-1, dtype=np.uint8) & 1 ^ g // 2 % 2
 
     # -- gates ----------------------------------------------------------------
 
     def apply_layer(self, h: Sequence[Hashable] = (), cnot: Sequence[tuple[Hashable, Hashable]] = ()):
         """Conjugate by H on the wires `h` and CNOT on the (control, target) wire
-        pairs `cnot`, all in one step: the gates touch distinct wires, so they commute."""
-        x, z, at = self.xs, self.zs, self.labels.index
-        if len(h):
-            q = [at(w) for w in h]
-            xq, zq = x[:, q], z[:, q]
-            self.signs ^= np.bitwise_xor.reduce(xq & zq, axis=1)
-            x[:, q], z[:, q] = zq, xq
-        if len(cnot):
-            c, t = np.array([(at(a), at(b)) for a, b in cnot]).T
-            xc, zc, xt, zt = x[:, c], z[:, c], x[:, t], z[:, t]
-            self.signs ^= np.bitwise_xor.reduce(xc & zt & (xt ^ zc ^ 1), axis=1)
-            x[:, t], z[:, c] = xt ^ xc, zc ^ zt
+        pairs `cnot`; the gates touch distinct wires, so they commute."""
+        x, z, at = self._x, self._z, self.labels.index
+        flips = 0
+        for w in h:
+            q = at(w)
+            flips ^= x[q] & z[q]
+            x[q], z[q] = z[q], x[q]
+        for a, b in cnot:
+            c, t = at(a), at(b)
+            flips ^= x[c] & z[t] & ~(x[t] ^ z[c])
+            x[t] ^= x[c]
+            z[c] ^= z[t]
+        self.signs ^= _bits([flips & _even(self.n)], self.n)[0]
 
     def apply_h(self, label: Hashable):
         self.apply_layer(h=[label])
 
     def apply_s(self, label: Hashable):
-        q = self.index(label)
-        self.signs ^= self.xs[:, q] & self.zs[:, q]
-        self.zs[:, q] ^= self.xs[:, q]
+        q = self.labels.index(label)
+        self.signs ^= _bits([self._x[q] & self._z[q] & _even(self.n)], self.n)[0]
+        self._z[q] ^= self._x[q]
 
     def apply_cnot(self, control: Hashable, target: Hashable):
         self.apply_layer(cnot=[(control, target)])
 
-    def apply_pauli(self, x_bits: np.ndarray, z_bits: np.ndarray):
-        """Conjugate the state by the Pauli X^x Z^z (global phase dropped).
-
-        (trials, n) bits give each trial its own Pauli: one state becomes a batch.
-        """
-        pauli = np.concatenate([x_bits, z_bits], axis=-1)
-        self.signs = self.signs ^ gf2.mul_bits(pauli, np.concatenate([self.zs, self.xs], axis=1).T)
-
     def apply_pauli_on(self, wires: Sequence[Hashable], x_bits, z_bits):
-        """Conjugate by X^x Z^z where bit i (last axis) acts on the wire wires[i]."""
-        cols = [self.index(w) for w in wires]
-        xb, zb = np.zeros((2, *np.shape(x_bits)[:-1], self.n), np.uint8)
-        xb[..., cols], zb[..., cols] = x_bits, z_bits
-        self.apply_pauli(xb, zb)
+        """Conjugate by X^x Z^z (global phase dropped), bit i of the last axis on
+        the wire wires[i]; (trials, len(wires)) bits give each trial its own
+        Pauli, so one state becomes a batch."""
+        cols = [self.labels.index(w) for w in wires]
+        meet = _bits([self._z[c] for c in cols] + [self._x[c] for c in cols], self.n)
+        pauli = np.concatenate([np.asarray(x_bits, np.uint8), np.asarray(z_bits, np.uint8)], axis=-1)
+        self.signs = self.signs ^ gf2.mul_bits(pauli, meet)
 
     # -- measurement ----------------------------------------------------------
 
@@ -209,90 +262,61 @@ class Tableau:
         from `rng` for the whole batch unless `forced` pins them (used to
         realize init0 on a dirty wire).
 
-        Update rule: pick one generator p. If some generators anticommute
-        with Z_q, the outcome is random; p is the first of them and the
-        others are multiplied by it. Otherwise p is any generator in the
-        combination that gives +/-Z_q (memoised, see the module docstring),
-        and the outcome is that product's sign; replacing p by the product
-        keeps a generating set. Row p becomes (-1)^outcome Z_q. No other row
-        has X on q, so multiplying a row that has Z on q by that row only
-        XORs the outcome into its sign. Row p and column q are then dropped.
+        Update rule: if some generators anticommute with Z_q, the outcome is
+        random, p is the first of them and every other row, generator or
+        destabilizer, with X on q is multiplied by it. Otherwise +/-Z_q is the
+        product of the generators whose destabilizers have X on q, p is the
+        first of them, the outcome is the product's sign, and the product's
+        other destabilizers are multiplied by destabilizer p. Row p becomes
+        (-1)^outcome Z_q, the one row with X on q: a generator with Z on q
+        times it only XORs the outcome into its sign. Row p and column q are
+        then dropped.
         """
-        q = self.index(label)
-        anti = np.flatnonzero(self.xs[:, q])
-        if anti.size:
-            p = int(anti[0])
-            self._rowsum_into(anti[1:], p)
-            if forced is not None:
-                outcome = int(forced)
-            elif rng is None:
+        q = self.labels.index(label)
+        x, z, even = self._x, self._z, _even(self.n)
+        anti = x[q] & even
+        if anti:
+            low = anti & -anti
+            p, rows = low.bit_length() - 1 >> 1, x[q] ^ low
+            half = self._rowsum(rows, p)
+            if forced is None and rng is None:
                 raise ValueError("random measurement needs an rng")
-            else:
-                outcome = int(rng.integers(0, 2))
+            outcome = int(forced) if forced is not None else int(rng.integers(0, 2))
+            hit, flips = _bits([rows & even, half ^ (z[q] & even if outcome else 0)], self.n)
+            signs = self.signs ^ ((self.signs[..., p, None] & hit) ^ flips)
+            outcome = np.full(self.signs.shape[:-1], outcome, np.uint8)
         else:
-            lam, outcome = self._express(np.eye(1, 2 * self.n, self.n + q, np.uint8)[0])
-            p = int(lam.argmax())
-        outcome = np.full(self.signs.shape[:-1], outcome, np.uint8)
-        self.signs ^= self.zs[:, q] & outcome[..., None]
-        keep = np.ones((self.n, self.n), bool)  # drop row p and column q
-        keep[p] = keep[:, q] = False
-        self.xs, self.zs = (a[keep].reshape(self.n - 1, self.n - 1) for a in (self.xs, self.zs))
-        self.signs = self.signs[..., np.arange(self.n) != p]
-        del self.labels[q]
-        return _per_trial(outcome), not anti.size
-
-    def _express(self, target: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
-        """(combination, sign) of the generators whose product is +/-target (2n x-then-z bits).
-
-        The combination is a read-only boolean mask over the generators;
-        raises when the Pauli is not in the stabilizer group up to sign.
-        """
-        found = _combination(self.xs.tobytes(), self.zs.tobytes(), self.n, target.tobytes())
-        if found is None:
-            raise ValueError("Pauli not in stabilizer group")
-        lam, half = found
-        return lam, _per_trial((self.signs[..., lam].sum(axis=-1) + half) % 2)
+            lam = x[q] >> 1 & even
+            low = lam & -lam
+            p, others = low.bit_length() - 1 >> 1, (lam ^ low) << 1
+            for cols in (x, z):
+                cols[:] = [v ^ others if v >> 2 * p + 1 & 1 else v for v in cols]
+            outcome = self._sign(lam)
+            signs = self.signs ^ (_bits([z[q] & even], self.n)[0] & outcome[..., None])
+        self.signs = np.concatenate([signs[..., :p], signs[..., p + 1 :]], axis=-1)
+        del x[q], z[q], self.labels[q]
+        keep = (1 << 2 * p) - 1
+        self._x, self._z = ([v & keep | v >> 2 * p + 2 << 2 * p for v in cols] for cols in (x, z))
+        return _per_trial(outcome), not anti
 
     def reset_zero(self, labels: Sequence[Hashable]):
-        """Force wires into |0>: measure each present one with a pinned outcome,
-        then append them all as fresh |0> wires with one tensor."""
+        """Force wires into |0>: measure present ones with a pinned outcome, then append all as fresh wires."""
         for label in labels:
             if label in self.labels:
                 self.measure_z(label, forced=0)
-        grown = self.tensor(Tableau.zero_state(labels))
-        self.labels, self.xs, self.zs, self.signs = grown.labels, grown.xs, grown.zs, grown.signs
+        self.extend(Tableau.zero_state(labels))
 
     def expectation_z(self, x_bits: np.ndarray, z_bits: np.ndarray) -> Optional[int | np.ndarray]:
         """Outcome bit, per trial, of measuring the Pauli X^x Z^z if deterministic, else None."""
-        if symplectic_overlap(self.xs, self.zs, x_bits, z_bits).any():
+        x_bits, z_bits = np.asarray(x_bits) & 1, np.asarray(z_bits) & 1
+        hit = 0  # the rows that the Pauli anticommutes with
+        for xc, zc, xb, zb in zip(self._x, self._z, x_bits, z_bits):
+            hit ^= (zc if xb else 0) ^ (xc if zb else 0)
+        if hit & _even(self.n):
             return None
-        # A Pauli commuting with n independent generators lies in their group.
-        return self._express((np.concatenate([x_bits, z_bits]) & 1).astype(np.uint8))[1]
+        return _per_trial(self._sign(hit >> 1 & _even(self.n), int(np.count_nonzero(x_bits & z_bits))))
 
-    # -- canonical form & comparison -------------------------------------------
-
-    def canonicalize(self):
-        """Deterministic canonical generating set.
-
-        RREF over the concatenated (X|Z) bit matrix with phase-tracked row
-        sums; RREF of a basis is unique, so equal states canonicalize to
-        identical tableaus.
-        """
-        r = 0
-        n = self.n
-        for c in range(2 * n):
-            col = (self.xs if c < n else self.zs)[:, c % n]  # a view: sees the swap below
-            idx = np.flatnonzero(col[r:])
-            if idx.size == 0:
-                continue
-            i = r + int(idx[0])
-            for a in (self.xs, self.zs, self.signs.T):  # swap generators r and i
-                a[[r, i]] = a[[i, r]]
-            hit = np.flatnonzero(col)
-            self._rowsum_into(hit[hit != r], r)
-            r += 1
-            if r == n:
-                break
+    # -- comparison ------------------------------------------------------------
 
     def rename(self, mapping: dict):
         """Relabel wires in place (values must stay unique)."""
@@ -304,20 +328,21 @@ class Tableau:
         """Return a copy with wire columns permuted to the given label order."""
         if sorted(map(str, labels)) != sorted(map(str, self.labels)):
             raise ValueError("label sets differ")
-        perm = [self.index(l) for l in labels]
-        return Tableau(list(labels), self.xs[:, perm], self.zs[:, perm], self.signs.copy(), check=False)
+        perm = [self.labels.index(l) for l in labels]
+        x, z = ([cols[k] for k in perm] for cols in (self._x, self._z))
+        return Tableau._of(list(labels), x, z, self.signs.copy())
 
     def same_state(self, other: "Tableau") -> bool | np.ndarray:
-        """Exact state equality (same wires, same stabilizer group and signs),
-        one result per trial of either side."""
+        """Exact state equality (same wires, same stabilizer group and signs), one
+        result per trial of either side: `other`'s generators, signed, lie in our group."""
         if set(map(str, self.labels)) != set(map(str, other.labels)):
             return False
-        a = self.copy()
         b = other.reorder(self.labels)
-        a.canonicalize()
-        b.canonicalize()
-        same = np.array_equal(a.xs, b.xs) and np.array_equal(a.zs, b.zs)
-        return same & (a.signs == b.signs).all(axis=-1)
+        same = np.ones(np.broadcast_shapes(self.signs.shape[:-1], b.signs.shape[:-1]), bool)
+        for x, z, sign in zip(b.xs, b.zs, np.moveaxis(b.signs, -1, 0)):
+            ours = self.expectation_z(x, z)
+            same &= False if ours is None else ours == sign
+        return same[()]
 
 
 def random_stabilizer_state(
@@ -326,13 +351,10 @@ def random_stabilizer_state(
     """Seeded random stabilizer state: a random H/S/CNOT walk from |0...0>."""
     t = Tableau.zero_state(labels)
     n = t.n
-    moves = moves if moves is not None else max(8, 4 * n * n)
-    for _ in range(moves):
+    for _ in range(moves if moves is not None else max(8, 4 * n * n)):
         kind = int(rng.integers(0, 3 if n > 1 else 2))
-        if kind == 0:
-            t.apply_h(labels[int(rng.integers(0, n))])
-        elif kind == 1:
-            t.apply_s(labels[int(rng.integers(0, n))])
+        if kind < 2:
+            (t.apply_s if kind else t.apply_h)(labels[int(rng.integers(0, n))])
         else:
             c, tg = rng.choice(n, size=2, replace=False)
             t.apply_cnot(labels[int(c)], labels[int(tg)])
@@ -342,23 +364,3 @@ def random_stabilizer_state(
 def _per_trial(bits: np.ndarray) -> int | np.ndarray:
     """One bit per trial: an int for one state, a (trials,) uint8 array for a batch."""
     return int(bits) if np.ndim(bits) == 0 else bits.astype(np.uint8)
-
-
-@functools.lru_cache(maxsize=1024)
-def _combination(xs: bytes, zs: bytes, n: int, target: bytes) -> Optional[tuple[np.ndarray, int]]:
-    """Memoised solve of prod_{i in lam} g_i = +/-target for an n-wire tableau.
-
-    `xs`/`zs` are the bytes of the (n, n) uint8 x/z parts and `target` the
-    bytes of the 2n x-then-z bits. Returns (lam, half): lam is a read-only
-    boolean mask over generators, half the product's phase with all signs
-    taken as 0, halved. None when no combination exists.
-    """
-    x = np.frombuffer(xs, np.uint8).reshape(n, n)
-    z = np.frombuffer(zs, np.uint8).reshape(n, n)
-    sol = gf2.solve(np.concatenate([x, z], axis=1).T, np.frombuffer(target, np.uint8))
-    if sol is None:
-        return None
-    lam = sol.astype(bool)
-    lam.flags.writeable = False
-    half = pauli_product([(x[i], z[i], 0) for i in np.flatnonzero(lam)])[2] if lam.any() else 0
-    return lam, int(half)

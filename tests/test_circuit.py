@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decint import circuit as circ
+from decint import tableau
 from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
 from decint.interface import wilson_interval
 from decint.noise import STREAM_CIRCUIT, NoiseParams, bernoulli_positions, rng_stream
@@ -163,34 +164,51 @@ class TestNoisyRun:
         assert outs["m"] == 1
 
 
-def _reference_h(t: Tableau, wire):
-    """H by the Aaronson-Gottesman rule, written out here so that the reference
-    shares no gate code with `run_noisy`."""
-    q = t.index(wire)
-    t.signs ^= t.xs[:, q] & t.zs[:, q]
-    t.xs[:, q], t.zs[:, q] = t.zs[:, q].copy(), t.xs[:, q].copy()
+def _rows(t: Tableau) -> dict:
+    """Writable test-local copies of a tableau's labels, generator and
+    destabilizer bits (bits 2i and 2i + 1 of each wire's column bitset) and signs."""
+    return {"labels": list(t.labels), "xs": t.xs.copy(), "zs": t.zs.copy(), "signs": t.signs.copy(),
+            "dx": tableau._bits(t._x, t.n, 1).T.copy(), "dz": tableau._bits(t._z, t.n, 1).T.copy()}
 
 
-def _reference_cnot(t: Tableau, control, target):
-    c, g = t.index(control), t.index(target)
-    t.signs ^= t.xs[:, c] & t.zs[:, g] & (t.xs[:, g] ^ t.zs[:, c] ^ 1)
-    t.xs[:, g] ^= t.xs[:, c]
-    t.zs[:, c] ^= t.zs[:, g]
+def _tableau(rows: dict) -> Tableau:
+    x, z = (tableau._columns(rows[g], rows[d]) for g, d in (("xs", "dx"), ("zs", "dz")))
+    t = Tableau._of(list(rows["labels"]), x, z, rows["signs"])
+    t.assert_valid()
+    return t
 
 
-def _reference_tableau_run(c: Circuit, state: Tableau, faults: tuple, rng) -> tuple[dict, list]:
+def _reference_h(rows: dict, wire):
+    """H by the Aaronson-Gottesman rule on the arrays of `_rows`, written out here
+    so that the reference shares no gate code with `run_noisy`."""
+    q = rows["labels"].index(wire)
+    rows["signs"] ^= rows["xs"][:, q] & rows["zs"][:, q]
+    for x, z in ((rows["xs"], rows["zs"]), (rows["dx"], rows["dz"])):
+        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+
+
+def _reference_cnot(rows: dict, control, target):
+    c, g = rows["labels"].index(control), rows["labels"].index(target)
+    x, z = rows["xs"], rows["zs"]
+    rows["signs"] ^= x[:, c] & z[:, g] & (x[:, g] ^ z[:, c] ^ 1)
+    for x, z in ((rows["xs"], rows["zs"]), (rows["dx"], rows["dz"])):
+        x[:, g] ^= x[:, c]
+        z[:, c] ^= z[:, g]
+
+
+def _reference_tableau_run(c: Circuit, state: Tableau, faults: tuple, rng) -> tuple[Tableau, dict, list]:
     """Gate-by-gate tableau execution: every gate of a layer in order, then the
-    layer's faults one at a time. Returns the outcomes and, per measurement,
-    whether it was deterministic."""
+    layer's faults one at a time. Returns the final state, the outcomes and, per
+    measurement, whether it was deterministic."""
     batch = state.signs.ndim == 2
     outcomes, dets = {}, []
     start = 0
     for layer in c.layers:
         for g in layer:
-            if g.name == "h":
-                _reference_h(state, g.wires[0])
-            elif g.name == "cnot":
-                _reference_cnot(state, *g.wires)
+            if g.name in ("h", "cnot"):
+                rows = _rows(state)
+                (_reference_h if g.name == "h" else _reference_cnot)(rows, *g.wires)
+                state = _tableau(rows)
             elif g.name == "init0":
                 state.reset_zero([g.wires[0]])
             elif g.name == "measure":
@@ -209,7 +227,7 @@ def _reference_tableau_run(c: Circuit, state: Tableau, faults: tuple, rng) -> tu
                 x, z = (np.outer(np.eye(1, state.trials, trial, np.uint8)[0], v) for v in (x, z))
             state.apply_pauli_on(g.wires, x, z)
         start += len(layer)
-    return outcomes, dets
+    return state, outcomes, dets
 
 
 def _random_mixed_circuit(rng, wires: list, present: set) -> tuple[Circuit, dict]:
@@ -269,16 +287,16 @@ class TestLayerWalk:
             present = set(wires[: 4 + seed % 3])
             state = random_stabilizer_state(sorted(present), rng)
             if batch:
-                state.apply_pauli(*rng.integers(0, 2, (2, 4, state.n), dtype=np.uint8))
+                state.apply_pauli_on(state.labels, *rng.integers(0, 2, (2, 4, state.n), dtype=np.uint8))
             c, resets = _random_mixed_circuit(rng, wires, present)
             trials = state.trials
             faults = _random_forced_faults(rng, c, trials) if faulted else ([], [], [])
-            got, want = state.copy(), state.copy()
+            got = state.copy()
             _, got_out = circ.run_noisy(c, got, faults=faults, rng=np.random.default_rng(seed))
-            want_out, dets = _reference_tableau_run(c, want, faults, np.random.default_rng(seed))
-            assert got.labels == want.labels, seed
-            for name in ("xs", "zs", "signs"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (seed, name)
+            want, want_out, dets = _reference_tableau_run(c, state.copy(), faults, np.random.default_rng(seed))
+            got_rows, want_rows = _rows(got), _rows(want)
+            for name in ("labels", "xs", "zs", "dx", "dz", "signs"):
+                assert np.array_equal(got_rows[name], want_rows[name]), (seed, name)
             assert got_out.keys() == want_out.keys(), seed
             for label, bit in want_out.items():
                 assert np.array_equal(got_out[label], bit), (seed, label)

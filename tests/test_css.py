@@ -271,10 +271,11 @@ class TestEncodedTableauMemo:
         first = random_stabilizer_state([0, 1], np.random.default_rng(2))
         second = Tableau.zero_state([2])
         second.apply_pauli_on([2], [1], [0])
-        got = css.encoded_tableau((c422, steane), first.tensor(second), range(11))
-        want = _reference_encoding(c422, first, range(4)).tensor(
-            _reference_encoding(steane, second, range(4, 11))
-        )
+        logical = first.copy()
+        logical.extend(second)
+        got = css.encoded_tableau((c422, steane), logical, range(11))
+        want = _reference_encoding(c422, first, range(4))
+        want.extend(_reference_encoding(steane, second, range(4, 11)))
         assert got.same_state(want)
 
     def test_rejects_mismatched_blocks(self, c422):

@@ -30,7 +30,6 @@ ALLOWED = {
     "noise.tail_bound": "paper definition shown by demo 02",
     "noise.tail_bound_dominates": "paper definition shown by demo 02",
     "scheduler.roundtrip_from_block_plans": "paper definition shown by demo 04",
-    "tableau.Tableau.expectation_z": "test oracle: the sign of a stabilizer in an exact state",
     "tableau.random_stabilizer_state": "test oracle: random logical inputs for the exactness tests",
 }
 

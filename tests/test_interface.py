@@ -443,10 +443,10 @@ class TestTableauExecutor:
     def test_runs_in_place_with_spectators(self, fam):
         plan = interface.build_gamma(fam, 2, 1)
         logical = random_stabilizer_state([0, 1], np.random.default_rng(6))
-        inp = css.encoded_tableau((fam.level(2),), logical, plan.q_wires)
+        state = css.encoded_tableau((fam.level(2),), logical, plan.q_wires)
         spectator = Tableau.zero_state(["s0", "s1"])
         spectator.apply_pauli_on(["s1"], [1], [0])
-        state = inp.tensor(spectator)
+        state.extend(spectator)
         engine = interface.TableauEngine(state, np.random.default_rng(2), {})
         interface.gamma_pass(plan, engine)
         assert engine.state is state
@@ -457,8 +457,8 @@ class TestTableauExecutor:
 
     def test_spectator_collision_rejected(self, fam):
         plan = interface.build_gamma(fam, 2, 1)
-        inp = css.encoded_tableau((fam.level(2),), Tableau.zero_state([0, 1]), plan.q_wires)
-        state = inp.tensor(Tableau.zero_state([plan.b_wires[0]]))
+        state = css.encoded_tableau((fam.level(2),), Tableau.zero_state([0, 1]), plan.q_wires)
+        state.extend(Tableau.zero_state([plan.b_wires[0]]))
         with pytest.raises(ValueError, match="collide"):
             interface.gamma_pass(plan, interface.TableauEngine(state, np.random.default_rng(0), {}))
 

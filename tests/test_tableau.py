@@ -1,17 +1,32 @@
+import copy
 import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from decint import gf2
-from decint.tableau import (
-    Tableau, _combination, _g_exponents, pauli_product, random_stabilizer_state,
-)
+from decint import gf2, tableau
+from decint.tableau import Tableau, pauli_product, random_stabilizer_state
 
 
 def arr(*bits):
     return np.array(bits, dtype=np.uint8)
+
+
+def _g_exponents(x1, z1, x2, z2):
+    """i-exponent (mod 4) of the Hermitian Pauli product (x1, z1) * (x2, z2): the
+    pairwise phase rule of the reference tableau below and of `pauli_product`'s
+    reference loop.
+
+    With P(x, z) = i^(x.z) X^x Z^z, P1 P2 = i^g P(x1^x2, z1^z2) for
+    g = x1.z1 + x2.z2 + 2 z1.x2 - (x1^x2).(z1^z2); dot products run over
+    the last axis, so rows of stacked Paulis broadcast.
+    """
+
+    def dot(a, b):
+        return np.sum(a & b, axis=-1, dtype=np.int64)
+
+    return (dot(x1, z1) + dot(x2, z2) + 2 * dot(z1, x2) - dot(x1 ^ x2, z1 ^ z2)) % 4
 
 
 class TestPauliProduct:
@@ -125,10 +140,17 @@ class TestStates:
         b = Tableau.zero_state([0])
         b.apply_pauli_on([0], [1], [0])
         assert not a.same_state(b)
+        plus = Tableau.zero_state([0])
+        plus.apply_h(0)  # a different group, not only a different sign
+        assert not a.same_state(plus) and not plus.same_state(a)
+        batch = Tableau.zero_state([0])
+        batch.apply_pauli_on([0], [[0], [1]], [[0], [0]])
+        assert batch.same_state(a).tolist() == [True, False]
+        assert batch.same_state(plus).tolist() == [False, False]
 
     def test_apply_pauli_anticommutation_signs(self):
         t = Tableau.zero_state([0, 1])
-        t.apply_pauli(arr(1, 0), arr(0, 0))  # X on qubit 0
+        t.apply_pauli_on(t.labels, arr(1, 0), arr(0, 0))  # X on qubit 0
         assert t.measure_z(0) == (1, True)
         assert t.measure_z(1) == (0, True)
 
@@ -144,9 +166,10 @@ class TestStates:
         a = Tableau.zero_state(["a"])
         b = Tableau.zero_state(["b"])
         b.apply_pauli_on(["b"], [1], [0])
-        t = a.tensor(b)
-        assert t.measure_z("a") == (0, True)
-        assert t.measure_z("b") == (1, True)
+        a.extend(b)
+        assert a.labels == ["a", "b"]
+        assert a.measure_z("a") == (0, True)
+        assert a.measure_z("b") == (1, True)
 
     def test_invalid_generators_rejected(self):
         # X_0 and Z_0 anticommute.
@@ -205,7 +228,7 @@ def project(psi: np.ndarray, n: int, q: int, outcome: int) -> tuple[float, np.nd
 def signed_random_state(n: int, seed: int) -> Tableau:
     rng = np.random.default_rng(seed)
     t = random_stabilizer_state(list(range(n)), rng)
-    t.apply_pauli(rng.integers(0, 2, n).astype(np.uint8), rng.integers(0, 2, n).astype(np.uint8))
+    t.apply_pauli_on(t.labels, rng.integers(0, 2, n).astype(np.uint8), rng.integers(0, 2, n).astype(np.uint8))
     return t
 
 
@@ -304,40 +327,230 @@ class TestPhaseRule:
         assert [int(g) for g in rows] == [int(_g_exponents(a, b, x2, z2)) for a, b in zip(xs, zs)]
 
 
-class TestCombinationMemo:
-    def test_hit_matches_fresh_solve(self):
-        t = signed_random_state(5, 11)
-        x = t.xs[0] ^ t.xs[2] ^ t.xs[3]
-        z = t.zs[0] ^ t.zs[2] ^ t.zs[3]
-        first = t._express(np.concatenate([x, z]))
-        before = _combination.cache_info().hits
-        lam, sign = t._express(np.concatenate([x, z]))
-        assert _combination.cache_info().hits == before + 1
-        assert lam is first[0] and sign == first[1]
-        fresh = gf2.solve(np.concatenate([t.xs, t.zs], axis=1).T, np.concatenate([x, z]))
-        assert np.array_equal(lam, fresh.astype(bool))
-        sel = np.flatnonzero(lam)
-        assert sign == pauli_product([(t.xs[i], t.zs[i], int(t.signs[i])) for i in sel])[2]
+def destabilizers(t: Tableau) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) bits of t's destabilizers: bit 2i + 1 of each wire's column bitset."""
+    return tableau._bits(t._x, t.n, 1).T, tableau._bits(t._z, t.n, 1).T
 
-    def test_cached_arrays_read_only(self):
-        t = signed_random_state(3, 5)
-        lam, _ = t._express(np.concatenate([t.xs[1], t.zs[1]]))
-        with pytest.raises(ValueError):
-            lam[0] = True
 
-    def test_signs_do_not_enter_the_key(self):
-        # Flipping signs replays the same x/z state: a hit, with the new sign.
-        t = signed_random_state(4, 8)
-        u = t.copy()
-        u.apply_pauli(arr(1, 0, 1, 1), arr(0, 1, 1, 0))
-        x, z = t.xs[1] ^ t.xs[3], t.zs[1] ^ t.zs[3]
-        t._express(np.concatenate([x, z]))
-        before = _combination.cache_info().hits
-        lam, sign = u._express(np.concatenate([x, z]))
-        assert _combination.cache_info().hits == before + 1
-        assert sign == u.expectation_z(x, z)
-        ev = np.vdot(state_vector(u), dense_pauli(x, z) @ state_vector(u)).real
-        assert sign == (0 if ev > 0 else 1)
+def with_destabilizers(labels, xs, zs, signs, dx, dz) -> Tableau:
+    """A tableau with the given generator and destabilizer rows, unchecked."""
+    x, z = (tableau._columns(np.asarray(g, np.uint8), np.asarray(d, np.uint8)) for g, d in ((xs, dx), (zs, dz)))
+    return Tableau._of(list(labels), x, z, np.asarray(signs, np.uint8))
+
+
+# -- the solve-based reference -----------------------------------------------------------
+
+
+class SolveTableau:
+    """The tableau that keeping destabilizers replaced, kept as the reference.
+
+    Generators only, as (n, n) uint8 arrays with (n,) or (trials, n) signs. A
+    random Z outcome multiplies the anticommuting generators by the first of
+    them with the pairwise phase rule `_g_exponents`; a deterministic one
+    solves for the generator combination that gives Z_q (`gf2.solve`) and
+    takes its sign-free phase from `pauli_product`.
+    """
+
+    def __init__(self, t: Tableau):
+        self.labels, self.xs, self.zs, self.signs = list(t.labels), t.xs.copy(), t.zs.copy(), t.signs.copy()
+
+    def _rowsum_into(self, rows: np.ndarray, src: int):
+        g = _g_exponents(self.xs[rows], self.zs[rows], self.xs[src], self.zs[src])
+        assert not (g % 2).any()
+        self.signs[..., rows] ^= self.signs[..., src, None] ^ (g // 2).astype(np.uint8)
+        self.xs[rows] ^= self.xs[src]
+        self.zs[rows] ^= self.zs[src]
+
+    def apply_h(self, label):
+        q = self.labels.index(label)
+        self.signs ^= self.xs[:, q] & self.zs[:, q]
+        self.xs[:, q], self.zs[:, q] = self.zs[:, q].copy(), self.xs[:, q].copy()
+
+    def apply_s(self, label):
+        q = self.labels.index(label)
+        self.signs ^= self.xs[:, q] & self.zs[:, q]
+        self.zs[:, q] ^= self.xs[:, q]
+
+    def apply_cnot(self, control, target):
+        c, g = self.labels.index(control), self.labels.index(target)
+        x, z = self.xs, self.zs
+        self.signs ^= x[:, c] & z[:, g] & (x[:, g] ^ z[:, c] ^ 1)
+        x[:, g] ^= x[:, c]
+        z[:, c] ^= z[:, g]
+
+    def apply_pauli_on(self, wires, x_bits, z_bits):
+        cols = [self.labels.index(w) for w in wires]
+        anti = (np.asarray(x_bits, np.uint8)[..., None, :] & self.zs[:, cols]).sum(-1)
+        anti = anti + (np.asarray(z_bits, np.uint8)[..., None, :] & self.xs[:, cols]).sum(-1)
+        self.signs = self.signs ^ (anti % 2).astype(np.uint8)
+
+    def measure_z(self, label, rng=None, forced=None):
+        n, q = len(self.labels), self.labels.index(label)
+        anti = np.flatnonzero(self.xs[:, q])
+        if anti.size:
+            p = int(anti[0])
+            if anti.size > 1:
+                self._rowsum_into(anti[1:], p)
+            outcome = int(forced) if forced is not None else int(rng.integers(0, 2))
+            outcome = np.full(self.signs.shape[:-1], outcome, np.uint8)
+        else:
+            target = np.eye(1, 2 * n, n + q, np.uint8)[0]
+            lam = gf2.solve(np.concatenate([self.xs, self.zs], axis=1).T, target).astype(bool)
+            half = pauli_product([(self.xs[i], self.zs[i], 0) for i in np.flatnonzero(lam)])[2]
+            outcome = ((self.signs[..., lam].sum(axis=-1) + half) % 2).astype(np.uint8)
+            p = int(lam.argmax())
+        self.signs ^= self.zs[:, q] & outcome[..., None]
+        keep = np.arange(n) != p
+        self.xs, self.zs = (np.delete(a[keep], q, axis=1) for a in (self.xs, self.zs))
+        self.signs = self.signs[..., keep]
+        del self.labels[q]
+        return (int(outcome) if outcome.ndim == 0 else outcome), not anti.size
+
+    def expectation_z(self, x_bits, z_bits):
+        lam = gf2.solve(np.concatenate([self.xs, self.zs], axis=1).T, np.concatenate([x_bits, z_bits]))
+        if lam is None:
+            return None
+        lam = lam.astype(bool)
+        half = pauli_product([(self.xs[i], self.zs[i], 0) for i in np.flatnonzero(lam)])[2] if lam.any() else 0
+        return ((self.signs[..., lam].sum(axis=-1) + half) % 2).astype(np.uint8)
+
+    def extend(self, other: Tableau):
+        n1, n2 = len(self.labels), other.n
+        xs, zs = np.zeros((2, n1 + n2, n1 + n2), np.uint8)
+        xs[:n1, :n1], xs[n1:, n1:], zs[:n1, :n1], zs[n1:, n1:] = self.xs, other.xs, self.zs, other.zs
+        lead = self.signs.shape[:-1] or other.signs.shape[:-1]
+        signs = [np.broadcast_to(s, lead + s.shape[-1:]) for s in (self.signs, other.signs)]
+        self.labels, self.xs, self.zs = self.labels + other.labels, xs, zs
+        self.signs = np.concatenate(signs, axis=-1)
+
+    def reset_zero(self, labels):
+        for label in labels:
+            if label in self.labels:
+                self.measure_z(label, forced=0)
+        self.extend(Tableau.zero_state(labels))
+
+
+def random_op(rng, t: Tableau, fresh) -> tuple:
+    """A random (method, args) for a walk on t: a gate, a Pauli, a random,
+    forced or deterministic Z measurement, reset_zero of present and fresh
+    wires, or extend by a random state. The wire count stays within 1..8."""
+    n, labels = t.n, t.labels
+    kinds = ["apply_h", "apply_s", "apply_cnot", "apply_cnot", "apply_pauli_on", "measure", "forced", "reset_zero",
+             "extend"]
+    if n < 2:
+        kinds = ["reset_zero", "extend"]
+    elif n > 7:
+        kinds = ["measure", "forced"]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    wire = labels[int(rng.integers(n))] if n else None
+    if kind in ("apply_h", "apply_s"):
+        return kind, (wire,)
+    if kind == "apply_cnot":
+        a, b = rng.choice(n, size=2, replace=False)
+        return kind, (labels[int(a)], labels[int(b)])
+    if kind == "apply_pauli_on":
+        a, b = rng.choice(n, size=2, replace=False)
+        bits = rng.integers(0, 2, (2, *t.signs.shape[:-1], 2), dtype=np.uint8)
+        return kind, ([labels[int(a)], labels[int(b)]], *bits)
+    if kind == "measure":
+        return "measure_z", (wire, np.random.default_rng(int(rng.integers(1 << 30))), None)
+    if kind == "forced":
+        return "measure_z", (wire, None, int(rng.integers(2)))
+    if kind == "reset_zero":
+        return kind, ([wire, next(fresh)] if wire is not None and rng.random() < 0.5 else [wire or next(fresh)],)
+    other = random_stabilizer_state([next(fresh), next(fresh)], rng)
+    other.apply_pauli_on(other.labels, *rng.integers(0, 2, (2, *t.signs.shape[:-1], 2), dtype=np.uint8))
+    return kind, (other,)
+
+
+def run_op(t, op):
+    name, args = op
+    if name == "measure_z" and args[1] is not None:  # both sides draw from one seeded state
+        args = (args[0], copy.deepcopy(args[1]), None)
+    return getattr(t, name)(*args)
+
+
+class TestSolveReference:
+    """The destabilizer tableau leaves the generators, signs and outcomes of the
+    solve-based reference, bit for bit, on one state and on sign batches."""
+
+    @pytest.mark.parametrize("trials", [None, 3], ids=["one-state", "sign-batch"])
+    def test_random_walks(self, trials):
+        seen = set()
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            t = random_stabilizer_state(list(range(4)), rng)
+            if trials:
+                t.apply_pauli_on(t.labels, *rng.integers(0, 2, (2, trials, 4), dtype=np.uint8))
+            ref, fresh = SolveTableau(t), (f"f{i}" for i in itertools.count())
+            for step in range(60):
+                op = random_op(rng, t, fresh)
+                got, want = run_op(t, op), run_op(ref, op)
+                if op[0] == "measure_z":
+                    assert type(got[0]) is type(want[0]) and np.array_equal(got[0], want[0]), (seed, step)
+                    assert got[1] == want[1], (seed, step)
+                    seen.add((got[1], op[1][2] is not None))
+                assert t.labels == ref.labels, (seed, step)
+                for name in ("xs", "zs", "signs"):
+                    assert np.array_equal(getattr(t, name), getattr(ref, name)), (seed, step, name)
+        # deterministic and random outcomes, each drawn and forced
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("n", [12, 17, 24])
+    def test_wide_states(self, n):
+        # Signs of long generator products on many wires, then every wire
+        # measured in a random order.
+        for seed in range(3):
+            rng = np.random.default_rng(n * 10 + seed)
+            t = random_stabilizer_state(list(range(n)), rng)
+            t.apply_pauli_on(t.labels, *rng.integers(0, 2, (2, 3, n), dtype=np.uint8))
+            ref = SolveTableau(t)
+            for pick in rng.integers(0, 2, (20, n)).astype(bool):
+                x, z = (np.bitwise_xor.reduce(a[pick], axis=0) for a in (t.xs, t.zs))
+                assert np.array_equal(t.expectation_z(x, z), ref.expectation_z(x, z)), seed
+            for wire in rng.permutation(n).tolist():
+                op = ("measure_z", (wire, np.random.default_rng(int(rng.integers(1 << 30))), None))
+                got, want = run_op(t, op), run_op(ref, op)
+                assert got[1] == want[1] and np.array_equal(got[0], want[0]), (seed, wire)
+                for name in ("xs", "zs", "signs"):
+                    assert np.array_equal(getattr(t, name), getattr(ref, name)), (seed, wire, name)
+
+
+class TestPairing:
+    """Destabilizer i anticommutes with generator i alone, and destabilizers
+    commute, after every operation."""
+
+    @pytest.mark.parametrize("trials", [None, 3], ids=["one-state", "sign-batch"])
+    def test_random_walks_stay_paired(self, trials):
+        for seed in range(12):
+            rng = np.random.default_rng(100 + seed)
+            t = random_stabilizer_state(list(range(4)), rng)
+            if trials:
+                t.apply_pauli_on(t.labels, *rng.integers(0, 2, (2, trials, 4), dtype=np.uint8))
+            fresh = (f"f{i}" for i in itertools.count())
+            for step in range(60):
+                if rng.random() < 0.15:
+                    t = t.reorder([t.labels[i] for i in rng.permutation(t.n)])
+                else:
+                    run_op(t, random_op(rng, t, fresh))
+                t.assert_valid()
+
+    def test_unpaired_destabilizers_rejected(self):
+        z = np.eye(2, dtype=np.uint8)
+        zero = np.zeros((2, 2), np.uint8)
+        with_destabilizers([0, 1], zero, z, [0, 0], z, zero).assert_valid()
+        for dx, dz in [(zero, z), (z[::-1], zero), (np.ones((2, 2), np.uint8), zero)]:
+            with pytest.raises(ValueError, match="pair"):
+                with_destabilizers([0, 1], zero, z, [0, 0], dx, dz).assert_valid()
+
+    def test_computed_destabilizers_pair(self):
+        # Random signed states rebuilt from their generators: the constructor's
+        # destabilizers pass `assert_valid`, and generators and signs stay as given.
+        for seed in range(20):
+            t = signed_random_state(int(np.random.default_rng(seed).integers(1, 7)), seed)
+            built = Tableau(t.labels, t.xs, t.zs, t.signs)
+            assert np.array_equal(built.xs, t.xs) and np.array_equal(built.zs, t.zs)
+            assert np.array_equal(built.signs, t.signs)
 
 
 # -- sign batches ----------------------------------------------------------------------
@@ -354,11 +567,11 @@ def batch_and_singles(n: int, seed: int) -> tuple[Tableau, list[Tableau]]:
         words.add(tuple(rng.integers(0, 2, 2 * n)))
     paulis = np.array(sorted(words), np.uint8)
     batch = base.copy()
-    batch.apply_pauli(paulis[:, :n], paulis[:, n:])
+    batch.apply_pauli_on(batch.labels, paulis[:, :n], paulis[:, n:])
     singles = []
     for p in paulis:
         single = base.copy()
-        single.apply_pauli(p[:n], p[n:])
+        single.apply_pauli_on(single.labels, p[:n], p[n:])
         singles.append(single)
     return batch, singles
 
@@ -369,7 +582,14 @@ def assert_batch_matches(batch: Tableau, singles: list[Tableau]):
         assert single.signs.shape == (single.n,)
         assert single.labels == batch.labels
         assert np.array_equal(single.xs, batch.xs) and np.array_equal(single.zs, batch.zs)
+        assert all(np.array_equal(*d) for d in zip(destabilizers(single), destabilizers(batch)))
         assert np.array_equal(single.signs, batch.signs[k]), k
+
+
+def joined_copy(a: Tableau, b: Tableau) -> Tableau:
+    joined = a.copy()
+    joined.extend(b)
+    return joined
 
 
 def per_trial(outcome) -> list[int]:
@@ -444,13 +664,8 @@ class TestSignBatch:
                 assert per_trial(got) == want
         other = signed_random_state(2, seed)
         other.rename({0: "b0", 1: "b1"})
-        for joined in (lambda t: t.tensor(other), lambda t: other.tensor(t)):
+        for joined in (lambda t: joined_copy(t, other), lambda t: joined_copy(other, t)):
             assert_batch_matches(joined(batch), [joined(single) for single in singles])
-        canon = batch.copy()
-        canon.canonicalize()
-        for single in singles:
-            single.canonicalize()
-        assert_batch_matches(canon, singles)
         for k, single in enumerate(singles):
             want = [other_single.same_state(single) for other_single in singles]
             assert list(batch.same_state(single)) == want and want[k]
@@ -471,8 +686,10 @@ class TestBatchShapes:
 
     def test_tensor_of_unequal_batches(self):
         a, b = Tableau.zero_state(["a"]), Tableau.zero_state(["b"])
-        a.apply_pauli(np.zeros((2, 1), np.uint8), np.zeros((2, 1), np.uint8))
-        b.apply_pauli(np.zeros((3, 1), np.uint8), np.zeros((3, 1), np.uint8))
+        a.apply_pauli_on(a.labels, np.zeros((2, 1), np.uint8), np.zeros((2, 1), np.uint8))
+        b.apply_pauli_on(b.labels, np.zeros((3, 1), np.uint8), np.zeros((3, 1), np.uint8))
         with pytest.raises(ValueError, match="batches of 2 and 3"):
-            a.tensor(b)
-        assert a.tensor(Tableau.zero_state(["c"])).signs.shape == (2, 2)
+            a.extend(b)
+        assert a.signs.shape == (2, 1)
+        a.extend(Tableau.zero_state(["c"]))
+        assert a.signs.shape == (2, 2)
