@@ -161,6 +161,13 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _flag(value) -> bool:
+    """A config switch: a JSON true or false, nothing else."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _seed(value, override: Optional[int]) -> int:
     """The config seed, checked even when --seed overrides it."""
     value = _as_int(value)
@@ -198,7 +205,8 @@ def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[floa
         deltas = [deltas]
     if not deltas:
         raise UsageError("empty delta grid")
-    seed = _seed(noise.get("seed", config.get("seed", 0)), seed_override)
+    # A top-level seed is read only when noise holds none, so a second one is an unread key.
+    seed = _seed(noise["seed"] if "seed" in noise else config.get("seed", 0), seed_override)
     return [_probability("delta", float(d)) for d in deltas], seed
 
 
@@ -230,7 +238,8 @@ def _knobs(config: dict) -> interface.GammaKnobs:
 
 def cmd_validate_codes(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) -> int:
     family = _family(config)
-    dump = config.get("dump")
+    with _config_values():
+        dump = _flag(config.get("dump", False))
     manifest = Manifest("validate-codes", config, out)
     report = family.validate()
     rows = [[c.name, c.passed, c.detail] for c in report.checks]
@@ -390,7 +399,7 @@ def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], worker
         db_grid = _grid(config, "delta_bar_grid", [0.3, 0.1, 0.03])
         db_fracs = [_probability("delta_bar", Fraction(str(db))) for db in db_grid]
         max_size = _as_int(config.get("max_size", 3))
-        leaf_only = bool(config.get("leaf_only", True))
+        leaf_only = _flag(config.get("leaf_only", True))
         mc_trials = _count("mc_trials", _as_int(config.get("mc_trials", 0)))
         base_seed = _seed(config.get("seed", 0), seed)
     for z in z_grid:

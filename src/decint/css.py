@@ -4,8 +4,9 @@ A CSS code is held as the pair of binary check matrices (H_X, H_Z) with
 H_X H_Z^T = 0, plus a symplectic-dual basis of logical operator
 representatives (L_X, L_Z); all four are read-only 2-D 0/1 uint8 arrays.
 One encoder, `encoded_tableau`, builds every encoded stabilizer state: a
-logical tableau put on blocks of codes that sit on adjacent wires, through
-the one phase-exact lift `lift_with_reps`. Code families bundle levels
+logical tableau put on blocks of codes that sit on adjacent wires, where
+each block's init0/H/CNOT `encoding_circuit` (Gottesman's standard form,
+arXiv:quant-ph/9705052) runs on the tableau executor. Code families bundle levels
 r = 1, 2, ... with the rate and doubling metadata the interface
 constructions rely on.
 """
@@ -20,7 +21,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import gf2
-from .tableau import Tableau, pauli_product
+from .circuit import Circuit, Gate, run_noisy
+from .tableau import Tableau
 
 
 class CheckResult(NamedTuple):
@@ -191,84 +193,83 @@ def encoded_tableau(codes: Sequence[CssCode], logical: Tableau, labels: Sequence
     """Encode a logical stabilizer state into blocks of `codes` on adjacent wires.
 
     Logical qubit j becomes the j-th logical of the concatenated blocks, and
-    block i acts on the next codes[i].n of `labels`. Generators: each
-    block's X then Z stabilizer basis, block by block, then each logical
-    generator lifted through the block-diagonal representatives (signs
-    carried exactly). A batch of logical states, (trials, m) signs, encodes
-    to a batch with (trials, n) signs. Each encoding is built once per
-    (codes, logical state, labels); every call returns a fresh copy.
+    block i acts on the next codes[i].n of `labels`: the logical wires are
+    renamed onto the blocks' entry wires and each block's `encoding_circuit`
+    runs on them. A batch of logical states, (trials, m) signs, encodes to a
+    batch with (trials, n) signs. Returns a new tableau.
     """
     codes, labels = tuple(codes), tuple(labels)
     if logical.n != sum(c.m for c in codes):
         raise ValueError("logical tableau must act on the blocks' total logical count")
-    return _encoded_tableau(
-        codes, logical.xs.tobytes(), logical.zs.tobytes(), logical.signs.tobytes(),
-        logical.signs.shape, labels,
-    ).copy()
+    if len(labels) != sum(c.n for c in codes):
+        raise ValueError(f"{len(labels)} labels for blocks of {sum(c.n for c in codes)} wires")
+    blocks, start = [], 0
+    for code in codes:
+        blocks.append(encoding_circuit(code, labels[start : start + code.n]))
+        start += code.n
+    state = logical.copy()
+    state.rename(dict(zip(logical.labels, [w for _, entry in blocks for w in entry])))
+    for circ, _ in blocks:
+        run_noisy(circ, state)
+    return state.reorder(labels)
 
 
-@functools.lru_cache(maxsize=64)
-def _encoded_tableau(
-    codes: tuple, xs: bytes, zs: bytes, signs: bytes, sign_shape: tuple, labels: tuple
-) -> Tableau:
-    m = sign_shape[-1]
-    logical_xs, logical_zs = (np.frombuffer(b, np.uint8).reshape(m, m) for b in (xs, zs))
-    stab_x, stab_z, lx, lz = (
-        _block_diag(parts) for parts in zip(*(_stabilizers_and_logicals(c) for c in codes))
-    )
-    k, n = stab_x.shape
-    out_xs, out_zs = (np.concatenate([a, np.zeros((m, n), np.uint8)]) for a in (stab_x, stab_z))
-    out_signs = np.zeros(sign_shape[:-1] + (k + m,), np.uint8)
-    out_signs[..., k:] = np.frombuffer(signs, np.uint8).reshape(sign_shape)
-    for row in range(m):
-        out_xs[k + row], out_zs[k + row], s = lift_with_reps(lx, lz, logical_xs[row], logical_zs[row])
-        out_signs[..., k + row] ^= s
-    return Tableau(labels, out_xs, out_zs, out_signs)
+def encoding_circuit(code: CssCode, wires: Sequence) -> tuple[Circuit, tuple]:
+    """An init0/H/CNOT circuit on `wires` that encodes, and the wire each logical enters on.
 
-
-def _stabilizers_and_logicals(code: CssCode) -> tuple[np.ndarray, ...]:
-    """Dense (x, z) stabilizer rows, X basis first, and (lx, lz) of one block."""
-    bx, bz = code.x_stabilizer_basis(), code.z_stabilizer_basis()
-    return (
-        np.concatenate([bx, np.zeros_like(bz)]),
-        np.concatenate([np.zeros_like(bx), bz]),
-        code.lx,
-        code.lz,
-    )
-
-
-def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros((sum(a.shape[0] for a in mats), sum(a.shape[1] for a in mats)), np.uint8)
-    r = c = 0
-    for a in mats:
-        out[r : r + a.shape[0], c : c + a.shape[1]] = a
-        r, c = r + a.shape[0], c + a.shape[1]
-    return out
-
-
-def lift_with_reps(
-    lx_reps: np.ndarray, lz_reps: np.ndarray, x_bits: np.ndarray, z_bits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Multiply representative Paulis for a logical X^x Z^z word.
-
-    lx_reps/lz_reps are (m, N) dense representative rows over N physical
-    qubits; overlapping supports are handled with exact phase tracking.
+    Logical j enters on wire Q_j; init0 prepares every other wire. With S
+    the rows of rref(H_X) and P their pivots, H puts |+> on P. L_X cleared
+    at P by S is L' (same logical classes), and one elimination of (L' | I)
+    gives R = A L' with pivots Q. A CNOT network on Q takes X_j to the
+    product of X_{Q_i} over the 1s of row j of A^-1; each R row then fans
+    out from its pivot, so X_j goes to X(L'_j), and each S row fans out
+    from its pivot last, since S rows may touch Q. Every X and Z image has
+    a + sign and the Z logicals follow as the dual basis, so logical j maps
+    to (L_X[j], L_Z[j]) up to stabilizers. Gates run as early as their
+    wires allow. Circuits are cached per (code, wires): treat them as
+    read-only.
     """
-    m, n = lx_reps.shape
-    terms = []
-    ys = 0
-    zero = np.zeros(n, np.uint8)
-    for j in range(m):
-        xb, zb = int(x_bits[j]), int(z_bits[j])
-        if xb and zb:
-            ys += 1
-        if xb:
-            terms.append((lx_reps[j].astype(np.uint8), zero, 0))
-        if zb:
-            terms.append((zero, lz_reps[j].astype(np.uint8), 0))
-    if not terms:
-        return zero.copy(), zero.copy(), 0
-    return pauli_product(terms, extra_i=ys)
+    return _encoding_circuit(code, tuple(wires))
+
+
+@functools.lru_cache(maxsize=256)
+def _encoding_circuit(code: CssCode, wires: tuple) -> tuple[Circuit, tuple]:
+    if len(wires) != code.n:
+        raise ValueError("wire count must equal n")
+    red, p = gf2.rref(code.hx)
+    s = red[: len(p)]
+    lx = code.lx ^ gf2.mul_bits(code.lx[:, p], s)
+    red, q = gf2.rref(np.concatenate([lx, np.eye(code.m, dtype=np.uint8)], axis=1))
+    r, a = red[:, : code.n], red[:, code.n :]
+    gates = [Gate("init0", (w,)) for i, w in enumerate(wires) if i not in q]
+    gates += [Gate("h", (wires[i],)) for i in p]
+    # Column operations that take A to I; as CNOTs (column c into column t is
+    # CNOT Q_c -> Q_t) they take each X_j to row j of their product, A^-1.
+    # Rows above i are unit rows, so row i has a 1 at or right of i, and
+    # adding a column right of i leaves those rows as they are.
+    for i in range(code.m):
+        if not a[i, i]:
+            k = i + int(np.flatnonzero(a[i, i:])[0])
+            a[:, i] ^= a[:, k]
+            gates.append(Gate("cnot", (wires[q[k]], wires[q[i]])))
+        for k in np.flatnonzero(a[i]).tolist():
+            if k != i:
+                a[:, k] ^= a[:, i]
+                gates.append(Gate("cnot", (wires[q[i]], wires[q[k]])))
+    for rows, pivots in ((r, q), (s, p)):
+        gates += [Gate("cnot", (wires[c], wires[t])) for row, c in zip(rows, pivots)
+                  for t in np.flatnonzero(row).tolist() if t != c]
+    layers: list[list[Gate]] = []
+    ready = dict.fromkeys(wires, 0)  # the first layer each wire is free in
+    for g in gates:
+        at = max(ready[w] for w in g.wires)
+        layers += [[] for _ in range(at + 1 - len(layers))]
+        layers[at].append(g)
+        ready.update(dict.fromkeys(g.wires, at + 1))
+    circ = Circuit(wires)
+    for layer in layers:
+        circ.add_layer(layer)
+    return circ, tuple(wires[i] for i in q)
 
 
 # -- standard constructions -------------------------------------------------------

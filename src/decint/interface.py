@@ -407,8 +407,7 @@ class InterfaceCircuit(NamedTuple):
 
     def resource_tableau(self) -> Tableau:
         """The encoded Bell resource: m_r Bell pairs, logical j of the A block
-        with logical j of the B blocks. The encoder builds it on first use;
-        every call returns a fresh copy."""
+        with logical j of the B blocks, encoded afresh on every call."""
         m = self.code_r.m
         bell = Tableau.zero_state(list(range(2 * m)))
         for j in range(m):
@@ -683,7 +682,7 @@ def gamma_pass(plan: InterfaceCircuit, engine) -> np.ndarray:
 
 
 def expected_output_tableau(plan: InterfaceCircuit, logical: Tableau) -> Tableau:
-    """Encoded reference: the m_r-qubit logical tableau lifted to the B blocks."""
+    """Encoded reference: the m_r-qubit logical tableau encoded on the B blocks."""
     return css.encoded_tableau((plan.code_rp,) * plan.blocks, logical, plan.b_wires)
 
 

@@ -33,28 +33,6 @@ import numpy as np
 from . import gf2
 
 
-def pauli_product(
-    terms: Sequence[tuple[np.ndarray, np.ndarray, int]], extra_i: int = 0
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Multiply Hermitian Paulis (x, z, sign) left to right.
-
-    `extra_i` adds a global i^extra_i factor (used when lifting Y = iXZ).
-    The result must be Hermitian again; raises otherwise. Moving each X^x_j
-    left past the Z^z_i with i < j gives P_1 ... P_k = i^g P(x, z) for the
-    XORs x and z and g = sum_i x_i.z_i + 2 sum_{i<j} z_i.x_j - x.z.
-    """
-    if not terms:
-        raise ValueError("empty product")
-    x, z = (np.array([t[b] for t in terms], np.uint8) for b in (0, 1))
-    xs, zs = np.bitwise_xor.reduce(x, axis=0), np.bitwise_xor.reduce(z, axis=0)
-    z_before = np.cumsum(z, axis=0)[:-1]  # row j - 1: sum of z_i over i < j
-    g = np.count_nonzero(x & z) + 2 * int((z_before * x[1:]).sum()) - np.count_nonzero(xs & zs)
-    phase = 2 * sum(int(t[2]) for t in terms) + extra_i + int(g)
-    if phase % 2:
-        raise ValueError("non-Hermitian Pauli product")
-    return xs, zs, phase // 2 % 2
-
-
 def _even(n: int) -> int:
     """The generator bits of n rows: bits 0, 2, ..., 2n - 2."""
     return (1 << 2 * n) // 3
@@ -69,54 +47,13 @@ def _bits(values: Sequence[int], n: int, part: int = 0) -> np.ndarray:
     return bits
 
 
-def _columns(stab: np.ndarray, destab: np.ndarray) -> list[int]:
-    """Column bitsets of (rows, wires) generator and destabilizer bits."""
-    both = np.zeros((stab.shape[1], 2 * len(stab)), np.uint8)
-    both[:, 0::2], both[:, 1::2] = stab.T, destab.T
-    return [int.from_bytes(col.tobytes(), "little") for col in np.packbits(both, axis=1, bitorder="little")]
-
-
-def _paired(xs: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, z) rows of which row i anticommutes with generator i alone.
-
-    Eliminating (S | I), S = (xs | zs), gives S's pivots and E with
-    E S[:, pivots] = I. The unit Pauli U_k on the other half (x <-> z) of
-    pivot k's wire meets generator j where S[j, pivot k] = 1, so E^T U pairs.
-    """
-    n = len(xs)
-    red, pivots = gf2.rref(np.concatenate([xs, zs, np.eye(n, dtype=np.uint8)], axis=1))
-    if len(pivots) != n or pivots[-1:] >= [2 * n]:
-        raise ValueError("generators not independent")
-    d = np.zeros((n, 2 * n), np.uint8)
-    d[:, (np.array(pivots, np.intp) + n) % (2 * n)] = red[:, 2 * n :].T
-    return d[:, :n], d[:, n:]
-
-
 class Tableau:
     """Mutable signed stabilizer tableau over labelled wires, or a sign batch (see the module docstring)."""
 
-    def __init__(self, labels: Sequence[Hashable], xs: np.ndarray, zs: np.ndarray, signs: np.ndarray):
-        """A state from its generators: row i of xs/zs and signs[..., i] give generator i."""
-        self.labels: list[Hashable] = list(labels)
-        xs, zs = (np.asarray(a, dtype=np.uint8) & 1 for a in (xs, zs))
-        self.signs = np.asarray(signs, dtype=np.uint8) & 1
-        n = len(self.labels)
-        signs_ok = self.signs.ndim in (1, 2) and self.signs.shape[-1:] == (n,)
-        if xs.shape != (n, n) or zs.shape != (n, n) or not signs_ok:
-            raise ValueError(f"tableau shape mismatch: signs must be ({n},) or (trials, {n})")
-        dx, dz = _paired(xs, zs)
-        self._x, self._z = _columns(xs, dx), _columns(zs, dz)
-        for i in range(n):  # destabilizer i times the generators j < i whose destabilizers it meets
-            gens = (self._overlaps(2 * i + 1) & _even(i) << 1) >> 1
-            for cols in (self._x, self._z) if gens else ():
-                cols[:] = [v ^ ((v & gens).bit_count() & 1) << 2 * i + 1 for v in cols]
-        self.assert_valid()
-
-    @classmethod
-    def _of(cls, labels: list, x: list[int], z: list[int], signs: np.ndarray) -> "Tableau":
-        t = cls.__new__(cls)
-        t.labels, t._x, t._z, t.signs = labels, x, z, signs
-        return t
+    def __init__(self, labels: list, x: list[int], z: list[int], signs: np.ndarray):
+        """A state from its column bitsets and signs, taken as they are; states
+        come from `zero_state`, gates, `extend` and measurement."""
+        self.labels, self._x, self._z, self.signs = labels, x, z, signs
 
     # -- construction --------------------------------------------------------
 
@@ -124,10 +61,10 @@ class Tableau:
     def zero_state(cls, labels: Sequence[Hashable]) -> "Tableau":
         """Generator c is Z_c and destabilizer c is X_c."""
         x, z = ([b << 2 * c for c in range(len(labels))] for b in (2, 1))
-        return cls._of(list(labels), x, z, np.zeros(len(labels), np.uint8))
+        return cls(list(labels), x, z, np.zeros(len(labels), np.uint8))
 
     def copy(self) -> "Tableau":
-        return Tableau._of(list(self.labels), list(self._x), list(self._z), self.signs.copy())
+        return Tableau(list(self.labels), list(self._x), list(self._z), self.signs.copy())
 
     def extend(self, other: "Tableau"):
         """Tensor `other` onto this state in place, its wires last; one state broadcasts onto a batch."""
@@ -155,23 +92,6 @@ class Tableau:
     @property
     def zs(self) -> np.ndarray:
         return _bits(self._z, self.n).T
-
-    def assert_valid(self):
-        """Generators commute, and each row anticommutes with its partner
-        alone (generator i with destabilizer i), which makes them independent."""
-        for i in range(2 * self.n):
-            hit = self._overlaps(i)
-            if not i % 2 and hit & _even(self.n):
-                raise ValueError("generators do not commute")
-            if hit != 1 << (i ^ 1):
-                raise ValueError("destabilizers do not pair with the generators")
-
-    def _overlaps(self, i: int) -> int:
-        """The row bits of the rows that row bit i anticommutes with."""
-        hit = 0
-        for xc, zc in zip(self._x, self._z):
-            hit ^= (zc if xc >> i & 1 else 0) ^ (xc if zc >> i & 1 else 0)
-        return hit
 
     def _rowsum(self, rows: int, p: int) -> int:
         """Multiply the rows at the row bits `rows` by generator p; return the
@@ -202,7 +122,9 @@ class Tableau:
     def _sign(self, rows: int, ys: int = 0) -> np.ndarray:
         """Per trial, the sign bit of the row-order product of the generators at
         `rows`, Hermitian with `ys` Y factors: their signs' XOR and half of its
-        i-exponent g = sum_i x_i.z_i + 2 sum_{i<j} z_i.x_j - ys (see `pauli_product`)."""
+        i-exponent g. With P(x, z) = i^(x.z) X^x Z^z, moving each X^x_j left past
+        the Z^z_i with i < j gives P_1 ... P_k = i^g P(x, z) for the XORs x and z
+        and g = sum_i x_i.z_i + 2 sum_{i<j} z_i.x_j - x.z, where x.z = ys."""
         nb = (6 * self.n + 7) // 8  # 6n bits a wire: bits start below 2n and the shifts move them < 4n
         rx, rz = (int.from_bytes(b"".join([(v & rows).to_bytes(nb, "little") for v in cols]), "little")
                   for cols in (self._x, self._z))
@@ -330,7 +252,7 @@ class Tableau:
             raise ValueError("label sets differ")
         perm = [self.labels.index(l) for l in labels]
         x, z = ([cols[k] for k in perm] for cols in (self._x, self._z))
-        return Tableau._of(list(labels), x, z, self.signs.copy())
+        return Tableau(list(labels), x, z, self.signs.copy())
 
     def same_state(self, other: "Tableau") -> bool | np.ndarray:
         """Exact state equality (same wires, same stabilizer group and signs), one

@@ -172,10 +172,14 @@ def _rows(t: Tableau) -> dict:
 
 
 def _tableau(rows: dict) -> Tableau:
-    x, z = (tableau._columns(rows[g], rows[d]) for g, d in (("xs", "dx"), ("zs", "dz")))
-    t = Tableau._of(list(rows["labels"]), x, z, rows["signs"])
-    t.assert_valid()
-    return t
+    """The tableau of `_rows`' arrays: generator i in bit 2i and destabilizer i
+    in bit 2i + 1 of each wire's column bitset."""
+    cols = []
+    for g, d in (("xs", "dx"), ("zs", "dz")):
+        both = np.zeros((len(rows["labels"]), 2 * len(rows[g])), np.uint8)
+        both[:, 0::2], both[:, 1::2] = rows[g].T, rows[d].T
+        cols.append([int.from_bytes(c.tobytes(), "little") for c in np.packbits(both, axis=1, bitorder="little")])
+    return Tableau(list(rows["labels"]), *cols, rows["signs"])
 
 
 def _reference_h(rows: dict, wire):
@@ -393,7 +397,8 @@ class TestCrossValidation:
         rows, codes = np.array(cases).T
         faults = (rows, np.arange(len(cases)), codes)
         n = len(c.wires)
-        state = Tableau(c.wires, np.zeros((n, n)), np.eye(n), np.zeros((len(cases), n)))
+        state = Tableau.zero_state(c.wires)
+        state.apply_pauli_on(c.wires, *np.zeros((2, len(cases), n), np.uint8))  # one |0...0> per case
         _, noisy = circ.run_noisy(c, state, faults=faults)
         batch = FrameBatch(c.wires, len(cases))
         FrameRunner(NoiseParams(delta=0.0, seed=0)).run(c, batch, forced_faults=faults)

@@ -400,6 +400,14 @@ class TestExitCodes:
             ("e2e", dict(EXHAUSTIVE, trials=7), "unknown config key 'trials' for e2e"),
             ("e2e", {"family": "steane", "r": 2, "h": 1, "trials": 10, "logical_patterns": [[1]]},
              "unknown config key 'logical_patterns' for e2e"),
+            # Switches take a JSON true or false only.
+            ("tree-bounds", {"z_grid": [3], "delta_bar_grid": [0.1], "leaf_only": "false"},
+             "expected true or false, got 'false'"),
+            ("validate-codes", {"family": "toy", "dump": 1}, "expected true or false, got 1"),
+            # One seed: a top-level seed beside noise.seed would be silently ignored.
+            ("interface-sweep", dict(SWEEP, noise={"delta": [0.01], "seed": 1}, seed=2),
+             "unknown config key 'seed' for interface-sweep"),
+            ("e2e", dict(EXHAUSTIVE, noise={"delta": 0.0, "seed": 1}, seed=2), "unknown config key 'seed' for e2e"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
@@ -429,7 +437,7 @@ class TestExitCodes:
         [
             ("validate-codes", {"family": "steane", "dump": True}, ["validation.csv", "distances.csv", "family/"]),
             ("interface-sweep",
-             dict(KNOBS, family="steane", noise={"delta": [0.01], "seed": 1}, seed=2, r=2, r_prime=1,
+             dict(KNOBS, family="steane", noise={"delta": [0.01], "seed": 1}, r=2, r_prime=1,
                   trials=20, mu=0.25),
              ["sweep.csv", "sweep_summary.json", "sweep.svg"]),
             ("schedule-audit", {"family": "toy", "h_grid": [1], "r_grid": [2], "r_prime": 1},
@@ -439,18 +447,19 @@ class TestExitCodes:
               "seed": 4},
              ["tree_bounds.csv", "tree_bounds_summary.json"]),
             ("e2e",
-             dict(KNOBS, family="steane", noise={"delta": [0.01, 0.02], "seed": 1}, seed=2, r=2, h=1,
+             dict(KNOBS, family="steane", noise={"delta": [0.01, 0.02], "seed": 1}, r=2, h=1,
                   trials=20, mode="frames", wait_rounds=1, input_ls_delta=0.0),
              ["schedule.json", "e2e_marginals.csv", "e2e_summary.json", "e2e.svg"]),
             ("e2e",
-             dict(KNOBS, family="steane", noise={"delta": 0.0, "seed": 1}, seed=2, r=2, h=1,
+             dict(KNOBS, family="steane", noise={"delta": 0.0}, seed=2, r=2, h=1,
                   mode="exhaustive", wait_rounds=1, input_ls_delta=0.0, logical_patterns=[[1]]),
              ["schedule.json", "e2e_exhaustive.csv"]),
         ],
         ids=["validate-codes", "interface-sweep", "schedule-audit", "tree-bounds", "e2e-frames", "e2e-exhaustive"],
     )
     def test_every_config_key_is_accepted(self, tmp_path, command, config, outputs):
-        # Every key each command reads, the config seeds alongside --seed where one is read;
+        # Every key each command reads, the config seeds alongside --seed where one is read
+        # (noise.seed, or the top-level seed when noise holds none);
         # the manifest names every file written.
         cfg = write_config(tmp_path, "c.json", config)
         out = tmp_path / "out"

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from decint import css, gf2
+from decint import css, gf2, interface
 from decint.css import CssCode
 from decint.tableau import Tableau, random_stabilizer_state
 
@@ -215,38 +215,160 @@ class TestEncodeState:
             assert t.expectation_z(np.zeros(4, np.uint8), c422.lz[j]) == u[j]
 
 
-def _reference_encoding(code: CssCode, logical: Tableau, labels) -> Tableau:
-    """Direct construction: code stabilizers plus each lifted logical generator."""
-    zero = np.zeros(code.n, np.uint8)
-    gens = [(row, zero, 0) for row in code.x_stabilizer_basis()]
-    gens += [(zero, row, 0) for row in code.z_stabilizer_basis()]
-    lx, lz = code.lx, code.lz
-    for row in range(logical.n):
-        x, z, s = css.lift_with_reps(lx, lz, logical.xs[row], logical.zs[row])
-        gens.append((x, z, s ^ int(logical.signs[row])))
-    xs, zs, signs = zip(*gens)
-    return Tableau(list(labels), np.array(xs), np.array(zs), np.array(signs))
+def _lift(lx: np.ndarray, lz: np.ndarray, x_bits, z_bits) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference lift of the logical Pauli X^x Z^z (Y = iXZ): the Hermitian Pauli
+    i^ys prod_j X(lx[j])^x_j Z(lz[j])^z_j and its sign bit, for ys = x.z.
+
+    Moving each X factor left past the Z factors before it gives the product
+    i^g times i^(X.Z) X^X Z^Z, g = 2 sum_{a<b} z_a x_b lz[a].lx[b] - X.Z.
+    """
+    x_bits, z_bits = (np.asarray(b, np.int64) for b in (x_bits, z_bits))
+    x, z = gf2.mul_bits(x_bits.astype(np.uint8), lx), gf2.mul_bits(z_bits.astype(np.uint8), lz)
+    overlaps = lz.astype(np.int64) @ lx.T.astype(np.int64)
+    phase = int(x_bits @ z_bits) + 2 * int(z_bits @ np.triu(overlaps, 1) @ x_bits) - int(x.astype(np.int64) @ z)
+    assert phase % 2 == 0
+    return x, z, phase // 2 % 2
+
+
+def _block_diag(mats) -> np.ndarray:
+    out = np.zeros((sum(len(a) for a in mats), sum(a.shape[1] for a in mats)), np.uint8)
+    r = c = 0
+    for a in mats:
+        out[r : r + len(a), c : c + a.shape[1]] = a
+        r, c = r + len(a), c + a.shape[1]
+    return out
+
+
+def assert_encodes(got: Tableau, codes, logical: Tableau):
+    """`got` is the lift of `logical` onto blocks of `codes`: each block's X and Z
+    stabilizer basis with + signs and each logical generator lifted through the
+    block-diagonal representatives. These n generators are independent, and
+    each, with its sign per trial, must be deterministic in `got`."""
+    joined = CssCode(*(_block_diag([getattr(c, k) for c in codes]) for k in ("hx", "hz", "lx", "lz")))
+    zero = np.zeros(joined.n, np.uint8)
+    gens = [(row, zero, 0) for row in joined.x_stabilizer_basis()]
+    gens += [(zero, row, 0) for row in joined.z_stabilizer_basis()]
+    for x, z, sign in zip(logical.xs, logical.zs, np.moveaxis(logical.signs, -1, 0)):
+        lx, lz, s = _lift(joined.lx, joined.lz, x, z)
+        gens.append((lx, lz, sign ^ s))
+    assert gf2.rank(np.array([np.concatenate([x, z]) for x, z, _ in gens])) == joined.n == got.n
+    for x, z, sign in gens:
+        outcome = got.expectation_z(x, z)
+        assert outcome is not None
+        np.testing.assert_array_equal(outcome, sign)
+
+
+def hamming_family() -> css.CodeFamily:
+    """Trivial, [[15,2,3]] and [[15,4,3]]: the 4x15 Hamming checks as H_X = H_Z, rate-adjusted."""
+    h = np.array([[j >> b & 1 for j in range(1, 16)] for b in range(4)], np.uint8)
+    return css.build_family_rate_adjusted([CssCode.from_checks(h, h)], alpha=0.1, c1=1.0, beta=0.1)
+
+
+FAMILIES = {"toy": css.toy_family, "steane": css.steane_family, "hamming": hamming_family}
+ENCODER_CODES = ["toy:1", "toy:2", "toy:3", "toy:4", "steane:2", "hamming:2", "hamming:3", "hgp58"]
+
+
+def encoder_code(key: str) -> CssCode:
+    """Level r of a family as "family:r", or HGP(Hamming [7,4], Hamming [7,4]) = [[58,16,3]]."""
+    if key == "hgp58":
+        return css.build_hgp(css.HAMMING_743, css.HAMMING_743)
+    family, r = key.split(":")
+    return FAMILIES[family]().level(int(r))
+
+
+def random_logical(m: int, seed: int, trials: int = 0) -> Tableau:
+    """A seeded random logical state, or a batch of it under `trials` random Paulis."""
+    rng = np.random.default_rng(seed)
+    logical = random_stabilizer_state(list(range(m)), rng)
+    if trials:
+        logical.apply_pauli_on(logical.labels, *rng.integers(0, 2, (2, trials, m), dtype=np.uint8))
+    return logical
+
+
+class TestEncodingCircuit:
+    @pytest.mark.parametrize("key", ENCODER_CODES)
+    def test_matches_the_lift(self, key):
+        code = encoder_code(key)
+        labels = [f"q{i}" for i in range(code.n)]
+        for seed, trials in [(0, 0), (1, 0), (2, 5), (3, 5)]:
+            logical = random_logical(code.m, seed, trials)
+            got = css.encoded_tableau((code,), logical, labels)
+            assert got.labels == labels and got.signs.shape == logical.signs.shape[:-1] + (code.n,)
+            assert_encodes(got, (code,), logical)
+
+    def test_logical_network_with_a_late_pivot(self):
+        # A = [[1,0,0],[1,0,1],[0,1,0]]: row 1 has its first 1 left of the
+        # diagonal, so the network must take its pivot fix from the right.
+        lx = bits("100", "001", "110")
+        none = np.zeros((0, 3), np.uint8)
+        code = CssCode(none, none, lx, gf2.inverse(lx).T.copy())
+        assert code.validate().passed
+        for seed in range(4):
+            logical = random_logical(code.m, seed, 3)
+            assert_encodes(css.encoded_tableau((code,), logical, range(3)), (code,), logical)
+
+    @pytest.mark.parametrize("key", ["toy:3", "hamming:3", "hgp58"])
+    def test_rebased_logicals(self, key):
+        # L_X re-based by a random invertible matrix, L_Z re-dualized.
+        code = encoder_code(key)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            while gf2.rank(b := rng.integers(0, 2, (code.m, code.m), dtype=np.uint8)) < code.m:
+                pass
+            lx, lz = gf2.mul_bits(b, code.lx), gf2.mul_bits(gf2.inverse(b).T, code.lz)
+            rebased = CssCode(code.hx, code.hz, lx, lz)
+            assert rebased.validate().passed
+            logical = random_logical(code.m, int(rng.integers(100)), 3)
+            assert_encodes(css.encoded_tableau((rebased,), logical, range(code.n)), (rebased,), logical)
+
+    @pytest.mark.parametrize("key", ENCODER_CODES)
+    def test_gates_are_init0_h_cnot(self, key):
+        code = encoder_code(key)
+        wires = [f"w{i}" for i in range(code.n)]
+        circ, entry = css.encoding_circuit(code, wires)
+        gates = [g for layer in circ.layers for g in layer]
+        assert {g.name for g in gates} <= {"init0", "h", "cnot"}
+        assert circ.wires == wires and len(entry) == len(set(entry)) == code.m
+        assert sorted(g.wires[0] for g in gates if g.name == "init0") == sorted(set(wires) - set(entry))
+        assert css.encoding_circuit(code, tuple(wires)) == (circ, entry)  # cached per (code, wires)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_bell_resource(self, family):
+        fam = FAMILIES[family]()
+        for r in range(2, fam.depth + 1):
+            for r_prime in range(1, r):
+                plan = interface.build_gamma(fam, r, r_prime)
+                m = plan.code_r.m
+                bell = Tableau.zero_state(list(range(2 * m)))
+                for j in range(m):
+                    bell.apply_h(j)
+                    bell.apply_cnot(j, m + j)
+                got = plan.resource_tableau()
+                assert got.labels == list(plan.a_wires + plan.b_wires)
+                assert_encodes(got, (plan.code_r,) + (plan.code_rp,) * plan.blocks, bell)
 
 
 class TestEncodedTableauMemo:
+    """`encoded_tableau` against the reference lift; its circuits are cached, its states fresh."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_direct_construction(self, c422, seed):
         logical = random_stabilizer_state([0, 1], np.random.default_rng(seed))
         labels = [f"q{i}" for i in range(4)]
-        for _ in range(2):  # the second call is served from the memo
-            got = css.encoded_tableau((c422,), logical, labels)
-            want = _reference_encoding(c422, logical, labels)
-            assert got.labels == want.labels
-            assert np.array_equal(got.xs, want.xs) and np.array_equal(got.zs, want.zs)
-            assert np.array_equal(got.signs, want.signs)
+        first = css.encoded_tableau((c422,), logical, labels)
+        second = css.encoded_tableau((c422,), logical, labels)  # through the cached circuit
+        assert first.labels == second.labels == labels
+        assert_encodes(first, (c422,), logical)
+        assert second.same_state(first)
 
     def test_each_call_returns_a_fresh_copy(self, steane):
         logical = Tableau.zero_state([0])
         first = css.encoded_tableau((steane,), logical, range(7))
         first.apply_pauli_on([0], [1], [0])
         second = css.encoded_tableau((steane,), logical, range(7))
-        assert second is not first and second.same_state(_reference_encoding(steane, logical, range(7)))
-        assert not first.same_state(second)
+        assert second is not first and not first.same_state(second)
+        assert_encodes(second, (steane,), logical)
+        assert logical.same_state(Tableau.zero_state([0]))
 
     def test_key_holds_signs_and_labels(self, steane):
         zero = Tableau.zero_state([0])
@@ -274,26 +396,28 @@ class TestEncodedTableauMemo:
         logical = first.copy()
         logical.extend(second)
         got = css.encoded_tableau((c422, steane), logical, range(11))
-        want = _reference_encoding(c422, first, range(4))
-        want.extend(_reference_encoding(steane, second, range(4, 11)))
+        want = css.encoded_tableau((c422,), first, range(4))
+        want.extend(css.encoded_tableau((steane,), second, range(4, 11)))
         assert got.same_state(want)
+        assert_encodes(got, (c422, steane), logical)
 
     def test_rejects_mismatched_blocks(self, c422):
         with pytest.raises(ValueError, match="logical count"):
             css.encoded_tableau((c422,), Tableau.zero_state([0]), range(4))
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(ValueError, match="5 labels for blocks of 4 wires"):
             css.encoded_tableau((c422,), Tableau.zero_state([0, 1]), range(5))
 
 
 class TestLiftLogical:
+    """The reference lift `_lift` itself."""
+
     def test_lift_x_is_representative(self, c422):
-        lx, lz = c422.lx, c422.lz
-        x, z, s = css.lift_with_reps(lx, lz, np.array([1, 0]), np.array([0, 0]))
-        assert np.array_equal(x, lx[0])
+        x, z, s = _lift(c422.lx, c422.lz, np.array([1, 0]), np.array([0, 0]))
+        assert np.array_equal(x, c422.lx[0])
         assert not z.any() and s == 0
 
     def test_lift_y_hermitian(self, steane):
-        x, z, s = css.lift_with_reps(steane.lx, steane.lz, np.array([1]), np.array([1]))
+        x, z, s = _lift(steane.lx, steane.lz, np.array([1]), np.array([1]))
         assert np.array_equal(x, steane.lx[0])
         assert np.array_equal(z, steane.lz[0])
         assert s in (0, 1)

@@ -502,12 +502,10 @@ class TestPlanCache:
         first.measure_z(first.labels[1], np.random.default_rng(0))
         first.rename({first.labels[0]: "moved"})
         second = plan.resource_tableau()
-        css._encoded_tableau.cache_clear()
-        fresh = plan.resource_tableau()  # rebuilt by the encoder
-        assert second is not first
-        assert second.labels == fresh.labels
-        for attr in ("xs", "zs", "signs"):
-            assert np.array_equal(getattr(second, attr), getattr(fresh, attr))
+        css._encoding_circuit.cache_clear()
+        fresh = plan.resource_tableau()  # through rebuilt encoder circuits
+        assert second is not first and not second.same_state(first)
+        assert second.labels == fresh.labels and second.same_state(fresh)
 
 
 class TestFaultLocality:

@@ -6,11 +6,32 @@ import numpy as np
 import pytest
 
 from decint import gf2, tableau
-from decint.tableau import Tableau, pauli_product, random_stabilizer_state
+from decint.tableau import Tableau, random_stabilizer_state
 
 
 def arr(*bits):
     return np.array(bits, dtype=np.uint8)
+
+
+def pauli_product(terms, extra_i: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference: multiply Hermitian Paulis (x, z, sign) left to right.
+
+    `extra_i` adds a global i^extra_i factor. The result must be Hermitian
+    again; raises otherwise. Moving each X^x_j left past the Z^z_i with
+    i < j gives P_1 ... P_k = i^g P(x, z) for the XORs x and z and
+    g = sum_i x_i.z_i + 2 sum_{i<j} z_i.x_j - x.z, the rule `Tableau._sign`
+    evaluates on its bitsets.
+    """
+    if not terms:
+        raise ValueError("empty product")
+    x, z = (np.array([t[b] for t in terms], np.uint8) for b in (0, 1))
+    xs, zs = np.bitwise_xor.reduce(x, axis=0), np.bitwise_xor.reduce(z, axis=0)
+    z_before = np.cumsum(z, axis=0)[:-1]  # row j - 1: sum of z_i over i < j
+    g = np.count_nonzero(x & z) + 2 * int((z_before * x[1:]).sum()) - np.count_nonzero(xs & zs)
+    phase = 2 * sum(int(t[2]) for t in terms) + extra_i + int(g)
+    if phase % 2:
+        raise ValueError("non-Hermitian Pauli product")
+    return xs, zs, phase // 2 % 2
 
 
 def _g_exponents(x1, z1, x2, z2):
@@ -171,24 +192,6 @@ class TestStates:
         assert a.measure_z("a") == (0, True)
         assert a.measure_z("b") == (1, True)
 
-    def test_invalid_generators_rejected(self):
-        # X_0 and Z_0 anticommute.
-        with pytest.raises(ValueError):
-            Tableau(
-                [0, 1],
-                np.array([[1, 0], [0, 0]]),
-                np.array([[0, 0], [1, 0]]),
-                np.array([0, 0]),
-            )
-        # Dependent generators (Z_0 twice).
-        with pytest.raises(ValueError):
-            Tableau(
-                [0, 1],
-                np.zeros((2, 2), dtype=np.uint8),
-                np.array([[1, 0], [1, 0]]),
-                np.array([0, 0]),
-            )
-
 
 # -- dense state-vector reference ------------------------------------------------------
 
@@ -255,7 +258,7 @@ class TestDenseReference:
             else:
                 assert prob == pytest.approx(0.5)
             assert t.labels == [w for w in base.labels if w != q]
-            t.assert_valid()
+            assert_paired(t)
             if n > 1:
                 assert same_ray(state_vector(t), post)
 
@@ -333,9 +336,28 @@ def destabilizers(t: Tableau) -> tuple[np.ndarray, np.ndarray]:
 
 
 def with_destabilizers(labels, xs, zs, signs, dx, dz) -> Tableau:
-    """A tableau with the given generator and destabilizer rows, unchecked."""
-    x, z = (tableau._columns(np.asarray(g, np.uint8), np.asarray(d, np.uint8)) for g, d in ((xs, dx), (zs, dz)))
-    return Tableau._of(list(labels), x, z, np.asarray(signs, np.uint8))
+    """A tableau with the given generator and destabilizer rows, unchecked:
+    generator i in bit 2i and destabilizer i in bit 2i + 1 of each wire's column bitset."""
+    both = np.zeros((2, len(xs[0]), 2 * len(xs)), np.uint8)
+    for part, (g, d) in enumerate(((xs, dx), (zs, dz))):
+        both[part, :, 0::2], both[part, :, 1::2] = np.asarray(g).T, np.asarray(d).T
+    x, z = ([int.from_bytes(col.tobytes(), "little") for col in np.packbits(b, axis=1, bitorder="little")]
+            for b in both)
+    return Tableau(list(labels), x, z, np.asarray(signs, np.uint8))
+
+
+def assert_paired(t: Tableau):
+    """Generators commute, and each row anticommutes with its partner alone
+    (generator i with destabilizer i), which makes them independent."""
+    gx, gz = t.xs, t.zs
+    dx, dz = destabilizers(t)
+    rows_x, rows_z = np.concatenate([gx, dx]), np.concatenate([gz, dz])
+    meet = (gf2.mul_bits(rows_x, rows_z.T) ^ gf2.mul_bits(rows_z, rows_x.T)).astype(bool)
+    n = t.n
+    if meet[:n, :n].any():
+        raise ValueError("generators do not commute")
+    if not np.array_equal(meet, np.roll(np.eye(2 * n, dtype=bool), n, axis=1)):
+        raise ValueError("destabilizers do not pair with the generators")
 
 
 # -- the solve-based reference -----------------------------------------------------------
@@ -533,24 +555,15 @@ class TestPairing:
                     t = t.reorder([t.labels[i] for i in rng.permutation(t.n)])
                 else:
                     run_op(t, random_op(rng, t, fresh))
-                t.assert_valid()
+                assert_paired(t)
 
     def test_unpaired_destabilizers_rejected(self):
         z = np.eye(2, dtype=np.uint8)
         zero = np.zeros((2, 2), np.uint8)
-        with_destabilizers([0, 1], zero, z, [0, 0], z, zero).assert_valid()
+        assert_paired(with_destabilizers([0, 1], zero, z, [0, 0], z, zero))
         for dx, dz in [(zero, z), (z[::-1], zero), (np.ones((2, 2), np.uint8), zero)]:
             with pytest.raises(ValueError, match="pair"):
-                with_destabilizers([0, 1], zero, z, [0, 0], dx, dz).assert_valid()
-
-    def test_computed_destabilizers_pair(self):
-        # Random signed states rebuilt from their generators: the constructor's
-        # destabilizers pass `assert_valid`, and generators and signs stay as given.
-        for seed in range(20):
-            t = signed_random_state(int(np.random.default_rng(seed).integers(1, 7)), seed)
-            built = Tableau(t.labels, t.xs, t.zs, t.signs)
-            assert np.array_equal(built.xs, t.xs) and np.array_equal(built.zs, t.zs)
-            assert np.array_equal(built.signs, t.signs)
+                assert_paired(with_destabilizers([0, 1], zero, z, [0, 0], dx, dz))
 
 
 # -- sign batches ----------------------------------------------------------------------
@@ -677,13 +690,6 @@ class TestSignBatch:
 
 
 class TestBatchShapes:
-    def test_signs_must_be_one_or_two_dimensional(self):
-        eye, zero = np.eye(3, dtype=np.uint8), np.zeros((3, 3), np.uint8)
-        Tableau([0, 1, 2], zero, eye, np.zeros((4, 3)))
-        for shape in [(), (2,), (4, 2), (2, 4, 3)]:
-            with pytest.raises(ValueError, match="signs must be"):
-                Tableau([0, 1, 2], zero, eye, np.zeros(shape))
-
     def test_tensor_of_unequal_batches(self):
         a, b = Tableau.zero_state(["a"]), Tableau.zero_state(["b"])
         a.apply_pauli_on(a.labels, np.zeros((2, 1), np.uint8), np.zeros((2, 1), np.uint8))
