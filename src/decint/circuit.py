@@ -229,7 +229,7 @@ def _apply_faults_tableau(circuit: Circuit, state: Tableau, li: int, faults: tup
     lf = table.layers[li]
     scratch = FrameBatch(circuit.wires, state.trials)
     scratch.flips = {label: np.zeros(state.trials, np.uint8) for label in lf.meas_labels}
-    _inject_faults(scratch, lf, table.cols, *faults)
+    _inject_faults(scratch, lf, table.cols.T, *faults)
     single = state.signs.ndim == 1
     for label, flip in scratch.flips.items():
         outcomes[label] ^= int(flip[0]) if single else flip
@@ -392,7 +392,7 @@ class FrameRunner:
         if self.params.delta > 0.0 and batch.trials > 0:
             rng = rng_stream(self.params.seed, STREAM_CIRCUIT, *self.key, tag, self.chunk)
             faults.append(_by_layer(table, *_draw_faults(table, batch.trials, self.params.delta, rng)))
-        cols = batch.columns(circuit.wires)[table.cols]
+        cols = batch.columns(circuit.wires)[table.cols.T]  # (2, locations): first, last wire
         for li, lf in enumerate(table.layers):
             _apply_gates(batch, lf, cols)
             # Gates in a layer touch disjoint wires, so faulting the layer
@@ -404,21 +404,23 @@ class FrameRunner:
 
 
 def _apply_gates(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray):
-    """One layer's gates on the frames; `cols` maps locations to their batch columns."""
+    """One layer's gates on the frames; `cols` (2, locations) maps locations to the
+    batch columns of their first and last wires."""
     x, z = batch._x, batch._z
+    first = cols[0]
     if lf.h.size:
-        q = cols[lf.h, 0]
+        q = first.take(lf.h)
         x[q], z[q] = z[q], x[q]
     # A layer holds a few CNOTs: in-place XORs of row views beat fancy-indexed copies.
-    for c, t in cols[lf.cnot].tolist():
+    for c, t in cols.take(lf.cnot, axis=1).T.tolist():
         x[t] ^= x[c]
         z[c] ^= z[t]
     if lf.meas_labels:
-        q = cols[lf.meas_bounds[0], 0]
+        q = first.take(lf.meas_bounds[0])
         batch.flips.update(zip(lf.meas_labels, x[q]))
         z[q] = 0
     if lf.init0.size:
-        q = cols[lf.init0, 0]
+        q = first.take(lf.init0)
         x[q] = z[q] = 0
 
 
@@ -435,7 +437,8 @@ def _draw_faults(table: FaultTable, trials: int, delta: float, rng: np.random.Ge
 
 def _inject_faults(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray, loc, trial, code):
     """XOR one layer's faults, (location, trial, code) sorted by location with no pair
-    repeated, into the frames; `cols` maps locations to their batch columns."""
+    repeated, into the frames; `cols` (2, locations) maps locations to the batch
+    columns of their first and last wires."""
     if lf.meas_labels:  # a measurement's fault flips its outcome; the rest are Paulis
         lo, hi = np.searchsorted(loc, lf.meas_bounds)
         pauli = np.ones(loc.size, bool)
@@ -445,6 +448,6 @@ def _inject_faults(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray, loc, tr
         loc, trial, code = loc[pauli], trial[pauli], code[pauli]
     # Wire 0 of a gate takes code bits 0 (x) and 1 (z), wire 1 of a CNOT bits 2
     # and 3; a one-wire code has no bits 2 and 3, so it XORs zeros on its wire.
-    batch.xor_at(cols[loc, 0], trial, code & 1, code >> 1 & 1)
+    batch.xor_at(cols[0].take(loc), trial, code & 1, code >> 1 & 1)
     if lf.cnot.size:
-        batch.xor_at(cols[loc, 1], trial, code >> 2 & 1, code >> 3)
+        batch.xor_at(cols[1].take(loc), trial, code >> 2 & 1, code >> 3)

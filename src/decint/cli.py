@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import datetime
 import gc
 import hashlib
@@ -598,6 +599,25 @@ PARALLEL_COMMANDS = {"interface-sweep"}
 SEEDED_COMMANDS = {"interface-sweep", "tree-bounds", "e2e"}
 
 
+# The (param, value) pairs `main` passes to glibc's `mallopt`: M_TRIM_THRESHOLD
+# (-1 in malloc.h) and M_MMAP_THRESHOLD (-3), far above a chunk's frames and
+# temporaries (a few MB at 10,000 trials), so the heap keeps them between
+# chunks instead of trimming them and faulting them in again.
+HEAP_THRESHOLDS = ((-1, 256 << 20), (-3, 64 << 20))
+
+
+def _keep_heap(libc) -> None:
+    """Set `HEAP_THRESHOLDS` through `libc.mallopt`; a C library without
+    `mallopt` is left as it is."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in HEAP_THRESHOLDS:
+        mallopt(param, value)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one command: the process entry of the `decint` script and of
     `python -m decint.cli`.
@@ -608,8 +628,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     again; objects the run creates are collected as before, and a forked
     `--workers` pool inherits the frozen heap. A process that embeds `main`
     and keeps running may call `gc.unfreeze()` after it returns.
+
+    It then raises the C allocator's trim and mmap thresholds, so the arrays
+    each chunk frees stay in the heap for the next chunk rather than going
+    back to the system and being faulted in again. Only this entry does so:
+    library code leaves the allocator of a program that embeds decint alone.
     """
     gc.freeze()
+    _keep_heap(ctypes.CDLL(None))
     parser = argparse.ArgumentParser(prog="decint", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")

@@ -1,10 +1,11 @@
 """Dense GF(2) linear algebra on 0/1 uint8 arrays.
 
 A GF(2) vector is a 1-D 0/1 uint8 array and a GF(2) matrix a 2-D one.
-Every product goes through `mul_bits`, which XORs the 0/1 rows that each
-row of the left operand selects, with no float or integer round-trip;
-`mul_count` is the one float32 BLAS product, for weighted sums such as a
-packed syndrome index. Elimination (`rank`, `rref`, `nullspace_basis`,
+Products go through `mul_bits`, which XORs the 0/1 rows that each row of
+the left operand selects, with no float or integer round-trip; `mul_count`
+is the one float32 BLAS product, for weighted sums such as a packed
+syndrome index and for parities over a whole batch such as a tableau's
+sign flips. Elimination (`rank`, `rref`, `nullspace_basis`,
 `solve`, `inverse`) works on a copy with one pivot rule, so its results are
 unique and inputs are never changed; it holds columns as Python-int bitsets.
 Rows are packed into 64-bit words, where XOR and popcount are single numpy
@@ -47,9 +48,11 @@ def mul_count(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product a @ b of a 0/1 array and a nonnegative integer array.
 
     One BLAS float32 matmul, for weighted sums such as the packed syndrome
-    index of `interface.LeaderTable.lookup`. Raises when a partial sum could
-    reach 2^24 (inner dimension times the largest entry of b), where float32
-    stops counting exactly. GF(2) products go through `mul_bits`.
+    index of `interface.LeaderTable.lookup`, and for parities over a batch,
+    such as the sign flips of `tableau.Tableau.apply_pauli_on`. Raises when a
+    partial sum could reach 2^24 (inner dimension times the largest entry of
+    b), where float32 stops counting exactly. Other GF(2) products go through
+    `mul_bits`.
     """
     b = np.asarray(b)
     top = max(int(b.max()), 1) if b.size else 1

@@ -74,7 +74,10 @@ def bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.nd
     gaps = rng.standard_exponential(size) if p < 1 / 3 else rng.geometric(p, size)
     if p < 1 / 3:  # numpy's geometric, in place: a fragment run's gaps are its largest array
         np.ceil(np.divide(gaps, -math.log1p(-p), out=gaps), out=gaps)
-    pos = np.cumsum(np.minimum(gaps, total + 1, out=gaps), dtype=np.int64)  # tiny p: no int64 overflow
+    # Clipped, so tiny p cannot overflow int64. One cast summed in place holds one
+    # int64 array; cumsum(float64, dtype=int64) holds a cast copy besides its output.
+    pos = np.minimum(gaps, total + 1, out=gaps).astype(np.int64, copy=False)
+    np.cumsum(pos, out=pos)
     pos -= 1
     if pos[-1] < total:  # the batch fell short (rare): the rest starts fresh after pos[-1]
         rest = bernoulli_positions(rng, total - 1 - int(pos[-1]), p)

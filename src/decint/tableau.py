@@ -171,7 +171,9 @@ class Tableau:
         cols = [self.labels.index(w) for w in wires]
         meet = _bits([self._z[c] for c in cols] + [self._x[c] for c in cols], self.n)
         pauli = np.concatenate([np.asarray(x_bits, np.uint8), np.asarray(z_bits, np.uint8)], axis=-1)
-        self.signs = self.signs ^ gf2.mul_bits(pauli, meet)
+        # The flips are the parities of one BLAS count over the whole batch;
+        # `mul_bits` would loop in Python over min(trials, n) rows.
+        self.signs = self.signs ^ gf2.mul_count(pauli, meet).astype(np.uint8) & 1
 
     # -- measurement ----------------------------------------------------------
 

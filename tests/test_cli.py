@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -549,6 +550,24 @@ def modules_after_cli_import() -> set:
     return set(done.stdout.split())
 
 
+class FakeMallopt:
+    """Records the (param, value) of each call, as glibc's mallopt would take them."""
+
+    argtypes = restype = None
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class FakeLibc:
+    def __init__(self):
+        self.mallopt = FakeMallopt()
+
+
 class TestStartup:
     SWEEP = {"family": "toy", "r": 2, "r_prime": 1, "noise": {"delta": [0.01]}, "trials": 200, "mu": 0.25}
 
@@ -579,6 +598,31 @@ class TestStartup:
         code, frozen = map(int, done.stdout.splitlines()[-1].split())
         assert code == 0
         assert frozen > 0
+
+    def test_keep_heap_sets_both_thresholds(self):
+        libc = FakeLibc()
+        cli._keep_heap(libc)
+        assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert libc.mallopt.restype is ctypes.c_int
+        # M_TRIM_THRESHOLD = -1 and M_MMAP_THRESHOLD = -3 in glibc's malloc.h.
+        assert libc.mallopt.calls == [(-1, 256 << 20), (-3, 64 << 20)]
+
+    def test_main_sets_the_heap_thresholds_once(self, tmp_path, monkeypatch):
+        libc, opened = FakeLibc(), []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or libc)
+        cfg = write_config(tmp_path, "c.json", self.SWEEP)
+        assert run("interface-sweep", cfg, tmp_path / "out") == 0
+        assert opened == [None]  # the process's own symbols: the C library it runs on
+        assert [param for param, _ in libc.mallopt.calls] == [-1, -3]
+
+    def test_main_without_mallopt_writes_the_same_sweep(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "c.json", self.SWEEP)
+        assert run("interface-sweep", cfg, tmp_path / "with") == 0
+        cli._keep_heap(object())  # a C library with no mallopt is left alone
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert run("interface-sweep", cfg, tmp_path / "without") == 0
+        with_, without = (tmp_path / d / "sweep.csv" for d in ("with", "without"))
+        assert with_.read_bytes() == without.read_bytes()
 
     def test_module_entry_writes_the_in_process_sweep(self, tmp_path):
         # Freezing changes only the collector's bookkeeping: the process entry

@@ -801,10 +801,13 @@ class TestLeaderLookupRows:
                 assert errors[t].sum() == weights[t]
             else:
                 assert not errors[t].any()
+        errors, weights = table.lookup(syn_rows[:, :0].T)  # a batch of 0 trials
+        assert errors.shape == (0, n) and errors.T.flags.c_contiguous and weights.shape == (0,)
 
     def test_table_is_read_only(self, fam):
         table = interface.build_leader_table(fam.level(3).hx)
-        for arr in (table.errors_t, table.weights):
+        assert table.errors.shape == (1 << len(table.h), table.h.shape[1])  # one row per syndrome
+        for arr in (table.errors, table.weights):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
