@@ -7,24 +7,20 @@
 import numpy as np
 
 from decint import circuit as circ
-from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate
+from decint.circuit import Circuit, FrameBatch, FrameRunner, Gate, with_idles
 from decint.noise import NoiseParams
 from decint.tableau import Tableau
 
 # Build a small syndrome-style circuit: prepare a GHZ pair of parities and
-# measure everything; ideal outcomes are deterministic.
+# measure everything; ideal outcomes are deterministic. `with_idles` adds an
+# idle location on every wire a layer's gates leave untouched.
 wires = ["q0", "q1", "q2"]
 c = Circuit(wires)
-body = [
-    [Gate("h", ("q0",)), Gate("idle", ("q1",)), Gate("idle", ("q2",))],
-    [Gate("cnot", ("q0", "q1")), Gate("idle", ("q2",))],
-    [Gate("cnot", ("q1", "q2")), Gate("idle", ("q0",))],
-]
+body = [[Gate("h", ("q0",))], [Gate("cnot", ("q0", "q1"))], [Gate("cnot", ("q1", "q2"))]]
 for layer in body + body[::-1]:  # each layer is self-inverse
-    c.add_layer(layer)
+    c.add_layer(with_idles(c, layer))
 c.add_layer([Gate("measure", (w,), out=f"m{w}") for w in wires])
-print("circuit JSON:")
-print(c.to_json()[:200], "...")
+print(f"circuit: depth {c.depth}, {c.n_locations} locations")
 
 _, ideal = circ.run_noisy(c, Tableau.zero_state(wires))
 print("\nideal outcomes:", ideal)

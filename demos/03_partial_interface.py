@@ -12,8 +12,7 @@ from decint.tableau import Tableau, random_stabilizer_state
 fam = css.toy_family()
 plan = interface.build_gamma(fam, 2, 1)
 print(f"Gamma_(2,1): {len(plan.q_wires)}-qubit input block -> {plan.blocks} bare qubits")
-print(f"total wires {plan.qubit_count}, locations {plan.n_locations}, "
-      f"latency {plan.latency_layers} layers")
+print(f"total wires {plan.qubit_count}")
 
 # --- noiseless exactness -----------------------------------------------------------
 # One encoder, css.encoded_tableau(codes, logical, labels), builds every

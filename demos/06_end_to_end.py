@@ -24,14 +24,14 @@ logical = Tableau.zero_state([0])
 logical.apply_pauli_on([0], bits, np.zeros_like(bits))
 clean = 0
 for block in range(3):
-    res = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=cases * 2)
+    res = e2e.run_block_chain_tableau(sched, block, logical, injections=cases * 2)
     clean += int((res.state_matches & (res.output_bits == bits).all(axis=1)).sum())
 print(f"exhaustive single-qubit injections on |0>_L and |1>_L: {clean}/{3 * 2 * len(cases)} outputs exact")
 
 # --- Monte Carlo under circuit noise ----------------------------------------------
 print("\ndelta     mean output error marginal   per-qubit (block position matters)")
 for delta in (0.004, 0.002, 0.001):
-    stats = e2e.run_e2e_frames(fam, sched, NoiseParams(delta=delta, seed=99), trials=20_000)
+    stats = e2e.run_e2e_frames(sched, NoiseParams(delta=delta, seed=99), trials=20_000)
     marg = stats.logical_error_marginals
     print(f"{delta:<8g}  {marg.mean():.4f}                      {marg.round(4)}")
 print("(later blocks wait longer under idle noise before their interface turn)")
@@ -42,7 +42,7 @@ print(f"at delta={delta}: {stats.heralds} of {stats.trials} trials heralded, "
 deltas = [0.004, 0.002, 0.001]
 singles, pairs = [], []
 for d in deltas:
-    stats = e2e.run_e2e_frames(fam, sched, NoiseParams(delta=d, seed=99), trials=20_000)
+    stats = e2e.run_e2e_frames(sched, NoiseParams(delta=d, seed=99), trials=20_000)
     singles.append(stats.mean_marginal())
     pairs.append(float(np.mean(stats.pair_errors / stats.trials)))  # joint errors per sampled pair
 fit = e2e.fit_ls_constants(deltas, singles, pairs)

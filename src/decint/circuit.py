@@ -19,7 +19,6 @@ by the frames that were hit. Both backends walk the compiled layers of
 
 from __future__ import annotations
 
-import json
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -107,41 +106,15 @@ class Circuit:
             self._fault_table = FaultTable.compile(self)
         return self._fault_table
 
-    # -- serialization --------------------------------------------------------
 
-    def to_json(self) -> str:
-        def enc(g: Gate) -> dict:
-            if g.name == "measure":
-                return {"gate": g.name, "in": [str(g.wires[0])], "out": [g.out]}
-            if g.name == "init0":
-                return {"gate": g.name, "in": [], "out": [str(g.wires[0])]}
-            wires = [str(w) for w in g.wires]
-            return {"gate": g.name, "in": wires, "out": wires}
-
-        return json.dumps(
-            {
-                "wires": [str(w) for w in self.wires],
-                "layers": [[enc(g) for g in layer] for layer in self.layers],
-            },
-            indent=1,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        obj = json.loads(text)
-        circ = cls(obj["wires"])
-        for layer in obj["layers"]:
-            gates = []
-            for g in layer:
-                name = g["gate"]
-                if name == "measure":
-                    gates.append(Gate("measure", (g["in"][0],), out=g["out"][0]))
-                elif name == "init0":
-                    gates.append(Gate("init0", (g["out"][0],)))
-                else:
-                    gates.append(Gate(name, tuple(g["in"])))
-            circ.add_layer(gates)
-        return circ
+def with_idles(circuit: Circuit, gates: Iterable[Gate]) -> list[Gate]:
+    """`gates` plus an idle on every other wire of `circuit`, in wire order: a
+    noisy layer, where a wire that only waits is a fault location too. Every
+    noisy fragment builds its layers through this one rule; encoders run
+    noiselessly and hold no idles."""
+    gates = list(gates)
+    busy = {w for g in gates for w in g.wires}
+    return gates + [Gate("idle", (w,)) for w in circuit.wires if w not in busy]
 
 
 def idle_circuit(wires: Sequence[Hashable], layers: int = 1) -> Circuit:
@@ -149,7 +122,7 @@ def idle_circuit(wires: Sequence[Hashable], layers: int = 1) -> Circuit:
     of a correction applied between fragments."""
     circ = Circuit(wires)
     for _ in range(layers):
-        circ.add_layer([Gate("idle", (w,)) for w in wires])
+        circ.add_layer(with_idles(circ, []))
     return circ
 
 

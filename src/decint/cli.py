@@ -124,7 +124,7 @@ def _config_values():
         yield
     except KeyError as exc:
         raise UsageError(f"config has no {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"bad config value: {exc}") from None
 
 
@@ -156,10 +156,20 @@ def _grid(config: dict, key: str, default: list) -> list:
 
 
 def _as_int(value) -> int:
-    """A config count as an int; a bool or a non-integral float raises."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A config count: a JSON integer, or an integral float such as 100.0.
+    A string, a bool or a non-integral float raises."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    return value
+
+
+def _as_float(value) -> float:
+    """A config number: a JSON integer or float; a string or a bool raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _flag(value) -> bool:
@@ -208,7 +218,7 @@ def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[floa
         raise UsageError("empty delta grid")
     # A top-level seed is read only when noise holds none, so a second one is an unread key.
     seed = _seed(noise["seed"] if "seed" in noise else config.get("seed", 0), seed_override)
-    return [_probability("delta", float(d)) for d in deltas], seed
+    return [_probability("delta", _as_float(d)) for d in deltas], seed
 
 
 def _count(key: str, value: int) -> int:
@@ -225,12 +235,13 @@ def _probability(key: str, value):
 
 def _knobs(config: dict) -> interface.GammaKnobs:
     oracle = config.get("resource_oracle", {})
+    ls_delta = oracle.get("ls_delta")
     return interface.GammaKnobs(
         s1=_as_int(config.get("s1", 1)),
         s2=_as_int(config.get("s2", 1)),
         proc_poly=config.get("proc_layers", (0, 1)),
-        resource_ls_delta=oracle.get("ls_delta"),
-        resource_fail_prob=float(oracle.get("fail_prob", 0.0)),
+        resource_ls_delta=None if ls_delta is None else _as_float(ls_delta),
+        resource_fail_prob=_as_float(oracle.get("fail_prob", 0.0)),
     )
 
 
@@ -269,7 +280,7 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
         r = _as_int(config["r"])
         r_prime = _as_int(config["r_prime"])
         trials = _trials(config)
-        mu = float(config.get("mu", 0.25))
+        mu = _as_float(config.get("mu", 0.25))
         if not 0 < mu < 1:
             raise UsageError(f"mu must lie in (0, 1), got {mu}")
         knobs = _knobs(config)
@@ -398,7 +409,7 @@ def cmd_tree_bounds(config: dict, out: pathlib.Path, seed: Optional[int], worker
     with _config_values():
         z_grid = [_as_int(z) for z in _grid(config, "z_grid", [2, 3, 4])]
         db_grid = _grid(config, "delta_bar_grid", [0.3, 0.1, 0.03])
-        db_fracs = [_probability("delta_bar", Fraction(str(db))) for db in db_grid]
+        db_fracs = [_probability("delta_bar", Fraction(str(_as_float(db)))) for db in db_grid]
         max_size = _as_int(config.get("max_size", 3))
         leaf_only = _flag(config.get("leaf_only", True))
         mc_trials = _count("mc_trials", _as_int(config.get("mc_trials", 0)))
@@ -463,7 +474,7 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         mode = config.get("mode", "frames")
         if mode not in ("frames", "exhaustive"):
             raise UsageError(f"mode must be 'frames' or 'exhaustive', got {mode!r}")
-        input_ls = _probability("input_ls_delta", float(config.get("input_ls_delta", 0.0)))
+        input_ls = _probability("input_ls_delta", _as_float(config.get("input_ls_delta", 0.0)))
         if mode == "frames":
             trials = _trials(config)
     _check_levels(family, r, 1)
@@ -487,7 +498,7 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
     manifest.output("schedule.json").write_text(sched.to_json() + "\n")
 
     if mode == "exhaustive":
-        return _e2e_exhaustive(u_patterns, family, sched, knobs, wait_rounds, base_seed, manifest)
+        return _e2e_exhaustive(u_patterns, sched, knobs, wait_rounds, base_seed, manifest)
 
     rows = []
     singles = []
@@ -498,7 +509,7 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         params = NoiseParams(delta=delta, seed=base_seed)
         manifest.add_seed(f"e2e delta={delta}", base_seed)
         stats = e2e.run_e2e_frames(
-            family, sched, params, trials, knobs=knobs,
+            sched, params, trials, knobs=knobs,
             wait_rounds_per_layer=wait_rounds, input_ls_delta=input_ls,
         )
         for q, m in enumerate(stats.logical_error_marginals):
@@ -546,11 +557,11 @@ def _logical_patterns(config: dict, m: int) -> list:
     return u_patterns
 
 
-def _e2e_exhaustive(u_patterns, family, sched, knobs, wait_rounds, base_seed, manifest) -> int:
+def _e2e_exhaustive(u_patterns, sched, knobs, wait_rounds, base_seed, manifest) -> int:
     """delta = 0 with exhaustive single-qubit injections per block."""
     from .tableau import Tableau
 
-    code_r = family.level(sched.r)
+    code_r = sched.family.level(sched.r)
     cases = [None] + [(q, k) for q in range(code_r.n) for k in ("X", "Z", "Y")]
     # |u>_L = X_L^u |0...0>_L flips the signs of Z_L alone, so every pattern
     # shares one chain walk: trial (pattern p, case c) is p * len(cases) + c.
@@ -564,7 +575,7 @@ def _e2e_exhaustive(u_patterns, family, sched, knobs, wait_rounds, base_seed, ma
     for block in range(sched.h):
         manifest.add_seed(f"exhaustive block={block}", base_seed)
         res = e2e.run_block_chain_tableau(
-            family, sched, block, logical, injections=cases * len(u_patterns),
+            sched, block, logical, injections=cases * len(u_patterns),
             knobs=knobs, wait_rounds_per_layer=wait_rounds, seed=base_seed,
         )
         wrong = (res.output_bits != bits).sum(axis=1)

@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import css, interface as iface
-from .css import CodeFamily
 from .circuit import idle_circuit
 from .noise import NoiseParams, rng_stream, sample_ls_bits, STREAM_TABLEAU, STREAM_TRIAL
 from .scheduler import InterfaceSchedule, effective_interface
@@ -30,7 +29,6 @@ MAX_PAIRS = 40
 
 
 def _walk_chain(
-    family: CodeFamily,
     schedule: InterfaceSchedule,
     block: int,
     knobs: Optional[iface.GammaKnobs],
@@ -49,6 +47,7 @@ def _walk_chain(
     """
     if schedule.r_prime != 1:
         raise ValueError("chain did not reach bare qubits")
+    family = schedule.family
     heralds = np.zeros(engine.trials, dtype=bool)
     live = [(handle, 0)]  # (handle, pending wait layers) per descendant
     for stage in effective_interface(schedule, block).stages:
@@ -86,7 +85,6 @@ class BlockChainResult(NamedTuple):
 
 
 def run_block_chain_tableau(
-    family: CodeFamily,
     schedule: InterfaceSchedule,
     block: int,
     logical: Tableau,
@@ -110,7 +108,7 @@ def run_block_chain_tableau(
     if logical.signs.ndim == 2 and logical.trials != trials:
         raise ValueError(f"logical batch of {logical.trials} trials for {trials} injections")
     rng = rng_stream(seed, STREAM_TABLEAU, block)
-    code_r = family.level(schedule.r)
+    code_r = schedule.family.level(schedule.r)
     init_wires = [f"L{schedule.r}.x{q}" for q in range(code_r.n)]
     state = css.encoded_tableau((code_r,), logical, init_wires)
     engine = iface.TableauEngine(state, rng, {})
@@ -119,9 +117,7 @@ def run_block_chain_tableau(
         if case is not None:
             x[case[0], t], z[case[0], t] = case[1] in "XY", case[1] in "ZY"
     engine.xor(init_wires, x, z)
-    outputs, heralds = _walk_chain(
-        family, schedule, block, knobs, wait_rounds_per_layer, engine, init_wires
-    )
+    outputs, heralds = _walk_chain(schedule, block, knobs, wait_rounds_per_layer, engine, init_wires)
     out_wires = [w for wires in outputs for w in wires]
     want = logical.copy()
     want.rename({want.labels[j]: out_wires[j] for j in range(want.n)})
@@ -137,7 +133,6 @@ class ChainChunkResult(NamedTuple):
 
 
 def run_block_chain_frames(
-    family: CodeFamily,
     schedule: InterfaceSchedule,
     block: int,
     params: NoiseParams,
@@ -149,9 +144,7 @@ def run_block_chain_frames(
 ) -> ChainChunkResult:
     """Monte Carlo frames through one block's effective interface."""
     engine = iface.FrameEngine(params, trials, chunk, (block,))
-    outputs, heralds = _walk_chain(
-        family, schedule, block, knobs, wait_rounds_per_layer, engine, input_frames
-    )
+    outputs, heralds = _walk_chain(schedule, block, knobs, wait_rounds_per_layer, engine, input_frames)
     error_bits = np.concatenate([(ex | ez) != 0 for ex, ez in outputs], axis=1)
     return ChainChunkResult(trials=trials, error_bits=error_bits, heralds=heralds)
 
@@ -186,7 +179,6 @@ class E2EStats(NamedTuple):
 
 
 def _e2e_chunk(
-    family: CodeFamily,
     schedule: InterfaceSchedule,
     params: NoiseParams,
     knobs: Optional[iface.GammaKnobs],
@@ -196,7 +188,7 @@ def _e2e_chunk(
     chunk: int,
 ) -> E2EStats:
     """One chunk of whole-plan trials: every input block's chain, counted."""
-    n_r = family.level(schedule.r).n
+    n_r = schedule.family.level(schedule.r).n
     per_block = []
     heralds = np.zeros(trials, dtype=bool)
     for i in range(schedule.h):
@@ -205,7 +197,6 @@ def _e2e_chunk(
             rng_in = rng_stream(params.seed, STREAM_TRIAL, i, chunk)
             input_frames = sample_ls_bits(n_r, input_ls_delta, rng_in, trials)
         res = run_block_chain_frames(
-            family,
             schedule,
             i,
             params,
@@ -229,7 +220,6 @@ def _e2e_chunk(
 
 
 def run_e2e_frames(
-    family: CodeFamily,
     schedule: InterfaceSchedule,
     params: NoiseParams,
     trials: int,
@@ -243,7 +233,7 @@ def run_e2e_frames(
     `input_ls_delta` injects i.i.d. local stochastic noise on the encoded
     inputs (the idealized upstream preparation residue).
     """
-    args = (family, schedule, params, knobs, wait_rounds_per_layer, input_ls_delta)
+    args = (schedule, params, knobs, wait_rounds_per_layer, input_ls_delta)
     return iface.run_chunks(_e2e_chunk, trials, chunk_size, args)
 
 

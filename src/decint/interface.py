@@ -45,7 +45,7 @@ import numpy as np
 
 from . import circuit, css, gf2
 from .css import CodeFamily, CssCode
-from .circuit import Circuit, FrameBatch, FrameRunner, Gate, idle_circuit
+from .circuit import Circuit, FrameBatch, FrameRunner, Gate, idle_circuit, with_idles
 from .noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_hits
 from .tableau import Tableau
 
@@ -258,33 +258,17 @@ def _build_ec(code: CssCode, data_wires: tuple, label_prefix: str) -> EcGadget:
             pairs = [(anc[i], data_wires[q]) for ((_, i), (_, q)), c in zip(edges, colors) if c == color]
             cnot_layers.append(pairs if anc_controls else [(t, c) for c, t in pairs])
 
+    h_layers = [[Gate("h", (w,)) for w in anc_x]] if anc_x else []
+    layers = (
+        [[Gate("init0", (w,)) for w in anc_x + anc_z]]
+        + h_layers
+        + [[Gate("cnot", pair) for pair in pairs] for pairs in cnot_layers]
+        + h_layers
+        + [[Gate("measure", (w,), out=label) for w, label in zip(anc_x + anc_z, x_labels + z_labels)]]
+    )
     circ = Circuit(wires)
-    if anc_x or anc_z:
-        circ.add_layer(
-            [Gate("init0", (w,)) for w in anc_x + anc_z]
-            + [Gate("idle", (w,)) for w in data_wires]
-        )
-        if anc_x:
-            circ.add_layer(
-                [Gate("h", (w,)) for w in anc_x]
-                + [Gate("idle", (w,)) for w in data_wires + anc_z]
-            )
-        for pairs in cnot_layers:
-            busy = {w for pair in pairs for w in pair}
-            circ.add_layer(
-                [Gate("cnot", pair) for pair in pairs]
-                + [Gate("idle", (w,)) for w in wires if w not in busy]
-            )
-        if anc_x:
-            circ.add_layer(
-                [Gate("h", (w,)) for w in anc_x]
-                + [Gate("idle", (w,)) for w in data_wires + anc_z]
-            )
-        circ.add_layer(
-            [Gate("measure", (w,), out=label) for w, label in zip(anc_x, x_labels)]
-            + [Gate("measure", (w,), out=label) for w, label in zip(anc_z, z_labels)]
-            + [Gate("idle", (w,)) for w in data_wires]
-        )
+    for gates in layers if anc_x or anc_z else ():
+        circ.add_layer(with_idles(circ, gates))
     return EcGadget(
         code=code,
         data_wires=data_wires,
@@ -351,7 +335,7 @@ class GammaKnobs(_GammaKnobFields):
             raise ValueError(f"EC round counts must be non-negative, got s1={s1}, s2={s2}")
         # Plans are cached per knobs, so every field must be hashable.
         proc_poly = tuple(proc_poly)
-        if not all(isinstance(c, numbers.Real) for c in proc_poly):
+        if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in proc_poly):
             raise ValueError(f"proc_layers coefficients must be numbers, got {proc_poly!r}")
         for key, p in (("ls_delta", resource_ls_delta), ("fail_prob", resource_fail_prob)):
             if p is not None and not 0 <= p <= 1:
@@ -384,8 +368,6 @@ class InterfaceCircuit(NamedTuple):
     m2_labels: tuple
     lxb: np.ndarray          # (m_r, |B|) X-rep of logical j on the B side, dense uint8
     lzb: np.ndarray
-    latency_layers: int
-    n_locations: int
 
     @property
     def all_wires(self) -> tuple:
@@ -458,49 +440,25 @@ def build_gamma(
         b_gadgets = tuple()
 
     # Transversal Bell measurement: CNOT Q->A, H on Q, measure Q and A.
-    bell_wires = list(q_wires) + list(a_wires) + list(b_wires)
     m1_labels = tuple(f"m1.{i}" for i in range(code_r.n))
     m2_labels = tuple(f"m2.{i}" for i in range(code_r.n))
-    bell = Circuit(bell_wires)
-    bell.add_layer(
-        [Gate("cnot", (q, a)) for q, a in zip(q_wires, a_wires)]
-        + [Gate("idle", (w,)) for w in b_wires]
-    )
-    bell.add_layer(
-        [Gate("h", (q,)) for q in q_wires]
-        + [Gate("idle", (w,)) for w in list(a_wires) + list(b_wires)]
-    )
-    bell.add_layer(
-        [Gate("measure", (q,), out=m1_labels[i]) for i, q in enumerate(q_wires)]
-        + [Gate("measure", (a,), out=m2_labels[i]) for i, a in enumerate(a_wires)]
-        + [Gate("idle", (w,)) for w in b_wires]
-    )
+    bell = Circuit(q_wires + a_wires + b_wires)
+    for gates in (
+        [Gate("cnot", (q, a)) for q, a in zip(q_wires, a_wires)],
+        [Gate("h", (q,)) for q in q_wires],
+        [Gate("measure", (w,), out=label) for w, label in zip(q_wires + a_wires, m1_labels + m2_labels)],
+    ):
+        bell.add_layer(with_idles(bell, gates))
 
     # Classical-processing latency: idle layers on B beyond the EC rounds.
-    wait = knobs.proc_layers(code_r.n)
     ec_depth = b_gadgets[0].extraction.depth if b_gadgets else 0
-    idle_layers = max(0, wait - knobs.s2 * ec_depth) if r_prime > 1 else wait
-    proc_wait = idle_circuit(b_wires, idle_layers)
+    proc_wait = idle_circuit(b_wires, max(0, knobs.proc_layers(code_r.n) - knobs.s2 * ec_depth))
     b_corr = idle_circuit(b_wires)
 
     eye = np.eye(blocks, dtype=np.uint8)
     lxb, lzb = (np.kron(eye, reps) for reps in (code_rp.lx, code_rp.lz))
     lxb.flags.writeable = lzb.flags.writeable = False  # the plan is cached and shared
 
-    latency = (
-        knobs.s1 * (q_gadget.extraction.depth + 1)
-        + bell.depth
-        + knobs.s2 * (ec_depth + 1 if b_gadgets else 0)
-        + proc_wait.depth
-        + b_corr.depth
-    )
-    n_locations = (
-        knobs.s1 * (q_gadget.extraction.n_locations + q_gadget.correction_circuit.n_locations)
-        + bell.n_locations
-        + sum(knobs.s2 * (g.extraction.n_locations + g.correction_circuit.n_locations) for g in b_gadgets)
-        + proc_wait.n_locations
-        + b_corr.n_locations
-    )
     return InterfaceCircuit(
         family=family,
         r=r,
@@ -521,8 +479,6 @@ def build_gamma(
         m2_labels=m2_labels,
         lxb=lxb,
         lzb=lzb,
-        latency_layers=latency,
-        n_locations=n_locations,
     )
 
 

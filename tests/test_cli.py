@@ -237,7 +237,7 @@ class TestE2E:
         walk = e2e.run_block_chain_tableau
 
         def counted(*args, **kwargs):
-            walked.append(args[2])
+            walked.append(args[1])
             return walk(*args, **kwargs)
 
         monkeypatch.setattr(cli.e2e, "run_block_chain_tableau", counted)
@@ -316,7 +316,7 @@ class TestE2E:
         summary = json.loads((tmp_path / "out" / "e2e_summary.json").read_text())
         fam = css.toy_family()
         sched = scheduler.build_schedule(fam, 2, 1, 2, constants=scheduler.measured_constants(fam))
-        runs = [e2e.run_e2e_frames(fam, sched, NoiseParams(delta=d, seed=6), 300) for d in (0.005, 0.001)]
+        runs = [e2e.run_e2e_frames(sched, NoiseParams(delta=d, seed=6), 300) for d in (0.005, 0.001)]
         assert summary["herald_rates"] == [stats.heralds / 300 for stats in runs]
         assert summary["any_error_rates"] == [stats.any_errors / 300 for stats in runs]
         assert all(0 < stats.heralds < 300 and 0 < stats.any_errors < 300 for stats in runs)
@@ -380,7 +380,7 @@ class TestExitCodes:
             ("e2e", {"family": "steane", "r": 2, "h": 1, "mode": "exhaustive", "resource_oracle": {"fail_prob": 3}},
              "fail_prob must lie in [0, 1]"),
             ("interface-sweep", dict(SWEEP, mu=-0.5), "mu must lie in (0, 1)"),
-            ("interface-sweep", dict(SWEEP, mu="nan"), "mu must lie in (0, 1)"),
+            ("interface-sweep", dict(SWEEP, mu=float("nan")), "mu must lie in (0, 1)"),
             ("e2e", dict(EXHAUSTIVE, noise={"delta": 0.1}, resource_oracle={"fail_prob": 0.5}),
              "noise.delta must be 0, got 0.1"),
             ("e2e", dict(EXHAUSTIVE, noise={"delta": [0.0, 0.01]}), "noise.delta must be 0"),
@@ -409,6 +409,18 @@ class TestExitCodes:
             ("interface-sweep", dict(SWEEP, noise={"delta": [0.01], "seed": 1}, seed=2),
              "unknown config key 'seed' for interface-sweep"),
             ("e2e", dict(EXHAUSTIVE, noise={"delta": 0.0, "seed": 1}, seed=2), "unknown config key 'seed' for e2e"),
+            # A config number is a JSON number: a string or a bool is refused, not converted.
+            ("interface-sweep", dict(SWEEP, trials="100"), "expected an integer, got '100'"),
+            ("interface-sweep", dict(SWEEP, r="2"), "expected an integer, got '2'"),
+            ("e2e", dict(EXHAUSTIVE, h="1"), "expected an integer, got '1'"),
+            ("interface-sweep", dict(SWEEP, noise={"delta": [0.01], "seed": "7"}), "expected an integer, got '7'"),
+            ("interface-sweep", dict(SWEEP, noise={"delta": "0.01"}), "expected a number, got '0.01'"),
+            ("interface-sweep", dict(SWEEP, mu="0.3"), "expected a number, got '0.3'"),
+            ("tree-bounds", {"z_grid": [2], "delta_bar_grid": ["0.3"]}, "expected a number, got '0.3'"),
+            ("interface-sweep", dict(SWEEP, noise={"delta": True}), "expected a number, got True"),
+            ("interface-sweep", dict(SWEEP, resource_oracle={"ls_delta": True}), "expected a number, got True"),
+            ("interface-sweep", dict(SWEEP, proc_layers=[True, 1]), "proc_layers coefficients must be numbers"),
+            ("interface-sweep", dict(SWEEP, mu=10**400), "bad config value"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
@@ -416,6 +428,13 @@ class TestExitCodes:
         assert run(command, cfg, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
         assert not any((tmp_path / "out").glob("*"))
+
+    def test_integral_float_counts_run_as_integers(self, tmp_path):
+        # 100.0 is the JSON number 100: only strings, bools and fractions are refused.
+        for name, trials in (("int", 100), ("float", 100.0)):
+            assert run("interface-sweep", write_config(tmp_path, f"{name}.json", dict(self.SWEEP, trials=trials)),
+                       tmp_path / name) == 0
+        assert (tmp_path / "int" / "sweep.csv").read_bytes() == (tmp_path / "float" / "sweep.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "command, config",

@@ -23,7 +23,7 @@ ALLOWED = {
     "blocktree.chain_rule_probability": "test oracle: the chain-rule pattern law sampled frequencies are checked against",
     "blocktree.f_of_v": "paper definition shown by demo 05",
     "blocktree.partitions_leaf_set": "paper definition shown by demo 05",
-    "circuit.Circuit.from_json": "documented circuit IR (README), round-trip tested",
+    "circuit.Circuit.n_locations": "read by the benchmark tracer's circuit.location_trials counter (perfbench/)",
     "css.build_family_rate_adjusted": "planned caller under ROADMAP item 2 (the Hamming family)",
     "gf2.row_space_contains": "test oracle: membership checks on logical operators",
     "interface.expected_output_tableau": "test oracle: the exact reference output of a Gamma pass",

@@ -45,7 +45,7 @@ class TestTableauChain:
         logical = Tableau.zero_state([0])
         logical.apply_pauli_on([0], [1], [0])
         for block in range(3):
-            res = e2e.run_block_chain_tableau(fam, sched, block, logical)
+            res = e2e.run_block_chain_tableau(sched, block, logical)
             assert res.state_matches and not res.heralds
             assert list(res.output_bits) == [1]
 
@@ -53,7 +53,7 @@ class TestTableauChain:
         fam, sched = steane_setup
         logical = Tableau.zero_state([0])
         for case in [(0, "X"), (3, "Z"), (6, "Y")]:
-            res = e2e.run_block_chain_tableau(fam, sched, 1, logical, injections=[case])
+            res = e2e.run_block_chain_tableau(sched, 1, logical, injections=[case])
             assert res.state_matches and not res.heralds, case
             assert list(res.output_bits) == [0]
 
@@ -63,7 +63,7 @@ class TestTableauChain:
         logical.apply_pauli_on([0], [1], [0])
         logical.apply_h(2)
         logical.apply_cnot(2, 3)
-        res = e2e.run_block_chain_tableau(fam, sched, 0, logical)
+        res = e2e.run_block_chain_tableau(sched, 0, logical)
         assert res.state_matches and not res.heralds
 
 
@@ -83,11 +83,11 @@ class TestSignBatchedChain:
             logical = Tableau.zero_state(list(range(code.m)))
             for j in range(code.m):
                 prep(logical, j)
-            res = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=cases, seed=5)
+            res = e2e.run_block_chain_tableau(sched, block, logical, injections=cases, seed=5)
             assert res.output_bits.shape == (len(cases), code.m)
             assert res.state_matches.shape == res.heralds.shape == (len(cases),)
             for t, case in enumerate(cases):
-                one = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=[case], seed=5)
+                one = e2e.run_block_chain_tableau(sched, block, logical, injections=[case], seed=5)
                 assert np.array_equal(one.output_bits[0], res.output_bits[t]), case
                 assert one.state_matches[0] == res.state_matches[t], case
                 assert one.heralds[0] == res.heralds[t], case
@@ -107,12 +107,12 @@ class TestSignBatchedChain:
         bits = np.repeat(patterns, len(cases), axis=0)
         batch = Tableau.zero_state(list(range(code.m)))
         batch.apply_pauli_on(batch.labels, bits, np.zeros_like(bits))
-        res = e2e.run_block_chain_tableau(fam, sched, block, batch, injections=cases * len(patterns), seed=5)
+        res = e2e.run_block_chain_tableau(sched, block, batch, injections=cases * len(patterns), seed=5)
         failing = 0
         for p, u in enumerate(patterns):
             logical = Tableau.zero_state(list(range(code.m)))
             logical.apply_pauli_on(logical.labels, u, np.zeros_like(u))
-            one = e2e.run_block_chain_tableau(fam, sched, block, logical, injections=cases, seed=5)
+            one = e2e.run_block_chain_tableau(sched, block, logical, injections=cases, seed=5)
             part = slice(p * len(cases), (p + 1) * len(cases))
             assert np.array_equal(res.output_bits[part], one.output_bits), u
             assert np.array_equal(res.state_matches[part], one.state_matches), u
@@ -131,12 +131,12 @@ class TestSignBatchedChain:
         logical.apply_pauli_on([0], np.ones((3, 1), np.uint8), np.zeros((3, 1), np.uint8))
         for injections in ([None], [None, (0, "X")], [None] * 4):
             with pytest.raises(ValueError, match=f"logical batch of 3 trials for {len(injections)} injections"):
-                e2e.run_block_chain_tableau(fam, sched, 0, logical, injections=injections)
+                e2e.run_block_chain_tableau(sched, 0, logical, injections=injections)
 
     def test_no_injections_rejected(self, steane_setup):
         fam, sched = steane_setup
         with pytest.raises(ValueError, match="at least one injection"):
-            e2e.run_block_chain_tableau(fam, sched, 0, Tableau.zero_state([0]), injections=[])
+            e2e.run_block_chain_tableau(sched, 0, Tableau.zero_state([0]), injections=[])
 
     def test_xor_rows_must_match_the_batch(self):
         engine = interface.TableauEngine(Tableau.zero_state(["a", "b"]), np.random.default_rng(0), {})
@@ -152,22 +152,22 @@ class TestFrameChain:
     def test_zero_delta_no_errors(self, steane_setup):
         fam, sched = steane_setup
         res = e2e.run_block_chain_frames(
-            fam, sched, 0, NoiseParams(delta=0.0, seed=1), trials=300
+            sched, 0, NoiseParams(delta=0.0, seed=1), trials=300
         )
         assert res.error_bits.sum() == 0 and res.heralds.sum() == 0
 
     def test_deterministic(self, steane_setup):
         fam, sched = steane_setup
         p = NoiseParams(delta=0.01, seed=9)
-        a = e2e.run_block_chain_frames(fam, sched, 1, p, trials=500)
-        b = e2e.run_block_chain_frames(fam, sched, 1, p, trials=500)
+        a = e2e.run_block_chain_frames(sched, 1, p, trials=500)
+        b = e2e.run_block_chain_frames(sched, 1, p, trials=500)
         assert np.array_equal(a.error_bits, b.error_bits)
 
     def test_blocks_draw_independent_noise(self, steane_setup):
         fam, sched = steane_setup
         p = NoiseParams(delta=0.05, seed=9)
-        a = e2e.run_block_chain_frames(fam, sched, 0, p, trials=500)
-        b = e2e.run_block_chain_frames(fam, sched, 1, p, trials=500)
+        a = e2e.run_block_chain_frames(sched, 0, p, trials=500)
+        b = e2e.run_block_chain_frames(sched, 1, p, trials=500)
         assert not np.array_equal(a.error_bits, b.error_bits)
 
     def test_input_frames_propagate(self, steane_setup):
@@ -179,7 +179,7 @@ class TestFrameChain:
         fx = np.tile(lx, (50, 1)).astype(np.uint8)
         fz = np.zeros_like(fx)
         res = e2e.run_block_chain_frames(
-            fam, sched, 0, NoiseParams(delta=0.0, seed=2), trials=50, input_frames=(fx, fz)
+            sched, 0, NoiseParams(delta=0.0, seed=2), trials=50, input_frames=(fx, fz)
         )
         assert res.error_bits.all()
 
@@ -187,20 +187,20 @@ class TestFrameChain:
 class TestE2EStats:
     def test_zero_delta_all_clean(self, steane_setup):
         fam, sched = steane_setup
-        stats = e2e.run_e2e_frames(fam, sched, NoiseParams(delta=0.0, seed=3), trials=200)
+        stats = e2e.run_e2e_frames(sched, NoiseParams(delta=0.0, seed=3), trials=200)
         assert stats.any_error_rate == 0.0
         assert stats.logical_error_marginals.shape == (3,)
 
     def test_marginals_grow_with_delta(self, steane_setup):
         fam, sched = steane_setup
-        lo = e2e.run_e2e_frames(fam, sched, NoiseParams(delta=0.001, seed=5), trials=4000)
-        hi = e2e.run_e2e_frames(fam, sched, NoiseParams(delta=0.01, seed=5), trials=4000)
+        lo = e2e.run_e2e_frames(sched, NoiseParams(delta=0.001, seed=5), trials=4000)
+        hi = e2e.run_e2e_frames(sched, NoiseParams(delta=0.01, seed=5), trials=4000)
         assert hi.mean_marginal() > lo.mean_marginal()
 
     def test_input_ls_noise_injected(self, steane_setup):
         fam, sched = steane_setup
         stats = e2e.run_e2e_frames(
-            fam, sched, NoiseParams(delta=0.0, seed=7), trials=2000, input_ls_delta=0.01
+            sched, NoiseParams(delta=0.0, seed=7), trials=2000, input_ls_delta=0.01
         )
         # Single-qubit input errors are corrected at delta = 0 (d = 3);
         # only multi-qubit input patterns can leak through.
@@ -211,7 +211,7 @@ class TestE2EStats:
         # Three chunks (40, 40, 20 trials), each the hand sum of its blocks' chains.
         fam, sched = toy_setup
         params = NoiseParams(delta=0.001, seed=8)
-        stats = e2e.run_e2e_frames(fam, sched, params, 100, input_ls_delta=0.01, chunk_size=40)
+        stats = e2e.run_e2e_frames(sched, params, 100, input_ls_delta=0.01, chunk_size=40)
         errors, heralds = [], []
         for chunk, size in enumerate([40, 40, 20]):
             runs = []
@@ -219,7 +219,7 @@ class TestE2EStats:
                 rng = noise.rng_stream(params.seed, noise.STREAM_TRIAL, block, chunk)
                 frames = noise.sample_ls_bits(fam.level(sched.r).n, 0.01, rng, size)
                 runs.append(e2e.run_block_chain_frames(
-                    fam, sched, block, params, size, chunk=chunk, input_frames=frames
+                    sched, block, params, size, chunk=chunk, input_frames=frames
                 ))
             errors.append(np.concatenate([run.error_bits for run in runs], axis=1))
             heralds.append(np.any([run.heralds for run in runs], axis=0))
@@ -272,7 +272,7 @@ class TestGoldenChainCounts:
         sched = scheduler.build_schedule(fam, 3, 1, 2, constants=consts)
         trials = 4000
         stats = e2e.run_e2e_frames(
-            fam, sched, NoiseParams(delta=delta, seed=5), trials, knobs=knobs,
+            sched, NoiseParams(delta=delta, seed=5), trials, knobs=knobs,
             wait_rounds_per_layer=2, input_ls_delta=0.01,
         )
         got = (stats.output_errors.tolist(), stats.heralds, stats.any_errors)
@@ -312,7 +312,7 @@ class TestStreamKeys:
     def test_chain_chunk_draws_distinct_streams(self, drawn):
         fam = css.toy_family()
         sched = scheduler.build_schedule(fam, 4, 1, 4, constants=scheduler.measured_constants(fam))
-        e2e.run_e2e_frames(fam, sched, NoiseParams(delta=0.01, seed=3), 50, input_ls_delta=0.01)
+        e2e.run_e2e_frames(sched, NoiseParams(delta=0.01, seed=3), 50, input_ls_delta=0.01)
         purposes = {noise.STREAM_CIRCUIT, noise.STREAM_ORACLE, noise.STREAM_TRIAL}
         assert {k[1] for k in drawn} == purposes
         assert len(set(drawn)) == len(drawn)

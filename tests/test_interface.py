@@ -203,6 +203,44 @@ class TestBuildEc:
                 assert st2.same_state(encode_basis(code, [0, 0], g.data_wires))
 
 
+def noisy_fragments(plan: interface.InterfaceCircuit) -> list:
+    """Every circuit a Gamma pass runs on a noisy engine."""
+    ec = [c for g in (plan.q_gadget, *plan.b_gadgets) for c in (g.extraction, g.correction_circuit)]
+    return ec + [plan.bell_circuit, plan.proc_wait_circuit, plan.b_correction_circuit]
+
+
+class TestIdleRule:
+    """A noisy layer touches each wire of its circuit exactly once, so a wire
+    that only waits holds an idle location; noiseless encoders hold none."""
+
+    @staticmethod
+    def assert_padded(circuit: Circuit):
+        for layer in circuit.layers:
+            touched = [w for g in layer for w in g.wires]
+            assert len(touched) == len(circuit.wires) and set(touched) == set(circuit.wires)
+
+    @pytest.mark.parametrize("name", ["toy", "steane"])
+    def test_every_noisy_layer_touches_each_wire_once(self, name):
+        family = css.BUILTIN_FAMILIES[name]()
+        for r_prime, r in itertools.combinations(range(1, family.depth + 1), 2):
+            for s1, s2 in ((1, 1), (0, 0), (2, 0), (0, 2)):
+                plan = interface.build_gamma(family, r, r_prime, interface.GammaKnobs(s1=s1, s2=s2))
+                for circuit in noisy_fragments(plan):
+                    self.assert_padded(circuit)
+        for level in range(1, family.depth + 1):
+            code = family.level(level)
+            wait = interface.build_ec(code, [f"d{i}" for i in range(code.n)], "w.")  # an e2e wait
+            self.assert_padded(wait.extraction)
+            self.assert_padded(wait.correction_circuit)
+
+    @pytest.mark.parametrize("name", ["toy", "steane"])
+    def test_encoders_hold_no_idle(self, name):
+        family = css.BUILTIN_FAMILIES[name]()
+        for code in family.levels:
+            encoder, _ = css.encoding_circuit(code, range(code.n))
+            assert all(g.name != "idle" for layer in encoder.layers for g in layer)
+
+
 class TestLogicalBellProcess:
     def test_exact_codewords(self, fam):
         code = fam.level(2)
