@@ -29,10 +29,10 @@ print("per-block plans reassemble the schedule:",
 
 plan0 = scheduler.effective_interface(sched, 0)
 plan7 = scheduler.effective_interface(sched, 7)
-print("block 0 first-stage waits:", plan0.stages[0][0].pre_wait, "before,",
-      plan0.stages[0][0].post_wait, "after")
-print("block 7 first-stage waits:", plan7.stages[0][0].pre_wait, "before,",
-      plan7.stages[0][0].post_wait, "after")
+print("block 0 first-stage waits:", plan0[0][0].pre_wait, "before,",
+      plan0[0][0].post_wait, "after")
+print("block 7 first-stage waits:", plan7[0][0].pre_wait, "before,",
+      plan7[0][0].post_wait, "after")
 
 # --- the constant-overhead claim at growing h ------------------------------------
 print("\n   h   max_total   max_total/(m_r h)")

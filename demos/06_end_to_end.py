@@ -10,8 +10,7 @@ from decint.noise import NoiseParams
 from decint.tableau import Tableau
 
 fam = css.steane_family()
-consts = scheduler.measured_constants(fam)
-sched = scheduler.build_schedule(fam, 2, 1, h=3, constants=consts)
+sched = scheduler.build_schedule(fam, 2, 1, h=3)
 print("plan: 3 Steane blocks -> 3 bare qubits,",
       f"{sched.stages[0].n_layers} macro-layers")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,11 +260,12 @@ class BoundCheck(NamedTuple):
     exact: Fraction
     bound: Fraction
     ok: bool
-    leaf_case: bool
 
 
 def final_bound(z: int, delta_bar: Fraction, t_bar: Sequence[Node]) -> Fraction:
-    """4 * 4^|T| * delta_bar^(2 W(T)); equals (2 delta_bar)^(2|T|) on leaf sets."""
+    """4 * 4^|T| * delta_bar^(2 W(T)). On a leaf set W(T) = |T|, so it equals
+    4 * (2 delta_bar)^(2|T|); `check_final_bound` uses the tighter
+    (2 delta_bar)^(2|T|) there."""
     delta_bar = Fraction(delta_bar)
     w = node_weight(z, t_bar)
     return 4 * Fraction(4) ** len(list(t_bar)) * delta_bar ** (2 * w)
@@ -286,38 +287,24 @@ def binomial_two_sided_p(hits: int, trials: int, p: float) -> float:
     return min(1.0, 2 * min(float(pmf[: hits + 1].sum()), float(pmf[hits:].sum())))
 
 
-def check_final_bound(
-    z: int,
-    delta_bar: Fraction,
-    sets: Optional[Sequence[Sequence[Node]]] = None,
-    max_size: int = 3,
-    leaf_only: bool = False,
-) -> list[BoundCheck]:
-    """Verify exact inclusion <= the closed-form bound per antichain.
+def check_final_bound(z: int, delta_bar: Fraction, max_size: int = 3, leaf_only: bool = False) -> list[BoundCheck]:
+    """Verify exact inclusion <= the closed-form bound for every antichain up
+    to `max_size` nodes (leaf antichains only when leaf_only is set).
 
-    With the bound-saturating taus (delta_bar^(2^(z-y)) at depth y). When
-    `sets` is omitted, every antichain up to `max_size` is checked
-    (restricted to leaf antichains when leaf_only is set).
+    With the bound-saturating taus (delta_bar^(2^(z-y)) at depth y). A leaf
+    set is held to (2 delta_bar)^(2|T|), any other to `final_bound`.
     """
     params = TreeParams.bound_saturating(z, delta_bar)
-    if sets is None:
-        pool = leaves(z) if leaf_only else [
-            v for y in range(z) for v in nodes_at_depth(z, y)
-        ]
-        sets = [
-            combo
-            for size in range(1, max_size + 1)
-            for combo in combinations(pool, size)
-            if is_antichain(combo)
-        ]
+    pool = leaves(z) if leaf_only else [v for y in range(z) for v in nodes_at_depth(z, y)]
     out = []
-    for t in sets:
-        t = tuple(map(tuple, t))
-        exact = exact_inclusion(params, t)
-        all_leaves = all(len(v) == z - 1 for v in t)
-        if all_leaves:
-            bound = (2 * Fraction(delta_bar)) ** (2 * len(t))
-        else:
-            bound = final_bound(z, delta_bar, t)
-        out.append(BoundCheck(t_bar=t, exact=exact, bound=bound, ok=exact <= bound, leaf_case=all_leaves))
+    for size in range(1, max_size + 1):
+        for t in combinations(pool, size):
+            if not is_antichain(t):
+                continue
+            exact = exact_inclusion(params, t)
+            if all(len(v) == z - 1 for v in t):
+                bound = (2 * Fraction(delta_bar)) ** (2 * len(t))
+            else:
+                bound = final_bound(z, delta_bar, t)
+            out.append(BoundCheck(t_bar=t, exact=exact, bound=bound, ok=exact <= bound))
     return out

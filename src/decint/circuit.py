@@ -19,6 +19,7 @@ by the frames that were hit. Both backends walk the compiled layers of
 
 from __future__ import annotations
 
+import functools
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -119,7 +120,14 @@ def with_idles(circuit: Circuit, gates: Iterable[Gate]) -> list[Gate]:
 
 def idle_circuit(wires: Sequence[Hashable], layers: int = 1) -> Circuit:
     """`layers` layers of idle locations on `wires`: a wait, or the noise slot
-    of a correction applied between fragments."""
+    of a correction applied between fragments. Circuits are cached per
+    (wires, layers) and shared by every caller, with their compiled fault
+    tables: treat them as read-only."""
+    return _idle_circuit(tuple(wires), layers)
+
+
+@functools.lru_cache(maxsize=256)
+def _idle_circuit(wires: tuple, layers: int) -> Circuit:
     circ = Circuit(wires)
     for _ in range(layers):
         circ.add_layer(with_idles(circ, []))

@@ -239,7 +239,8 @@ def _knobs(config: dict) -> interface.GammaKnobs:
     return interface.GammaKnobs(
         s1=_as_int(config.get("s1", 1)),
         s2=_as_int(config.get("s2", 1)),
-        proc_poly=config.get("proc_layers", (0, 1)),
+        # A float is read as a count (1.0 is 1, 1.2 is refused); GammaKnobs judges the rest.
+        proc_poly=[_as_int(c) if isinstance(c, float) else c for c in config.get("proc_layers", (0, 1))],
         resource_ls_delta=None if ls_delta is None else _as_float(ls_delta),
         resource_fail_prob=_as_float(oracle.get("fail_prob", 0.0)),
     )
@@ -493,12 +494,11 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
                 raise UsageError(f"exhaustive mode is noiseless: {key} must be 0, got {value}")
         u_patterns = _logical_patterns(config, family.level(r).m)
     manifest = Manifest("e2e", config, out)
-    consts = scheduler.measured_constants(family, knobs)
-    sched = scheduler.build_schedule(family, r, 1, h, constants=consts)
+    sched = scheduler.build_schedule(family, r, 1, h, knobs=knobs, wait_rounds=wait_rounds)
     manifest.output("schedule.json").write_text(sched.to_json() + "\n")
 
     if mode == "exhaustive":
-        return _e2e_exhaustive(u_patterns, sched, knobs, wait_rounds, base_seed, manifest)
+        return _e2e_exhaustive(u_patterns, sched, base_seed, manifest)
 
     rows = []
     singles = []
@@ -508,10 +508,7 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
     for delta in deltas:
         params = NoiseParams(delta=delta, seed=base_seed)
         manifest.add_seed(f"e2e delta={delta}", base_seed)
-        stats = e2e.run_e2e_frames(
-            sched, params, trials, knobs=knobs,
-            wait_rounds_per_layer=wait_rounds, input_ls_delta=input_ls,
-        )
+        stats = e2e.run_e2e_frames(sched, params, trials, input_ls_delta=input_ls)
         for q, m in enumerate(stats.logical_error_marginals):
             rows.append([delta, trials, q, float(m)])
         singles.append(stats.mean_marginal())
@@ -557,7 +554,7 @@ def _logical_patterns(config: dict, m: int) -> list:
     return u_patterns
 
 
-def _e2e_exhaustive(u_patterns, sched, knobs, wait_rounds, base_seed, manifest) -> int:
+def _e2e_exhaustive(u_patterns, sched, base_seed, manifest) -> int:
     """delta = 0 with exhaustive single-qubit injections per block."""
     from .tableau import Tableau
 
@@ -574,10 +571,7 @@ def _e2e_exhaustive(u_patterns, sched, knobs, wait_rounds, base_seed, manifest) 
     failures = 0
     for block in range(sched.h):
         manifest.add_seed(f"exhaustive block={block}", base_seed)
-        res = e2e.run_block_chain_tableau(
-            sched, block, logical, injections=cases * len(u_patterns),
-            knobs=knobs, wait_rounds_per_layer=wait_rounds, seed=base_seed,
-        )
+        res = e2e.run_block_chain_tableau(sched, block, logical, injections=cases * len(u_patterns), seed=base_seed)
         wrong = (res.output_bits != bits).sum(axis=1)
         for key, wrong_bits, match, herald in zip(keys, wrong, res.state_matches, res.heralds):
             ok = match and wrong_bits == 0 and not herald

@@ -2,7 +2,10 @@
 
 The staged schedule factorizes into per-input-block effective interfaces
 (a chain of Gamma passes with positional EC waits), so execution walks each
-block's tree independently. The walk is written once and runs on either
+block's tree independently. The schedule is the whole plan: its knobs build
+every Gamma pass, its `wait_rounds` set the EC rounds per waiting
+macro-layer, and those rounds run `interface.wait_gadget`; these are the
+circuits its constants were measured from. The walk is written once and runs on either
 engine of `interface`: the tableau engine for noiseless verification with
 injected input errors, the frame engine for Monte Carlo under circuit
 noise. Outputs are bare qubits; reported statistics are per-qubit logical
@@ -28,39 +31,34 @@ MAX_PAIRS = 40
 # -- the block-chain walk ------------------------------------------------------------
 
 
-def _walk_chain(
-    schedule: InterfaceSchedule,
-    block: int,
-    knobs: Optional[iface.GammaKnobs],
-    wait_rounds_per_layer: int,
-    engine,
-    handle,
-) -> tuple[list, np.ndarray]:
+def _walk_chain(schedule: InterfaceSchedule, block: int, engine, handle) -> tuple[list, np.ndarray]:
     """One block's effective interface on an engine (see `interface.gamma_pass`).
 
     `handle` is the encoded input block. Stage by stage, pass k of
     `scheduler.effective_interface` lowers live descendant k into
-    descendants k * blocks + j of the next stage. Waits before a pass run
-    as EC rounds at the block's level; waits left on bare outputs are idle
-    layers. The engine keys its own streams. Returns the output block
-    handles in descendant order and the per-trial OR of the pass heralds.
+    descendants k * blocks + j of the next stage, through the Gamma built
+    with `schedule.knobs`. Each waiting macro-layer before a pass runs
+    `schedule.wait_rounds` rounds of `interface.wait_gadget` at the block's
+    level; on bare outputs it is as many idle layers. The engine keys its
+    own streams. Returns the output block handles in descendant order and
+    the per-trial OR of the pass heralds.
     """
     if schedule.r_prime != 1:
         raise ValueError("chain did not reach bare qubits")
     family = schedule.family
     heralds = np.zeros(engine.trials, dtype=bool)
     live = [(handle, 0)]  # (handle, pending wait layers) per descendant
-    for stage in effective_interface(schedule, block).stages:
+    for stage in effective_interface(schedule, block):
         new_live = []
         for step, (handle, pending) in zip(stage, live, strict=True):
             code = family.level(step.level)
-            rounds = (pending + step.pre_wait) * wait_rounds_per_layer
+            rounds = (pending + step.pre_wait) * schedule.wait_rounds
             if rounds:
-                gadget = iface.build_ec(code, [f"d{i}" for i in range(code.n)], "w.")
+                gadget = iface.wait_gadget(code)
                 engine.load(handle, gadget.data_wires, gadget.wires)
                 iface.ec_rounds(gadget, engine, rounds)
                 handle = engine.save(gadget.data_wires)
-            plan = iface.build_gamma(family, step.level, step.level - 1, knobs)
+            plan = iface.build_gamma(family, step.level, step.level - 1, schedule.knobs)
             engine.load(handle, plan.q_wires, plan.all_wires)
             heralds |= iface.gamma_pass(plan, engine)
             new_live += [(engine.save(plan.block_wires(j)), step.post_wait) for j in range(plan.blocks)]
@@ -68,7 +66,7 @@ def _walk_chain(
 
     outputs = []
     for handle, pending in live:
-        layers = pending * wait_rounds_per_layer
+        layers = pending * schedule.wait_rounds
         if layers:
             wires = [f"o{i}" for i in range(family.level(1).n)]
             engine.load(handle, wires, wires)
@@ -89,8 +87,6 @@ def run_block_chain_tableau(
     block: int,
     logical: Tableau,
     injections: Sequence[Optional[tuple[int, str]]] = (None,),
-    knobs: Optional[iface.GammaKnobs] = None,
-    wait_rounds_per_layer: int = 1,
     seed: int = 0,
 ) -> BlockChainResult:
     """Noiseless exact execution of one block's effective interface.
@@ -117,7 +113,7 @@ def run_block_chain_tableau(
         if case is not None:
             x[case[0], t], z[case[0], t] = case[1] in "XY", case[1] in "ZY"
     engine.xor(init_wires, x, z)
-    outputs, heralds = _walk_chain(schedule, block, knobs, wait_rounds_per_layer, engine, init_wires)
+    outputs, heralds = _walk_chain(schedule, block, engine, init_wires)
     out_wires = [w for wires in outputs for w in wires]
     want = logical.copy()
     want.rename({want.labels[j]: out_wires[j] for j in range(want.n)})
@@ -138,13 +134,11 @@ def run_block_chain_frames(
     params: NoiseParams,
     trials: int,
     chunk: int = 0,
-    knobs: Optional[iface.GammaKnobs] = None,
-    wait_rounds_per_layer: int = 1,
     input_frames: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> ChainChunkResult:
     """Monte Carlo frames through one block's effective interface."""
     engine = iface.FrameEngine(params, trials, chunk, (block,))
-    outputs, heralds = _walk_chain(schedule, block, knobs, wait_rounds_per_layer, engine, input_frames)
+    outputs, heralds = _walk_chain(schedule, block, engine, input_frames)
     error_bits = np.concatenate([(ex | ez) != 0 for ex, ez in outputs], axis=1)
     return ChainChunkResult(trials=trials, error_bits=error_bits, heralds=heralds)
 
@@ -181,8 +175,6 @@ class E2EStats(NamedTuple):
 def _e2e_chunk(
     schedule: InterfaceSchedule,
     params: NoiseParams,
-    knobs: Optional[iface.GammaKnobs],
-    wait_rounds_per_layer: int,
     input_ls_delta: float,
     trials: int,
     chunk: int,
@@ -196,16 +188,7 @@ def _e2e_chunk(
         if input_ls_delta > 0.0:
             rng_in = rng_stream(params.seed, STREAM_TRIAL, i, chunk)
             input_frames = sample_ls_bits(n_r, input_ls_delta, rng_in, trials)
-        res = run_block_chain_frames(
-            schedule,
-            i,
-            params,
-            trials,
-            chunk=chunk,
-            knobs=knobs,
-            wait_rounds_per_layer=wait_rounds_per_layer,
-            input_frames=input_frames,
-        )
+        res = run_block_chain_frames(schedule, i, params, trials, chunk=chunk, input_frames=input_frames)
         per_block.append(res.error_bits)
         heralds |= res.heralds
     errors = np.concatenate(per_block, axis=1)
@@ -223,8 +206,6 @@ def run_e2e_frames(
     schedule: InterfaceSchedule,
     params: NoiseParams,
     trials: int,
-    knobs: Optional[iface.GammaKnobs] = None,
-    wait_rounds_per_layer: int = 1,
     input_ls_delta: float = 0.0,
     chunk_size: int = 10_000,
 ) -> E2EStats:
@@ -233,8 +214,7 @@ def run_e2e_frames(
     `input_ls_delta` injects i.i.d. local stochastic noise on the encoded
     inputs (the idealized upstream preparation residue).
     """
-    args = (schedule, params, knobs, wait_rounds_per_layer, input_ls_delta)
-    return iface.run_chunks(_e2e_chunk, trials, chunk_size, args)
+    return iface.run_chunks(_e2e_chunk, trials, chunk_size, (schedule, params, input_ls_delta))
 
 
 def _pair_sample(n: int, max_pairs: int) -> np.ndarray:

@@ -281,6 +281,13 @@ def _build_ec(code: CssCode, data_wires: tuple, label_prefix: str) -> EcGadget:
     )
 
 
+def wait_gadget(code: CssCode) -> EcGadget:
+    """The EC round a block of `code` runs while it waits in a chain (see
+    `e2e`): data wires d0.., labels prefixed "w.". Its wires are the
+    footprint per waiting block that `scheduler.measured_constants` counts."""
+    return build_ec(code, [f"d{i}" for i in range(code.n)], "w.")
+
+
 # -- logical Bell processing ---------------------------------------------------------
 
 
@@ -315,8 +322,9 @@ class _GammaKnobFields(NamedTuple):
 class GammaKnobs(_GammaKnobFields):
     """Tunable structure of the interface circuit.
 
-    proc_poly are polynomial coefficients in n_r giving the classical
-    processing latency in layers (default: linear, latency = n_r).
+    proc_poly are non-negative integer polynomial coefficients in n_r giving
+    the classical processing latency in layers (default: linear, latency =
+    n_r).
     resource_ls_delta defaults to 2*delta (the prep oracle's certified
     parameter); resource_fail_prob is the oracle's global failure coin.
     """
@@ -335,23 +343,20 @@ class GammaKnobs(_GammaKnobFields):
             raise ValueError(f"EC round counts must be non-negative, got s1={s1}, s2={s2}")
         # Plans are cached per knobs, so every field must be hashable.
         proc_poly = tuple(proc_poly)
-        if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in proc_poly):
-            raise ValueError(f"proc_layers coefficients must be numbers, got {proc_poly!r}")
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and c >= 0 for c in proc_poly):
+            raise ValueError(f"proc_layers coefficients must be non-negative integers, got {proc_poly!r}")
         for key, p in (("ls_delta", resource_ls_delta), ("fail_prob", resource_fail_prob)):
             if p is not None and not 0 <= p <= 1:
                 raise ValueError(f"resource_oracle {key} must lie in [0, 1], got {p}")
         return super().__new__(cls, s1, s2, proc_poly, resource_ls_delta, resource_fail_prob)
 
     def proc_layers(self, n: int) -> int:
-        return int(sum(c * n**k for k, c in enumerate(self.proc_poly)))
+        return sum(c * n**k for k, c in enumerate(self.proc_poly))
 
 
 class InterfaceCircuit(NamedTuple):
     """The partial interface Gamma_{r,r'}: wires, fragments, decode tables."""
 
-    family: CodeFamily
-    r: int
-    r_prime: int
     code_r: CssCode
     code_rp: CssCode
     blocks: int
@@ -460,9 +465,6 @@ def build_gamma(
     lxb.flags.writeable = lzb.flags.writeable = False  # the plan is cached and shared
 
     return InterfaceCircuit(
-        family=family,
-        r=r,
-        r_prime=r_prime,
         code_r=code_r,
         code_rp=code_rp,
         blocks=blocks,

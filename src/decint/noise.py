@@ -123,10 +123,6 @@ def binary_entropy(x: float) -> float:
 class TailBound(NamedTuple):
     value: float
     threshold_ok: bool  # delta < 2^{-h2(mu)/mu}
-    mu: float
-    delta: float
-    n: int
-    h: int
 
 
 def tail_bound(mu: float, delta: float, n: int, h: int) -> TailBound:
@@ -138,14 +134,7 @@ def tail_bound(mu: float, delta: float, n: int, h: int) -> TailBound:
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
     base = 2.0 ** (binary_entropy(mu) / mu) * delta
-    return TailBound(
-        value=h * base ** (mu * n),
-        threshold_ok=base < 1.0,
-        mu=mu,
-        delta=delta,
-        n=n,
-        h=h,
-    )
+    return TailBound(value=h * base ** (mu * n), threshold_ok=base < 1.0)
 
 
 def binomial_tail_exact(n: int, delta: Fraction, t: int) -> Fraction:
@@ -160,11 +149,11 @@ def binomial_tail_exact(n: int, delta: Fraction, t: int) -> Fraction:
 
 
 def tail_bound_dominates(
-    mu: Fraction, delta: Fraction, n: int, h: int, dps: int = 60
+    mu: Fraction, delta: Fraction, n: int, h: int
 ) -> tuple[bool, Fraction, float]:
     """Certify exact binomial tail <= analytic bound for integer mu*n.
 
-    The tail is an exact Fraction; the bound is evaluated at `dps` digits and
+    The tail is an exact Fraction; the bound is evaluated at 60 digits and
     shrunk by a 1e-40 relative margin so a True verdict is a genuine
     certificate (the bound itself is irrational).
     """
@@ -178,7 +167,7 @@ def tail_bound_dominates(
     tail = binomial_tail_exact(n, delta, int(t))
     import mpmath  # imported here: no CLI command needs it, and it slows every start
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(60):
         mmu = mpmath.mpf(mu.numerator) / mu.denominator
         mdelta = mpmath.mpf(delta.numerator) / delta.denominator
         h2 = -mmu * mpmath.log(mmu, 2) - (1 - mmu) * mpmath.log(1 - mmu, 2)

@@ -26,15 +26,11 @@ def write_loglog_svg(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    y2: Sequence[float] | None = None,
-    label1: str = "data",
-    label2: str = "",
 ):
-    """Log-log plot of one or two positive series against xs."""
+    """Log-log plot of the positive points of ys against xs."""
     pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
-    pts2 = [(x, y) for x, y in zip(xs, y2 or []) if x > 0 and y > 0]
-    allx = [p[0] for p in pts + pts2] or [1e-3, 1e-1]
-    ally = [p[1] for p in pts + pts2] or [1e-3, 1e-1]
+    allx = [p[0] for p in pts] or [1e-3, 1e-1]
+    ally = [p[1] for p in pts] or [1e-3, 1e-1]
     x_lo, x_hi = min(allx) / 1.5, max(allx) * 1.5
     y_lo, y_hi = min(ally) / 1.5, max(ally) * 1.5
 
@@ -73,20 +69,11 @@ def write_loglog_svg(
                 f'<line x1="{_ML-5}" y1="{sy(v):.1f}" x2="{_ML}" y2="{sy(v):.1f}" stroke="black"/>'
                 f'<text x="{_ML-8}" y="{sy(v)+4:.1f}" text-anchor="end">1e{t}</text>'
             )
-    for series, color, label in ((pts, "#1f77b4", label1), (pts2, "#d62728", label2)):
-        if not series:
-            continue
-        path_d = " ".join(
-            f"{'M' if i == 0 else 'L'}{sx(x):.1f},{sy(y):.1f}" for i, (x, y) in enumerate(series)
-        )
-        parts.append(f'<path d="{path_d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for x, y in series:
-            parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="{color}"/>')
-    if pts2 and label2:
-        parts.append(
-            f'<text x="{_W-_MR-5}" y="{_MT+15}" text-anchor="end" fill="#1f77b4">{label1}</text>'
-            f'<text x="{_W-_MR-5}" y="{_MT+30}" text-anchor="end" fill="#d62728">{label2}</text>'
-        )
+    if pts:
+        path_d = " ".join(f"{'M' if i == 0 else 'L'}{sx(x):.1f},{sy(y):.1f}" for i, (x, y) in enumerate(pts))
+        parts.append(f'<path d="{path_d}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>')
+        for x, y in pts:
+            parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" fill="#1f77b4"/>')
     parts.append("</svg>")
     with open(path, "w") as f:
         f.write("\n".join(parts) + "\n")

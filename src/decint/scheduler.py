@@ -5,6 +5,10 @@ within a stage, macro-layer l applies the partial interface to the block
 window ((l-1)*h_step, l*h_step], error-corrects the already-lowered blocks'
 children at the lower level, and error-corrects the not-yet-processed
 blocks at the current level. All accounting is exact integer arithmetic.
+
+`InterfaceSchedule` is the one chain plan: it carries the Gamma knobs and
+the EC rounds per waiting macro-layer that `e2e` walks it with, beside the
+constants measured from those very circuits.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import math
 from typing import NamedTuple, Optional
 
+from . import interface as iface
 from .css import CodeFamily
 
 
@@ -21,7 +26,9 @@ class ScheduleConstants(NamedTuple):
 
     Defaults are measured from the interface module's actual circuits:
     p1(m) is a per-level table with gamma_qubits(level) <= theta * p1(m) * m,
-    and theta1 bounds the EC footprint (n + #checks) / m over the family.
+    and theta1 bounds the footprint per logical qubit of the EC round a
+    waiting block runs, len(interface.wait_gadget(code).wires) / m, over
+    every level of the family.
     """
 
     theta: int
@@ -32,20 +39,17 @@ class ScheduleConstants(NamedTuple):
         return self.p1_table[level]
 
 
-def measured_constants(family: CodeFamily, knobs=None) -> ScheduleConstants:
-    """Derive theta, theta1 and the p1 table from the real circuit footprints."""
-    from .interface import build_gamma
-
-    p1_table: dict[int, int] = {}
-    theta1 = 1
-    for r in range(2, family.depth + 1):
-        code = family.level(r)
-        ec_footprint = code.n + len(code.hx) + len(code.hz)
-        theta1 = max(theta1, math.ceil(ec_footprint / code.m))
-        plan = build_gamma(family, r, r - 1, knobs)
-        p1_table[r] = math.ceil(plan.qubit_count / code.m)
-    lvl1 = family.level(1)
-    theta1 = max(theta1, lvl1.n)  # trivial code: one qubit per logical
+def measured_constants(family: CodeFamily, knobs: Optional[iface.GammaKnobs] = None) -> ScheduleConstants:
+    """Derive theta, theta1 and the p1 table from the circuits a chain runs
+    under `knobs`: the wait gadget of every level and Gamma_{r,r-1}."""
+    theta1 = max(
+        math.ceil(len(iface.wait_gadget(code).wires) / code.m)
+        for code in map(family.level, range(1, family.depth + 1))
+    )
+    p1_table = {
+        r: math.ceil(iface.build_gamma(family, r, r - 1, knobs).qubit_count / family.level(r).m)
+        for r in range(2, family.depth + 1)
+    }
     return ScheduleConstants(theta=1, theta1=theta1, p1_table=p1_table)
 
 
@@ -75,10 +79,15 @@ class Stage(NamedTuple):
 
 
 class InterfaceSchedule(NamedTuple):
+    """The staged plan and the circuits it was sized for: `knobs` build every
+    Gamma pass and `wait_rounds` EC rounds run per waiting macro-layer."""
+
     family: CodeFamily
     r: int
     r_prime: int
     h: int
+    knobs: iface.GammaKnobs
+    wait_rounds: int
     constants: ScheduleConstants
     stages: tuple[Stage, ...]
 
@@ -122,19 +131,25 @@ def build_schedule(
     r: int,
     r_prime: int,
     h: int,
+    knobs: Optional[iface.GammaKnobs] = None,
+    wait_rounds: int = 1,
     constants: Optional[ScheduleConstants] = None,
 ) -> InterfaceSchedule:
     """Plan the staged interface lowering h level-r blocks to level r'.
 
     Stage r'' processes h^{(r'')} = 2^{r-r''} h blocks in windows of
     h_step = ceil(h^{(r'')} / (theta * p1(m_{r''}))) per macro-layer; every
-    block receives the partial interface exactly once per stage.
+    block receives the partial interface exactly once per stage. The
+    constants default to `measured_constants(family, knobs)`.
     """
     if h < 1:
         raise ValueError("h must be positive")
     if not 1 <= r_prime < r <= family.depth:
         raise ValueError("need 1 <= r' < r <= family depth")
-    constants = constants or measured_constants(family)
+    if wait_rounds < 0:
+        raise ValueError(f"wait_rounds must be non-negative, got {wait_rounds}")
+    knobs = knobs or iface.GammaKnobs()
+    constants = constants or measured_constants(family, knobs)
     stages = []
     for level in range(r, r_prime, -1):
         h_level = h * 2 ** (r - level)
@@ -155,7 +170,8 @@ def build_schedule(
             )
         stages.append(Stage(level=level, h_level=h_level, h_step=h_step, layers=tuple(layers)))
     return InterfaceSchedule(
-        family=family, r=r, r_prime=r_prime, h=h, constants=constants, stages=tuple(stages)
+        family=family, r=r, r_prime=r_prime, h=h, knobs=knobs, wait_rounds=wait_rounds,
+        constants=constants, stages=tuple(stages),
     )
 
 
@@ -237,13 +253,9 @@ class BlockStagePlan(NamedTuple):
     post_wait: int
 
 
-class BlockPlan(NamedTuple):
-    input_block: int
-    stages: tuple[tuple[BlockStagePlan, ...], ...]  # one tuple per stage
-
-
-def effective_interface(schedule: InterfaceSchedule, i: int) -> BlockPlan:
-    """Per-block view: the sequence of waits and interface applications.
+def effective_interface(schedule: InterfaceSchedule, i: int) -> tuple[tuple[BlockStagePlan, ...], ...]:
+    """Per-block view: the sequence of waits and interface applications,
+    one tuple of descendant plans per stage.
 
     Input block i (0-based) has 2^y descendants entering the stage at level
     r - y; descendant k (0-based within the block) sits at global index
@@ -269,7 +281,7 @@ def effective_interface(schedule: InterfaceSchedule, i: int) -> BlockPlan:
                 )
             )
         stages.append(tuple(plans))
-    return BlockPlan(input_block=i, stages=tuple(stages))
+    return tuple(stages)
 
 
 def audit_schedule(schedule: InterfaceSchedule) -> list[str]:
@@ -303,8 +315,7 @@ def roundtrip_from_block_plans(schedule: InterfaceSchedule) -> bool:
     for y, stage in enumerate(schedule.stages):
         assignment = {}
         for i in range(schedule.h):
-            plan = effective_interface(schedule, i)
-            for sp in plan.stages[y]:
+            for sp in effective_interface(schedule, i)[y]:
                 assignment[sp.block_index] = sp.gamma_layer
         for ml in stage.layers:
             lo, hi = ml.gamma_blocks

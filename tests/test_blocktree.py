@@ -223,6 +223,17 @@ class TestFinalBound:
             assert c.ok
             assert c.bound == Fraction(2, 10) ** 4
 
+    @pytest.mark.parametrize("z", [2, 3, 4])
+    def test_leaf_sets_are_held_to_a_quarter_of_final_bound(self, z):
+        # On a leaf set W(T) = |T|, so final_bound = 4 * (2 delta_bar)^(2|T|);
+        # check_final_bound holds leaf sets to the tighter (2 delta_bar)^(2|T|).
+        db = Fraction(1, 10)
+        checks = bt.check_final_bound(z, db, max_size=3, leaf_only=True)
+        assert checks
+        for c in checks:
+            assert bt.node_weight(z, c.t_bar) == len(c.t_bar)
+            assert bt.final_bound(z, db, c.t_bar) == 4 * (2 * db) ** (2 * len(c.t_bar)) == 4 * c.bound
+
     def test_all_antichains_small_grid(self):
         for z in (2, 3):
             for db in (Fraction(3, 10), Fraction(1, 10)):

@@ -315,7 +315,7 @@ class TestE2E:
         assert run("e2e", cfg, tmp_path / "out") == 0
         summary = json.loads((tmp_path / "out" / "e2e_summary.json").read_text())
         fam = css.toy_family()
-        sched = scheduler.build_schedule(fam, 2, 1, 2, constants=scheduler.measured_constants(fam))
+        sched = scheduler.build_schedule(fam, 2, 1, 2)
         runs = [e2e.run_e2e_frames(sched, NoiseParams(delta=d, seed=6), 300) for d in (0.005, 0.001)]
         assert summary["herald_rates"] == [stats.heralds / 300 for stats in runs]
         assert summary["any_error_rates"] == [stats.any_errors / 300 for stats in runs]
@@ -373,7 +373,7 @@ class TestExitCodes:
             ("interface-sweep", dict(SWEEP, trials=100.7, s1=1.5), "expected an integer, got 100.7"),
             ("interface-sweep", dict(SWEEP, s1=1.5), "expected an integer, got 1.5"),
             ("interface-sweep", dict(SWEEP, trials=True), "expected an integer, got True"),
-            ("interface-sweep", dict(SWEEP, proc_layers="ab"), "proc_layers coefficients must be numbers"),
+            ("interface-sweep", dict(SWEEP, proc_layers="ab"), "proc_layers coefficients must be non-negative integers"),
             ("interface-sweep", dict(SWEEP, resource_oracle={"ls_delta": 1.5}), "ls_delta must lie in [0, 1]"),
             ("interface-sweep", dict(SWEEP, resource_oracle={"ls_delta": -0.1}), "ls_delta must lie in [0, 1]"),
             ("interface-sweep", dict(SWEEP, resource_oracle={"fail_prob": -1}), "fail_prob must lie in [0, 1]"),
@@ -419,8 +419,12 @@ class TestExitCodes:
             ("tree-bounds", {"z_grid": [2], "delta_bar_grid": ["0.3"]}, "expected a number, got '0.3'"),
             ("interface-sweep", dict(SWEEP, noise={"delta": True}), "expected a number, got True"),
             ("interface-sweep", dict(SWEEP, resource_oracle={"ls_delta": True}), "expected a number, got True"),
-            ("interface-sweep", dict(SWEEP, proc_layers=[True, 1]), "proc_layers coefficients must be numbers"),
+            ("interface-sweep", dict(SWEEP, proc_layers=[True, 1]), "proc_layers coefficients must be non-negative integers"),
             ("interface-sweep", dict(SWEEP, mu=10**400), "bad config value"),
+            # A processing latency is a whole number of layers, never below zero.
+            ("interface-sweep", dict(SWEEP, proc_layers=[0, 1.2]), "expected an integer, got 1.2"),
+            ("interface-sweep", dict(SWEEP, proc_layers=[0.9, 1]), "expected an integer, got 0.9"),
+            ("interface-sweep", dict(SWEEP, proc_layers=[-3]), "proc_layers coefficients must be non-negative integers"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
@@ -433,6 +437,12 @@ class TestExitCodes:
         # 100.0 is the JSON number 100: only strings, bools and fractions are refused.
         for name, trials in (("int", 100), ("float", 100.0)):
             assert run("interface-sweep", write_config(tmp_path, f"{name}.json", dict(self.SWEEP, trials=trials)),
+                       tmp_path / name) == 0
+        assert (tmp_path / "int" / "sweep.csv").read_bytes() == (tmp_path / "float" / "sweep.csv").read_bytes()
+
+    def test_integral_float_latency_runs_as_integer(self, tmp_path):
+        for name, poly in (("int", [0, 1]), ("float", [0, 1.0])):
+            assert run("interface-sweep", write_config(tmp_path, f"{name}.json", dict(self.SWEEP, proc_layers=poly)),
                        tmp_path / name) == 0
         assert (tmp_path / "int" / "sweep.csv").read_bytes() == (tmp_path / "float" / "sweep.csv").read_bytes()
 

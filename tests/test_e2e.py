@@ -9,31 +9,29 @@ from decint.tableau import Tableau
 @pytest.fixture(scope="module")
 def steane_setup():
     fam = css.steane_family()
-    consts = scheduler.measured_constants(fam)
-    sched = scheduler.build_schedule(fam, 2, 1, h=3, constants=consts)
+    sched = scheduler.build_schedule(fam, 2, 1, h=3)
     return fam, sched
 
 
 @pytest.fixture(scope="module")
 def toy_setup():
     fam = css.toy_family()
-    consts = scheduler.measured_constants(fam)
-    sched = scheduler.build_schedule(fam, 3, 1, h=2, constants=consts)
+    sched = scheduler.build_schedule(fam, 3, 1, h=2)
     return fam, sched
 
 
 class TestChainSteps:
     def test_tree_structure(self, toy_setup):
         fam, sched = toy_setup
-        stages = scheduler.effective_interface(sched, 0).stages
+        stages = scheduler.effective_interface(sched, 0)
         assert len(stages) == 2
         assert len(stages[0]) == 1 and stages[0][0].level == 3
         assert len(stages[1]) == 2 and all(s.level == 2 for s in stages[1])
 
     def test_waits_follow_position(self, steane_setup):
         fam, sched = steane_setup
-        first = scheduler.effective_interface(sched, 0).stages[0][0]
-        last = scheduler.effective_interface(sched, 2).stages[0][0]
+        first = scheduler.effective_interface(sched, 0)[0][0]
+        last = scheduler.effective_interface(sched, 2)[0][0]
         assert first.pre_wait == 0
         assert last.pre_wait == sched.stages[0].n_layers - 1
         assert last.post_wait == 0
@@ -232,6 +230,25 @@ class TestE2EStats:
         assert stats.pair_errors.any() and 0 < stats.heralds < 100
 
 
+class TestPlanReuse:
+    def test_second_chunk_compiles_no_fault_table(self, toy_setup, monkeypatch):
+        # Toy r = 3, h = 2 leaves bare outputs waiting: their idle layers are
+        # built and compiled once, like every other fragment of the chain.
+        fam, sched = toy_setup
+        compiled, chunk_starts = [], []
+        compile_table, chunk_job = circuit.FaultTable.compile, e2e._e2e_chunk
+        monkeypatch.setattr(circuit.FaultTable, "compile", classmethod(lambda cls, c: compiled.append(c) or compile_table(c)))
+
+        def job(*args):
+            chunk_starts.append(len(compiled))
+            return chunk_job(*args)
+
+        monkeypatch.setattr(e2e, "_e2e_chunk", job)
+        e2e.run_e2e_frames(sched, NoiseParams(delta=0.01, seed=3), 60, chunk_size=30)
+        assert len(chunk_starts) == 2
+        assert len(compiled) == chunk_starts[1]
+
+
 class TestFitConstants:
     def test_recovers_synthetic_constants(self):
         k1, k2 = 3.0, 0.5
@@ -268,13 +285,9 @@ class TestGoldenChainCounts:
     def test_golden_e2e_counts(self, delta):
         fam = css.toy_family()
         knobs = interface.GammaKnobs(s1=2, s2=2, resource_fail_prob=0.05)
-        consts = scheduler.measured_constants(fam, knobs)
-        sched = scheduler.build_schedule(fam, 3, 1, 2, constants=consts)
+        sched = scheduler.build_schedule(fam, 3, 1, 2, knobs=knobs, wait_rounds=2)
         trials = 4000
-        stats = e2e.run_e2e_frames(
-            sched, NoiseParams(delta=delta, seed=5), trials, knobs=knobs,
-            wait_rounds_per_layer=2, input_ls_delta=0.01,
-        )
+        stats = e2e.run_e2e_frames(sched, NoiseParams(delta=delta, seed=5), trials, input_ls_delta=0.01)
         got = (stats.output_errors.tolist(), stats.heralds, stats.any_errors)
         assert got == self.GOLDEN[delta]
         old, new = self.PREVIOUS[delta], got
@@ -311,7 +324,7 @@ class TestStreamKeys:
 
     def test_chain_chunk_draws_distinct_streams(self, drawn):
         fam = css.toy_family()
-        sched = scheduler.build_schedule(fam, 4, 1, 4, constants=scheduler.measured_constants(fam))
+        sched = scheduler.build_schedule(fam, 4, 1, 4)
         e2e.run_e2e_frames(sched, NoiseParams(delta=0.01, seed=3), 50, input_ls_delta=0.01)
         purposes = {noise.STREAM_CIRCUIT, noise.STREAM_ORACLE, noise.STREAM_TRIAL}
         assert {k[1] for k in drawn} == purposes

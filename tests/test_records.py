@@ -26,7 +26,7 @@ INVALID = {
     ),
     "knobs-proc-poly": (
         lambda: interface.GammaKnobs(proc_poly="ab"),
-        r"proc_layers coefficients must be numbers, got \('a', 'b'\)",
+        r"proc_layers coefficients must be non-negative integers, got \('a', 'b'\)",
     ),
     "tree-z": (lambda: TreeParams(0, ()), "z must be >= 1"),
     "tree-tau-count": (lambda: TreeParams(2, (Fraction(1, 2),)), r"need one tau per depth 0\.\.z-1"),

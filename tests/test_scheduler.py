@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from decint import css, scheduler
+from decint import css, interface, scheduler
 from decint.scheduler import ScheduleConstants
 
 
@@ -90,33 +90,30 @@ class TestCensus:
 class TestEffectiveInterface:
     def test_single_block_no_waits(self, fam):
         s = scheduler.build_schedule(fam, 3, 2, h=1, constants=unit_constants(fam.depth))
-        plan = scheduler.effective_interface(s, 0)
-        sp = plan.stages[0][0]
+        sp = scheduler.effective_interface(s, 0)[0][0]
         assert sp.pre_wait == 0 and sp.post_wait == 0
 
     def test_first_block_zero_pre_wait(self, fam, consts):
         s = scheduler.build_schedule(fam, 3, 1, h=12, constants=consts)
-        plan = scheduler.effective_interface(s, 0)
-        for stage_plans in plan.stages:
+        for stage_plans in scheduler.effective_interface(s, 0):
             assert stage_plans[0].pre_wait == 0
         # Positional arithmetic audit: every descendant's waits sum to the
         # stage length minus one.
         for y, stage in enumerate(s.stages):
-            for sp in scheduler.effective_interface(s, 0).stages[y]:
+            for sp in scheduler.effective_interface(s, 0)[y]:
                 assert sp.pre_wait + 1 + sp.post_wait == stage.n_layers
 
     def test_last_block_maximal_pre_wait(self, fam, consts):
         s = scheduler.build_schedule(fam, 2, 1, h=12, constants=consts)
         stage = s.stages[0]
-        plan = scheduler.effective_interface(s, 11)
-        assert plan.stages[0][0].gamma_layer == stage.n_layers
+        assert scheduler.effective_interface(s, 11)[0][0].gamma_layer == stage.n_layers
 
     def test_layer_conservation(self, fam, consts):
         s = scheduler.build_schedule(fam, 4, 1, h=6, constants=consts)
         total_layers = sum(st.n_layers for st in s.stages)
         for i in range(6):
             # Every block is live through every macro-layer of every stage.
-            stages = scheduler.effective_interface(s, i).stages
+            stages = scheduler.effective_interface(s, i)
             assert sum(plans[0].pre_wait + 1 + plans[0].post_wait for plans in stages) == total_layers
 
     def test_roundtrip_reassembles_schedule(self, fam, consts):
@@ -162,3 +159,28 @@ class TestMeasuredConstants:
         for r in range(1, fam.depth + 1):
             code = fam.level(r)
             assert consts.theta1 * code.m >= code.n + len(code.hx) + len(code.hz)
+
+
+class TestChainPlan:
+    """The schedule carries the circuits it was sized for."""
+
+    @pytest.mark.parametrize("name, theta1", [("toy", 4), ("steane", 13)])
+    def test_theta1_is_the_wait_gadget_footprint(self, name, theta1):
+        fam = css.BUILTIN_FAMILIES[name]()
+        assert scheduler.measured_constants(fam).theta1 == theta1
+        for r in range(1, fam.depth + 1):
+            code = fam.level(r)
+            assert len(interface.wait_gadget(code).wires) <= theta1 * code.m
+
+    def test_schedule_is_sized_under_its_knobs(self, fam):
+        knobs = interface.GammaKnobs(s1=0, s2=0)
+        s = scheduler.build_schedule(fam, 4, 1, h=8, knobs=knobs, wait_rounds=3)
+        assert (s.knobs, s.wait_rounds) == (knobs, 3)
+        assert s.constants == scheduler.measured_constants(fam, knobs)
+        assert s.constants != scheduler.measured_constants(fam)
+        plain = scheduler.build_schedule(fam, 4, 1, h=8)
+        assert (plain.knobs, plain.wait_rounds) == (interface.GammaKnobs(), 1)
+
+    def test_negative_wait_rounds_rejected(self, fam):
+        with pytest.raises(ValueError, match="wait_rounds must be non-negative"):
+            scheduler.build_schedule(fam, 2, 1, h=1, wait_rounds=-1)
