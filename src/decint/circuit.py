@@ -11,9 +11,10 @@ A fault is a location, a row of `Circuit.fault_table()` (one per gate, layer
 by layer in gate order), a trial and a code: on a measurement 1, an outcome
 flip; on a k-wire gate a Pauli in [1, 4^k) after the gate, wire j taking
 bits 2j (x) and 2j + 1 (z). Both backends take faults as one (locations,
-trials, codes) triple of arrays, and both inject a layer's faults into Pauli
-frames through one function; the tableau backend then conjugates its state
-by the frames that were hit. Both backends walk the compiled layers of
+trials, codes) triple of arrays, turn a run's faults into flat frame offsets
+once (`_offsets`), and inject a layer's slice of them into Pauli frames and
+outcome flips through one function; the tableau backend then conjugates its
+state by the frames that were hit. Both backends walk the compiled layers of
 `Circuit.fault_table()` and apply a layer's gates by kind, not gate by gate.
 """
 
@@ -137,9 +138,10 @@ def _idle_circuit(wires: tuple, layers: int) -> Circuit:
 # -- fault model --------------------------------------------------------------
 
 
-def _checked_faults(table: "FaultTable", trials: int, faults: tuple) -> dict:
-    """Faults (locations, trials, codes) sorted by location, then trial, and split by
-    `_by_layer`. ValueError on a fault outside the table or batch, a bad code or a repeat."""
+def _checked_faults(table: "FaultTable", trials: int, faults: tuple) -> tuple:
+    """Faults (locations, trials, codes) as `_draw_faults` returns them: sorted flat
+    positions location * trials + trial, the fault count of each location and the
+    codes. ValueError on a fault outside the table or batch, a bad code or a repeat."""
     loc, trial, code = (np.asarray(a, dtype=np.int64).reshape(-1) for a in faults)
     if not loc.size == trial.size == code.size:
         raise ValueError("fault arrays differ in length")
@@ -150,17 +152,36 @@ def _checked_faults(table: "FaultTable", trials: int, faults: tuple) -> dict:
     k = table.arity[loc]
     if ((code < 1) | (code >= np.where(k > 0, 4**k, 2))).any():
         raise ValueError("fault code outside [1, 4^k), or not 1 on a measurement")
-    keys, order = np.unique(loc * trials + trial, return_index=True)
-    if keys.size < loc.size:
+    pos, order = np.unique(loc * trials + trial, return_index=True)
+    if pos.size < loc.size:
         raise ValueError("two faults at one location and trial")
-    return _by_layer(table, loc[order], trial[order], code[order].astype(np.uint8))
+    return pos, np.bincount(loc, minlength=table.arity.size), code[order].astype(np.uint8)
 
 
-def _by_layer(table: "FaultTable", loc, trial, code) -> dict:
-    """Faults sorted by location as {layer: (locations, trials, codes)}, faulted layers only."""
-    bounds = np.searchsorted(loc, [lf.rows.start for lf in table.layers] + [table.arity.size])
-    spans = enumerate(zip(bounds[:-1], bounds[1:]))
-    return {li: (loc[a:b], trial[a:b], code[a:b]) for li, (a, b) in spans if a < b}
+class _Faults(NamedTuple):
+    """A run's faults, sorted by location, then trial, as flat offsets.
+
+    `at` holds col * trials + trial in the frames for a gate's fault, col its
+    first wire, and row * trials + trial in its layer's outcome block for a
+    measurement's. `counts` holds the faults of each location and `bounds`
+    the first fault of each layer, then the fault count.
+    """
+
+    at: np.ndarray
+    code: np.ndarray
+    counts: np.ndarray
+    bounds: np.ndarray
+
+
+def _offsets(table: "FaultTable", cols: np.ndarray, trials: int, pos, counts, code) -> _Faults:
+    """`_Faults` from sorted flat positions location * trials + trial: one shift
+    per location, target * trials - location * trials, moves each position to
+    its offset in one pass. `cols` (2, locations) maps locations to the frame
+    columns of their first and last wires."""
+    bounds = np.searchsorted(pos, table.starts * trials)
+    target = np.where(table.flip_row < 0, cols[0], table.flip_row)
+    pos += np.repeat((target - np.arange(target.size)) * trials, counts)
+    return _Faults(pos, code, counts, bounds)
 
 
 # -- tableau backend ------------------------------------------------------------
@@ -183,12 +204,14 @@ def run_noisy(
     """
     outcomes = outcomes if outcomes is not None else {}
     table = circuit.fault_table()
-    by_layer = {} if faults is None else _checked_faults(table, state.trials, faults)
+    f = None
+    if faults is not None:  # scratch frames over the circuit's own wires
+        f = _offsets(table, table.cols.T, state.trials, *_checked_faults(table, state.trials, faults))
     wires = circuit.wires
     for li, lf in enumerate(table.layers):
         state.apply_layer([wires[q] for q in table.cols[lf.h, 0].tolist()],
                           [(wires[c], wires[t]) for c, t in table.cols[lf.cnot].tolist()])
-        outs = dict(zip(lf.meas_bounds[0].tolist(), lf.meas_labels))
+        outs = dict(zip(lf.meas.tolist(), lf.meas_labels))
         for row in sorted([*outs, *lf.init0.tolist()]):
             wire = wires[table.cols[row, 0]]
             if row in outs:
@@ -197,22 +220,22 @@ def run_noisy(
                 state.measure_z(wire, forced=0)
         if lf.init0.size:
             state.reset_zero([wires[q] for q in table.cols[lf.init0, 0].tolist()])
-        if li in by_layer:
-            _apply_faults_tableau(circuit, state, li, by_layer[li], outcomes)
+        if f is not None and f.bounds[li] < f.bounds[li + 1]:
+            _apply_faults_tableau(circuit, state, li, f, outcomes)
     return state, outcomes
 
 
-def _apply_faults_tableau(circuit: Circuit, state: Tableau, li: int, faults: tuple, outcomes: dict):
+def _apply_faults_tableau(circuit: Circuit, state: Tableau, li: int, faults: _Faults, outcomes: dict):
     """Inject layer li's faults into scratch frames over the circuit's wires, then
     conjugate `state` by the frames of the wires that were hit and flip the faulted
     outcomes."""
     table = circuit.fault_table()
     lf = table.layers[li]
     scratch = FrameBatch(circuit.wires, state.trials)
-    scratch.flips = {label: np.zeros(state.trials, np.uint8) for label in lf.meas_labels}
-    _inject_faults(scratch, lf, table.cols.T, *faults)
+    flips = np.zeros((len(lf.meas_labels), state.trials), np.uint8)
+    _inject_faults(scratch, flips, table, li, table.cols.T, faults)
     single = state.signs.ndim == 1
-    for label, flip in scratch.flips.items():
+    for label, flip in zip(lf.meas_labels, flips):
         outcomes[label] ^= int(flip[0]) if single else flip
     # Measured wires have left the state; their faults are outcome flips.
     hit = np.flatnonzero((scratch._x | scratch._z).any(axis=1))
@@ -271,10 +294,9 @@ class FrameBatch:
         self._x[rows] ^= x
         self._z[rows] ^= z
 
-    def xor_at(self, cols: np.ndarray, trials: np.ndarray, x_bits: np.ndarray, z_bits: np.ndarray):
-        """XOR bit i of x_bits and z_bits into the frames at (trials[i], cols[i]), no
-        pair repeated, by one flat scatter per frame at offsets col * trials + trial."""
-        at = cols * self.trials + trials
+    def xor_at(self, at: np.ndarray, x_bits: np.ndarray, z_bits: np.ndarray):
+        """XOR bit i of x_bits and z_bits into the frames at flat offset at[i],
+        col * trials + trial, no offset repeated: one scatter per frame."""
         self._x.reshape(-1)[at] ^= x_bits
         self._z.reshape(-1)[at] ^= z_bits
 
@@ -282,11 +304,12 @@ class FrameBatch:
 class LayerFaults(NamedTuple):
     """The fault locations and gates of one layer: rows `rows` of its `FaultTable`.
 
-    `h`, `cnot` and `init0` hold the rows of the layer's gates of each kind.
+    `meas`, `h`, `cnot` and `init0` hold the rows of the layer's gates of each
+    kind; `meas_labels` the outcome labels of its measurements, in row order.
     """
 
     rows: slice
-    meas_bounds: np.ndarray  # (2, measurements): rows r and r + 1 of each measurement
+    meas: np.ndarray
     meas_labels: tuple
     h: np.ndarray
     cnot: np.ndarray
@@ -297,11 +320,14 @@ class FaultTable(NamedTuple):
     """Fault locations of a circuit, one row per gate.
 
     `cols` holds each gate's first and last wire as circuit-local indices.
-    Rows run layer by layer in gate order; `layers` slices them.
+    Rows run layer by layer in gate order; `layers` slices them and `starts`
+    holds their first rows, then the row count.
     """
 
     cols: np.ndarray  # (locations, 2) intp
     arity: np.ndarray  # (locations,) uint8 wire count, 0 for a measurement
+    flip_row: np.ndarray  # (locations,) intp: a measurement's row among its layer's, -1 elsewhere
+    starts: np.ndarray  # (layers + 1,) intp
     layers: tuple
 
     @classmethod
@@ -311,23 +337,26 @@ class FaultTable(NamedTuple):
             [(circuit._index[g.wires[0]], circuit._index[g.wires[-1]]) for g in gates], dtype=np.intp
         ).reshape(-1, 2)
         arity = np.array([0 if g.name == "measure" else len(g.wires) for g in gates], dtype=np.uint8)
+        flip_row = np.full(arity.size, -1, np.intp)
         layers, start = [], 0
         for layer in circuit.layers:
             rows = {name: [] for name in GATE_ARITY}  # the layer's rows of each gate kind, in one pass
             for r, g in enumerate(layer, start):
                 rows[g.name].append(r)
             meas = rows["measure"]
+            flip_row[meas] = range(len(meas))
             layers.append(
                 LayerFaults(
                     rows=slice(start, start + len(layer)),
-                    meas_bounds=np.array([meas, [r + 1 for r in meas]], np.intp),
+                    meas=np.array(meas, np.intp),
                     meas_labels=tuple(gates[r].out for r in meas),
                     h=np.array(rows["h"], np.intp), cnot=np.array(rows["cnot"], np.intp),
                     init0=np.array(rows["init0"], np.intp),
                 )
             )
             start += len(layer)
-        return cls(cols=cols, arity=arity, layers=tuple(layers))
+        starts = np.array([lf.rows.start for lf in layers] + [start], np.intp)
+        return cls(cols=cols, arity=arity, flip_row=flip_row, starts=starts, layers=tuple(layers))
 
 
 # Row k maps a uniform u in [0, 15) to a uniform code on k wires, 1 on a measurement (15 = 3 * 5).
@@ -346,7 +375,9 @@ class FrameRunner:
 
     A run draws its faults once, location-major by `fault_table()` row: the
     Bernoulli hits, then one uint8 per hit that the `_CODES` table maps to a
-    code. A layer's gates run by kind, CNOTs as in-place XORs of row views.
+    code. The hits, flat positions location * trials + trial, become flat
+    frame offsets in one pass (`_offsets`), which each layer slices. A
+    layer's gates run by kind, CNOTs as in-place XORs of row views.
     """
 
     def __init__(self, params: NoiseParams, chunk: int = 0, key: tuple = ()):
@@ -372,21 +403,22 @@ class FrameRunner:
         faults = [] if forced_faults is None else [_checked_faults(table, batch.trials, forced_faults)]
         if self.params.delta > 0.0 and batch.trials > 0:
             rng = rng_stream(self.params.seed, STREAM_CIRCUIT, *self.key, tag, self.chunk)
-            faults.append(_by_layer(table, *_draw_faults(table, batch.trials, self.params.delta, rng)))
+            faults.append(_draw_faults(table, batch.trials, self.params.delta, rng))
         cols = batch.columns(circuit.wires)[table.cols.T]  # (2, locations): first, last wire
+        faults = [_offsets(table, cols, batch.trials, *f) for f in faults]
         for li, lf in enumerate(table.layers):
-            _apply_gates(batch, lf, cols)
+            flips = _apply_gates(batch, lf, cols)
             # Gates in a layer touch disjoint wires, so faulting the layer
             # after all its gates equals gate-then-fault at each location.
-            for by_layer in faults:
-                if li in by_layer:
-                    _inject_faults(batch, lf, cols, *by_layer[li])
+            for f in faults:
+                _inject_faults(batch, flips, table, li, cols, f)
         return batch
 
 
-def _apply_gates(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray):
+def _apply_gates(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray) -> Optional[np.ndarray]:
     """One layer's gates on the frames; `cols` (2, locations) maps locations to the
-    batch columns of their first and last wires."""
+    batch columns of their first and last wires. Returns the layer's outcome flips,
+    one row per measurement, whose rows `batch.flips` holds, or None."""
     x, z = batch._x, batch._z
     first = cols[0]
     if lf.h.size:
@@ -396,39 +428,49 @@ def _apply_gates(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray):
     for c, t in cols.take(lf.cnot, axis=1).T.tolist():
         x[t] ^= x[c]
         z[c] ^= z[t]
+    flips = None
     if lf.meas_labels:
-        q = first.take(lf.meas_bounds[0])
-        batch.flips.update(zip(lf.meas_labels, x[q]))
+        q = first.take(lf.meas)
+        flips = x[q]
+        batch.flips.update(zip(lf.meas_labels, flips))
         z[q] = 0
     if lf.init0.size:
         q = first.take(lf.init0)
         x[q] = z[q] = 0
+    return flips
 
 
 def _draw_faults(table: FaultTable, trials: int, delta: float, rng: np.random.Generator) -> tuple:
-    """Pauli-twirled faults on every location as (locations, trials, codes), sorted by
-    location: hits w.p. delta drawn location-major, then one code for each hit."""
+    """Pauli-twirled faults on every location as (positions, counts, codes): the sorted
+    flat positions location * trials + trial of Bernoulli(delta) hits drawn
+    location-major, the hits of each location, then one code for each hit."""
     n = table.arity.size
-    hits = bernoulli_positions(rng, n * trials, delta)
-    counts = np.diff(np.searchsorted(hits, np.arange(n + 1) * trials))
-    hits -= np.repeat(np.arange(0, n * trials, trials), counts)  # the trials, in place: the largest array
-    at = np.repeat(table.arity * np.uint8(15), counts) + rng.integers(0, 15, size=hits.size, dtype=np.uint8)
-    return np.repeat(np.arange(n), counts), hits, _CODES.reshape(-1).take(at)
+    pos = bernoulli_positions(rng, n * trials, delta)
+    counts = np.diff(np.searchsorted(pos, np.arange(n + 1) * trials))
+    at = np.repeat(table.arity * np.uint8(15), counts) + rng.integers(0, 15, size=pos.size, dtype=np.uint8)
+    return pos, counts, _CODES.reshape(-1).take(at)
 
 
-def _inject_faults(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray, loc, trial, code):
-    """XOR one layer's faults, (location, trial, code) sorted by location with no pair
-    repeated, into the frames; `cols` (2, locations) maps locations to the batch
-    columns of their first and last wires."""
-    if lf.meas_labels:  # a measurement's fault flips its outcome; the rest are Paulis
-        lo, hi = np.searchsorted(loc, lf.meas_bounds)
-        pauli = np.ones(loc.size, bool)
-        for label, a, b in zip(lf.meas_labels, lo, hi):
-            batch.flips[label][trial[a:b]] ^= 1
-            pauli[a:b] = False
-        loc, trial, code = loc[pauli], trial[pauli], code[pauli]
+def _inject_faults(batch: FrameBatch, flips, table: FaultTable, li: int, cols: np.ndarray, f: _Faults):
+    """XOR layer li's faults into the frames and its measurements' faults into
+    `flips`, the layer's outcome block; `cols` (2, locations) maps locations to
+    the batch columns of their first and last wires."""
+    a, b = f.bounds[li], f.bounds[li + 1]
+    if a == b:
+        return
+    lf = table.layers[li]
+    rows, at, code = lf.rows, f.at[a:b], f.code[a:b]
     # Wire 0 of a gate takes code bits 0 (x) and 1 (z), wire 1 of a CNOT bits 2
     # and 3; a one-wire code has no bits 2 and 3, so it XORs zeros on its wire.
-    batch.xor_at(cols[0].take(loc), trial, code & 1, code >> 1 & 1)
+    second = None
     if lf.cnot.size:
-        batch.xor_at(cols[1].take(loc), trial, code >> 2 & 1, code >> 3)
+        second = at + np.repeat((cols[1, rows] - cols[0, rows]) * batch.trials, f.counts[rows])
+    if lf.meas_labels:  # a measurement's fault flips its outcome; the rest are Paulis
+        meas = np.repeat(table.flip_row[rows] >= 0, f.counts[rows])
+        flips.reshape(-1)[at[meas]] ^= 1
+        pauli = ~meas
+        at, code = at[pauli], code[pauli]
+        second = None if second is None else second[pauli]
+    batch.xor_at(at, code & 1, code >> 1 & 1)
+    if second is not None:
+        batch.xor_at(second, code >> 2 & 1, code >> 3)

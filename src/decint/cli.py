@@ -197,8 +197,10 @@ def _check_levels(family: css.CodeFamily, r: int, r_prime: int) -> None:
         raise UsageError(f"need 1 <= r_prime < r <= {family.depth}, got r={r}, r_prime={r_prime}")
 
 
-def _check_decodable(family: css.CodeFamily, levels) -> None:
-    """Every level a run decodes needs leader tables, which stop at MAX_TABLE_ROWS checks."""
+def _check_decodable(family: css.CodeFamily, levels, classified: tuple = ()) -> None:
+    """Every level a run decodes needs leader tables, which stop at MAX_TABLE_ROWS
+    checks; a level whose residuals it classifies also needs coset tables, indexed
+    by the checks and the m logicals of a sector, which stop at MAX_TABLE_ROWS rows."""
     for r in levels:
         code = family.level(r)
         checks = max(len(code.hx), len(code.hz))
@@ -206,6 +208,14 @@ def _check_decodable(family: css.CodeFamily, levels) -> None:
             raise UsageError(
                 f"level {r} has {checks} checks in one sector; leader tables "
                 f"decode at most {interface.MAX_TABLE_ROWS}"
+            )
+    for r in classified:
+        code = family.level(r)
+        rows = max(len(code.hx), len(code.hz)) + code.m
+        if rows > interface.MAX_TABLE_ROWS:
+            raise UsageError(
+                f"level {r} has {rows} checks and logicals in one sector; coset tables "
+                f"classify at most {interface.MAX_TABLE_ROWS}"
             )
 
 
@@ -286,7 +296,7 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
             raise UsageError(f"mu must lie in (0, 1), got {mu}")
         knobs = _knobs(config)
     _check_levels(family, r, r_prime)
-    _check_decodable(family, (r, r_prime))
+    _check_decodable(family, (r, r_prime), classified=(r_prime,))
     manifest = Manifest("interface-sweep", config, out)
     rows = []
     rates = []

@@ -9,10 +9,11 @@ sign flips. Elimination (`rank`, `rref`, `nullspace_basis`,
 `solve`, `inverse`) works on a copy with one pivot rule, so its results are
 unique and inputs are never changed; it holds columns as Python-int bitsets.
 Rows are packed into 64-bit words, where XOR and popcount are single numpy
-ops, only inside the two enumerations: `coset_min_weight`, the one coset search (the
-stabilizer-reduced weight of every trial of a batch, exact up to
-MAX_ENUM_ROWS generators), and `min_weight_outside`, the span walk behind
-`CssCode.min_distance`.
+ops, only inside the two enumerations: `min_weight_outside`, the span walk
+behind `CssCode.min_distance`, and `coset_min_weight`, the stabilizer-reduced
+weight of every trial of a batch (exact up to MAX_ENUM_ROWS generators). The
+library classifies residuals from `interface.CosetTable`; the coset search
+is the reference those tables are tested against.
 """
 
 from __future__ import annotations

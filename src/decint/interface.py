@@ -23,13 +23,15 @@ decoding and its herald rule, the logical Bell bits and the corrections
 are written once. Decoding runs as circuit-external callbacks between
 fragments. Blocks that a walk carries between passes are engine handles:
 `load` puts one on given wires of a fragment's wire set and `save` takes
-one off. Frame trials are then classified into the success/failure
-branches to estimate the failure parameter tau: residual weights through
-the one coset search `gf2.coset_min_weight`, logical errors through
-`decode_syndrome`, the one caller of `LeaderTable.lookup`. Check and
-logical matrices are read straight from the codes' read-only arrays; the
-leader tables and stabilizer bases are built once per code. `run_chunks` is
-the one chunked Monte Carlo loop, for `estimate_tau` here and for
+one off. `decode_syndrome` is the one caller of `LeaderTable.lookup`.
+Frame trials are then classified into the success/failure branches to
+estimate the failure parameter tau from one `CosetTable` per code and
+sector: indexed by the syndrome and logical bits of a residual, it holds
+the residual's stabilizer-reduced weight and whether its syndrome's leader
+leaves a logical error. Both tables come from `build_leader_table`, one
+weight-ordered enumeration, and are built once per code. Check and logical
+matrices are read straight from the codes' read-only arrays. `run_chunks`
+is the one chunked Monte Carlo loop, for `estimate_tau` here and for
 `e2e.run_e2e_frames`.
 """
 
@@ -49,7 +51,7 @@ from .circuit import Circuit, FrameBatch, FrameRunner, Gate, idle_circuit, with_
 from .noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_hits
 from .tableau import Tableau
 
-MAX_TABLE_ROWS = 14  # leader tables are dense in 2^{#checks}
+MAX_TABLE_ROWS = 14  # leader and coset tables are dense in 2^{#rows}
 
 
 # -- coset-leader syndrome decoding ------------------------------------------------
@@ -82,55 +84,116 @@ class LeaderTable(NamedTuple):
         return np.ascontiguousarray(self.errors.take(idx, axis=0).T).T, self.weights.take(idx)
 
 
+# Supports per block of the vectorised enumeration in `build_leader_table`.
+SUPPORT_BLOCK = 1 << 12
+
+
+def _supports(n: int, w: int):
+    """The weight-w supports on n qubits in `itertools.combinations` order, as
+    (count, w) index arrays of at most SUPPORT_BLOCK rows."""
+    combos = itertools.combinations(range(n), w)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, SUPPORT_BLOCK)), np.intp)
+        if not flat.size:
+            return
+        yield flat.reshape(-1, w)
+
+
 def build_leader_table(h: np.ndarray) -> LeaderTable:
+    """Leaders of every syndrome of h: the first error of least weight, in
+    `itertools.combinations` order, with that syndrome.
+
+    The supports of one weight are enumerated as arrays in blocks of at most
+    SUPPORT_BLOCK, each syndrome the XOR of the packed columns of h its
+    support picks: a few array ops per block, then one pass in Python over
+    the supports whose syndrome is still open. (`np.unique` would find the
+    first support of each syndrome as fast, but its sort adds about 0.3 MB
+    to a process's resident code.)
+    """
     rows, n = h.shape
     if rows > MAX_TABLE_ROWS:
         raise ValueError(f"leader table too large for {rows} checks")
     size = 1 << rows
-    hd = h.astype(np.int64)
-    pow2 = 1 << np.arange(rows, dtype=np.int64)
+    column_syndromes = gf2.mul_count(h.T, 1 << np.arange(rows))
     errors = np.zeros((size, n), dtype=np.uint8)
     weights = np.full(size, -1, dtype=np.int16)
-    reachable = 1 << gf2.rank(h)
-    filled = 0
-    for w in range(n + 1):
+    weights[0] = 0  # the empty support
+    reachable, filled = 1 << gf2.rank(h), 1
+    for w in range(1, n + 1):
         if filled == reachable:
             break
-        for support in itertools.combinations(range(n), w):
-            e = np.zeros(n, dtype=np.uint8)
-            e[list(support)] = 1
-            s = int((hd @ e % 2) @ pow2)
-            if weights[s] < 0:
-                errors[s] = e
-                weights[s] = w
-                filled += 1
-                if filled == reachable:
-                    break
+        for support in _supports(n, w):
+            syn = np.bitwise_xor.reduce(column_syndromes[support], axis=1)
+            todo = np.flatnonzero(weights[syn] < 0)
+            first: dict = {}  # syndrome -> its first support in the block, for syndromes still open
+            for s, i in zip(syn[todo].tolist(), todo.tolist()):
+                first.setdefault(s, i)
+            syn, pick = np.array(list(first.items()), np.intp).reshape(-1, 2).T
+            errors[syn[:, None], support[pick]] = 1
+            weights[syn] = w
+            filled += syn.size
+            if filled == reachable:
+                break
     errors.flags.writeable = weights.flags.writeable = False  # the table is cached and shared
     return LeaderTable(h=h, errors=errors, weights=weights)
 
 
-class _FrameTables(NamedTuple):
-    """Per-code decode machinery, built once per code: the leader tables and
-    the stabilizer bases of the coset search, all read-only. The check and
-    logical matrices are read from the code itself."""
+class CosetTable(NamedTuple):
+    """Every coset of the stabilizer group in one sector, indexed by [H; L]·e.
 
-    stab_x: np.ndarray  # basis of rowspace(H_X), the X-type stabilizers
-    stab_z: np.ndarray
+    For a CSS code, {e : He = s, Le = l} is exactly one coset of the
+    stabilizers of the other type, so the index, the syndrome bits
+    little-endian then the logical bits, names the coset of e. Entry i holds
+    the coset's least weight (-1 where no error has that index) and whether
+    the leader of its syndrome (see `LeaderTable`) leaves a logical error.
+    """
+
+    checks: np.ndarray  # (rows + m, n) [H; L]
+    weights: np.ndarray  # (2^(rows + m),) int16
+    logical: np.ndarray  # (2^(rows + m),) bool
+
+    def classify(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least coset weights and logical flags of (trials, n) errors, the
+        transposed views of `FrameBatch`."""
+        idx = gf2.mul_count(gf2.mul_bits(self.checks, e.T).T, 1 << np.arange(len(self.checks)))
+        return self.weights.take(idx), self.logical.take(idx)
+
+
+def build_coset_table(leaders: LeaderTable, l: np.ndarray) -> CosetTable:
+    """The coset table of the sector whose checks `leaders` decodes, with
+    logical representatives l (m, n): its weights are the leader weights of
+    the stacked checks [H; L], so it is exact whenever that table fits."""
+    rows = len(leaders.h)
+    checks = np.concatenate([leaders.h, l])
+    weights = build_leader_table(checks).weights
+    # The logical class of each syndrome's leader, against the class in the index.
+    leader_class = gf2.mul_count(gf2.mul_bits(leaders.errors, l.T), 1 << np.arange(len(l)))
+    idx = np.arange(len(weights))
+    logical = (idx >> rows) != leader_class[idx & ((1 << rows) - 1)]
+    checks.flags.writeable = logical.flags.writeable = False  # the table is cached and shared
+    return CosetTable(checks=checks, weights=weights, logical=logical)
+
+
+class _FrameTables(NamedTuple):
+    """Per-code leader tables, built once per code and read-only. The check
+    and logical matrices are read from the code itself."""
+
     table_x: LeaderTable  # leader for H_Z syndromes (X errors)
     table_z: LeaderTable  # leader for H_X syndromes (Z errors)
 
 
 @functools.lru_cache(maxsize=64)
 def _frame_tables(code: CssCode) -> _FrameTables:
-    stab_x, stab_z = code.x_stabilizer_basis(), code.z_stabilizer_basis()
-    stab_x.flags.writeable = stab_z.flags.writeable = False  # shared by every caller of the cache
-    return _FrameTables(
-        stab_x=stab_x,
-        stab_z=stab_z,
-        table_x=build_leader_table(code.hz),
-        table_z=build_leader_table(code.hx),
-    )
+    return _FrameTables(table_x=build_leader_table(code.hz), table_z=build_leader_table(code.hx))
+
+
+@functools.lru_cache(maxsize=64)
+def _coset_tables(code: CssCode) -> tuple[CosetTable, CosetTable]:
+    """The (X-error, Z-error) coset tables of a code whose residuals are
+    classified; only such a code needs them, so they are built apart from
+    the leader tables."""
+    tables = _frame_tables(code)
+    return build_coset_table(tables.table_x, code.lz), build_coset_table(tables.table_z, code.lx)
 
 
 def decode_syndrome(code: CssCode, syn_x: np.ndarray, syn_z: np.ndarray):
@@ -584,7 +647,7 @@ class FrameEngine:
             # Sparse hits go straight into the frames; each position is hit once.
             hits, x_bits, z_bits = sample_ls_hits(len(ab_wires), ls_delta, rng, self.trials)
             trial, k = np.divmod(hits, len(ab_wires))
-            self.batch.xor_at(self.batch.block(ab_wires).start + k, trial, x_bits, z_bits)
+            self.batch.xor_at((self.batch.block(ab_wires).start + k) * self.trials + trial, x_bits, z_bits)
         if knobs.resource_fail_prob > 0.0:
             fail = (rng.random(self.trials) < knobs.resource_fail_prob).astype(np.uint8)
             if fail.any():
@@ -707,15 +770,15 @@ def classify_gamma_output(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (overflow, logical, histogram) classification of residuals.
 
-    A block overflows when its stabilizer-reduced residual weight
-    (`gf2.coset_min_weight`) exceeds mu * n_{r'}. That search is exact here:
-    the code's leader tables cap its check count, hence its generator count,
-    at MAX_TABLE_ROWS = 14 < gf2.MAX_ENUM_ROWS. A block is a logical error
-    when its residual, corrected by the `decode_syndrome` leaders of its own
-    syndrome, flips a logical.
+    Each output block's X and Z residuals are looked up in the coset tables
+    of its code (`CosetTable`), built once per code. A block overflows when
+    its stabilizer-reduced residual weight, the larger of the two coset
+    weights, exceeds mu * n_{r'}. It is a logical error when its residual,
+    corrected by the leader of its own syndrome (as `decode_syndrome`
+    decodes it), flips a logical.
     """
     code = plan.code_rp
-    t = _frame_tables(code)
+    coset_x, coset_z = _coset_tables(code)
     trials = run.out_x.shape[0]
     n_p = code.n
     overflow = np.zeros(trials, dtype=bool)
@@ -723,14 +786,12 @@ def classify_gamma_output(
     hist = np.zeros((plan.blocks, n_p + 1), dtype=np.int64)
     for i in range(plan.blocks):
         sl = slice(i * n_p, (i + 1) * n_p)
-        ex = run.out_x[:, sl]
-        ez = run.out_z[:, sl]
-        rw = np.maximum(gf2.coset_min_weight(t.stab_x, ex).weight, gf2.coset_min_weight(t.stab_z, ez).weight)
+        wx, logical_x = coset_x.classify(run.out_x[:, sl])
+        wz, logical_z = coset_z.classify(run.out_z[:, sl])
+        rw = np.maximum(wx, wz)
         overflow |= rw > mu * n_p
-        ehat_x, ehat_z, _, _ = decode_syndrome(code, gf2.mul_bits(code.hx, ez.T), gf2.mul_bits(code.hz, ex.T))
-        logical |= gf2.mul_bits(code.lz, ex.T ^ ehat_x).any(axis=0)
-        logical |= gf2.mul_bits(code.lx, ez.T ^ ehat_z).any(axis=0)
-        np.add.at(hist[i], rw, 1)
+        logical |= logical_x | logical_z
+        hist[i] = np.bincount(rw, minlength=n_p + 1)
     return overflow, logical, hist
 
 

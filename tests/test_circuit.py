@@ -717,8 +717,8 @@ class TestForcedFaults:
         assert [table.arity[lf.rows].tolist() for lf in table.layers] == [[1, 1, 2, 1], [1, 2, 0], [1, 0, 2, 1]]
         assert table.cols.shape == (11, 2)
         assert table.cols[2].tolist() == [2, 3] and table.layers[2].meas_labels == ("n",)
-        groups = [[lf.h.tolist(), lf.cnot.tolist(), lf.init0.tolist(), lf.meas_bounds.tolist()] for lf in table.layers]
-        assert groups == [[[1], [2], [3], [[], []]], [[], [5], [4], [[6], [7]]], [[], [9], [10], [[8], [9]]]]
+        groups = [[lf.h.tolist(), lf.cnot.tolist(), lf.init0.tolist(), lf.meas.tolist()] for lf in table.layers]
+        assert groups == [[[1], [2], [3], []], [[], [5], [4], [6]], [[], [9], [10], [8]]]
 
     def test_idle_only_flag(self):
         c = Circuit(["a", "b"])
@@ -729,3 +729,54 @@ class TestForcedFaults:
         assert not c.idle_only
         c.add_layer([Gate("idle", ("a",))])
         assert not c.idle_only
+
+
+def _between_circuit() -> Circuit:
+    """A measurement between other gates of one layer, CNOTs on both sides of it
+    and a CNOT whose wire 1 is measured in the next layer."""
+    c = Circuit(["a", "b", "c", "d", "e", "f"])
+    c.add_layer([Gate("h", ("a",)), Gate("idle", ("b",)), Gate("cnot", ("c", "d")), Gate("init0", ("e",))])
+    c.add_layer([Gate("cnot", ("a", "b")), Gate("measure", ("c",), out="mc"), Gate("h", ("d",)),
+                 Gate("cnot", ("e", "f"))])
+    c.add_layer([Gate("measure", ("a",), out="ma"), Gate("idle", ("b",)), Gate("measure", ("d",), out="md"),
+                 Gate("cnot", ("f", "e"))])
+    return c
+
+
+class TestFaultOffsets:
+    """Faults land at flat frame offsets, shifted once per run and sliced per layer."""
+
+    @pytest.mark.parametrize("spectators", [False, True])
+    @pytest.mark.parametrize("trials", [0, 1, 257])
+    @pytest.mark.parametrize("delta", [0.1, 0.4, 1.0])  # 0.4 and 1.0 draw gaps with numpy's geometric
+    def test_measurement_between_gates_matches_reference(self, delta, trials, spectators):
+        c = _between_circuit()
+        params = NoiseParams(delta=delta, seed=13)
+        got = FrameRunner(params, chunk=2).run(c, TestCompiledFaultTable.batch(c, trials, spectators), tag=4)
+        want = _reference_run(c, TestCompiledFaultTable.batch(c, trials, spectators), params, tag=4, chunk=2)
+        assert _same_frames(got, want) and got.x.shape[0] == trials
+
+    @pytest.mark.parametrize("spectators", [False, True])
+    def test_cnot_wire_one_and_measurement_faults(self, spectators):
+        # Rows 4-7 are layer 1: cnot(a, b), measure c, h d, cnot(e, f). Trial 0:
+        # code 4 is X on f, which cnot(f, e) copies onto e. Trial 1: code 8 is Z
+        # on b. Trial 2: code 12 is Y on f. Trial 3: an outcome flip of mc.
+        c = _between_circuit()
+        b = _forced_run(c, 4, spectators, ([7, 4, 7, 5], [0, 1, 2, 3], [4, 8, 12, 1]), delta=0.0)
+        x, z = (np.stack([frame[:, b.index[w]] for w in c.wires]) for frame in (b.x, b.z))
+        assert x[:, 0].tolist() == [0, 0, 0, 0, 1, 1] and not z[:, 0].any()
+        assert z[:, 1].tolist() == [0, 1, 0, 0, 0, 0] and not x[:, 1].any()
+        assert x[:, 2].tolist() == [0, 0, 0, 0, 1, 1] and z[:, 2].tolist() == [0, 0, 0, 0, 0, 1]
+        assert not x[:, 3].any() and not z[:, 3].any()
+        assert b.flips["mc"].tolist() == [0, 0, 0, 1] and not b.flips["ma"].any() and not b.flips["md"].any()
+
+    def test_forced_plus_sampled_is_the_xor_of_both(self):
+        c = _between_circuit()
+        forced = TestForcedFaults.random_faults(c, 100, 250, seed=9)
+        both = _forced_run(c, 100, True, forced)
+        sampled = _forced_run(c, 100, True)
+        alone = _forced_run(c, 100, True, forced, delta=0.0)
+        assert alone.flips["mc"].any() and alone.x.any() and alone.z.any()
+        assert np.array_equal(both.x, sampled.x ^ alone.x) and np.array_equal(both.z, sampled.z ^ alone.z)
+        for label in ("mc", "ma", "md"):
+            assert np.array_equal(both.flips[label], sampled.flips[label] ^ alone.flips[label])

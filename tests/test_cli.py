@@ -7,9 +7,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from decint import cli, css, e2e, scheduler
+from decint import cli, css, e2e, interface, scheduler
 from decint.interface import wilson_interval
 from decint.noise import NoiseParams
 
@@ -535,6 +536,25 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "level 3 has 21 checks" in err and "Traceback" not in err
             assert not any((tmp_path / command).iterdir())  # refused before any work
+
+    def test_classified_level_over_the_coset_table_limit_is_a_usage_error(self, tmp_path, capsys):
+        # HGP(rep3, rep7) = [[22,12]] has 7 X checks and 3 Z checks, within the
+        # leader tables, but 7 + 12 checks and logicals in its Z sector.
+        rep3, rep7 = np.ones((1, 3), np.uint8), np.ones((1, 7), np.uint8)
+        wide = css.build_hgp(rep3, rep7)
+        assert (len(wide.hx), len(wide.hz), wide.m) == (7, 3, 12)
+        levels = (css.trivial_code(), css.c422(), wide, wide)
+        css.save_family(css.CodeFamily(levels=levels, alpha=0.1, beta=0.1), tmp_path / "fam")
+        cfg = write_config(tmp_path, "c.json", {"family": str(tmp_path / "fam"), "r": 4, "r_prime": 3, "trials": 10})
+        assert run("interface-sweep", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "level 3 has 19 checks and logicals" in err and "Traceback" not in err
+        assert not any((tmp_path / "out").iterdir())  # refused before any work
+
+    def test_builtin_levels_fit_the_coset_tables(self):
+        for family in (css.toy_family(), css.steane_family()):
+            for code in family.levels:
+                assert max(len(code.hx), len(code.hz)) + code.m <= interface.MAX_TABLE_ROWS
 
     def test_config_that_is_not_json_is_a_usage_error(self, tmp_path):
         path = tmp_path / "c.json"

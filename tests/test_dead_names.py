@@ -30,7 +30,10 @@ ALLOWED = {
     "blocktree.f_of_v": "paper definition shown by demo 05",
     "blocktree.partitions_leaf_set": "paper definition shown by demo 05",
     "circuit.Circuit.n_locations": "read by the benchmark tracer's circuit.location_trials counter (perfbench/)",
+    "css.CssCode.x_stabilizer_basis": "test oracle: the stabilizers of the coset-search references, shown by demo 01",
+    "css.CssCode.z_stabilizer_basis": "test oracle: the stabilizers of the coset-search references, shown by demo 01",
     "css.build_family_rate_adjusted": "planned caller under ROADMAP item 2 (the Hamming family)",
+    "gf2.coset_min_weight": "test oracle: the coset search the coset tables of classify_gamma_output are checked against, shown by demo 01",
     "gf2.row_space_contains": "test oracle: membership checks on logical operators",
     "interface.expected_output_tableau": "test oracle: the exact reference output of a Gamma pass",
     "noise.tail_bound": "paper definition shown by demo 02",

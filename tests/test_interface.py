@@ -79,6 +79,88 @@ class TestLeaderTable:
         assert w[0] == 0 and not got[0].any()
 
 
+    @staticmethod
+    def loop_reference(h):
+        """Leaders by the plain loop over `itertools.combinations`, weight by weight."""
+        errors = np.zeros((1 << len(h), h.shape[1]), np.uint8)
+        weights = np.full(1 << len(h), -1, np.int16)
+        for w in range(h.shape[1] + 1):
+            for support in itertools.combinations(range(h.shape[1]), w):
+                e = np.zeros(h.shape[1], np.uint8)
+                e[list(support)] = 1
+                s = int(((h.astype(np.int64) @ e % 2) << np.arange(len(h))).sum())
+                if weights[s] < 0:
+                    errors[s], weights[s] = e, w
+        return errors, weights
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_loop_reference(self, seed, fam):
+        # Random checks with dependent rows and unreachable syndromes, then
+        # the toy checks stacked on their logicals, whose weight-8 supports
+        # span several enumeration blocks.
+        rng = np.random.default_rng(seed)
+        h = rng.integers(0, 2, (int(rng.integers(1, 9)), int(rng.integers(1, 12))), dtype=np.uint8)
+        h[-1] = h[0]
+        code = fam.level(4)
+        for m in (h, np.concatenate([code.hx, code.lx])) if seed == 0 else (h,):
+            t = interface.build_leader_table(m)
+            errors, weights = self.loop_reference(m)
+            assert np.array_equal(t.errors, errors) and np.array_equal(t.weights, weights)
+            assert t.errors.dtype == np.uint8 and t.weights.dtype == np.int16
+
+
+# The [[15,7,3]] Hamming code's checks: column j is j + 1 in binary, least
+# significant bit in row 0.
+HAMMING_15 = np.array(
+    [[int(b) for b in row] for row in ("101010101010101", "011001100110011", "000111100001111", "000000011111111")],
+    np.uint8,
+)
+
+
+def table_codes():
+    toy = css.toy_family()
+    return {**{f"toy:{r}": toy.level(r) for r in range(1, 5)}, "steane": css.steane_code(),
+            "hamming15": css.CssCode.from_checks(HAMMING_15, HAMMING_15)}
+
+
+class TestCosetTable:
+    @pytest.mark.parametrize("key", list(table_codes()))
+    def test_every_entry_matches_brute_force(self, key):
+        # Entry [H; L]e: the least weight over e + span(stabilizers) for some e
+        # with that index, and whether the leader of its syndrome leaves a logical.
+        code = table_codes()[key]
+        assert key != "hamming15" or (code.n, code.m, code.min_distance()[0]) == (15, 7, 3)
+        leaders = interface._frame_tables(code)
+        cosets = interface._coset_tables(code)
+        for table, leader, h, l, stabs in (
+            (cosets[0], leaders.table_x, code.hz, code.lz, code.x_stabilizer_basis()),
+            (cosets[1], leaders.table_z, code.hx, code.lx, code.z_stabilizer_basis()),
+        ):
+            assert np.array_equal(table.checks, np.concatenate([h, l]))
+            combos = ((np.arange(1 << len(stabs))[:, None] >> np.arange(len(stabs))) & 1).astype(np.uint8)
+            span = combos @ stabs % 2
+            for i in range(len(table.weights)):
+                bits = (i >> np.arange(len(table.checks)) & 1).astype(np.uint8)
+                e = gf2.solve(table.checks, bits)
+                if e is None:
+                    assert table.weights[i] == -1
+                    continue
+                assert table.weights[i] == (e ^ span).sum(axis=1).min()
+                syndrome = int(bits[: len(h)] @ (1 << np.arange(len(h))))
+                assert table.logical[i] == (l @ (e ^ leader.errors[syndrome]) % 2).any()
+
+    def test_classify_reads_frame_layout(self, fam):
+        code = fam.level(3)
+        table = interface._coset_tables(code)[0]
+        rng = np.random.default_rng(2)
+        e = (rng.random((code.n, 500)) < 0.3).astype(np.uint8)
+        weights, logical = table.classify(e.T)
+        want = gf2.coset_min_weight(code.x_stabilizer_basis(), e.T)
+        assert want.exact and np.array_equal(weights, want.weight)
+        ehat, _, _, _ = interface.decode_syndrome(code, np.zeros((len(code.hx), 500), np.uint8), code.hz @ e % 2)
+        assert np.array_equal(logical, (code.lz @ (e ^ ehat) % 2).any(axis=0))
+
+
 def col(bits) -> np.ndarray:
     """One trial as a (rows, 1) column."""
     return np.asarray(bits, np.uint8).reshape(-1, 1)
@@ -682,11 +764,13 @@ class TestFrameClassification:
 
     def test_frame_tables_cached_and_read_only(self, fam):
         code = fam.level(3)
-        tables = interface._frame_tables(code)
-        assert interface._frame_tables(code) is tables
-        assert np.array_equal(tables.stab_x, code.x_stabilizer_basis())
-        assert np.array_equal(tables.stab_z, code.z_stabilizer_basis())
-        for arr in (tables.stab_x, tables.stab_z, code.hx, code.hz, code.lx, code.lz):
+        tables, cosets = interface._frame_tables(code), interface._coset_tables(code)
+        assert interface._frame_tables(code) is tables and interface._coset_tables(code) is cosets
+        leaders = [t.errors for t in tables] + [t.weights for t in tables]
+        for arr in leaders + [t.weights for t in cosets] + [t.logical for t in cosets]:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] ^= 1
+        for arr in (code.hx, code.hz, code.lx, code.lz):
             with pytest.raises(ValueError):
                 arr[0, 0] ^= 1
 
@@ -729,6 +813,42 @@ class TestFrameClassification:
         assert got[0].any() and got[1].any() and (got[2][:, 1:] > 0).any()
         for a, b in zip(got, self.brute_classification(plan, run, 0.25)):
             assert np.array_equal(a, b)
+
+    @staticmethod
+    def search_classification(plan, run, mu):
+        """Reference: the coset search `gf2.coset_min_weight` for the weights and
+        `decode_syndrome` for the leaders, block by block."""
+        code, n = plan.code_rp, plan.code_rp.n
+        overflow = np.zeros(len(run.herald), bool)
+        logical = np.zeros(len(run.herald), bool)
+        hist = np.zeros((plan.blocks, n + 1), np.int64)
+        for i in range(plan.blocks):
+            ex, ez = run.out_x[:, i * n : (i + 1) * n], run.out_z[:, i * n : (i + 1) * n]
+            wx, wz = (gf2.coset_min_weight(b, e) for b, e in ((code.x_stabilizer_basis(), ex), (code.z_stabilizer_basis(), ez)))
+            assert wx.exact and wz.exact
+            rw = np.maximum(wx.weight, wz.weight)
+            overflow |= rw > mu * n
+            ehat_x, ehat_z, _, _ = interface.decode_syndrome(code, code.hx @ ez.T % 2, code.hz @ ex.T % 2)
+            logical |= (code.lz @ (ex.T ^ ehat_x) % 2).any(axis=0) | (code.lx @ (ez.T ^ ehat_z) % 2).any(axis=0)
+            hist[i] = np.bincount(rw, minlength=n + 1)
+        return overflow, logical, hist
+
+    @pytest.mark.parametrize("delta", [0.003, 0.01, 0.03])
+    def test_classification_matches_search_and_decode(self, fam, delta):
+        # Frames of a noisy toy 4 -> 3 pass, and random residuals on two
+        # Hamming [[15,7,3]] blocks, whose leaders can flip a logical.
+        plan = interface.build_gamma(fam, 4, 3)
+        hamming = plan._replace(code_rp=css.CssCode.from_checks(HAMMING_15, HAMMING_15))
+        rng = np.random.default_rng(int(delta * 1000))
+        random = interface.GammaFrameRun(
+            *((rng.random((30, 2000)) < 10 * delta).astype(np.uint8).T for _ in range(2)), np.zeros(2000, bool)
+        )
+        for p, run in ((plan, interface.gamma_frames(plan, NoiseParams(delta=delta, seed=3), 2000)), (hamming, random)):
+            got = interface.classify_gamma_output(p, run, 0.25)
+            want = self.search_classification(p, run, 0.25)
+            assert want[1].any() and (want[2][:, 1:] > 0).any()
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_classification_decodes_before_reading_logicals(self, fam, sfam):
         # No leader of a toy code flips one of its logicals, so a toy batch
