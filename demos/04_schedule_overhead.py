@@ -9,14 +9,14 @@ from decint.interface import build_gamma
 fam = css.toy_family()
 consts = scheduler.measured_constants(fam)
 print("constants measured from the real circuits:")
-print("  theta =", consts.theta, " theta1 =", consts.theta1, " p1 table =", consts.p1_table)
+print("  theta1 =", consts.theta1, " p1 table =", consts.p1_table)
 
 # --- one schedule in detail ---------------------------------------------------
 sched = scheduler.build_schedule(fam, 4, 1, h=8, constants=consts)
 print(f"\nschedule r=4 -> r'=1, h=8: {sched.output_blocks} output blocks")
 for stage in sched.stages:
-    print(f"  level {stage.level}: {stage.h_level} blocks, "
-          f"{stage.h_step} per macro-layer, {stage.n_layers} macro-layers")
+    print(f"  level {stage.level}: {stage.h_level} blocks, {stage.h_step} per macro-layer, "
+          f"{stage.n_layers} macro-layers, {stage.children} blocks out of each pass")
 
 rep = scheduler.qubit_census(sched)
 print(f"max qubits in flight: {rep.max_total}  "
@@ -24,8 +24,6 @@ print(f"max qubits in flight: {rep.max_total}  "
 
 # --- every block gets the interface exactly once --------------------------------
 print("\nschedule audit:", scheduler.audit_schedule(sched) or "clean")
-print("per-block plans reassemble the schedule:",
-      scheduler.roundtrip_from_block_plans(sched))
 
 plan0 = scheduler.effective_interface(sched, 0)
 plan7 = scheduler.effective_interface(sched, 7)

@@ -14,6 +14,7 @@ error marginals and pairwise inclusion frequencies.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -219,12 +220,19 @@ def run_e2e_frames(
 
 def _pair_sample(n: int, max_pairs: int) -> np.ndarray:
     """Output pairs (a, b), a < b, as (pairs, 2) rows: all of them, or at most
-    `max_pairs` taken at an even stride."""
-    pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)], dtype=np.intp).reshape(-1, 2)
-    if len(pairs) <= max_pairs:
-        return pairs
-    step = max(1, len(pairs) // max_pairs)
-    return pairs[::step][:max_pairs]
+    `max_pairs` taken at an even stride through their lexicographic order.
+
+    Pair p of that order is found arithmetically, without listing the
+    n(n-1)/2 pairs: rows a = n-2, n-3, ... hold 1, 2, ... pairs, so counted
+    from the last pair, q = total - 1 - p lies in row a = n - 2 - k with
+    k(k+1)/2 <= q < (k+1)(k+2)/2."""
+    total = n * (n - 1) // 2
+    step = max(1, total // max_pairs)
+    rows = []
+    for p in range(0, min(total, max_pairs * step), step):
+        a = n - 2 - (math.isqrt(8 * (total - 1 - p) + 1) - 1) // 2
+        rows.append((a, p - a * (2 * n - a - 1) // 2 + a + 1))
+    return np.array(rows, dtype=np.intp).reshape(-1, 2)
 
 
 def fit_ls_constants(

@@ -4,7 +4,10 @@ A schedule lowers h blocks from level r to level r' one level per stage;
 within a stage, macro-layer l applies the partial interface to the block
 window ((l-1)*h_step, l*h_step], error-corrects the already-lowered blocks'
 children at the lower level, and error-corrects the not-yet-processed
-blocks at the current level. All accounting is exact integer arithmetic.
+blocks at the current level. Every block count comes from the Gamma plans
+the chain runs: one pass of stage r'' yields the `blocks` of
+Gamma_{r'',r''-1}, m_{r''} / m_{r''-1} of them. All accounting is exact
+integer arithmetic.
 
 `InterfaceSchedule` is the one chain plan: it carries the Gamma knobs and
 the EC rounds per waiting macro-layer that `e2e` walks it with, beside the
@@ -25,13 +28,12 @@ class ScheduleConstants(NamedTuple):
     """Footprint constants: per-block qubit counts used by the census.
 
     Defaults are measured from the interface module's actual circuits:
-    p1(m) is a per-level table with gamma_qubits(level) <= theta * p1(m) * m,
+    p1(m) is a per-level table with gamma_qubits(level) <= p1(m) * m,
     and theta1 bounds the footprint per logical qubit of the EC round a
     waiting block runs, len(interface.wait_gadget(code).wires) / m, over
     every level of the family.
     """
 
-    theta: int
     theta1: int
     p1_table: dict[int, int]  # level -> p1(m_level)
 
@@ -40,8 +42,11 @@ class ScheduleConstants(NamedTuple):
 
 
 def measured_constants(family: CodeFamily, knobs: Optional[iface.GammaKnobs] = None) -> ScheduleConstants:
-    """Derive theta, theta1 and the p1 table from the circuits a chain runs
-    under `knobs`: the wait gadget of every level and Gamma_{r,r-1}."""
+    """Derive theta1 and the p1 table from the circuits a chain runs
+    under `knobs`: the wait gadget of every level and Gamma_{r,r-1}.
+    None means `GammaKnobs()`, normalised as in `build_schedule`, so that
+    both read the same cached plans."""
+    knobs = knobs or iface.GammaKnobs()
     theta1 = max(
         math.ceil(len(iface.wait_gadget(code).wires) / code.m)
         for code in map(family.level, range(1, family.depth + 1))
@@ -50,17 +55,17 @@ def measured_constants(family: CodeFamily, knobs: Optional[iface.GammaKnobs] = N
         r: math.ceil(iface.build_gamma(family, r, r - 1, knobs).qubit_count / family.level(r).m)
         for r in range(2, family.depth + 1)
     }
-    return ScheduleConstants(theta=1, theta1=theta1, p1_table=p1_table)
+    return ScheduleConstants(theta1=theta1, p1_table=p1_table)
 
 
 class MacroLayer(NamedTuple):
-    """One macro-layer of a stage: which blocks do what."""
+    """One macro-layer of a stage: the window of blocks receiving the
+    interface. Blocks before it are lowered and blocks after it wait, both
+    under EC."""
 
     level: int
     index: int              # l, 1-based within the stage
     gamma_blocks: tuple[int, int]   # half-open window of block indices (0-based)
-    ec_child_blocks: int    # lowered children at level-1 receiving EC
-    ec_level_blocks: int    # waiting blocks at the current level receiving EC
 
     @property
     def gamma_count(self) -> int:
@@ -71,6 +76,7 @@ class Stage(NamedTuple):
     level: int              # r'': the level being lowered to level-1
     h_level: int            # number of blocks entering this stage
     h_step: int             # blocks receiving the interface per macro-layer
+    children: int           # blocks one interface pass yields at level-1
     layers: tuple[MacroLayer, ...]
 
     @property
@@ -93,7 +99,8 @@ class InterfaceSchedule(NamedTuple):
 
     @property
     def output_blocks(self) -> int:
-        return self.h * 2 ** (self.r - self.r_prime)
+        last = self.stages[-1]
+        return last.h_level * last.children
 
     def to_json(self) -> str:
         obj = {
@@ -101,7 +108,6 @@ class InterfaceSchedule(NamedTuple):
             "r_prime": self.r_prime,
             "h": self.h,
             "constants": {
-                "theta": self.constants.theta,
                 "theta1": self.constants.theta1,
                 "p1_table": {str(k): v for k, v in self.constants.p1_table.items()},
             },
@@ -110,15 +116,8 @@ class InterfaceSchedule(NamedTuple):
                     "level": s.level,
                     "h_level": s.h_level,
                     "h_step": s.h_step,
-                    "layers": [
-                        {
-                            "l": ml.index,
-                            "gamma": list(ml.gamma_blocks),
-                            "ec_child_blocks": ml.ec_child_blocks,
-                            "ec_level_blocks": ml.ec_level_blocks,
-                        }
-                        for ml in s.layers
-                    ],
+                    "children": s.children,
+                    "layers": [{"l": ml.index, "gamma": list(ml.gamma_blocks)} for ml in s.layers],
                 }
                 for s in self.stages
             ],
@@ -137,10 +136,12 @@ def build_schedule(
 ) -> InterfaceSchedule:
     """Plan the staged interface lowering h level-r blocks to level r'.
 
-    Stage r'' processes h^{(r'')} = 2^{r-r''} h blocks in windows of
-    h_step = ceil(h^{(r'')} / (theta * p1(m_{r''}))) per macro-layer; every
-    block receives the partial interface exactly once per stage. The
-    constants default to `measured_constants(family, knobs)`.
+    Stage r'' processes h^{(r'')} blocks in windows of
+    h_step = ceil(h^{(r'')} / p1(m_{r''})) per macro-layer; every block
+    receives the partial interface exactly once per stage. The first stage
+    takes the h input blocks, and each later one the previous stage's blocks
+    times its `children`, the blocks of the Gamma_{r'',r''-1} built with
+    `knobs`. The constants default to `measured_constants(family, knobs)`.
     """
     if h < 1:
         raise ValueError("h must be positive")
@@ -151,24 +152,16 @@ def build_schedule(
     knobs = knobs or iface.GammaKnobs()
     constants = constants or measured_constants(family, knobs)
     stages = []
+    h_level = h
     for level in range(r, r_prime, -1):
-        h_level = h * 2 ** (r - level)
-        h_step = math.ceil(h_level / (constants.theta * constants.p1(level)))
-        n_layers = math.ceil(h_level / h_step)
-        layers = []
-        for l in range(1, n_layers + 1):
-            lo = (l - 1) * h_step
-            hi = min(l * h_step, h_level)
-            layers.append(
-                MacroLayer(
-                    level=level,
-                    index=l,
-                    gamma_blocks=(lo, hi),
-                    ec_child_blocks=2 * lo,
-                    ec_level_blocks=h_level - hi,
-                )
-            )
-        stages.append(Stage(level=level, h_level=h_level, h_step=h_step, layers=tuple(layers)))
+        children = iface.build_gamma(family, level, level - 1, knobs).blocks
+        h_step = math.ceil(h_level / constants.p1(level))
+        layers = tuple(
+            MacroLayer(level=level, index=l, gamma_blocks=((l - 1) * h_step, min(l * h_step, h_level)))
+            for l in range(1, math.ceil(h_level / h_step) + 1)
+        )
+        stages.append(Stage(level=level, h_level=h_level, h_step=h_step, children=children, layers=layers))
+        h_level *= children
     return InterfaceSchedule(
         family=family, r=r, r_prime=r_prime, h=h, knobs=knobs, wait_rounds=wait_rounds,
         constants=constants, stages=tuple(stages),
@@ -199,10 +192,10 @@ class OverheadReport(NamedTuple):
 def qubit_census(schedule: InterfaceSchedule) -> OverheadReport:
     """Exact per-macro-layer qubit counts and the two overhead inequalities.
 
-    eta1 sums theta1 * m per EC'd block (children at level-1, waiters at the
-    level); eta2 sums theta * p1(m) * m per interface-active block. Verified
-    exactly: eta1 <= theta1 * h * m_r and
-    eta2 <= theta * m_r * h + theta * p1(m_r) * m_r.
+    eta1 sums theta1 * m per EC'd block: the `children` of every already
+    lowered block at level-1, and every waiting block at the level. eta2 sums
+    p1(m) * m per interface-active block. Verified exactly:
+    eta1 <= theta1 * h * m_r and eta2 <= m_r * h + p1(m_r) * m_r.
     """
     fam = schedule.family
     consts = schedule.constants
@@ -212,17 +205,15 @@ def qubit_census(schedule: InterfaceSchedule) -> OverheadReport:
     eta1_ok = True
     eta2_ok = True
     bound1 = consts.theta1 * h * m_r
-    bound2 = (
-        consts.theta * m_r * h
-        + consts.theta * consts.p1(schedule.r) * m_r
-    )
+    bound2 = m_r * h + consts.p1(schedule.r) * m_r
     for stage in schedule.stages:
         m_lvl = fam.level(stage.level).m
         m_child = fam.level(stage.level - 1).m
         p1 = consts.p1(stage.level)
         for ml in stage.layers:
-            eta1 = consts.theta1 * (ml.ec_child_blocks * m_child + ml.ec_level_blocks * m_lvl)
-            eta2 = consts.theta * p1 * m_lvl * ml.gamma_count
+            lo, hi = ml.gamma_blocks
+            eta1 = consts.theta1 * (stage.children * lo * m_child + (stage.h_level - hi) * m_lvl)
+            eta2 = p1 * m_lvl * ml.gamma_count
             eta1_ok &= eta1 <= bound1
             eta2_ok &= eta2 <= bound2
             per_layer.append(LayerCensus(level=stage.level, layer=ml.index, eta1=eta1, eta2=eta2))
@@ -257,19 +248,19 @@ def effective_interface(schedule: InterfaceSchedule, i: int) -> tuple[tuple[Bloc
     """Per-block view: the sequence of waits and interface applications,
     one tuple of descendant plans per stage.
 
-    Input block i (0-based) has 2^y descendants entering the stage at level
-    r - y; descendant k (0-based within the block) sits at global index
-    i * 2^y + k, lands in macro-layer l = floor(index / h_step) + 1, waits
-    l - 1 macro-layers before and n_layers - l after.
+    Input block i (0-based) has D descendants entering a stage, D the
+    product of the earlier stages' `children`; descendant k (0-based within
+    the block) sits at global index i * D + k, lands in macro-layer
+    l = floor(index / h_step) + 1, waits l - 1 macro-layers before and
+    n_layers - l after.
     """
     if not 0 <= i < schedule.h:
         raise ValueError("block index out of range")
     stages = []
-    for y, stage in enumerate(schedule.stages):
-        children = 2**y
+    descendants = 1
+    for stage in schedule.stages:
         plans = []
-        for k in range(children):
-            idx = i * children + k
+        for idx in range(i * descendants, (i + 1) * descendants):
             l = idx // stage.h_step + 1
             plans.append(
                 BlockStagePlan(
@@ -281,45 +272,30 @@ def effective_interface(schedule: InterfaceSchedule, i: int) -> tuple[tuple[Bloc
                 )
             )
         stages.append(tuple(plans))
+        descendants *= stage.children
     return tuple(stages)
 
 
 def audit_schedule(schedule: InterfaceSchedule) -> list[str]:
-    """Exhaustive well-formedness audit; returns a list of violations.
+    """Well-formedness audit; returns a list of violations.
 
-    Per stage: every block receives the interface exactly once, and the
-    three block sets partition the live blocks at every macro-layer.
+    Per stage: the interface windows partition the stage's blocks
+    [0, h_level) in order, so every block receives the interface exactly
+    once, and h_level is the previous stage's h_level times its `children`
+    (h for the first stage). The work is one step per macro-layer, whatever h.
     """
     problems = []
+    h_level = schedule.h
     for stage in schedule.stages:
-        covered = []
+        if stage.h_level != h_level:
+            problems.append(f"level {stage.level}: {stage.h_level} blocks, expected {h_level}")
+        end = 0
         for ml in stage.layers:
             lo, hi = ml.gamma_blocks
-            covered.extend(range(lo, hi))
-            if ml.ec_child_blocks != 2 * lo:
-                problems.append(f"level {stage.level} layer {ml.index}: child EC count")
-            if ml.ec_level_blocks != stage.h_level - hi:
-                problems.append(f"level {stage.level} layer {ml.index}: level EC count")
-            if lo + ml.gamma_count + ml.ec_level_blocks != stage.h_level:
-                problems.append(f"level {stage.level} layer {ml.index}: not a partition")
-        if sorted(covered) != list(range(stage.h_level)):
-            problems.append(f"level {stage.level}: blocks not covered exactly once")
-    out = schedule.stages[-1]
-    if 2 * out.h_level != schedule.output_blocks:
-        problems.append("output block count mismatch")
+            if lo != end or hi <= lo:
+                problems.append(f"level {stage.level} layer {ml.index}: window {ml.gamma_blocks} after block {end}")
+            end = hi
+        if end != stage.h_level:
+            problems.append(f"level {stage.level}: windows end at block {end} of {stage.h_level}")
+        h_level = stage.h_level * stage.children
     return problems
-
-
-def roundtrip_from_block_plans(schedule: InterfaceSchedule) -> bool:
-    """Tensoring the per-block plans reproduces the schedule exactly."""
-    for y, stage in enumerate(schedule.stages):
-        assignment = {}
-        for i in range(schedule.h):
-            for sp in effective_interface(schedule, i)[y]:
-                assignment[sp.block_index] = sp.gamma_layer
-        for ml in stage.layers:
-            lo, hi = ml.gamma_blocks
-            for idx in range(lo, hi):
-                if assignment.get(idx) != ml.index:
-                    return False
-    return True

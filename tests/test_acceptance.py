@@ -175,7 +175,7 @@ class TestCriterion7OverheadAccounting:
             # Ratio non-increasing on the doubling grid, with the constant
             # overhead limit once h >= p1(m_r).
             prev = math.inf
-            theta_limit = 2 * consts.theta + consts.theta1
+            theta_limit = 2 + consts.theta1
             for h in [2**k for k in range(11)]:
                 rep = scheduler.qubit_census(
                     scheduler.build_schedule(fam, r, 1, h, constants=consts)

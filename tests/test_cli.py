@@ -164,6 +164,13 @@ class TestScheduleAudit:
         assert margins[0].endswith("bounds_ok")
         assert all(row.split(",")[-1] == "1" for row in margins[1:])
 
+    def test_steane_bounds_hold(self, tmp_path):
+        # Steane's Gamma_{2,1} yields one block, so each stage lowers h blocks, not 2h.
+        cfg = write_config(tmp_path, "c.json", {"family": "steane", "h_grid": [1, 2, 3, 5, 8]})
+        assert run("schedule-audit", cfg, tmp_path / "out") == 0
+        margins = (tmp_path / "out" / "margins.csv").read_text().splitlines()[1:]
+        assert len(margins) == 5 and all(row.split(",")[-1] == "1" for row in margins)
+
     def test_census_totals_bounded(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json", {"family": "toy", "h_grid": [4], "r_grid": [3], "r_prime": 1}

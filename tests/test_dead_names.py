@@ -38,7 +38,7 @@ ALLOWED = {
     "interface.expected_output_tableau": "test oracle: the exact reference output of a Gamma pass",
     "noise.tail_bound": "paper definition shown by demo 02",
     "noise.tail_bound_dominates": "paper definition shown by demo 02",
-    "scheduler.roundtrip_from_block_plans": "paper definition shown by demo 04",
+    "scheduler.InterfaceSchedule.output_blocks": "shown by demo 04; tests pin it to the outputs e2e writes",
     "tableau.random_stabilizer_state": "test oracle: random logical inputs for the exactness tests",
 }
 

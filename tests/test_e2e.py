@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,20 @@ def toy_setup():
 
 
 class TestChainSteps:
-    def test_tree_structure(self, toy_setup):
+    def test_tree_structure(self, toy_setup, families):
         fam, sched = toy_setup
         stages = scheduler.effective_interface(sched, 0)
         assert len(stages) == 2
         assert len(stages[0]) == 1 and stages[0][0].level == 3
         assert len(stages[1]) == 2 and all(s.level == 2 for s in stages[1])
+        # A block has as many descendants in a stage as the passes above yield.
+        for fam in families.values():
+            sched = scheduler.build_schedule(fam, fam.depth, 1, h=2)
+            descendants = 1
+            for level, stage in zip(range(fam.depth, 1, -1), scheduler.effective_interface(sched, 1), strict=True):
+                assert [sp.block_index for sp in stage] == list(range(descendants, 2 * descendants))
+                assert all(sp.level == level for sp in stage)
+                descendants *= interface.build_gamma(fam, level, level - 1).blocks
 
     def test_waits_follow_position(self, steane_setup):
         fam, sched = steane_setup
@@ -35,6 +45,17 @@ class TestChainSteps:
         assert first.pre_wait == 0
         assert last.pre_wait == sched.stages[0].n_layers - 1
         assert last.post_wait == 0
+
+    @pytest.mark.parametrize("name", ["toy", "steane", "trivial-steane-422", "trivial-422-hgp33"])
+    def test_outputs_match_schedule(self, families, name):
+        # The walk writes the schedule's output blocks, bare qubits, also
+        # where a pass yields one block.
+        fam = families[name]
+        for r in range(2, fam.depth + 1):
+            for h in (1, 2, 3, 5, 8):
+                sched = scheduler.build_schedule(fam, r, 1, h=h)
+                stats = e2e.run_e2e_frames(sched, NoiseParams(delta=0.0, seed=1), trials=2)
+                assert len(stats.output_errors) == sched.output_blocks * fam.level(1).n, (r, h)
 
 
 class TestTableauChain:
@@ -329,3 +350,24 @@ class TestStreamKeys:
         purposes = {noise.STREAM_CIRCUIT, noise.STREAM_ORACLE, noise.STREAM_TRIAL}
         assert {k[1] for k in drawn} == purposes
         assert len(set(drawn)) == len(drawn)
+
+
+class TestPairSample:
+    def test_rows_match_full_enumeration(self):
+        for n in range(201):
+            pairs = np.stack(np.triu_indices(n, 1), axis=1)  # every (a, b), a < b, in lexicographic order
+            if len(pairs) > e2e.MAX_PAIRS:
+                pairs = pairs[:: len(pairs) // e2e.MAX_PAIRS][: e2e.MAX_PAIRS]
+            np.testing.assert_array_equal(e2e._pair_sample(n, e2e.MAX_PAIRS), pairs, err_msg=str(n))
+
+    def test_memory_does_not_grow_with_outputs(self):
+        # 8,192 outputs have 33.5M pairs; only the sampled rows are built.
+        tracemalloc.start()
+        try:
+            rows = e2e._pair_sample(8192, e2e.MAX_PAIRS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (e2e.MAX_PAIRS, 2)
+        assert (rows[:, 0] < rows[:, 1]).all() and rows.max() < 8192
+        assert peak < 2**20
