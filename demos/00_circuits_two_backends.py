@@ -43,11 +43,13 @@ print("frame-predicted flips:      ", {k: int(v[0]) for k, v in batch.flips.item
 batch = FrameBatch(wires, 1)
 batch.xor(["q0"], np.ones((1, 1), np.uint8), np.zeros((1, 1), np.uint8))
 FrameRunner(NoiseParams(delta=0.0, seed=0)).run(c, batch)
-print("\nX on q0 conjugated through the circuit -> x:", batch.x[0], "z:", batch.z[0])
+print("\nX on q0 conjugated through the circuit -> x:", batch.x[:, 0], "z:", batch.z[:, 0])
 
 # Bulk noise: 100k trials of the same circuit at delta = 0.01 in one call.
+# Frames are (wires, trials) arrays: batch.x[i] is wire i over every trial.
 batch = FrameBatch(wires, 100_000)
 FrameRunner(NoiseParams(delta=0.01, seed=5)).run(c, batch)
-flips = np.stack([batch.flips[f"m{w}"] for w in wires], axis=1)
-print(f"\n100k-trial flip marginals at delta=0.01: {flips.mean(axis=0).round(4)}")
-print("mean residual frame weight on q0:", ((batch.x[:, 0] | batch.z[:, 0]) != 0).mean().round(4))
+flips = np.stack([batch.flips[f"m{w}"] for w in wires])
+print(f"\n100k-trial flip marginals at delta=0.01: {flips.mean(axis=1).round(4)}")
+q0 = batch.index["q0"]
+print("mean residual frame weight on q0:", ((batch.x[q0] | batch.z[q0]) != 0).mean().round(4))

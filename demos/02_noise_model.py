@@ -21,9 +21,9 @@ assert np.array_equal(
 )
 
 # --- local stochastic channels ----------------------------------------------------
-# One sample as x, z bits; X, Z and Y read off the two bits. The sampler draws
-# from the generator its caller keys.
-(x,), (z,) = noise.sample_ls_bits(12, 0.3, np.random.default_rng(7), 1)
+# Samples come as (qubits, trials) x, z bits, the frame layout; X, Z and Y
+# read off the two bits. The sampler draws from the generator its caller keys.
+x, z = (bits[:, 0] for bits in noise.sample_ls_bits(12, 0.3, np.random.default_rng(7), 1))
 support = np.flatnonzero(x | z)
 paulis = tuple("XZY"[x[q] + 2 * z[q] - 1] for q in support)
 print("ls support:", tuple(int(q) for q in support), "assignment:", paulis)
@@ -31,7 +31,7 @@ print("ls support:", tuple(int(q) for q in support), "assignment:", paulis)
 # The i.i.d. instance saturates the defining inclusion bound with equality:
 x, z = noise.sample_ls_bits(4, 0.2, np.random.default_rng(1), 200_000)
 sup = (x | z) != 0
-print(f"Pr(q0,q1 both hit): {float((sup[:,0] & sup[:,1]).mean()):.4f} "
+print(f"Pr(q0,q1 both hit): {float((sup[0] & sup[1]).mean()):.4f} "
       f"(exactly delta^2 = {0.2**2})")
 
 # Composition: the union of two independent samples, parameters 0.05 and 0.08,
@@ -39,7 +39,7 @@ print(f"Pr(q0,q1 both hit): {float((sup[:,0] & sup[:,1]).mean()):.4f} "
 xa, za = noise.sample_ls_bits(4, 0.05, np.random.default_rng(2), 200_000)
 xb, zb = noise.sample_ls_bits(4, 0.08, np.random.default_rng(3), 200_000)
 sup = (xa | za | xb | zb) != 0
-print(f"composed: Pr(q0,q1 both hit): {float((sup[:,0] & sup[:,1]).mean()):.4f} "
+print(f"composed: Pr(q0,q1 both hit): {float((sup[0] & sup[1]).mean()):.4f} "
       f"<= 0.13^2 = {0.13**2:.4f}")
 
 # --- the overflow tail bound -------------------------------------------------------
@@ -58,5 +58,5 @@ print(f"exact tail {float(tail):.3e} <= bound {bound:.3e}: {ok}")
 
 # Truncation into the low-weight branch:
 x, z = noise.sample_ls_bits(50, 0.01, np.random.default_rng(9), 2000)
-overflow = ((x | z).sum(axis=1) > 0.2 * 50).mean()
-print(f"overflow frequency over {len(x)} samples: {overflow:.4f}")
+overflow = ((x | z).sum(axis=0) > 0.2 * 50).mean()
+print(f"overflow frequency over {x.shape[1]} samples: {overflow:.4f}")

@@ -238,9 +238,9 @@ def _apply_faults_tableau(circuit: Circuit, state: Tableau, li: int, faults: _Fa
     for label, flip in zip(lf.meas_labels, flips):
         outcomes[label] ^= int(flip[0]) if single else flip
     # Measured wires have left the state; their faults are outcome flips.
-    hit = np.flatnonzero((scratch._x | scratch._z).any(axis=1))
+    hit = np.flatnonzero((scratch.x | scratch.z).any(axis=1))
     if hit.size:
-        x, z = (a[hit].T[0] if single else a[hit].T for a in (scratch._x, scratch._z))
+        x, z = (a[hit].T[0] if single else a[hit].T for a in (scratch.x, scratch.z))
         state.apply_pauli_on([circuit.wires[q] for q in hit], x, z)
 
 
@@ -250,10 +250,9 @@ def _apply_faults_tableau(circuit: Circuit, state: Tableau, li: int, faults: _Fa
 class FrameBatch:
     """Pauli error frames for a batch of trials over a fixed wire set.
 
-    The frames are stored wire-major, as (wires, trials) uint8 arrays, so
-    the frame of one wire is a contiguous row and a gate or a correction
-    touches contiguous memory. `x` and `z` are their (trials, wires)
-    transposed views; the properties cannot be rebound, so the layout is
+    `x` and `z` are the stored (wires, trials) uint8 arrays, so the frame of
+    one wire is a contiguous row and a gate or a correction touches
+    contiguous memory; the properties cannot be rebound, so the layout is
     fixed. `flips` maps each measurement label to the per-trial outcome flip
     relative to the reference run.
     """
@@ -268,19 +267,19 @@ class FrameBatch:
 
     @property
     def x(self) -> np.ndarray:
-        return self._x.T
+        return self._x
 
     @property
     def z(self) -> np.ndarray:
-        return self._z.T
+        return self._z
 
     def columns(self, wires: Sequence[Hashable]) -> np.ndarray:
         return np.array([self.index[w] for w in wires], dtype=np.intp)
 
     def block(self, wires: Sequence[Hashable]) -> slice:
-        """The columns of adjacent `wires`, in order, as a slice.
+        """The rows of adjacent `wires`, in order, as a slice.
 
-        x.T[block] is then a view of contiguous rows that updates in place,
+        x[block] is then a view of contiguous rows that updates in place,
         with no gather and scatter.
         """
         start = self.index[wires[0]] if len(wires) else 0
@@ -419,7 +418,7 @@ def _apply_gates(batch: FrameBatch, lf: LayerFaults, cols: np.ndarray) -> Option
     """One layer's gates on the frames; `cols` (2, locations) maps locations to the
     batch columns of their first and last wires. Returns the layer's outcome flips,
     one row per measurement, whose rows `batch.flips` holds, or None."""
-    x, z = batch._x, batch._z
+    x, z = batch.x, batch.z
     first = cols[0]
     if lf.h.size:
         q = first.take(lf.h)

@@ -198,25 +198,18 @@ def _check_levels(family: css.CodeFamily, r: int, r_prime: int) -> None:
 
 
 def _check_decodable(family: css.CodeFamily, levels, classified: tuple = ()) -> None:
-    """Every level a run decodes needs leader tables, which stop at MAX_TABLE_ROWS
-    checks; a level whose residuals it classifies also needs coset tables, indexed
-    by the checks and the m logicals of a sector, which stop at MAX_TABLE_ROWS rows."""
-    for r in levels:
+    """Every level a run decodes needs the leader tables of its two sectors; a
+    level whose residuals it classifies also needs coset tables, the leader
+    tables of a sector's checks stacked on its m logicals. `interface.check_table`
+    refuses each table too large to build, the larger sector first."""
+    for r, coset in [(r, False) for r in levels] + [(r, True) for r in classified]:
         code = family.level(r)
-        checks = max(len(code.hx), len(code.hz))
-        if checks > interface.MAX_TABLE_ROWS:
-            raise UsageError(
-                f"level {r} has {checks} checks in one sector; leader tables "
-                f"decode at most {interface.MAX_TABLE_ROWS}"
-            )
-    for r in classified:
-        code = family.level(r)
-        rows = max(len(code.hx), len(code.hz)) + code.m
-        if rows > interface.MAX_TABLE_ROWS:
-            raise UsageError(
-                f"level {r} has {rows} checks and logicals in one sector; coset tables "
-                f"classify at most {interface.MAX_TABLE_ROWS}"
-            )
+        sectors = sorted([(code.hx, code.lx), (code.hz, code.lz)], key=lambda s: -len(s[0]))
+        try:
+            for h, logicals in sectors:
+                interface.check_table(np.concatenate([h, logicals]) if coset else h, coset)
+        except ValueError as exc:
+            raise UsageError(f"level {r} has {exc}") from None
 
 
 def _noise_params(config: dict, seed_override: Optional[int]) -> tuple[list[float], int]:
@@ -316,11 +309,10 @@ def cmd_interface_sweep(config: dict, out: pathlib.Path, seed: Optional[int], wo
         )
         rates.append(est.rate)
         out_marginals.append(float(est.out_qubit_error_rate.mean()))
-    blocks = family.level(r).m // family.level(r_prime).m
     header = [
         "delta", "trials", "failures", "wilson_lo", "wilson_hi",
         "heralds", "logical_errors", "weight_overflows",
-    ] + [f"mean_out_weight_block{i}" for i in range(blocks)]
+    ] + [f"mean_out_weight_block{i}" for i in range(est.block_weight_hist.shape[0])]
     write_csv(manifest.output("sweep.csv"), header, rows)
     # Measured output-noise coefficient: marginal ~ lambda' * delta (reported,
     # never asserted; the existential constants are not reproducible).
@@ -489,6 +481,10 @@ def cmd_e2e(config: dict, out: pathlib.Path, seed: Optional[int], workers: int) 
         if mode == "frames":
             trials = _trials(config)
     _check_levels(family, r, 1)
+    bare = family.level(1)
+    if (bare.n, bare.m) != (1, 1):
+        raise UsageError(f"e2e lowers to bare qubits, so level 1 must be one qubit (n = m = 1), "
+                         f"got n={bare.n}, m={bare.m}")
     if h < 1:
         raise UsageError(f"h must be positive, got {h}")
     _check_decodable(family, range(1, r + 1))

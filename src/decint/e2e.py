@@ -44,9 +44,9 @@ def _walk_chain(schedule: InterfaceSchedule, block: int, engine, handle) -> tupl
     own streams. Returns the output block handles in descendant order and
     the per-trial OR of the pass heralds.
     """
-    if schedule.r_prime != 1:
-        raise ValueError("chain did not reach bare qubits")
     family = schedule.family
+    if schedule.r_prime != 1 or (family.level(1).n, family.level(1).m) != (1, 1):
+        raise ValueError("chain does not reach bare qubits: r' must be 1, and level 1 one qubit (n = m = 1)")
     heralds = np.zeros(engine.trials, dtype=bool)
     live = [(handle, 0)]  # (handle, pending wait layers) per descendant
     for stage in effective_interface(schedule, block):
@@ -125,7 +125,7 @@ def run_block_chain_tableau(
 
 class ChainChunkResult(NamedTuple):
     trials: int
-    error_bits: np.ndarray   # (trials, m_r) per-output-qubit error indicator
+    error_bits: np.ndarray   # (m_r, trials) per-output-qubit error indicator
     heralds: np.ndarray      # (trials,)
 
 
@@ -140,7 +140,7 @@ def run_block_chain_frames(
     """Monte Carlo frames through one block's effective interface."""
     engine = iface.FrameEngine(params, trials, chunk, (block,))
     outputs, heralds = _walk_chain(schedule, block, engine, input_frames)
-    error_bits = np.concatenate([(ex | ez) != 0 for ex, ez in outputs], axis=1)
+    error_bits = np.concatenate([(ex | ez) != 0 for ex, ez in outputs])
     return ChainChunkResult(trials=trials, error_bits=error_bits, heralds=heralds)
 
 
@@ -192,14 +192,14 @@ def _e2e_chunk(
         res = run_block_chain_frames(schedule, i, params, trials, chunk=chunk, input_frames=input_frames)
         per_block.append(res.error_bits)
         heralds |= res.heralds
-    errors = np.concatenate(per_block, axis=1)
-    a, b = _pair_sample(errors.shape[1], MAX_PAIRS).T
+    errors = np.concatenate(per_block)  # (h * m_r, trials)
+    a, b = _pair_sample(len(errors), MAX_PAIRS).T
     return E2EStats(
         trials=trials,
-        output_errors=errors.sum(axis=0),
-        pair_errors=(errors[:, a] & errors[:, b]).sum(axis=0),
+        output_errors=errors.sum(axis=1),
+        pair_errors=(errors[a] & errors[b]).sum(axis=1),
         heralds=int(heralds.sum()),
-        any_errors=int(errors.any(axis=1).sum()),
+        any_errors=int(errors.any(axis=0).sum()),
     )
 
 

@@ -226,12 +226,12 @@ class CosetWeight(NamedTuple):
 def coset_min_weight(basis: np.ndarray, e: np.ndarray) -> CosetWeight:
     """Minimum Hamming weight over each coset {e[t] + span(basis rows)}.
 
-    `e` is a (trials, n) 0/1 array in any layout, such as the transposed
-    views of `FrameBatch`. It is packed once, and the coset elements are
-    walked in packed blocks of at most 2^SPAN_BLOCK_BITS rows, so the work
-    array is at most trials x 2^SPAN_BLOCK_BITS x words. Exhaustive for
-    k <= MAX_ENUM_ROWS generators; beyond that only the single and pairwise
-    combinations are tried and the result is inexact.
+    `e` is a (trials, n) 0/1 array in any layout, one error per row; a
+    (n, trials) frame passes as `e.T`. It is packed once, and the coset
+    elements are walked in packed blocks of at most 2^SPAN_BLOCK_BITS rows,
+    so the work array is at most trials x 2^SPAN_BLOCK_BITS x words.
+    Exhaustive for k <= MAX_ENUM_ROWS generators; beyond that only the
+    single and pairwise combinations are tried and the result is inexact.
     """
     e = np.asarray(e)
     if e.ndim != 2 or e.shape[1] != np.shape(basis)[1]:

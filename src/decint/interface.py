@@ -52,6 +52,7 @@ from .noise import STREAM_ORACLE, NoiseParams, rng_stream, sample_ls_hits
 from .tableau import Tableau
 
 MAX_TABLE_ROWS = 14  # leader and coset tables are dense in 2^{#rows}
+MAX_TABLE_SUPPORTS = 1 << 24  # worst-case supports one leader table may enumerate
 
 
 # -- coset-leader syndrome decoding ------------------------------------------------
@@ -64,9 +65,9 @@ class LeaderTable(NamedTuple):
     Unreachable syndromes carry weight -1. The leaders are stored
     row-major, one row of n bits per syndrome, so a batch lookup gathers
     whole rows (`take(axis=0)`, one contiguous copy of n bytes per trial)
-    and transposes the result once; gathering one byte per trial from each
-    of n qubit rows (`take(axis=1)` on the transposed table) takes about
-    ten times as long.
+    and transposes the result once into (n, trials); gathering one byte per
+    trial from each of n qubit rows (`take(axis=1)` on the transposed table)
+    takes about ten times as long.
     """
 
     h: np.ndarray  # (rows, n) check matrix
@@ -76,12 +77,11 @@ class LeaderTable(NamedTuple):
     def lookup(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized decode: syndromes (trials, rows) -> (errors, weights).
 
-        `errors` is the (trials, n) transposed view of an (n, trials) array,
-        the layout of `FrameBatch`: errors.T[q] is one qubit over all trials.
-        Wire-major callers pass (rows, trials) syndromes as `s.T`.
+        `errors` is a C-contiguous (n, trials) array, the layout of
+        `FrameBatch`: errors[q] is one qubit over all trials.
         """
         idx = gf2.mul_count(syndromes, 1 << np.arange(len(self.h)))
-        return np.ascontiguousarray(self.errors.take(idx, axis=0).T).T, self.weights.take(idx)
+        return np.ascontiguousarray(self.errors.take(idx, axis=0).T), self.weights.take(idx)
 
 
 # Supports per block of the vectorised enumeration in `build_leader_table`.
@@ -99,9 +99,28 @@ def _supports(n: int, w: int):
         yield flat.reshape(-1, w)
 
 
+def check_table(h: np.ndarray, coset: bool = False) -> None:
+    """Raise ValueError unless `build_leader_table(h)` fits: h has at most
+    MAX_TABLE_ROWS rows, and the worst case of its enumeration stays within
+    MAX_TABLE_SUPPORTS supports. Every reachable syndrome has a leader of
+    weight at most rank h, so that worst case is sum_{w <= rank h} C(n, w).
+    `coset` names the rows of a coset table's [H; L] in the message."""
+    rows, n = h.shape
+    if rows > MAX_TABLE_ROWS:
+        what = ("checks and logicals in one sector; coset tables classify" if coset
+                else "checks in one sector; leader tables decode")
+        raise ValueError(f"{rows} {what} at most {MAX_TABLE_ROWS}")
+    rank = gf2.rank(h)
+    supports = sum(math.comb(n, w) for w in range(1, rank + 1))
+    if supports > MAX_TABLE_SUPPORTS:
+        raise ValueError(f"{n} qubits at rank {rank} in one sector; its leader table search may enumerate "
+                         f"{supports} supports, more than MAX_TABLE_SUPPORTS = {MAX_TABLE_SUPPORTS}")
+
+
 def build_leader_table(h: np.ndarray) -> LeaderTable:
     """Leaders of every syndrome of h: the first error of least weight, in
-    `itertools.combinations` order, with that syndrome.
+    `itertools.combinations` order, with that syndrome. `check_table` refuses
+    an h whose table is too large to build.
 
     The supports of one weight are enumerated as arrays in blocks of at most
     SUPPORT_BLOCK, each syndrome the XOR of the packed columns of h its
@@ -110,9 +129,8 @@ def build_leader_table(h: np.ndarray) -> LeaderTable:
     first support of each syndrome as fast, but its sort adds about 0.3 MB
     to a process's resident code.)
     """
+    check_table(h)
     rows, n = h.shape
-    if rows > MAX_TABLE_ROWS:
-        raise ValueError(f"leader table too large for {rows} checks")
     size = 1 << rows
     column_syndromes = gf2.mul_count(h.T, 1 << np.arange(rows))
     errors = np.zeros((size, n), dtype=np.uint8)
@@ -153,9 +171,9 @@ class CosetTable(NamedTuple):
     logical: np.ndarray  # (2^(rows + m),) bool
 
     def classify(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Least coset weights and logical flags of (trials, n) errors, the
-        transposed views of `FrameBatch`."""
-        idx = gf2.mul_count(gf2.mul_bits(self.checks, e.T).T, 1 << np.arange(len(self.checks)))
+        """Least coset weights and logical flags of (n, trials) errors, the
+        layout of `FrameBatch`."""
+        idx = gf2.mul_count(gf2.mul_bits(self.checks, e).T, 1 << np.arange(len(self.checks)))
         return self.weights.take(idx), self.logical.take(idx)
 
 
@@ -214,7 +232,7 @@ def decode_syndrome(code: CssCode, syn_x: np.ndarray, syn_z: np.ndarray):
     ez, wz = tables.table_z.lookup(syn_x.T)
     ex, wx = tables.table_x.lookup(syn_z.T)
     herald_x, herald_z = ((w < 0) | (2 * w >= d) for w in (wx, wz))
-    return ex.T, ez.T, herald_x, herald_z
+    return ex, ez, herald_x, herald_z
 
 
 # -- syndrome extraction circuit ----------------------------------------------------
@@ -554,8 +572,10 @@ class TableauEngine:
     """Exact trials: a signed tableau evolved in place, absolute outcomes.
 
     The state holds one trial or a batch with per-trial signs (see
-    `tableau`); the first `xor` of rows for several trials turns one state
-    into a batch. A random outcome is one rng draw shared by the batch.
+    `tableau`). `xor` takes (wires, trials) rows, as the frame engine does,
+    and hands the trial-major tableau their transpose; the first `xor` of
+    rows for several trials turns one state into a batch. A random outcome
+    is one rng draw shared by the batch.
     Fragments run noiselessly, so an idle-only fragment is skipped. A block
     handle is the block's wire labels in the state.
     """
@@ -607,8 +627,8 @@ class FrameEngine:
     the oracle's local stochastic noise and failure coin from (STREAM_ORACLE,
     *key, p, chunk). `key` is () for a lone Gamma and (block,) in a chain.
     The oracle's noise is a sparse `sample_ls_hits` draw XORed straight
-    into the frames of the A and B wires, with no dense (trials, |A|+|B|)
-    array. A block handle is the block's (x, z) frames as (trials, n)
+    into the frames of the A and B wires, with no dense (|A|+|B|, trials)
+    array. A block handle is the block's (x, z) frames as (n, trials)
     arrays, or None when clean.
     """
 
@@ -645,9 +665,8 @@ class FrameEngine:
         self._passes += 1
         if ls_delta > 0.0:
             # Sparse hits go straight into the frames; each position is hit once.
-            hits, x_bits, z_bits = sample_ls_hits(len(ab_wires), ls_delta, rng, self.trials)
-            trial, k = np.divmod(hits, len(ab_wires))
-            self.batch.xor_at((self.batch.block(ab_wires).start + k) * self.trials + trial, x_bits, z_bits)
+            at, x_bits, z_bits = sample_ls_hits(len(ab_wires), ls_delta, rng, self.trials)
+            self.batch.xor_at(self.batch.block(ab_wires).start * self.trials + at, x_bits, z_bits)
         if knobs.resource_fail_prob > 0.0:
             fail = (rng.random(self.trials) < knobs.resource_fail_prob).astype(np.uint8)
             if fail.any():
@@ -659,11 +678,11 @@ class FrameEngine:
     def load(self, handle: Optional[tuple], wires: Sequence, scope: Sequence):
         self.batch = FrameBatch(scope, self.trials)
         if handle is not None:
-            self.xor(wires, handle[0].T, handle[1].T)
+            self.xor(wires, *handle)
 
     def save(self, wires: Sequence) -> tuple[np.ndarray, np.ndarray]:
         rows = self.batch.block(wires)
-        return self.batch.x[:, rows].copy(order="K"), self.batch.z[:, rows].copy(order="K")
+        return self.batch.x[rows].copy(), self.batch.z[rows].copy()
 
 
 def ec_rounds(gadget: EcGadget, engine, rounds: int):
@@ -735,10 +754,10 @@ class ChunkStats(NamedTuple):
 class GammaFrameRun(NamedTuple):
     """Frame-level result of one Gamma pass: output frames and heralds.
 
-    out_x/out_z are (trials, |B|) views of wire-major arrays, as in `FrameBatch`.
+    out_x/out_z are (|B|, trials), the layout of `FrameBatch`.
     """
 
-    out_x: np.ndarray  # (trials, |B|)
+    out_x: np.ndarray  # (|B|, trials)
     out_z: np.ndarray
     herald: np.ndarray  # (trials,) bool
 
@@ -779,15 +798,15 @@ def classify_gamma_output(
     """
     code = plan.code_rp
     coset_x, coset_z = _coset_tables(code)
-    trials = run.out_x.shape[0]
+    trials = run.out_x.shape[1]
     n_p = code.n
     overflow = np.zeros(trials, dtype=bool)
     logical = np.zeros(trials, dtype=bool)
     hist = np.zeros((plan.blocks, n_p + 1), dtype=np.int64)
     for i in range(plan.blocks):
         sl = slice(i * n_p, (i + 1) * n_p)
-        wx, logical_x = coset_x.classify(run.out_x[:, sl])
-        wz, logical_z = coset_z.classify(run.out_z[:, sl])
+        wx, logical_x = coset_x.classify(run.out_x[sl])
+        wz, logical_z = coset_z.classify(run.out_z[sl])
         rw = np.maximum(wx, wz)
         overflow |= rw > mu * n_p
         logical |= logical_x | logical_z
@@ -838,7 +857,7 @@ def _chunk_job(plan: InterfaceCircuit, params: NoiseParams, mu: float, trials: i
     run = gamma_frames(plan, params, trials, chunk=chunk)
     overflow, logical, hist = classify_gamma_output(plan, run, mu)
     failures = run.herald | overflow | logical
-    out_err = ((run.out_x | run.out_z) != 0).sum(axis=0)
+    out_err = ((run.out_x | run.out_z) != 0).sum(axis=1)
     return ChunkStats(
         trials=trials,
         failures=int(failures.sum()),

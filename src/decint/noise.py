@@ -8,9 +8,9 @@ is keyed per fragment run, (seed, STREAM_CIRCUIT, *owner key, run index,
 chunk), with the run index counted by the frame engine: one generator
 serves every location of the fragment. Bernoulli draws are sparse, by geometric
 gaps (`bernoulli_positions`), so a sampler costs O(delta) per location-trial.
-`sample_ls_hits` is the one LS sampler: a batch of trials as the flat
-positions of its X and Z parts, which the frame engine XORs straight into
-its frames; `sample_ls_bits` spreads the same draw into dense x, z bits.
+`sample_ls_hits` is the one LS sampler: a batch of trials as flat (qubits,
+trials) offsets of its X and Z parts, which the frame engine XORs straight
+into its frames; `sample_ls_bits` spreads the same draw into dense bits.
 
 The arbitrary replacement channel at each location is instantiated as its
 Pauli-twirled member, the simulable instance; reports record this as
@@ -91,24 +91,25 @@ def sample_ls_hits(
     """Batched i.i.d. local stochastic samples as sparse hits.
 
     Every (trial, qubit) is in the support with probability delta and carries
-    a uniform nontrivial Pauli there. Returns the sorted flat positions
-    trial * qubits + qubit of the support and the uint8 x and z bits of the
-    Pauli at each. The caller keys `rng`.
+    a uniform nontrivial Pauli there. The support is drawn trial-major and
+    returned as flat offsets qubit * trials + trial into (qubits, trials)
+    arrays, the layout of `circuit.FrameBatch`, with the uint8 x and z bits
+    of the Pauli at each. The caller keys `rng`.
     """
-    hits = bernoulli_positions(rng, trials * qubits, delta)
-    kinds = rng.integers(0, 3, size=hits.size, dtype=np.uint8)  # 0 = X, 1 = Z, 2 = Y
-    return hits, (kinds != 1).view(np.uint8), (kinds != 0).view(np.uint8)
+    trial, qubit = np.divmod(bernoulli_positions(rng, trials * qubits, delta), qubits)
+    kinds = rng.integers(0, 3, size=trial.size, dtype=np.uint8)  # 0 = X, 1 = Z, 2 = Y
+    return qubit * trials + trial, (kinds != 1).view(np.uint8), (kinds != 0).view(np.uint8)
 
 
 def sample_ls_bits(
     qubits: int, delta: float, rng: np.random.Generator, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`sample_ls_hits` as dense (trials, qubits) x, z bits."""
-    x = np.zeros((trials, qubits), dtype=np.uint8)
+    """`sample_ls_hits` as dense (qubits, trials) x, z bits."""
+    x = np.zeros((qubits, trials), dtype=np.uint8)
     z = np.zeros_like(x)
-    hits, x_bits, z_bits = sample_ls_hits(qubits, delta, rng, trials)
-    x.flat[hits] = x_bits
-    z.flat[hits] = z_bits
+    at, x_bits, z_bits = sample_ls_hits(qubits, delta, rng, trials)
+    x.flat[at] = x_bits
+    z.flat[at] = z_bits
     return x, z
 
 

@@ -319,7 +319,7 @@ class TestFrameBackend:
     def test_x_on_cnot_control_spreads(self):
         c = Circuit(["c", "t"]).add_layer([Gate("cnot", ("c", "t"))])
         b = propagate(c, [1, 0], [0, 0])
-        assert list(b.x[0]) == [1, 1] and list(b.z[0]) == [0, 0]
+        assert list(b.x[:, 0]) == [1, 1] and list(b.z[:, 0]) == [0, 0]
 
     def test_group_action_on_random_frames(self):
         # Trials P, Q and PQ of one batch: the frame map is a homomorphism.
@@ -328,15 +328,15 @@ class TestFrameBackend:
             c = det_random_circuit(seed, 5, 2)
             p_x, p_z, q_x, q_z = rng.integers(0, 2, (4, 5))
             b = propagate(c, [p_x, q_x, p_x ^ q_x], [p_z, q_z, p_z ^ q_z])
-            assert np.array_equal(b.x[2], b.x[0] ^ b.x[1])
-            assert np.array_equal(b.z[2], b.z[0] ^ b.z[1])
+            assert np.array_equal(b.x[:, 2], b.x[:, 0] ^ b.x[:, 1])
+            assert np.array_equal(b.z[:, 2], b.z[:, 0] ^ b.z[:, 1])
             for flips in b.flips.values():
                 assert flips[2] == flips[0] ^ flips[1]
 
     def test_weight_census(self):
         batch = FrameBatch(["a", "b", "c"], 1)
         batch.xor(["b"], np.array([[1]], np.uint8), np.array([[0]], np.uint8))
-        weights = [((batch.x[:, cols] | batch.z[:, cols]) != 0).sum(axis=1)[0]
+        weights = [((batch.x[cols] | batch.z[cols]) != 0).sum(axis=0)[0]
                    for cols in (batch.columns([w]) for w in batch.wires)]
         assert weights == [0, 1, 0]
 
@@ -353,18 +353,24 @@ class TestFrameLayout:
         c.add_layer([Gate("measure", ("b",), out="mb"), Gate("init0", ("c",)), Gate("idle", ("a",))])
         return c
 
-    def test_public_shape_is_trials_by_wires(self):
+    def test_public_shape_is_wires_by_trials(self):
         batch = FrameBatch(["a", "b", "c"], 5)
-        assert batch.x.shape == batch.z.shape == (5, 3)
-        assert batch.x[:, 1].flags.c_contiguous and batch.z[:, 2].flags.c_contiguous
+        assert batch.x.shape == batch.z.shape == (3, 5)
+        assert batch.x[1].flags.c_contiguous and batch.z[2].flags.c_contiguous
+
+    def test_frames_are_the_stored_arrays(self):
+        batch = FrameBatch(["a", "b", "c"], 5)
+        for frame in (batch.x, batch.z):
+            assert frame.flags.c_contiguous and frame.flags.owndata and frame.dtype == np.uint8
+        assert batch.x is batch.x and batch.z is batch.z
 
     def test_frames_cannot_be_rebound(self):
         batch = FrameBatch(["a", "b"], 4)
         for name in ("x", "z"):
             with pytest.raises(AttributeError):
-                setattr(batch, name, np.zeros((4, 2), np.uint8))
-        batch.x[1, 0] ^= 1  # the views write through to the wire-major rows
-        assert batch.x.T[0].tolist() == [0, 1, 0, 0]
+                setattr(batch, name, np.zeros((2, 4), np.uint8))
+        batch.x[0, 1] ^= 1  # writes land in the stored wire-major rows
+        assert batch.x[0].tolist() == [0, 1, 0, 0]
 
 
 class TestCrossValidation:
@@ -435,7 +441,7 @@ class TestSparseFaultSampling:
         b = self.run(delta, trials)
         for wires in self.PAULI_LOCS:
             cols = b.columns(wires)
-            hits = int(((b.x[:, cols] | b.z[:, cols]) != 0).any(axis=1).sum())
+            hits = int(((b.x[cols] | b.z[cols]) != 0).any(axis=0).sum())
             assert _wilson_contains(hits, trials, delta), wires
         for label in ("m", "n"):
             assert _wilson_contains(int(b.flips[label].sum()), trials, delta), label
@@ -445,8 +451,8 @@ class TestSparseFaultSampling:
         b = self.run(1.0, trials)
         for wires in self.PAULI_LOCS:
             cols = b.columns(wires)
-            parts = b.x[:, cols].astype(np.int64) + 2 * b.z[:, cols]
-            codes = parts @ (4 ** np.arange(len(wires)))
+            parts = b.x[cols].astype(np.int64) + 2 * b.z[cols]
+            codes = (4 ** np.arange(len(wires))) @ parts
             counts = np.bincount(codes, minlength=4 ** len(wires))
             assert counts[0] == 0, wires
             # Bonferroni over the 4^k - 1 cells keeps each location's test at level 0.001.
@@ -461,15 +467,15 @@ class TestSparseFaultSampling:
         loud = self.run(1.0, 300)
         for wires in self.PAULI_LOCS:
             cols = loud.columns(wires)
-            assert ((loud.x[:, cols] | loud.z[:, cols]) != 0).any(axis=1).all(), wires
+            assert ((loud.x[cols] | loud.z[cols]) != 0).any(axis=0).all(), wires
         assert loud.flips["m"].all() and loud.flips["n"].all()
         empty = self.run(0.5, 0)
-        assert empty.x.shape == (0, 14) and empty.flips["m"].shape == (0,)
+        assert empty.x.shape == (14, 0) and empty.flips["m"].shape == (0,)
 
     def test_stream_key(self):
         def frames(**key):
             b = self.run(0.2, 256, **key)
-            return np.concatenate([b.x, b.z, b.flips["m"][:, None], b.flips["n"][:, None]], axis=1)
+            return np.concatenate([b.x, b.z, b.flips["m"][None], b.flips["n"][None]])
 
         same = frames(tag=3, chunk=1)
         assert np.array_equal(same, frames(tag=3, chunk=1))
@@ -479,21 +485,21 @@ class TestSparseFaultSampling:
 
 
 def _reference_gate(batch: FrameBatch, g: Gate):
-    """One gate's frame map by (trial, column) writes through the transposed views:
-    the reference for the runner's per-layer row operations."""
+    """One gate's frame map by (column, trial) writes, gate by gate: the
+    reference for the runner's per-layer row operations."""
     x, z, q = batch.x, batch.z, batch.index[g.wires[0]]
     if g.name == "h":
-        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+        x[q], z[q] = z[q].copy(), x[q].copy()
     elif g.name == "cnot":
         t = batch.index[g.wires[1]]
-        x[:, t] ^= x[:, q]
-        z[:, q] ^= z[:, t]
+        x[t] ^= x[q]
+        z[q] ^= z[t]
     elif g.name == "measure":
-        batch.flips[g.out] = x[:, q].copy()
-        z[:, q] = 0
+        batch.flips[g.out] = x[q].copy()
+        z[q] = 0
     elif g.name == "init0":
-        x[:, q] = 0
-        z[:, q] = 0
+        x[q] = 0
+        z[q] = 0
 
 
 def _reference_faults(c: Circuit, trials: int, delta: float, rng) -> list:
@@ -518,7 +524,7 @@ def _reference_faults(c: Circuit, trials: int, delta: float, rng) -> list:
 
 def _reference_run(c: Circuit, batch: FrameBatch, params: NoiseParams, tag: int, chunk: int):
     """Gate-by-gate propagation, each layer's faults XORed in after its gates by 2-D
-    (trial, column) writes."""
+    (column, trial) writes."""
     rng = rng_stream(params.seed, STREAM_CIRCUIT, tag, chunk)
     faults = iter(_reference_faults(c, batch.trials, params.delta, rng))
     for layer in c.layers:
@@ -531,8 +537,8 @@ def _reference_run(c: Circuit, batch: FrameBatch, params: NoiseParams, tag: int,
                 continue
             for j, w in enumerate(g.wires):  # wire j takes code bits 2j (x) and 2j + 1 (z)
                 part = code >> (2 * j)
-                batch.x[trial, batch.index[w]] ^= part & 1
-                batch.z[trial, batch.index[w]] ^= part >> 1 & 1
+                batch.x[batch.index[w], trial] ^= part & 1
+                batch.z[batch.index[w], trial] ^= part >> 1 & 1
     return batch
 
 
@@ -594,12 +600,12 @@ class TestCompiledFaultTable:
     @pytest.mark.parametrize("trials", [0, 1, 2, 37])
     @pytest.mark.parametrize("delta", [0.0, 1.0])
     def test_layouts_agree_at_the_edges(self, trials, delta):
-        # Flat wire-major offsets and the reference's (trial, column) writes
-        # through the transposed view agree for empty and tiny batches.
+        # Flat wire-major offsets and the reference's (column, trial) writes
+        # agree for empty and tiny batches.
         c = _fresh_wire_circuit()
         params = NoiseParams(delta=delta, seed=2)
         got = FrameRunner(params).run(c, self.batch(c, trials), tag=1)
-        assert got.x.shape == (trials, len(c.wires))
+        assert got.x.shape == (len(c.wires), trials)
         assert _same_frames(got, _reference_run(c, self.batch(c, trials), params, 1, 0))
 
     def test_add_layer_after_run_recompiles(self):
@@ -624,8 +630,8 @@ class TestCompiledFaultTable:
     def test_block_is_a_slice_of_adjacent_wires(self):
         batch = FrameBatch(["a", "b", "c", "d"], 3)
         assert batch.block(["b", "c"]) == slice(1, 3) and batch.block([]) == slice(0, 0)
-        batch.x.T[batch.block(["c", "d"])] ^= 1
-        assert batch.x[:, 2:].all() and not batch.x[:, :2].any()
+        batch.x[batch.block(["c", "d"])] ^= 1
+        assert batch.x[2:].all() and not batch.x[:2].any()
         for wires in (["a", "c"], ["c", "b"]):
             with pytest.raises(ValueError, match="adjacent"):
                 batch.block(wires)
@@ -754,7 +760,7 @@ class TestFaultOffsets:
         params = NoiseParams(delta=delta, seed=13)
         got = FrameRunner(params, chunk=2).run(c, TestCompiledFaultTable.batch(c, trials, spectators), tag=4)
         want = _reference_run(c, TestCompiledFaultTable.batch(c, trials, spectators), params, tag=4, chunk=2)
-        assert _same_frames(got, want) and got.x.shape[0] == trials
+        assert _same_frames(got, want) and got.x.shape[1] == trials
 
     @pytest.mark.parametrize("spectators", [False, True])
     def test_cnot_wire_one_and_measurement_faults(self, spectators):
@@ -763,7 +769,7 @@ class TestFaultOffsets:
         # on b. Trial 2: code 12 is Y on f. Trial 3: an outcome flip of mc.
         c = _between_circuit()
         b = _forced_run(c, 4, spectators, ([7, 4, 7, 5], [0, 1, 2, 3], [4, 8, 12, 1]), delta=0.0)
-        x, z = (np.stack([frame[:, b.index[w]] for w in c.wires]) for frame in (b.x, b.z))
+        x, z = (np.stack([frame[b.index[w]] for w in c.wires]) for frame in (b.x, b.z))
         assert x[:, 0].tolist() == [0, 0, 0, 0, 1, 1] and not z[:, 0].any()
         assert z[:, 1].tolist() == [0, 1, 0, 0, 0, 0] and not x[:, 1].any()
         assert x[:, 2].tolist() == [0, 0, 0, 0, 1, 1] and z[:, 2].tolist() == [0, 0, 0, 0, 0, 1]

@@ -355,9 +355,21 @@ class TestE2E:
         ).read_bytes()
 
 
+def _dense_search_family() -> css.CodeFamily:
+    """Level 2 is 12 disjoint [[4,2,2]] blocks: 12 checks per sector, within
+    the leader tables' rows, but up to sum_{w <= 12} C(48, w) supports."""
+    h = np.kron(np.eye(12, dtype=np.uint8), np.ones((1, 4), np.uint8))
+    return css.CodeFamily(levels=(css.trivial_code(), css.CssCode.from_checks(h, h)), alpha=0.1, beta=0.1)
+
+
 class TestExitCodes:
     SWEEP = {"family": "toy", "r": 2, "r_prime": 1, "trials": 100, "noise": {"delta": [0.01]}}
     EXHAUSTIVE = {"family": "steane", "r": 2, "h": 1, "mode": "exhaustive"}
+    # Families a row names by these keys are written under tmp_path first.
+    TMP_FAMILIES = {
+        "toy-without-level-1": lambda: css.toy_family()._replace(levels=css.toy_family().levels[1:]),
+        "dense-search": _dense_search_family,
+    }
 
     @pytest.mark.parametrize(
         "command, config, message",
@@ -433,9 +445,20 @@ class TestExitCodes:
             ("interface-sweep", dict(SWEEP, proc_layers=[0, 1.2]), "expected an integer, got 1.2"),
             ("interface-sweep", dict(SWEEP, proc_layers=[0.9, 1]), "expected an integer, got 0.9"),
             ("interface-sweep", dict(SWEEP, proc_layers=[-3]), "proc_layers coefficients must be non-negative integers"),
+            # e2e lowers to bare qubits: a family whose level 1 is a [[4,2,2]] block has none.
+            ("e2e", {"family": "toy-without-level-1", "r": 3, "h": 1, "trials": 200, "noise": {"delta": [0, 0.001]}},
+             "level 1 must be one qubit (n = m = 1), got n=4, m=2"),
+            # A leader table whose search could run for hours is refused up front.
+            ("e2e", {"family": "dense-search", "r": 2, "h": 1, "trials": 10},
+             "level 2 has 48 qubits at rank 12 in one sector; its leader table search may enumerate 100946732306"),
+            ("interface-sweep", {"family": "dense-search", "r": 2, "r_prime": 1, "trials": 10},
+             "level 2 has 48 qubits at rank 12"),
         ],
     )
     def test_config_errors_are_usage_errors(self, tmp_path, capsys, command, config, message):
+        if config.get("family") in self.TMP_FAMILIES:
+            css.save_family(self.TMP_FAMILIES[config["family"]](), tmp_path / config["family"])
+            config = dict(config, family=str(tmp_path / config["family"]))
         cfg = write_config(tmp_path, "c.json", config)
         assert run(command, cfg, tmp_path / "out") == 2
         assert message in capsys.readouterr().err
@@ -693,9 +716,10 @@ class TestStartup:
 
 
 class TestSameSeedOutputs:
-    """Pinned digests (first 16 hex digits of the sha256) of three outputs at
-    --seed 5 and --workers 1. A change to a random stream, the decoder or the
-    classification moves them; a refactor must not.
+    """Pinned digests (first 16 hex digits of the sha256) of three outputs, and
+    of four more exhaustive runs, at --seed 5 and --workers 1. A change to a
+    random stream, the decoder or the classification moves them; a refactor
+    must not.
 
     `previous` holds the counts of the frame runs before circuit faults were
     drawn once per fragment run (digests af4e696ababc3736 and
@@ -735,3 +759,22 @@ class TestSameSeedOutputs:
                 trials = int(row["trials"])
                 now = round(float(row[column]) * trials) if column.endswith("_rate") else int(row[column])
                 assert wilson_overlap(before, now, trials), (column, before, now)
+
+    @pytest.mark.parametrize(
+        "config, digest, exit_code",
+        [
+            ({"family": "steane", "r": 2, "h": 3}, "b6cc0ee32fd319bc", 0),
+            # Toy's d = 2 levels herald single input errors, so these runs report failing cases.
+            ({"family": "toy", "r": 2, "h": 4}, "800d379fed2509ea", 1),
+            ({"family": "toy", "r": 3, "h": 3}, "1253e6ba1daef8ea", 1),
+            ({"family": "toy", "r": 4, "h": 2, "logical_patterns": [[0] * 8, [1] * 8, [1, 0, 1, 0, 0, 1, 1, 0]]},
+             "f9e04c8f2ba1105b", 1),
+        ],
+        ids=["steane-r2-h3", "toy-r2-h4", "toy-r3-h3", "toy-r4-h2-patterns"],
+    )
+    def test_exhaustive_digest(self, tmp_path, config, digest, exit_code):
+        cfg = write_config(tmp_path, "c.json", dict(config, mode="exhaustive", noise={"delta": 0.0}))
+        argv = ["e2e", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "5", "--workers", "1"]
+        assert cli.main(argv) == exit_code
+        out = tmp_path / "out" / "e2e_exhaustive.csv"
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest

@@ -168,6 +168,15 @@ class TestSignBatchedChain:
 
 
 class TestFrameChain:
+    def test_chain_must_end_on_bare_qubits(self):
+        # Without toy's level 1 the chain ends on [[4,2,2]] blocks, not bare qubits.
+        toy = css.toy_family()
+        sched = scheduler.build_schedule(toy._replace(levels=toy.levels[1:]), 3, 1, h=1)
+        with pytest.raises(ValueError, match="level 1 one qubit"):
+            e2e.run_block_chain_frames(sched, 0, NoiseParams(delta=0.0, seed=1), trials=10)
+        with pytest.raises(ValueError, match="level 1 one qubit"):
+            e2e.run_block_chain_tableau(sched, 0, Tableau.zero_state(list(range(sched.family.level(3).m))))
+
     def test_zero_delta_no_errors(self, steane_setup):
         fam, sched = steane_setup
         res = e2e.run_block_chain_frames(
@@ -195,7 +204,7 @@ class TestFrameChain:
         # decoding, flipping the output qubit deterministically at delta=0.
         code = fam.level(2)
         lx = code.lx[0]
-        fx = np.tile(lx, (50, 1)).astype(np.uint8)
+        fx = np.tile(lx[:, None], (1, 50)).astype(np.uint8)
         fz = np.zeros_like(fx)
         res = e2e.run_block_chain_frames(
             sched, 0, NoiseParams(delta=0.0, seed=2), trials=50, input_frames=(fx, fz)
@@ -240,14 +249,14 @@ class TestE2EStats:
                 runs.append(e2e.run_block_chain_frames(
                     sched, block, params, size, chunk=chunk, input_frames=frames
                 ))
-            errors.append(np.concatenate([run.error_bits for run in runs], axis=1))
+            errors.append(np.concatenate([run.error_bits for run in runs], axis=0))
             heralds.append(np.any([run.heralds for run in runs], axis=0))
-        errors, heralds = np.concatenate(errors), np.concatenate(heralds)
-        pairs = e2e._pair_sample(errors.shape[1], e2e.MAX_PAIRS)
+        errors, heralds = np.concatenate(errors, axis=1), np.concatenate(heralds)
+        pairs = e2e._pair_sample(errors.shape[0], e2e.MAX_PAIRS)
         assert stats.trials == 100
-        np.testing.assert_array_equal(stats.output_errors, errors.sum(axis=0))
-        np.testing.assert_array_equal(stats.pair_errors, [(errors[:, a] & errors[:, b]).sum() for a, b in pairs])
-        assert (stats.heralds, stats.any_errors) == (heralds.sum(), errors.any(axis=1).sum())
+        np.testing.assert_array_equal(stats.output_errors, errors.sum(axis=1))
+        np.testing.assert_array_equal(stats.pair_errors, [(errors[a] & errors[b]).sum() for a, b in pairs])
+        assert (stats.heralds, stats.any_errors) == (heralds.sum(), errors.any(axis=0).sum())
         assert stats.pair_errors.any() and 0 < stats.heralds < 100
 
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -71,12 +72,12 @@ class TestLeaderTable:
             syn = (code.hx @ e) % 2
             got, w = t.lookup(syn.reshape(1, -1))
             assert w[0] == 1
-            assert np.array_equal(got[0], e)
+            assert np.array_equal(got[:, 0], e)
 
     def test_zero_syndrome(self, fam):
         t = interface.build_leader_table(fam.level(2).hx)
         got, w = t.lookup(np.zeros((1, 1), np.uint8))
-        assert w[0] == 0 and not got[0].any()
+        assert w[0] == 0 and not got[:, 0].any()
 
 
     @staticmethod
@@ -154,7 +155,7 @@ class TestCosetTable:
         table = interface._coset_tables(code)[0]
         rng = np.random.default_rng(2)
         e = (rng.random((code.n, 500)) < 0.3).astype(np.uint8)
-        weights, logical = table.classify(e.T)
+        weights, logical = table.classify(e)
         want = gf2.coset_min_weight(code.x_stabilizer_basis(), e.T)
         assert want.exact and np.array_equal(weights, want.weight)
         ehat, _, _, _ = interface.decode_syndrome(code, np.zeros((len(code.hx), 500), np.uint8), code.hz @ e % 2)
@@ -370,6 +371,8 @@ class TestBatchedCalls:
         syn_x = rng.integers(0, 2, (len(code.hx), 64), dtype=np.uint8)
         syn_z = rng.integers(0, 2, (len(code.hz), 64), dtype=np.uint8)
         batch = interface.decode_syndrome(code, syn_x, syn_z)
+        for leaders in batch[:2]:
+            assert leaders.shape == (code.n, 64) and leaders.flags.c_contiguous
         for t in range(64):
             one = interface.decode_syndrome(code, syn_x[:, t : t + 1], syn_z[:, t : t + 1])
             for got, want in zip(batch, one):
@@ -645,7 +648,7 @@ class TestFaultLocality:
                 FrameRunner(NoiseParams(delta=0.0, seed=0)).run(
                     frag, batch, forced_faults=([row], [0], [code])
                 )
-                support = int(((batch.x[0] | batch.z[0]) != 0).sum())
+                support = int(((batch.x[:, 0] | batch.z[:, 0]) != 0).sum())
                 assert support <= 2 * max(1, remaining), (li, row)
 
 
@@ -696,9 +699,9 @@ class TestEstimateTau:
         plan = interface.build_gamma(sfam, 2, 1)
         trials = 32
         for q in range(7):
-            ex = np.zeros((trials, 7), np.uint8)
-            ez = np.zeros((trials, 7), np.uint8)
-            ex[:, q] = 1
+            ex = np.zeros((7, trials), np.uint8)
+            ez = np.zeros((7, trials), np.uint8)
+            ex[q] = 1
             run = interface.gamma_frames(
                 plan, NoiseParams(delta=0.0, seed=1), trials, input_frames=(ex, ez)
             )
@@ -710,7 +713,7 @@ class TestEstimateTau:
         plan = interface.build_gamma(sfam, 2, 1)
         lx = sfam.level(2).lx[0]
         trials = 16
-        ex = np.tile(lx, (trials, 1)).astype(np.uint8)
+        ex = np.tile(lx[:, None], (1, trials)).astype(np.uint8)
         ez = np.zeros_like(ex)
         run = interface.gamma_frames(
             plan, NoiseParams(delta=0.0, seed=1), trials, input_frames=(ex, ez)
@@ -795,14 +798,14 @@ class TestFrameClassification:
         logical = np.zeros(len(run.herald), bool)
         hist = np.zeros((plan.blocks, n + 1), np.int64)
         for i in range(plan.blocks):
-            ex = np.array(run.out_x[:, i * n : (i + 1) * n])
-            ez = np.array(run.out_z[:, i * n : (i + 1) * n])
+            ex = np.array(run.out_x[i * n : (i + 1) * n].T)
+            ez = np.array(run.out_z[i * n : (i + 1) * n].T)
             rw = np.maximum(weights(ex, stab_x), weights(ez, stab_z))
             overflow |= rw > mu * n
             ehat_x, _ = table_x.lookup(ex @ hz.T % 2)
             ehat_z, _ = table_z.lookup(ez @ hx.T % 2)
-            logical |= ((ex ^ ehat_x) @ lz.T % 2).any(axis=1)
-            logical |= ((ez ^ ehat_z) @ lx.T % 2).any(axis=1)
+            logical |= ((ex ^ ehat_x.T) @ lz.T % 2).any(axis=1)
+            logical |= ((ez ^ ehat_z.T) @ lx.T % 2).any(axis=1)
             hist[i] = np.bincount(rw, minlength=n + 1)
         return overflow, logical, hist
 
@@ -823,13 +826,13 @@ class TestFrameClassification:
         logical = np.zeros(len(run.herald), bool)
         hist = np.zeros((plan.blocks, n + 1), np.int64)
         for i in range(plan.blocks):
-            ex, ez = run.out_x[:, i * n : (i + 1) * n], run.out_z[:, i * n : (i + 1) * n]
-            wx, wz = (gf2.coset_min_weight(b, e) for b, e in ((code.x_stabilizer_basis(), ex), (code.z_stabilizer_basis(), ez)))
+            ex, ez = run.out_x[i * n : (i + 1) * n], run.out_z[i * n : (i + 1) * n]
+            wx, wz = (gf2.coset_min_weight(b, e.T) for b, e in ((code.x_stabilizer_basis(), ex), (code.z_stabilizer_basis(), ez)))
             assert wx.exact and wz.exact
             rw = np.maximum(wx.weight, wz.weight)
             overflow |= rw > mu * n
-            ehat_x, ehat_z, _, _ = interface.decode_syndrome(code, code.hx @ ez.T % 2, code.hz @ ex.T % 2)
-            logical |= (code.lz @ (ex.T ^ ehat_x) % 2).any(axis=0) | (code.lx @ (ez.T ^ ehat_z) % 2).any(axis=0)
+            ehat_x, ehat_z, _, _ = interface.decode_syndrome(code, code.hx @ ez % 2, code.hz @ ex % 2)
+            logical |= (code.lz @ (ex ^ ehat_x) % 2).any(axis=0) | (code.lx @ (ez ^ ehat_z) % 2).any(axis=0)
             hist[i] = np.bincount(rw, minlength=n + 1)
         return overflow, logical, hist
 
@@ -841,7 +844,7 @@ class TestFrameClassification:
         hamming = plan._replace(code_rp=css.CssCode.from_checks(HAMMING_15, HAMMING_15))
         rng = np.random.default_rng(int(delta * 1000))
         random = interface.GammaFrameRun(
-            *((rng.random((30, 2000)) < 10 * delta).astype(np.uint8).T for _ in range(2)), np.zeros(2000, bool)
+            *((rng.random((30, 2000)) < 10 * delta).astype(np.uint8) for _ in range(2)), np.zeros(2000, bool)
         )
         for p, run in ((plan, interface.gamma_frames(plan, NoiseParams(delta=delta, seed=3), 2000)), (hamming, random)):
             got = interface.classify_gamma_output(p, run, 0.25)
@@ -856,11 +859,11 @@ class TestFrameClassification:
         # classify random residuals on two Steane output blocks.
         plan = interface.build_gamma(fam, 4, 3)._replace(code_rp=sfam.level(2))
         rng = np.random.default_rng(5)
-        out_x, out_z = ((rng.random((14, 2000)) < 0.1).astype(np.uint8).T for _ in range(2))
+        out_x, out_z = ((rng.random((14, 2000)) < 0.1).astype(np.uint8) for _ in range(2))
         run = interface.GammaFrameRun(out_x=out_x, out_z=out_z, herald=np.zeros(2000, bool))
         got = interface.classify_gamma_output(plan, run, 0.25)
         want = self.brute_classification(plan, run, 0.25)
-        raw = (out_x[:, :7] @ sfam.level(2).lz.T % 2).any(axis=1)
+        raw = (sfam.level(2).lz @ out_x[:7] % 2).any(axis=0)
         assert (raw != want[1]).any()  # the decode matters on this batch
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -947,20 +950,20 @@ class TestLeaderLookupRows:
         rng = np.random.default_rng(rows * 31 + n)
         syn_rows = rng.integers(0, 2, (rows, 300), dtype=np.uint8)  # wire-major syndromes
         errors, weights = table.lookup(syn_rows.T)
-        assert errors.shape == (300, n) and errors.T.flags.c_contiguous
+        assert errors.shape == (n, 300) and errors.flags.c_contiguous
         brute = _brute_min_weights(h)
         for t in range(300):
             e1, w1 = table.lookup(syn_rows[:, t].reshape(1, -1))
-            assert np.array_equal(errors[t], e1[0]) and weights[t] == w1[0]
+            assert np.array_equal(errors[:, t], e1[:, 0]) and weights[t] == w1[0]
             s = int(syn_rows[:, t] @ (1 << np.arange(rows)))
             assert weights[t] == brute[s]
             if weights[t] >= 0:
-                assert np.array_equal(h @ errors[t] % 2, syn_rows[:, t])
-                assert errors[t].sum() == weights[t]
+                assert np.array_equal(h @ errors[:, t] % 2, syn_rows[:, t])
+                assert errors[:, t].sum() == weights[t]
             else:
-                assert not errors[t].any()
+                assert not errors[:, t].any()
         errors, weights = table.lookup(syn_rows[:, :0].T)  # a batch of 0 trials
-        assert errors.shape == (0, n) and errors.T.flags.c_contiguous and weights.shape == (0,)
+        assert errors.shape == (n, 0) and errors.flags.c_contiguous and weights.shape == (0,)
 
     def test_table_is_read_only(self, fam):
         table = interface.build_leader_table(fam.level(3).hx)
@@ -968,6 +971,41 @@ class TestLeaderLookupRows:
         for arr in (table.errors, table.weights):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+class TestTableLimits:
+    """`check_table` refuses a table too large to build before any enumeration."""
+
+    @staticmethod
+    def blocks(k: int) -> np.ndarray:
+        """k disjoint weight-4 checks on 4k qubits: k rows at rank k."""
+        return np.kron(np.eye(k, dtype=np.uint8), np.ones((1, 4), np.uint8))
+
+    def test_worst_case_support_bound(self):
+        interface.check_table(self.blocks(8))  # 15,033,172 supports at worst
+        for k, supports in ((9, 135142795), (12, 100946732306)):
+            with pytest.raises(ValueError, match=f"{4 * k} qubits at rank {k} in one sector; .* {supports} supports"):
+                interface.check_table(self.blocks(k))
+
+    def test_build_refuses_before_enumerating(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="supports, more than MAX_TABLE_SUPPORTS"):
+            interface.build_leader_table(self.blocks(12))
+        assert time.perf_counter() - start < 5
+
+    def test_row_limits_name_the_table(self):
+        h = np.eye(15, dtype=np.uint8)
+        with pytest.raises(ValueError, match="15 checks in one sector; leader tables decode at most 14"):
+            interface.check_table(h)
+        with pytest.raises(ValueError, match="15 checks and logicals in one sector; coset tables classify at most 14"):
+            interface.check_table(h, coset=True)
+
+    def test_shipped_tables_fit(self, fam, sfam):
+        hamming = css.CssCode.from_checks(HAMMING_15, HAMMING_15)
+        for code in (*fam.levels, *sfam.levels, hamming):
+            for h, logicals in ((code.hx, code.lx), (code.hz, code.lz)):
+                interface.check_table(h)
+                interface.check_table(np.concatenate([h, logicals]), coset=True)
 
 
 class TestWireMajorGamma:
@@ -1011,8 +1049,8 @@ class TestWireMajorGamma:
             rng = rng_stream(seed, STREAM_ORACLE, *key, p, chunk)
             want_x, want_z = sample_ls_bits(len(ab), ls_delta, rng, trials)
             cols = engine.batch.block(ab)
-            assert np.array_equal(engine.batch.x[:, cols], want_x)
-            assert np.array_equal(engine.batch.z[:, cols], want_z)
+            assert np.array_equal(engine.batch.x[cols], want_x)
+            assert np.array_equal(engine.batch.z[cols], want_z)
             assert engine.batch.x.sum() == want_x.sum() and engine.batch.z.sum() == want_z.sum()
         if ls_delta == 1.0:
             assert (want_x | want_z).all()
@@ -1042,11 +1080,11 @@ class TestOneWalkTwoEngines:
             list(range(code.m)), np.random.default_rng(r), moves=3 * code.m
         )
         cases = [(q, kind) for q in range(code.n) for kind in ("X", "Z", "Y")]
-        ex = np.zeros((len(cases), code.n), np.uint8)
+        ex = np.zeros((code.n, len(cases)), np.uint8)
         ez = np.zeros_like(ex)
         for t, (q, kind) in enumerate(cases):
-            ex[t, q] = kind in "XY"
-            ez[t, q] = kind in "ZY"
+            ex[q, t] = kind in "XY"
+            ez[q, t] = kind in "ZY"
         run = interface.gamma_frames(
             plan, NoiseParams(delta=0.0, seed=1), len(cases), input_frames=(ex, ez)
         )
@@ -1058,7 +1096,7 @@ class TestOneWalkTwoEngines:
             herald = interface.gamma_pass(plan, engine)
             assert herald[0] == bool(run.herald[t]), (q, kind)
             want = interface.expected_output_tableau(plan, logical)
-            want.apply_pauli_on(plan.b_wires, run.out_x[t], run.out_z[t])
+            want.apply_pauli_on(plan.b_wires, run.out_x[:, t], run.out_z[:, t])
             assert inp.same_state(want), (q, kind)
             heralds += herald[0]
         assert heralds == (0 if steane else len(cases))  # d = 3 corrects, d = 2 detects

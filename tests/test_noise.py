@@ -68,7 +68,7 @@ class TestLocalStochastic:
         delta = 0.1
         x, z = noise.sample_ls_bits(5, delta, ls_stream(11), trials)
         support = (x | z) != 0
-        hits = (support[:, 1] & support[:, 3]).mean()
+        hits = (support[1] & support[3]).mean()
         sigma = math.sqrt(delta**2 * (1 - delta**2) / trials)
         assert abs(hits - delta**2) < 3 * sigma
 
@@ -81,15 +81,15 @@ class TestLocalStochastic:
 
         for size in (1, 2, 3):
             for t in itertools.combinations(range(4), size):
-                freq = support[:, t].all(axis=1).mean()
+                freq = support[list(t)].all(axis=0).mean()
                 sigma = math.sqrt(delta**size * (1 - delta**size) / trials)
                 assert freq <= delta**size + 3 * sigma
 
     def test_as_bits(self):
         # Support (1, 3) with Paulis (Y, Z): kinds index X, Z, Y as 0, 1, 2.
         x, z = noise.sample_ls_bits(4, 0.5, _FixedGenerator([2, 1]), 1)
-        assert list(x[0]) == [0, 1, 0, 0]
-        assert list(z[0]) == [0, 1, 0, 1]
+        assert list(x[:, 0]) == [0, 1, 0, 0]
+        assert list(z[:, 0]) == [0, 1, 0, 1]
 
     def test_reproducible(self):
         a = noise.sample_ls_bits(30, 0.3, ls_stream(5, 2), 1)
@@ -111,7 +111,7 @@ class TestCompose:
 
         for size in (1, 2, 3):
             for t in itertools.combinations(range(4), size):
-                freq = support[:, t].all(axis=1).mean()
+                freq = support[list(t)].all(axis=0).mean()
                 sigma = math.sqrt(comp**size * (1 - comp**size) / trials)
                 assert freq <= comp**size + 3 * sigma
 
@@ -145,7 +145,7 @@ class TestTailBound:
 def overflow_count(n: int, delta: float, trials: int, mu: float, seed: int) -> int:
     """Trials whose LS support on n qubits exceeds mu * n."""
     x, z = noise.sample_ls_bits(n, delta, ls_stream(seed), trials)
-    return int(((x | z).sum(axis=1) > mu * n).sum())
+    return int(((x | z).sum(axis=0) > mu * n).sum())
 
 
 class TestTruncate:
@@ -294,9 +294,9 @@ class TestLsBits:
 
     def test_edges(self):
         x, z = noise.sample_ls_bits(5, 0.0, ls_stream(1), 50)
-        assert x.shape == (50, 5) and not x.any() and not z.any()
+        assert x.shape == (5, 50) and not x.any() and not z.any()
         x, z = noise.sample_ls_bits(5, 1.0, ls_stream(1), 50)
         assert ((x | z) != 0).all()
         x, z = noise.sample_ls_bits(5, 0.5, ls_stream(1), 0)
-        assert x.shape == (0, 5)
+        assert x.shape == (5, 0)
 
